@@ -56,20 +56,9 @@ struct SlotScheduler {
     /// and completion events. Integer slot counts, so incremental += / −=
     /// cannot drift from the recomputed sum.
     used: Vec<usize>,
-    /// Verbose-trace provenance capture (see [`SchedulerPolicy`]): pure
-    /// bookkeeping, never read by any decision above.
-    capture: bool,
-    /// Captured provenance per placed task, drained by the engine.
-    prov: Vec<(TaskUid, PlacementProvenance)>,
 }
 
 impl SlotScheduler {
-    /// Drain the provenance captured for `task`, if any.
-    fn take_provenance(&mut self, task: TaskUid) -> Option<PlacementProvenance> {
-        let i = self.prov.iter().position(|(t, _)| *t == task)?;
-        Some(self.prov.swap_remove(i).1)
-    }
-
     fn slots_of(&self, view: &ClusterView<'_>, m: MachineId) -> usize {
         (view.capacity(m).get(Resource::Mem) / self.slot_mem).floor() as usize
     }
@@ -109,8 +98,6 @@ impl SlotScheduler {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        // Provenance not collected by the engine last call is stale now.
-        self.prov.clear();
         // Free slots per machine (slots − slots held by running tasks):
         // read from the event-maintained ledger when synced, recomputed
         // from scratch otherwise. Slot counts are integers, so the two
@@ -237,7 +224,8 @@ impl SlotScheduler {
                 });
             match target {
                 Some(m) => {
-                    if self.capture {
+                    let mut assignment = Assignment::new(task, m);
+                    if view.capture_provenance() {
                         // The slot queue has no multi-resource scores: the
                         // runner-ups are the next jobs in policy order, and
                         // `score` is the (negated) queue rank so that, like
@@ -277,27 +265,24 @@ impl SlotScheduler {
                                 })
                             })
                             .collect();
-                        self.prov.push((
-                            task,
-                            PlacementProvenance {
-                                // The slot ledger is the baselines' only
-                                // incremental state: event-maintained when
-                                // synced, recomputed from the view when not.
-                                cache_hits: if self.synced { 1 } else { 0 },
-                                cache_rebuilds: if self.synced { 0 } else { 1 },
-                                cache_flushed: !self.synced,
-                                dirty_jobs: 0,
-                                candidates: n_queued as u32,
-                                index_pruned: 0,
-                                index_considered: 0,
-                                rejected,
-                            },
-                        ));
+                        assignment = assignment.with_provenance(PlacementProvenance {
+                            // The slot ledger is the baselines' only
+                            // incremental state: event-maintained when
+                            // synced, recomputed from the view when not.
+                            cache_hits: if self.synced { 1 } else { 0 },
+                            cache_rebuilds: if self.synced { 0 } else { 1 },
+                            cache_flushed: !self.synced,
+                            dirty_jobs: 0,
+                            candidates: n_queued as u32,
+                            index_pruned: 0,
+                            index_considered: 0,
+                            rejected,
+                        });
                     }
                     free[m.index()] -= need;
                     jobs[ji].running += 1;
                     jobs[ji].advance();
-                    out.push(Assignment::new(task, m));
+                    out.push(assignment);
                 }
                 None => break, // no machine has enough free slots
             }
@@ -335,8 +320,6 @@ impl FairScheduler {
                 mem_rounded: false,
                 synced: false,
                 used: Vec::new(),
-                capture: false,
-                prov: Vec::new(),
             },
         }
     }
@@ -351,8 +334,6 @@ impl FairScheduler {
                 mem_rounded: true,
                 synced: false,
                 used: Vec::new(),
-                capture: false,
-                prov: Vec::new(),
             },
         }
     }
@@ -380,15 +361,6 @@ impl SchedulerPolicy for FairScheduler {
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         self.inner.schedule(view)
     }
-
-    fn set_capture_provenance(&mut self, on: bool) {
-        self.inner.capture = on;
-        self.inner.prov.clear();
-    }
-
-    fn take_provenance(&mut self, task: TaskUid) -> Option<PlacementProvenance> {
-        self.inner.take_provenance(task)
-    }
 }
 
 /// The slot-based Capacity scheduler (deployed at Yahoo! per §5.1),
@@ -414,8 +386,6 @@ impl CapacityScheduler {
                 mem_rounded: false,
                 synced: false,
                 used: Vec::new(),
-                capture: false,
-                prov: Vec::new(),
             },
         }
     }
@@ -438,15 +408,6 @@ impl SchedulerPolicy for CapacityScheduler {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         self.inner.schedule(view)
-    }
-
-    fn set_capture_provenance(&mut self, on: bool) {
-        self.inner.capture = on;
-        self.inner.prov.clear();
-    }
-
-    fn take_provenance(&mut self, task: TaskUid) -> Option<PlacementProvenance> {
-        self.inner.take_provenance(task)
     }
 }
 

@@ -55,18 +55,6 @@ pub struct TetrisConfig {
     /// which relies on heartbeat batching alone (§3.5) — so enabling
     /// reservations is an explicit, documented extension.
     pub starvation: Option<StarvationConfig>,
-    /// Worker shards for the candidate-scoring scan (DESIGN.md §13).
-    /// `1` (the default) scores serially; `> 1` fans large scans out
-    /// across the deterministic worker pool *within* a heartbeat. The
-    /// merge is earliest-candidate-wins in submission order, so shard
-    /// count never changes decisions — only wall-clock.
-    ///
-    /// Renamed from `shards` (deprecated) when the Omega-style
-    /// scheduler-level shard knob arrived: that one partitions *jobs*
-    /// across whole scheduler instances (`tetris_sim::ShardedScheduler`,
-    /// DESIGN.md §14) and *can* change decisions; this one only fans out
-    /// the scoring scan inside a single Tetris pass.
-    pub score_shards: usize,
 }
 
 /// Parameters of starvation-prevention reservations (§3.5).
@@ -99,7 +87,6 @@ impl Default for TetrisConfig {
             consider_io_dims: true,
             estimation: EstimationMode::Exact,
             starvation: None,
-            score_shards: 1,
         }
     }
 }
@@ -134,9 +121,6 @@ impl TetrisConfig {
             if !(sc.patience > 0.0) || sc.max_reservations == 0 {
                 return Err("invalid starvation config".into());
             }
-        }
-        if self.score_shards == 0 {
-            return Err("score_shards must be ≥ 1".into());
         }
         Ok(())
     }
@@ -227,9 +211,8 @@ struct ScheduleScratch {
     classes: Vec<ResourceVec>,
     class_of: Vec<usize>,
     /// Scored candidates of the current machine-iteration, recorded only
-    /// under provenance capture: `(candidate, promoted, score,
-    /// alignment)`.
-    scored: Vec<(usize, bool, f64, f64)>,
+    /// under provenance capture.
+    scored: Vec<Scored>,
 }
 
 /// Cached per-job candidate prototype: everything `schedule()` derives
@@ -391,6 +374,34 @@ impl AvailCache {
         let v = self.get(view, m);
         self.vals[m.index()] = v - *d;
     }
+
+    /// Authoritative feasibility of `task` on `m` via the full placement
+    /// plan (checks disk/net-out at every remote input source); when it
+    /// fits, charge the plan and return its visible local demand.
+    fn try_commit(
+        &mut self,
+        view: &ClusterView<'_>,
+        consider_io_dims: bool,
+        task: TaskUid,
+        m: MachineId,
+    ) -> Option<ResourceVec> {
+        let plan = view.plan(task, m);
+        let local = visible(consider_io_dims, &plan.local);
+        let feasible = local.fits_within(&visible(consider_io_dims, &self.get(view, m)))
+            && (!consider_io_dims
+                || plan
+                    .remote
+                    .iter()
+                    .all(|(src, dem)| dem.fits_within(&self.get(view, *src))));
+        if !feasible {
+            return None;
+        }
+        self.sub(view, m, &plan.local);
+        for (src, dem) in &plan.remote {
+            self.sub(view, *src, dem);
+        }
+        Some(local)
+    }
 }
 
 /// The Tetris scheduler.
@@ -423,19 +434,6 @@ pub struct TetrisScheduler {
     /// Rendered once at construction — `name()` is called per round and
     /// per trace event.
     name: String,
-    /// Record decision provenance per assignment (verbose tracing only).
-    /// Capture is write-only bookkeeping: it never changes decisions.
-    capture: bool,
-    /// Provenance awaiting collection via `take_provenance`, keyed by the
-    /// placed task. Cleared at the start of each `schedule()` call —
-    /// anything still here (e.g. for an assignment the engine rejected)
-    /// was never going to be collected.
-    prov: Vec<(TaskUid, PlacementProvenance)>,
-    /// Scoring scans fanned out across the worker pool (score_shards > 1
-    /// only).
-    shard_batches: u64,
-    /// Candidate entries dispatched across those fan-outs.
-    shard_items: u64,
 }
 
 impl TetrisScheduler {
@@ -455,9 +453,6 @@ impl TetrisScheduler {
         if !cfg.consider_io_dims {
             name.push_str("[cpu-mem-only]");
         }
-        if cfg.score_shards > 1 {
-            name.push_str(&format!("[score_shards={}]", cfg.score_shards));
-        }
         TetrisScheduler {
             scorer: CombinedScorer::new(cfg.srtf_multiplier),
             estimator: DemandEstimator::new(cfg.estimation),
@@ -466,21 +461,7 @@ impl TetrisScheduler {
             inc: IncState::default(),
             name,
             cfg,
-            capture: false,
-            prov: Vec::new(),
-            shard_batches: 0,
-            shard_items: 0,
         }
-    }
-
-    /// Drain the shard-utilization counters: scoring scans dispatched to
-    /// the worker pool and candidate entries fanned out across them.
-    /// Always `(0, 0)` with `score_shards = 1`.
-    pub fn take_shard_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.shard_batches),
-            std::mem::take(&mut self.shard_items),
-        )
     }
 
     /// Machines currently reserved for starved tasks (diagnostics).
@@ -512,67 +493,85 @@ fn visible(consider_io_dims: bool, v: &ResourceVec) -> ResourceVec {
     }
 }
 
-/// A scoring fan-out wider than this stays serial: below it, thread
-/// launch costs more than the scan itself.
-const SHARD_MIN_CANDIDATES: usize = 4096;
+/// One scored candidate on one machine: `(candidate index, promoted,
+/// combined score, alignment)`.
+type Scored = (usize, bool, f64, f64);
 
-/// Score one contiguous chunk of live candidates against machine `m`,
-/// returning the chunk-local best as `(candidate index, promoted,
-/// combined score, alignment)`. The comparison is strictly-greater on
-/// `(promoted, score)`, so within a chunk the *earliest* maximal
-/// candidate wins — and merging chunk results in submission order
-/// preserves exactly the serial scan's earliest-wins winner, which is
-/// what makes sharding decision-neutral (DESIGN.md §13).
-#[allow(clippy::too_many_arguments)]
-fn scan_chunk(
-    chunk: &[usize],
-    cands: &[Candidate],
-    norms_arena: &[(ResourceVec, ResourceVec)],
-    preferred_arena: &[MachineId],
-    avail_norm: &ResourceVec,
-    banned: &StampGrid,
-    ban_check: bool,
-    m: MachineId,
-    cls: usize,
-    scorer: &CombinedScorer,
-    cfg: &TetrisConfig,
-) -> Option<(usize, bool, f64, f64)> {
-    let mut best: Option<(usize, bool, f64, f64)> = None;
-    for &ci in chunk {
-        let c = &cands[ci];
-        if !c.alive || (ban_check && banned.contains(ci, m.index())) {
-            continue;
+/// The per-call tables one scoring scan reads, borrowed between the
+/// greedy loop's mutations (head advances, bans, the scorer's running ā).
+struct Scan<'a> {
+    cands: &'a [Candidate],
+    norms_arena: &'a [(ResourceVec, ResourceVec)],
+    preferred_arena: &'a [MachineId],
+    banned: &'a StampGrid,
+    scorer: &'a CombinedScorer,
+    cfg: &'a TetrisConfig,
+}
+
+impl Scan<'_> {
+    /// Score the `live` candidates against machine `m` (capacity class
+    /// `cls`, normalized availability `avail_norm`) and return the best.
+    /// The comparison is strictly-greater on `(promoted, score)`, so the
+    /// *earliest* maximal candidate wins. Every feasible candidate is also
+    /// handed to `each` — the provenance sink under verbose tracing, an
+    /// empty closure the compiler removes otherwise — so default and
+    /// verbose passes run this one loop.
+    fn best(
+        self,
+        live: &[usize],
+        m: MachineId,
+        cls: usize,
+        avail_norm: &ResourceVec,
+        mut each: impl FnMut(Scored),
+    ) -> Option<Scored> {
+        let Scan {
+            cands,
+            norms_arena,
+            preferred_arena,
+            banned,
+            scorer,
+            cfg,
+        } = self;
+        let ban_check = banned.any;
+        let mut best: Option<Scored> = None;
+        for &ci in live {
+            let c = &cands[ci];
+            if !c.alive || (ban_check && banned.contains(ci, m.index())) {
+                continue;
+            }
+            let (norm, norm_local) = &norms_arena[c.norms_start + cls];
+            let local = !c.shuffle && c.preferred(preferred_arena).binary_search(&m).is_ok();
+            let demand_norm = if local { norm_local } else { norm };
+            // Feasibility in normalized space (capacity-relative); the
+            // demand was clamped to the class capacity, so a deliberate
+            // over-estimate (§4.1) cannot make the task unplaceable
+            // everywhere.
+            if !demand_norm.fits_within(avail_norm) {
+                continue;
+            }
+            let mut a = cfg.alignment.score_normalized(demand_norm, avail_norm);
+            let is_remote = c.shuffle || (c.pref.1 != 0 && !local);
+            if is_remote {
+                a *= 1.0 - cfg.remote_penalty;
+            }
+            let score = if c.promoted {
+                // Promoted stragglers rank above everyone and are ordered
+                // among themselves by alignment (§3.5).
+                a
+            } else {
+                scorer.combined(a, c.p)
+            };
+            each((ci, c.promoted, score, a));
+            let better = match best {
+                None => true,
+                Some((_, bp, bs, _)) => (c.promoted, score) > (bp, bs),
+            };
+            if better {
+                best = Some((ci, c.promoted, score, a));
+            }
         }
-        let (norm, norm_local) = &norms_arena[c.norms_start + cls];
-        let local = !c.shuffle && c.preferred(preferred_arena).binary_search(&m).is_ok();
-        let demand_norm = if local { norm_local } else { norm };
-        // Feasibility in normalized space (capacity-relative); the demand
-        // was clamped to the class capacity, so a deliberate over-estimate
-        // (§4.1) cannot make the task unplaceable everywhere.
-        if !demand_norm.fits_within(avail_norm) {
-            continue;
-        }
-        let mut a = cfg.alignment.score_normalized(demand_norm, avail_norm);
-        let is_remote = c.shuffle || (c.pref.1 != 0 && !local);
-        if is_remote {
-            a *= 1.0 - cfg.remote_penalty;
-        }
-        let score = if c.promoted {
-            // Promoted stragglers rank above everyone and are ordered
-            // among themselves by alignment (§3.5).
-            a
-        } else {
-            scorer.combined(a, c.p)
-        };
-        let better = match best {
-            None => true,
-            Some((_, bp, bs, _)) => (c.promoted, score) > (bp, bs),
-        };
-        if better {
-            best = Some((ci, c.promoted, score, a));
-        }
+        best
     }
-    best
 }
 
 /// Persistent scheduler state carried in engine checkpoints (the
@@ -631,16 +630,6 @@ impl SchedulerPolicy for TetrisScheduler {
         true
     }
 
-    fn set_capture_provenance(&mut self, on: bool) {
-        self.capture = on;
-        self.prov.clear();
-    }
-
-    fn take_provenance(&mut self, task: TaskUid) -> Option<PlacementProvenance> {
-        let i = self.prov.iter().position(|(t, _)| *t == task)?;
-        Some(self.prov.swap_remove(i).1)
-    }
-
     fn on_event(&mut self, _view: &ClusterView<'_>, event: &SchedulerEvent) {
         self.inc.synced = true;
         match *event {
@@ -679,16 +668,11 @@ impl SchedulerPolicy for TetrisScheduler {
             reservations,
             scratch,
             inc,
-            capture,
-            prov,
-            shard_batches,
-            shard_items,
             ..
         } = self;
-        let capture = *capture;
-        // Uncollected provenance (assignments the engine rejected) will
-        // never be queried once a new call begins.
-        prov.clear();
+        // Verbose tracing: attach provenance to each assignment. Capture
+        // is write-only bookkeeping — it never changes decisions.
+        let capture = view.capture_provenance();
         // Cache reuse needs two things: event delivery (`synced` — before
         // the first event there is no history to be stale about, but also
         // no way to know what changed) and the `Exact` estimator (the
@@ -1033,34 +1017,23 @@ impl SchedulerPolicy for TetrisScheduler {
             // A machine reserved for a starved task accepts only that task
             // (§3.5 reservation extension).
             if let Some(&(_, starved)) = reservations.iter().find(|&&(rm, _)| rm == m) {
-                if view.is_runnable(starved) {
-                    let plan = view.plan(starved, m);
-                    let local = visible(cfg.consider_io_dims, &plan.local);
-                    let feasible = local
-                        .fits_within(&visible(cfg.consider_io_dims, &avail.get(view, m)))
-                        && (!cfg.consider_io_dims
-                            || plan
-                                .remote
-                                .iter()
-                                .all(|(src, dem)| dem.fits_within(&avail.get(view, *src))));
-                    if feasible {
-                        avail.sub(view, m, &plan.local);
-                        for (src, dem) in &plan.remote {
-                            avail.sub(view, *src, dem);
+                if view.is_runnable(starved)
+                    && avail
+                        .try_commit(view, cfg.consider_io_dims, starved, m)
+                        .is_some()
+                {
+                    // Reservation redemptions are placed by right, not by
+                    // score — no DecisionScores to attach.
+                    out.push(Assignment::new(starved, m));
+                    // Consume the matching candidate head if present so the
+                    // task is not double-placed this round.
+                    for c in cands.iter_mut() {
+                        if c.head(view) == Some(starved) {
+                            c.next += 1;
+                            c.alive = c.head(view).is_some();
                         }
-                        // Reservation redemptions are placed by right, not
-                        // by score — no DecisionScores to attach.
-                        out.push(Assignment::new(starved, m));
-                        // Consume the matching candidate head if present so
-                        // the task is not double-placed this round.
-                        for c in cands.iter_mut() {
-                            if c.head(view) == Some(starved) {
-                                c.next += 1;
-                                c.alive = c.head(view).is_some();
-                            }
-                        }
-                        reservations.retain(|&(rm, _)| rm != m);
                     }
+                    reservations.retain(|&(rm, _)| rm != m);
                 }
                 continue;
             }
@@ -1079,144 +1052,46 @@ impl SchedulerPolicy for TetrisScheduler {
                 let machine_avail = visible(cfg.consider_io_dims, &avail.get(view, m));
                 // Hoisted per machine-iteration: normalized availability.
                 let avail_norm = machine_avail.clamp_non_negative().normalized_by(&capacity);
-                // Select the best candidate by (promoted, score).
-                let ban_check = banned.any;
-                // (candidate, promoted, combined score, alignment term).
-                let mut best: Option<(usize, bool, f64, f64)> = None;
-                if capture {
-                    // Provenance capture needs every score, not just the
-                    // winner — keep the serial inline loop.
+                // Select the best candidate by (promoted, score); provenance
+                // capture additionally keeps every score, not just the
+                // winner's.
+                let scan = Scan {
+                    cands,
+                    norms_arena,
+                    preferred_arena,
+                    banned,
+                    scorer,
+                    cfg,
+                };
+                let best = if capture {
                     scored.clear();
-                    for &ci in live.iter() {
-                        let c = &cands[ci];
-                        if !c.alive || (ban_check && banned.contains(ci, m.index())) {
-                            continue;
-                        }
-                        let (norm, norm_local) = &norms_arena[c.norms_start + cls];
-                        let local =
-                            !c.shuffle && c.preferred(preferred_arena).binary_search(&m).is_ok();
-                        let demand_norm = if local { norm_local } else { norm };
-                        // Feasibility in normalized space (capacity-relative);
-                        // the demand was clamped to the class capacity, so a
-                        // deliberate over-estimate (§4.1) cannot make the task
-                        // unplaceable everywhere.
-                        if !demand_norm.fits_within(&avail_norm) {
-                            continue;
-                        }
-                        let mut a = cfg.alignment.score_normalized(demand_norm, &avail_norm);
-                        let is_remote = c.shuffle || (c.pref.1 != 0 && !local);
-                        if is_remote {
-                            a *= 1.0 - cfg.remote_penalty;
-                        }
-                        let score = if c.promoted {
-                            // Promoted stragglers rank above everyone and are
-                            // ordered among themselves by alignment (§3.5).
-                            a
-                        } else {
-                            scorer.combined(a, c.p)
-                        };
-                        scored.push((ci, c.promoted, score, a));
-                        let better = match best {
-                            None => true,
-                            Some((_, bp, bs, _)) => (c.promoted, score) > (bp, bs),
-                        };
-                        if better {
-                            best = Some((ci, c.promoted, score, a));
-                        }
-                    }
-                } else if cfg.score_shards > 1 && live.len() >= SHARD_MIN_CANDIDATES {
-                    // Shard the scan across the deterministic worker pool.
-                    // Each chunk returns its earliest-wins best under the
-                    // same strict `(promoted, score)` comparison as the
-                    // serial loop; merging chunk winners in submission
-                    // order with that comparison reproduces the serial
-                    // earliest-wins choice exactly (DESIGN.md §13).
-                    *shard_batches += 1;
-                    *shard_items += live.len() as u64;
-                    let chunk_len = live.len().div_ceil(cfg.score_shards);
-                    let chunks: Vec<&[usize]> = live.chunks(chunk_len).collect();
-                    let winners = tetris_sim::pool::pool_map(
-                        chunks,
-                        cfg.score_shards,
-                        |chunk, _| {
-                            scan_chunk(
-                                chunk,
-                                cands,
-                                norms_arena,
-                                preferred_arena,
-                                &avail_norm,
-                                banned,
-                                ban_check,
-                                m,
-                                cls,
-                                scorer,
-                                cfg,
-                            )
-                        },
-                        |_, _| {},
-                    );
-                    for w in winners.into_iter().flatten() {
-                        let better = match best {
-                            None => true,
-                            Some((_, bp, bs, _)) => (w.1, w.2) > (bp, bs),
-                        };
-                        if better {
-                            best = Some(w);
-                        }
-                    }
+                    scan.best(live, m, cls, &avail_norm, |s| scored.push(s))
                 } else {
-                    best = scan_chunk(
-                        live,
-                        cands,
-                        norms_arena,
-                        preferred_arena,
-                        &avail_norm,
-                        banned,
-                        ban_check,
-                        m,
-                        cls,
-                        scorer,
-                        cfg,
-                    );
-                }
+                    scan.best(live, m, cls, &avail_norm, |_| {})
+                };
                 let Some((ci, _, combined, alignment)) = best else {
                     break;
                 };
 
-                // Authoritative feasibility via the full placement plan
-                // (checks disk/net-out at every remote input source).
+                // The normalized check above is a prefilter; the plan is
+                // authoritative.
                 let uid = cands[ci].head(view).expect("candidate head");
-                let plan = view.plan(uid, m);
-                let local = visible(cfg.consider_io_dims, &plan.local);
-                let feasible = local
-                    .fits_within(&visible(cfg.consider_io_dims, &avail.get(view, m)))
-                    && (!cfg.consider_io_dims
-                        || plan
-                            .remote
-                            .iter()
-                            .all(|(src, dem)| dem.fits_within(&avail.get(view, *src))));
-                if !feasible {
+                let Some(local) = avail.try_commit(view, cfg.consider_io_dims, uid, m) else {
                     banned.insert(ci, m.index());
                     continue;
-                }
-
-                // Commit.
-                avail.sub(view, m, &plan.local);
-                for (src, dem) in &plan.remote {
-                    avail.sub(view, *src, dem);
-                }
+                };
                 let a_placed = cfg.alignment.score(
                     &local,
                     &visible(cfg.consider_io_dims, &avail.get(view, m)),
                     &capacity,
                 );
                 scorer.observe_alignment(a_placed.max(0.0));
-                out.push(Assignment::new(uid, m).with_scores(DecisionScores {
+                let mut assignment = Assignment::new(uid, m).with_scores(DecisionScores {
                     alignment,
                     srtf: cands[ci].p,
                     combined,
                     considered_machines,
-                }));
+                });
                 if capture {
                     // Runner-up candidates on this machine, best first, so
                     // `explain` can show what the winner beat. Recorded
@@ -1238,20 +1113,18 @@ impl SchedulerPolicy for TetrisScheduler {
                             })
                         })
                         .collect();
-                    prov.push((
-                        uid,
-                        PlacementProvenance {
-                            cache_hits,
-                            cache_rebuilds,
-                            cache_flushed: prov_flushed,
-                            dirty_jobs: prov_dirty,
-                            candidates: scored.len() as u32,
-                            index_pruned: prov_index_pruned,
-                            index_considered: prov_index_considered,
-                            rejected,
-                        },
-                    ));
+                    assignment = assignment.with_provenance(PlacementProvenance {
+                        cache_hits,
+                        cache_rebuilds,
+                        cache_flushed: prov_flushed,
+                        dirty_jobs: prov_dirty,
+                        candidates: scored.len() as u32,
+                        index_pruned: prov_index_pruned,
+                        index_considered: prov_index_considered,
+                        rejected,
+                    });
                 }
+                out.push(assignment);
                 cands[ci].next += 1;
                 cands[ci].alive = cands[ci].head(view).is_some();
                 // In-call spread approximation: until the job's *running*
@@ -1352,6 +1225,12 @@ mod tests {
         let mut c = TetrisConfig::default();
         c.srtf_multiplier = f64::NAN;
         assert!(c.validate().is_err());
+        let mut c = TetrisConfig::default();
+        c.starvation = Some(StarvationConfig {
+            patience: 60.0,
+            max_reservations: 0,
+        });
+        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -1365,10 +1244,11 @@ mod tests {
     #[test]
     fn name_reflects_config() {
         let s = TetrisScheduler::new(TetrisConfig::default());
-        assert!(s.name().starts_with("tetris(f=0.25,b=0.9,m=1,cosine"));
+        // The whole name: knobs and alignment, no other suffix.
+        assert_eq!(s.name(), "tetris(f=0.25,b=0.9,m=1,cosine)");
         let mut c = TetrisConfig::default();
         c.consider_io_dims = false;
-        assert!(TetrisScheduler::new(c).name().contains("cpu-mem-only"));
+        assert!(TetrisScheduler::new(c).name().ends_with(")[cpu-mem-only]"));
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //!   free-capacity index (`SimConfig::machine_index = true`), and
 //! * **linear** — the flat scan oracle (`machine_index = false`),
 //!
-//! asserting byte-identical assignment streams every rep. A second,
-//! size-independent point pushes the candidate count past the sharded
-//! scorer's minimum batch (`shards = 2` on the indexed side only) to
-//! pin that the worker-pool fan-out is decision-neutral too.
+//! asserting byte-identical assignment streams every rep.
 //!
 //! Latencies go to the bench metrics (`cold_pass_*_ms_*`, headline
 //! `cold_pass_speedup_100k`); the report text carries only deterministic
@@ -131,29 +128,6 @@ pub fn scale(ctx: &RunCtx) -> Report {
     }
     out.push_str(&t.render());
 
-    // Sharded-scorer smoke: enough one-candidate-per-job backlog to clear
-    // the sharded scan's minimum batch, shards=2 on the indexed side vs
-    // the serial linear oracle — placements must still match exactly.
-    // Size-independent of --scale: the point exists to exercise the
-    // fan-out path, not to time it.
-    // 2-task jobs → ~12 k candidate jobs, comfortably past the minimum
-    // batch even after the fairness cutoff trims the candidate set.
-    let probe = ColdPassProbe::with_tasks_per_job(64, 24_000, 2);
-    let mut sharded = TetrisScheduler::new({
-        let mut c = TetrisConfig::default();
-        c.score_shards = 2;
-        c
-    });
-    let mut serial = TetrisScheduler::new(TetrisConfig::default());
-    let s = probe.measure(&mut sharded, &mut serial);
-    let (batches, items) = sharded.take_shard_stats();
-    obs.metrics.counter_add(names::SHARD_BATCHES, batches);
-    obs.metrics.counter_add(names::SHARD_ITEMS, items);
-    out.push_str(&format!(
-        "\nsharded scorer smoke (shards=2 vs serial, identical snapshots):\n\
-         placements {} | shard batches {batches} | shard items {items}\n",
-        s.placements,
-    ));
     ctx.absorb(&obs.metrics);
     report.text = out;
     report
@@ -179,16 +153,7 @@ mod tests {
                 assert!(v.is_finite() && v > 0.0, "{name} = {v}");
             }
         }
-        assert!(r.text.contains("shard batches"), "{}", r.text);
-        // The sharded smoke must actually dispatch batches.
-        let batches: u64 = r
-            .text
-            .split("shard batches ")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .and_then(|s| s.parse().ok())
-            .expect("shard batches in text");
-        assert!(batches > 0, "sharded path never fired:\n{}", r.text);
+        assert!(!r.text.contains("shard batches"), "{}", r.text);
     }
 
     #[test]

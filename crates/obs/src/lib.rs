@@ -117,11 +117,6 @@ pub mod names {
     /// Availability evaluations performed by indexed envelope descents
     /// (counter; linear envelopes would cost one per considered machine).
     pub const INDEX_ENV_VISITS: &str = "machine_index_env_visits";
-    /// Sharded cold-pass scoring batches dispatched to the worker pool
-    /// (counter; absent unless a policy runs with `score_shards > 1`).
-    pub const SHARD_BATCHES: &str = "shard_batches";
-    /// Candidate×machine scoring items fanned out across shards (counter).
-    pub const SHARD_ITEMS: &str = "shard_items";
 
     // ------- omega family (sharded multi-scheduler, sim::sharded) -------
 

@@ -237,15 +237,13 @@ impl<'o> Simulation<'o> {
             }
         };
 
-        // Verbose tracing asks policies to capture decision provenance
-        // (rejected candidates, cache bookkeeping) per placement. This is
-        // pure extra bookkeeping on the policy side — capture must never
-        // change which assignments are produced (the noop-identity test
-        // covers the default path; `schedule_equivalence` the policies).
+        // Verbose tracing asks policies, through the views `schedule`
+        // sees, to attach decision provenance (rejected candidates, cache
+        // bookkeeping) to each assignment. This is pure extra bookkeeping
+        // on the policy side — capture must never change which
+        // assignments are produced (the noop-identity test covers the
+        // default path; `schedule_equivalence` the policies).
         let verbose = obs.verbose();
-        if verbose {
-            policy.set_capture_provenance(true);
-        }
 
         let tracker_aware = policy.uses_tracker();
 
@@ -684,7 +682,7 @@ impl<'o> Simulation<'o> {
                 for round in 0..MAX_SCHEDULE_ROUNDS {
                     let schedule_start = Instant::now();
                     let assignments = {
-                        let view = ClusterView::new(&state, tracker_aware);
+                        let view = ClusterView::new(&state, tracker_aware).capturing(verbose);
                         stats.schedule_calls += 1;
                         policy.schedule(&view)
                     };
@@ -812,15 +810,6 @@ impl<'o> Simulation<'o> {
                                 );
                             }
                             obs.metrics.counter_inc(names::SCHED_EVENTS);
-                            // Provenance is queried only under verbose
-                            // tracing, before the emit closure (which
-                            // borrows `state` immutably and cannot also
-                            // hold `&mut policy`).
-                            let provenance = if verbose {
-                                policy.take_provenance(a.task).map(Box::new)
-                            } else {
-                                None
-                            };
                             obs.emit(state.now.as_secs(), || {
                                 let job = state.workload.task(a.task).expect("task").job;
                                 // Present only for non-default priority:
@@ -834,7 +823,9 @@ impl<'o> Simulation<'o> {
                                     srtf_score: a.scores.map(|s| s.srtf),
                                     combined_score: a.scores.map(|s| s.combined),
                                     considered_machines: a.scores.map(|s| s.considered_machines),
-                                    provenance,
+                                    // Default traces stay byte-identical
+                                    // whatever a policy attaches.
+                                    provenance: a.provenance.filter(|_| verbose),
                                     priority: (p != 0).then_some(p),
                                 }
                             });

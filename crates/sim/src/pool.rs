@@ -7,10 +7,9 @@
 //! completion for item 3 is buffered until items 0..3 have been
 //! delivered), and the returned vector is in submission order too.
 //! Parallelism changes only the wall-clock, never the output — the
-//! guarantee the experiment runner (`crates/expts`), the sharded
-//! cold-pass scoring loop (`crates/core`, DESIGN.md §13) and the
-//! Omega-style sharded heartbeat fan-out (`crate::sharded`, DESIGN.md
-//! §14) all rest on.
+//! guarantee its two consumers, the experiment runner (`crates/expts`)
+//! and the Omega-style sharded heartbeat fan-out (`crate::sharded`,
+//! DESIGN.md §14), rest on.
 //!
 //! Hoisted from `crates/expts/src/runner.rs` so `sim`-layer consumers can
 //! share the exact pool the experiment suite already trusts; `expts`

@@ -432,8 +432,7 @@ impl ColdPassProbe {
 
     /// [`ColdPassProbe::new`] with an explicit job granularity. Small
     /// `tasks_per_job` values multiply the policy's candidate count
-    /// (one candidate per job with pending work), which is how callers
-    /// push a cold pass over a sharded scorer's minimum batch size.
+    /// (one candidate per job with pending work).
     pub fn with_tasks_per_job(n_machines: usize, pending: usize, tasks_per_job: usize) -> Self {
         assert!(n_machines >= 8, "probe needs at least 8 machines");
         assert!(tasks_per_job >= 1);

@@ -480,16 +480,6 @@ impl SchedulerPolicy for ShardedScheduler {
         }
     }
 
-    fn set_capture_provenance(&mut self, on: bool) {
-        for p in &mut self.inner {
-            p.set_capture_provenance(on);
-        }
-    }
-
-    fn take_provenance(&mut self, task: TaskUid) -> Option<tetris_obs::PlacementProvenance> {
-        self.inner.iter_mut().find_map(|p| p.take_provenance(task))
-    }
-
     fn drain_metrics(&mut self, metrics: &mut MetricsRegistry) {
         for p in &mut self.inner {
             p.drain_metrics(metrics);

