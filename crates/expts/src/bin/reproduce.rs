@@ -7,7 +7,7 @@
 //! reproduce --full fig7    # paper-scale cluster & workload (slow)
 //! reproduce sweep fig4 --seeds 1..8
 //!                          # one experiment across seeds; median/p10/p90
-//! reproduce all --jobs 4 --bench BENCH_reproduce.json
+//! reproduce all --jobs 4 --bench bench.json
 //!                          # machine-readable timing + heartbeat record
 //! reproduce --list         # what exists
 //! reproduce --trace run.jsonl --metrics run.json
@@ -23,6 +23,7 @@
 //!                          # uninterrupted run
 //! ```
 
+use std::io::Write;
 use std::time::Instant;
 
 use tetris_expts::cli::{self, Cmd};
@@ -96,11 +97,14 @@ fn main() {
                     .collect()
             };
 
-            let baseline = p.bench_baseline.as_deref().map(|path| {
-                runner::read_bench(path).unwrap_or_else(|e| {
-                    eprintln!("{e}");
+            // Open the record before the first experiment: an unwritable
+            // path must not cost a full suite run to discover.
+            let bench_out = p.bench.as_deref().map(|path| {
+                let file = std::fs::File::create(path).unwrap_or_else(|e| {
+                    eprintln!("cannot write {path}: {e}");
                     std::process::exit(2);
-                })
+                });
+                (path, file)
             });
 
             let start = Instant::now();
@@ -114,9 +118,8 @@ fn main() {
                 });
             let wall = start.elapsed().as_secs_f64();
 
-            if p.bench.is_some() || baseline.is_some() {
-                let b =
-                    runner::bench_report(&runs, p.scale, p.seed, p.jobs, wall, baseline.as_ref());
+            if let Some((path, mut file)) = bench_out {
+                let b = runner::bench_report(&runs, p.scale, p.seed, p.jobs, wall);
                 println!(
                     "suite: {} experiments in {:.1}s wall ({:.1}s cpu, jobs={}, \
                      estimated speedup {:.2}x)",
@@ -150,41 +153,12 @@ fn main() {
                         100.0 * (1.0 - b.thread_cpu_seconds / b.cpu_seconds.max(1e-9))
                     );
                 }
-                if let (Some(bw), Some(s)) = (b.baseline_wall_seconds, b.speedup_vs_baseline) {
-                    println!("measured speedup vs baseline ({bw:.1}s wall): {s:.2}x");
+                let json = serde_json::to_string_pretty(&b).expect("bench serializes");
+                if let Err(e) = writeln!(file, "{json}") {
+                    eprintln!("cannot write {path}: {e}");
+                    std::process::exit(1);
                 }
-                if let Some(base) = baseline.as_ref() {
-                    for e in &b.experiments {
-                        // Rows are matched by experiment id; ids absent
-                        // from the baseline (experiments added after it
-                        // was written) are skipped, not an error.
-                        let prev = base.experiments.iter().find(|p| p.id == e.id);
-                        match prev {
-                            Some(prev) => {
-                                if prev.seconds.max(e.seconds) >= 0.5 {
-                                    println!(
-                                        "  {:>10}: {:.1}s -> {:.1}s ({:.2}x)",
-                                        e.id,
-                                        prev.seconds,
-                                        e.seconds,
-                                        prev.seconds / e.seconds.max(1e-9)
-                                    );
-                                }
-                            }
-                            None => {
-                                println!("  {:>10}: not in baseline, skipped", e.id);
-                            }
-                        }
-                    }
-                }
-                if let Some(path) = &p.bench {
-                    let json = serde_json::to_string_pretty(&b).expect("bench serializes");
-                    if let Err(e) = std::fs::write(path, json + "\n") {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("bench -> {path}");
-                }
+                println!("bench -> {path}");
             }
         }
         Cmd::Sweep { id, seeds } => {

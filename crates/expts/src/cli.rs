@@ -86,8 +86,6 @@ pub struct Parsed {
     pub jobs: usize,
     /// `--bench FILE`: write the benchmark JSON here.
     pub bench: Option<String>,
-    /// `--bench-baseline FILE`: prior emission to measure speedup against.
-    pub bench_baseline: Option<String>,
     /// The subcommand.
     pub cmd: Cmd,
 }
@@ -103,7 +101,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
     let mut seed = DEFAULT_SEED;
     let mut jobs = default_jobs.max(1);
     let mut bench = None;
-    let mut bench_baseline = None;
     let mut trace = None;
     let mut metrics = None;
     let mut verbose = false;
@@ -200,7 +197,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
             }
             "--outcome" => outcome = Some(value("--outcome")?),
             "--bench" => bench = Some(value("--bench")?),
-            "--bench-baseline" => bench_baseline = Some(value("--bench-baseline")?),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag '{other}' (try --help)"));
             }
@@ -276,8 +272,8 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
     if seeds_range.is_some() && !matches!(cmd, Cmd::Sweep { .. }) {
         return Err("--seeds only applies to `reproduce sweep <id>`".to_string());
     }
-    if (bench.is_some() || bench_baseline.is_some()) && !matches!(cmd, Cmd::Run { .. }) {
-        return Err("--bench/--bench-baseline only apply to experiment runs".to_string());
+    if bench.is_some() && !matches!(cmd, Cmd::Run { .. }) {
+        return Err("--bench only applies to experiment runs".to_string());
     }
     if (verbose
         || crash_frac_given
@@ -299,7 +295,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
         seed,
         jobs,
         bench,
-        bench_baseline,
         cmd,
     })
 }
@@ -342,8 +337,6 @@ pub fn print_help() {
          --bench FILE\n\
                    write a machine-readable benchmark record (wall-clock,\n\
                    per-experiment seconds, merged heartbeat histograms)\n\
-         --bench-baseline FILE\n\
-                   prior --bench emission to measure the speedup against\n\
          --trace   instrumented reference run; stream every scheduling\n\
                    decision to FILE.jsonl as JSON Lines\n\
          --metrics instrumented reference run; write the metrics snapshot\n\
@@ -412,9 +405,12 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_up_front() {
-        let e = p(&["--trcae", "out.jsonl"]).unwrap_err();
-        assert!(e.contains("unknown flag '--trcae'"), "{e}");
-        assert!(e.contains("--help"), "{e}");
+        // A misspelling, and a flag that existed once: same rejection.
+        for flag in ["--trcae", "--bench-baseline"] {
+            let e = p(&[flag, "out.jsonl"]).unwrap_err();
+            assert!(e.contains(&format!("unknown flag '{flag}'")), "{e}");
+            assert!(e.contains("--help"), "{e}");
+        }
     }
 
     #[test]
@@ -672,9 +668,8 @@ mod tests {
 
     #[test]
     fn bench_flags() {
-        let got = p(&["all", "--bench", "b.json", "--bench-baseline", "a.json"]).unwrap();
+        let got = p(&["all", "--bench", "b.json"]).unwrap();
         assert_eq!(got.bench.as_deref(), Some("b.json"));
-        assert_eq!(got.bench_baseline.as_deref(), Some("a.json"));
         assert!(p(&["--list", "--bench", "b.json"])
             .unwrap_err()
             .contains("runs"));

@@ -86,8 +86,8 @@ fn metric_names(i: usize) -> [&'static str; 5] {
 }
 
 /// A workload whose stage-0 maps alone reach `n` pending tasks, every
-/// job arrived at t = 0 (mirrors `tetris-bench`'s backlog construction;
-/// duplicated here because the bench crate depends on this one).
+/// job arrived at t = 0: grow the job count until the root stages hold
+/// enough (class sizes are drawn randomly, so the count per job varies).
 fn pending_workload(n: usize, seed: u64) -> Workload {
     let mut jobs = (n / 90).max(1);
     loop {
@@ -196,6 +196,14 @@ mod tests {
             }
         }
         assert!(r.text.contains("events"), "{}", r.text);
+    }
+
+    #[test]
+    fn pending_workload_scales() {
+        let w = pending_workload(1000, 17);
+        let maps: usize = w.jobs.iter().map(|j| j.stages[0].len()).sum();
+        assert!(maps >= 1000, "only {maps} maps");
+        assert!(w.validate().is_ok());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tetris_metrics::table::TextTable;
 use tetris_obs::{MetricsRegistry, MetricsSnapshot};
 use tetris_workload::stats::percentile;
@@ -173,15 +173,13 @@ pub fn aggregate_sweep(runs: &[SeedRun]) -> String {
     t.render()
 }
 
-/// Schema tag written into every benchmark emission.
-pub const BENCH_SCHEMA: &str = "tetris-reproduce-bench/v2";
-
-/// The previous schema tag; still accepted on read (v1 files simply lack
-/// the v2 CPU-accounting fields, which default to zero).
-pub const BENCH_SCHEMA_V1: &str = "tetris-reproduce-bench/v1";
+/// Schema tag written into every benchmark emission. The record is
+/// write-only — no code in the tree reads it back — so a key change
+/// bumps the tag and nothing else.
+pub const BENCH_SCHEMA: &str = "tetris-reproduce-bench/v3";
 
 /// Machine-readable record of one `reproduce --bench` run.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 pub struct BenchReport {
     /// Format tag ([`BENCH_SCHEMA`]).
     pub schema: String,
@@ -200,30 +198,20 @@ pub struct BenchReport {
     /// `cpu_seconds / wall_seconds`: parallel speedup inferred from this
     /// run alone.
     pub speedup_estimate: f64,
-    /// v2: sum of per-experiment *thread CPU* seconds. When this is well
+    /// Sum of per-experiment *thread CPU* seconds. When this is well
     /// below `cpu_seconds` the workers were descheduled — the machine has
     /// fewer free cores than `jobs`, and adding workers cannot help.
-    #[serde(default)]
     pub thread_cpu_seconds: f64,
-    /// v2: fraction of worker wall-capacity spent running experiments:
+    /// Fraction of worker wall-capacity spent running experiments:
     /// `cpu_seconds / (min(jobs, n_experiments) · wall_seconds)`. Low
     /// utilization with `jobs > 1` means the pool idled waiting for a
     /// straggler.
-    #[serde(default)]
     pub worker_utilization: f64,
-    /// v2: Amdahl/LPT bound on parallel speedup for this suite:
+    /// Amdahl/LPT bound on parallel speedup for this suite:
     /// `cpu_seconds / max(per-experiment seconds)` — no worker count can
     /// beat the longest single experiment.
-    #[serde(default)]
     pub amdahl_bound: f64,
-    /// Wall-clock of the `--bench-baseline` run, when one was supplied.
-    pub baseline_wall_seconds: Option<f64>,
-    /// Measured speedup vs the baseline run (`baseline wall / this wall`).
-    pub speedup_vs_baseline: Option<f64>,
-    /// Per-experiment timing and headline metrics. Rows are keyed by
-    /// experiment id: `--bench-baseline` comparisons match rows by id and
-    /// silently skip experiments absent from the older file (a baseline
-    /// written before an experiment existed stays usable).
+    /// Per-experiment timing and headline metrics, in run order.
     pub experiments: Vec<BenchExperiment>,
     /// Observability registries of every simulation, merged — includes
     /// the heartbeat/schedule latency histograms (Table 8's continuous
@@ -232,29 +220,26 @@ pub struct BenchReport {
 }
 
 /// One experiment's row in a [`BenchReport`].
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 pub struct BenchExperiment {
     /// Experiment id.
     pub id: String,
     /// Wall-clock of this experiment alone.
     pub seconds: f64,
-    /// v2: thread CPU seconds the experiment consumed (0 in v1 files).
-    #[serde(default)]
+    /// Thread CPU seconds the experiment consumed.
     pub cpu_seconds: f64,
     /// The report's typed headline metrics.
     pub metrics: BTreeMap<String, f64>,
 }
 
-/// Assemble the benchmark record for a finished suite run. Pass the
-/// wall-clock measured around the whole run and, optionally, a prior
-/// emission to compute a measured speedup against.
+/// Assemble the benchmark record for a finished suite run from the
+/// wall-clock measured around the whole run.
 pub fn bench_report(
     runs: &[ExpRun],
     scale: Scale,
     seed: u64,
     jobs: usize,
     wall_seconds: f64,
-    baseline: Option<&BenchReport>,
 ) -> BenchReport {
     let cpu_seconds: f64 = runs.iter().map(|r| r.seconds).sum();
     let thread_cpu_seconds: f64 = runs.iter().map(|r| r.cpu_seconds).sum();
@@ -264,7 +249,6 @@ pub fn bench_report(
     for r in runs {
         merged.merge(&r.metrics);
     }
-    let baseline_wall = baseline.map(|b| b.wall_seconds);
     BenchReport {
         schema: BENCH_SCHEMA.to_string(),
         command: runs.iter().map(|r| r.id.to_string()).collect(),
@@ -277,8 +261,6 @@ pub fn bench_report(
         thread_cpu_seconds,
         worker_utilization: cpu_seconds / (workers as f64 * wall_seconds.max(1e-9)),
         amdahl_bound: cpu_seconds / longest.max(1e-9),
-        baseline_wall_seconds: baseline_wall,
-        speedup_vs_baseline: baseline_wall.map(|b| b / wall_seconds.max(1e-9)),
         experiments: runs
             .iter()
             .map(|r| BenchExperiment {
@@ -297,25 +279,11 @@ pub fn bench_report(
     }
 }
 
-/// Read a previously written benchmark emission (the `--bench-baseline`
-/// input). Rejects files with a different schema tag.
-pub fn read_bench(path: &str) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let b: BenchReport =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    if b.schema != BENCH_SCHEMA && b.schema != BENCH_SCHEMA_V1 {
-        return Err(format!(
-            "{path}: schema '{}' is neither '{BENCH_SCHEMA}' nor '{BENCH_SCHEMA_V1}'",
-            b.schema
-        ));
-    }
-    Ok(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments;
+    use serde_json::Value;
 
     #[test]
     fn sweep_aggregation_computes_percentiles() {
@@ -332,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_round_trips_through_json() {
+    fn bench_report_emits_one_schema_and_a_row_per_experiment() {
         let runs = run_experiments(
             vec![experiments::find("table2").unwrap()],
             Scale::Laptop,
@@ -341,59 +309,26 @@ mod tests {
             2,
             |_| {},
         );
-        let b = bench_report(&runs, Scale::Laptop, 42, 2, 1.0, None);
+        let b = bench_report(&runs, Scale::Laptop, 42, 2, 1.0);
         assert_eq!(b.command, vec!["table2"]);
         assert!(b.cpu_seconds > 0.0);
-        assert!(b.speedup_vs_baseline.is_none());
 
         let json = serde_json::to_string_pretty(&b).unwrap();
-        let dir = std::env::temp_dir().join(format!("tetris-bench-{}.json", std::process::id()));
-        std::fs::write(&dir, &json).unwrap();
-        let back = read_bench(dir.to_str().unwrap()).unwrap();
-        assert_eq!(back.schema, BENCH_SCHEMA);
-        assert_eq!(back.experiments.len(), 1);
-        assert_eq!(back.experiments[0].id, "table2");
-        std::fs::remove_file(&dir).ok();
-
-        // A second run benchmarked against the first reports a measured
-        // speedup of baseline_wall / wall.
-        let b2 = bench_report(&runs, Scale::Laptop, 42, 4, 0.5, Some(&back));
-        assert_eq!(b2.baseline_wall_seconds, Some(1.0));
-        assert!((b2.speedup_vs_baseline.unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn read_bench_rejects_wrong_schema() {
-        let dir =
-            std::env::temp_dir().join(format!("tetris-badschema-{}.json", std::process::id()));
-        std::fs::write(&dir, "{\"schema\":\"nope\"}").unwrap();
-        assert!(read_bench(dir.to_str().unwrap()).is_err());
-        std::fs::remove_file(&dir).ok();
-    }
-
-    #[test]
-    fn read_bench_accepts_v1_files() {
-        // A v1 emission has no cpu-accounting fields; they must default
-        // to zero rather than fail the parse (back-compat for committed
-        // baselines).
-        let v1 = format!(
-            "{{\"schema\":\"{BENCH_SCHEMA_V1}\",\"command\":[\"fig7\"],\
-             \"scale\":\"laptop\",\"seed\":42,\"jobs\":4,\
-             \"wall_seconds\":211.7,\"cpu_seconds\":789.1,\
-             \"speedup_estimate\":3.73,\"baseline_wall_seconds\":null,\
-             \"speedup_vs_baseline\":null,\
-             \"experiments\":[{{\"id\":\"fig7\",\"seconds\":203.1,\"metrics\":{{}}}}],\
-             \"obs\":{{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{}}}}}}"
-        );
-        let dir = std::env::temp_dir().join(format!("tetris-benchv1-{}.json", std::process::id()));
-        std::fs::write(&dir, v1).unwrap();
-        let b = read_bench(dir.to_str().unwrap()).unwrap();
-        std::fs::remove_file(&dir).ok();
-        assert_eq!(b.schema, BENCH_SCHEMA_V1);
-        assert_eq!(b.thread_cpu_seconds, 0.0);
-        assert_eq!(b.worker_utilization, 0.0);
-        assert_eq!(b.experiments[0].cpu_seconds, 0.0);
-        assert_eq!(b.experiments[0].seconds, 203.1);
+        let doc = serde_json::parse_value_complete(&json).unwrap();
+        let top = doc.as_obj().unwrap();
+        assert_eq!(Value::field(top, "schema").as_str(), Some(BENCH_SCHEMA));
+        let rows = Value::field(top, "experiments").as_arr().unwrap();
+        assert_eq!(rows.len(), 1, "one row per experiment");
+        let row = rows[0].as_obj().unwrap();
+        assert_eq!(Value::field(row, "id").as_str(), Some("table2"));
+        assert!(matches!(Value::field(row, "seconds"), Value::F64(s) if *s > 0.0));
+        assert!(matches!(Value::field(row, "cpu_seconds"), Value::F64(_)));
+        let metrics = Value::field(row, "metrics").as_obj().unwrap();
+        assert!(!runs[0].report.metrics.is_empty());
+        for (name, value) in &runs[0].report.metrics {
+            assert_eq!(Value::field(metrics, name), &Value::F64(*value), "{name}");
+        }
+        assert!(!json.contains("baseline"), "comparison keys are gone");
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl Obs {
         }
     }
 
-    /// The collected telemetry samples so far (empty when not sampling).
-    pub fn timeseries_samples(&self) -> &[TelemetrySample] {
-        self.timeseries.as_ref().map_or(&[], |ts| ts.samples())
-    }
-
     /// Detach and return the time-series collector, if any.
     pub fn take_timeseries(&mut self) -> Option<TimeSeries> {
         self.timeseries.take()

@@ -30,18 +30,6 @@ impl Summary {
         self
     }
 
-    /// Append a row only when `value` is present.
-    pub fn row_opt(
-        &mut self,
-        key: impl Into<String>,
-        value: Option<impl std::fmt::Display>,
-    ) -> &mut Self {
-        if let Some(v) = value {
-            self.row(key, v);
-        }
-        self
-    }
-
     /// Render with keys left-padded to a common width.
     pub fn render(&self) -> String {
         let width = self.rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);

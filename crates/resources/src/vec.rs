@@ -54,12 +54,6 @@ impl ResourceVec {
         self.0[r.index()] = v;
     }
 
-    /// Add `v` to component `r`.
-    #[inline]
-    pub fn add_to(&mut self, r: Resource, v: f64) {
-        self.0[r.index()] += v;
-    }
-
     /// Iterate `(resource, value)` pairs in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (Resource, f64)> + '_ {
         Resource::ALL.iter().map(move |&r| (r, self.0[r.index()]))
@@ -188,11 +182,6 @@ impl ResourceVec {
             }
         }
         ResourceVec(out)
-    }
-
-    /// Euclidean (L2) norm.
-    pub fn l2_norm(&self) -> f64 {
-        self.dot(self).sqrt()
     }
 
     /// Dominant share of this usage against `capacity`: the maximum over

@@ -90,15 +90,6 @@ impl TaskSpec {
         d
     }
 
-    /// The local-view work vector (`f` terms): cpu core-seconds, bytes read
-    /// (assuming local input), bytes written.
-    pub fn work_vector(&self) -> ResourceVec {
-        ResourceVec::zero()
-            .with(Resource::Cpu, self.cpu_work)
-            .with(Resource::DiskRead, self.input_bytes())
-            .with(Resource::DiskWrite, self.output_bytes)
-    }
-
     /// True if any input is a shuffle read.
     pub fn reads_shuffle(&self) -> bool {
         self.inputs
@@ -353,13 +344,6 @@ impl JobSpec {
     /// Iterate over all tasks of the job.
     pub fn tasks(&self) -> impl Iterator<Item = &TaskSpec> {
         self.stages.iter().flat_map(|s| s.tasks.iter())
-    }
-
-    /// Sum of ideal task durations — a crude job-length scale used by
-    /// tests and reporting (not the SRTF score, which lives in
-    /// `tetris-core`).
-    pub fn total_ideal_work_seconds(&self) -> f64 {
-        self.tasks().map(|t| t.ideal_duration()).sum()
     }
 }
 
