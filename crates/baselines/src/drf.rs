@@ -10,21 +10,16 @@
 //! over all six dimensions is provided for the §2.1 discussion.
 
 use tetris_resources::{Resource, ResourceVec};
-use tetris_sim::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy};
-use tetris_workload::{JobId, TaskUid};
+use tetris_sim::{Assignment, ClusterView, SchedulerPolicy};
+use tetris_workload::JobId;
+
+use crate::PendingCursor;
 
 /// The DRF scheduler (progressive filling over dominant shares).
 #[derive(Debug, Clone)]
 pub struct DrfScheduler {
     dims: Vec<Resource>,
     extended: bool,
-    /// True once any event has been delivered: `active` below is then the
-    /// job list. Driven bare, the view is re-scanned every call.
-    synced: bool,
-    /// Incrementally maintained active-job list, kept id-sorted (the
-    /// order [`ClusterView::active_jobs`] yields). Jobs enter on
-    /// `JobArrived` and are dropped once inactive.
-    active: Vec<JobId>,
 }
 
 impl DrfScheduler {
@@ -33,8 +28,6 @@ impl DrfScheduler {
         DrfScheduler {
             dims: vec![Resource::Cpu, Resource::Mem],
             extended: false,
-            synced: false,
-            active: Vec::new(),
         }
     }
 
@@ -44,8 +37,6 @@ impl DrfScheduler {
         DrfScheduler {
             dims: Resource::ALL.to_vec(),
             extended: true,
-            synced: false,
-            active: Vec::new(),
         }
     }
 }
@@ -57,31 +48,12 @@ impl Default for DrfScheduler {
 }
 
 struct JobQueue<'a> {
-    id: tetris_workload::JobId,
+    id: JobId,
     alloc: ResourceVec,
-    stages: Vec<(usize, &'a [TaskUid])>,
-    stage_pos: usize,
-    off: usize,
+    pending: PendingCursor<'a>,
     /// Set once the head task cannot be placed anywhere; DRF then skips
     /// the job this round (no head-of-line blocking of everyone else).
     stuck: bool,
-}
-
-impl JobQueue<'_> {
-    fn head(&self) -> Option<TaskUid> {
-        let (_, slice) = self.stages.get(self.stage_pos)?;
-        slice.get(self.off).copied()
-    }
-    fn advance(&mut self) {
-        self.off += 1;
-        while let Some((_, slice)) = self.stages.get(self.stage_pos) {
-            if self.off < slice.len() {
-                break;
-            }
-            self.stage_pos += 1;
-            self.off = 0;
-        }
-    }
 }
 
 impl SchedulerPolicy for DrfScheduler {
@@ -93,45 +65,22 @@ impl SchedulerPolicy for DrfScheduler {
         }
     }
 
-    fn on_event(&mut self, _view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.synced = true;
-        if let SchedulerEvent::JobArrived { job } = *event {
-            if let Err(pos) = self.active.binary_search(&job) {
-                self.active.insert(pos, job);
-            }
-        }
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let total = view.total_capacity();
         // Working availability on the dimensions DRF examines.
         let query = view.query();
         let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
 
-        // Job list: the event-maintained id-sorted active set (pruned of
-        // finished jobs) when synced, else a fresh scan of the view. Both
-        // yield active jobs in id order, so decisions are identical.
-        let mk = |j: JobId| JobQueue {
-            id: j,
-            alloc: view.job_allocated(j),
-            stages: view.job_pending_stages(j).collect(),
-            stage_pos: 0,
-            off: 0,
-            stuck: false,
-        };
-        let mut jobs: Vec<JobQueue<'_>> = if self.synced {
-            self.active.retain(|&j| view.job_is_active(j));
-            self.active
-                .iter()
-                .map(|&j| mk(j))
-                .filter(|j| j.head().is_some())
-                .collect()
-        } else {
-            view.active_jobs()
-                .map(mk)
-                .filter(|j| j.head().is_some())
-                .collect()
-        };
+        let mut jobs: Vec<JobQueue<'_>> = view
+            .active_jobs()
+            .map(|j| JobQueue {
+                id: j,
+                alloc: view.job_allocated(j),
+                pending: PendingCursor::new(view, j),
+                stuck: false,
+            })
+            .filter(|j| j.pending.head().is_some())
+            .collect();
 
         let mut preferred = Vec::new();
         let mut out = Vec::new();
@@ -139,7 +88,7 @@ impl SchedulerPolicy for DrfScheduler {
             // Progressive filling: job with the minimum dominant share.
             let mut pick: Option<(usize, f64)> = None;
             for (i, j) in jobs.iter().enumerate() {
-                if j.stuck || j.head().is_none() {
+                if j.stuck || j.pending.head().is_none() {
                     continue;
                 }
                 let share = j.alloc.dominant_share(&total, &self.dims);
@@ -153,7 +102,7 @@ impl SchedulerPolicy for DrfScheduler {
             }
             let Some((ji, _)) = pick else { break };
 
-            let task = jobs[ji].head().expect("picked job has a head task");
+            let task = jobs[ji].pending.head().expect("picked job has a head task");
             let demand = view.task(task).demand.project(&self.dims);
 
             // Place: prefer data-local machines, else spread to the
@@ -180,7 +129,7 @@ impl SchedulerPolicy for DrfScheduler {
                 Some(m) => {
                     avail[m.index()] -= demand;
                     jobs[ji].alloc += demand;
-                    jobs[ji].advance();
+                    jobs[ji].pending.advance();
                     out.push(Assignment::new(task, m));
                 }
                 None => {

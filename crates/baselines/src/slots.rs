@@ -21,10 +21,11 @@
 
 use tetris_resources::{units::GB, Resource};
 use tetris_sim::{
-    Assignment, ClusterView, MachineId, PlacementProvenance, RejectedCandidate, SchedulerEvent,
-    SchedulerPolicy,
+    Assignment, ClusterView, MachineId, PlacementProvenance, RejectedCandidate, SchedulerPolicy,
 };
-use tetris_workload::{JobId, TaskUid};
+use tetris_workload::JobId;
+
+use crate::PendingCursor;
 
 /// Default slot size: 2 GB, "similar to the Facebook cluster".
 pub const DEFAULT_SLOT_MEM: f64 = 2.0 * GB;
@@ -48,14 +49,6 @@ struct SlotScheduler {
     /// paper-faithful Facebook configuration — every task takes exactly
     /// one slot, silently over-committing memory (§2.1).
     mem_rounded: bool,
-    /// True once any event has been delivered: the `used` ledger below is
-    /// then authoritative. Driven bare (no events), every call recomputes
-    /// used slots from the view — the exact pre-event path.
-    synced: bool,
-    /// Incremental used-slot count per machine, maintained from placement
-    /// and completion events. Integer slot counts, so incremental += / −=
-    /// cannot drift from the recomputed sum.
-    used: Vec<usize>,
 }
 
 impl SlotScheduler {
@@ -72,84 +65,27 @@ impl SlotScheduler {
         }
     }
 
-    /// Incremental bookkeeping: placements charge the host's slot count,
-    /// terminations release it. Crash-killed attempts arrive as
-    /// `TaskPreempted`/`TaskAbandoned` naming the *host* of the killed
-    /// attempt (remote readers run away from the crashed machine), so the
-    /// ledger stays exact under fault injection too.
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.synced = true;
-        if self.used.len() < view.num_machines() {
-            self.used.resize(view.num_machines(), 0);
-        }
-        match *event {
-            SchedulerEvent::TaskPlaced { task, machine, .. } => {
-                self.used[machine.index()] +=
-                    self.slots_needed(view.task(task).demand.get(Resource::Mem));
-            }
-            SchedulerEvent::TaskFinished { task, machine, .. }
-            | SchedulerEvent::TaskPreempted { task, machine, .. }
-            | SchedulerEvent::TaskAbandoned { task, machine, .. } => {
-                let need = self.slots_needed(view.task(task).demand.get(Resource::Mem));
-                self.used[machine.index()] = self.used[machine.index()].saturating_sub(need);
-            }
-            _ => {}
-        }
-    }
-
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        // Free slots per machine (slots − slots held by running tasks):
-        // read from the event-maintained ledger when synced, recomputed
-        // from scratch otherwise. Slot counts are integers, so the two
-        // agree exactly.
-        if self.used.len() < view.num_machines() {
-            self.used.resize(view.num_machines(), 0);
-        }
+    fn schedule(&self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        // Free slots per machine: slots − slots held by running tasks.
         let query = view.query();
-        let mut free: Vec<usize> = if self.synced {
-            query
-                .iter_all()
-                .map(|m| self.slots_of(view, m).saturating_sub(self.used[m.index()]))
-                .collect()
-        } else {
-            query
-                .iter_all()
-                .map(|m| {
-                    let total = self.slots_of(view, m);
-                    let used: usize = view
-                        .machine_tasks(m)
-                        .iter()
-                        .map(|&t| self.slots_needed(view.task(t).demand.get(Resource::Mem)))
-                        .sum();
-                    total.saturating_sub(used)
-                })
-                .collect()
-        };
+        let mut free: Vec<usize> = query
+            .iter_all()
+            .map(|m| {
+                let total = self.slots_of(view, m);
+                let used: usize = view
+                    .machine_tasks(m)
+                    .iter()
+                    .map(|&t| self.slots_needed(view.task(t).demand.get(Resource::Mem)))
+                    .sum();
+                total.saturating_sub(used)
+            })
+            .collect();
 
-        // Job queue state over zero-copy per-stage pending slices.
         struct JobQ<'a> {
             id: JobId,
             running: usize,
             arrival: f64,
-            stages: Vec<(usize, &'a [TaskUid])>,
-            stage_pos: usize,
-            off: usize,
-        }
-        impl JobQ<'_> {
-            fn head(&self) -> Option<TaskUid> {
-                let (_, slice) = self.stages.get(self.stage_pos)?;
-                slice.get(self.off).copied()
-            }
-            fn advance(&mut self) {
-                self.off += 1;
-                while let Some((_, slice)) = self.stages.get(self.stage_pos) {
-                    if self.off < slice.len() {
-                        break;
-                    }
-                    self.stage_pos += 1;
-                    self.off = 0;
-                }
-            }
+            pending: PendingCursor<'a>,
         }
         let mut jobs: Vec<JobQ<'_>> = view
             .active_jobs()
@@ -157,11 +93,9 @@ impl SlotScheduler {
                 id: j,
                 running: view.job_running(j),
                 arrival: view.job_arrival(j),
-                stages: view.job_pending_stages(j).collect(),
-                stage_pos: 0,
-                off: 0,
+                pending: PendingCursor::new(view, j),
             })
-            .filter(|q| q.head().is_some())
+            .filter(|q| q.pending.head().is_some())
             .collect();
 
         let mut preferred = Vec::new();
@@ -172,13 +106,13 @@ impl SlotScheduler {
                 JobOrder::FewestSlots => jobs
                     .iter()
                     .enumerate()
-                    .filter(|(_, q)| q.head().is_some())
+                    .filter(|(_, q)| q.pending.head().is_some())
                     .min_by_key(|(_, q)| (q.running, q.id))
                     .map(|(i, _)| i),
                 JobOrder::Arrival => jobs
                     .iter()
                     .enumerate()
-                    .filter(|(_, q)| q.head().is_some())
+                    .filter(|(_, q)| q.pending.head().is_some())
                     .min_by(|(_, a), (_, b)| {
                         a.arrival
                             .partial_cmp(&b.arrival)
@@ -188,7 +122,7 @@ impl SlotScheduler {
                     .map(|(i, _)| i),
             };
             let Some(ji) = ji else { break };
-            let task = jobs[ji].head().expect("filtered head");
+            let task = jobs[ji].pending.head().expect("filtered head");
             let need = self.slots_needed(view.task(task).demand.get(Resource::Mem));
 
             // Place: prefer a machine holding the task's input, else the
@@ -234,7 +168,7 @@ impl SlotScheduler {
                         let mut order: Vec<usize> = jobs
                             .iter()
                             .enumerate()
-                            .filter(|&(i, q)| i != ji && q.head().is_some())
+                            .filter(|&(i, q)| i != ji && q.pending.head().is_some())
                             .map(|(i, _)| i)
                             .collect();
                         let n_queued = order.len() + 1;
@@ -255,7 +189,7 @@ impl SlotScheduler {
                             .take(3)
                             .enumerate()
                             .filter_map(|(rank, &i)| {
-                                let head = jobs[i].head()?;
+                                let head = jobs[i].pending.head()?;
                                 Some(RejectedCandidate {
                                     job: jobs[i].id.index(),
                                     task: head.index(),
@@ -266,12 +200,10 @@ impl SlotScheduler {
                             })
                             .collect();
                         assignment = assignment.with_provenance(PlacementProvenance {
-                            // The slot ledger is the baselines' only
-                            // incremental state: event-maintained when
-                            // synced, recomputed from the view when not.
-                            cache_hits: if self.synced { 1 } else { 0 },
-                            cache_rebuilds: if self.synced { 0 } else { 1 },
-                            cache_flushed: !self.synced,
+                            // Stateless policy: no cache to report.
+                            cache_hits: 0,
+                            cache_rebuilds: 0,
+                            cache_flushed: false,
                             dirty_jobs: 0,
                             candidates: n_queued as u32,
                             index_pruned: 0,
@@ -281,7 +213,7 @@ impl SlotScheduler {
                     }
                     free[m.index()] -= need;
                     jobs[ji].running += 1;
-                    jobs[ji].advance();
+                    jobs[ji].pending.advance();
                     out.push(assignment);
                 }
                 None => break, // no machine has enough free slots
@@ -318,8 +250,6 @@ impl FairScheduler {
                 slot_mem,
                 order: JobOrder::FewestSlots,
                 mem_rounded: false,
-                synced: false,
-                used: Vec::new(),
             },
         }
     }
@@ -332,8 +262,6 @@ impl FairScheduler {
                 slot_mem: DEFAULT_SLOT_MEM,
                 order: JobOrder::FewestSlots,
                 mem_rounded: true,
-                synced: false,
-                used: Vec::new(),
             },
         }
     }
@@ -352,10 +280,6 @@ impl SchedulerPolicy for FairScheduler {
         } else {
             "fair-slots"
         }
-    }
-
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.inner.on_event(view, event);
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
@@ -384,8 +308,6 @@ impl CapacityScheduler {
                 slot_mem,
                 order: JobOrder::Arrival,
                 mem_rounded: false,
-                synced: false,
-                used: Vec::new(),
             },
         }
     }
@@ -400,10 +322,6 @@ impl Default for CapacityScheduler {
 impl SchedulerPolicy for CapacityScheduler {
     fn name(&self) -> &str {
         "capacity-slots"
-    }
-
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.inner.on_event(view, event);
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {

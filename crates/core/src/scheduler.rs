@@ -233,6 +233,8 @@ struct ProtoCandidate {
 /// progress or pending queues arrives as a [`SchedulerEvent`] naming the
 /// job, and block-replica moves (which alter preference lists globally)
 /// arrive as `MachineDown`/`MachineUp`, which flush every entry.
+/// Everything else a pass needs — availability, freed-machine hints,
+/// suspicion — is read from the view each call, never cached.
 #[derive(Default)]
 struct JobCache {
     valid: bool,
@@ -243,14 +245,14 @@ struct JobCache {
     prefs: Vec<MachineId>,
 }
 
-/// Event-maintained incremental state (the tentpole): per-job candidate
-/// caches plus a mirror of the engine's freed-machine hints.
+/// Event-invalidated incremental state: the per-job candidate caches.
 #[derive(Default)]
 struct IncState {
-    /// True once any event has been delivered. Before that the policy may
-    /// be driven bare (probes, direct `schedule` calls) and must take the
-    /// full recompute path every call — there is never scheduler-relevant
-    /// history before the first delivered event, so no staleness either.
+    /// The cache-validity gate: true once any event has been delivered.
+    /// Before that the policy may be driven bare (probes, direct
+    /// `schedule` calls) and nothing would invalidate an entry, so every
+    /// call rebuilds. The first event finds every entry invalid (nothing
+    /// was ever cached), so a policy attached mid-run starts correct.
     synced: bool,
     /// Invalidate every cache entry on the next call (machine down/up:
     /// re-replication moves blocks, so preference lists are globally
@@ -258,10 +260,6 @@ struct IncState {
     flush_all: bool,
     /// Jobs dirtied by events since the last call (may repeat).
     dirty: Vec<JobId>,
-    /// Mirror of [`ClusterView::freed_machines`] built from `MachineFreed`
-    /// events; cleared on `RoundComplete` exactly when the engine clears
-    /// its hints.
-    freed: Vec<MachineId>,
     /// Per-job caches, indexed by job id (grown on demand).
     cache: Vec<JobCache>,
     /// Reusable rebuild slot for cache-off calls (unsynced policy or
@@ -641,22 +639,11 @@ impl SchedulerPolicy for TetrisScheduler {
             | SchedulerEvent::TaskPreempted { job, .. }
             | SchedulerEvent::TaskAbandoned { job, .. }
             | SchedulerEvent::TaskRunnable { job, .. } => self.inc.dirty.push(job),
-            SchedulerEvent::MachineFreed { machine } => self.inc.freed.push(machine),
             // Crash/recovery re-replicates blocks: every cached preference
             // list may be stale, so flush the lot (rare events).
             SchedulerEvent::MachineDown { .. } | SchedulerEvent::MachineUp { .. } => {
                 self.inc.flush_all = true;
             }
-            // Tracker state and external loads are read fresh from the
-            // view on every call (suspect filter, availability ledger) —
-            // nothing cached depends on them.
-            SchedulerEvent::MachineSuspected { .. }
-            | SchedulerEvent::MachineCleared { .. }
-            | SchedulerEvent::TrackerReport
-            | SchedulerEvent::ExternalLoadChanged { .. } => {}
-            // The engine clears its freed hints when the round ends; the
-            // mirror follows.
-            SchedulerEvent::RoundComplete => self.inc.freed.clear(),
         }
     }
 
@@ -831,16 +818,8 @@ impl SchedulerPolicy for TetrisScheduler {
         // Focus on machines whose availability changed; fall back to the
         // whole cluster when no hint exists (arrivals, tracker ticks).
         // Sort + dedup reproduces the former `BTreeSet` iteration order.
-        // Synced policies read their event-built mirror (identical to the
-        // view's hints when engine-driven, but also correct when a harness
-        // delivers events without threading hints through the state);
-        // unsynced ones read the view, the exact pre-event path.
         hinted.clear();
-        if inc.synced {
-            hinted.extend_from_slice(&inc.freed);
-        } else {
-            hinted.extend_from_slice(view.freed_machines());
-        }
+        hinted.extend_from_slice(view.freed_machines());
         hinted.sort_unstable();
         hinted.dedup();
         // A cold pass (no freed-machine hint: arrivals, tracker ticks,

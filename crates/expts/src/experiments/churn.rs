@@ -18,7 +18,7 @@
 
 use tetris_metrics::table::TextTable;
 use tetris_resources::MachineSpec;
-use tetris_sim::{ClusterConfig, ExpandedFaultPlan, SimConfig, SimOutcome, Simulation};
+use tetris_sim::{ClusterConfig, SimConfig, SimOutcome, Simulation};
 use tetris_workload::{Workload, WorkloadSuiteConfig};
 
 use crate::setup::{run_observed, SchedName};
@@ -116,48 +116,27 @@ fn sweep_cfg(ctx: &RunCtx, frac: f64, salt: u64) -> SimConfig {
     cfg
 }
 
-/// Expand the fault plan for one `(crash fraction, draw)` sweep point
-/// once, so every scheduler compared at that point receives the identical
-/// drawn plan *object* — not three per-run re-expansions that merely
-/// happen to agree (guards against expansion ever reading config order).
-fn expand_point(ctx: &RunCtx, frac: f64, salt: u64) -> Option<ExpandedFaultPlan> {
-    Simulation::build(cluster(ctx), workload(ctx))
-        .config(sweep_cfg(ctx, frac, salt))
-        .expand_fault_plan()
-}
-
 /// One `(scheduler, crash fraction, draw)` run. All fault randomness flows
-/// from the sim seed, so a sweep point is a pure function of its inputs.
-fn run_one(
-    ctx: &RunCtx,
-    sched: SchedName,
-    frac: f64,
-    salt: u64,
-    plan: Option<&ExpandedFaultPlan>,
-) -> SimOutcome {
+/// from the sim seed, so a sweep point is a pure function of its inputs —
+/// every scheduler compared at one point draws the identical fault plan.
+fn run_one(ctx: &RunCtx, sched: SchedName, frac: f64, salt: u64) -> SimOutcome {
     let cfg = sweep_cfg(ctx, frac, salt);
-    let mut sim = Simulation::build(cluster(ctx), workload(ctx))
-        .scheduler(sched.build(cfg.seed))
-        .config(cfg);
-    if let Some(plan) = plan {
-        sim = sim.faults_pre_expanded(plan.clone());
-    }
-    run_observed(ctx, sim)
+    run_observed(
+        ctx,
+        Simulation::build(cluster(ctx), workload(ctx))
+            .scheduler(sched.build(cfg.seed))
+            .config(cfg),
+    )
 }
 
 /// A sweep point averages [`DRAWS`] independent fault-plan draws so one
 /// unlucky crash placement does not decide the verdict. The faults-off
 /// baseline is averaged over the same salts (the scheduler tie-break RNG
 /// is salted too), keeping numerator and denominator comparable.
-fn run_point(
-    ctx: &RunCtx,
-    sched: SchedName,
-    frac: f64,
-    plans: &[Option<ExpandedFaultPlan>],
-) -> (f64, f64, u64, u64) {
+fn run_point(ctx: &RunCtx, sched: SchedName, frac: f64) -> (f64, f64, u64, u64) {
     let (mut mk, mut jct, mut crashes, mut abandoned) = (0.0, 0.0, 0, 0);
     for salt in 0..DRAWS {
-        let o = run_one(ctx, sched, frac, salt, plans[salt as usize].as_ref());
+        let o = run_one(ctx, sched, frac, salt);
         mk += o.makespan();
         jct += o.avg_jct();
         crashes += o.stats.machine_crashes;
@@ -191,21 +170,11 @@ pub fn churn(ctx: &RunCtx) -> Report {
         "abandoned",
     ]);
     let mut report = Report::new(String::new());
-    // One fault-plan expansion per (fraction, draw), shared by all three
-    // schedulers at that sweep point.
-    let plans: Vec<Vec<Option<ExpandedFaultPlan>>> = CRASH_FRACS
-        .iter()
-        .map(|&frac| {
-            (0..DRAWS)
-                .map(|salt| expand_point(ctx, frac, salt))
-                .collect()
-        })
-        .collect();
     for sched in SCHEDS {
         let names = metric_names(sched);
         let mut base: Option<(f64, f64)> = None;
         for (fi, &frac) in CRASH_FRACS.iter().enumerate() {
-            let (mk, jct, crashes, abandoned) = run_point(ctx, sched, frac, &plans[fi]);
+            let (mk, jct, crashes, abandoned) = run_point(ctx, sched, frac);
             let (b_mk, b_jct) = *base.get_or_insert((mk, jct));
             let (mk_infl, jct_infl) = (mk / b_mk, jct / b_jct);
             t.row(vec![

@@ -8,8 +8,9 @@
 //! backlog. This experiment reproduces that operating point with the
 //! incremental core: a cluster is packed solid
 //! ([`IncrementalProbe::settle`]), then each measured heartbeat drains
-//! one machine, delivers the engine's [`SchedulerEvent`]s, and times one
-//! `schedule()` call for
+//! one machine, delivers the [`SchedulerEvent`]s naming the jobs the
+//! drain touched, and times one `schedule()` call — both policies reading
+//! the same freed-machine hints from the view — for
 //!
 //! * **full** — [`MarkAllDirty`]-wrapped Tetris, which ignores events and
 //!   rebuilds every job's remaining-work score, demand estimates, and

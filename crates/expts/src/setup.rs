@@ -107,6 +107,21 @@ pub enum SchedName {
 }
 
 impl SchedName {
+    /// Every registered scheduler, next to the enum so a new variant is
+    /// added here in the same edit: every-policy tests
+    /// (`tests/policy_matrix.rs`) iterate this instead of keeping lists
+    /// of their own.
+    pub const ALL: [SchedName; 8] = [
+        SchedName::Tetris,
+        SchedName::Fair,
+        SchedName::Capacity,
+        SchedName::Drf,
+        SchedName::Srtf,
+        SchedName::PackingOnly,
+        SchedName::TetrisCpuMemOnly,
+        SchedName::Random,
+    ];
+
     /// Construct the policy. `seed` feeds the stochastic schedulers
     /// (currently only [`SchedName::Random`]); deterministic policies
     /// ignore it.
@@ -221,16 +236,7 @@ mod tests {
 
     #[test]
     fn all_schedulers_build() {
-        for s in [
-            SchedName::Tetris,
-            SchedName::Fair,
-            SchedName::Capacity,
-            SchedName::Drf,
-            SchedName::Srtf,
-            SchedName::PackingOnly,
-            SchedName::TetrisCpuMemOnly,
-            SchedName::Random,
-        ] {
+        for s in SchedName::ALL {
             let p = s.build(DEFAULT_SEED);
             assert!(!p.name().is_empty());
             assert!(!s.label().is_empty());

@@ -49,7 +49,8 @@ pub struct RejectedCandidate {
 }
 
 /// Why a placement happened: the losing candidates plus the incremental
-/// bookkeeping (PR 5 ledgers/caches) that produced the decision. Attached
+/// bookkeeping (Tetris's candidate caches; stateless policies report
+/// zeros) that produced the decision. Attached
 /// to [`Event::TaskPlaced`] only under `--trace-verbose`; default traces
 /// omit the field entirely and stay byte-identical.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

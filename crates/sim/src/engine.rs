@@ -9,7 +9,7 @@ use tetris_workload::{TaskUid, Workload};
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::SimConfig;
 use crate::events::{EventKind, EventQueue};
-use crate::fault::{ExpandedFaultPlan, FaultKind};
+use crate::fault::FaultKind;
 use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
 use crate::outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
 use crate::recovery::{
@@ -51,7 +51,6 @@ pub struct Simulation<'o> {
     cfg: SimConfig,
     policy: Option<Box<dyn SchedulerPolicy>>,
     obs: Option<&'o mut Obs>,
-    pre_expanded: Option<ExpandedFaultPlan>,
 }
 
 impl Simulation<'static> {
@@ -63,7 +62,6 @@ impl Simulation<'static> {
             cfg: SimConfig::default(),
             policy: None,
             obs: None,
-            pre_expanded: None,
         }
     }
 }
@@ -92,40 +90,6 @@ impl<'o> Simulation<'o> {
         self
     }
 
-    /// Expand this run's fault plan exactly as [`Simulation::run`] would —
-    /// same seed, same RNG draw order (a throwaway state performs the
-    /// pre-expansion draws, e.g. block-replica placement) — without
-    /// running anything. `None` when faults are disabled.
-    ///
-    /// Callers comparing schedulers under identical faults expand once and
-    /// hand the result to each run via
-    /// [`Simulation::faults_pre_expanded`], guaranteeing all runs see the
-    /// same drawn plan object rather than relying on per-run re-expansion
-    /// happening to agree.
-    pub fn expand_fault_plan(&self) -> Option<ExpandedFaultPlan> {
-        if !self.cfg.faults.enabled() {
-            return None;
-        }
-        let mut state = SimState::new(
-            self.cluster.clone(),
-            self.workload.clone(),
-            self.cfg.clone(),
-        );
-        let plan = state.cfg.faults.clone();
-        Some(plan.expand(state.machines.len(), state.cfg.max_time, &mut state.rng))
-    }
-
-    /// Use a pre-expanded fault plan (from [`Simulation::expand_fault_plan`]
-    /// on an identically configured builder) instead of the run's own
-    /// expansion. The run still performs the expansion draws — keeping the
-    /// RNG stream, and therefore every later draw, byte-identical — but the
-    /// supplied plan is the one applied (debug builds assert they agree).
-    #[must_use]
-    pub fn faults_pre_expanded(mut self, plan: ExpandedFaultPlan) -> Self {
-        self.pre_expanded = Some(plan);
-        self
-    }
-
     /// Attach an observability context: decision events go to its
     /// recorder, heartbeat timings and counters to its metrics registry.
     /// Observability never perturbs the run — the outcome is identical
@@ -138,7 +102,6 @@ impl<'o> Simulation<'o> {
             cfg: self.cfg,
             policy: self.policy,
             obs: Some(obs),
-            pre_expanded: self.pre_expanded,
         }
     }
 
@@ -313,20 +276,6 @@ impl<'o> Simulation<'o> {
                     let plan = state.cfg.faults.clone();
                     let expanded =
                         plan.expand(state.machines.len(), state.cfg.max_time, &mut state.rng);
-                    // A caller-supplied pre-expansion replaces the run's own —
-                    // the draws above still happened, so the RNG stream (and every
-                    // later legacy draw) is unchanged, and the two plans must
-                    // agree whenever the builder configs do.
-                    let expanded = match self.pre_expanded {
-                        Some(pre) => {
-                            debug_assert_eq!(
-                                pre, expanded,
-                                "pre-expanded fault plan disagrees with this run's expansion"
-                            );
-                            pre
-                        }
-                        None => expanded,
-                    };
                     state.tracker_modes = expanded.tracker_modes.clone();
                     state.tracker_modes_baseline = expanded.tracker_modes;
                     for (t, k) in expanded.events {
@@ -373,8 +322,8 @@ impl<'o> Simulation<'o> {
         let mut timed_out = false;
         let mut tracker_transitions: Vec<(MachineId, bool)> = Vec::new();
         // Scheduler events accumulated while processing one batch,
-        // delivered (with the freed-machine mirror) just before the
-        // batch's scheduling round. Reused across batches.
+        // delivered just before the batch's scheduling rounds. Reused
+        // across batches.
         let mut sched_events: Vec<SchedulerEvent> = Vec::new();
 
         while let Some(ev) = queue.pop() {
@@ -435,20 +384,17 @@ impl<'o> Simulation<'o> {
                         state.tracker_report(&mut tracker_transitions);
                         for &(m, suspect) in &tracker_transitions {
                             if suspect {
-                                sched_events.push(SchedulerEvent::MachineSuspected { machine: m });
                                 obs.metrics.counter_inc(names::FAULT_SUSPECTED);
                                 obs.emit(state.now.as_secs(), || Event::MachineSuspected {
                                     machine: m.index(),
                                 });
                             } else {
-                                sched_events.push(SchedulerEvent::MachineCleared { machine: m });
                                 obs.metrics.counter_inc(names::FAULT_CLEARED);
                                 obs.emit(state.now.as_secs(), || Event::MachineCleared {
                                     machine: m.index(),
                                 });
                             }
                         }
-                        sched_events.push(SchedulerEvent::TrackerReport);
                         obs.metrics.counter_inc(names::TRACKER_REPORTS);
                         if observing {
                             obs.metrics.gauge_set(
@@ -477,16 +423,10 @@ impl<'o> Simulation<'o> {
                     }
                     EventKind::ExternalStart(i) => {
                         state.set_external(i, true, &mut dirty);
-                        sched_events.push(SchedulerEvent::ExternalLoadChanged {
-                            machine: external_owner(&state, i),
-                        });
                         want_schedule = true;
                     }
                     EventKind::ExternalEnd(i) => {
                         state.set_external(i, false, &mut dirty);
-                        sched_events.push(SchedulerEvent::ExternalLoadChanged {
-                            machine: external_owner(&state, i),
-                        });
                         want_schedule = true;
                     }
                     EventKind::MachineDown(m) => {
@@ -654,22 +594,22 @@ impl<'o> Simulation<'o> {
                     }
                     _ => None,
                 };
-                // Deliver the batch's scheduler events, then mirror each
-                // freed-machine hint, before the round's schedule calls —
-                // the protocol documented on [`SchedulerEvent`].
+                // Deliver the batch's scheduler events before the rounds'
+                // schedule calls — the protocol documented on
+                // [`SchedulerEvent`].
                 {
                     let view = ClusterView::new(&state, tracker_aware);
                     for e in &sched_events {
                         policy.on_event(&view, e);
                     }
-                    for &m in &state.freed_hint {
-                        policy.on_event(&view, &SchedulerEvent::MachineFreed { machine: m });
-                    }
-                    obs.metrics.counter_add(
-                        names::SCHED_EVENTS,
-                        (sched_events.len() + state.freed_hint.len()) as u64,
-                    );
+                    obs.metrics
+                        .counter_add(names::SCHED_EVENTS, sched_events.len() as u64);
                 }
+                // The freed-machine hints are fixed for the heartbeat
+                // (contract and measured reason on
+                // `ClusterView::freed_machines`): frees the rounds below
+                // cause themselves — priority evictions — are dropped.
+                let hints = state.freed_hint.len();
                 // One "resources freed → pick tasks" pass: the heartbeat
                 // of a real cluster scheduler. Timed end-to-end into the
                 // continuous version of the paper's Table-8 measurement.
@@ -834,6 +774,7 @@ impl<'o> Simulation<'o> {
                             obs.metrics.counter_inc(names::REJECTED_ASSIGNMENTS);
                         }
                     }
+                    state.freed_hint.truncate(hints);
                     state.recompute_dirty(&mut dirty, &mut queue);
                     if !placed {
                         break;
@@ -900,11 +841,6 @@ impl<'o> Simulation<'o> {
                 // round, so a policy can keep focusing on freed machines
                 // across its re-invocations.
                 state.freed_hint.clear();
-                {
-                    let view = ClusterView::new(&state, tracker_aware);
-                    policy.on_event(&view, &SchedulerEvent::RoundComplete);
-                }
-                obs.metrics.counter_inc(names::SCHED_EVENTS);
 
                 // Telemetry time-series: one sample per heartbeat, taken
                 // after the scheduling pass so each point describes the
@@ -1024,17 +960,6 @@ fn finish_replay(p: &mut ReplayPlan, metrics: &mut tetris_obs::MetricsRegistry) 
         metrics.counter_add(names::RECOVERY_DISCARDED_RECORDS, p.stats.discarded_records);
     }
     metrics.observe(names::RECOVERY_LATENCY_US, p.stats.recovery_wall_us);
-}
-
-/// The machine owning external load `idx` (static config loads first,
-/// then dynamic re-replication loads).
-fn external_owner(state: &SimState, idx: usize) -> MachineId {
-    let n_static = state.cfg.external_loads.len();
-    if idx < n_static {
-        state.cfg.external_loads[idx].machine
-    } else {
-        state.dynamic_loads[idx - n_static].machine
-    }
 }
 
 /// Push the [`SchedulerEvent`] matching a [`TaskCompletion`], if any.

@@ -330,14 +330,10 @@ pub(crate) enum TrackerMode {
     Misreport(f64),
 }
 
-/// Expanded plan: sorted fault events plus per-machine tracker modes.
-///
-/// Obtained from [`crate::Simulation::expand_fault_plan`] and handed back
-/// via [`crate::Simulation::faults_pre_expanded`] so several runs (e.g.
-/// different schedulers at one sweep point) share the identical drawn
-/// plan object. Opaque outside the crate: the fields feed the engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpandedFaultPlan {
+/// Expanded plan: sorted fault events plus per-machine tracker modes. A
+/// pure function of (plan, machine count, horizon, rng state), drawn once
+/// per run by the engine.
+pub(crate) struct ExpandedFaultPlan {
     /// `(time_seconds, transition)`, sorted.
     pub(crate) events: Vec<(f64, FaultKind)>,
     /// Tracker behavior per machine index.

@@ -68,7 +68,7 @@ mod view;
 pub use cluster::{ClusterConfig, MachineId};
 pub use config::{ExternalLoad, Interference, SimConfig};
 pub use engine::{GreedyFifo, Simulation};
-pub use fault::{ExpandedFaultPlan, FaultPlan, SchedulerCrash};
+pub use fault::{FaultPlan, SchedulerCrash};
 pub use index::IndexStatsSnapshot;
 pub use journal::{DiscardedTail, Journal, JournalError, JournalStats, JOURNAL_VERSION};
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};

@@ -162,20 +162,18 @@ impl RecomputeProbe {
 /// (typically the incremental policy under test and a
 /// [`MarkAllDirty`](crate::view::MarkAllDirty) oracle) onto a packed
 /// cluster, each [`warm_heartbeat`](IncrementalProbe::warm_heartbeat)
-/// drains one machine, delivers the resulting [`TaskPreempted`] /
-/// [`MachineFreed`] events exactly as the engine would, and times one
-/// `schedule()` call per policy on the identical state — asserting the
-/// two assignment streams stay byte-identical.
+/// drains one machine, delivers the resulting [`TaskPreempted`] events
+/// exactly as the engine would, and times one `schedule()` call per
+/// policy on the identical state — asserting the two assignment streams
+/// stay byte-identical.
 ///
-/// The engine's freed-machine hint stays in place for the timed calls —
-/// both policies consider the identical hinted machine set, exactly as
-/// they would inside the engine. What the oracle pays and the synced
-/// policy skips is the per-job state rebuild (remaining-work scores,
-/// demand estimates, placement preferences for every pending job) — the
-/// cost Table 8's incremental row reports.
+/// Both policies read the same freed-machine hints from the view, as they
+/// would inside the engine. What the oracle pays and the synced policy
+/// skips is the per-job state rebuild (remaining-work scores, demand
+/// estimates, placement preferences for every pending job) — the cost
+/// Table 8's incremental row reports.
 ///
 /// [`TaskPreempted`]: SchedulerEvent::TaskPreempted
-/// [`MachineFreed`]: SchedulerEvent::MachineFreed
 pub struct IncrementalProbe {
     state: SimState,
     dirty: DirtySet,
@@ -248,10 +246,9 @@ impl IncrementalProbe {
 
     /// One engine-faithful scheduling round over both policies: schedule
     /// on the identical state, assert the streams match, apply `inc`'s
-    /// assignments, and deliver a [`TaskPlaced`](SchedulerEvent::TaskPlaced)
-    /// per application plus a terminal
-    /// [`RoundComplete`](SchedulerEvent::RoundComplete) to both. Returns
-    /// (placements, inc_ns, oracle_ns).
+    /// assignments, deliver a [`TaskPlaced`](SchedulerEvent::TaskPlaced)
+    /// per application to both, and consume the freed-machine hints.
+    /// Returns (placements, inc_ns, oracle_ns).
     fn round(
         &mut self,
         inc: &mut dyn SchedulerPolicy,
@@ -289,10 +286,6 @@ impl IncrementalProbe {
         }
         self.state.recompute_dirty(&mut self.dirty, &mut self.queue);
         self.state.freed_hint.clear();
-        self.deliver(
-            &mut [&mut *inc, &mut *oracle],
-            &SchedulerEvent::RoundComplete,
-        );
         (placed, inc_ns, oracle_ns)
     }
 
@@ -326,9 +319,9 @@ impl IncrementalProbe {
     }
 
     /// One warm heartbeat: drain the next machine round-robin (kill its
-    /// resident tasks back into the pending pool), deliver the
-    /// preemption/freed events, clear the engine hint, and time one
-    /// `schedule()` per policy on the identical state. Panics if the two
+    /// resident tasks back into the pending pool), deliver the preemption
+    /// events, and time one `schedule()` per policy on the identical
+    /// state (the drain's freed-machine hints in place). Panics if the two
     /// assignment streams diverge.
     pub fn warm_heartbeat(
         &mut self,
@@ -359,18 +352,7 @@ impl IncrementalProbe {
             );
         }
         self.state.recompute_dirty(&mut self.dirty, &mut self.queue);
-        // Mirror the engine's freed-machine delivery; the state-side hint
-        // stays for the scheduling round (as in the engine), so a synced
-        // policy's event-built freed set and an unsynced policy's
-        // view-read one describe the same machines.
-        let freed = self.state.freed_hint.clone();
-        for &m in &freed {
-            self.deliver(
-                &mut [&mut *inc, &mut *oracle],
-                &SchedulerEvent::MachineFreed { machine: m },
-            );
-        }
-        debug_assert!(drained == 0 || freed.contains(&machine));
+        debug_assert!(drained == 0 || self.state.freed_hint.contains(&machine));
         let (placements, inc_ns, oracle_ns) = self.round(inc, oracle);
         WarmHeartbeat {
             inc_ns,
@@ -600,9 +582,9 @@ impl ColdPassProbe {
     }
 
     /// Time one cold `schedule()` call per backend on the identical
-    /// snapshot and assert the assignment streams match. Pass *fresh,
-    /// unsynced* policies each call — an unsynced policy sees no freed
-    /// hint and takes the cold path, and adaptive internal state (score
+    /// snapshot and assert the assignment streams match. The snapshot
+    /// carries no freed hint, so every pass is cold; pass *fresh,
+    /// unsynced* policies each call so adaptive internal state (score
     /// normalization, caches) never leaks between reps.
     pub fn measure(
         &self,

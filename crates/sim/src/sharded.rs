@@ -305,8 +305,9 @@ impl SchedulerPolicy for ShardedScheduler {
                 let owner = owner_shard(*job, shards, self.seed);
                 self.inner[owner].on_event(&view.scoped(scope(owner)), event);
             }
-            // Machine-scoped and round-marker events concern everyone.
-            _ => {
+            // A crash or recovery moves block replicas, which concerns
+            // every partition's jobs.
+            SchedulerEvent::MachineDown { .. } | SchedulerEvent::MachineUp { .. } => {
                 for (i, p) in self.inner.iter_mut().enumerate() {
                     p.on_event(&view.scoped(scope(i)), event);
                 }

@@ -1,19 +1,23 @@
 //! The scheduler-facing API: [`SchedulerPolicy`], [`SchedulerEvent`],
 //! [`Assignment`] and [`ClusterView`].
 //!
-//! The protocol is event-driven (DESIGN.md §11). Whenever
-//! scheduling-relevant state changes, the engine first delivers the typed
-//! [`SchedulerEvent`]s describing *what* changed through
-//! [`SchedulerPolicy::on_event`], then asks for decisions through
+//! The protocol says one thing (DESIGN.md §11): *events name which cached,
+//! job-derived state to invalidate; every fact the view exposes is read
+//! from the view.* Whenever scheduling-relevant state changes, the engine
+//! first delivers the typed [`SchedulerEvent`]s naming *what* changed
+//! through [`SchedulerPolicy::on_event`], then asks for decisions through
 //! [`SchedulerPolicy::schedule`]. A policy may ignore events entirely —
 //! the default `on_event` is a no-op, which is the "mark all dirty"
-//! contract: `schedule` must then derive everything it needs from the
-//! view, exactly like the original stateless API. A policy that *does*
-//! consume events may keep incrementally maintained state (candidate
-//! caches, slot counters) and answer `schedule` by touching only the
-//! delta, provided its answers stay byte-identical to its own
-//! mark-all-dirty behaviour (pinned by `tests/schedule_equivalence.rs`
-//! and the [`MarkAllDirty`] oracle).
+//! contract: `schedule` then derives everything it needs from the view.
+//! A policy that *does* consume events may cache what is expensive to
+//! derive from a job (candidate lists, remaining-work scores) and rebuild
+//! only the entries an event named, provided its answers stay
+//! byte-identical to its own mark-all-dirty behaviour (pinned by
+//! `tests/schedule_equivalence.rs` and the [`MarkAllDirty`] oracle). It
+//! must not keep a private copy of anything the view already answers —
+//! free slots, active jobs, freed machines: a copy built from events is
+//! empty on a policy attached mid-run (crash recovery) and goes stale
+//! wherever the engine mutates state without narrating it.
 //!
 //! The view exposes *reported* information — peak demands, machine
 //! availability ledgers, tracker reports — never simulation ground truth
@@ -99,29 +103,25 @@ impl Assignment {
 /// A scheduling-relevant state change, delivered to policies through
 /// [`SchedulerPolicy::on_event`] before each scheduling round.
 ///
-/// The taxonomy covers everything a policy could otherwise only discover
-/// by re-scanning the view (DESIGN.md §11 documents the invalidation rule
-/// each variant implies). Events are facts about the simulation, not
-/// commands: a policy is free to ignore any of them as long as its
-/// `schedule` answers account for the change some other way.
+/// Every variant names job-derived state a policy may have cached: six
+/// name the one job whose progress or pending queues moved, two name a
+/// machine crash/recovery, after which block re-replication has moved
+/// placement preferences for *every* job (DESIGN.md §11). Facts the view
+/// answers directly — availability, freed-machine hints, suspicion,
+/// tracker reports, external load — have no event: read them from the
+/// view. A policy is free to ignore any event as long as its `schedule`
+/// answers account for the change some other way.
 ///
 /// Delivery guarantees (the determinism contract):
 ///
 /// * every arrival, placement, completion, preemption, abandonment,
-///   restart, crash, recovery, suspicion transition, tracker report and
-///   external-load change is delivered, in simulation order, before the
-///   `schedule` calls of the round it occurred in;
-/// * one [`SchedulerEvent::MachineFreed`] is delivered per entry of
-///   [`ClusterView::freed_machines`], in the same order (duplicates
-///   included), so an event-consuming policy can mirror the hint list
-///   exactly;
-/// * [`SchedulerEvent::RoundComplete`] is delivered once after the last
-///   `schedule` call of a round, when the engine clears the freed-machine
-///   hints — a mirrored list must be cleared there too;
-/// * events may be *spurious* (e.g. an external-load change that was
-///   cancelled at crash time still reports); treating an event as "mark
-///   dirty" is always safe, treating it as "state certainly changed" is
-///   not;
+///   restart, crash and recovery is delivered, in simulation order,
+///   before the next `schedule` call after it occurred (placements and
+///   priority evictions the engine applies between two rounds of one
+///   heartbeat included);
+/// * events are invalidation hints, not state deltas: treating one as
+///   "mark dirty" is always safe, summing them into a copy of view state
+///   is not (module docs);
 /// * machine slowdowns are deliberately **not** delivered: they alter
 ///   flow rates, which are simulation ground truth the scheduler cannot
 ///   observe (§4.1 trackers report usage, not speed).
@@ -178,12 +178,6 @@ pub enum SchedulerEvent {
         /// The again-runnable task.
         task: TaskUid,
     },
-    /// A machine's availability changed since the last round (mirror of
-    /// [`ClusterView::freed_machines`]; may repeat per round).
-    MachineFreed {
-        /// The machine with changed availability.
-        machine: MachineId,
-    },
     /// A machine crashed: zero capacity, residents killed, blocks
     /// re-replicating — locality preference lists are globally stale.
     MachineDown {
@@ -195,28 +189,6 @@ pub enum SchedulerEvent {
         /// The recovered machine.
         machine: MachineId,
     },
-    /// The machine's tracker reports crossed the suspicion threshold.
-    MachineSuspected {
-        /// The now-suspect machine.
-        machine: MachineId,
-    },
-    /// A suspect machine's reports became plausible again.
-    MachineCleared {
-        /// The cleared machine.
-        machine: MachineId,
-    },
-    /// A tracker reporting round ran: reported usage / availability of
-    /// every machine may have moved (tracker-aware policies re-read it
-    /// per call anyway).
-    TrackerReport,
-    /// An external load (ingestion, evacuation, §4.3) started or ended on
-    /// a machine.
-    ExternalLoadChanged {
-        /// The machine whose external load changed.
-        machine: MachineId,
-    },
-    /// The scheduling round finished; freed-machine hints were consumed.
-    RoundComplete,
 }
 
 /// A cluster scheduling policy.
@@ -438,16 +410,6 @@ impl<'a> ClusterView<'a> {
         }
     }
 
-    /// True when `j` belongs to this view's shard partition (always true
-    /// on unscoped views).
-    #[inline]
-    fn owns_job(&self, j: JobId) -> bool {
-        match self.scope {
-            None => true,
-            Some(s) => owner_shard(j, s.shards, s.seed) == s.shard,
-        }
-    }
-
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
         self.state.now.as_secs()
@@ -521,8 +483,16 @@ impl<'a> ClusterView<'a> {
         &self.state.machines[m.index()].running_tasks
     }
 
-    /// Machines whose availability changed since the last scheduling round
-    /// (a hint; may contain duplicates).
+    /// Machines whose availability changed since the last heartbeat (a
+    /// hint; may contain duplicates).
+    ///
+    /// The list is *fixed for the heartbeat*: every `schedule` call of one
+    /// heartbeat sees the same hints, and frees the engine itself causes
+    /// while applying a round (priority evictions) are not appended.
+    /// Measured reason: appending them turns a cold heartbeat's follow-up
+    /// rounds into warm passes over the evicted-from machines only, which
+    /// moves `reproduce serving` Tetris from 0.2 % to 6.1 % SLO violations
+    /// (up to 17.7 % in one wave).
     pub fn freed_machines(&self) -> &[MachineId] {
         &self.state.freed_hint
     }
@@ -570,15 +540,6 @@ impl<'a> ClusterView<'a> {
             None => self.state.jobs.iter().any(|j| j.is_active()),
             Some(_) => self.active_jobs().next().is_some(),
         }
-    }
-
-    /// True iff this job has arrived and not finished — the membership
-    /// test behind [`ClusterView::active_jobs`], exposed so event-driven
-    /// policies can prune incrementally maintained job lists without
-    /// scanning every job. Scoped views also require ownership, so a
-    /// shard's cached lists converge to its own partition.
-    pub fn job_is_active(&self, j: JobId) -> bool {
-        self.state.jobs[j.index()].is_active() && self.owns_job(j)
     }
 
     /// Job arrival time (seconds).

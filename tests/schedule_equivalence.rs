@@ -18,16 +18,20 @@
 //! (`HeartbeatProcessed::wall_ns`) zeroed, plus a structural fingerprint
 //! of the outcome (per-job finishes, per-task placements).
 //!
-//! The event-driven API adds a third axis: every policy with incremental
-//! `on_event` state (Tetris's per-job candidate caches, the slot
-//! baselines' ledgers, DRF's active-job list) is pinned against the same
-//! policy behind the [`MarkAllDirty`] adapter — which swallows events, so
+//! The event-driven API adds a third axis: Tetris, the one policy with
+//! event-invalidated state (per-job candidate caches), is pinned against
+//! itself behind the [`MarkAllDirty`] adapter — which swallows events, so
 //! the inner policy never syncs and recomputes everything from the view —
-//! on fault-free runs *and* under machine crash/recover churn (the event
-//! arms a quiet run never exercises).
+//! on fault-free runs, under machine crash/recover churn (the event arms a
+//! quiet run never exercises) *and* under priority preemption (where the
+//! engine frees machines between the rounds of one heartbeat). The
+//! baselines are stateless — wrapper and wrapped are the same code — so
+//! they have no leg here; `crates/expts/tests/policy_matrix.rs` covers
+//! every registered policy against crash recovery instead.
 
 use tetris::prelude::*;
 use tetris::sim::{ClusterView, MarkAllDirty, SimConfig};
+use tetris::workload::ServingMixConfig;
 use tetris_obs::{Event, Obs, VecRecorder};
 
 const SEEDS: [u64; 3] = [11, 42, 77];
@@ -68,12 +72,13 @@ fn workloads(seed: u64) -> Vec<(&'static str, Workload)> {
 /// Run one policy over a workload with the event stream recorded.
 fn traced_run(
     sched: Box<dyn SchedulerPolicy>,
+    cluster: ClusterConfig,
     w: &Workload,
     cfg: &SimConfig,
 ) -> (SimOutcome, Vec<(f64, Event)>) {
     let rec = VecRecorder::shared();
     let mut obs = Obs::with_recorder(Box::new(rec.clone()));
-    let outcome = Simulation::build(cluster(), w.clone())
+    let outcome = Simulation::build(cluster, w.clone())
         .scheduler(sched)
         .config(cfg.clone())
         .observe(&mut obs)
@@ -98,6 +103,14 @@ fn churn_cfg(seed: u64) -> SimConfig {
     cfg.faults.downtime = 60.0;
     cfg.faults.window = (20.0, 600.0);
     cfg.faults.flake_lead = 30.0;
+    cfg
+}
+
+/// Priority preemption on: service waves evict batch tasks, so the engine
+/// itself frees machines between the rounds of one heartbeat.
+fn preempt_cfg(seed: u64) -> SimConfig {
+    let mut cfg = quiet_cfg(seed);
+    cfg.preemption = true;
     cfg
 }
 
@@ -158,21 +171,31 @@ fn assert_equivalent(
     optimized: Box<dyn SchedulerPolicy>,
     reference: Box<dyn SchedulerPolicy>,
 ) {
-    assert_equivalent_cfg(label, seed, w, &quiet_cfg(seed), optimized, reference)
+    assert_equivalent_cfg(
+        label,
+        seed,
+        cluster(),
+        w,
+        &quiet_cfg(seed),
+        optimized,
+        reference,
+    );
 }
 
-/// [`assert_equivalent`] under an explicit simulation config (fault
-/// plans, tracker periods, ...).
+/// [`assert_equivalent`] on an explicit cluster and simulation config
+/// (fault plans, preemption, ...). Returns the optimized run's outcome
+/// for callers that pin absolute numbers too.
 fn assert_equivalent_cfg(
     label: &str,
     seed: u64,
+    cluster: ClusterConfig,
     w: &Workload,
     cfg: &SimConfig,
     optimized: Box<dyn SchedulerPolicy>,
     reference: Box<dyn SchedulerPolicy>,
-) {
-    let (o_opt, e_opt) = traced_run(optimized, w, cfg);
-    let (o_ref, e_ref) = traced_run(reference, w, cfg);
+) -> SimOutcome {
+    let (o_opt, e_opt) = traced_run(optimized, cluster.clone(), w, cfg);
+    let (o_ref, e_ref) = traced_run(reference, cluster, w, cfg);
 
     assert_eq!(
         fingerprint(&o_opt),
@@ -212,6 +235,7 @@ fn assert_equivalent_cfg(
             "{label}/seed {seed}: no scored placements recorded"
         );
     }
+    o_opt
 }
 
 #[test]
@@ -265,46 +289,20 @@ fn packing_only_warm_scratch_matches_cold_reference() {
     }
 }
 
-/// A policy under test and its full-rescan reference twin.
-type PolicyPair = (
-    &'static str,
-    Box<dyn SchedulerPolicy>,
-    Box<dyn SchedulerPolicy>,
-);
-
-/// The incremental policies and their mark-all-dirty reference twins.
-fn incremental_pairs() -> Vec<PolicyPair> {
-    vec![
-        (
-            "tetris-inc",
-            Box::new(TetrisScheduler::new(TetrisConfig::default())),
-            Box::new(MarkAllDirty(TetrisScheduler::new(TetrisConfig::default()))),
-        ),
-        (
-            "capacity-inc",
-            Box::new(CapacityScheduler::new()),
-            Box::new(MarkAllDirty(CapacityScheduler::new())),
-        ),
-        (
-            "fair-inc",
-            Box::new(FairScheduler::new()),
-            Box::new(MarkAllDirty(FairScheduler::new())),
-        ),
-        (
-            "drf-inc",
-            Box::new(DrfScheduler::new()),
-            Box::new(MarkAllDirty(DrfScheduler::new())),
-        ),
-    ]
+/// Event-synced Tetris and its mark-all-dirty reference twin.
+fn tetris_pair() -> (Box<dyn SchedulerPolicy>, Box<dyn SchedulerPolicy>) {
+    (
+        Box::new(TetrisScheduler::new(TetrisConfig::default())),
+        Box::new(MarkAllDirty(TetrisScheduler::new(TetrisConfig::default()))),
+    )
 }
 
 #[test]
 fn incremental_policies_match_mark_all_dirty_oracle() {
     for seed in SEEDS {
         for (wname, w) in workloads(seed) {
-            for (name, inc, oracle) in incremental_pairs() {
-                assert_equivalent(&format!("{name}/{wname}"), seed, &w, inc, oracle);
-            }
+            let (inc, oracle) = tetris_pair();
+            assert_equivalent(&format!("tetris-inc/{wname}"), seed, &w, inc, oracle);
         }
     }
 }
@@ -312,20 +310,52 @@ fn incremental_policies_match_mark_all_dirty_oracle() {
 #[test]
 fn incremental_policies_match_oracle_under_machine_churn() {
     // Crashes preempt and abandon tasks, take machines down and up, and
-    // flake trackers — the full event taxonomy. Incremental bookkeeping
-    // that drifts from the view under churn diverges here.
+    // flake trackers — the full event taxonomy. A cache entry that
+    // survives an event it should not diverges here.
     for seed in SEEDS {
         for (wname, w) in workloads(seed) {
-            for (name, inc, oracle) in incremental_pairs() {
-                assert_equivalent_cfg(
-                    &format!("{name}-churn/{wname}"),
-                    seed,
-                    &w,
-                    &churn_cfg(seed),
-                    inc,
-                    oracle,
-                );
-            }
+            let (inc, oracle) = tetris_pair();
+            assert_equivalent_cfg(
+                &format!("tetris-inc-churn/{wname}"),
+                seed,
+                cluster(),
+                &w,
+                &churn_cfg(seed),
+                inc,
+                oracle,
+            );
+        }
+    }
+}
+
+#[test]
+fn incremental_tetris_matches_oracle_under_preemption() {
+    // Evictions free machines between two rounds of one heartbeat. Both
+    // twins must see the same freed-machine hints there — the list is
+    // fixed for the heartbeat (`ClusterView::freed_machines`).
+    // The contended serving mix of `perfbench serving_preempt`: four
+    // diurnal services over a saturating batch backlog on 40 machines.
+    let cluster = ClusterConfig::uniform(40, MachineSpec::paper_large());
+    let w = ServingMixConfig::laptop(2.0).generate(42);
+    for seed in [1].into_iter().chain(SEEDS) {
+        let (inc, oracle) = tetris_pair();
+        let o = assert_equivalent_cfg(
+            "tetris-inc-preempt/serving",
+            seed,
+            cluster.clone(),
+            &w,
+            &preempt_cfg(seed),
+            inc,
+            oracle,
+        );
+        assert!(
+            o.stats.preemptions > 0,
+            "seed {seed}: nothing was preempted"
+        );
+        if seed == 1 {
+            // The shipped decisions are the pinned side: making the twins
+            // agree moved the oracle, not the policy.
+            assert_eq!((o.stats.preemptions, o.stats.placements), (693, 2548));
         }
     }
 }
