@@ -7,11 +7,14 @@
 //! stats, samples), plus the per-batch commit decisions. Recovery is then
 //! three deterministic steps:
 //!
-//! 1. **Scan** — read the journal leniently, discarding a torn tail, and
-//!    derive the *commit frontier*: the last batch whose `BatchCommit`
-//!    survived. Records of an uncommitted trailing batch (the mid-commit
-//!    crash artifact — e.g. only some of a `ShardedScheduler`'s merged
-//!    shard plans made it out) are dropped with the tail.
+//! 1. **Scan** — walk the journal's frames up to the first bad one (a
+//!    torn tail is discarded, not an error), holding every record to the
+//!    journal's one [`Grammar`], and derive the *commit frontier*: the
+//!    last batch whose `BatchCommit` survived. Records of an uncommitted
+//!    trailing batch (the mid-commit crash artifact — e.g. only some of a
+//!    `ShardedScheduler`'s merged shard plans made it out) are dropped
+//!    with the tail. Decision records decode in full; a checkpoint is
+//!    taken at its tag, and only the one step 2 restores is ever decoded.
 //! 2. **Restore** — rebuild the engine from the last checkpoint at or
 //!    before the frontier, including the policy's persistent state
 //!    ([`crate::SchedulerPolicy::import_state`]: §3.5 reservations and
@@ -35,13 +38,16 @@ use std::fmt;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use tetris_workload::{TaskUid, Workload};
+use tetris_workload::Workload;
 
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::{ExternalLoad, SimConfig};
 use crate::events::{Event, EventQueue};
 use crate::fault::TrackerMode;
-use crate::journal::{DiscardedTail, Journal, JournalError, JournalRecord, JOURNAL_VERSION};
+use crate::journal::{
+    self, Admitted, CommittedBatch, DiscardedTail, Frame, Grammar, Journal, JournalError,
+    JournalRecord,
+};
 use crate::outcome::{EngineStats, Sample, SimOutcome};
 use crate::state::{Flow, JobState, MachineState, SimState, TaskState};
 use crate::time::SimTime;
@@ -169,14 +175,6 @@ pub(crate) struct CheckpointState {
     pub policy_state: Option<String>,
 }
 
-// Snapshot equality via the wire form: the runtime-state types don't
-// implement `PartialEq`, and the wire form is exactly what recovery sees.
-impl PartialEq for CheckpointState {
-    fn eq(&self, other: &Self) -> bool {
-        serde_json::to_string(self).ok() == serde_json::to_string(other).ok()
-    }
-}
-
 impl CheckpointState {
     /// Snapshot the engine at a batch boundary.
     pub(crate) fn capture(
@@ -247,38 +245,16 @@ impl CheckpointState {
     }
 }
 
-/// One committed batch reconstructed from the journal. During replay the
-/// policy is re-invoked and its applied placements are popped off
-/// `expected` one by one — the journal is the witness the live decisions
-/// must reproduce, not a substitute for them.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ReplayBatch {
-    pub heartbeat: u64,
-    pub now_us: u64,
-    /// `(round, task, machine)` in commit order.
-    pub expected: VecDeque<(u32, TaskUid, MachineId)>,
-    pub placements: u64,
-    pub schedule_calls: u64,
-    pub rejected: u64,
-}
-
 /// The replay half of a recovery: the batches between the restored
 /// checkpoint and the commit frontier, plus bookkeeping the engine fills
 /// in as it consumes them.
 #[derive(Debug)]
 pub(crate) struct ReplayPlan {
-    pub batches: VecDeque<ReplayBatch>,
+    pub batches: VecDeque<CommittedBatch>,
     pub stats: RecoveryStats,
     /// Started at restore begin; stops when the last batch is consumed.
     pub started: Instant,
     pub replay_done: bool,
-}
-
-impl ReplayPlan {
-    /// Total placements across all batches.
-    fn total_placements(&self) -> u64 {
-        self.batches.iter().map(|b| b.placements).sum()
-    }
 }
 
 /// Scan `journal`, validate it against the builder's `fingerprint`, and
@@ -288,162 +264,83 @@ pub(crate) fn plan_recovery(
     expected_fingerprint: u64,
 ) -> Result<(CheckpointState, ReplayPlan), RecoveryError> {
     let started = Instant::now();
-    if journal.bytes().is_empty() {
-        return Err(JournalError::Empty.into());
-    }
-    let (records, tail) = journal.records_lenient();
-
-    // Header first, and it must belong to this run.
-    match records.first() {
-        Some((
-            _,
-            JournalRecord::RunHeader {
-                version,
-                fingerprint,
-                ..
-            },
-        )) => {
-            if *version != JOURNAL_VERSION {
-                return Err(JournalError::BadVersion { found: *version }.into());
-            }
-            if *fingerprint != expected_fingerprint {
-                return Err(JournalError::FingerprintMismatch {
-                    expected: expected_fingerprint,
-                    found: *fingerprint,
-                }
-                .into());
-            }
-        }
-        _ => return Err(JournalError::MissingHeader { offset: 0 }.into()),
-    }
-
-    // Walk the committed prefix: remember the last checkpoint and the
-    // batches after it. An uncommitted trailing batch is dropped exactly
-    // like a torn tail; a structural violation *before* the tail is a
-    // hard error (the lenient scan only forgives frame damage, not
-    // grammar damage).
-    let mut checkpoint: Option<(u64, CheckpointState)> = None;
-    let mut committed: Vec<ReplayBatch> = Vec::new();
-    let mut open: Option<ReplayBatch> = None;
-    let mut discarded_records = 0u64;
-    for (offset, rec) in records.into_iter().skip(1) {
-        match rec {
-            JournalRecord::RunHeader { .. } => {
-                return Err(JournalError::DuplicateHeader { offset }.into());
-            }
-            JournalRecord::Checkpoint { heartbeat, state } => {
-                if open.is_some() {
-                    return Err(structural(offset, "checkpoint inside an open batch"));
-                }
-                checkpoint = Some((heartbeat, *state));
-                // Batches at or before the snapshot are baked into it.
-                committed.clear();
-            }
-            JournalRecord::BatchStart { heartbeat, now_us } => {
-                if let Some(b) = &open {
-                    return Err(structural(
-                        offset,
-                        &format!("batch opened while batch {} is open", b.heartbeat),
-                    ));
-                }
-                open = Some(ReplayBatch {
-                    heartbeat,
-                    now_us,
-                    expected: VecDeque::new(),
-                    placements: 0,
-                    schedule_calls: 0,
-                    rejected: 0,
-                });
-            }
-            JournalRecord::Placement {
-                task,
-                machine,
-                round,
-            } => match &mut open {
-                None => return Err(structural(offset, "placement outside any open batch")),
-                Some(b) => {
-                    b.expected.push_back((round, task, machine));
-                    b.placements += 1;
-                }
-            },
-            JournalRecord::BatchCommit {
-                heartbeat,
-                placements,
-                schedule_calls,
-                rejected,
-            } => match open.take() {
-                Some(mut b) if b.heartbeat == heartbeat => {
-                    if b.placements != placements {
-                        return Err(structural(
-                            offset,
-                            &format!(
-                                "commit claims {placements} placements, journal holds {}",
-                                b.placements
-                            ),
-                        ));
-                    }
-                    b.schedule_calls = schedule_calls;
-                    b.rejected = rejected;
-                    committed.push(b);
-                }
-                Some(b) => {
-                    return Err(structural(
-                        offset,
-                        &format!("commit for batch {heartbeat} closes batch {}", b.heartbeat),
-                    ));
-                }
-                None => {
-                    return Err(structural(
-                        offset,
-                        &format!("commit for batch {heartbeat} with no open batch"),
-                    ))
-                }
-            },
-        }
-    }
-    if let Some(b) = open {
-        // Torn final batch (mid-commit crash): discard its records.
-        discarded_records += 1 + b.placements;
-    }
-
-    let (checkpoint_heartbeat, cp) = checkpoint.ok_or(JournalError::NoCheckpoint)?;
-    // Only batches after the checkpoint remain (earlier ones were cleared
-    // when the checkpoint record was seen), and they must chain directly
-    // from it.
-    let mut expect = checkpoint_heartbeat;
-    for b in &committed {
-        if b.heartbeat != expect + 1 {
-            return Err(structural(
-                0,
-                &format!("batch {} does not follow heartbeat {expect}", b.heartbeat),
-            ));
-        }
-        expect = b.heartbeat;
-    }
-
-    let stats = RecoveryStats {
-        checkpoint_heartbeat,
-        replayed_batches: committed.len() as u64,
-        replayed_placements: committed.iter().map(|b| b.placements).sum(),
-        discarded_records,
-        discarded_offset: tail.as_ref().map(|t: &DiscardedTail| t.offset),
-        recovery_wall_us: 0,
-    };
-    let plan = ReplayPlan {
-        batches: committed.into(),
-        stats,
-        started,
-        replay_done: false,
-    };
-    debug_assert_eq!(plan.stats.replayed_placements, plan.total_placements());
-    Ok((cp, plan))
-}
-
-fn structural(offset: u64, msg: &str) -> RecoveryError {
-    RecoveryError::Journal(JournalError::OutOfOrder {
+    let buf = journal.bytes();
+    let discard = |offset: u64, reason: String| DiscardedTail {
         offset,
-        msg: msg.to_string(),
-    })
+        bytes: buf.len() as u64 - offset,
+        reason,
+    };
+    // The readable prefix ends at the first bad frame — or, found out
+    // last, at the checkpoint to restore if its state does not decode:
+    // then that is the bad frame and the shorter prefix is walked again.
+    // Frame damage is forgiven so; grammar damage inside the prefix never.
+    let mut end = buf.len();
+    let mut tail: Option<DiscardedTail> = None;
+    loop {
+        let mut grammar = Grammar::default();
+        let mut checkpoint: Option<Frame> = None;
+        let mut committed: Vec<CommittedBatch> = Vec::new();
+        for frame in journal::frames(&buf[..end])? {
+            // A checkpoint is admitted at its tag, its state unread; a
+            // frame that is defective or does not decode ends the prefix.
+            let admitted = match frame.checkpoint_heartbeat() {
+                Some(heartbeat) => grammar.checkpoint(frame.offset, heartbeat)?,
+                None => match frame.decode() {
+                    Ok(rec) => grammar.step(frame.offset, &rec)?,
+                    Err(e) => {
+                        tail = Some(discard(frame.offset, e.to_string()));
+                        break;
+                    }
+                },
+            };
+            match admitted {
+                Admitted::Header { fingerprint } if fingerprint != expected_fingerprint => {
+                    return Err(JournalError::FingerprintMismatch {
+                        expected: expected_fingerprint,
+                        found: fingerprint,
+                    }
+                    .into());
+                }
+                Admitted::Checkpoint => {
+                    checkpoint = Some(frame);
+                    // Batches at or before the snapshot are baked into it.
+                    committed.clear();
+                }
+                Admitted::Batch(b) => committed.push(b),
+                Admitted::Header { .. } | Admitted::Pending => {}
+            }
+        }
+        let discarded_records = grammar.finish()?;
+
+        let frame = checkpoint.ok_or(JournalError::NoCheckpoint)?;
+        let (checkpoint_heartbeat, cp) = match frame.decode() {
+            Ok(JournalRecord::Checkpoint { heartbeat, state }) => (heartbeat, *state),
+            // Tagged `Checkpoint`, so it decodes as one or not at all.
+            undecodable => {
+                let why = undecodable.err().map(|e| e.to_string()).unwrap_or_default();
+                tail = Some(discard(frame.offset, why));
+                end = frame.offset as usize;
+                continue;
+            }
+        };
+        // Only batches after the checkpoint remain, chained from it by
+        // the grammar.
+        let stats = RecoveryStats {
+            checkpoint_heartbeat,
+            replayed_batches: committed.len() as u64,
+            replayed_placements: committed.iter().map(|b| b.expected.len() as u64).sum(),
+            discarded_records,
+            discarded_offset: tail.map(|t| t.offset),
+            recovery_wall_us: 0,
+        };
+        let plan = ReplayPlan {
+            batches: committed.into(),
+            stats,
+            started,
+            replay_done: false,
+        };
+        return Ok((cp, plan));
+    }
 }
 
 /// FNV-1a fingerprint binding a journal to its run: cluster shape,
@@ -470,20 +367,66 @@ pub(crate) fn run_fingerprint(cluster: &ClusterConfig, workload: &Workload, seed
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{crc32, JOURNAL_VERSION};
+    use tetris_workload::TaskUid;
 
-    fn mini_journal() -> Journal {
-        let mut j = Journal::new();
-        j.append(&JournalRecord::RunHeader {
+    const FINGERPRINT: u64 = 42;
+
+    fn header() -> JournalRecord {
+        JournalRecord::RunHeader {
             version: JOURNAL_VERSION,
             seed: 1,
-            fingerprint: 42,
+            fingerprint: FINGERPRINT,
             checkpoint_every: 2,
-        });
-        j.append(&JournalRecord::Checkpoint {
-            heartbeat: 0,
-            state: Box::new(empty_checkpoint(0)),
-        });
-        j
+        }
+    }
+
+    fn checkpoint(heartbeat: u64) -> JournalRecord {
+        JournalRecord::Checkpoint {
+            heartbeat,
+            state: Box::new(empty_checkpoint(heartbeat)),
+        }
+    }
+
+    fn start(heartbeat: u64) -> JournalRecord {
+        JournalRecord::BatchStart {
+            heartbeat,
+            now_us: 10 * heartbeat,
+        }
+    }
+
+    fn placement(task: usize, round: u32) -> JournalRecord {
+        JournalRecord::Placement {
+            task: TaskUid(task),
+            machine: MachineId(0),
+            round,
+        }
+    }
+
+    fn commit(heartbeat: u64, placements: u64) -> JournalRecord {
+        JournalRecord::BatchCommit {
+            heartbeat,
+            placements,
+            schedule_calls: 3,
+            rejected: 0,
+        }
+    }
+
+    /// A journal of `records` and the byte offset of each.
+    fn journal_of(records: &[JournalRecord]) -> (Journal, Vec<u64>) {
+        let mut j = Journal::new();
+        let mut offsets = Vec::new();
+        for rec in records {
+            offsets.push(j.bytes().len() as u64);
+            j.append(rec);
+        }
+        (j, offsets)
+    }
+
+    fn mini_journal(tail: &[JournalRecord]) -> Journal {
+        let mut records = vec![header(), checkpoint(0)];
+        records.extend_from_slice(tail);
+        journal_of(&records).0
     }
 
     fn empty_checkpoint(heartbeat: u64) -> CheckpointState {
@@ -515,30 +458,21 @@ mod tests {
 
     #[test]
     fn plan_requires_matching_fingerprint() {
-        let j = mini_journal();
+        let j = mini_journal(&[]);
         match plan_recovery(&j, 7) {
             Err(RecoveryError::Journal(JournalError::FingerprintMismatch { expected, found })) => {
-                assert_eq!((expected, found), (7, 42));
+                assert_eq!((expected, found), (7, FINGERPRINT));
             }
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
-        assert!(plan_recovery(&j, 42).is_ok());
+        assert!(plan_recovery(&j, FINGERPRINT).is_ok());
     }
 
     #[test]
     fn torn_trailing_batch_is_discarded() {
-        let mut j = mini_journal();
-        j.append(&JournalRecord::BatchStart {
-            heartbeat: 1,
-            now_us: 10,
-        });
-        j.append(&JournalRecord::Placement {
-            task: TaskUid(0),
-            machine: MachineId(0),
-            round: 0,
-        });
         // No commit: the batch must not be replayed.
-        let (cp, plan) = plan_recovery(&j, 42).unwrap();
+        let j = mini_journal(&[start(1), placement(0, 0)]);
+        let (cp, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
         assert_eq!(cp.heartbeat, 0);
         assert!(plan.batches.is_empty());
         assert_eq!(plan.stats.discarded_records, 2);
@@ -546,28 +480,8 @@ mod tests {
 
     #[test]
     fn committed_batches_after_checkpoint_are_replayed() {
-        let mut j = mini_journal();
-        j.append(&JournalRecord::BatchStart {
-            heartbeat: 1,
-            now_us: 10,
-        });
-        j.append(&JournalRecord::Placement {
-            task: TaskUid(0),
-            machine: MachineId(0),
-            round: 0,
-        });
-        j.append(&JournalRecord::Placement {
-            task: TaskUid(1),
-            machine: MachineId(0),
-            round: 1,
-        });
-        j.append(&JournalRecord::BatchCommit {
-            heartbeat: 1,
-            placements: 2,
-            schedule_calls: 3,
-            rejected: 0,
-        });
-        let (_, plan) = plan_recovery(&j, 42).unwrap();
+        let j = mini_journal(&[start(1), placement(0, 0), placement(1, 1), commit(1, 2)]);
+        let (_, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
         assert_eq!(plan.batches.len(), 1);
         let b = &plan.batches[0];
         assert_eq!(
@@ -580,22 +494,8 @@ mod tests {
 
     #[test]
     fn later_checkpoint_supersedes_earlier_batches() {
-        let mut j = mini_journal();
-        j.append(&JournalRecord::BatchStart {
-            heartbeat: 1,
-            now_us: 10,
-        });
-        j.append(&JournalRecord::BatchCommit {
-            heartbeat: 1,
-            placements: 0,
-            schedule_calls: 1,
-            rejected: 0,
-        });
-        j.append(&JournalRecord::Checkpoint {
-            heartbeat: 1,
-            state: Box::new(empty_checkpoint(1)),
-        });
-        let (cp, plan) = plan_recovery(&j, 42).unwrap();
+        let j = mini_journal(&[start(1), commit(1, 0), checkpoint(1)]);
+        let (cp, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
         assert_eq!(cp.heartbeat, 1);
         assert!(plan.batches.is_empty());
     }
@@ -606,5 +506,209 @@ mod tests {
             Err(RecoveryError::Journal(JournalError::Empty)) => {}
             other => panic!("expected Empty, got {other:?}"),
         }
+    }
+
+    /// Grammar parity: every CRC-valid journal that breaks one rule gets
+    /// the same typed error, at the offending record's offset, from the
+    /// strict reader and from recovery — wherever the damage sits relative
+    /// to the last checkpoint.
+    #[test]
+    fn verify_and_recovery_agree_on_grammar_damage() {
+        // (what is broken, records after `RunHeader Checkpoint(0)`, index
+        // of the violating record in that tail)
+        let table: Vec<(&str, Vec<JournalRecord>, usize)> = vec![
+            ("placement outside a batch", vec![placement(0, 0)], 0),
+            (
+                "commit count differs from journaled placements",
+                vec![start(1), placement(0, 0), commit(1, 2)],
+                2,
+            ),
+            ("batch opened inside a batch", vec![start(1), start(2)], 1),
+            (
+                "heartbeat gap after the last checkpoint",
+                vec![start(1), commit(1, 0), start(3), commit(3, 0)],
+                2,
+            ),
+            (
+                "heartbeat gap before the last checkpoint",
+                vec![
+                    start(1),
+                    commit(1, 0),
+                    start(3),
+                    commit(3, 0),
+                    checkpoint(3),
+                    start(4),
+                    commit(4, 0),
+                ],
+                2,
+            ),
+            (
+                "checkpoint inside an open batch",
+                vec![start(1), checkpoint(0)],
+                1,
+            ),
+            (
+                "restorable checkpoint not at the last commit's heartbeat",
+                vec![start(1), commit(1, 0), checkpoint(2)],
+                2,
+            ),
+            ("second header", vec![start(1), commit(1, 0), header()], 2),
+        ];
+        for (what, tail, bad) in table {
+            let mut records = vec![header(), checkpoint(0)];
+            records.extend(tail);
+            let (j, offsets) = journal_of(&records);
+            let strict = j.verify().expect_err(what);
+            match &strict {
+                JournalError::OutOfOrder { offset, .. }
+                | JournalError::DuplicateHeader { offset } => {
+                    assert_eq!(*offset, offsets[2 + bad], "{what}")
+                }
+                other => panic!("{what}: unexpected {other:?}"),
+            }
+            assert_eq!(
+                plan_recovery(&j, FINGERPRINT).err(),
+                Some(RecoveryError::Journal(strict)),
+                "{what}"
+            );
+        }
+    }
+
+    // ---- Checkpoint frames recovery does or does not decode, on a real
+    // crashed run: checkpoints at heartbeats 0, 2 and 4, killed at 6.
+
+    use crate::{GreedyFifo, SchedulerCrash, Simulation};
+    use tetris_resources::{units::GB, units::MB, MachineSpec};
+    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+
+    fn sim(crash: Option<SchedulerCrash>) -> Simulation<'static> {
+        let mut b = WorkloadBuilder::new().with_demand_cap(MachineSpec::paper_small().capacity());
+        for ji in 0..3 {
+            let j = b.begin_job(format!("j{ji}"), None, ji as f64 * 8.0);
+            let inputs: Vec<_> = (0..4).map(|_| b.stored_input(32.0 * MB)).collect();
+            b.add_stage(j, "map", vec![], 4, |i| TaskParams {
+                cores: 1.0,
+                mem: 2.0 * GB,
+                duration: 10.0,
+                cpu_frac: 0.6,
+                io_burst: 1.0,
+                inputs: vec![inputs[i]],
+                output_bytes: 40.0 * MB,
+                remote_frac: 1.0,
+            });
+        }
+        let mut cfg = SimConfig::default();
+        cfg.seed = 7;
+        cfg.checkpoint_every = 2;
+        cfg.faults.sched_crash = crash;
+        Simulation::build(
+            ClusterConfig::uniform(4, MachineSpec::paper_small()),
+            b.finish(),
+        )
+        .scheduler(GreedyFifo::new())
+        .config(cfg)
+    }
+
+    fn crashed_journal() -> Journal {
+        let crash = SchedulerCrash {
+            at_heartbeat: 6,
+            mid_commit: false,
+        };
+        let mut journal = Journal::new();
+        let res = sim(Some(crash)).run_result(Some(&mut journal));
+        assert!(matches!(res, RunResult::Crashed { heartbeat: 6 }));
+        journal
+    }
+
+    fn wire(o: &SimOutcome) -> String {
+        serde_json::to_string(o).unwrap()
+    }
+
+    /// `journal` with the payload of every checkpoint frame whose heartbeat
+    /// `pick`s rewritten by `edit` and re-framed under a correct length
+    /// and CRC, plus the offset of the first frame rewritten.
+    fn rewrite_checkpoints(
+        journal: &Journal,
+        pick: impl Fn(u64) -> bool,
+        edit: impl Fn(&str) -> String,
+    ) -> (Journal, u64) {
+        let mut out = Vec::new();
+        let mut first = None;
+        for frame in journal::frames(journal.bytes()).unwrap() {
+            let text = frame.payload.clone().unwrap();
+            let payload = match frame.checkpoint_heartbeat() {
+                Some(heartbeat) if pick(heartbeat) => {
+                    first.get_or_insert(out.len() as u64);
+                    edit(text)
+                }
+                _ => text.to_string(),
+            };
+            // Framed by hand: the forged frame owes nothing to `append`.
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+            out.extend_from_slice(payload.as_bytes());
+        }
+        (
+            Journal::from_bytes(out),
+            first.expect("a checkpoint was picked"),
+        )
+    }
+
+    /// Keep the tag and heartbeat, lose the closing half of the state.
+    fn mangle(payload: &str) -> String {
+        payload[..payload.len() / 2].to_string()
+    }
+
+    #[test]
+    fn undecodable_restore_checkpoint_ends_the_readable_prefix() {
+        let golden = sim(None).run();
+        let journal = crashed_journal();
+        let (damaged, offset) = rewrite_checkpoints(&journal, |hb| hb == 4, mangle);
+        assert!(matches!(
+            damaged.verify(),
+            Err(JournalError::BadPayload { offset: o, .. }) if o == offset
+        ));
+        // Recovery falls back to the checkpoint before it, as if the
+        // journal ended at the frame it could not read.
+        let rec = sim(None).recover(&damaged).expect("recovers from hb 2");
+        assert_eq!(rec.stats.checkpoint_heartbeat, 2);
+        assert_eq!(rec.stats.replayed_batches, 2);
+        assert_eq!(rec.stats.discarded_offset, Some(offset));
+        assert_eq!(wire(&rec.outcome), wire(&golden));
+    }
+
+    #[test]
+    fn superseded_checkpoints_are_never_decoded() {
+        let golden = sim(None).run();
+        let journal = crashed_journal();
+        assert_eq!(journal.verify().unwrap().checkpoints, 3);
+        // Every checkpoint but the last is undecodable, so a recovery that
+        // succeeds decoded exactly one.
+        let (damaged, offset) = rewrite_checkpoints(&journal, |hb| hb < 4, mangle);
+        let rec = sim(None).recover(&damaged).expect("recovers from hb 4");
+        assert_eq!(rec.stats.checkpoint_heartbeat, 4);
+        assert_eq!(rec.stats.discarded_offset, None);
+        assert_eq!(wire(&rec.outcome), wire(&golden));
+        // The strict reader still decodes, and refuses, every one of them.
+        assert!(matches!(
+            damaged.verify(),
+            Err(JournalError::BadPayload { offset: o, .. }) if o == offset
+        ));
+    }
+
+    #[test]
+    fn checkpoint_the_classifier_cannot_read_takes_the_full_decode() {
+        let golden = sim(None).run();
+        let journal = crashed_journal();
+        // Legal JSON the writer never emits: whitespace before the tag.
+        let spaced = |payload: &str| payload.replacen('{', "{ ", 1);
+        let (respaced, _) = rewrite_checkpoints(&journal, |_| true, spaced);
+        for frame in journal::frames(respaced.bytes()).unwrap() {
+            assert_eq!(frame.checkpoint_heartbeat(), None);
+        }
+        assert_eq!(respaced.verify().unwrap().checkpoints, 3);
+        let rec = sim(None).recover(&respaced).expect("recovers");
+        assert_eq!(rec.stats.checkpoint_heartbeat, 4);
+        assert_eq!(wire(&rec.outcome), wire(&golden));
     }
 }

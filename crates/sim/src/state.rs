@@ -252,19 +252,19 @@ pub(crate) struct StageState {
 // `[machine, bytes]` pairs (BTreeMap iteration order is already
 // deterministic).
 impl serde::Serialize for StageState {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) {
         let outs: Vec<(MachineId, f64)> =
             self.out_by_machine.iter().map(|(k, v)| (*k, *v)).collect();
-        serde::Value::Obj(vec![
-            ("unlocked".into(), self.unlocked.to_value()),
-            ("pending".into(), self.pending.to_value()),
-            ("running".into(), self.running.to_value()),
-            ("finished".into(), self.finished.to_value()),
-            ("total".into(), self.total.to_value()),
-            ("feeds_downstream".into(), self.feeds_downstream.to_value()),
-            ("out_by_machine".into(), outs.to_value()),
-            ("total_out".into(), self.total_out.to_value()),
-        ])
+        serde::Compound::object(out)
+            .field("unlocked", &self.unlocked)
+            .field("pending", &self.pending)
+            .field("running", &self.running)
+            .field("finished", &self.finished)
+            .field("total", &self.total)
+            .field("feeds_downstream", &self.feeds_downstream)
+            .field("out_by_machine", &outs)
+            .field("total_out", &self.total_out)
+            .end();
     }
 }
 

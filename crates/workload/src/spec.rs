@@ -1,6 +1,5 @@
 //! Machine-independent workload descriptions: tasks, stages, jobs, DAGs.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use tetris_resources::{Resource, ResourceVec};
@@ -363,7 +362,8 @@ pub struct Workload {
 pub enum ValidationError {
     /// `jobs[i].id != i`.
     NonDenseJobId(usize),
-    /// Task uid appears twice or task back-references the wrong job/stage.
+    /// Task uid appears twice or lies outside `0..num_tasks()`, or the task
+    /// back-references the wrong job/stage.
     BadTaskIdentity(TaskUid),
     /// Stage dep points at itself or forward (stages must be topo-ordered).
     BadStageDep {
@@ -486,7 +486,9 @@ impl Workload {
 
     /// Check every structural invariant the simulator relies on.
     pub fn validate(&self) -> Result<(), ValidationError> {
-        let mut seen_uids = HashSet::new();
+        // Task uids are dense, `0..num_tasks()` each used once: the
+        // simulator indexes per-task tables by them.
+        let mut seen_uids = vec![false; self.num_tasks()];
         for (ji, job) in self.jobs.iter().enumerate() {
             if job.id.index() != ji {
                 return Err(ValidationError::NonDenseJobId(ji));
@@ -545,8 +547,9 @@ impl Workload {
                     if task.job != job.id || task.stage != si || task.index != ti {
                         return Err(ValidationError::BadTaskIdentity(task.uid));
                     }
-                    if !seen_uids.insert(task.uid) {
-                        return Err(ValidationError::BadTaskIdentity(task.uid));
+                    match seen_uids.get_mut(task.uid.index()) {
+                        Some(seen) if !*seen => *seen = true,
+                        _ => return Err(ValidationError::BadTaskIdentity(task.uid)),
                     }
                     if task.demand.has_nan() || task.demand.min_component() < 0.0 {
                         return Err(ValidationError::BadDemand(task.uid));

@@ -115,7 +115,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<TraceFile, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkloadSuiteConfig;
+    use crate::{TaskUid, ValidationError, WorkloadSuiteConfig};
 
     #[test]
     fn json_roundtrip() {
@@ -168,6 +168,26 @@ mod tests {
             serde_json::to_string(&tf).unwrap()
         };
         assert!(matches!(from_json(&s), Err(TraceError::Invalid(_))));
+    }
+
+    /// Unique but sparse task uids would index past the simulator's
+    /// per-task tables: a trace file carrying them is refused, typed.
+    #[test]
+    fn rejects_sparse_task_uids() {
+        let mut w = WorkloadSuiteConfig::scaled(4, 0.05).generate(42);
+        let n = w.num_tasks();
+        let last = w.jobs.last_mut().unwrap().stages.last_mut().unwrap();
+        last.tasks.last_mut().unwrap().uid = TaskUid(n + 7);
+        let tf = TraceFile {
+            version: TRACE_VERSION,
+            provenance: String::new(),
+            workload: w,
+        };
+        let s = serde_json::to_string(&tf).unwrap();
+        assert!(matches!(
+            from_json(&s),
+            Err(TraceError::Invalid(ValidationError::BadTaskIdentity(uid))) if uid.index() == n + 7
+        ));
     }
 
     #[test]

@@ -161,6 +161,12 @@ rec_out="$(target/release/reproduce --journal "$tmp/rec.wal" --checkpoint-every 
   --crash-at 6 --outcome "$tmp/recovered.json" --scale 0.1)"
 echo "$rec_out" | grep -q "recovered from checkpoint" \
   || { echo "instrumented run did not crash and recover"; echo "$rec_out"; exit 1; }
+# The journal's own bytes are pinned too, not only what recovers from
+# them: a serializer or framing change must write the bytes the last
+# JOURNAL_VERSION wrote. Regenerate only with a deliberate
+# JOURNAL_VERSION bump or a golden-changing decision change.
+[[ "$(cksum < "$tmp/rec.wal")" == "42343950 876208" ]] \
+  || { echo "journal bytes changed: cksum $(cksum < "$tmp/rec.wal")"; exit 1; }
 target/release/reproduce --outcome "$tmp/full.json" --scale 0.1 >/dev/null
 cmp "$tmp/recovered.json" "$tmp/full.json" \
   || { echo "recovered outcome diverges from the uninterrupted run"; exit 1; }
