@@ -1,5 +1,6 @@
 //! The simulation engine: builder + event loop.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use tetris_obs::{names, Event, Obs};
@@ -149,8 +150,8 @@ impl<'o> Simulation<'o> {
     /// artifact) are discarded, never replayed.
     pub fn recover(self, journal: &Journal) -> Result<Recovered, RecoveryError> {
         let fingerprint = run_fingerprint(&self.cluster, &self.workload, self.cfg.seed);
-        let (cp, mut plan) = crate::recovery::plan_recovery(journal, fingerprint)?;
-        match self.run_core(None, Some(&mut plan), Some(Box::new(cp)))? {
+        let (cp, samples, mut plan) = crate::recovery::plan_recovery(journal, fingerprint)?;
+        match self.run_core(None, Some(&mut plan), Some((cp, samples)))? {
             RunResult::Completed(outcome) => Ok(Recovered {
                 outcome: *outcome,
                 stats: plan.stats,
@@ -169,7 +170,7 @@ impl<'o> Simulation<'o> {
         self,
         mut journal: Option<&mut Journal>,
         mut replay: Option<&mut ReplayPlan>,
-        resume: Option<Box<CheckpointState>>,
+        resume: Option<(CheckpointState<'static>, Vec<Sample>)>,
     ) -> Result<RunResult, RecoveryError> {
         let mut policy = self.policy.expect("Simulation requires a scheduler");
         self.cfg.validate().expect("invalid SimConfig");
@@ -234,7 +235,7 @@ impl<'o> Simulation<'o> {
             // dirty set was empty and every pending event (including the
             // next TrackerReport and remaining fault schedule) is inside
             // its event-queue snapshot, so no re-seeding happens here.
-            Some(mut cp) => {
+            Some((mut cp, samples)) => {
                 // Persistent policy state (reservations, learned demand
                 // families) rides in the checkpoint; hand it back before
                 // the policy sees any event or schedule call, so replayed
@@ -242,7 +243,14 @@ impl<'o> Simulation<'o> {
                 if let Some(ps) = cp.policy_state.take() {
                     policy.import_state(&ps);
                 }
-                cp.restore(self.cluster, self.workload, self.cfg)
+                let heartbeat = cp.heartbeat;
+                let (state, queue, stats) = cp
+                    .restore(self.cluster, self.workload, self.cfg)
+                    .ok_or_else(|| RecoveryError::ReplayDivergence {
+                        heartbeat,
+                        msg: "checkpoint stores a task or flow outside its table".into(),
+                    })?;
+                (state, queue, stats, samples, heartbeat)
             }
             None => {
                 let mut state = SimState::new(self.cluster, self.workload, self.cfg);
@@ -297,6 +305,8 @@ impl<'o> Simulation<'o> {
         // recovery always has a snapshot to restore, however early the
         // crash.
         let mut checkpoints_written = 0u64;
+        // Samples already in the journal (as `Samples` records).
+        let mut samples_journaled = 0usize;
         if let Some(j) = journal.as_deref_mut() {
             j.append(&JournalRecord::RunHeader {
                 version: JOURNAL_VERSION,
@@ -310,7 +320,7 @@ impl<'o> Simulation<'o> {
                     &state,
                     &queue,
                     &stats,
-                    &samples,
+                    samples_journaled,
                     heartbeats,
                     policy.export_state(),
                 )),
@@ -869,13 +879,22 @@ impl<'o> Simulation<'o> {
             // resumed run re-enters the loop exactly here.
             if did_heartbeat && heartbeats % state.cfg.checkpoint_every == 0 {
                 if let Some(j) = journal.as_deref_mut() {
+                    // History is journaled once: the samples taken since
+                    // the previous checkpoint go ahead of this one, which
+                    // stores only their running count.
+                    if samples.len() > samples_journaled {
+                        j.append(&JournalRecord::Samples {
+                            samples: Cow::Borrowed(&samples[samples_journaled..]),
+                        });
+                        samples_journaled = samples.len();
+                    }
                     j.append(&JournalRecord::Checkpoint {
                         heartbeat: heartbeats,
                         state: Box::new(CheckpointState::capture(
                             &state,
                             &queue,
                             &stats,
-                            &samples,
+                            samples_journaled,
                             heartbeats,
                             policy.export_state(),
                         )),

@@ -22,13 +22,18 @@
 //!
 //! ```text
 //! RunHeader Checkpoint(0)
-//!   ( BatchStart Placement* BatchCommit Checkpoint? )*
+//!   ( BatchStart Placement* BatchCommit ( Samples? Checkpoint )? )*
 //! ```
 //!
 //! A batch is *committed* iff its `BatchCommit` made it into the journal;
 //! recovery replays only committed batches (the commit frontier) and
 //! discards a trailing `BatchStart` whose commit never landed — exactly
 //! the torn state a mid-commit crash leaves behind.
+//!
+//! A checkpoint holds only state that can still change. Utilization
+//! samples are history: a `Samples` record ahead of each periodic
+//! checkpoint carries those taken since the previous one (omitted when
+//! none were) and the snapshot keeps only their running count.
 //!
 //! ## One scanner, one grammar, two policies on a bad frame
 //!
@@ -47,6 +52,7 @@
 //!   record but takes a `Checkpoint` frame at its tag, decoding only the
 //!   one it restores.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
@@ -56,10 +62,12 @@ use std::path::Path;
 use tetris_workload::TaskUid;
 
 use crate::cluster::MachineId;
+use crate::outcome::Sample;
 use crate::recovery::CheckpointState;
 
-/// Journal wire-format version; bumped on any frame or record change.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Journal wire-format version; bumped on any frame or record change
+/// (2: `Samples` records; sparse tasks and flows in the snapshot).
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Frame header size: `len` + `crc32`.
 const FRAME_HEADER: usize = 8;
@@ -69,36 +77,65 @@ const FRAME_HEADER: usize = 8;
 /// clusters are tens of MB; 1 GiB is far beyond any real record).
 const MAX_RECORD_LEN: u32 = 1 << 30;
 
-/// CRC-32 of each single byte (IEEE 802.3, reflected polynomial
-/// 0xEDB88320).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut byte = 0;
-    while byte < 256 {
+/// The length rule both ends of a frame hold a payload to: the writer
+/// never emits a record the scanner would refuse.
+fn record_len(len: usize) -> Result<u32, String> {
+    let fits = u32::try_from(len).ok().filter(|&len| len <= MAX_RECORD_LEN);
+    fits.ok_or_else(|| format!("record length {len} exceeds the {MAX_RECORD_LEN}-byte cap"))
+}
+
+/// Slicing-by-8 tables for CRC-32 (IEEE 802.3, reflected polynomial
+/// 0xEDB88320): `[k]` is the CRC of each byte followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, byte) = (i / 256, i % 256);
         let mut crc = byte as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            bit += 1;
+        if k == 0 {
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+        } else {
+            let prev = tables[k - 1][byte];
+            crc = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
         }
-        table[byte] = crc;
-        byte += 1;
+        tables[k][byte] = crc;
+        i += 1;
     }
-    table
+    tables
 };
 
-/// CRC-32 (IEEE 802.3) over `bytes`, a table lookup per byte.
+/// CRC-32 (IEEE 802.3) over `bytes`: eight bytes a step, one table lookup
+/// each with no dependency between them; a byte loop for the tail.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
 
-/// One journal record.
+/// One journal record: written borrowing its bulk payloads (snapshot,
+/// samples) from the live run, decoded owning them (`'static`).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) enum JournalRecord {
+pub(crate) enum JournalRecord<'a> {
     /// First record of every journal: identifies the run it belongs to.
     RunHeader {
         /// Wire-format version ([`JOURNAL_VERSION`]).
@@ -111,13 +148,19 @@ pub(crate) enum JournalRecord {
         /// Checkpoint cadence the run was configured with.
         checkpoint_every: u64,
     },
-    /// Full engine snapshot at a batch boundary (heartbeat 0 = genesis,
-    /// written immediately after the header).
+    /// Engine snapshot at a batch boundary (heartbeat 0 = genesis, written
+    /// immediately after the header).
     Checkpoint {
         /// Scheduling heartbeats completed when the snapshot was taken.
         heartbeat: u64,
         /// The snapshot itself.
-        state: Box<CheckpointState>,
+        state: Box<CheckpointState<'a>>,
+    },
+    /// The utilization samples taken since the previous checkpoint,
+    /// written immediately before the checkpoint that counts them.
+    Samples {
+        /// In the order taken.
+        samples: Cow<'a, [Sample]>,
     },
     /// A scheduling batch began.
     BatchStart {
@@ -283,6 +326,8 @@ pub struct JournalStats {
 pub struct Journal {
     buf: Vec<u8>,
     records: u64,
+    /// The payload being framed; empty between appends, its capacity kept.
+    text: String,
 }
 
 impl Journal {
@@ -294,7 +339,11 @@ impl Journal {
     /// Wrap raw journal bytes (e.g. read from elsewhere, or corrupted on
     /// purpose by a test).
     pub fn from_bytes(buf: Vec<u8>) -> Self {
-        Journal { buf, records: 0 }
+        Journal {
+            buf,
+            records: 0,
+            text: String::new(),
+        }
     }
 
     /// The raw byte stream.
@@ -308,15 +357,15 @@ impl Journal {
         self.records
     }
 
-    /// Append one framed record.
-    pub(crate) fn append(&mut self, rec: &JournalRecord) {
-        let payload = serde_json::to_string(rec)
-            .expect("journal records always serialize")
-            .into_bytes();
-        let len = u32::try_from(payload.len()).expect("record fits a u32 length");
+    /// Append one framed record, its text written once into a reused buffer.
+    pub(crate) fn append(&mut self, rec: &JournalRecord<'_>) {
+        serde::Serialize::write_json(rec, &mut self.text);
+        let payload = self.text.as_bytes();
+        let len = record_len(payload.len()).unwrap_or_else(|msg| panic!("unwritable: {msg}"));
         self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.buf.extend_from_slice(&payload);
+        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.buf.extend_from_slice(payload);
+        self.text.clear();
         self.records += 1;
     }
 
@@ -370,7 +419,7 @@ pub(crate) struct Frame<'a> {
 
 impl Frame<'_> {
     /// Fully decode the payload.
-    pub(crate) fn decode(&self) -> Result<JournalRecord, JournalError> {
+    pub(crate) fn decode(&self) -> Result<JournalRecord<'static>, JournalError> {
         let text = self.payload.clone()?;
         serde_json::from_str(text).map_err(|e| JournalError::BadPayload {
             offset: self.offset,
@@ -420,12 +469,7 @@ fn read_payload(buf: &[u8], pos: usize) -> Result<&str, JournalError> {
     }
     let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
     let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-    if len > MAX_RECORD_LEN {
-        return Err(JournalError::BadPayload {
-            offset,
-            msg: format!("record length {len} exceeds the {MAX_RECORD_LEN}-byte cap"),
-        });
-    }
+    let len = record_len(len as usize).map_err(|msg| JournalError::BadPayload { offset, msg })?;
     let start = pos + FRAME_HEADER;
     let end = start + len as usize;
     if end > buf.len() {
@@ -467,18 +511,42 @@ pub(crate) enum Admitted {
     Pending,
 }
 
+/// Progress through the `( Samples? Checkpoint )?` slot after a commit.
+#[derive(Debug, Default, PartialEq)]
+enum Slot {
+    #[default]
+    Closed,
+    AfterCommit,
+    AfterSamples,
+}
+
 /// The record-stream grammar (module docs) as a state machine: header
 /// first and unique, batches open and close in turn, heartbeats chain
 /// without a gap, a checkpoint sits between batches at the heartbeat just
-/// committed, a commit counts its placements. [`Journal::verify`] and
-/// recovery both drive this one copy, so they cannot disagree on what a
-/// journal may say or on where it stops saying it.
+/// committed and counts the samples journaled before it, a commit counts
+/// its placements. [`Journal::verify`] and recovery both drive this one
+/// copy, so they cannot disagree on what a journal may say or on where it
+/// stops saying it.
 #[derive(Debug, Default)]
 pub(crate) struct Grammar {
     seen_header: bool,
     open: Option<CommittedBatch>,
     /// Heartbeat of the last committed batch (0 before the first).
     last_heartbeat: u64,
+    slot: Slot,
+    /// Samples carried by the `Samples` records admitted so far.
+    samples: usize,
+}
+
+/// A snapshot's `samples_len` must be what the `Samples` records before
+/// it carry: [`Grammar::step`] holds every checkpoint it is shown in full
+/// to this, recovery the one it decodes.
+pub(crate) fn samples_agree(offset: u64, stored: usize, read: usize) -> Result<(), JournalError> {
+    if stored == read {
+        return Ok(());
+    }
+    let msg = format!("checkpoint counts {stored} samples, the records before it carry {read}");
+    Err(JournalError::OutOfOrder { offset, msg })
 }
 
 impl Grammar {
@@ -486,7 +554,7 @@ impl Grammar {
     pub(crate) fn step(
         &mut self,
         offset: u64,
-        rec: &JournalRecord,
+        rec: &JournalRecord<'_>,
     ) -> Result<Admitted, JournalError> {
         let out_of_order = |msg: String| Err(JournalError::OutOfOrder { offset, msg });
         match *rec {
@@ -504,8 +572,27 @@ impl Grammar {
                 self.seen_header = true;
                 Ok(Admitted::Header { fingerprint })
             }
-            JournalRecord::Checkpoint { heartbeat, .. } => self.checkpoint(offset, heartbeat),
+            JournalRecord::Checkpoint {
+                heartbeat,
+                ref state,
+            } => {
+                let admitted = self.checkpoint(offset, heartbeat)?;
+                samples_agree(offset, state.samples_len, self.samples).map(|()| admitted)
+            }
             _ if !self.seen_header => Err(JournalError::MissingHeader { offset }),
+            _ if self.slot == Slot::AfterSamples => {
+                out_of_order("only its checkpoint may follow a Samples record".into())
+            }
+            JournalRecord::Samples { ref samples } => {
+                if self.slot != Slot::AfterCommit {
+                    return out_of_order(
+                        "Samples record not between a commit and its checkpoint".into(),
+                    );
+                }
+                self.slot = Slot::AfterSamples;
+                self.samples += samples.len();
+                Ok(Admitted::Pending)
+            }
             JournalRecord::BatchStart { heartbeat, now_us } => {
                 if let Some(open) = self.open.as_ref().map(|b| b.heartbeat) {
                     return out_of_order(format!(
@@ -516,6 +603,7 @@ impl Grammar {
                 if heartbeat != last + 1 {
                     return out_of_order(format!("batch {heartbeat} does not follow batch {last}"));
                 }
+                self.slot = Slot::Closed;
                 self.open = Some(CommittedBatch {
                     heartbeat,
                     now_us,
@@ -549,6 +637,7 @@ impl Grammar {
                         ));
                     }
                     self.last_heartbeat = heartbeat;
+                    self.slot = Slot::AfterCommit;
                     Ok(Admitted::Batch(CommittedBatch {
                         schedule_calls,
                         rejected,
@@ -586,17 +675,20 @@ impl Grammar {
                 "checkpoint at heartbeat {heartbeat} after batch {last}"
             ));
         }
+        self.slot = Slot::Closed;
         Ok(Admitted::Checkpoint)
     }
 
     /// The stream ended (or its readable prefix did). It must have begun
     /// with a header; a trailing batch left open — the mid-commit crash
-    /// artifact — is legal, and this many records of it are discarded.
+    /// artifact — or a `Samples` record cut off from its checkpoint is
+    /// legal, and this many records of it are discarded.
     pub(crate) fn finish(self) -> Result<u64, JournalError> {
         if !self.seen_header {
             return Err(JournalError::MissingHeader { offset: 0 });
         }
-        Ok(self.open.map_or(0, |b| 1 + b.expected.len() as u64))
+        let cut_off = (self.slot == Slot::AfterSamples) as u64;
+        Ok(self.open.map_or(cut_off, |b| 1 + b.expected.len() as u64))
     }
 }
 
@@ -604,7 +696,7 @@ impl Grammar {
 mod tests {
     use super::*;
 
-    fn header() -> JournalRecord {
+    fn header() -> JournalRecord<'static> {
         JournalRecord::RunHeader {
             version: JOURNAL_VERSION,
             seed: 7,
@@ -613,7 +705,7 @@ mod tests {
         }
     }
 
-    fn commit(hb: u64, placements: u64) -> JournalRecord {
+    fn commit(hb: u64, placements: u64) -> JournalRecord<'static> {
         JournalRecord::BatchCommit {
             heartbeat: hb,
             placements,
@@ -622,7 +714,7 @@ mod tests {
         }
     }
 
-    fn placement() -> JournalRecord {
+    fn placement() -> JournalRecord<'static> {
         JournalRecord::Placement {
             task: TaskUid(3),
             machine: MachineId(1),
@@ -630,13 +722,13 @@ mod tests {
         }
     }
 
-    fn wire(rec: &JournalRecord) -> String {
+    fn wire(rec: &JournalRecord<'_>) -> String {
         serde_json::to_string(rec).unwrap()
     }
 
     /// Every frame the scanner yields, decoded; the defect that ended the
     /// scan, if one did.
-    fn scan(j: &Journal) -> (Vec<(u64, JournalRecord)>, Option<JournalError>) {
+    fn scan(j: &Journal) -> (Vec<(u64, JournalRecord<'static>)>, Option<JournalError>) {
         let mut recs = Vec::new();
         for frame in frames(j.bytes()).unwrap() {
             match frame.decode() {
@@ -651,9 +743,10 @@ mod tests {
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
     }
 
-    /// The bit-at-a-time definition the table is built from.
+    /// The bit-at-a-time definition the tables are built from.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in bytes {
@@ -667,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn crc32_table_matches_bitwise_reference() {
+    fn crc32_sliced_matches_bitwise_reference() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC4C);
         for case in 0..300 {
@@ -675,6 +768,41 @@ mod tests {
             let buf: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
             assert_eq!(crc32(&buf), crc32_bitwise(&buf), "case {case}, {len} bytes");
         }
+        // Every split between the eight-byte steps and the byte tail, at
+        // every alignment of the slice's start.
+        let buf: Vec<u8> = (0..8 + 64).map(|_| rng.gen::<u32>() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "start {start}, {len} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn writer_and_scanner_share_one_length_cap() {
+        let cap = MAX_RECORD_LEN as usize;
+        assert_eq!(record_len(0), Ok(0));
+        assert_eq!(record_len(cap), Ok(MAX_RECORD_LEN));
+        // What the writer would refuse to frame (it used to accept anything
+        // up to `u32::MAX`) …
+        let refused = record_len(cap + 1).unwrap_err();
+        assert!(record_len(u32::MAX as usize).is_err());
+        assert!(record_len(u32::MAX as usize + 1).is_err());
+        // … is what the scanner refuses to read, in the same words.
+        let mut bytes = (MAX_RECORD_LEN + 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(
+            Journal::from_bytes(bytes).verify(),
+            Err(JournalError::BadPayload {
+                offset: 0,
+                msg: refused
+            })
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The journal ([`crate::journal`]) records enough to rebuild the engine
 //! at any *batch boundary*: a periodic [`CheckpointState`] snapshot of
-//! everything event processing reads or writes (ledgers, queue, RNG,
-//! stats, samples), plus the per-batch commit decisions. Recovery is then
-//! three deterministic steps:
+//! everything event processing can still read or write (ledgers, live
+//! flows, queue, RNG, stats), the utilization samples as append-only
+//! `Samples` records beside it, plus the per-batch commit decisions.
+//! Recovery is then three deterministic steps:
 //!
 //! 1. **Scan** — walk the journal's frames up to the first bad one (a
 //!    torn tail is discarded, not an error), holding every record to the
@@ -13,12 +14,14 @@
 //!    last batch whose `BatchCommit` survived. Records of an uncommitted
 //!    trailing batch (the mid-commit crash artifact — e.g. only some of a
 //!    `ShardedScheduler`'s merged shard plans made it out) are dropped
-//!    with the tail. Decision records decode in full; a checkpoint is
-//!    taken at its tag, and only the one step 2 restores is ever decoded.
+//!    with the tail. Decision and `Samples` records decode in full; a
+//!    checkpoint is taken at its tag, and only the one step 2 restores is
+//!    ever decoded.
 //! 2. **Restore** — rebuild the engine from the last checkpoint at or
-//!    before the frontier, including the policy's persistent state
-//!    ([`crate::SchedulerPolicy::import_state`]: §3.5 reservations and
-//!    the like — cache state is excluded, it rebuilds from the view).
+//!    before the frontier plus the samples journaled up to it (a later
+//!    `Samples` record is ignored), including the policy's persistent
+//!    state ([`crate::SchedulerPolicy::import_state`]: §3.5 reservations
+//!    and the like — cache state is excluded, it rebuilds from the view).
 //! 3. **Replay** — re-run the event loop from the checkpoint. Events are
 //!    recomputed (they are a pure function of restored state), and the
 //!    scheduling rounds of replayed heartbeats re-invoke the policy —
@@ -33,23 +36,24 @@
 //! state — the recovered outcome is byte-identical to the uninterrupted
 //! run's (pinned by `prop_recovery` and the `recovery` experiment).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use tetris_workload::Workload;
+use tetris_workload::{TaskUid, Workload};
 
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::{ExternalLoad, SimConfig};
-use crate::events::{Event, EventQueue};
+use crate::events::{Event, EventQueue, FlowId};
 use crate::fault::TrackerMode;
 use crate::journal::{
     self, Admitted, CommittedBatch, DiscardedTail, Frame, Grammar, Journal, JournalError,
     JournalRecord,
 };
 use crate::outcome::{EngineStats, Sample, SimOutcome};
-use crate::state::{Flow, JobState, MachineState, SimState, TaskState};
+use crate::state::{Flow, JobState, MachineState, Phase, SimState, TaskState};
 use crate::time::SimTime;
 
 /// How a journaled run ended.
@@ -142,106 +146,130 @@ pub struct RecoveryStats {
     pub recovery_wall_us: u64,
 }
 
-/// Everything the engine needs to resume at a batch boundary. Fields not
-/// stored are derivable: `task_loc` and `total_capacity` from the
-/// builder's cluster/workload, the machine index via `index_rebuild`, and
-/// the dirty set is empty at every batch boundary.
+/// What the engine needs to resume at a batch boundary and can still
+/// change after it: borrowed from the live run when written (`capture`
+/// clones only the event queue, to sort it), owned when decoded. Not
+/// stored, and why that is safe:
+/// * `task_loc`, `total_capacity`, the machine index and every task still
+///   `Blocked` (tasks are built so and never return to it): re-derived
+///   from the builder's inputs; the dirty set: empty at a batch boundary;
+/// * the sample history: journaled once, in `Samples` records, and
+///   cross-checked by `samples_len`;
+/// * finished flows: every reader tests `done` first, so only live flows
+///   are kept, by id, and `restore` puts tombstones in the other slots.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) struct CheckpointState {
+#[cfg_attr(test, derive(Default))]
+pub(crate) struct CheckpointState<'a> {
     pub now_us: u64,
     pub heartbeat: u64,
-    pub machines: Vec<MachineState>,
-    pub tasks: Vec<TaskState>,
-    pub jobs: Vec<JobState>,
-    pub blocks: Vec<Vec<MachineId>>,
-    pub flows: Vec<Flow>,
+    pub machines: Cow<'a, [MachineState]>,
+    pub tasks: Vec<(TaskUid, Cow<'a, TaskState>)>,
+    pub jobs: Cow<'a, [JobState]>,
+    pub blocks: Cow<'a, [Vec<MachineId>]>,
+    pub flows: Vec<(FlowId, Cow<'a, Flow>)>,
+    pub flows_len: usize,
     pub jobs_remaining: usize,
     pub rng: [u64; 4],
     pub completions: usize,
-    pub tracker_modes: Vec<TrackerMode>,
-    pub tracker_modes_baseline: Vec<TrackerMode>,
-    pub dynamic_loads: Vec<ExternalLoad>,
-    pub external_active: Vec<bool>,
-    pub external_cancelled: Vec<bool>,
+    pub tracker_modes: Cow<'a, [TrackerMode]>,
+    pub tracker_modes_baseline: Cow<'a, [TrackerMode]>,
+    pub dynamic_loads: Cow<'a, [ExternalLoad]>,
+    pub external_active: Cow<'a, [bool]>,
+    pub external_cancelled: Cow<'a, [bool]>,
     pub tasks_abandoned: u64,
-    pub freed_hint: Vec<MachineId>,
+    pub freed_hint: Cow<'a, [MachineId]>,
     pub events: Vec<Event>,
     pub next_seq: u64,
-    pub stats: EngineStats,
-    pub samples: Vec<Sample>,
+    pub stats: Cow<'a, EngineStats>,
+    pub samples_len: usize,
     /// The policy's persistent cross-call state
     /// ([`crate::SchedulerPolicy::export_state`]); `None` for policies
     /// whose only cross-call state is rebuildable cache.
     pub policy_state: Option<String>,
 }
 
-impl CheckpointState {
+impl<'a> CheckpointState<'a> {
     /// Snapshot the engine at a batch boundary.
     pub(crate) fn capture(
-        state: &SimState,
+        state: &'a SimState,
         queue: &EventQueue,
-        stats: &EngineStats,
-        samples: &[Sample],
+        stats: &'a EngineStats,
+        samples_len: usize,
         heartbeat: u64,
         policy_state: Option<String>,
     ) -> Self {
         let (events, next_seq) = queue.snapshot();
+        let live = state.flows.iter().enumerate().filter(|(_, f)| !f.done);
+        let tasks = state.tasks.iter().enumerate();
+        let unblocked = tasks.filter(|(_, t)| !matches!(t.phase, Phase::Blocked));
         CheckpointState {
             now_us: state.now.0,
             heartbeat,
-            machines: state.machines.clone(),
-            tasks: state.tasks.clone(),
-            jobs: state.jobs.clone(),
-            blocks: state.blocks.clone(),
-            flows: state.flows.clone(),
+            machines: Cow::Borrowed(&state.machines),
+            tasks: unblocked
+                .map(|(i, t)| (TaskUid(i), Cow::Borrowed(t)))
+                .collect(),
+            jobs: Cow::Borrowed(&state.jobs),
+            blocks: Cow::Borrowed(&state.blocks),
+            flows: live.map(|(i, f)| (FlowId(i), Cow::Borrowed(f))).collect(),
+            flows_len: state.flows.len(),
             jobs_remaining: state.jobs_remaining,
             rng: state.rng.state(),
             completions: state.completions,
-            tracker_modes: state.tracker_modes.clone(),
-            tracker_modes_baseline: state.tracker_modes_baseline.clone(),
-            dynamic_loads: state.dynamic_loads.clone(),
-            external_active: state.external_active.clone(),
-            external_cancelled: state.external_cancelled.clone(),
+            tracker_modes: Cow::Borrowed(&state.tracker_modes),
+            tracker_modes_baseline: Cow::Borrowed(&state.tracker_modes_baseline),
+            dynamic_loads: Cow::Borrowed(&state.dynamic_loads),
+            external_active: Cow::Borrowed(&state.external_active),
+            external_cancelled: Cow::Borrowed(&state.external_cancelled),
             tasks_abandoned: state.tasks_abandoned,
-            freed_hint: state.freed_hint.clone(),
+            freed_hint: Cow::Borrowed(&state.freed_hint),
             events,
             next_seq,
-            stats: stats.clone(),
-            samples: samples.to_vec(),
+            stats: Cow::Borrowed(stats),
+            samples_len,
             policy_state,
         }
     }
 
     /// Rebuild engine state from this snapshot. The builder supplies the
     /// static inputs (cluster, workload, config); the snapshot overwrites
-    /// every runtime field, so the `SimState::new` RNG draws (block
-    /// placement) are discarded along with its fresh block binding.
+    /// every runtime field but the still-`Blocked` tasks, so the
+    /// `SimState::new` RNG draws (block placement) are discarded along
+    /// with its fresh block binding. `None` if a stored task or flow lies
+    /// outside its table or the flow table's stated length is unallocatable.
     pub(crate) fn restore(
         self,
         cluster: ClusterConfig,
         workload: Workload,
         cfg: SimConfig,
-    ) -> (SimState, EventQueue, EngineStats, Vec<Sample>, u64) {
+    ) -> Option<(SimState, EventQueue, EngineStats)> {
         let mut state = SimState::new(cluster, workload, cfg);
         state.now = SimTime(self.now_us);
-        state.machines = self.machines;
-        state.tasks = self.tasks;
-        state.jobs = self.jobs;
-        state.blocks = self.blocks;
-        state.flows = self.flows;
+        state.machines = self.machines.into_owned();
+        for (uid, task) in self.tasks {
+            *state.tasks.get_mut(uid.index())? = task.into_owned();
+        }
+        state.jobs = self.jobs.into_owned();
+        state.blocks = self.blocks.into_owned();
+        // A length the journal merely states: refused, not aborted on.
+        state.flows.try_reserve_exact(self.flows_len).ok()?;
+        state.flows.resize(self.flows_len, Flow::tombstone());
+        for (id, flow) in self.flows {
+            *state.flows.get_mut(id.0)? = flow.into_owned();
+        }
         state.jobs_remaining = self.jobs_remaining;
         state.rng = StdRng::from_state(self.rng);
         state.completions = self.completions;
-        state.tracker_modes = self.tracker_modes;
-        state.tracker_modes_baseline = self.tracker_modes_baseline;
-        state.dynamic_loads = self.dynamic_loads;
-        state.external_active = self.external_active;
-        state.external_cancelled = self.external_cancelled;
+        state.tracker_modes = self.tracker_modes.into_owned();
+        state.tracker_modes_baseline = self.tracker_modes_baseline.into_owned();
+        state.dynamic_loads = self.dynamic_loads.into_owned();
+        state.external_active = self.external_active.into_owned();
+        state.external_cancelled = self.external_cancelled.into_owned();
         state.tasks_abandoned = self.tasks_abandoned;
-        state.freed_hint = self.freed_hint;
+        state.freed_hint = self.freed_hint.into_owned();
         state.index_rebuild();
         let queue = EventQueue::restore(self.events, self.next_seq);
-        (state, queue, self.stats, self.samples, self.heartbeat)
+        Some((state, queue, self.stats.into_owned()))
     }
 }
 
@@ -258,11 +286,12 @@ pub(crate) struct ReplayPlan {
 }
 
 /// Scan `journal`, validate it against the builder's `fingerprint`, and
-/// derive (checkpoint to restore, batches to replay).
+/// derive (checkpoint to restore, samples taken up to it, batches to
+/// replay).
 pub(crate) fn plan_recovery(
     journal: &Journal,
     expected_fingerprint: u64,
-) -> Result<(CheckpointState, ReplayPlan), RecoveryError> {
+) -> Result<(CheckpointState<'static>, Vec<Sample>, ReplayPlan), RecoveryError> {
     let started = Instant::now();
     let buf = journal.bytes();
     let discard = |offset: u64, reason: String| DiscardedTail {
@@ -278,7 +307,9 @@ pub(crate) fn plan_recovery(
     let mut tail: Option<DiscardedTail> = None;
     loop {
         let mut grammar = Grammar::default();
-        let mut checkpoint: Option<Frame> = None;
+        // The latest checkpoint and how many samples precede it.
+        let mut checkpoint: Option<(Frame, usize)> = None;
+        let mut samples: Vec<Sample> = Vec::new();
         let mut committed: Vec<CommittedBatch> = Vec::new();
         for frame in journal::frames(&buf[..end])? {
             // A checkpoint is admitted at its tag, its state unread; a
@@ -286,7 +317,13 @@ pub(crate) fn plan_recovery(
             let admitted = match frame.checkpoint_heartbeat() {
                 Some(heartbeat) => grammar.checkpoint(frame.offset, heartbeat)?,
                 None => match frame.decode() {
-                    Ok(rec) => grammar.step(frame.offset, &rec)?,
+                    Ok(rec) => {
+                        let admitted = grammar.step(frame.offset, &rec)?;
+                        if let JournalRecord::Samples { samples: taken } = rec {
+                            samples.extend(taken.into_owned());
+                        }
+                        admitted
+                    }
                     Err(e) => {
                         tail = Some(discard(frame.offset, e.to_string()));
                         break;
@@ -302,7 +339,7 @@ pub(crate) fn plan_recovery(
                     .into());
                 }
                 Admitted::Checkpoint => {
-                    checkpoint = Some(frame);
+                    checkpoint = Some((frame, samples.len()));
                     // Batches at or before the snapshot are baked into it.
                     committed.clear();
                 }
@@ -312,7 +349,7 @@ pub(crate) fn plan_recovery(
         }
         let discarded_records = grammar.finish()?;
 
-        let frame = checkpoint.ok_or(JournalError::NoCheckpoint)?;
+        let (frame, samples_len) = checkpoint.ok_or(JournalError::NoCheckpoint)?;
         let (checkpoint_heartbeat, cp) = match frame.decode() {
             Ok(JournalRecord::Checkpoint { heartbeat, state }) => (heartbeat, *state),
             // Tagged `Checkpoint`, so it decodes as one or not at all.
@@ -323,6 +360,9 @@ pub(crate) fn plan_recovery(
                 continue;
             }
         };
+        // Samples journaled after the restored checkpoint are re-taken live.
+        journal::samples_agree(frame.offset, cp.samples_len, samples_len)?;
+        samples.truncate(samples_len);
         // Only batches after the checkpoint remain, chained from it by
         // the grammar.
         let stats = RecoveryStats {
@@ -339,7 +379,7 @@ pub(crate) fn plan_recovery(
             started,
             replay_done: false,
         };
-        return Ok((cp, plan));
+        return Ok((cp, samples, plan));
     }
 }
 
@@ -368,11 +408,10 @@ pub(crate) fn run_fingerprint(cluster: &ClusterConfig, workload: &Workload, seed
 mod tests {
     use super::*;
     use crate::journal::{crc32, JOURNAL_VERSION};
-    use tetris_workload::TaskUid;
 
     const FINGERPRINT: u64 = 42;
 
-    fn header() -> JournalRecord {
+    fn header() -> JournalRecord<'static> {
         JournalRecord::RunHeader {
             version: JOURNAL_VERSION,
             seed: 1,
@@ -381,21 +420,44 @@ mod tests {
         }
     }
 
-    fn checkpoint(heartbeat: u64) -> JournalRecord {
+    fn checkpoint(heartbeat: u64) -> JournalRecord<'static> {
+        checkpoint_counting(heartbeat, 0)
+    }
+
+    /// A checkpoint whose snapshot counts `samples_len` samples before it.
+    fn checkpoint_counting(heartbeat: u64, samples_len: usize) -> JournalRecord<'static> {
         JournalRecord::Checkpoint {
             heartbeat,
-            state: Box::new(empty_checkpoint(heartbeat)),
+            state: Box::new(CheckpointState {
+                samples_len,
+                ..empty_checkpoint(heartbeat)
+            }),
         }
     }
 
-    fn start(heartbeat: u64) -> JournalRecord {
+    /// A `Samples` record carrying `n` samples.
+    fn samples(n: usize) -> JournalRecord<'static> {
+        let sample = |i| Sample {
+            t: i as f64,
+            running_tasks: 0,
+            cluster_allocated: tetris_resources::ResourceVec::zero(),
+            cluster_usage: tetris_resources::ResourceVec::zero(),
+            machines: None,
+            per_job_alloc: None,
+        };
+        JournalRecord::Samples {
+            samples: (0..n).map(sample).collect(),
+        }
+    }
+
+    fn start(heartbeat: u64) -> JournalRecord<'static> {
         JournalRecord::BatchStart {
             heartbeat,
             now_us: 10 * heartbeat,
         }
     }
 
-    fn placement(task: usize, round: u32) -> JournalRecord {
+    fn placement(task: usize, round: u32) -> JournalRecord<'static> {
         JournalRecord::Placement {
             task: TaskUid(task),
             machine: MachineId(0),
@@ -403,7 +465,7 @@ mod tests {
         }
     }
 
-    fn commit(heartbeat: u64, placements: u64) -> JournalRecord {
+    fn commit(heartbeat: u64, placements: u64) -> JournalRecord<'static> {
         JournalRecord::BatchCommit {
             heartbeat,
             placements,
@@ -413,7 +475,7 @@ mod tests {
     }
 
     /// A journal of `records` and the byte offset of each.
-    fn journal_of(records: &[JournalRecord]) -> (Journal, Vec<u64>) {
+    fn journal_of(records: &[JournalRecord<'_>]) -> (Journal, Vec<u64>) {
         let mut j = Journal::new();
         let mut offsets = Vec::new();
         for rec in records {
@@ -423,36 +485,17 @@ mod tests {
         (j, offsets)
     }
 
-    fn mini_journal(tail: &[JournalRecord]) -> Journal {
+    fn mini_journal(tail: &[JournalRecord<'static>]) -> Journal {
         let mut records = vec![header(), checkpoint(0)];
         records.extend_from_slice(tail);
         journal_of(&records).0
     }
 
-    fn empty_checkpoint(heartbeat: u64) -> CheckpointState {
+    fn empty_checkpoint(heartbeat: u64) -> CheckpointState<'static> {
         CheckpointState {
-            now_us: 0,
             heartbeat,
-            machines: Vec::new(),
-            tasks: Vec::new(),
-            jobs: Vec::new(),
-            blocks: Vec::new(),
-            flows: Vec::new(),
-            jobs_remaining: 0,
             rng: [1, 2, 3, 4],
-            completions: 0,
-            tracker_modes: Vec::new(),
-            tracker_modes_baseline: Vec::new(),
-            dynamic_loads: Vec::new(),
-            external_active: Vec::new(),
-            external_cancelled: Vec::new(),
-            tasks_abandoned: 0,
-            freed_hint: Vec::new(),
-            events: Vec::new(),
-            next_seq: 0,
-            stats: EngineStats::default(),
-            samples: Vec::new(),
-            policy_state: None,
+            ..CheckpointState::default()
         }
     }
 
@@ -472,7 +515,7 @@ mod tests {
     fn torn_trailing_batch_is_discarded() {
         // No commit: the batch must not be replayed.
         let j = mini_journal(&[start(1), placement(0, 0)]);
-        let (cp, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (cp, _, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
         assert_eq!(cp.heartbeat, 0);
         assert!(plan.batches.is_empty());
         assert_eq!(plan.stats.discarded_records, 2);
@@ -481,7 +524,7 @@ mod tests {
     #[test]
     fn committed_batches_after_checkpoint_are_replayed() {
         let j = mini_journal(&[start(1), placement(0, 0), placement(1, 1), commit(1, 2)]);
-        let (_, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (_, _, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
         assert_eq!(plan.batches.len(), 1);
         let b = &plan.batches[0];
         assert_eq!(
@@ -495,7 +538,7 @@ mod tests {
     #[test]
     fn later_checkpoint_supersedes_earlier_batches() {
         let j = mini_journal(&[start(1), commit(1, 0), checkpoint(1)]);
-        let (cp, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (cp, _, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
         assert_eq!(cp.heartbeat, 1);
         assert!(plan.batches.is_empty());
     }
@@ -553,6 +596,52 @@ mod tests {
                 2,
             ),
             ("second header", vec![start(1), commit(1, 0), header()], 2),
+            (
+                "samples_len disagrees with the Samples records read",
+                vec![
+                    start(1),
+                    commit(1, 0),
+                    samples(2),
+                    checkpoint_counting(1, 3),
+                ],
+                3,
+            ),
+            (
+                "checkpoint counts samples no record carried",
+                vec![start(1), commit(1, 0), checkpoint_counting(1, 1)],
+                2,
+            ),
+            (
+                "Samples record inside a batch",
+                vec![start(1), samples(1)],
+                1,
+            ),
+            (
+                "Samples record with no commit before it",
+                vec![samples(1)],
+                0,
+            ),
+            (
+                "Samples record after its checkpoint",
+                vec![start(1), commit(1, 0), checkpoint(1), samples(1)],
+                3,
+            ),
+            (
+                "Samples record not followed by its checkpoint",
+                vec![start(1), commit(1, 0), samples(1), start(2), commit(2, 0)],
+                3,
+            ),
+            (
+                "two Samples records for one checkpoint",
+                vec![
+                    start(1),
+                    commit(1, 0),
+                    samples(1),
+                    samples(1),
+                    checkpoint_counting(1, 2),
+                ],
+                3,
+            ),
         ];
         for (what, tail, bad) in table {
             let mut records = vec![header(), checkpoint(0)];
@@ -572,6 +661,39 @@ mod tests {
                 "{what}"
             );
         }
+
+        // The slot used as the grammar has it: both readers admit it, and
+        // recovery hands back the samples the checkpoint counts.
+        let j = mini_journal(&[
+            start(1),
+            commit(1, 0),
+            samples(2),
+            checkpoint_counting(1, 2),
+            start(2),
+            commit(2, 0),
+            samples(1),
+        ]);
+        assert_eq!(j.verify().unwrap().checkpoints, 2);
+        let (cp, taken, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        assert_eq!((cp.heartbeat, taken.len()), (1, 2));
+        // The trailing `Samples` record lost its checkpoint: dropped.
+        assert_eq!(plan.stats.discarded_records, 1);
+
+        // A journal of the previous wire version is refused by both, by
+        // version, before anything else of it is read.
+        let v1 = JournalRecord::RunHeader {
+            version: 1,
+            seed: 1,
+            fingerprint: FINGERPRINT,
+            checkpoint_every: 2,
+        };
+        let (j, _) = journal_of(&[v1, checkpoint(0)]);
+        let refused = JournalError::BadVersion { found: 1 };
+        assert_eq!(j.verify(), Err(refused.clone()));
+        assert_eq!(
+            plan_recovery(&j, FINGERPRINT).err(),
+            Some(RecoveryError::Journal(refused))
+        );
     }
 
     // ---- Checkpoint frames recovery does or does not decode, on a real
@@ -580,8 +702,9 @@ mod tests {
     use crate::{GreedyFifo, SchedulerCrash, Simulation};
     use tetris_resources::{units::GB, units::MB, MachineSpec};
     use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+    use tetris_workload::Workload;
 
-    fn sim(crash: Option<SchedulerCrash>) -> Simulation<'static> {
+    fn inputs() -> (ClusterConfig, Workload) {
         let mut b = WorkloadBuilder::new().with_demand_cap(MachineSpec::paper_small().capacity());
         for ji in 0..3 {
             let j = b.begin_job(format!("j{ji}"), None, ji as f64 * 8.0);
@@ -597,26 +720,44 @@ mod tests {
                 remote_frac: 1.0,
             });
         }
+        (
+            ClusterConfig::uniform(4, MachineSpec::paper_small()),
+            b.finish(),
+        )
+    }
+
+    fn sim(crash: Option<SchedulerCrash>) -> Simulation<'static> {
         let mut cfg = SimConfig::default();
         cfg.seed = 7;
         cfg.checkpoint_every = 2;
         cfg.faults.sched_crash = crash;
-        Simulation::build(
-            ClusterConfig::uniform(4, MachineSpec::paper_small()),
-            b.finish(),
-        )
-        .scheduler(GreedyFifo::new())
-        .config(cfg)
+        let (cluster, workload) = inputs();
+        Simulation::build(cluster, workload)
+            .scheduler(GreedyFifo::new())
+            .config(cfg)
+    }
+
+    /// What `sim(..).recover(journal)` plans before it restores anything.
+    fn plan(journal: &Journal) -> (CheckpointState<'static>, Vec<Sample>, ReplayPlan) {
+        let (cluster, workload) = inputs();
+        plan_recovery(journal, run_fingerprint(&cluster, &workload, 7)).expect("plans")
     }
 
     fn crashed_journal() -> Journal {
+        crashed_journal_at(6)
+    }
+
+    /// Checkpoints at every even heartbeat below `at_heartbeat`; from 8 on
+    /// they hold finished flows beside live ones, and a sample is taken
+    /// (5 s period) between those at 10 and 12.
+    fn crashed_journal_at(at_heartbeat: u64) -> Journal {
         let crash = SchedulerCrash {
-            at_heartbeat: 6,
+            at_heartbeat,
             mid_commit: false,
         };
         let mut journal = Journal::new();
         let res = sim(Some(crash)).run_result(Some(&mut journal));
-        assert!(matches!(res, RunResult::Crashed { heartbeat: 6 }));
+        assert!(matches!(res, RunResult::Crashed { heartbeat } if heartbeat == at_heartbeat));
         journal
     }
 
@@ -675,6 +816,71 @@ mod tests {
         assert_eq!(rec.stats.replayed_batches, 2);
         assert_eq!(rec.stats.discarded_offset, Some(offset));
         assert_eq!(wire(&rec.outcome), wire(&golden));
+    }
+
+    #[test]
+    fn fallback_takes_only_the_samples_before_the_checkpoint_it_restores() {
+        let golden = sim(None).run();
+        let journal = crashed_journal_at(13);
+        let (damaged, _) = rewrite_checkpoints(&journal, |hb| hb == 12, mangle);
+        // The `Samples` record ahead of the unreadable checkpoint is
+        // dropped with it; those samples are taken again, live.
+        let (intact, taken_by_12, _) = plan(&journal);
+        let (fallback, taken_by_10, tail) = plan(&damaged);
+        assert_eq!((intact.heartbeat, fallback.heartbeat), (12, 10));
+        assert_eq!(taken_by_10.len(), fallback.samples_len);
+        assert!(taken_by_10.len() < taken_by_12.len());
+        assert_eq!(tail.stats.discarded_records, 1);
+        let rec = sim(None).recover(&damaged).expect("recovers from hb 10");
+        assert_eq!(rec.stats.checkpoint_heartbeat, 10);
+        assert_eq!(wire(&rec.outcome), wire(&golden));
+    }
+
+    /// The writer borrows, the reader owns, the text is one: every record
+    /// of a real journal decodes and re-encodes to the bytes it was read
+    /// from — the mid-run snapshots with live and finished flows included.
+    #[test]
+    fn every_record_reencodes_to_the_bytes_it_decoded_from() {
+        let journal = crashed_journal_at(13);
+        let (mut sparse, mut sample_records) = (0, 0);
+        for frame in journal::frames(journal.bytes()).unwrap() {
+            let rec = frame.decode().expect("decodes");
+            assert_eq!(serde_json::to_string(&rec).unwrap(), frame.payload.unwrap());
+            match rec {
+                JournalRecord::Checkpoint { state, .. } => {
+                    assert!(state.flows.iter().all(|(_, f)| !f.done));
+                    let live = state.flows.len();
+                    sparse += (0 < live && live < state.flows_len) as usize;
+                }
+                JournalRecord::Samples { .. } => sample_records += 1,
+                _ => {}
+            }
+        }
+        assert!(sparse >= 1, "no snapshot had both live and finished flows");
+        assert!(sample_records >= 1);
+    }
+
+    /// A flow table the snapshot's own flows do not fit, or one no machine
+    /// could hold, is a typed refusal, not an index panic or an abort.
+    #[test]
+    fn lying_flow_table_length_is_a_typed_error() {
+        let journal = crashed_journal();
+        for lie in ["1", "18446744073709551615"] {
+            let relength = |payload: &str| {
+                let key = "\"flows_len\":";
+                let at = payload.find(key).expect("snapshot states flows_len") + key.len();
+                let digits = payload[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+                format!("{}{lie}{}", &payload[..at], &payload[at + digits..])
+            };
+            let (damaged, _) = rewrite_checkpoints(&journal, |hb| hb == 4, relength);
+            assert!(
+                matches!(
+                    sim(None).recover(&damaged),
+                    Err(RecoveryError::ReplayDivergence { heartbeat: 4, .. })
+                ),
+                "flows_len {lie}"
+            );
+        }
     }
 
     #[test]

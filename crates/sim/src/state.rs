@@ -60,6 +60,23 @@ pub(crate) struct Flow {
 }
 
 impl Flow {
+    /// What a checkpoint restore puts in the slot of a flow that had
+    /// finished: `done`, so nothing reads past that flag.
+    pub(crate) fn tombstone() -> Flow {
+        Flow {
+            task: TaskUid(0),
+            host: MachineId(0),
+            cap: 0.0,
+            links: Vec::new(),
+            remaining: 0.0,
+            init_work: 0.0,
+            rate: 0.0,
+            last_update: SimTime::ZERO,
+            gen: 0,
+            done: true,
+        }
+    }
+
     fn is_complete(&self) -> bool {
         self.remaining <= (self.init_work * WORK_EPS_REL).max(WORK_EPS_ABS)
     }

@@ -147,6 +147,63 @@ fn mid_commit_sharded_crash_recovers_exactly() {
     assert!(rec.stats.discarded_records >= 1);
 }
 
+/// `Samples` records in `journal`, by elimination: `verify()` counts every
+/// other kind but the `discarded` records of a torn trailing batch.
+fn samples_records(journal: &Journal, discarded: u64) -> u64 {
+    let s = journal.verify().expect("verifies");
+    s.records - 1 - s.checkpoints - 2 * s.committed_batches - s.placements - discarded
+}
+
+/// The sample history rides beside the checkpoints, not in them: whatever
+/// mix of restored `Samples` records and samples re-taken live a recovery
+/// ends up with, the outcome's `samples` — part of its wire form — are the
+/// uninterrupted run's.
+#[test]
+fn sample_history_survives_every_recovery_shape() {
+    let between = |at_heartbeat| SchedulerCrash {
+        at_heartbeat,
+        mid_commit: false,
+    };
+    // (checkpoint cadence, crash heartbeat, checkpoint restored)
+    for (every, at, restored) in [(1, 9, 8), (3, 9, 6), (u64::MAX, 9, 0), (4, 3, 0)] {
+        let golden = greedy_sim(fixed_workload(), cfg(7, every, None)).run();
+        assert!(golden.samples.len() >= 3);
+        let mut journal = Journal::new();
+        let res = greedy_sim(fixed_workload(), cfg(7, every, Some(between(at))))
+            .run_result(Some(&mut journal));
+        assert!(matches!(res, RunResult::Crashed { .. }));
+        let rec = greedy_sim(fixed_workload(), cfg(7, every, None))
+            .recover(&journal)
+            .expect("recovery succeeds");
+        assert_eq!(rec.stats.checkpoint_heartbeat, restored, "every {every}");
+        assert_eq!(wire(&rec.outcome), wire(&golden), "every {every}");
+        // A genesis restore has no `Samples` record to read — no periodic
+        // checkpoint was written, so none was either; any other has some,
+        // at most one a periodic checkpoint.
+        let periodic = journal.verify().unwrap().checkpoints - 1;
+        let samples = samples_records(&journal, 0);
+        assert_eq!(periodic, restored / every, "every {every}");
+        assert!(samples <= periodic && (samples > 0) == (restored > 0));
+    }
+
+    // Mid-commit, sharded: the torn batch goes, the samples stay.
+    let crash = SchedulerCrash {
+        at_heartbeat: 8,
+        mid_commit: true,
+    };
+    let golden = sharded_sim(fixed_workload(), cfg(11, 3, None), 2).run();
+    let mut journal = Journal::new();
+    let res =
+        sharded_sim(fixed_workload(), cfg(11, 3, Some(crash)), 2).run_result(Some(&mut journal));
+    assert!(matches!(res, RunResult::Crashed { heartbeat: 8 }));
+    let rec = sharded_sim(fixed_workload(), cfg(11, 3, None), 2)
+        .recover(&journal)
+        .expect("recovery succeeds");
+    assert_eq!(rec.stats.checkpoint_heartbeat, 6);
+    assert!(samples_records(&journal, rec.stats.discarded_records) >= 1);
+    assert_eq!(wire(&rec.outcome), wire(&golden));
+}
+
 #[test]
 fn journal_of_completed_run_recovers_too() {
     let mut journal = Journal::new();

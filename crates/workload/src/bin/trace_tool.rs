@@ -47,11 +47,22 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The value of flag `name` parsed as `what`, if the flag is given. A
+/// value that does not parse is a usage error (exit 2), not a panic.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
+    flag(args, name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{name} expects {what}, got '{v}'");
+            exit(2);
+        })
+    })
+}
+
 fn generate(args: &[String]) {
     let kind = args.first().cloned().unwrap_or_default();
-    let jobs: usize = flag(args, "--jobs").map_or(50, |v| v.parse().expect("--jobs"));
-    let scale: f64 = flag(args, "--scale").map_or(0.08, |v| v.parse().expect("--scale"));
-    let seed: u64 = flag(args, "--seed").map_or(42, |v| v.parse().expect("--seed"));
+    let jobs: usize = parsed_flag(args, "--jobs", "a job count").unwrap_or(50);
+    let scale: f64 = parsed_flag(args, "--scale", "a number").unwrap_or(0.08);
+    let seed: u64 = parsed_flag(args, "--seed", "an unsigned integer").unwrap_or(42);
     let out = flag(args, "-o").unwrap_or_else(|| {
         eprintln!("generate requires -o FILE");
         exit(2);
@@ -75,7 +86,10 @@ fn generate(args: &[String]) {
             exit(2);
         }
     };
-    trace::save(&out, &w, &provenance).expect("write trace");
+    if let Err(e) = trace::save(&out, &w, &provenance) {
+        eprintln!("cannot write {out}: {e}");
+        exit(2);
+    }
     let mut s = Summary::new(format!("wrote {out}"));
     s.row("jobs", w.jobs.len())
         .row("tasks", w.num_tasks())
@@ -156,18 +170,8 @@ fn explain(args: &[String]) {
         eprintln!("usage: trace-tool explain TRACE.jsonl (--task N | --job N)");
         exit(2);
     });
-    let task_filter: Option<usize> = flag(args, "--task").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--task expects a task uid");
-            exit(2);
-        })
-    });
-    let job_filter: Option<usize> = flag(args, "--job").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--job expects a job id");
-            exit(2);
-        })
-    });
+    let task_filter: Option<usize> = parsed_flag(args, "--task", "a task uid");
+    let job_filter: Option<usize> = parsed_flag(args, "--job", "a job id");
     if task_filter.is_none() == job_filter.is_none() {
         eprintln!("explain needs exactly one of --task N or --job N");
         exit(2);

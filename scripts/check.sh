@@ -164,9 +164,35 @@ echo "$rec_out" | grep -q "recovered from checkpoint" \
 # The journal's own bytes are pinned too, not only what recovers from
 # them: a serializer or framing change must write the bytes the last
 # JOURNAL_VERSION wrote. Regenerate only with a deliberate
-# JOURNAL_VERSION bump or a golden-changing decision change.
-[[ "$(cksum < "$tmp/rec.wal")" == "42343950 876208" ]] \
-  || { echo "journal bytes changed: cksum $(cksum < "$tmp/rec.wal")"; exit 1; }
+# JOURNAL_VERSION bump or a golden-changing decision change — the pin
+# and scripts/golden/recovery_frames.txt (`frames rec.wal`) together.
+# This pin is JOURNAL_VERSION 2's (Samples records; sparse tasks and
+# flows in the snapshot), regenerated on purpose; version 1 wrote
+# "42343950 876208".
+#
+# One line a frame of journal $1: byte offset, payload CRC, record tag
+# (frame = [len u32 LE][crc32 u32 LE][payload {"Tag":...]).
+frames() {
+  local size off=0 len crc
+  size="$(stat -c %s "$1")"
+  while (( off < size )); do
+    read -r len crc < <(od -An -tu4 -j "$off" -N 8 "$1")
+    echo "$off $crc $(tail -c +"$((off + 9))" "$1" | head -c 32 | cut -d'"' -f2)"
+    off=$((off + 8 + len))
+  done
+}
+wal_sum="$(cksum < "$tmp/rec.wal")" # "<crc> <bytes>"
+if [[ "$wal_sum" != "1373707829 115954" ]]; then
+  echo "journal bytes changed: cksum $wal_sum; first frame (offset crc tag)" \
+    "that differs, written (<) against pinned (>):"
+  diff <(frames "$tmp/rec.wal") scripts/golden/recovery_frames.txt | grep -m2 '^[<>]'
+  exit 1
+fi
+# Size budget beside the pin: a third of version 1's 876 208 bytes. A
+# field that quietly re-grows the snapshot fails here, at the deliberate
+# regeneration that would otherwise wave it through, not in a benchmark.
+(( ${wal_sum#* } * 3 <= 876208 )) \
+  || { echo "journal outgrew its budget: ${wal_sum#* } bytes"; exit 1; }
 target/release/reproduce --outcome "$tmp/full.json" --scale 0.1 >/dev/null
 cmp "$tmp/recovered.json" "$tmp/full.json" \
   || { echo "recovered outcome diverges from the uninterrupted run"; exit 1; }
