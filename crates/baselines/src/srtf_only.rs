@@ -99,7 +99,7 @@ impl SchedulerPolicy for SrtfScheduler {
                 tetris_core::srtf::job_remaining_work(view, j, &reference),
             )
         }));
-        jobs.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        jobs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
         avail.clear();
         avail.extend(query.iter_all().map(|m| view.available(m)));

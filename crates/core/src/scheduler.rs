@@ -4,8 +4,8 @@
 
 use tetris_resources::{Resource, ResourceVec};
 use tetris_sim::{
-    Assignment, ClusterView, DecisionScores, MachineId, PlacementProvenance, RejectedCandidate,
-    SchedulerEvent, SchedulerPolicy, StageProgress,
+    Assignment, ClusterView, DecisionScores, MachineId, PlacementPlan, PlacementProvenance,
+    RejectedCandidate, SchedulerEvent, SchedulerPolicy, StageProgress,
 };
 use tetris_workload::{JobId, TaskUid};
 
@@ -141,7 +141,12 @@ struct Candidate {
     /// Estimated demand (shared by the stage's tasks).
     demand: ResourceVec,
     /// Range into the scratch preference arena: machines holding replicas
-    /// of the head task's stored inputs.
+    /// of the stored inputs of the stage's head task *when the job's
+    /// cache entry was built* — the current head only until the stage's
+    /// first placement in a call, a sibling's list after `next` advances
+    /// (the scoring locality term has always read it that way; the
+    /// goldens pin it). Anything that must be true of the current head
+    /// asks `ClusterView::task_reads_locally` instead.
     pref: (usize, usize),
     /// True if the task reads shuffle output (treated as remote-heavy).
     shuffle: bool,
@@ -155,6 +160,13 @@ struct Candidate {
     norms_start: usize,
     /// Cached "has a head task" flag, maintained as `next` advances.
     alive: bool,
+    /// The head's plan failed this call on a remote input source, for a
+    /// machine it reads nothing from locally. Every other such machine
+    /// gets the same plan (`ClusterView::task_reads_locally`) against a
+    /// working ledger that only shrinks within a call, so it would fail
+    /// there too: see [`Candidate::blocked_on`]. Reset wherever `next`
+    /// advances — the memo is about one head.
+    blocked: bool,
 }
 
 impl Candidate {
@@ -168,6 +180,22 @@ impl Candidate {
     /// Preference list via the scratch arena.
     fn preferred<'s>(&self, arena: &'s [MachineId]) -> &'s [MachineId] {
         &arena[self.pref.0..self.pref.0 + self.pref.1]
+    }
+
+    /// Move to the stage's next pending task.
+    fn advance(&mut self, view: &ClusterView<'_>) {
+        self.next += 1;
+        self.alive = self.head(view).is_some();
+        self.blocked = false;
+    }
+
+    /// True when the `blocked` memo already answers "does the head fit on
+    /// `m`?" with no: `m` would get the plan that failed on a source.
+    fn blocked_on(&self, view: &ClusterView<'_>, m: MachineId) -> bool {
+        self.blocked
+            && self
+                .head(view)
+                .is_some_and(|h| !view.task_reads_locally(h, m))
     }
 }
 
@@ -344,6 +372,20 @@ struct AvailCache {
     vals: Vec<ResourceVec>,
     stamp: Vec<u64>,
     gen: u64,
+    /// The one plan `try_commit` resolves into, call after call.
+    plan: PlacementPlan,
+    /// Every `(task, machine)` `try_commit` planned, for the memo's test.
+    #[cfg(test)]
+    planned: Vec<(TaskUid, MachineId)>,
+}
+
+/// Where an infeasible plan ran out of room.
+#[derive(Debug, PartialEq, Eq)]
+enum PlanFailure {
+    /// At the host (its sources were not looked at).
+    Host,
+    /// At a remote input source, the host having room.
+    Source,
 }
 
 impl AvailCache {
@@ -354,6 +396,8 @@ impl AvailCache {
             self.stamp.resize(n, 0);
         }
         self.gen += 1;
+        #[cfg(test)]
+        self.planned.clear();
     }
 
     /// Current working availability of `m` (view value minus this call's
@@ -382,23 +426,61 @@ impl AvailCache {
         consider_io_dims: bool,
         task: TaskUid,
         m: MachineId,
-    ) -> Option<ResourceVec> {
-        let plan = view.plan(task, m);
+    ) -> Result<ResourceVec, PlanFailure> {
+        #[cfg(test)]
+        self.planned.push((task, m));
+        let mut plan = std::mem::take(&mut self.plan);
+        view.plan_into(task, m, &mut plan);
+        let fit = self.fit(view, consider_io_dims, m, &plan);
+        if fit.is_ok() {
+            self.sub(view, m, &plan.local);
+            for (src, dem) in &plan.remote {
+                self.sub(view, *src, dem);
+            }
+        }
+        self.plan = plan;
+        fit
+    }
+
+    /// Does `plan` on `m` fit the working ledger? Its visible local
+    /// demand if so, where it does not otherwise — host first: a full
+    /// host is the cheap answer, and looking further would pull its
+    /// sources' availability into the ledger for nothing.
+    fn fit(
+        &mut self,
+        view: &ClusterView<'_>,
+        consider_io_dims: bool,
+        m: MachineId,
+        plan: &PlacementPlan,
+    ) -> Result<ResourceVec, PlanFailure> {
         let local = visible(consider_io_dims, &plan.local);
-        let feasible = local.fits_within(&visible(consider_io_dims, &self.get(view, m)))
-            && (!consider_io_dims
-                || plan
-                    .remote
-                    .iter()
-                    .all(|(src, dem)| dem.fits_within(&self.get(view, *src))));
-        if !feasible {
-            return None;
+        if !local.fits_within(&visible(consider_io_dims, &self.get(view, m))) {
+            return Err(PlanFailure::Host);
         }
-        self.sub(view, m, &plan.local);
-        for (src, dem) in &plan.remote {
-            self.sub(view, *src, dem);
+        if consider_io_dims && !self.sources_fit(view, plan) {
+            return Err(PlanFailure::Source);
         }
-        Some(local)
+        Ok(local)
+    }
+
+    /// Enough disk-read and net-out left at every remote source of `plan`?
+    fn sources_fit(&mut self, view: &ClusterView<'_>, plan: &PlacementPlan) -> bool {
+        plan.remote
+            .iter()
+            .all(|(src, dem)| dem.fits_within(&self.get(view, *src)))
+    }
+
+    /// Debug builds re-plan every (head, machine) pair the `blocked` memo
+    /// answers — before each scan, for every live candidate it would
+    /// answer on that machine — and check the claim it rests on: the plan
+    /// still fails, and on a source. Every equivalence and property suite
+    /// that drives Tetris therefore exercises the monotonicity argument.
+    #[cfg(debug_assertions)]
+    fn assert_blocked(&mut self, view: &ClusterView<'_>, task: TaskUid, m: MachineId) {
+        assert!(
+            !self.sources_fit(view, &view.plan(task, m)),
+            "blocked memo skipped {task:?} on {m:?}, where its plan does not fail on a source"
+        );
     }
 }
 
@@ -498,12 +580,17 @@ type Scored = (usize, bool, f64, f64);
 /// The per-call tables one scoring scan reads, borrowed between the
 /// greedy loop's mutations (head advances, bans, the scorer's running ā).
 struct Scan<'a> {
+    view: &'a ClusterView<'a>,
     cands: &'a [Candidate],
     norms_arena: &'a [(ResourceVec, ResourceVec)],
     preferred_arena: &'a [MachineId],
     banned: &'a StampGrid,
     scorer: &'a CombinedScorer,
     cfg: &'a TetrisConfig,
+    /// Leave out candidates the `blocked` memo rules out on this machine
+    /// instead of scoring them for the greedy loop to ban on pick. Off
+    /// under provenance capture, whose `scored` list must keep them.
+    skip_blocked: bool,
 }
 
 impl Scan<'_> {
@@ -523,18 +610,23 @@ impl Scan<'_> {
         mut each: impl FnMut(Scored),
     ) -> Option<Scored> {
         let Scan {
+            view,
             cands,
             norms_arena,
             preferred_arena,
             banned,
             scorer,
             cfg,
+            skip_blocked,
         } = self;
         let ban_check = banned.any;
         let mut best: Option<Scored> = None;
         for &ci in live {
             let c = &cands[ci];
-            if !c.alive || (ban_check && banned.contains(ci, m.index())) {
+            if !c.alive
+                || (ban_check && banned.contains(ci, m.index()))
+                || (skip_blocked && c.blocked_on(view, m))
+            {
                 continue;
             }
             let (norm, norm_local) = &norms_arena[c.norms_start + cls];
@@ -803,6 +895,7 @@ impl SchedulerPolicy for TetrisScheduler {
                     next: 0,
                     norms_start: usize::MAX, // filled for live candidates
                     alive: true,
+                    blocked: false,
                 });
             }
         }
@@ -999,7 +1092,7 @@ impl SchedulerPolicy for TetrisScheduler {
                 if view.is_runnable(starved)
                     && avail
                         .try_commit(view, cfg.consider_io_dims, starved, m)
-                        .is_some()
+                        .is_ok()
                 {
                     // Reservation redemptions are placed by right, not by
                     // score — no DecisionScores to attach.
@@ -1008,8 +1101,7 @@ impl SchedulerPolicy for TetrisScheduler {
                     // task is not double-placed this round.
                     for c in cands.iter_mut() {
                         if c.head(view) == Some(starved) {
-                            c.next += 1;
-                            c.alive = c.head(view).is_some();
+                            c.advance(view);
                         }
                     }
                     reservations.retain(|&(rm, _)| rm != m);
@@ -1035,13 +1127,22 @@ impl SchedulerPolicy for TetrisScheduler {
                 // capture additionally keeps every score, not just the
                 // winner's.
                 let scan = Scan {
+                    view,
                     cands,
                     norms_arena,
                     preferred_arena,
                     banned,
                     scorer,
                     cfg,
+                    skip_blocked: !capture,
                 };
+                #[cfg(debug_assertions)]
+                for c in live.iter().map(|&ci| &cands[ci]) {
+                    if c.alive && c.blocked_on(view, m) {
+                        let head = c.head(view).expect("candidate head");
+                        avail.assert_blocked(view, head, m);
+                    }
+                }
                 let best = if capture {
                     scored.clear();
                     scan.best(live, m, cls, &avail_norm, |s| scored.push(s))
@@ -1055,9 +1156,20 @@ impl SchedulerPolicy for TetrisScheduler {
                 // The normalized check above is a prefilter; the plan is
                 // authoritative.
                 let uid = cands[ci].head(view).expect("candidate head");
-                let Some(local) = avail.try_commit(view, cfg.consider_io_dims, uid, m) else {
+                // Under capture the scan scored memo-blocked candidates
+                // too; the memo answers for them here, without a plan.
+                if cands[ci].blocked_on(view, m) {
                     banned.insert(ci, m.index());
                     continue;
+                }
+                let local = match avail.try_commit(view, cfg.consider_io_dims, uid, m) {
+                    Ok(local) => local,
+                    Err(why) => {
+                        cands[ci].blocked |=
+                            why == PlanFailure::Source && !view.task_reads_locally(uid, m);
+                        banned.insert(ci, m.index());
+                        continue;
+                    }
                 };
                 let a_placed = cfg.alignment.score(
                     &local,
@@ -1104,8 +1216,7 @@ impl SchedulerPolicy for TetrisScheduler {
                     });
                 }
                 out.push(assignment);
-                cands[ci].next += 1;
-                cands[ci].alive = cands[ci].head(view).is_some();
+                cands[ci].advance(view);
                 // In-call spread approximation: until the job's *running*
                 // tasks span the spread floor, place at most one task per
                 // machine per call (the authoritative running-state check
@@ -1349,6 +1460,132 @@ mod tests {
             "stretch {}",
             outcome.mean_task_stretch()
         );
+    }
+
+    /// Forwards to a borrowed Tetris, keeping what it returned and — from
+    /// the view of its first call — which machines hold the one block.
+    struct Spy<'a> {
+        inner: &'a mut TetrisScheduler,
+        out: Vec<Assignment>,
+        holders: Vec<MachineId>,
+    }
+
+    impl SchedulerPolicy for Spy<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn uses_tracker(&self) -> bool {
+            self.inner.uses_tracker()
+        }
+        fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+            self.holders = view
+                .query()
+                .iter_all()
+                .filter(|&m| view.task_reads_locally(TaskUid(0), m))
+                .collect();
+            self.out = self.inner.schedule(view);
+            self.out.clone()
+        }
+    }
+
+    #[test]
+    fn blocked_head_is_planned_once_then_lands_on_a_replica_holder() {
+        // Four readers of one block with two replicas, A and B (a remote
+        // reader of uid `u` pulls from `replicas[u % 2]`), on five
+        // machines with 100 MB/s disks. In one cold pass, in machine
+        // order: uid 0 takes 50 MB/s of A's disk, uid 1 takes 10 of B's,
+        // and uid 2 wants 60 from A, which has 50 left — its plan fails on
+        // the source, and would fail the same way on every machine that
+        // holds no replica. On A itself it fails on the host; on B it
+        // reads locally and fits. Then uid 3 is a new head and owes the
+        // memo nothing.
+        use tetris_resources::units::{GB, MB};
+        use tetris_sim::probe::ScheduleProbe;
+        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        let workload = || {
+            let mut b = WorkloadBuilder::new();
+            let j = b.begin_job("readers", None, 0.0);
+            let block = b.new_block();
+            b.add_stage(j, "read", vec![], 4, |i| TaskParams {
+                cores: 1.0,
+                mem: GB,
+                duration: 10.0,
+                cpu_frac: 0.1,
+                io_burst: 1.0,
+                inputs: vec![tetris_workload::InputSpec {
+                    source: tetris_workload::InputSource::Stored(block),
+                    bytes: [500.0, 100.0, 600.0, 200.0][i] * MB,
+                }],
+                output_bytes: 0.0,
+                remote_frac: 1.0,
+            });
+            b.finish()
+        };
+        let spec = MachineSpec::new()
+            .cores(4.0)
+            .memory(16.0 * GB)
+            .disks(1, 100.0 * MB)
+            .nic(125.0 * MB);
+        let first = MachineId(0);
+        let mut tetris = TetrisScheduler::new(TetrisConfig::default());
+        // Replica placement is the simulator's seeded choice: take the
+        // first seed that puts A and B on machines 2 and 3, so that the
+        // source saturates on a machine without a replica (0), another
+        // such machine (1) is there to be skipped, and a third (4)
+        // follows B for uid 3 to plan on.
+        let probe = (0..64)
+            .find_map(|seed| {
+                let mut cfg = tetris_sim::SimConfig::default();
+                cfg.seed = seed;
+                cfg.replication = 2;
+                let probe = ScheduleProbe::new(ClusterConfig::uniform(5, spec), workload(), cfg);
+                let mut spy = Spy {
+                    inner: &mut tetris,
+                    out: Vec::new(),
+                    holders: Vec::new(),
+                };
+                probe.measure(&mut spy);
+                let holders = spy.holders;
+                (holders == [MachineId(2), MachineId(3)]).then_some(probe)
+            })
+            .expect("a seed in 0..64 puts the replicas on machines 2 and 3");
+        // Replica lists are sorted, so A = `replicas[0]` is machine 2.
+        let (holders, b, after_b) = ([MachineId(2), MachineId(3)], MachineId(3), MachineId(4));
+
+        // The state is not mutated by a pass, so the second call must
+        // repeat the first: the memo does not outlive a call.
+        for call in 0..2 {
+            let mut spy = Spy {
+                inner: &mut tetris,
+                out: Vec::new(),
+                holders: Vec::new(),
+            };
+            probe.measure(&mut spy);
+            let placed = |uid: usize| {
+                spy.out
+                    .iter()
+                    .find(|a| a.task == TaskUid(uid))
+                    .map(|a| a.machine)
+            };
+            let planned = &spy.inner.scratch.avail.planned;
+            let non_holder_plans = |uid: usize| {
+                planned
+                    .iter()
+                    .filter(|(t, m)| *t == TaskUid(uid) && !holders.contains(m))
+                    .count()
+            };
+            assert_eq!(placed(0), Some(first), "call {call}");
+            assert_eq!(placed(1), Some(first), "call {call}");
+            // The blocked head is planned on machine 0, not on machine 1,
+            // then once on each holder.
+            assert_eq!(non_holder_plans(2), 1, "call {call}: {planned:?}");
+            assert!(planned.contains(&(TaskUid(2), first)), "call {call}");
+            assert_eq!(placed(2), Some(b), "call {call}: reads locally, fits");
+            // The next head of the same stage is planned afresh — on a
+            // machine without a replica, where a stale memo would skip it.
+            assert!(planned.contains(&(TaskUid(3), after_b)), "call {call}");
+            assert_eq!(placed(3), Some(after_b), "call {call}");
+        }
     }
 
     #[test]

@@ -297,6 +297,7 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
     for name in [
         names::ENGINE_EVENTS,
         names::PLACEMENTS,
+        names::PLACEMENT_PLANS,
         names::REJECTED_ASSIGNMENTS,
         names::TASK_RETRIES,
         names::TRACKER_REPORTS,

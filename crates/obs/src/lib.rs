@@ -117,6 +117,11 @@ pub mod names {
     /// Availability evaluations performed by indexed envelope descents
     /// (counter; linear envelopes would cost one per considered machine).
     pub const INDEX_ENV_VISITS: &str = "machine_index_env_visits";
+    /// Placement plans resolved — every policy feasibility check plus one
+    /// per applied placement (counter). Deterministic, so
+    /// `placement_plans / placements` is a timer-free read of how much
+    /// planning a policy spends per task it places.
+    pub const PLACEMENT_PLANS: &str = "placement_plans";
 
     // ------- omega family (sharded multi-scheduler, sim::sharded) -------
 

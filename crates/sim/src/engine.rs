@@ -932,6 +932,10 @@ impl<'o> Simulation<'o> {
             obs.metrics
                 .counter_add(names::INDEX_ENV_VISITS, idx_stats.env_visits);
         }
+        let plans = state.plans.swap(0, std::sync::atomic::Ordering::Relaxed);
+        if plans > 0 {
+            obs.metrics.counter_add(names::PLACEMENT_PLANS, plans);
+        }
         // Let the policy contribute its own accumulated metrics (e.g. the
         // sharded driver's conflict counters) — zero-gated like the index
         // drain above, so non-reporting policies add no snapshot names.

@@ -25,6 +25,7 @@
 //! pessimistic for *all* schedulers equally.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -365,7 +366,7 @@ impl TaskCompletion {
 /// Resolved placement of a task on a candidate machine: what it would
 /// demand locally and at each remote input source, and how long it would
 /// take at peak allocation (paper eqn. 5 with peak rates).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlacementPlan {
     /// Peak demand at the host, adjusted for placement (NetIn only when
     /// some input is remote; DiskRead only when some input is local).
@@ -513,6 +514,10 @@ pub(crate) struct SimState {
     /// Free-capacity index serving `MachineQuery` (DESIGN.md §13).
     /// Disabled (empty) when `cfg.machine_index` is off.
     pub index: MachineIndex,
+    /// Placement plans resolved since the last drain
+    /// (`names::PLACEMENT_PLANS`). Atomic for the reason the index's
+    /// counters are: shard workers plan through a shared `&SimState`.
+    pub plans: AtomicU64,
 }
 
 impl SimState {
@@ -619,6 +624,7 @@ impl SimState {
             dynamic_loads: Vec::new(),
             tasks_abandoned: 0,
             index,
+            plans: AtomicU64::new(0),
         };
         state.index_rebuild();
         state
@@ -735,10 +741,53 @@ impl SimState {
     /// Resolve where a task's input bytes would come from if placed on
     /// `machine`, and what it would demand locally/remotely.
     pub fn placement_plan(&self, uid: TaskUid, machine: MachineId) -> PlacementPlan {
+        let mut plan = PlacementPlan::default();
+        self.placement_plan_into(uid, machine, &mut plan);
+        plan
+    }
+
+    /// True if placing `uid` on `machine` could read any input from the
+    /// machine's own disks: a stored input with a replica there, or a
+    /// shuffle input whose upstream stage left output there. On every
+    /// machine where this is false the placement plan is the *same
+    /// value* — all inputs remote, sources fixed by `replicas[uid % len]`
+    /// and `out_by_machine`, fan-in truncation included (pinned by
+    /// `tests/prop_plan.rs`) — which is what lets a policy that saw the
+    /// plan fail on a remote source skip every other such machine.
+    /// Allocation-free.
+    pub fn task_reads_locally(&self, uid: TaskUid, machine: MachineId) -> bool {
+        let (ji, _, _) = self.task_loc[uid.index()];
+        self.spec(uid)
+            .inputs
+            .iter()
+            .any(|input| match input.source {
+                InputSource::Stored(b) => self.blocks[b.index()].contains(&machine),
+                InputSource::Shuffle { stage } => self.jobs[ji].stages[stage]
+                    .out_by_machine
+                    .contains_key(&machine),
+            })
+    }
+
+    /// [`SimState::placement_plan`] into a caller-owned plan: every field
+    /// of `plan` is overwritten and its two vectors are reused, so a
+    /// caller that keeps one plan across calls allocates nothing once
+    /// they have grown to the widest fan-in seen.
+    pub fn placement_plan_into(&self, uid: TaskUid, machine: MachineId, plan: &mut PlacementPlan) {
+        self.plans.fetch_add(1, Ordering::Relaxed);
         let spec = self.spec(uid);
         let (ji, _, _) = self.task_loc[uid.index()];
         let mut local_bytes = 0.0f64;
-        let mut remote: BTreeMap<MachineId, f64> = BTreeMap::new();
+        // Bytes per remote source, kept sorted by machine and summed in
+        // input order: the sorted map this used to build, key for key
+        // and `+=` for `+=`, in the plan's own vector. A shuffle stage's
+        // sources arrive in machine order, so its inserts are appends.
+        let remote = &mut plan.remote_reads;
+        remote.clear();
+        let mut add_remote =
+            |src: MachineId, bytes: f64| match remote.binary_search_by_key(&src, |&(m, _)| m) {
+                Ok(i) => remote[i].1 += bytes,
+                Err(i) => remote.insert(i, (src, bytes)),
+            };
 
         for input in &spec.inputs {
             match input.source {
@@ -748,8 +797,7 @@ impl SimState {
                         local_bytes += input.bytes;
                     } else {
                         // Deterministic replica choice, spread by uid.
-                        let src = replicas[uid.index() % replicas.len()];
-                        *remote.entry(src).or_default() += input.bytes;
+                        add_remote(replicas[uid.index() % replicas.len()], input.bytes);
                     }
                 }
                 InputSource::Shuffle { stage } => {
@@ -767,7 +815,7 @@ impl SimState {
                         if m == machine {
                             local_bytes += share;
                         } else {
-                            *remote.entry(m).or_default() += share;
+                            add_remote(m, share);
                         }
                     }
                 }
@@ -776,9 +824,11 @@ impl SimState {
 
         // Bound shuffle fan-in: keep the largest contributors, fold the
         // tail's bytes into them proportionally (bytes conserved).
-        let mut remote: Vec<(MachineId, f64)> = remote.into_iter().collect();
         if remote.len() > self.cfg.shuffle_fanin {
-            remote.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+            // `total_cmp`: a NaN byte count from a trace file takes a place
+            // in the order instead of panicking; on finite positive bytes
+            // it is the order `partial_cmp` gave.
+            remote.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             let kept: f64 = remote[..self.cfg.shuffle_fanin]
                 .iter()
                 .map(|(_, b)| b)
@@ -790,7 +840,7 @@ impl SimState {
             remote.truncate(self.cfg.shuffle_fanin);
             if kept > 0.0 {
                 let scale = (kept + tail) / kept;
-                for (_, b) in &mut remote {
+                for (_, b) in remote.iter_mut() {
                     *b *= scale;
                 }
             }
@@ -822,22 +872,20 @@ impl SimState {
         // demand, additionally bounded by what the source's disk and NIC
         // can physically serve (otherwise a demand no machine can satisfy
         // would make the task permanently unplaceable).
-        let remote_demands: Vec<(MachineId, ResourceVec)> = remote
-            .iter()
-            .map(|&(m, bytes)| {
-                let src_cap = self.machines[m.index()].capacity;
-                let share = (d_ni_eff * bytes / remote_total)
-                    .min(src_cap.get(Resource::DiskRead))
-                    .min(src_cap.get(Resource::NetOut))
-                    .max(1e-3); // keep caps positive so flows always drain
-                (
-                    m,
-                    ResourceVec::zero()
-                        .with(Resource::DiskRead, share)
-                        .with(Resource::NetOut, share),
-                )
-            })
-            .collect();
+        plan.remote.clear();
+        plan.remote.extend(remote.iter().map(|&(m, bytes)| {
+            let src_cap = self.machines[m.index()].capacity;
+            let share = (d_ni_eff * bytes / remote_total)
+                .min(src_cap.get(Resource::DiskRead))
+                .min(src_cap.get(Resource::NetOut))
+                .max(1e-3); // keep caps positive so flows always drain
+            (
+                m,
+                ResourceVec::zero()
+                    .with(Resource::DiskRead, share)
+                    .with(Resource::NetOut, share),
+            )
+        }));
 
         // Eqn. 5 at peak allocation.
         let mut est: f64 = 0.0;
@@ -850,17 +898,13 @@ impl SimState {
         if local_bytes > 0.0 {
             est = est.max(local_bytes / d_dr);
         }
-        for (&(_, bytes), (_, dem)) in remote.iter().zip(&remote_demands) {
+        for (&(_, bytes), (_, dem)) in remote.iter().zip(&plan.remote) {
             est = est.max(bytes / dem.get(Resource::DiskRead));
         }
 
-        PlacementPlan {
-            local,
-            remote: remote_demands,
-            local_read_bytes: local_bytes,
-            remote_reads: remote,
-            est_duration: est,
-        }
+        plan.local = local;
+        plan.local_read_bytes = local_bytes;
+        plan.est_duration = est;
     }
 
     /// Place a runnable task on a machine: build flows, charge ledgers,
@@ -2223,6 +2267,43 @@ mod tests {
             (total - 80.0 * MB).abs() < 1.0,
             "bytes not conserved: {total}"
         );
+    }
+
+    #[test]
+    fn nan_input_bytes_plan_instead_of_panicking() {
+        // A trace file can carry any float: `Workload::validate` checks
+        // demands, not byte counts. With more sources than the fan-in
+        // bound the plan sorts sources by bytes — `partial_cmp().unwrap()`
+        // panicked on the NaN here.
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("j", None, 0.0);
+        let inputs: Vec<_> = (0..8).map(|_| b.stored_input(10.0 * MB)).collect();
+        b.add_stage(j, "s", vec![], 1, |_| TaskParams {
+            cores: 1.0,
+            mem: GB,
+            duration: 10.0,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs: inputs.clone(),
+            output_bytes: 0.0,
+            remote_frac: 1.0,
+        });
+        let mut w = b.finish();
+        w.jobs[0].stages[0].tasks[0].inputs[2].bytes = f64::NAN;
+        w.validate()
+            .expect("validation does not look at input bytes");
+        let cluster = ClusterConfig::uniform(16, MachineSpec::paper_small());
+        let mut cfg = SimConfig::default();
+        cfg.replication = 1;
+        cfg.shuffle_fanin = 3;
+        cfg.seed = 7;
+        let mut st = SimState::new(cluster, w, cfg);
+        st.job_arrives(JobId(0));
+        for m in (0..16).map(MachineId) {
+            let plan = st.placement_plan(TaskUid(0), m);
+            assert!(plan.remote_reads.len() <= 3);
+            assert_eq!(plan.remote.len(), plan.remote_reads.len());
+        }
     }
 
     #[test]

@@ -681,6 +681,23 @@ impl<'a> ClusterView<'a> {
         self.state.placement_plan(task, machine)
     }
 
+    /// [`ClusterView::plan`] into a caller-owned plan (every field
+    /// overwritten, its vectors reused): the form for a policy that plans
+    /// in its inner loop and keeps one scratch plan.
+    pub fn plan_into(&self, task: TaskUid, machine: MachineId, plan: &mut PlacementPlan) {
+        self.state.placement_plan_into(task, machine, plan)
+    }
+
+    /// True if `task` placed on `machine` could read any input from the
+    /// machine's own disks: it holds a replica of a stored input, or
+    /// output of a shuffle input's upstream stage. On every machine where
+    /// this is false [`ClusterView::plan`] returns the *same value*, so a
+    /// plan that failed there on a remote source fails on all of them for
+    /// as long as that source's availability does not grow.
+    pub fn task_reads_locally(&self, task: TaskUid, machine: MachineId) -> bool {
+        self.state.task_reads_locally(task, machine)
+    }
+
     /// Fill `out` with the machines holding a replica of at least one of
     /// the task's stored input blocks (locality preferences), sorted and
     /// deduplicated. Caller-buffer form so hot paths can reuse one

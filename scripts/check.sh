@@ -61,10 +61,19 @@ trap 'rm -rf "$tmp"' EXIT
 # Default trace: byte-identity gate — no provenance keys may appear when
 # --trace-verbose is off (the golden wire-bytes unit test pins the exact
 # JSON; this guards the whole end-to-end artifact).
-target/release/reproduce --trace "$tmp/plain.jsonl" --scale 0.1 >/dev/null
+target/release/reproduce --trace "$tmp/plain.jsonl" --scale 0.1 > "$tmp/plain.txt"
 if grep -q '"provenance"' "$tmp/plain.jsonl"; then
   echo "default trace leaked provenance (must be --trace-verbose only)"; exit 1
 fi
+# Timer-free gate on Tetris's blocked-head memo (DESIGN.md 9): placement
+# plans resolved per task placed, from the run's own summary. Both counts
+# repeat exactly. This run makes 32 446 plans for 2 902 placements (11.2
+# each; 12.2 with the memo off), so the bound is 11.5. A cold-pass-heavy
+# input moves far more (suite_pack: 36 -> 9.7); this is the one the gate
+# already runs.
+awk '$1 == "placements" { placed = $2 } $1 == "placement_plans" { plans = $2 }
+  END { exit (placed > 0 && plans > 0 && plans * 10 <= placed * 115) ? 0 : 1 }' "$tmp/plain.txt" \
+  || { echo "placement_plans per placement above 11.5:"; grep '^placement' "$tmp/plain.txt"; exit 1; }
 # Verbose run: provenance with rejected candidates must be present, and
 # the telemetry stream must be byte-identical across repeated runs.
 target/release/reproduce --trace "$tmp/verbose.jsonl" --trace-verbose \
