@@ -298,6 +298,8 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
         names::ENGINE_EVENTS,
         names::PLACEMENTS,
         names::PLACEMENT_PLANS,
+        names::RECOMPUTE_VISITS,
+        names::FLOW_RETIMES,
         names::REJECTED_ASSIGNMENTS,
         names::TASK_RETRIES,
         names::TRACKER_REPORTS,

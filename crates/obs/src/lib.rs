@@ -122,6 +122,13 @@ pub mod names {
     /// `placement_plans / placements` is a timer-free read of how much
     /// planning a policy spends per task it places.
     pub const PLACEMENT_PLANS: &str = "placement_plans";
+    /// Flows whose rate the engine re-evaluated because a factor on their
+    /// path moved, or because they were new (counter). Deterministic.
+    pub const RECOMPUTE_VISITS: &str = "recompute_visits";
+    /// Visits that found a new rate and re-timed (or cancelled) the flow's
+    /// queued completion (counter): `flow_retimes / recompute_visits` is
+    /// the share of visits that were needed.
+    pub const FLOW_RETIMES: &str = "flow_retimes";
 
     // ------- omega family (sharded multi-scheduler, sim::sharded) -------
 

@@ -246,9 +246,9 @@ impl<'o> Simulation<'o> {
                 let heartbeat = cp.heartbeat;
                 let (state, queue, stats) = cp
                     .restore(self.cluster, self.workload, self.cfg)
-                    .ok_or_else(|| RecoveryError::ReplayDivergence {
+                    .map_err(|msg| RecoveryError::ReplayDivergence {
                         heartbeat,
-                        msg: "checkpoint stores a task or flow outside its table".into(),
+                        msg: msg.into(),
                     })?;
                 (state, queue, stats, samples, heartbeat)
             }
@@ -336,24 +336,22 @@ impl<'o> Simulation<'o> {
         // across batches.
         let mut sched_events: Vec<SchedulerEvent> = Vec::new();
 
-        while let Some(ev) = queue.pop() {
-            if ev.time > max_t {
+        while let Some(time) = queue.peek_time() {
+            if time > max_t {
                 state.now = max_t;
                 timed_out = state.jobs_remaining > 0;
                 break;
             }
-            state.now = ev.time;
+            state.now = time;
 
-            // Drain all events at this instant into one batch.
-            let mut batch = vec![ev];
-            while queue.peek_time() == Some(state.now) {
-                batch.push(queue.pop().expect("peeked event"));
-            }
-
+            // One batch: the events queued for this instant as it opens
+            // (what a handler pushes at `now` waits for the next), less
+            // the completions a handler cancels before their turn.
+            let fence = queue.next_seq();
             let mut want_schedule = false;
             let mut want_sample = false;
             sched_events.clear();
-            for ev in batch {
+            while let Some(ev) = queue.pop_due(time, fence) {
                 stats.events += 1;
                 obs.metrics.counter_inc(names::ENGINE_EVENTS);
                 match ev.kind {
@@ -370,8 +368,8 @@ impl<'o> Simulation<'o> {
                         });
                         want_schedule = true;
                     }
-                    EventKind::FlowDone { flow, gen } => {
-                        if let Some(task) = state.flow_done(flow, gen, &mut dirty, &mut queue) {
+                    EventKind::FlowDone { flow } => {
+                        if let Some(task) = state.flow_done(flow, &mut dirty, &mut queue) {
                             let done = state.task_complete(task, &mut dirty);
                             push_completion_event(&mut sched_events, &state, task, done);
                             observe_completion(obs, &state, task, done);
@@ -717,7 +715,9 @@ impl<'o> Simulation<'o> {
                             // recovery.
                             for &v in &a.evict {
                                 let vjob = JobId(state.task_loc[v.index()].0);
-                                let Some((_lost, host)) = state.preempt_task(v, &mut dirty) else {
+                                let Some((_lost, host)) =
+                                    state.preempt_task(v, &mut dirty, &mut queue)
+                                else {
                                     continue;
                                 };
                                 stats.preemptions += 1;
@@ -933,8 +933,14 @@ impl<'o> Simulation<'o> {
                 .counter_add(names::INDEX_ENV_VISITS, idx_stats.env_visits);
         }
         let plans = state.plans.swap(0, std::sync::atomic::Ordering::Relaxed);
-        if plans > 0 {
-            obs.metrics.counter_add(names::PLACEMENT_PLANS, plans);
+        for (name, count) in [
+            (names::PLACEMENT_PLANS, plans),
+            (names::RECOMPUTE_VISITS, state.recompute_visits),
+            (names::FLOW_RETIMES, state.flow_retimes),
+        ] {
+            if count > 0 {
+                obs.metrics.counter_add(name, count);
+            }
         }
         // Let the policy contribute its own accumulated metrics (e.g. the
         // sharded driver's conflict counters) — zero-gated like the index

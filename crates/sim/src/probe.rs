@@ -80,9 +80,9 @@ impl ScheduleProbe {
 /// and one scheduling pass applied, so the per-link flow tables are
 /// populated the way a mid-run heartbeat sees them.
 ///
-/// `measure()` marks every link that carries at least one flow dirty —
-/// the worst-case invalidation pattern, equivalent to a cluster-wide
-/// tracker report — and recomputes all affected flow rates.
+/// `measure()` marks every link that carries at least one flow dirty and
+/// drains the set. Nothing else having changed, no factor moves: it times
+/// a full invalidation's factor refresh, with no flow visited.
 pub struct RecomputeProbe {
     state: SimState,
     queue: EventQueue,
@@ -140,10 +140,10 @@ impl RecomputeProbe {
         self.live_links.len()
     }
 
-    /// Mark every live link dirty and recompute all affected flow rates;
-    /// returns the number of links invalidated. Rates settle after the
-    /// first call, so repeated calls measure the steady-state cost of a
-    /// full-cluster invalidation (gather + dedup + rate evaluation).
+    /// Mark every live link dirty and drain the set; returns the number
+    /// of links invalidated. The ledgers stand still between calls, so
+    /// every call recomputes one factor a link, finds each where it was
+    /// and gathers no flow: the floor a drain pays before any rate moves.
     pub fn measure(&mut self) -> usize {
         for &(mi, ri) in &self.live_links {
             self.dirty.insert_link(mi, ri);

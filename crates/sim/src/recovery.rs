@@ -152,11 +152,13 @@ pub struct RecoveryStats {
 /// stored, and why that is safe:
 /// * `task_loc`, `total_capacity`, the machine index and every task still
 ///   `Blocked` (tasks are built so and never return to it): re-derived
-///   from the builder's inputs; the dirty set: empty at a batch boundary;
+///   from the builder's inputs; the dirty set: empty at a batch boundary,
+///   so the factor tables are what `rebuild_factors` makes of the ledgers;
 /// * the sample history: journaled once, in `Samples` records, and
 ///   cross-checked by `samples_len`;
-/// * finished flows: every reader tests `done` first, so only live flows
-///   are kept, by id, and `restore` puts tombstones in the other slots.
+/// * finished flows: nothing reads past `done` and the queue holds no
+///   event for one (`restore` checks), so only live flows are kept, by
+///   id, and `restore` puts tombstones in the other slots.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 #[cfg_attr(test, derive(Default))]
 pub(crate) struct CheckpointState<'a> {
@@ -235,27 +237,29 @@ impl<'a> CheckpointState<'a> {
     /// static inputs (cluster, workload, config); the snapshot overwrites
     /// every runtime field but the still-`Blocked` tasks, so the
     /// `SimState::new` RNG draws (block placement) are discarded along
-    /// with its fresh block binding. `None` if a stored task or flow lies
-    /// outside its table or the flow table's stated length is unallocatable.
+    /// with its fresh block binding. Refuses, saying why, a snapshot whose
+    /// tables and queue contradict each other.
     pub(crate) fn restore(
         self,
         cluster: ClusterConfig,
         workload: Workload,
         cfg: SimConfig,
-    ) -> Option<(SimState, EventQueue, EngineStats)> {
+    ) -> Result<(SimState, EventQueue, EngineStats), &'static str> {
+        const OUTSIDE: &str = "checkpoint stores a task or flow outside its table";
         let mut state = SimState::new(cluster, workload, cfg);
         state.now = SimTime(self.now_us);
         state.machines = self.machines.into_owned();
         for (uid, task) in self.tasks {
-            *state.tasks.get_mut(uid.index())? = task.into_owned();
+            *state.tasks.get_mut(uid.index()).ok_or(OUTSIDE)? = task.into_owned();
         }
         state.jobs = self.jobs.into_owned();
         state.blocks = self.blocks.into_owned();
         // A length the journal merely states: refused, not aborted on.
-        state.flows.try_reserve_exact(self.flows_len).ok()?;
+        let reserved = state.flows.try_reserve_exact(self.flows_len);
+        reserved.map_err(|_| OUTSIDE)?;
         state.flows.resize(self.flows_len, Flow::tombstone());
         for (id, flow) in self.flows {
-            *state.flows.get_mut(id.0)? = flow.into_owned();
+            *state.flows.get_mut(id.0).ok_or(OUTSIDE)? = flow.into_owned();
         }
         state.jobs_remaining = self.jobs_remaining;
         state.rng = StdRng::from_state(self.rng);
@@ -268,8 +272,11 @@ impl<'a> CheckpointState<'a> {
         state.tasks_abandoned = self.tasks_abandoned;
         state.freed_hint = self.freed_hint.into_owned();
         state.index_rebuild();
-        let queue = EventQueue::restore(self.events, self.next_seq);
-        Some((state, queue, self.stats.into_owned()))
+        state.rebuild_factors();
+        // The engine takes a popped `FlowDone` at its word.
+        let live = |flow: FlowId| state.flows.get(flow.0).is_some_and(|f| !f.done);
+        let queue = EventQueue::restore(self.events, self.next_seq, live)?;
+        Ok((state, queue, self.stats.into_owned()))
     }
 }
 
@@ -407,6 +414,7 @@ pub(crate) fn run_fingerprint(cluster: &ClusterConfig, workload: &Workload, seed
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventKind;
     use crate::journal::{crc32, JOURNAL_VERSION};
 
     const FINGERPRINT: u64 = 42;
@@ -880,6 +888,44 @@ mod tests {
                 ),
                 "flows_len {lie}"
             );
+        }
+    }
+
+    /// The engine takes a popped `FlowDone` at its word, so a snapshot
+    /// whose queue and flow table disagree is refused before it runs.
+    #[test]
+    fn queued_completion_without_one_live_flow_is_a_typed_error() {
+        let journal = crashed_journal_at(13);
+        type Damage = fn(&mut CheckpointState<'static>);
+        let corpus: [(&str, Damage); 2] = [
+            ("two completions for one flow", |cp| {
+                let is_done = |e: &&Event| matches!(e.kind, EventKind::FlowDone { .. });
+                let dup = cp.events.iter().find(is_done).expect("a live flow").clone();
+                cp.events.push(dup);
+            }),
+            ("a flow that is not live", |cp| {
+                // Out of the snapshot, so restored as a tombstone.
+                cp.flows.remove(0);
+            }),
+        ];
+        for (what, damage) in corpus {
+            let edit = |payload: &str| match serde_json::from_str(payload).unwrap() {
+                JournalRecord::Checkpoint {
+                    heartbeat,
+                    mut state,
+                } => {
+                    damage(&mut state);
+                    serde_json::to_string(&JournalRecord::Checkpoint { heartbeat, state }).unwrap()
+                }
+                _ => unreachable!("only checkpoints are rewritten"),
+            };
+            let (damaged, _) = rewrite_checkpoints(&journal, |hb| hb == 12, edit);
+            match sim(None).recover(&damaged) {
+                Err(RecoveryError::ReplayDivergence { heartbeat: 12, msg }) => {
+                    assert!(msg.contains(what), "{what}: {msg}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
         }
     }
 

@@ -56,7 +56,6 @@ pub(crate) struct Flow {
     pub init_work: f64,
     pub rate: f64,
     pub last_update: SimTime,
-    pub gen: u64,
     pub done: bool,
 }
 
@@ -73,7 +72,6 @@ impl Flow {
             init_work: 0.0,
             rate: 0.0,
             last_update: SimTime::ZERO,
-            gen: 0,
             done: true,
         }
     }
@@ -167,8 +165,8 @@ impl MachineState {
     /// Thrashing factor from memory over-commit:
     /// `max((cap/alloc)^exponent, floor)`.
     #[inline]
-    fn thrash_factor(&self, enabled: bool, exponent: f64, floor: f64) -> f64 {
-        if !enabled {
+    fn thrash_factor(&self, cfg: &SimConfig) -> f64 {
+        if !cfg.thrashing {
             return 1.0;
         }
         let cap = self.capacity.get(Resource::Mem);
@@ -176,7 +174,9 @@ impl MachineState {
         if alloc <= cap || alloc <= 0.0 {
             1.0
         } else {
-            (cap / alloc).powf(exponent).max(floor)
+            (cap / alloc)
+                .powf(cfg.thrash_exponent)
+                .max(cfg.thrash_floor)
         }
     }
 
@@ -331,7 +331,7 @@ impl JobState {
 /// matching trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskCompletion {
-    /// The task was not actually running (stale event); nothing changed.
+    /// The task was not actually running; nothing changed.
     Stale,
     /// The failure model re-queued the attempt: the task lost its slot on
     /// `machine` and went back to pending.
@@ -407,7 +407,7 @@ impl PlacementPlan {
 /// event batch never allocates once the stamp tables have grown to the
 /// cluster and flow-table size. `recompute_dirty` drains the insertion
 /// lists and bumps the generation — an O(1) clear.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct DirtySet {
     /// (machine, dim) links whose demand changed, in insertion order.
     links: Vec<(usize, usize)>,
@@ -417,26 +417,14 @@ pub(crate) struct DirtySet {
     link_stamp: Vec<u64>,
     /// Stamp per machine: equals `gen` iff present in `mem`.
     mem_stamp: Vec<u64>,
-    /// Stamp per flow: equals `gen` iff already in `affected` this drain.
+    /// Stamp per flow: equals `gen` iff present in `affected`.
     flow_stamp: Vec<u64>,
-    /// Current batch generation (starts at 1 so zeroed stamps are stale).
+    /// Current batch generation (stamp tables grow filled with `u64::MAX`,
+    /// which it never reaches).
     gen: u64,
-    /// Reusable buffer of flows touched by the current drain.
+    /// Flows the next drain visits: those added since the last one, then
+    /// (gathered by the drain itself) those whose bottleneck may have moved.
     affected: Vec<FlowId>,
-}
-
-impl Default for DirtySet {
-    fn default() -> Self {
-        DirtySet {
-            links: Vec::new(),
-            mem: Vec::new(),
-            link_stamp: Vec::new(),
-            mem_stamp: Vec::new(),
-            flow_stamp: Vec::new(),
-            gen: 1,
-            affected: Vec::new(),
-        }
-    }
 }
 
 impl DirtySet {
@@ -448,7 +436,7 @@ impl DirtySet {
     pub fn insert_link(&mut self, mi: usize, ri: usize) {
         let idx = mi * NUM_RESOURCES + ri;
         if self.link_stamp.len() <= idx {
-            self.link_stamp.resize(idx + 1, 0);
+            self.link_stamp.resize(idx + 1, u64::MAX);
         }
         if self.link_stamp[idx] != self.gen {
             self.link_stamp[idx] = self.gen;
@@ -459,11 +447,22 @@ impl DirtySet {
     /// Mark a machine's memory allocation dirty.
     pub fn insert_mem(&mut self, mi: usize) {
         if self.mem_stamp.len() <= mi {
-            self.mem_stamp.resize(mi + 1, 0);
+            self.mem_stamp.resize(mi + 1, u64::MAX);
         }
         if self.mem_stamp[mi] != self.gen {
             self.mem_stamp[mi] = self.gen;
             self.mem.push(mi);
+        }
+    }
+
+    /// Mark a flow for the next drain's visit.
+    fn insert_flow(&mut self, fid: FlowId) {
+        if self.flow_stamp.len() <= fid.0 {
+            self.flow_stamp.resize(fid.0 + 1, u64::MAX);
+        }
+        if self.flow_stamp[fid.0] != self.gen {
+            self.flow_stamp[fid.0] = self.gen;
+            self.affected.push(fid);
         }
     }
 }
@@ -518,6 +517,15 @@ pub(crate) struct SimState {
     /// (`names::PLACEMENT_PLANS`). Atomic for the reason the index's
     /// counters are: shard workers plan through a shared `&SimState`.
     pub plans: AtomicU64,
+    /// `factor` of each (machine, dim) link and `thrash_factor` of each
+    /// machine as of the last drain of the dirty set: what every live
+    /// flow's `rate` was computed from. Derived, so not checkpointed.
+    link_factor: Vec<f64>,
+    thrash: Vec<f64>,
+    /// Flows `recompute_dirty` visited, and how many of them it re-timed
+    /// (`names::RECOMPUTE_VISITS`, `names::FLOW_RETIMES`).
+    pub recompute_visits: u64,
+    pub flow_retimes: u64,
 }
 
 impl SimState {
@@ -625,9 +633,28 @@ impl SimState {
             tasks_abandoned: 0,
             index,
             plans: AtomicU64::new(0),
+            link_factor: vec![1.0; n_machines * NUM_RESOURCES],
+            thrash: vec![1.0; n_machines],
+            recompute_visits: 0,
+            flow_retimes: 0,
         };
         state.index_rebuild();
         state
+    }
+
+    /// Recompute the factor tables from the ledgers. Exact wherever the
+    /// dirty set is empty (a restored checkpoint): every change to a
+    /// link's demand or a machine's memory marks it dirty, and a drain
+    /// leaves each dirty entry at the value computed here.
+    pub(crate) fn rebuild_factors(&mut self) {
+        let cfg = &self.cfg;
+        let of_links = |ms: &MachineState| Resource::ALL.map(|r| ms.factor(r, &cfg.interference));
+        self.link_factor = self.machines.iter().flat_map(of_links).collect();
+        self.thrash = self
+            .machines
+            .iter()
+            .map(|ms| ms.thrash_factor(cfg))
+            .collect();
     }
 
     /// The index's availability upper bound for one machine: a vector
@@ -1043,7 +1070,8 @@ impl SimState {
         work: f64,
         dirty: &mut DirtySet,
     ) -> FlowId {
-        debug_assert!(work > 0.0, "flow must carry work");
+        // Zero work (an empty remote partition) completes at `now`.
+        debug_assert!(work >= 0.0, "negative work (validated input size)");
         debug_assert!(cap > 0.0, "flow must have positive cap (validated demand)");
         let fid = FlowId(self.flows.len());
         for &(m, r) in &links {
@@ -1061,9 +1089,9 @@ impl SimState {
             init_work: work,
             rate: 0.0,
             last_update: self.now,
-            gen: 0,
             done: false,
         });
+        dirty.insert_flow(fid);
         fid
     }
 
@@ -1071,27 +1099,20 @@ impl SimState {
     // Rate recomputation
     // ------------------------------------------------------------------
 
-    /// Current rate of a flow under the one-pass proportional model.
+    /// Current rate of a flow under the one-pass proportional model, read
+    /// off the factor tables.
     pub(crate) fn flow_rate(&self, f: &Flow) -> f64 {
         let mut factor: f64 = 1.0;
         for &(m, r) in &f.links {
-            factor = factor.min(self.machines[m.index()].factor(r, &self.cfg.interference));
+            factor = factor.min(self.link_factor[m.index() * NUM_RESOURCES + r.index()]);
         }
-        factor = factor.min(self.machines[f.host.index()].thrash_factor(
-            self.cfg.thrashing,
-            self.cfg.thrash_exponent,
-            self.cfg.thrash_floor,
-        ));
-        f.cap * factor
+        f.cap * factor.min(self.thrash[f.host.index()])
     }
 
     /// Advance a flow's remaining work to `self.now`.
     fn advance_flow(&mut self, fid: FlowId) {
         let now = self.now;
         let f = &mut self.flows[fid.0];
-        if f.done {
-            return;
-        }
         let dt = now.secs_since(f.last_update);
         if dt > 0.0 {
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
@@ -1099,40 +1120,41 @@ impl SimState {
         f.last_update = now;
     }
 
-    /// Recompute rates of all flows affected by the dirty set; bump their
-    /// generation and reschedule completion events when the rate changed.
+    /// Recompute the rates of the flows the dirty set can have moved, and
+    /// re-time the completion of each whose rate changed. A rate moves
+    /// only with a factor on the flow's path, so a dirty entry's flows are
+    /// visited only if its factor's bits differ from the last drain's
+    /// (most dirty links are under capacity, 1.0, before and after).
     pub fn recompute_dirty(&mut self, dirty: &mut DirtySet, queue: &mut EventQueue) {
         if dirty.is_empty() {
             return;
         }
-        // Gather affected flows into the reused buffer, stamp-deduped,
-        // then sort — reproducing the ascending-FlowId visit order the
-        // former BTreeSet gave (event re-queue order depends on it).
-        if dirty.flow_stamp.len() < self.flows.len() {
-            dirty.flow_stamp.resize(self.flows.len(), 0);
-        }
-        let fgen = dirty.gen;
-        dirty.affected.clear();
+        // Gather, stamp-deduped, behind the flows added since the last
+        // drain; then sort — the ascending-FlowId visit order the former
+        // BTreeSet gave (event re-queue order depends on it).
+        let moved = |was: &mut f64, is: f64| std::mem::replace(was, is).to_bits() != is.to_bits();
         for li in 0..dirty.links.len() {
             let (mi, ri) = dirty.links[li];
-            for &fid in &self.machines[mi].link_flows[ri] {
-                if dirty.flow_stamp[fid.0] != fgen {
-                    dirty.flow_stamp[fid.0] = fgen;
-                    dirty.affected.push(fid);
+            let factor = self.machines[mi].factor(Resource::ALL[ri], &self.cfg.interference);
+            if moved(&mut self.link_factor[mi * NUM_RESOURCES + ri], factor) {
+                for &fid in &self.machines[mi].link_flows[ri] {
+                    dirty.insert_flow(fid);
                 }
             }
         }
         for ii in 0..dirty.mem.len() {
             let mi = dirty.mem[ii];
-            for ri in 0..NUM_RESOURCES {
-                for &fid in &self.machines[mi].link_flows[ri] {
-                    if self.flows[fid.0].host.index() == mi && dirty.flow_stamp[fid.0] != fgen {
-                        dirty.flow_stamp[fid.0] = fgen;
-                        dirty.affected.push(fid);
+            let factor = self.machines[mi].thrash_factor(&self.cfg);
+            if moved(&mut self.thrash[mi], factor) {
+                for &fid in self.machines[mi].link_flows.iter().flatten() {
+                    if self.flows[fid.0].host.index() == mi {
+                        dirty.insert_flow(fid);
                     }
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.assert_unvisited_settled(dirty);
         dirty.links.clear();
         dirty.mem.clear();
         dirty.gen += 1;
@@ -1143,24 +1165,47 @@ impl SimState {
             if self.flows[fid.0].done {
                 continue;
             }
+            self.recompute_visits += 1;
             self.advance_flow(fid);
             let new_rate = self.flow_rate(&self.flows[fid.0]);
             let f = &mut self.flows[fid.0];
             let changed = (new_rate - f.rate).abs() > 1e-12 * f.cap.max(1e-12);
             if changed {
                 f.rate = new_rate;
-                f.gen += 1;
-                if new_rate > 0.0 {
-                    let eta = self.now.after_secs(f.remaining / new_rate);
-                    let gen = f.gen;
-                    if eta < SimTime::MAX {
-                        queue.push(eta, EventKind::FlowDone { flow: fid, gen });
-                    }
+                self.flow_retimes += 1;
+                // No ETA at rate 0: a later link change revisits the flow.
+                let eta = self.now.after_secs(f.remaining / new_rate);
+                if new_rate > 0.0 && eta < SimTime::MAX {
+                    queue.push(eta, EventKind::FlowDone { flow: fid });
+                } else {
+                    queue.cancel(fid);
                 }
-                // rate == 0: no event; a later link change will revisit.
             }
         }
+        affected.clear();
         dirty.affected = affected;
+    }
+
+    /// Debug builds check, at every drain, what the gather and a restore
+    /// rest on: the refreshed tables are what the ledgers give everywhere,
+    /// and a flow by a dirty entry that is not visited is at the rate they
+    /// give. Every suite that runs the engine therefore exercises the skip.
+    #[cfg(debug_assertions)]
+    fn assert_unvisited_settled(&mut self, dirty: &DirtySet) {
+        let (links, thrash) = (self.link_factor.clone(), self.thrash.clone());
+        self.rebuild_factors();
+        let rebuilt = links == self.link_factor && thrash == self.thrash;
+        assert!(rebuilt, "a factor moved outside the dirty set");
+        let links = dirty.links.iter();
+        let on_links = links.map(|&(mi, ri)| &self.machines[mi].link_flows[ri]);
+        let mem = dirty.mem.iter();
+        let hosted = mem.flat_map(|&mi| &self.machines[mi].link_flows);
+        for &fid in on_links.chain(hosted).flatten() {
+            let f = &self.flows[fid.0];
+            let visited = dirty.flow_stamp.get(fid.0) == Some(&dirty.gen);
+            let settled = (self.flow_rate(f) - f.rate).abs() <= 1e-12 * f.cap.max(1e-12);
+            assert!(visited || settled, "{fid:?} skipped at a rate that moved");
+        }
     }
 
     /// Handle a `FlowDone` event. Returns the task to complete, if this was
@@ -1168,21 +1213,19 @@ impl SimState {
     pub fn flow_done(
         &mut self,
         fid: FlowId,
-        gen: u64,
         dirty: &mut DirtySet,
         queue: &mut EventQueue,
     ) -> Option<TaskUid> {
-        if self.flows[fid.0].done || self.flows[fid.0].gen != gen {
-            return None; // stale event
-        }
+        // One queued completion a flow, re-timed with its rate and
+        // cancelled with its attempt: a popped one is live.
+        debug_assert!(!self.flows[fid.0].done, "{fid:?} completed twice");
         self.advance_flow(fid);
         if !self.flows[fid.0].is_complete() {
             // Numerical residue: reschedule the tail.
             let f = &self.flows[fid.0];
             if f.rate > 0.0 {
                 let eta = self.now.after_secs(f.remaining / f.rate);
-                let gen = f.gen;
-                queue.push(eta, EventKind::FlowDone { flow: fid, gen });
+                queue.push(eta, EventKind::FlowDone { flow: fid });
             }
             return None;
         }
@@ -1191,7 +1234,7 @@ impl SimState {
         f.done = true;
         f.remaining = 0.0;
         f.rate = 0.0;
-        let links = f.links.clone();
+        let links = std::mem::take(&mut f.links);
         let cap = f.cap;
         let task = f.task;
         for (m, r) in links {
@@ -1536,7 +1579,7 @@ impl SimState {
         queue: &mut EventQueue,
     ) -> Option<(bool, f64, MachineId)> {
         let (ji, si, _) = self.task_loc[uid.index()];
-        let info = self.teardown_attempt(uid, dirty)?;
+        let info = self.teardown_attempt(uid, dirty, queue)?;
         let host = info.machine;
         let now = self.now;
         let backoff = self.cfg.faults.restart_backoff;
@@ -1578,9 +1621,10 @@ impl SimState {
         &mut self,
         uid: TaskUid,
         dirty: &mut DirtySet,
+        queue: &mut EventQueue,
     ) -> Option<(f64, MachineId)> {
         let (ji, si, _) = self.task_loc[uid.index()];
-        let info = self.teardown_attempt(uid, dirty)?;
+        let info = self.teardown_attempt(uid, dirty, queue)?;
         let host = info.machine;
         let now = self.now;
         let t = &mut self.tasks[uid.index()];
@@ -1599,7 +1643,12 @@ impl SimState {
     /// every ledger it charged, and decrement the job/stage running
     /// counters. The task's phase is left `Runnable`; callers refine it.
     /// Returns `None` (phase restored) if the task was not running.
-    fn teardown_attempt(&mut self, uid: TaskUid, dirty: &mut DirtySet) -> Option<RunInfo> {
+    fn teardown_attempt(
+        &mut self,
+        uid: TaskUid,
+        dirty: &mut DirtySet,
+        queue: &mut EventQueue,
+    ) -> Option<RunInfo> {
         let (ji, si, _) = self.task_loc[uid.index()];
         let info = match std::mem::replace(&mut self.tasks[uid.index()].phase, Phase::Runnable) {
             Phase::Running(info) => info,
@@ -1609,8 +1658,8 @@ impl SimState {
             }
         };
 
-        // Invalidate this attempt's flows: mark done, bump generation so
-        // queued FlowDone events go stale, and drop them from every link.
+        // Invalidate this attempt's flows: mark done, cancel the queued
+        // completion, and drop them from every link.
         for &fid in &info.flows {
             let f = &mut self.flows[fid.0];
             if f.done {
@@ -1619,8 +1668,8 @@ impl SimState {
             f.done = true;
             f.remaining = 0.0;
             f.rate = 0.0;
-            f.gen += 1;
-            let links = f.links.clone();
+            queue.cancel(fid);
+            let links = std::mem::take(&mut f.links);
             let cap = f.cap;
             for (m, r) in links {
                 let ms = &mut self.machines[m.index()];
@@ -1846,7 +1895,7 @@ impl SimState {
     }
 
     /// A crash-lost task finishes its restart backoff. Returns true if it
-    /// became runnable (false on a stale event).
+    /// became runnable (false if it is no longer waiting one out).
     pub fn task_restart(&mut self, uid: TaskUid) -> bool {
         if !matches!(self.tasks[uid.index()].phase, Phase::Backoff) {
             return false;
@@ -1969,7 +2018,7 @@ mod tests {
         let ev = q.pop().unwrap();
         st.now = ev.time;
         let done = match ev.kind {
-            EventKind::FlowDone { flow, gen } => st.flow_done(flow, gen, &mut dirty, &mut q),
+            EventKind::FlowDone { flow } => st.flow_done(flow, &mut dirty, &mut q),
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(done, Some(TaskUid(0)));
@@ -1982,15 +2031,48 @@ mod tests {
     }
 
     #[test]
-    fn stale_flow_events_ignored() {
-        let mut st = mk_state(one_task_workload(1.0, 5.0));
+    fn retimed_flow_fires_once_at_its_latest_eta() {
+        // Two 3-core, 30 core-second tasks on a 4-core machine, the second
+        // placed 4 s in: each rate change moves the one queued completion.
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("j", None, 0.0);
+        b.add_stage(j, "s", vec![], 2, |_| TaskParams {
+            cores: 3.0,
+            mem: GB,
+            duration: 10.0,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs: vec![],
+            output_bytes: 0.0,
+            remote_frac: 1.0,
+        });
+        let mut st = mk_state(b.finish());
         st.job_arrives(JobId(0));
         let mut dirty = DirtySet::default();
         let mut q = EventQueue::new();
         st.apply_assignment(TaskUid(0), MachineId(0), &mut dirty, &mut q);
         st.recompute_dirty(&mut dirty, &mut q);
-        // Wrong generation → ignored.
-        assert_eq!(st.flow_done(FlowId(0), 999, &mut dirty, &mut q), None);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10.0)));
+        st.now = SimTime::from_secs(4.0);
+        st.apply_assignment(TaskUid(1), MachineId(0), &mut dirty, &mut q);
+        st.recompute_dirty(&mut dirty, &mut q);
+        // Flow 0 slowed to 2 cores with 18 left; flow 1 starts at 2.
+        assert_eq!(q.len(), 2);
+        let ev = q.pop().unwrap();
+        assert_eq!(ev.kind, EventKind::FlowDone { flow: FlowId(0) });
+        assert_eq!(ev.time, SimTime::from_secs(13.0));
+        st.now = ev.time;
+        assert_eq!(
+            st.flow_done(FlowId(0), &mut dirty, &mut q),
+            Some(TaskUid(0))
+        );
+        st.recompute_dirty(&mut dirty, &mut q);
+        // Flow 1 speeds back up to 3 cores with 12 left: moved up, once.
+        assert_eq!(q.len(), 1);
+        let ev = q.pop().unwrap();
+        assert_eq!(ev.kind, EventKind::FlowDone { flow: FlowId(1) });
+        assert_eq!(ev.time, SimTime::from_secs(17.0));
+        assert_eq!((st.recompute_visits, st.flow_retimes), (4, 4));
     }
 
     #[test]
@@ -2112,6 +2194,52 @@ mod tests {
     }
 
     #[test]
+    fn zero_byte_remote_input_completes_the_instant_it_starts() {
+        // Legal input. Debug builds used to trip `add_flow`'s assert on it
+        // while release builds ran it as below; now both do.
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("j", None, 0.0);
+        let input = b.stored_input(0.0);
+        b.add_stage(j, "s", vec![], 1, |_| TaskParams {
+            cores: 1.0,
+            mem: GB,
+            duration: 10.0,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs: vec![input],
+            output_bytes: 0.0,
+            remote_frac: 1.0,
+        });
+        let w = b.finish();
+        assert_eq!(w.validate(), Ok(()));
+        let cluster = ClusterConfig::uniform(4, MachineSpec::paper_small());
+        let mut cfg = SimConfig::default();
+        cfg.replication = 1;
+        let mut st = SimState::new(cluster, w, cfg);
+        st.job_arrives(JobId(0));
+        st.now = SimTime::from_secs(3.0);
+        let replica = st.blocks[0][0];
+        let host = MachineId((replica.index() + 1) % 4);
+        let mut dirty = DirtySet::default();
+        let mut q = EventQueue::new();
+        st.apply_assignment(TaskUid(0), host, &mut dirty, &mut q);
+        st.recompute_dirty(&mut dirty, &mut q);
+        // The empty read is a flow like any other, due now; the CPU flow
+        // still has its 10 s.
+        assert_eq!(st.flows.len(), 2);
+        let ev = q.pop().unwrap();
+        assert_eq!(
+            (ev.time, ev.kind),
+            (st.now, EventKind::FlowDone { flow: FlowId(1) })
+        );
+        assert_eq!(st.flow_done(FlowId(1), &mut dirty, &mut q), None);
+        assert!(st.flows[1].done);
+        st.recompute_dirty(&mut dirty, &mut q);
+        assert_eq!(q.pop().unwrap().time, SimTime::from_secs(13.0));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn local_placement_has_no_remote_demand() {
         let mut b = WorkloadBuilder::new();
         let j = b.begin_job("j", None, 0.0);
@@ -2214,8 +2342,7 @@ mod tests {
         // Finish both maps.
         st.now = SimTime::from_secs(5.1);
         for fid in 0..st.flows.len() {
-            let gen = st.flows[fid].gen;
-            if let Some(t) = st.flow_done(FlowId(fid), gen, &mut dirty, &mut q) {
+            if let Some(t) = st.flow_done(FlowId(fid), &mut dirty, &mut q) {
                 st.task_complete(t, &mut dirty);
             }
         }
@@ -2271,9 +2398,9 @@ mod tests {
 
     #[test]
     fn nan_input_bytes_plan_instead_of_panicking() {
-        // A trace file can carry any float: `Workload::validate` checks
-        // demands, not byte counts. With more sources than the fan-in
-        // bound the plan sorts sources by bytes — `partial_cmp().unwrap()`
+        // `Workload::validate` refuses a NaN byte count, and a state built
+        // around it still plans: with more sources than the fan-in bound
+        // the plan sorts sources by bytes — `partial_cmp().unwrap()`
         // panicked on the NaN here.
         let mut b = WorkloadBuilder::new();
         let j = b.begin_job("j", None, 0.0);
@@ -2290,8 +2417,8 @@ mod tests {
         });
         let mut w = b.finish();
         w.jobs[0].stages[0].tasks[0].inputs[2].bytes = f64::NAN;
-        w.validate()
-            .expect("validation does not look at input bytes");
+        let refused = tetris_workload::ValidationError::BadInputBytes(TaskUid(0));
+        assert_eq!(w.validate(), Err(refused));
         let cluster = ClusterConfig::uniform(16, MachineSpec::paper_small());
         let mut cfg = SimConfig::default();
         cfg.replication = 1;

@@ -385,6 +385,9 @@ pub enum ValidationError {
     UnknownBlock(BlockId),
     /// A demand component is negative or NaN.
     BadDemand(TaskUid),
+    /// An input's byte count is negative, NaN or infinite (zero is legal:
+    /// the read completes the instant it starts).
+    BadInputBytes(TaskUid),
     /// Task has work along a dimension but zero peak demand for it, so its
     /// duration would be infinite.
     WorkWithoutDemand {
@@ -439,6 +442,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::UnknownBlock(b) => write!(f, "unknown block {b}"),
             ValidationError::BadDemand(t) => write!(f, "task {t} has negative/NaN demand"),
+            ValidationError::BadInputBytes(t) => {
+                write!(f, "task {t} has a negative/NaN/infinite input size")
+            }
             ValidationError::WorkWithoutDemand { task, resource } => {
                 write!(f, "task {task} has {resource} work but zero demand")
             }
@@ -555,6 +561,9 @@ impl Workload {
                         return Err(ValidationError::BadDemand(task.uid));
                     }
                     for input in &task.inputs {
+                        if !(input.bytes >= 0.0 && input.bytes.is_finite()) {
+                            return Err(ValidationError::BadInputBytes(task.uid));
+                        }
                         match input.source {
                             InputSource::Stored(b) => {
                                 if b.index() >= self.num_blocks {
@@ -759,6 +768,22 @@ mod tests {
     }
 
     #[test]
+    fn detects_bad_input_bytes() {
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut w = simple_workload();
+            w.jobs[0].stages[0].tasks[0].inputs[0].bytes = bad;
+            assert_eq!(
+                w.validate(),
+                Err(ValidationError::BadInputBytes(TaskUid(0))),
+                "{bad}"
+            );
+        }
+        let mut w = simple_workload();
+        w.jobs[0].stages[0].tasks[0].inputs[0].bytes = 0.0;
+        assert_eq!(w.validate(), Ok(()));
+    }
+
+    #[test]
     fn detects_empty_stage() {
         let mut w = simple_workload();
         w.jobs[0].stages[0].tasks.clear();
@@ -926,6 +951,7 @@ mod tests {
             },
             ValidationError::UnknownBlock(BlockId(9)),
             ValidationError::BadDemand(TaskUid(1)),
+            ValidationError::BadInputBytes(TaskUid(1)),
             ValidationError::WorkWithoutDemand {
                 task: TaskUid(1),
                 resource: Resource::Cpu,

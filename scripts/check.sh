@@ -175,8 +175,12 @@ echo "$rec_out" | grep -q "recovered from checkpoint" \
 # JOURNAL_VERSION wrote. Regenerate only with a deliberate
 # JOURNAL_VERSION bump or a golden-changing decision change — the pin
 # and scripts/golden/recovery_frames.txt (`frames rec.wal`) together.
-# This pin is JOURNAL_VERSION 2's (Samples records; sparse tasks and
-# flows in the snapshot), regenerated on purpose; version 1 wrote
+# This pin is JOURNAL_VERSION 3's (no `gen` on a flow or its FlowDone;
+# one queued completion a live flow), regenerated on purpose. Version 2
+# (Samples records; sparse tasks and flows in the snapshot) wrote
+# "1373707829 115954" — as many bytes: this run's two checkpoints, at
+# heartbeats 0 and 4, precede its first placement and hold no flow, so
+# only the header's version digit differs. Version 1 wrote
 # "42343950 876208".
 #
 # One line a frame of journal $1: byte offset, payload CRC, record tag
@@ -191,7 +195,7 @@ frames() {
   done
 }
 wal_sum="$(cksum < "$tmp/rec.wal")" # "<crc> <bytes>"
-if [[ "$wal_sum" != "1373707829 115954" ]]; then
+if [[ "$wal_sum" != "2906723017 115954" ]]; then
   echo "journal bytes changed: cksum $wal_sum; first frame (offset crc tag)" \
     "that differs, written (<) against pinned (>):"
   diff <(frames "$tmp/rec.wal") scripts/golden/recovery_frames.txt | grep -m2 '^[<>]'

@@ -191,6 +191,29 @@ fn facebook_trace_runs_under_all_schedulers() {
 }
 
 #[test]
+fn slot_baseline_costs_the_engine_few_events_per_placement() {
+    // DRF over-allocates disk and network, so every placement and every
+    // completion moves the rates of its neighbours. The queue holds one
+    // completion a flow and re-times it in place: 8.0 events a placement
+    // here, where a queue that kept each superseded completion until it
+    // surfaced made 44.
+    let w = FacebookTraceConfig {
+        n_jobs: 120,
+        scale: 0.03,
+        mean_interarrival: 12.0,
+        ..FacebookTraceConfig::default()
+    }
+    .generate(43);
+    let o = run(&w, Box::new(DrfScheduler::new()), 42);
+    assert!(o.all_jobs_completed());
+    let per_placement = o.stats.events as f64 / o.stats.placements as f64;
+    assert!(
+        per_placement <= 10.0,
+        "{per_placement:.1} events a placement"
+    );
+}
+
+#[test]
 fn estimation_mode_still_completes_and_stays_close_to_oracle() {
     use tetris::scheduler::EstimationMode;
     let w = FacebookTraceConfig {
