@@ -283,7 +283,6 @@ pub fn bench_report(
 mod tests {
     use super::*;
     use crate::experiments;
-    use serde_json::Value;
 
     #[test]
     fn sweep_aggregation_computes_percentiles() {
@@ -313,20 +312,30 @@ mod tests {
         assert_eq!(b.command, vec!["table2"]);
         assert!(b.cpu_seconds > 0.0);
 
+        // What a consumer of the record reads back: a few of its keys.
+        #[derive(serde::Deserialize)]
+        struct Doc {
+            schema: String,
+            experiments: Vec<Row>,
+        }
+        #[derive(serde::Deserialize)]
+        struct Row {
+            id: String,
+            seconds: f64,
+            cpu_seconds: f64,
+            metrics: BTreeMap<String, f64>,
+        }
         let json = serde_json::to_string_pretty(&b).unwrap();
-        let doc = serde_json::parse_value_complete(&json).unwrap();
-        let top = doc.as_obj().unwrap();
-        assert_eq!(Value::field(top, "schema").as_str(), Some(BENCH_SCHEMA));
-        let rows = Value::field(top, "experiments").as_arr().unwrap();
-        assert_eq!(rows.len(), 1, "one row per experiment");
-        let row = rows[0].as_obj().unwrap();
-        assert_eq!(Value::field(row, "id").as_str(), Some("table2"));
-        assert!(matches!(Value::field(row, "seconds"), Value::F64(s) if *s > 0.0));
-        assert!(matches!(Value::field(row, "cpu_seconds"), Value::F64(_)));
-        let metrics = Value::field(row, "metrics").as_obj().unwrap();
+        let doc: Doc = serde_json::from_str(&json).unwrap();
+        assert_eq!(doc.schema, BENCH_SCHEMA);
+        assert_eq!(doc.experiments.len(), 1, "one row per experiment");
+        let row = &doc.experiments[0];
+        assert_eq!(row.id, "table2");
+        assert!(row.seconds > 0.0 && row.cpu_seconds >= 0.0);
         assert!(!runs[0].report.metrics.is_empty());
+        assert_eq!(row.metrics.len(), runs[0].report.metrics.len());
         for (name, value) in &runs[0].report.metrics {
-            assert_eq!(Value::field(metrics, name), &Value::F64(*value), "{name}");
+            assert_eq!(row.metrics.get(*name), Some(value), "{name}");
         }
         assert!(!json.contains("baseline"), "comparison keys are gone");
     }

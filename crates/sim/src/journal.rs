@@ -429,8 +429,8 @@ impl Frame<'_> {
     }
 
     /// The heartbeat of a `Checkpoint` frame, read off the fixed prefix
-    /// [`Journal::append`] gives its payload: no tree built, the state not
-    /// looked at. `None` for any other payload — legal JSON the writer
+    /// [`Journal::append`] gives its payload: nothing decoded, the state
+    /// not looked at. `None` for any other payload — legal JSON the writer
     /// never emits included — which then takes the full decode.
     pub(crate) fn checkpoint_heartbeat(&self) -> Option<u64> {
         let text = self.payload.as_ref().ok()?;

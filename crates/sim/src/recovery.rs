@@ -53,7 +53,7 @@ use crate::journal::{
     JournalRecord,
 };
 use crate::outcome::{EngineStats, Sample, SimOutcome};
-use crate::state::{Flow, JobState, MachineState, Phase, SimState, TaskState};
+use crate::state::{Flow, JobState, MachineState, Phase, SimState, StageState, TaskState};
 use crate::time::SimTime;
 
 /// How a journaled run ended.
@@ -253,6 +253,11 @@ impl<'a> CheckpointState<'a> {
             *state.tasks.get_mut(uid.index()).ok_or(OUTSIDE)? = task.into_owned();
         }
         state.jobs = self.jobs.into_owned();
+        // Its readers binary-search a stage's output list.
+        let sorted = |st: &StageState| st.out_by_machine.windows(2).all(|w| w[0].0 < w[1].0);
+        if !state.jobs.iter().flat_map(|j| &j.stages).all(sorted) {
+            return Err("checkpoint lists a stage's output not in strict machine order");
+        }
         state.blocks = self.blocks.into_owned();
         // A length the journal merely states: refused, not aborted on.
         let reserved = state.flows.try_reserve_exact(self.flows_len);
@@ -507,6 +512,14 @@ mod tests {
         }
     }
 
+    /// Frame `payload` under a correct length and CRC: a forged frame owes
+    /// nothing to `append`.
+    fn frame_by_hand(out: &mut Vec<u8>, payload: &str) {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+        out.extend_from_slice(payload.as_bytes());
+    }
+
     #[test]
     fn plan_requires_matching_fingerprint() {
         let j = mini_journal(&[]);
@@ -556,6 +569,29 @@ mod tests {
         match plan_recovery(&Journal::new(), 0) {
             Err(RecoveryError::Journal(JournalError::Empty)) => {}
             other => panic!("expected Empty, got {other:?}"),
+        }
+    }
+
+    /// Nesting no call stack could follow, under a valid CRC — as the whole
+    /// record, and under a key no record has — is an undecodable record to
+    /// the strict reader and a torn tail to recovery, never an abort.
+    #[test]
+    fn hostile_nesting_in_a_valid_frame_is_a_bad_payload() {
+        let deep = "[".repeat(200_000);
+        let under_unknown_key = format!(r#"{{"BatchStart":{{"heartbeat":2,"now_us":20,"x":{deep}"#);
+        for payload in [deep.clone(), under_unknown_key] {
+            let intact = mini_journal(&[start(1), commit(1, 0)]);
+            let offset = intact.bytes().len() as u64;
+            let mut bytes = intact.bytes().to_vec();
+            frame_by_hand(&mut bytes, &payload);
+            let j = Journal::from_bytes(bytes);
+            assert!(matches!(
+                j.verify(),
+                Err(JournalError::BadPayload { offset: o, .. }) if o == offset
+            ));
+            let (cp, _, plan) = plan_recovery(&j, FINGERPRINT).expect("the prefix recovers");
+            assert_eq!((cp.heartbeat, plan.batches.len()), (0, 1));
+            assert_eq!(plan.stats.discarded_offset, Some(offset));
         }
     }
 
@@ -792,10 +828,7 @@ mod tests {
                 }
                 _ => text.to_string(),
             };
-            // Framed by hand: the forged frame owes nothing to `append`.
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
-            out.extend_from_slice(payload.as_bytes());
+            frame_by_hand(&mut out, &payload);
         }
         (
             Journal::from_bytes(out),
@@ -891,13 +924,14 @@ mod tests {
         }
     }
 
-    /// The engine takes a popped `FlowDone` at its word, so a snapshot
-    /// whose queue and flow table disagree is refused before it runs.
+    /// The engine takes a popped `FlowDone` at its word and binary-searches
+    /// a stage's output list, so a snapshot whose queue and flow table
+    /// disagree, or whose list is unsorted, is refused before it runs.
     #[test]
-    fn queued_completion_without_one_live_flow_is_a_typed_error() {
+    fn snapshot_that_contradicts_itself_is_a_typed_error() {
         let journal = crashed_journal_at(13);
         type Damage = fn(&mut CheckpointState<'static>);
-        let corpus: [(&str, Damage); 2] = [
+        let corpus: [(&str, Damage); 3] = [
             ("two completions for one flow", |cp| {
                 let is_done = |e: &&Event| matches!(e.kind, EventKind::FlowDone { .. });
                 let dup = cp.events.iter().find(is_done).expect("a live flow").clone();
@@ -906,6 +940,15 @@ mod tests {
             ("a flow that is not live", |cp| {
                 // Out of the snapshot, so restored as a tombstone.
                 cp.flows.remove(0);
+            }),
+            ("a stage's output not in strict machine order", |cp| {
+                // One machine holds it all here: listed twice, it is as
+                // unsearchable as two machines swapped.
+                let mut stages = cp.jobs.to_mut().iter_mut().flat_map(|j| &mut j.stages);
+                let outs =
+                    stages.find_map(|st| Some(&mut st.out_by_machine).filter(|o| !o.is_empty()));
+                let outs = outs.expect("a stage with output");
+                outs.push(outs[0]);
             }),
         ];
         for (what, damage) in corpus {

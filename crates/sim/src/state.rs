@@ -24,7 +24,7 @@
 //! redistributed to unconstrained flows) only makes the simulator slightly
 //! pessimistic for *all* schedulers equally.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
@@ -249,7 +249,7 @@ pub(crate) struct TaskState {
     pub planned: Option<f64>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub(crate) struct StageState {
     pub unlocked: bool,
     pub pending: Vec<TaskUid>,
@@ -259,54 +259,11 @@ pub(crate) struct StageState {
     /// True if some later stage of the job depends on this one — i.e. this
     /// stage precedes a barrier (§3.5).
     pub feeds_downstream: bool,
-    /// Bytes of stage output per machine (filled as tasks finish; consumed
-    /// by downstream shuffle readers).
-    pub out_by_machine: BTreeMap<MachineId, f64>,
+    /// Bytes of stage output per machine, sorted by machine and one entry
+    /// each (filled as tasks finish; consumed by downstream shuffle
+    /// readers).
+    pub out_by_machine: Vec<(MachineId, f64)>,
     pub total_out: f64,
-}
-
-// Hand-written: the vendored serde maps only `BTreeMap<String, _>` to
-// JSON objects, so `out_by_machine` checkpoints as sorted
-// `[machine, bytes]` pairs (BTreeMap iteration order is already
-// deterministic).
-impl serde::Serialize for StageState {
-    fn write_json(&self, out: &mut String) {
-        let outs: Vec<(MachineId, f64)> =
-            self.out_by_machine.iter().map(|(k, v)| (*k, *v)).collect();
-        serde::Compound::object(out)
-            .field("unlocked", &self.unlocked)
-            .field("pending", &self.pending)
-            .field("running", &self.running)
-            .field("finished", &self.finished)
-            .field("total", &self.total)
-            .field("feeds_downstream", &self.feeds_downstream)
-            .field("out_by_machine", &outs)
-            .field("total_out", &self.total_out)
-            .end();
-    }
-}
-
-impl serde::Deserialize for StageState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::custom("StageState: expected object"))?;
-        let outs: Vec<(MachineId, f64)> =
-            serde::Deserialize::from_value(serde::Value::field(obj, "out_by_machine"))?;
-        Ok(StageState {
-            unlocked: serde::Deserialize::from_value(serde::Value::field(obj, "unlocked"))?,
-            pending: serde::Deserialize::from_value(serde::Value::field(obj, "pending"))?,
-            running: serde::Deserialize::from_value(serde::Value::field(obj, "running"))?,
-            finished: serde::Deserialize::from_value(serde::Value::field(obj, "finished"))?,
-            total: serde::Deserialize::from_value(serde::Value::field(obj, "total"))?,
-            feeds_downstream: serde::Deserialize::from_value(serde::Value::field(
-                obj,
-                "feeds_downstream",
-            ))?,
-            out_by_machine: outs.into_iter().collect(),
-            total_out: serde::Deserialize::from_value(serde::Value::field(obj, "total_out"))?,
-        })
-    }
 }
 
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -566,7 +523,7 @@ impl SimState {
                     finished: 0,
                     total: stage.tasks.len(),
                     feeds_downstream,
-                    out_by_machine: BTreeMap::new(),
+                    out_by_machine: Vec::new(),
                     total_out: 0.0,
                 });
             }
@@ -791,7 +748,8 @@ impl SimState {
                 InputSource::Stored(b) => self.blocks[b.index()].contains(&machine),
                 InputSource::Shuffle { stage } => self.jobs[ji].stages[stage]
                     .out_by_machine
-                    .contains_key(&machine),
+                    .binary_search_by_key(&machine, |&(m, _)| m)
+                    .is_ok(),
             })
     }
 
@@ -834,7 +792,7 @@ impl SimState {
                         continue;
                     }
                     let frac = input.bytes / st.total_out;
-                    for (&m, &bytes) in &st.out_by_machine {
+                    for &(m, bytes) in &st.out_by_machine {
                         let share = bytes * frac;
                         if share <= 0.0 {
                             continue;
@@ -1313,7 +1271,11 @@ impl SimState {
         let out = self.spec(uid).output_bytes;
         if out > 0.0 {
             let stage = &mut self.jobs[ji].stages[si];
-            *stage.out_by_machine.entry(host).or_default() += out;
+            let outs = &mut stage.out_by_machine;
+            match outs.binary_search_by_key(&host, |&(m, _)| m) {
+                Ok(i) => outs[i].1 += out,
+                Err(i) => outs.insert(i, (host, out)),
+            }
             stage.total_out += out;
         }
         let job_finished = self.note_task_terminal(ji, si);

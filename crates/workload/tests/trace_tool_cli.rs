@@ -36,3 +36,21 @@ fn unwritable_output_path_is_a_usage_error() {
     assert!(stderr.contains(path), "names the path: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A trace file is outside input too: nesting no call stack could follow
+/// is a parse error and exit code 1, not a stack overflow (`code()` is
+/// `None` when a signal killed the tool).
+#[test]
+fn hostile_nesting_in_a_trace_file_is_a_json_error() {
+    let path = std::env::temp_dir().join(format!("tetris-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(100_000)).expect("temp file writes");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace-tool"))
+        .arg("info")
+        .arg(&path)
+        .output()
+        .expect("trace-tool spawns");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("trace json error"), "{stderr}");
+}

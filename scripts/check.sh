@@ -99,6 +99,16 @@ grep -q "packing_efficiency" "$tmp/report.txt" \
   || { echo "report missing summary"; exit 1; }
 head -1 "$tmp/ts.csv" | grep -q "^t,cpu_alloc" || { echo "bad csv header"; exit 1; }
 
+echo "== hostile-input smoke (nesting deeper than any stack is a parse error) =="
+# 100 000 `[` is no trace, and must be refused as one: exit code 1 with
+# the parse error on stderr. A stack overflow aborts instead, which bash
+# reports as 128 + the signal (134).
+head -c 100000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
+code=0
+target/release/trace-tool info "$tmp/deep.json" 2> "$tmp/deep.err" || code=$?
+[[ "$code" == 1 ]] && grep -q "trace json error" "$tmp/deep.err" \
+  || { echo "trace-tool info on hostile nesting: exit $code"; cat "$tmp/deep.err"; exit 1; }
+
 echo "== table8 smoke (incremental heartbeat path) =="
 # The probe inside table8 asserts incremental == full-rebuild decisions
 # every heartbeat; here we additionally check the event-driven path was
