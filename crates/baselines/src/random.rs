@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tetris_resources::ResourceVec;
-use tetris_sim::{Assignment, ClusterView, MachineId, SchedulerPolicy};
+use tetris_sim::{Assignment, ClusterView, MachineId, PlacementPlan, SchedulerPolicy};
 
 /// Random scheduler: shuffles pending tasks, places each on a uniformly
 /// random machine among those where its full plan fits.
@@ -62,12 +62,13 @@ impl SchedulerPolicy for RandomScheduler {
         let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
         let n = view.num_machines();
         let mut out = Vec::new();
+        let mut plan = PlacementPlan::default();
         for t in tasks {
             // Random starting machine, linear probe for a fit.
             let start = self.rng.gen_range(0..n);
             for off in 0..n {
                 let m = MachineId((start + off) % n);
-                let plan = view.plan(t, m);
+                view.plan_into(t, m, &mut plan);
                 let fits = plan.local.fits_within(&avail[m.index()])
                     && plan
                         .remote

@@ -8,7 +8,7 @@
 //! improvement...").
 
 use tetris_resources::{Resource, ResourceVec};
-use tetris_sim::{Assignment, ClusterView, MachineId, SchedulerPolicy};
+use tetris_sim::{Assignment, ClusterView, MachineId, PlacementPlan, SchedulerPolicy};
 use tetris_workload::JobId;
 
 /// SRTF-only scheduler.
@@ -36,6 +36,7 @@ struct Scratch {
     avail: Vec<ResourceVec>,
     preferred: Vec<MachineId>,
     candidates: Vec<MachineId>,
+    plan: PlacementPlan,
 }
 
 /// The demand components a placement plan cannot change: Cpu, Mem and
@@ -84,6 +85,7 @@ impl SchedulerPolicy for SrtfScheduler {
             avail,
             preferred,
             candidates,
+            plan,
         } = &mut self.scratch;
         // Fault awareness: skipping down machines and stably pushing
         // suspect ones last are both exact no-ops without fault injection
@@ -145,7 +147,7 @@ impl SchedulerPolicy for SrtfScheduler {
                     if !exhaustive && !quick.fits_within(&avail[m.index()]) {
                         continue;
                     }
-                    let plan = view.plan(t, m);
+                    view.plan_into(t, m, plan);
                     let fits = plan.local.fits_within(&avail[m.index()])
                         && plan
                             .remote

@@ -5,9 +5,9 @@
 use tetris_resources::{Resource, ResourceVec};
 use tetris_sim::{
     Assignment, ClusterView, DecisionScores, MachineId, PlacementPlan, PlacementProvenance,
-    RejectedCandidate, SchedulerEvent, SchedulerPolicy, StageProgress,
+    RejectedCandidate, SchedulerEvent, SchedulerPolicy, StageProgress, SHUFFLE_SHARE_MARGIN,
 };
-use tetris_workload::{JobId, TaskUid};
+use tetris_workload::{InputSource, JobId, TaskUid};
 
 use crate::align::AlignmentKind;
 use crate::barrier::stage_promoted;
@@ -160,13 +160,27 @@ struct Candidate {
     norms_start: usize,
     /// Cached "has a head task" flag, maintained as `next` advances.
     alive: bool,
-    /// The head's plan failed this call on a remote input source, for a
-    /// machine it reads nothing from locally. Every other such machine
-    /// gets the same plan (`ClusterView::task_reads_locally`) against a
-    /// working ledger that only shrinks within a call, so it would fail
-    /// there too: see [`Candidate::blocked_on`]. Reset wherever `next`
+    /// What the head's failed plans prove this call about machines not
+    /// yet planned (see [`Candidate::blocked_on`]). Reset wherever `next`
     /// advances — the memo is about one head.
-    blocked: bool,
+    blocked: Blocked,
+}
+
+/// The `blocked` memo: what a plan of the current head that failed on a
+/// remote input source, for a machine it reads nothing from locally,
+/// says about other machines. Every such machine gets that same plan
+/// (`ClusterView::task_reads_locally`), and the working ledger only
+/// shrinks within a call, so it fails there too.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Blocked {
+    /// No such failure yet.
+    No,
+    /// It fails on every machine the head reads nothing from.
+    Remote,
+    /// The head reads shuffle output only, and source `s` refused its
+    /// demand even less `SHUFFLE_SHARE_MARGIN`: on any host but `s`, the
+    /// plan asks at least that much of `s`, so it fails everywhere else.
+    Source(MachineId),
 }
 
 impl Candidate {
@@ -186,16 +200,19 @@ impl Candidate {
     fn advance(&mut self, view: &ClusterView<'_>) {
         self.next += 1;
         self.alive = self.head(view).is_some();
-        self.blocked = false;
+        self.blocked = Blocked::No;
     }
 
     /// True when the `blocked` memo already answers "does the head fit on
-    /// `m`?" with no: `m` would get the plan that failed on a source.
+    /// `m`?" with no.
     fn blocked_on(&self, view: &ClusterView<'_>, m: MachineId) -> bool {
-        self.blocked
-            && self
+        match self.blocked {
+            Blocked::No => false,
+            Blocked::Remote => self
                 .head(view)
-                .is_some_and(|h| !view.task_reads_locally(h, m))
+                .is_some_and(|h| !view.task_reads_locally(h, m)),
+            Blocked::Source(s) => m != s,
+        }
     }
 }
 
@@ -468,6 +485,34 @@ impl AvailCache {
         plan.remote
             .iter()
             .all(|(src, dem)| dem.fits_within(&self.get(view, *src)))
+    }
+
+    /// The memo earned by `try_commit`'s plan of `task` — all inputs
+    /// remote — having failed on a source: [`Blocked::Source`] if the
+    /// head reads shuffle output only and a source refuses its demand
+    /// even less the margin, [`Blocked::Remote`] otherwise. Out of line:
+    /// it runs once per blocked head per call, and inlined into
+    /// `schedule` it slowed the 52 k-pending cold decision — stored
+    /// inputs only, so `Remote` every time — by ≈ 3 % (2-vCPU host).
+    #[cold]
+    #[inline(never)]
+    fn blocked_memo(&mut self, view: &ClusterView<'_>, task: TaskUid) -> Blocked {
+        let inputs = &view.task(task).inputs;
+        if !inputs
+            .iter()
+            .all(|i| matches!(i.source, InputSource::Shuffle { .. }))
+        {
+            return Blocked::Remote;
+        }
+        let plan = std::mem::take(&mut self.plan);
+        let least = 1.0 - SHUFFLE_SHARE_MARGIN;
+        let refused = plan
+            .remote
+            .iter()
+            .find(|&&(src, dem)| !(dem * least).fits_within(&self.get(view, src)));
+        let memo = refused.map_or(Blocked::Remote, |&(src, _)| Blocked::Source(src));
+        self.plan = plan;
+        memo
     }
 
     /// Debug builds re-plan every (head, machine) pair the `blocked` memo
@@ -895,7 +940,7 @@ impl SchedulerPolicy for TetrisScheduler {
                     next: 0,
                     norms_start: usize::MAX, // filled for live candidates
                     alive: true,
-                    blocked: false,
+                    blocked: Blocked::No,
                 });
             }
         }
@@ -1165,8 +1210,9 @@ impl SchedulerPolicy for TetrisScheduler {
                 let local = match avail.try_commit(view, cfg.consider_io_dims, uid, m) {
                     Ok(local) => local,
                     Err(why) => {
-                        cands[ci].blocked |=
-                            why == PlanFailure::Source && !view.task_reads_locally(uid, m);
+                        if why == PlanFailure::Source && !view.task_reads_locally(uid, m) {
+                            cands[ci].blocked = avail.blocked_memo(view, uid);
+                        }
                         banned.insert(ci, m.index());
                         continue;
                     }

@@ -16,7 +16,7 @@ use crate::outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, 
 use crate::recovery::{
     run_fingerprint, CheckpointState, Recovered, RecoveryError, ReplayPlan, RunResult,
 };
-use crate::state::{DirtySet, Phase, SimState, TaskCompletion};
+use crate::state::{DirtySet, Phase, PlacementPlan, SimState, TaskCompletion};
 use crate::time::SimTime;
 use crate::view::{ClusterView, SchedulerEvent, SchedulerPolicy};
 use tetris_workload::JobId;
@@ -1163,10 +1163,11 @@ impl SchedulerPolicy for GreedyFifo {
         let query = view.query();
         let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
         let mut out = Vec::new();
+        let mut plan = PlacementPlan::default();
         for j in view.active_jobs() {
             for t in view.job_pending(j) {
                 for m in query.iter_all() {
-                    let plan = view.plan(t, m);
+                    view.plan_into(t, m, &mut plan);
                     // Full feasibility: local demand at the host and
                     // disk/net-out demand at every remote input source.
                     let fits = plan.local.fits_within(&avail[m.index()])

@@ -74,7 +74,7 @@ pub use journal::{DiscardedTail, Journal, JournalError, JournalStats, JOURNAL_VE
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
 pub use recovery::{Recovered, RecoveryError, RecoveryStats, RunResult};
 pub use sharded::{owner_shard, CommitOverlay, ShardedScheduler, ShardedStats};
-pub use state::{PlacementPlan, TaskCompletion};
+pub use state::{PlacementPlan, TaskCompletion, SHUFFLE_SHARE_MARGIN};
 pub use time::SimTime;
 pub use view::{
     plan_priority_preemption, Assignment, ClusterView, MachineQuery, MarkAllDirty, SchedulerEvent,

@@ -15,7 +15,7 @@ use tetris_workload::{JobId, Workload};
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::SimConfig;
 use crate::events::EventQueue;
-use crate::state::{DirtySet, SimState};
+use crate::state::{DirtySet, PlacementPlan, SimState};
 use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy};
 
 /// A reusable snapshot of "all jobs pending" state.
@@ -502,14 +502,15 @@ impl ColdPassProbe {
         let mut queue = EventQueue::new();
         let mut mi = 0usize;
         let mut avail = state.machines.first().map(|m| m.capacity);
+        let mut plan = PlacementPlan::default();
         for uid in uids {
             loop {
                 if mi >= state.machines.len() {
                     break;
                 }
                 let m = MachineId(mi);
-                let fits =
-                    avail.is_some_and(|a| state.placement_plan(uid, m).local.fits_within(&a));
+                state.placement_plan_into(uid, m, &mut plan);
+                let fits = avail.is_some_and(|a| plan.local.fits_within(&a));
                 if !free.contains(&m) && fits && state.assignment_valid(uid, m) {
                     break;
                 }
@@ -520,7 +521,7 @@ impl ColdPassProbe {
                 break;
             }
             let m = MachineId(mi);
-            let local = state.placement_plan(uid, m).local;
+            let local = plan.local;
             state.apply_assignment(uid, m, &mut dirty, &mut queue);
             if let Some(a) = avail.as_mut() {
                 *a -= local;

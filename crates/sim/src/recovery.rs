@@ -278,6 +278,7 @@ impl<'a> CheckpointState<'a> {
         state.freed_hint = self.freed_hint.into_owned();
         state.index_rebuild();
         state.rebuild_factors();
+        state.rank_finished_stages();
         // The engine takes a popped `FlowDone` at its word.
         let live = |flow: FlowId| state.flows.get(flow.0).is_some_and(|f| !f.done);
         let queue = EventQueue::restore(self.events, self.next_seq, live)?;

@@ -37,6 +37,7 @@ use tetris_workload::{JobId, TaskUid};
 
 use crate::cluster::MachineId;
 use crate::pool::pool_map;
+use crate::state::PlacementPlan;
 use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, ShardScope};
 
 /// Bound on intra-heartbeat retry rounds for shards whose proposals lost
@@ -218,7 +219,7 @@ impl ShardedScheduler {
         view: &ClusterView<'_>,
         overlay: &CommitOverlay,
         machine: MachineId,
-        plan: &crate::state::PlacementPlan,
+        plan: &PlacementPlan,
     ) -> bool {
         let avail = |m: MachineId| {
             let mut a = view.available(m);
@@ -261,6 +262,7 @@ impl ShardedScheduler {
         touched.sort_unstable();
         touched.dedup();
         touched.retain(|&m| !view.is_down(m));
+        let mut plan = PlacementPlan::default();
         rejected.iter().any(|&(t, _)| {
             view.is_runnable(t)
                 && touched.iter().any(|&m| {
@@ -268,7 +270,8 @@ impl ShardedScheduler {
                     if let Some(c) = overlay.charged(m) {
                         a -= *c;
                     }
-                    view.plan(t, m).local.fits_within(&a)
+                    view.plan_into(t, m, &mut plan);
+                    plan.local.fits_within(&a)
                 })
         })
     }
@@ -390,6 +393,7 @@ impl SchedulerPolicy for ShardedScheduler {
             // tie-break), proposals in each shard's own order.
             let mut losers: Vec<usize> = Vec::new();
             let mut rejected: Vec<(TaskUid, MachineId)> = Vec::new();
+            let mut plan = PlacementPlan::default();
             for (si, proposals, ns) in results {
                 self.shard_ns.push(ns);
                 let mut lost = false;
@@ -407,7 +411,7 @@ impl SchedulerPolicy for ShardedScheduler {
                         // in tests/prop_sharded.rs.
                         continue;
                     }
-                    let plan = view.plan(a.task, a.machine);
+                    view.plan_into(a.task, a.machine, &mut plan);
                     if view.is_runnable(a.task)
                         && !view.is_down(a.machine)
                         && Self::commit_fits(view, &overlay, a.machine, &plan)

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
-use tetris_workload::{InputSource, JobId, TaskSpec, TaskUid, Workload};
+use tetris_workload::{InputSource, InputSpec, JobId, TaskSpec, TaskUid, Workload};
 
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::{ExternalLoad, SimConfig};
@@ -338,6 +338,16 @@ pub struct PlacementPlan {
     pub est_duration: f64,
 }
 
+/// Relative rounding allowance of the placement plan's one monotonicity
+/// claim: a task whose inputs are all shuffle reads asks each source `s`
+/// of its all-remote plan, on any host but `s`, for at least that plan's
+/// demand at `s` times `1 − SHUFFLE_SHARE_MARGIN`. The exact shares obey
+/// it with no margin (a host that holds output leaves the source list, so
+/// the kept sum cannot grow); the computed ones differ from them by a few
+/// ulps a summed source. Pinned by `tests/prop_plan.rs`; Tetris's
+/// `blocked` memo leans on it (DESIGN.md §9).
+pub const SHUFFLE_SHARE_MARGIN: f64 = 1e-9;
+
 impl PlacementPlan {
     /// True if any input comes from a remote machine.
     pub fn is_remote(&self) -> bool {
@@ -479,6 +489,15 @@ pub(crate) struct SimState {
     /// flow's `rate` was computed from. Derived, so not checkpointed.
     link_factor: Vec<f64>,
     thrash: Vec<f64>,
+    /// `[job][stage]`: the output map of each finished stage with more
+    /// sources than `shuffle_fanin`, ordered as the fan-in bound keeps
+    /// them — bytes descending, then machine ascending (empty elsewhere;
+    /// grown as stages finish). Derived, so not checkpointed:
+    /// `rank_finished_stages` rebuilds it at restore.
+    shuffle_ranks: Vec<Vec<Vec<(MachineId, f64)>>>,
+    /// The plan `apply_assignment` resolves into, placement after
+    /// placement.
+    applied_plan: PlacementPlan,
     /// Flows `recompute_dirty` visited, and how many of them it re-timed
     /// (`names::RECOMPUTE_VISITS`, `names::FLOW_RETIMES`).
     pub recompute_visits: u64,
@@ -592,6 +611,8 @@ impl SimState {
             plans: AtomicU64::new(0),
             link_factor: vec![1.0; n_machines * NUM_RESOURCES],
             thrash: vec![1.0; n_machines],
+            shuffle_ranks: Vec::new(),
+            applied_plan: PlacementPlan::default(),
             recompute_visits: 0,
             flow_retimes: 0,
         };
@@ -612,6 +633,39 @@ impl SimState {
             .iter()
             .map(|ms| ms.thrash_factor(cfg))
             .collect();
+    }
+
+    /// Rank a finished stage's output map for `ranked_reads`, if it has
+    /// more sources than the fan-in bound keeps (below it the general
+    /// path neither sorts nor truncates). Once per stage: a finished
+    /// stage's map never changes again.
+    fn rank_stage(&mut self, ji: usize, si: usize) {
+        let outs = &self.jobs[ji].stages[si].out_by_machine;
+        if outs.len() <= self.cfg.shuffle_fanin {
+            return;
+        }
+        let mut rank = outs.clone();
+        rank.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        if self.shuffle_ranks.len() <= ji {
+            self.shuffle_ranks.resize_with(ji + 1, Vec::new);
+        }
+        let job = &mut self.shuffle_ranks[ji];
+        if job.len() <= si {
+            job.resize_with(si + 1, Vec::new);
+        }
+        job[si] = rank;
+    }
+
+    /// Rank every finished stage (a restored checkpoint).
+    pub(crate) fn rank_finished_stages(&mut self) {
+        for ji in 0..self.jobs.len() {
+            for si in 0..self.jobs[ji].stages.len() {
+                let st = &self.jobs[ji].stages[si];
+                if st.finished == st.total {
+                    self.rank_stage(ji, si);
+                }
+            }
+        }
     }
 
     /// The index's availability upper bound for one machine: a vector
@@ -753,12 +807,15 @@ impl SimState {
             })
     }
 
-    /// [`SimState::placement_plan`] into a caller-owned plan: every field
-    /// of `plan` is overwritten and its two vectors are reused, so a
-    /// caller that keeps one plan across calls allocates nothing once
-    /// they have grown to the widest fan-in seen.
-    pub fn placement_plan_into(&self, uid: TaskUid, machine: MachineId, plan: &mut PlacementPlan) {
-        self.plans.fetch_add(1, Ordering::Relaxed);
+    /// The read half of a plan, for any task: bytes read from the host's
+    /// disks (returned) and from each remote source (`remote`, sorted by
+    /// machine), the fan-in bound applied.
+    fn general_reads(
+        &self,
+        uid: TaskUid,
+        machine: MachineId,
+        remote: &mut Vec<(MachineId, f64)>,
+    ) -> f64 {
         let spec = self.spec(uid);
         let (ji, _, _) = self.task_loc[uid.index()];
         let mut local_bytes = 0.0f64;
@@ -766,7 +823,6 @@ impl SimState {
         // input order: the sorted map this used to build, key for key
         // and `+=` for `+=`, in the plan's own vector. A shuffle stage's
         // sources arrive in machine order, so its inserts are appends.
-        let remote = &mut plan.remote_reads;
         remote.clear();
         let mut add_remote =
             |src: MachineId, bytes: f64| match remote.binary_search_by_key(&src, |&(m, _)| m) {
@@ -831,6 +887,110 @@ impl SimState {
             }
             remote.sort_by_key(|(m, _)| *m);
         }
+        local_bytes
+    }
+
+    /// [`SimState::general_reads`] in O(sources) for a task whose one
+    /// input is a shuffle of a ranked stage (`rank_stage`), or `None` for
+    /// the general path to answer. Walking the ranking without the host
+    /// visits the sources in the order the general path sorts them into,
+    /// with every share computed as it computes them (`bytes * frac`), so
+    /// `kept` and `tail` add the same values in the same order and every
+    /// float is bit-identical. The one way the orders part: two sources
+    /// whose bytes differ but whose shares round equal are sorted by
+    /// machine there and by bytes here. That matters only when such a run
+    /// of equal shares straddles the kept/tail boundary (elsewhere it
+    /// swaps equal addends); the walk detects it and falls back.
+    fn ranked_reads(
+        &self,
+        uid: TaskUid,
+        machine: MachineId,
+        remote: &mut Vec<(MachineId, f64)>,
+    ) -> Option<f64> {
+        let [InputSpec {
+            source: InputSource::Shuffle { stage },
+            bytes,
+        }] = self.spec(uid).inputs[..]
+        else {
+            return None;
+        };
+        let (ji, _, _) = self.task_loc[uid.index()];
+        let rank = self.shuffle_ranks.get(ji)?.get(stage)?;
+        if rank.is_empty() {
+            return None; // unfinished, or no more sources than the bound keeps
+        }
+        let frac = bytes / self.jobs[ji].stages[stage].total_out;
+        let fanin = self.cfg.shuffle_fanin;
+        remote.clear();
+        let (mut local_bytes, mut kept, mut tail) = (0.0f64, 0.0f64, 0.0f64);
+        let mut sources = 0;
+        // The run of equal shares the walk is in: its share, its first
+        // source's bytes, and how many sources preceded it.
+        let (mut run_share, mut run_bytes, mut run_start) = (f64::NAN, 0.0, 0);
+        for &(m, out) in rank {
+            let share = out * frac;
+            if !(share > 0.0) {
+                return None;
+            }
+            if m == machine {
+                local_bytes += share;
+                continue;
+            }
+            if share != run_share {
+                (run_share, run_bytes, run_start) = (share, out, sources);
+            } else if sources >= fanin && run_start < fanin && out != run_bytes {
+                return None;
+            }
+            if sources < fanin {
+                kept += share;
+                remote.push((m, share));
+            } else {
+                tail += share;
+            }
+            sources += 1;
+        }
+        if sources > fanin {
+            let scale = (kept + tail) / kept;
+            for (_, b) in remote.iter_mut() {
+                *b *= scale;
+            }
+        }
+        remote.sort_unstable_by_key(|&(m, _)| m);
+        Some(local_bytes)
+    }
+
+    /// Debug builds re-derive every ranked plan's reads by the general
+    /// path (the rest of a plan is computed from them by one code path):
+    /// every float bit-equal.
+    #[cfg(debug_assertions)]
+    fn assert_ranked(&self, uid: TaskUid, m: MachineId, local: f64, remote: &[(MachineId, f64)]) {
+        let mut general = Vec::new();
+        let general_local = self.general_reads(uid, m, &mut general);
+        let bits = |reads: &[(MachineId, f64)]| -> Vec<_> {
+            reads.iter().map(|&(m, b)| (m, b.to_bits())).collect()
+        };
+        assert!(
+            local.to_bits() == general_local.to_bits() && bits(remote) == bits(&general),
+            "ranked plan of {uid:?} on {m:?}: {local} {remote:?}, general: {general_local} {general:?}"
+        );
+    }
+
+    /// [`SimState::placement_plan`] into a caller-owned plan: every field
+    /// of `plan` is overwritten and its two vectors are reused, so a
+    /// caller that keeps one plan across calls allocates nothing once
+    /// they have grown to the widest fan-in seen.
+    pub fn placement_plan_into(&self, uid: TaskUid, machine: MachineId, plan: &mut PlacementPlan) {
+        self.plans.fetch_add(1, Ordering::Relaxed);
+        let spec = self.spec(uid);
+        let local_bytes = match self.ranked_reads(uid, machine, &mut plan.remote_reads) {
+            Some(local_bytes) => {
+                #[cfg(debug_assertions)]
+                self.assert_ranked(uid, machine, local_bytes, &plan.remote_reads);
+                local_bytes
+            }
+            None => self.general_reads(uid, machine, &mut plan.remote_reads),
+        };
+        let remote = &plan.remote_reads;
 
         let remote_total: f64 = remote.iter().map(|(_, b)| b).sum();
         let d = spec.demand;
@@ -902,7 +1062,8 @@ impl SimState {
         queue: &mut EventQueue,
     ) {
         debug_assert!(self.assignment_valid(uid, machine));
-        let plan = self.placement_plan(uid, machine);
+        let mut plan = std::mem::take(&mut self.applied_plan);
+        self.placement_plan_into(uid, machine, &mut plan);
         let (ji, si, _) = self.task_loc[uid.index()];
         let spec = self.spec(uid);
         let d = spec.demand;
@@ -1017,6 +1178,7 @@ impl SimState {
             // Zero-work task: completes immediately.
             queue.push(self.now, EventKind::TaskDone { task: uid, gen });
         }
+        self.applied_plan = plan;
     }
 
     fn add_flow(
@@ -1271,6 +1433,8 @@ impl SimState {
         let out = self.spec(uid).output_bytes;
         if out > 0.0 {
             let stage = &mut self.jobs[ji].stages[si];
+            // A finished stage's map is ranked once (`rank_stage`).
+            debug_assert!(stage.finished < stage.total, "output after stage end");
             let outs = &mut stage.out_by_machine;
             match outs.binary_search_by_key(&host, |&(m, _)| m) {
                 Ok(i) => outs[i].1 += out,
@@ -1298,6 +1462,7 @@ impl SimState {
         let stage_done = stage.finished == stage.total;
 
         if stage_done {
+            self.rank_stage(ji, si);
             // Unlock downstream stages whose deps are all complete.
             let to_unlock: Vec<usize> = self.workload.jobs[ji]
                 .stages
@@ -2356,6 +2521,73 @@ mod tests {
             (total - 80.0 * MB).abs() < 1.0,
             "bytes not conserved: {total}"
         );
+    }
+
+    #[test]
+    fn ranked_reads_fall_back_where_rounding_ties_straddle_the_bound() {
+        // Five map outputs, fan-in 3: 40 and 30 MB on machines 0 and 1,
+        // `x` on 2 and the next float up on 3, 1 MB on 4. The ranking puts
+        // 3 before 2; a reader of a `frac` that rounds both shares equal
+        // has them straddle the bound in the general path's order, which
+        // breaks the tie by machine and keeps 2.
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("j", None, 0.0);
+        let params = |inputs| TaskParams {
+            cores: 1.0,
+            mem: GB,
+            duration: 5.0,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs,
+            output_bytes: MB,
+            remote_frac: 1.0,
+        };
+        b.add_stage(j, "map", vec![], 5, |_| params(vec![]));
+        let shuffle = |bytes| {
+            vec![InputSpec {
+                source: InputSource::Shuffle { stage: 0 },
+                bytes,
+            }]
+        };
+        b.add_stage(j, "reduce", vec![0], 1, |_| params(shuffle(MB)));
+        let mut w = b.finish();
+        let x = 20.0 * MB + 0.3;
+        let outs = [40.0 * MB, 30.0 * MB, x, x.next_up(), MB];
+        let total: f64 = outs.iter().sum();
+        let tied = |bytes: f64| x * (bytes / total) == x.next_up() * (bytes / total);
+        let bytes = (1..10_000).map(|k| k as f64 * 1e3).find(|&b| tied(b));
+        w.jobs[0].stages[1].tasks[0].inputs = shuffle(bytes.expect("a frac that ties them"));
+        let mut cfg = SimConfig::default();
+        cfg.shuffle_fanin = 3;
+        let mut st = SimState::new(
+            ClusterConfig::uniform(6, MachineSpec::paper_small()),
+            w,
+            cfg,
+        );
+        let stage = &mut st.jobs[0].stages[0];
+        stage.out_by_machine = outs
+            .iter()
+            .enumerate()
+            .map(|(m, &b)| (MachineId(m), b))
+            .collect();
+        stage.total_out = total;
+        stage.finished = stage.total;
+        st.rank_stage(0, 0);
+        let reader = TaskUid(5);
+        let mut reads = Vec::new();
+        assert_eq!(st.ranked_reads(reader, MachineId(5), &mut reads), None);
+        let kept: Vec<_> = st.placement_plan(reader, MachineId(5)).remote_reads;
+        let kept: Vec<_> = kept.iter().map(|&(m, _)| m.index()).collect();
+        assert_eq!(kept, [0, 1, 2]);
+        // Read from machine 0 the tied pair sits inside the kept set: the
+        // walk answers, bit for bit the general path's answer.
+        let local = st.ranked_reads(reader, MachineId(0), &mut reads);
+        let mut general = Vec::new();
+        let general_local = st.general_reads(reader, MachineId(0), &mut general);
+        assert_eq!(local.map(f64::to_bits), Some(general_local.to_bits()));
+        let bits =
+            |r: &[(MachineId, f64)]| r.iter().map(|&(m, b)| (m, b.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&reads), bits(&general));
     }
 
     #[test]

@@ -1127,9 +1127,12 @@ pub fn plan_priority_preemption(
         return None;
     }
 
-    // Best (victim-count, machine) plan across eligible machines.
+    // Best (victim-count, machine) plan across eligible machines; one
+    // plan and two victim lists serve every machine.
     let cap = view.max_evictions();
-    let mut best: Option<(usize, MachineId, Vec<TaskUid>)> = None;
+    let mut best: Option<MachineId> = None;
+    let mut plan = PlacementPlan::default();
+    let (mut victims, mut best_victims) = (Vec::new(), Vec::new());
     for m in query.iter_all() {
         if view.is_down(m) || view.is_suspect(m) {
             continue;
@@ -1137,7 +1140,7 @@ pub fn plan_priority_preemption(
         if !view.constraints_allow(job, m) {
             continue;
         }
-        let plan = view.plan(task, m);
+        view.plan_into(task, m, &mut plan);
         // Remote demands must fit without eviction: evicting here frees
         // nothing on the input hosts.
         if plan
@@ -1148,7 +1151,7 @@ pub fn plan_priority_preemption(
             continue;
         }
         let mut avail = view.available(m);
-        let mut victims: Vec<TaskUid> = Vec::new();
+        victims.clear();
         for &v in view.machine_tasks(m) {
             if plan.local.fits_within(&avail) || victims.len() >= cap {
                 break;
@@ -1161,15 +1164,17 @@ pub fn plan_priority_preemption(
             }
         }
         if !victims.is_empty() && plan.local.fits_within(&avail) {
-            let better = match &best {
+            let n = best_victims.len();
+            let better = match best {
                 None => true,
-                Some((n, bm, _)) => victims.len() < *n || (victims.len() == *n && m < *bm),
+                Some(bm) => victims.len() < n || (victims.len() == n && m < bm),
             };
             if better {
-                best = Some((victims.len(), m, victims));
+                best = Some(m);
+                std::mem::swap(&mut victims, &mut best_victims);
             }
         }
     }
-    let (_, machine, victims) = best?;
-    Some(Assignment::new(task, machine).with_evictions(victims))
+    let machine = best?;
+    Some(Assignment::new(task, machine).with_evictions(best_victims))
 }

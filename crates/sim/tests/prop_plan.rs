@@ -11,20 +11,35 @@
 //! scheduling round of runs whose shuffle stages have both fewer and more
 //! sources than `shuffle_fanin`.
 //!
+//! Two more claims about a reader whose one input is a shuffle:
+//! * its plan walks the stage's ranked output (`SimState::ranked_reads`)
+//!   and must read what the general path reads — the bytes of every
+//!   source, and of the host, bit for bit. The reference is restated here
+//!   ([`general_reads`]) from the stage's output map, which the audit sums
+//!   from `TaskFinished` events in completion order as the engine does.
+//!   The rest of a plan is computed from its reads by one code path, and
+//!   debug builds re-derive every ranked plan by the general path inside
+//!   the crate too;
+//! * on any host but `s`, its plan asks each source `s` of its all-remote
+//!   plan for at least that plan's demand at `s` less
+//!   [`SHUFFLE_SHARE_MARGIN`] — what lets the memo answer machines that
+//!   hold part of the input.
+//!
 //! The same audit carries one dirty `PlacementPlan` through every
 //! `plan_into` call of a run and checks it against the allocating `plan`.
 
 use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use tetris_resources::{units::GB, units::MB, MachineSpec};
+use tetris_resources::{units::GB, units::MB, MachineSpec, Resource};
 use tetris_sim::{
-    Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerPolicy, SimConfig,
-    Simulation,
+    Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerEvent,
+    SchedulerPolicy, SimConfig, Simulation, SHUFFLE_SHARE_MARGIN,
 };
 use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::{InputSource, InputSpec, Workload};
+use tetris_workload::{InputSource, InputSpec, JobId, TaskUid, Workload};
 
 const N_MACHINES: usize = 8;
 const FANIN: usize = 3;
@@ -42,6 +57,9 @@ struct JobShape {
     pool: usize,
     /// Give every map task one extra zero-byte stored input.
     zero_byte_input: bool,
+    /// Every map task writes as much output, so the fan-in bound breaks
+    /// ties by machine id; otherwise outputs are uneven.
+    equal_out: bool,
     reduces: usize,
     /// Reduce tasks also read a stored block (mixed inputs).
     mixed: bool,
@@ -53,15 +71,17 @@ fn arb_job() -> impl Strategy<Value = JobShape> {
         1usize..=3,
         1usize..=6,
         proptest::bool::ANY,
+        proptest::bool::ANY,
         1usize..=3,
         proptest::bool::ANY,
     )
         .prop_map(
-            |(maps, inputs_per_map, pool, zero_byte_input, reduces, mixed)| JobShape {
+            |(maps, inputs_per_map, pool, zero_byte_input, equal_out, reduces, mixed)| JobShape {
                 maps,
                 inputs_per_map,
                 pool,
                 zero_byte_input,
+                equal_out,
                 reduces,
                 mixed,
             },
@@ -91,8 +111,8 @@ fn build(jobs: &[JobShape]) -> Workload {
                 cpu_frac: 0.5,
                 io_burst: 1.0,
                 inputs,
-                // Uneven outputs, so fan-in truncation has a real order.
-                output_bytes: (5 + 3 * i) as f64 * MB,
+                // Uneven outputs give fan-in truncation a real order.
+                output_bytes: if shape.equal_out { 8 } else { 5 + 3 * i } as f64 * MB,
                 remote_frac: 1.0,
             }
         });
@@ -131,6 +151,22 @@ struct Coverage {
     /// sources than the fan-in bound / with as many (more, truncated).
     shuffle_under_fanin: u64,
     shuffle_at_fanin: u64,
+    /// (task, host) plans of one-shuffle readers compared with
+    /// [`general_reads`] where the stage has more sources than the fan-in
+    /// bound keeps (the ranked walk's case) — of them, where the bound
+    /// cuts through a run of equal shares.
+    ranked_checks: u64,
+    tied_at_bound: u64,
+    /// Output-machine counts of the stages those readers read.
+    source_counts: BTreeSet<usize>,
+    /// Memo-claim checks, by where the host ranks among the all-remote
+    /// plan's sources: inside the kept set, its last place, past it.
+    host_inside: u64,
+    host_at_edge: u64,
+    host_outside: u64,
+    /// Of them, those that hold only thanks to the margin: the host asks
+    /// the source a rounding error less than the all-remote plan did.
+    within_margin: u64,
 }
 
 /// Audits every runnable task on every round, then places task `t` on
@@ -144,45 +180,178 @@ struct Coverage {
 struct SpreadAudit {
     /// Reused across every `plan_into` of the run, never cleared.
     dirty: PlacementPlan,
+    /// Per (job, stage): output bytes by machine and in total, summed in
+    /// completion order, as the engine sums them.
+    outs: BTreeMap<(JobId, usize), (BTreeMap<MachineId, f64>, f64)>,
     /// Shared with the caller: the engine owns the policy.
     seen: Rc<RefCell<Coverage>>,
+}
+
+/// The general plan's reads for a reader of `frac` of a stage whose
+/// output is `outs`, on `host`: (bytes read locally, bytes from each
+/// remote source by machine), at most [`FANIN`] sources kept — largest
+/// share first, ties by machine — and the rest folded into them.
+fn general_reads(
+    outs: &BTreeMap<MachineId, f64>,
+    frac: f64,
+    host: MachineId,
+) -> (f64, Vec<(MachineId, f64)>) {
+    let mut local = 0.0;
+    let mut remote = Vec::new();
+    for (&m, &bytes) in outs {
+        let share = bytes * frac;
+        if share <= 0.0 {
+            continue;
+        }
+        if m == host {
+            local += share;
+        } else {
+            remote.push((m, share));
+        }
+    }
+    if remote.len() > FANIN {
+        remote.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let kept: f64 = remote[..FANIN].iter().map(|r| r.1).sum();
+        let tail: f64 = remote[FANIN..].iter().map(|r| r.1).sum();
+        remote.truncate(FANIN);
+        for r in &mut remote {
+            r.1 *= (kept + tail) / kept;
+        }
+        remote.sort_by_key(|r| r.0);
+    }
+    (local, remote)
+}
+
+fn bits(reads: &[(MachineId, f64)]) -> Vec<(MachineId, u64)> {
+    reads.iter().map(|&(m, b)| (m, b.to_bits())).collect()
 }
 
 impl SpreadAudit {
     fn audit(&mut self, view: &ClusterView<'_>) {
         let machines: Vec<MachineId> = view.query().iter_all().collect();
-        let mut seen = self.seen.borrow_mut();
         for j in view.active_jobs() {
             for t in view.job_pending(j) {
-                let mut reference: Option<PlacementPlan> = None;
-                for &m in &machines {
-                    let plan = view.plan(t, m);
+                let plans: Vec<PlacementPlan> = machines.iter().map(|&m| view.plan(t, m)).collect();
+                for (&m, plan) in machines.iter().zip(&plans) {
                     view.plan_into(t, m, &mut self.dirty);
                     assert_eq!(
-                        self.dirty, plan,
+                        &self.dirty, plan,
                         "plan_into({t:?}, {m:?}) into a used buffer"
                     );
-                    if view.task_reads_locally(t, m) {
-                        seen.local_machines += 1;
-                        continue;
-                    }
-                    assert_eq!(plan.local_read_bytes, 0.0, "{t:?} reads locally on {m:?}");
-                    match &reference {
-                        None => {
-                            if view.task(t).reads_shuffle() {
-                                if plan.remote.len() < FANIN {
-                                    seen.shuffle_under_fanin += 1;
-                                } else {
-                                    seen.shuffle_at_fanin += 1;
-                                }
-                            }
-                            reference = Some(plan);
+                }
+                self.same_plan_off_input(view, t, &machines, &plans);
+                self.shuffle_reader(view, t, &machines, &plans);
+            }
+        }
+    }
+
+    fn same_plan_off_input(
+        &self,
+        view: &ClusterView<'_>,
+        t: TaskUid,
+        machines: &[MachineId],
+        plans: &[PlacementPlan],
+    ) {
+        let mut seen = self.seen.borrow_mut();
+        let mut reference: Option<&PlacementPlan> = None;
+        for (&m, plan) in machines.iter().zip(plans) {
+            if view.task_reads_locally(t, m) {
+                seen.local_machines += 1;
+                continue;
+            }
+            assert_eq!(plan.local_read_bytes, 0.0, "{t:?} reads locally on {m:?}");
+            match reference {
+                None => {
+                    if view.task(t).reads_shuffle() {
+                        if plan.remote.len() < FANIN {
+                            seen.shuffle_under_fanin += 1;
+                        } else {
+                            seen.shuffle_at_fanin += 1;
                         }
-                        Some(r) => {
-                            seen.same_plan_checks += 1;
-                            assert_eq!(&plan, r, "{t:?} plans differently on non-local {m:?}");
-                        }
                     }
+                    reference = Some(plan);
+                }
+                Some(r) => {
+                    seen.same_plan_checks += 1;
+                    assert_eq!(plan, r, "{t:?} plans differently on non-local {m:?}");
+                }
+            }
+        }
+    }
+
+    /// The two claims about a reader whose one input is a shuffle.
+    fn shuffle_reader(
+        &self,
+        view: &ClusterView<'_>,
+        t: TaskUid,
+        machines: &[MachineId],
+        plans: &[PlacementPlan],
+    ) {
+        let [InputSpec {
+            source: InputSource::Shuffle { stage },
+            bytes,
+        }] = view.task(t).inputs[..]
+        else {
+            return;
+        };
+        let (outs, total) = &self.outs[&(view.task_stage(t).0, stage)];
+        let frac = bytes / total;
+        let mut seen = self.seen.borrow_mut();
+
+        // Ranked ≡ general, bit for bit.
+        for (&h, plan) in machines.iter().zip(plans) {
+            let (local, remote) = general_reads(outs, frac, h);
+            assert_eq!(
+                (plan.local_read_bytes.to_bits(), bits(&plan.remote_reads)),
+                (local.to_bits(), bits(&remote)),
+                "{t:?} on {h:?}: reads {} {:?}, general {local} {remote:?}",
+                plan.local_read_bytes,
+                plan.remote_reads,
+            );
+            if outs.len() > FANIN {
+                seen.ranked_checks += 1;
+            }
+        }
+        seen.source_counts.insert(outs.len());
+        let mut order: Vec<(MachineId, f64)> = outs.iter().map(|(&m, &b)| (m, b * frac)).collect();
+        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        if order.len() > FANIN && order[FANIN - 1].1 == order[FANIN].1 {
+            seen.tied_at_bound += 1;
+        }
+
+        // The memo's claim, against the all-remote plan (if some machine
+        // holds none of the input).
+        let Some(all_remote) = machines
+            .iter()
+            .position(|&m| !view.task_reads_locally(t, m))
+            .map(|i| &plans[i])
+        else {
+            return;
+        };
+        let least = 1.0 - SHUFFLE_SHARE_MARGIN;
+        for &(s, dem) in &all_remote.remote {
+            for (&h, plan) in machines.iter().zip(plans) {
+                if h == s {
+                    continue;
+                }
+                let asked = plan.remote.iter().find(|&&(m, _)| m == s);
+                let (_, asked) = asked.unwrap_or_else(|| panic!("{t:?} on {h:?} drops {s:?}"));
+                for r in [Resource::DiskRead, Resource::NetOut] {
+                    assert!(
+                        asked.get(r) >= dem.get(r) * least,
+                        "{t:?} on {h:?} asks {s:?} for {} of {r}, all-remote {}",
+                        asked.get(r),
+                        dem.get(r)
+                    );
+                }
+                if asked.get(Resource::DiskRead) < dem.get(Resource::DiskRead) {
+                    seen.within_margin += 1;
+                }
+                match order.iter().position(|&(m, _)| m == h) {
+                    Some(rank) if rank + 1 < FANIN => seen.host_inside += 1,
+                    Some(rank) if rank + 1 == FANIN => seen.host_at_edge += 1,
+                    Some(_) => seen.host_outside += 1,
+                    None => {}
                 }
             }
         }
@@ -192,6 +361,17 @@ impl SpreadAudit {
 impl SchedulerPolicy for SpreadAudit {
     fn name(&self) -> &str {
         "spread-audit"
+    }
+
+    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
+        if let &SchedulerEvent::TaskFinished { task, machine, .. } = event {
+            let out = view.task(task).output_bytes;
+            if out > 0.0 {
+                let (outs, total) = self.outs.entry(view.task_stage(task)).or_default();
+                *outs.entry(machine).or_insert(0.0) += out;
+                *total += out;
+            }
+        }
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
@@ -250,6 +430,7 @@ fn audit_covers_both_sides_of_the_fanin_bound() {
         inputs_per_map: 2,
         pool: 4,
         zero_byte_input: true,
+        equal_out: false,
         reduces: 2,
         mixed,
     };
@@ -259,4 +440,35 @@ fn audit_covers_both_sides_of_the_fanin_bound() {
     assert!(seen.local_machines > 0, "{seen:?}");
     assert!(seen.shuffle_under_fanin > 0, "{seen:?}");
     assert!(seen.shuffle_at_fanin > 0, "{seen:?}");
+}
+
+/// The ranked walk's corners: stages with one source fewer than the
+/// fan-in bound, as many, and one more, with even and uneven outputs (even
+/// ones tie at the bound, broken by machine id), read from hosts inside
+/// the kept set, at its edge and past it.
+#[test]
+fn ranked_plans_cover_the_fanin_bound_ties_and_host_ranks() {
+    let shape = |maps, equal_out| JobShape {
+        maps,
+        inputs_per_map: 1,
+        pool: 3,
+        zero_byte_input: false,
+        equal_out,
+        reduces: 2,
+        mixed: false,
+    };
+    let jobs: Vec<_> = [FANIN - 1, FANIN, FANIN + 1, N_MACHINES - 2]
+        .into_iter()
+        .flat_map(|maps| [shape(maps, false), shape(maps, true)])
+        .collect();
+    let seen = run(build(&jobs), 5);
+    assert!(seen.ranked_checks > 0, "{seen:?}");
+    assert!(seen.tied_at_bound > 0, "{seen:?}");
+    for n in [FANIN - 1, FANIN, FANIN + 1] {
+        assert!(seen.source_counts.contains(&n), "{seen:?}");
+    }
+    assert!(seen.host_inside > 0, "{seen:?}");
+    assert!(seen.host_at_edge > 0, "{seen:?}");
+    assert!(seen.host_outside > 0, "{seen:?}");
+    assert!(seen.within_margin > 0, "{seen:?}");
 }
