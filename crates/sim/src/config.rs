@@ -98,10 +98,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// HDFS-style replication factor for stored blocks.
     pub replication: usize,
-    /// Resource-tracker report period in seconds (§4.1: machines report
-    /// usage periodically; this staleness is also what batches freed
-    /// resources and avoids large-task starvation, §3.5).
-    pub tracker_period: f64,
     /// Utilization sampling period in seconds (None disables timelines).
     pub sample_period: Option<f64>,
     /// Record per-machine samples (Figure 5/6, Table 6). Disable for very
@@ -120,12 +116,6 @@ pub struct SimConfig {
     /// Maximum attempts per task before it is abandoned (job never
     /// completes); mirrors YARN's retry limit.
     pub max_task_attempts: u32,
-    /// Model memory over-commit thrashing: when hosted memory demand
-    /// exceeds capacity, every hosted task's progress is scaled by
-    /// `capacity / demand` (paper §3.1: run time can be "arbitrarily worse"
-    /// if memory is under-provisioned; slot-based schedulers can
-    /// over-commit memory because slots are counted, not sized).
-    pub thrashing: bool,
     /// Maximum distinct source machines per shuffle read. Real shuffles
     /// fetch in bounded parallel waves; bounding fan-in keeps the flow
     /// graph tractable. Sources are aggregated to the largest `fanin`
@@ -144,18 +134,6 @@ pub struct SimConfig {
     /// demand-ledger based (strictly no over-allocation, but idle peaks
     /// are never reclaimed).
     pub reclaim_idle: bool,
-    /// Ramp-up allowance horizon in seconds (paper: 10 s).
-    pub ramp_up_horizon: f64,
-    /// Thrashing exponent: a machine whose memory is over-committed by
-    /// ratio ρ > 1 runs every hosted task at `max((1/ρ)^thrash_exponent,
-    /// thrash_floor)`. Exponent 1 would be work-conserving time-sharing;
-    /// real paging wastes disk bandwidth and CPU, so the default is
-    /// superlinear (paper §3.1: runtime can be "arbitrarily worse" under
-    /// memory pressure).
-    pub thrash_exponent: f64,
-    /// Lower bound on the thrashing factor (real systems bound the
-    /// meltdown with OOM kills and swap ceilings).
-    pub thrash_floor: f64,
     /// Fault-injection plan: machine crash/recover cycles, straggler
     /// slowdown windows, and tracker misbehavior. Disabled by default;
     /// a disabled plan perturbs nothing (byte-identical runs).
@@ -175,10 +153,6 @@ pub struct SimConfig {
     /// place a higher class that cannot fit. Off by default — batch-only
     /// runs stay byte-identical to pre-serving behaviour.
     pub preemption: bool,
-    /// Cap on evicted tasks per preemptive assignment (guards against a
-    /// single placement flushing a whole machine). Checked ≥ 1 when
-    /// preemption is on.
-    pub max_preemptions_per_assignment: usize,
     /// Per-machine taint bitmasks, indexed by machine id (Kubernetes-style
     /// taints). Tasks only land on a tainted machine when their job's
     /// `PlacementConstraints::tolerations` covers every taint bit. Empty
@@ -192,26 +166,20 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0,
             replication: 3,
-            tracker_period: 1.0,
             sample_period: Some(5.0),
             record_machine_samples: true,
             record_job_samples: true,
             max_time: 30.0 * 24.0 * 3600.0,
             task_failure_prob: 0.0,
             max_task_attempts: 4,
-            thrashing: true,
             shuffle_fanin: 12,
             external_loads: Vec::new(),
             interference: Interference::default(),
             reclaim_idle: true,
-            ramp_up_horizon: 10.0,
-            thrash_exponent: 1.35,
-            thrash_floor: 0.25,
             faults: FaultPlan::default(),
             machine_index: true,
             checkpoint_every: 32,
             preemption: false,
-            max_preemptions_per_assignment: 8,
             machine_taints: Vec::new(),
         }
     }
@@ -222,9 +190,6 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.replication == 0 {
             return Err("replication must be ≥ 1".into());
-        }
-        if !(self.tracker_period > 0.0) {
-            return Err("tracker_period must be positive".into());
         }
         if let Some(p) = self.sample_period {
             if !(p > 0.0) {
@@ -249,15 +214,6 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.interference.floor) {
             return Err("interference floor must be in [0,1]".into());
         }
-        if !(self.ramp_up_horizon > 0.0) {
-            return Err("ramp_up_horizon must be positive".into());
-        }
-        if !(self.thrash_exponent >= 1.0) {
-            return Err("thrash_exponent must be ≥ 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.thrash_floor) {
-            return Err("thrash_floor must be in [0,1]".into());
-        }
         for (i, e) in self.external_loads.iter().enumerate() {
             if !(e.start >= 0.0) || !(e.duration > 0.0) {
                 return Err(format!("external load {i} has invalid timing"));
@@ -268,9 +224,6 @@ impl SimConfig {
         }
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be ≥ 1".into());
-        }
-        if self.preemption && self.max_preemptions_per_assignment == 0 {
-            return Err("max_preemptions_per_assignment must be ≥ 1 when preemption is on".into());
         }
         self.faults.validate(self.max_time)?;
         Ok(())
@@ -305,10 +258,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::default();
-        c.tracker_period = 0.0;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
         c.sample_period = Some(-1.0);
         assert!(c.validate().is_err());
 
@@ -330,15 +279,6 @@ mod tests {
         c.checkpoint_every = 0;
         assert!(c.validate().is_err());
         c.checkpoint_every = 1;
-        assert_eq!(c.validate(), Ok(()));
-
-        // The eviction cap only matters when preemption can evict.
-        let mut c = SimConfig::default();
-        c.max_preemptions_per_assignment = 0;
-        assert_eq!(c.validate(), Ok(()));
-        c.preemption = true;
-        assert!(c.validate().is_err());
-        c.max_preemptions_per_assignment = 1;
         assert_eq!(c.validate(), Ok(()));
 
         // Scheduler crashes are 1-based: heartbeat 0 never happens.

@@ -9,15 +9,16 @@ use tetris_workload::{TaskUid, Workload};
 
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::SimConfig;
-use crate::events::{EventKind, EventQueue};
+use crate::events::EventKind;
 use crate::fault::FaultKind;
 use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
 use crate::outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
 use crate::recovery::{
     run_fingerprint, CheckpointState, Recovered, RecoveryError, ReplayPlan, RunResult,
 };
-use crate::state::{DirtySet, Phase, PlacementPlan, SimState, TaskCompletion};
+use crate::state::{Phase, PlacementPlan, SimState, TaskCompletion};
 use crate::time::SimTime;
+use crate::tracker::REPORT_PERIOD_SECS;
 use crate::view::{ClusterView, SchedulerEvent, SchedulerPolicy};
 use tetris_workload::JobId;
 
@@ -229,8 +230,7 @@ impl<'o> Simulation<'o> {
             "journaling a resumed run is not supported"
         );
 
-        let mut dirty = DirtySet::default();
-        let (mut state, mut queue, mut stats, mut samples, mut heartbeats) = match resume {
+        let (mut state, mut stats, mut samples, mut heartbeats) = match resume {
             // A restored checkpoint was taken at a batch boundary: the
             // dirty set was empty and every pending event (including the
             // next TrackerReport and remaining fault schedule) is inside
@@ -244,39 +244,35 @@ impl<'o> Simulation<'o> {
                     policy.import_state(&ps);
                 }
                 let heartbeat = cp.heartbeat;
-                let (state, queue, stats) = cp
-                    .restore(self.cluster, self.workload, self.cfg)
-                    .map_err(|msg| RecoveryError::ReplayDivergence {
-                        heartbeat,
-                        msg: msg.into(),
-                    })?;
-                (state, queue, stats, samples, heartbeat)
+                let (state, stats) =
+                    cp.restore(self.cluster, self.workload, self.cfg)
+                        .map_err(|msg| RecoveryError::ReplayDivergence {
+                            heartbeat,
+                            msg: msg.into(),
+                        })?;
+                (state, stats, samples, heartbeat)
             }
             None => {
                 let mut state = SimState::new(self.cluster, self.workload, self.cfg);
-                let mut queue = EventQueue::new();
 
                 // Seed the queue.
                 for job in &state.workload.jobs {
-                    queue.push(
+                    state.queue.push(
                         SimTime::from_secs(job.arrival),
                         EventKind::JobArrival(job.id),
                     );
                 }
                 for (i, e) in state.cfg.external_loads.iter().enumerate() {
-                    queue.push(SimTime::from_secs(e.start), EventKind::ExternalStart(i));
-                    queue.push(
-                        SimTime::from_secs(e.start + e.duration),
-                        EventKind::ExternalEnd(i),
-                    );
+                    let start = SimTime::from_secs(e.start);
+                    let end = SimTime::from_secs(e.start + e.duration);
+                    state.queue.push(start, EventKind::ExternalStart(i));
+                    state.queue.push(end, EventKind::ExternalEnd(i));
                 }
                 if state.cfg.sample_period.is_some() {
-                    queue.push(SimTime::ZERO, EventKind::Sample);
+                    state.queue.push(SimTime::ZERO, EventKind::Sample);
                 }
-                queue.push(
-                    SimTime::from_secs(state.cfg.tracker_period),
-                    EventKind::TrackerReport,
-                );
+                let first_report = SimTime::from_secs(REPORT_PERIOD_SECS);
+                state.queue.push(first_report, EventKind::TrackerReport);
                 // Fault plan expansion draws from the sim RNG *after* all other
                 // seeding, and only when enabled: a disabled plan draws nothing
                 // and pushes nothing, keeping fault-free runs byte-identical.
@@ -294,10 +290,10 @@ impl<'o> Simulation<'o> {
                             FaultKind::SlowEnd(m) => EventKind::SlowdownEnd(MachineId(m)),
                             FaultKind::Flake(m) => EventKind::TrackerFlake(MachineId(m)),
                         };
-                        queue.push(SimTime::from_secs(t), kind);
+                        state.queue.push(SimTime::from_secs(t), kind);
                     }
                 }
-                (state, queue, EngineStats::default(), Vec::new(), 0u64)
+                (state, EngineStats::default(), Vec::new(), 0u64)
             }
         };
 
@@ -318,7 +314,6 @@ impl<'o> Simulation<'o> {
                 heartbeat: heartbeats,
                 state: Box::new(CheckpointState::capture(
                     &state,
-                    &queue,
                     &stats,
                     samples_journaled,
                     heartbeats,
@@ -336,7 +331,7 @@ impl<'o> Simulation<'o> {
         // across batches.
         let mut sched_events: Vec<SchedulerEvent> = Vec::new();
 
-        while let Some(time) = queue.peek_time() {
+        while let Some(time) = state.queue.peek_time() {
             if time > max_t {
                 state.now = max_t;
                 timed_out = state.jobs_remaining > 0;
@@ -347,11 +342,11 @@ impl<'o> Simulation<'o> {
             // One batch: the events queued for this instant as it opens
             // (what a handler pushes at `now` waits for the next), less
             // the completions a handler cancels before their turn.
-            let fence = queue.next_seq();
+            let fence = state.queue.next_seq();
             let mut want_schedule = false;
             let mut want_sample = false;
             sched_events.clear();
-            while let Some(ev) = queue.pop_due(time, fence) {
+            while let Some(ev) = state.queue.pop_due(time, fence) {
                 stats.events += 1;
                 obs.metrics.counter_inc(names::ENGINE_EVENTS);
                 match ev.kind {
@@ -369,8 +364,8 @@ impl<'o> Simulation<'o> {
                         want_schedule = true;
                     }
                     EventKind::FlowDone { flow } => {
-                        if let Some(task) = state.flow_done(flow, &mut dirty, &mut queue) {
-                            let done = state.task_complete(task, &mut dirty);
+                        if let Some(task) = state.flow_done(flow) {
+                            let done = state.task_complete(task);
                             push_completion_event(&mut sched_events, &state, task, done);
                             observe_completion(obs, &state, task, done);
                             want_schedule = true;
@@ -379,9 +374,9 @@ impl<'o> Simulation<'o> {
                     EventKind::TaskDone { task, gen } => {
                         // Zero-flow tasks: gen is the attempt number at
                         // placement; ignore stale retries.
-                        let current = matches!(&state.tasks[task.index()].phase, crate::state::Phase::Running(info) if info.gen == gen);
+                        let current = matches!(&state.tasks[task.index()].phase, Phase::Running(info) if info.gen == gen);
                         if current {
-                            let done = state.task_complete(task, &mut dirty);
+                            let done = state.task_complete(task);
                             push_completion_event(&mut sched_events, &state, task, done);
                             observe_completion(obs, &state, task, done);
                             want_schedule = true;
@@ -414,8 +409,8 @@ impl<'o> Simulation<'o> {
                             machines: state.machines.len(),
                         });
                         if state.jobs_remaining > 0 {
-                            let next = state.now.after_secs(state.cfg.tracker_period);
-                            queue.push(next, EventKind::TrackerReport);
+                            let next = state.now.after_secs(REPORT_PERIOD_SECS);
+                            state.queue.push(next, EventKind::TrackerReport);
                         }
                         want_schedule = true;
                     }
@@ -425,20 +420,21 @@ impl<'o> Simulation<'o> {
                         want_sample = true;
                         if let Some(p) = state.cfg.sample_period {
                             if state.jobs_remaining > 0 {
-                                queue.push(state.now.after_secs(p), EventKind::Sample);
+                                let next = state.now.after_secs(p);
+                                state.queue.push(next, EventKind::Sample);
                             }
                         }
                     }
                     EventKind::ExternalStart(i) => {
-                        state.set_external(i, true, &mut dirty);
+                        state.set_external(i, true);
                         want_schedule = true;
                     }
                     EventKind::ExternalEnd(i) => {
-                        state.set_external(i, false, &mut dirty);
+                        state.set_external(i, false);
                         want_schedule = true;
                     }
                     EventKind::MachineDown(m) => {
-                        let rep = state.machine_crash(m, &mut dirty, &mut queue);
+                        let rep = state.machine_crash(m);
                         stats.machine_crashes += 1;
                         stats.crash_killed_attempts +=
                             (rep.requeued.len() + rep.abandoned.len()) as u64;
@@ -507,7 +503,7 @@ impl<'o> Simulation<'o> {
                     }
                     EventKind::SlowdownStart(m) => {
                         let factor = state.cfg.faults.slowdown_factor;
-                        state.set_slowdown(m, factor, &mut dirty);
+                        state.set_slowdown(m, factor);
                         obs.metrics.counter_inc(names::FAULT_SLOWDOWNS);
                         obs.emit(state.now.as_secs(), || Event::SlowdownStart {
                             machine: m.index(),
@@ -516,7 +512,7 @@ impl<'o> Simulation<'o> {
                         want_schedule = true;
                     }
                     EventKind::SlowdownEnd(m) => {
-                        state.set_slowdown(m, 1.0, &mut dirty);
+                        state.set_slowdown(m, 1.0);
                         obs.emit(state.now.as_secs(), || Event::SlowdownEnd {
                             machine: m.index(),
                         });
@@ -545,7 +541,7 @@ impl<'o> Simulation<'o> {
                 }
             }
 
-            state.recompute_dirty(&mut dirty, &mut queue);
+            state.recompute_dirty();
 
             let did_heartbeat = want_schedule && state.jobs_remaining > 0;
             if did_heartbeat {
@@ -715,9 +711,7 @@ impl<'o> Simulation<'o> {
                             // recovery.
                             for &v in &a.evict {
                                 let vjob = JobId(state.task_loc[v.index()].0);
-                                let Some((_lost, host)) =
-                                    state.preempt_task(v, &mut dirty, &mut queue)
-                                else {
+                                let Some((_lost, host)) = state.preempt_task(v) else {
                                     continue;
                                 };
                                 stats.preemptions += 1;
@@ -744,7 +738,7 @@ impl<'o> Simulation<'o> {
                                     preempted_by: Some(a.task.index()),
                                 });
                             }
-                            state.apply_assignment(a.task, a.machine, &mut dirty, &mut queue);
+                            state.apply_assignment(a.task, a.machine);
                             stats.placements += 1;
                             obs.metrics.counter_inc(names::PLACEMENTS);
                             placed = true;
@@ -785,7 +779,7 @@ impl<'o> Simulation<'o> {
                         }
                     }
                     state.freed_hint.truncate(hints);
-                    state.recompute_dirty(&mut dirty, &mut queue);
+                    state.recompute_dirty();
                     if !placed {
                         break;
                     }
@@ -892,7 +886,6 @@ impl<'o> Simulation<'o> {
                         heartbeat: heartbeats,
                         state: Box::new(CheckpointState::capture(
                             &state,
-                            &queue,
                             &stats,
                             samples_journaled,
                             heartbeats,

@@ -14,8 +14,7 @@ use tetris_workload::{JobId, Workload};
 
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::SimConfig;
-use crate::events::EventQueue;
-use crate::state::{DirtySet, PlacementPlan, SimState};
+use crate::state::{PlacementPlan, SimState};
 use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy};
 
 /// A reusable snapshot of "all jobs pending" state.
@@ -85,8 +84,6 @@ impl ScheduleProbe {
 /// a full invalidation's factor refresh, with no flow visited.
 pub struct RecomputeProbe {
     state: SimState,
-    queue: EventQueue,
-    dirty: DirtySet,
     /// (machine, dim) link slots with at least one live flow.
     live_links: Vec<(usize, usize)>,
 }
@@ -106,28 +103,21 @@ impl RecomputeProbe {
         for j in jobs {
             state.job_arrives(j);
         }
-        let mut dirty = DirtySet::default();
-        let mut queue = EventQueue::new();
         let assignments = {
             let view = ClusterView::new(&state, policy.uses_tracker());
             policy.schedule(&view)
         };
         for a in assignments {
             if state.assignment_valid(a.task, a.machine) {
-                state.apply_assignment(a.task, a.machine, &mut dirty, &mut queue);
+                state.apply_assignment(a.task, a.machine);
             }
         }
-        state.recompute_dirty(&mut dirty, &mut queue);
+        state.recompute_dirty();
         let live_links: Vec<(usize, usize)> = (0..state.machines.len())
             .flat_map(|mi| (0..NUM_RESOURCES).map(move |ri| (mi, ri)))
             .filter(|&(mi, ri)| !state.machines[mi].link_flows[ri].is_empty())
             .collect();
-        RecomputeProbe {
-            state,
-            queue,
-            dirty,
-            live_links,
-        }
+        RecomputeProbe { state, live_links }
     }
 
     /// Number of live flows in the snapshot.
@@ -146,9 +136,9 @@ impl RecomputeProbe {
     /// and gathers no flow: the floor a drain pays before any rate moves.
     pub fn measure(&mut self) -> usize {
         for &(mi, ri) in &self.live_links {
-            self.dirty.insert_link(mi, ri);
+            self.state.dirty.insert_link(mi, ri);
         }
-        self.state.recompute_dirty(&mut self.dirty, &mut self.queue);
+        self.state.recompute_dirty();
         self.live_links.len()
     }
 }
@@ -176,8 +166,6 @@ impl RecomputeProbe {
 /// [`TaskPreempted`]: SchedulerEvent::TaskPreempted
 pub struct IncrementalProbe {
     state: SimState,
-    dirty: DirtySet,
-    queue: EventQueue,
     reps: u64,
     events: u64,
 }
@@ -211,8 +199,6 @@ impl IncrementalProbe {
         }
         IncrementalProbe {
             state,
-            dirty: DirtySet::default(),
-            queue: EventQueue::new(),
             reps: 0,
             events: 0,
         }
@@ -271,8 +257,7 @@ impl IncrementalProbe {
             if !self.state.assignment_valid(a.task, a.machine) {
                 continue;
             }
-            self.state
-                .apply_assignment(a.task, a.machine, &mut self.dirty, &mut self.queue);
+            self.state.apply_assignment(a.task, a.machine);
             placed += 1;
             let job = JobId(self.state.task_loc[a.task.index()].0);
             self.deliver(
@@ -284,7 +269,7 @@ impl IncrementalProbe {
                 },
             );
         }
-        self.state.recompute_dirty(&mut self.dirty, &mut self.queue);
+        self.state.recompute_dirty();
         self.state.freed_hint.clear();
         (placed, inc_ns, oracle_ns)
     }
@@ -334,9 +319,7 @@ impl IncrementalProbe {
         let victims: Vec<_> = self.state.machines[mi].running_tasks.clone();
         let mut drained = 0;
         for uid in victims {
-            let Some((abandoned, _, host)) =
-                self.state.kill_task(uid, &mut self.dirty, &mut self.queue)
-            else {
+            let Some((abandoned, _, host)) = self.state.kill_task(uid) else {
                 continue;
             };
             debug_assert!(!abandoned, "attempt cap was lifted in new()");
@@ -351,7 +334,7 @@ impl IncrementalProbe {
                 },
             );
         }
-        self.state.recompute_dirty(&mut self.dirty, &mut self.queue);
+        self.state.recompute_dirty();
         debug_assert!(drained == 0 || self.state.freed_hint.contains(&machine));
         let (placements, inc_ns, oracle_ns) = self.round(inc, oracle);
         WarmHeartbeat {
@@ -498,8 +481,6 @@ impl ColdPassProbe {
             .flat_map(|j| j.stages.iter())
             .flat_map(|s| s.pending.iter().copied())
             .collect();
-        let mut dirty = DirtySet::default();
-        let mut queue = EventQueue::new();
         let mut mi = 0usize;
         let mut avail = state.machines.first().map(|m| m.capacity);
         let mut plan = PlacementPlan::default();
@@ -522,12 +503,12 @@ impl ColdPassProbe {
             }
             let m = MachineId(mi);
             let local = plan.local;
-            state.apply_assignment(uid, m, &mut dirty, &mut queue);
+            state.apply_assignment(uid, m);
             if let Some(a) = avail.as_mut() {
                 *a -= local;
             }
         }
-        state.recompute_dirty(&mut dirty, &mut queue);
+        state.recompute_dirty();
         state.freed_hint.clear();
     }
 

@@ -194,13 +194,12 @@ impl<'a> CheckpointState<'a> {
     /// Snapshot the engine at a batch boundary.
     pub(crate) fn capture(
         state: &'a SimState,
-        queue: &EventQueue,
         stats: &'a EngineStats,
         samples_len: usize,
         heartbeat: u64,
         policy_state: Option<String>,
     ) -> Self {
-        let (events, next_seq) = queue.snapshot();
+        let (events, next_seq) = state.queue.snapshot();
         let live = state.flows.iter().enumerate().filter(|(_, f)| !f.done);
         let tasks = state.tasks.iter().enumerate();
         let unblocked = tasks.filter(|(_, t)| !matches!(t.phase, Phase::Blocked));
@@ -244,7 +243,7 @@ impl<'a> CheckpointState<'a> {
         cluster: ClusterConfig,
         workload: Workload,
         cfg: SimConfig,
-    ) -> Result<(SimState, EventQueue, EngineStats), &'static str> {
+    ) -> Result<(SimState, EngineStats), &'static str> {
         const OUTSIDE: &str = "checkpoint stores a task or flow outside its table";
         let mut state = SimState::new(cluster, workload, cfg);
         state.now = SimTime(self.now_us);
@@ -281,8 +280,8 @@ impl<'a> CheckpointState<'a> {
         state.rank_finished_stages();
         // The engine takes a popped `FlowDone` at its word.
         let live = |flow: FlowId| state.flows.get(flow.0).is_some_and(|f| !f.done);
-        let queue = EventQueue::restore(self.events, self.next_seq, live)?;
-        Ok((state, queue, self.stats.into_owned()))
+        state.queue = EventQueue::restore(self.events, self.next_seq, live)?;
+        Ok((state, self.stats.into_owned()))
     }
 }
 

@@ -1,0 +1,585 @@
+//! Runtime state of a simulation: machines, jobs, tasks and flows, and
+//! the operations the engine applies to them.
+//!
+//! One struct, [`SimState`], with flat fields. Its methods are split by
+//! layer, one `impl SimState` block a file (DESIGN.md "SimState layers"):
+//!
+//! * this file: the struct, the records a checkpoint serialises,
+//!   construction, the free-capacity index glue and `availability`;
+//! * `plan`: where a task's input bytes come from on a machine and what
+//!   it demands there and at its sources;
+//! * `network`: flows, links, the factor tables, the dirty set and the
+//!   rate recompute that re-times completions in the event queue;
+//! * `lifecycle`: arrival, stage unlock, placement, completion;
+//! * `faults`: kill, preemption, machine crash and recovery, restart;
+//! * the tracker's report cycle lives in `crate::tracker`.
+//!
+//! Visibility is the interface between them: a helper is private to its
+//! file, `pub(super)` when a sibling layer calls it, and `pub(crate)`
+//! only when the engine, the view, a probe or recovery does.
+
+use std::collections::BTreeSet;
+use std::sync::atomic::AtomicU64;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
+use tetris_workload::{TaskSpec, TaskUid, Workload};
+
+use crate::cluster::{ClusterConfig, MachineId};
+use crate::config::{ExternalLoad, SimConfig};
+use crate::events::{EventQueue, FlowId};
+use crate::fault::TrackerMode;
+use crate::index::MachineIndex;
+use crate::time::SimTime;
+use crate::tracker;
+
+mod faults;
+mod lifecycle;
+mod network;
+mod plan;
+
+pub use lifecycle::TaskCompletion;
+use network::DirtySet;
+pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
+
+/// One unit of schedulable work in flight.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) struct Flow {
+    pub task: TaskUid,
+    pub host: MachineId,
+    pub cap: f64,
+    pub links: Vec<(MachineId, Resource)>,
+    pub remaining: f64,
+    pub init_work: f64,
+    pub rate: f64,
+    pub last_update: SimTime,
+    pub done: bool,
+}
+
+impl Flow {
+    /// What a checkpoint restore puts in the slot of a flow that had
+    /// finished: `done`, so nothing reads past that flag.
+    pub(crate) fn tombstone() -> Flow {
+        Flow {
+            task: TaskUid(0),
+            host: MachineId(0),
+            cap: 0.0,
+            links: Vec::new(),
+            remaining: 0.0,
+            init_work: 0.0,
+            rate: 0.0,
+            last_update: SimTime::ZERO,
+            done: true,
+        }
+    }
+}
+
+/// Runtime state of one machine.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) struct MachineState {
+    pub capacity: ResourceVec,
+    /// Demand ledger: sum of peak demands of everything placed here
+    /// (local + remote reservations). Baselines that ignore disk/network
+    /// can drive components above capacity — that *is* over-allocation.
+    pub allocated: ResourceVec,
+    /// Σ flow caps per resource dimension (+ external load).
+    pub link_demand: [f64; NUM_RESOURCES],
+    /// Which flows use each dimension.
+    pub link_flows: [Vec<FlowId>; NUM_RESOURCES],
+    /// Current external (non-task) load rates.
+    pub external: ResourceVec,
+    /// External load as of the last tracker report (what tracker-aware
+    /// schedulers see — stale by up to one report period).
+    pub external_reported: ResourceVec,
+    /// Total usage (flow rates + external) as of the last tracker report.
+    pub usage_reported: ResourceVec,
+    /// Recently placed demands (placement time, demand) for the ramp-up
+    /// allowance; pruned at tracker reports.
+    pub recent: Vec<(SimTime, ResourceVec)>,
+    /// Hosted running tasks.
+    pub running: usize,
+    /// Uids of the hosted running tasks (slot accounting for slot-based
+    /// policies; order is placement order).
+    pub running_tasks: Vec<TaskUid>,
+    /// True while the machine is crashed (fault injection): zero
+    /// availability, no placements, no tracker reports.
+    pub down: bool,
+    /// Straggler factor in (0,1] applied to effective disk/net bandwidth
+    /// (1.0 = healthy; fault injection).
+    pub slowdown: f64,
+    /// Suspicion score fed by missed/implausible tracker reports; decays
+    /// on plausible ones. `>= tracker::SUSPECT_THRESHOLD` ⇒ suspect.
+    pub suspicion: f64,
+    /// Consecutive reports whose memory figure contradicted the
+    /// allocation ledger (stale-tracker detector).
+    pub stale_streak: u32,
+}
+
+impl MachineState {
+    fn new(capacity: ResourceVec) -> Self {
+        MachineState {
+            capacity,
+            allocated: ResourceVec::zero(),
+            link_demand: [0.0; NUM_RESOURCES],
+            link_flows: Default::default(),
+            external: ResourceVec::zero(),
+            external_reported: ResourceVec::zero(),
+            usage_reported: ResourceVec::zero(),
+            recent: Vec::new(),
+            running: 0,
+            running_tasks: Vec::new(),
+            down: false,
+            slowdown: 1.0,
+            suspicion: 0.0,
+            stale_streak: 0,
+        }
+    }
+}
+
+/// Lifecycle of a task.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) enum Phase {
+    /// Waiting on upstream stages.
+    Blocked,
+    /// Schedulable.
+    Runnable,
+    /// Placed and running.
+    Running(RunInfo),
+    /// Done.
+    Finished,
+    /// Attempt lost to a machine crash; waiting out the restart backoff
+    /// before becoming runnable again.
+    Backoff,
+    /// Permanently failed: lost its last permitted attempt to a crash.
+    /// Counts toward stage/job completion so the job still terminates.
+    Abandoned,
+}
+
+/// Bookkeeping for a running task.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) struct RunInfo {
+    pub machine: MachineId,
+    /// Flow ids of this attempt (torn down on a crash).
+    pub flows: Vec<FlowId>,
+    pub flows_left: usize,
+    pub local_alloc: ResourceVec,
+    pub remote_alloc: Vec<(MachineId, ResourceVec)>,
+    pub gen: u64,
+}
+
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) struct TaskState {
+    pub phase: Phase,
+    pub attempts: u32,
+    pub start: Option<SimTime>,
+    pub first_start: Option<SimTime>,
+    pub finish: Option<SimTime>,
+    pub machine: Option<MachineId>,
+    /// When the task last became runnable (stage unlock or retry) — the
+    /// basis for starvation detection (paper §3.5).
+    pub runnable_since: Option<SimTime>,
+    /// Placement-plan duration estimate of the latest attempt (true lower
+    /// bound on the attempt's simulated duration).
+    pub planned: Option<f64>,
+}
+
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) struct StageState {
+    pub unlocked: bool,
+    pub pending: Vec<TaskUid>,
+    pub running: usize,
+    pub finished: usize,
+    pub total: usize,
+    /// True if some later stage of the job depends on this one — i.e. this
+    /// stage precedes a barrier (§3.5).
+    pub feeds_downstream: bool,
+    /// Bytes of stage output per machine, sorted by machine and one entry
+    /// each (filled as tasks finish; consumed by downstream shuffle
+    /// readers).
+    pub out_by_machine: Vec<(MachineId, f64)>,
+    pub total_out: f64,
+}
+
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub(crate) struct JobState {
+    pub arrived: bool,
+    pub finish: Option<SimTime>,
+    pub first_start: Option<SimTime>,
+    pub allocated: ResourceVec,
+    pub running: usize,
+    pub finished_tasks: usize,
+    pub total_tasks: usize,
+    pub stages: Vec<StageState>,
+}
+
+impl JobState {
+    pub fn is_active(&self) -> bool {
+        self.arrived && self.finish.is_none()
+    }
+}
+
+/// Mutable simulation state. The engine (`engine.rs`) drives it; the
+/// cluster view (`view.rs`) reads it.
+pub(crate) struct SimState {
+    pub workload: Workload,
+    pub cfg: SimConfig,
+    pub now: SimTime,
+    pub machines: Vec<MachineState>,
+    pub tasks: Vec<TaskState>,
+    /// uid → (job index, stage index, task index) for O(1) spec lookup.
+    pub task_loc: Vec<(usize, usize, usize)>,
+    pub jobs: Vec<JobState>,
+    /// Block id → replica machines.
+    pub blocks: Vec<Vec<MachineId>>,
+    pub flows: Vec<Flow>,
+    pub jobs_remaining: usize,
+    pub total_capacity: ResourceVec,
+    pub rng: StdRng,
+    /// Machines whose availability changed since the last scheduling round
+    /// (a hint for policies; cleared by the engine).
+    pub freed_hint: Vec<MachineId>,
+    /// Completions this run (diagnostics).
+    pub completions: usize,
+    /// Tracker behavior per machine (all honest when faults are off).
+    pub tracker_modes: Vec<TrackerMode>,
+    /// Planned tracker behavior, restored when a machine recovers from a
+    /// crash (pre-crash flaking is transient; a reboot resets the agent).
+    pub tracker_modes_baseline: Vec<TrackerMode>,
+    /// External loads synthesized at runtime (crash-time re-replication);
+    /// indexed by `ExternalStart`/`ExternalEnd` past the end of
+    /// `cfg.external_loads`.
+    pub dynamic_loads: Vec<ExternalLoad>,
+    /// Whether each external load (static, then dynamic) is currently
+    /// applied, so a crash can abort a machine's in-flight transfers and
+    /// the load's own `ExternalEnd` becomes a no-op afterwards.
+    pub external_active: Vec<bool>,
+    /// External loads permanently aborted because their machine (or its
+    /// re-replication peer) crashed; queued Start/End events are no-ops.
+    pub external_cancelled: Vec<bool>,
+    /// Tasks permanently failed after exhausting `max_task_attempts`.
+    pub tasks_abandoned: u64,
+    /// Free-capacity index serving `MachineQuery` (DESIGN.md §13).
+    /// Disabled (empty) when `cfg.machine_index` is off.
+    pub index: MachineIndex,
+    /// Placement plans resolved since the last drain
+    /// (`names::PLACEMENT_PLANS`). Atomic for the reason the index's
+    /// counters are: shard workers plan through a shared `&SimState`.
+    pub plans: AtomicU64,
+    /// The links, machines and flows the next `recompute_dirty` looks at:
+    /// every change to a link's demand or a machine's memory marks them.
+    /// Empty at a batch boundary, so not checkpointed.
+    pub(crate) dirty: DirtySet,
+    /// Pending events. The state queues what its own changes cause
+    /// (completions, restarts, re-replication); the engine seeds the rest
+    /// and pops them.
+    pub(crate) queue: EventQueue,
+    /// `factor` of each (machine, dim) link and `thrash_factor` of each
+    /// machine as of the last drain of the dirty set: what every live
+    /// flow's `rate` was computed from. Derived, so not checkpointed.
+    link_factor: Vec<f64>,
+    thrash: Vec<f64>,
+    /// `[job][stage]`: the output map of each finished stage with more
+    /// sources than `shuffle_fanin`, ordered as the fan-in bound keeps
+    /// them — bytes descending, then machine ascending (empty elsewhere;
+    /// grown as stages finish). Derived, so not checkpointed:
+    /// `rank_finished_stages` rebuilds it at restore.
+    shuffle_ranks: Vec<Vec<Vec<(MachineId, f64)>>>,
+    /// The plan `apply_assignment` resolves into, placement after
+    /// placement.
+    applied_plan: PlacementPlan,
+    /// Flows `recompute_dirty` visited, and how many of them it re-timed
+    /// (`names::RECOMPUTE_VISITS`, `names::FLOW_RETIMES`).
+    pub recompute_visits: u64,
+    pub flow_retimes: u64,
+}
+
+impl SimState {
+    pub(crate) fn new(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let n_machines = cluster.len();
+        let capacities: Vec<ResourceVec> = (0..n_machines)
+            .map(|i| cluster.capacity(MachineId(i)))
+            .collect();
+        let machines = capacities.iter().map(|&c| MachineState::new(c)).collect();
+
+        // Bind stored blocks to replica machines.
+        let replication = cfg.replication.min(n_machines);
+        let blocks = (0..workload.num_blocks)
+            .map(|_| {
+                let mut reps = BTreeSet::new();
+                while reps.len() < replication {
+                    reps.insert(MachineId(rng.gen_range(0..n_machines)));
+                }
+                reps.into_iter().collect::<Vec<_>>()
+            })
+            .collect();
+
+        // Index tasks and initialize job/stage state.
+        let n_tasks = workload.num_tasks();
+        let mut task_loc = vec![(0, 0, 0); n_tasks];
+        let mut jobs = Vec::with_capacity(workload.jobs.len());
+        for (ji, job) in workload.jobs.iter().enumerate() {
+            let mut stages = Vec::with_capacity(job.stages.len());
+            for (si, stage) in job.stages.iter().enumerate() {
+                for (ti, t) in stage.tasks.iter().enumerate() {
+                    task_loc[t.uid.index()] = (ji, si, ti);
+                }
+                let feeds_downstream = job.stages.iter().any(|s2| s2.deps.contains(&si));
+                stages.push(StageState {
+                    unlocked: false,
+                    pending: Vec::new(),
+                    running: 0,
+                    finished: 0,
+                    total: stage.tasks.len(),
+                    feeds_downstream,
+                    out_by_machine: Vec::new(),
+                    total_out: 0.0,
+                });
+            }
+            jobs.push(JobState {
+                arrived: false,
+                finish: None,
+                first_start: None,
+                allocated: ResourceVec::zero(),
+                running: 0,
+                finished_tasks: 0,
+                total_tasks: job.num_tasks(),
+                stages,
+            });
+        }
+
+        let tasks = vec![
+            TaskState {
+                phase: Phase::Blocked,
+                attempts: 0,
+                start: None,
+                first_start: None,
+                finish: None,
+                machine: None,
+                planned: None,
+                runnable_since: None,
+            };
+            n_tasks
+        ];
+
+        let total_capacity = cluster.total_capacity();
+        let jobs_remaining = workload.jobs.len();
+        let n_external = cfg.external_loads.len();
+        let index = if cfg.machine_index {
+            let mut idx = MachineIndex::new(&capacities);
+            idx.seed();
+            idx
+        } else {
+            MachineIndex::disabled()
+        };
+        let mut state = SimState {
+            workload,
+            cfg,
+            now: SimTime::ZERO,
+            machines,
+            tasks,
+            task_loc,
+            jobs,
+            blocks,
+            flows: Vec::new(),
+            jobs_remaining,
+            total_capacity,
+            rng,
+            freed_hint: Vec::new(),
+            completions: 0,
+            tracker_modes: vec![TrackerMode::Honest; n_machines],
+            tracker_modes_baseline: vec![TrackerMode::Honest; n_machines],
+            external_active: vec![false; n_external],
+            external_cancelled: vec![false; n_external],
+            dynamic_loads: Vec::new(),
+            tasks_abandoned: 0,
+            index,
+            plans: AtomicU64::new(0),
+            dirty: DirtySet::default(),
+            queue: EventQueue::new(),
+            link_factor: vec![1.0; n_machines * NUM_RESOURCES],
+            thrash: vec![1.0; n_machines],
+            shuffle_ranks: Vec::new(),
+            applied_plan: PlacementPlan::default(),
+            recompute_visits: 0,
+            flow_retimes: 0,
+        };
+        state.index_rebuild();
+        state
+    }
+
+    /// The index's availability upper bound for one machine: a vector
+    /// dominating `availability(m, _)` for every tracker mode and time
+    /// (see `index.rs` module docs for the per-mode argument).
+    fn index_ub(&self, mi: usize) -> ResourceVec {
+        let ms = &self.machines[mi];
+        if ms.down {
+            return ResourceVec::zero();
+        }
+        let ledger = ms.capacity - ms.allocated;
+        if !self.cfg.reclaim_idle {
+            return ledger;
+        }
+        // Reclaim mode: usage-derived availability can exceed the ledger
+        // (idle reclamation), so bound with the reported usage floor, its
+        // memory component pinned to the allocation ledger exactly as
+        // `availability` pins it.
+        let usage_adj = ms
+            .usage_reported
+            .with(Resource::Mem, ms.allocated.get(Resource::Mem));
+        ledger.max(&(ms.capacity - usage_adj))
+    }
+
+    /// Refresh one machine's index entry after a ledger / liveness /
+    /// suspicion change. No-op when the index is disabled.
+    pub(crate) fn index_touch(&mut self, mi: usize) {
+        if !self.index.enabled {
+            return;
+        }
+        let ub = self.index_ub(mi);
+        let ms = &self.machines[mi];
+        let considered = !ms.down && ms.suspicion < tracker::SUSPECT_THRESHOLD;
+        self.index.refresh(mi, ub, considered);
+    }
+
+    /// Refresh every machine's index entry (crash fallout, bulk tracker
+    /// refresh under reclaim). No-op when the index is disabled.
+    pub(crate) fn index_rebuild(&mut self) {
+        if !self.index.enabled {
+            return;
+        }
+        for mi in 0..self.machines.len() {
+            self.index_touch(mi);
+        }
+    }
+
+    /// Task spec by uid.
+    #[inline]
+    pub(crate) fn spec(&self, uid: TaskUid) -> &TaskSpec {
+        let (j, s, t) = self.task_loc[uid.index()];
+        &self.workload.jobs[j].stages[s].tasks[t]
+    }
+
+    /// Availability as seen by the scheduler.
+    ///
+    /// Tracker-unaware policies (the slot baselines) see the demand ledger
+    /// only: `capacity − Σ committed peak demands`, which can go negative
+    /// when they over-allocate.
+    ///
+    /// Tracker-aware policies (Tetris, SRTF) see usage-based availability
+    /// with idle reclamation (§4.1): `capacity − (reported usage + ramp-up
+    /// allowance for recently placed tasks)`, floored by the memory ledger
+    /// (memory is held, never reclaimed). With `reclaim_idle` off they see
+    /// the demand ledger minus tracker-reported external usage.
+    pub(crate) fn availability(&self, m: MachineId, tracker_aware: bool) -> ResourceVec {
+        let ms = &self.machines[m.index()];
+        if ms.down {
+            // A crashed machine offers nothing to any policy.
+            return ResourceVec::zero();
+        }
+        if !tracker_aware {
+            return ms.capacity - ms.allocated;
+        }
+        if !self.cfg.reclaim_idle {
+            return ms.capacity - ms.allocated - ms.external_reported;
+        }
+        // Usage + allowance, component-wise maxed with the memory ledger.
+        let horizon = tracker::RAMP_UP_HORIZON_SECS;
+        let mut committed = ms.usage_reported;
+        for (t, demand) in &ms.recent {
+            let age = self.now.secs_since(*t);
+            if age < horizon {
+                committed += *demand * (1.0 - age / horizon);
+            }
+        }
+        // Memory is a space resource: the ledger is authoritative.
+        committed.set(Resource::Mem, ms.allocated.get(Resource::Mem));
+        ms.capacity - committed
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use tetris_resources::units::{GB, MB};
+    use tetris_resources::MachineSpec;
+    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+    use tetris_workload::JobId;
+
+    /// A task of `cores` cores and 1 GB that computes for `duration`
+    /// seconds, reads `inputs` and writes nothing.
+    pub(crate) fn params(
+        cores: f64,
+        duration: f64,
+        inputs: Vec<tetris_workload::InputSpec>,
+    ) -> TaskParams {
+        TaskParams {
+            cores,
+            mem: GB,
+            duration,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs,
+            output_bytes: 0.0,
+            remote_frac: 1.0,
+        }
+    }
+
+    /// One job of one stage of `n` tasks built by `task`.
+    pub(crate) fn one_stage(n: usize, task: TaskParams) -> Workload {
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("j", None, 0.0);
+        b.add_stage(j, "s", vec![], n, |_| task.clone());
+        b.finish()
+    }
+
+    pub(crate) fn one_task_workload(cores: f64, dur: f64) -> Workload {
+        one_stage(1, params(cores, dur, vec![]))
+    }
+
+    /// A state on two `paper_small` machines under the default config.
+    pub(crate) fn mk_state(w: Workload) -> SimState {
+        let cluster = ClusterConfig::uniform(2, MachineSpec::paper_small());
+        SimState::new(cluster, w, SimConfig::default())
+    }
+
+    #[test]
+    fn availability_reflects_allocation_and_tracker() {
+        let mut st = mk_state(one_task_workload(2.0, 10.0));
+        st.job_arrives(JobId(0));
+        st.apply_assignment(TaskUid(0), MachineId(0));
+        let avail = st.availability(MachineId(0), false);
+        assert_eq!(avail.get(Resource::Cpu), 2.0); // 4 - 2
+        assert_eq!(avail.get(Resource::Mem), 15.0 * GB); // 16 - 1
+
+        // External load visible only after a tracker report, and only to
+        // tracker-aware policies.
+        st.cfg.external_loads.push(ExternalLoad {
+            machine: MachineId(0),
+            start: 0.0,
+            duration: 10.0,
+            load: ResourceVec::zero().with(Resource::DiskWrite, 50.0 * MB),
+        });
+        // Keep the activation flags parallel to the injected load.
+        st.external_active.push(false);
+        st.external_cancelled.push(false);
+        st.set_external(0, true);
+        assert_eq!(
+            st.availability(MachineId(0), true).get(Resource::DiskWrite),
+            st.machines[0].capacity.get(Resource::DiskWrite)
+        );
+        st.tracker_report(&mut Vec::new());
+        let dw_avail = st.availability(MachineId(0), true).get(Resource::DiskWrite);
+        assert_eq!(
+            dw_avail,
+            st.machines[0].capacity.get(Resource::DiskWrite) - 50.0 * MB
+        );
+        // Tracker-unaware view unchanged.
+        assert_eq!(
+            st.availability(MachineId(0), false)
+                .get(Resource::DiskWrite),
+            st.machines[0].capacity.get(Resource::DiskWrite)
+        );
+    }
+}

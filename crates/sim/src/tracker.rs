@@ -1,8 +1,9 @@
 //! Resource-tracker helpers (paper §4.1).
 //!
 //! The tracker process on every node reports aggregate usage to the
-//! cluster-wide resource manager. The engine models the report cycle
-//! directly (`SimState::tracker_report`); this module provides the
+//! cluster-wide resource manager. The engine runs the report cycle every
+//! `REPORT_PERIOD_SECS` through `SimState::tracker_report`, below, which
+//! also scores each machine's trustworthiness. This module provides the
 //! *ramp-up allowance* the paper describes for usage-based reports:
 //!
 //! > "In its reports, the tracker provides allowance for newly assigned
@@ -16,8 +17,17 @@
 
 use tetris_resources::{Resource, ResourceVec};
 
+use crate::cluster::MachineId;
+use crate::fault::TrackerMode;
+use crate::state::SimState;
+
 /// Ramp-up horizon in seconds (paper: 10 s).
 pub const RAMP_UP_HORIZON_SECS: f64 = 10.0;
+
+/// Seconds between two usage reports (§4.1: machines report usage
+/// periodically; this staleness is also what batches freed resources and
+/// avoids large-task starvation, §3.5).
+pub(crate) const REPORT_PERIOD_SECS: f64 = 1.0;
 
 // ----------------------------------------------------------------------
 // Misbehaving-node detection (fault model, DESIGN.md §10)
@@ -92,10 +102,133 @@ pub fn adjusted_usage(
     total
 }
 
+impl SimState {
+    /// Tracker tick: machines report their current usage (task flows plus
+    /// external activity) and prune expired ramp-up entries.
+    ///
+    /// With faults enabled, reports pass through each machine's
+    /// [`TrackerMode`] (stale trackers freeze their last report, liars
+    /// scale theirs) and feed the per-machine suspicion score: a down
+    /// machine misses its report, an over-capacity report is implausible,
+    /// and a frozen report while the allocation ledger moves marks a stale
+    /// tracker. Suspicion decays on plausible reports. Machines crossing
+    /// the suspect threshold (either way) are appended to `transitions`
+    /// as `(machine, now_suspect)` so the engine can trace them.
+    pub(crate) fn tracker_report(&mut self, transitions: &mut Vec<(MachineId, bool)>) {
+        let horizon = RAMP_UP_HORIZON_SECS;
+        let now = self.now;
+        if !self.cfg.faults.enabled() {
+            // Fast path, byte-identical to the pre-fault tracker.
+            for mi in 0..self.machines.len() {
+                let usage = self.machines[mi].usage(&self.flows);
+                let ms = &mut self.machines[mi];
+                ms.external_reported = ms.external;
+                ms.usage_reported = usage;
+                ms.recent.retain(|(t, _)| now.secs_since(*t) < horizon);
+            }
+            if self.cfg.reclaim_idle {
+                // Reported usage moved on every machine and feeds the
+                // reclaim-mode availability bound; the report is already
+                // O(machines), so the index refresh rides along free.
+                self.index_rebuild();
+            }
+            return;
+        }
+        let transitions_at_entry = transitions.len();
+        for mi in 0..self.machines.len() {
+            let was_suspect = self.machines[mi].suspicion >= SUSPECT_THRESHOLD;
+            if self.machines[mi].down {
+                // Missed report: the tracker hears nothing from a crashed
+                // machine, which is itself a strong signal.
+                let ms = &mut self.machines[mi];
+                ms.suspicion = (ms.suspicion + MISSED_REPORT_SUSPICION).min(SUSPICION_CAP);
+            } else {
+                let usage = self.machines[mi].usage(&self.flows);
+                let mode = self.tracker_modes[mi];
+                let ms = &mut self.machines[mi];
+                let (reported_usage, reported_external) = match mode {
+                    TrackerMode::Honest => (usage, ms.external),
+                    // A stale tracker re-sends its previous report forever.
+                    TrackerMode::Stale => (ms.usage_reported, ms.external_reported),
+                    // A misreporting tracker scales true usage by a factor
+                    // (over- or under-reporting).
+                    TrackerMode::Misreport(f) => (usage * f, ms.external * f),
+                };
+                if report_implausible(&reported_usage, &ms.capacity) {
+                    // Claims more usage than the hardware can deliver.
+                    ms.suspicion = (ms.suspicion + IMPLAUSIBLE_REPORT_SUSPICION).min(SUSPICION_CAP);
+                    ms.stale_streak = 0;
+                } else if reported_usage.get(Resource::Mem) != ms.allocated.get(Resource::Mem) {
+                    // The report's memory figure contradicts the master's
+                    // own allocation ledger. Memory is a space resource —
+                    // an honest report equals allocated memory *by
+                    // construction* — so a mismatch means the report is
+                    // frozen (or scaled) while the ledger moved: a stale
+                    // tracker. Rate resources can't be used here: a
+                    // saturated link honestly repeats `capacity` forever.
+                    // The streak tolerates one-report races a real,
+                    // asynchronous cluster would produce.
+                    ms.stale_streak += 1;
+                    if ms.stale_streak >= STALE_STREAK_REPORTS {
+                        ms.suspicion = (ms.suspicion + MISSED_REPORT_SUSPICION).min(SUSPICION_CAP);
+                    }
+                } else {
+                    ms.stale_streak = 0;
+                    ms.suspicion *= SUSPICION_DECAY;
+                    if ms.suspicion < SUSPICION_ZERO_BELOW {
+                        ms.suspicion = 0.0;
+                    }
+                }
+                ms.usage_reported = reported_usage;
+                ms.external_reported = reported_external;
+                ms.recent.retain(|(t, _)| now.secs_since(*t) < horizon);
+            }
+            let is_suspect = self.machines[mi].suspicion >= SUSPECT_THRESHOLD;
+            if is_suspect != was_suspect {
+                transitions.push((MachineId(mi), is_suspect));
+            }
+        }
+        if self.cfg.reclaim_idle {
+            // Reported usage feeds the reclaim-mode bound on every machine.
+            self.index_rebuild();
+        } else {
+            // Ledger-mode bound ignores reported usage: only suspicion
+            // flips change the considered set.
+            for i in transitions_at_entry..transitions.len() {
+                let m = transitions[i].0;
+                self.index_touch(m.index());
+            }
+        }
+    }
+
+    /// Cluster-wide tracker-reported usage as a fraction of capacity, in
+    /// the most-loaded resource dimension. Observability only — policies
+    /// see per-machine availability, never this aggregate.
+    pub(crate) fn tracker_usage_fraction(&self) -> f64 {
+        let mut usage = ResourceVec::zero();
+        let mut cap = ResourceVec::zero();
+        for ms in &self.machines {
+            usage += ms.usage_reported + ms.external_reported;
+            cap += ms.capacity;
+        }
+        usage
+            .iter()
+            .map(|(r, u)| {
+                let c = cap.get(r);
+                if c > 0.0 {
+                    u / c
+                } else {
+                    0.0
+                }
+            })
+            .fold(0.0f64, f64::max)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetris_resources::Resource;
+    use crate::state::tests::{mk_state, one_task_workload};
 
     fn d(cpu: f64) -> ResourceVec {
         ResourceVec::zero().with(Resource::Cpu, cpu)
@@ -173,5 +306,48 @@ mod tests {
             adjusted_usage(&observed, &young, RAMP_UP_HORIZON_SECS),
             observed
         );
+    }
+
+    #[test]
+    fn suspicion_rises_on_missed_reports_and_decays_on_good_ones() {
+        let mut st = mk_state(one_task_workload(1.0, 10.0));
+        st.cfg.faults.stale_frac = 0.5; // any non-zero knob enables faults
+        let mut transitions = Vec::new();
+        st.machine_crash(MachineId(0));
+        let reports_to_suspect = (SUSPECT_THRESHOLD / MISSED_REPORT_SUSPICION).ceil() as usize;
+        for _ in 0..reports_to_suspect {
+            st.tracker_report(&mut transitions);
+        }
+        assert_eq!(transitions, vec![(MachineId(0), true)]);
+        assert!(st.machines[0].suspicion >= SUSPECT_THRESHOLD);
+        // Machine 1 stayed honest and unsuspected.
+        assert_eq!(st.machines[1].suspicion, 0.0);
+        // Recovery + good reports clear the suspicion.
+        st.machine_recover(MachineId(0));
+        transitions.clear();
+        for _ in 0..16 {
+            st.tracker_report(&mut transitions);
+        }
+        assert_eq!(transitions, vec![(MachineId(0), false)]);
+        assert_eq!(st.machines[0].suspicion, 0.0);
+    }
+
+    #[test]
+    fn stale_tracker_mode_freezes_reports_and_raises_suspicion() {
+        let mut st = mk_state(one_task_workload(2.0, 10.0));
+        st.cfg.faults.stale_frac = 0.5;
+        st.tracker_modes[0] = TrackerMode::Stale;
+        st.job_arrives(tetris_workload::JobId(0));
+        let mut transitions = Vec::new();
+        st.tracker_report(&mut transitions);
+        // Place a task: allocation moves, but the stale report stays
+        // frozen at zero usage.
+        st.apply_assignment(tetris_workload::TaskUid(0), MachineId(0));
+        st.recompute_dirty();
+        for _ in 0..16 {
+            st.tracker_report(&mut transitions);
+        }
+        assert!(st.machines[0].usage_reported.is_zero());
+        assert_eq!(transitions, vec![(MachineId(0), true)]);
     }
 }

@@ -32,6 +32,10 @@ use crate::cluster::MachineId;
 use crate::sharded::{owner_shard, CommitOverlay};
 use crate::state::{Phase, PlacementPlan, SimState};
 
+/// Most tasks one preemptive assignment may evict
+/// ([`ClusterView::max_evictions`]).
+const MAX_EVICTIONS_PER_ASSIGNMENT: usize = 8;
+
 /// A scheduling decision: run `task` on `machine`, optionally after
 /// evicting strictly-lower-priority running tasks from it (priority
 /// preemption, DESIGN.md §16).
@@ -761,10 +765,10 @@ impl<'a> ClusterView<'a> {
         self.state.cfg.preemption
     }
 
-    /// Cap on victims per preemptive assignment
-    /// (`SimConfig::max_preemptions_per_assignment`).
+    /// Cap on victims per preemptive assignment: a guard against one
+    /// placement flushing a whole machine.
     pub fn max_evictions(&self) -> usize {
-        self.state.cfg.max_preemptions_per_assignment
+        MAX_EVICTIONS_PER_ASSIGNMENT
     }
 
     /// Taint mask of a machine (0 when the run defines no taints).

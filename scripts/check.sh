@@ -217,6 +217,14 @@ fi
 # regeneration that would otherwise wave it through, not in a benchmark.
 (( ${wal_sum#* } * 3 <= 876208 )) \
   || { echo "journal outgrew its budget: ${wal_sum#* } bytes"; exit 1; }
+# The decision stream is pinned beside the journal: the default
+# `--trace --scale 0.1` run from the telemetry smoke above, its one
+# wall-clock field masked. Every placement, completion and preemption of
+# the run is in it, so a refactor that moves one decision fails here.
+# Regenerate only with a deliberate decision change.
+trace_sum="$(sed -E 's/"wall_ns":[0-9]+/"wall_ns":0/g' "$tmp/plain.jsonl" | cksum)"
+[[ "$trace_sum" == "1545768602 1546785" ]] \
+  || { echo "decision stream changed: masked trace cksum $trace_sum"; exit 1; }
 target/release/reproduce --outcome "$tmp/full.json" --scale 0.1 >/dev/null
 cmp "$tmp/recovered.json" "$tmp/full.json" \
   || { echo "recovered outcome diverges from the uninterrupted run"; exit 1; }
