@@ -69,16 +69,7 @@ impl SchedulerPolicy for RandomScheduler {
             for off in 0..n {
                 let m = MachineId((start + off) % n);
                 view.plan_into(t, m, &mut plan);
-                let fits = plan.local.fits_within(&avail[m.index()])
-                    && plan
-                        .remote
-                        .iter()
-                        .all(|(s, d)| d.fits_within(&avail[s.index()]));
-                if fits {
-                    avail[m.index()] -= plan.local;
-                    for (s, d) in &plan.remote {
-                        avail[s.index()] -= *d;
-                    }
+                if plan.try_charge(m, &mut avail) {
                     out.push(Assignment::new(t, m));
                     break;
                 }

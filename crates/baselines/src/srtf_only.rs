@@ -148,16 +148,7 @@ impl SchedulerPolicy for SrtfScheduler {
                         continue;
                     }
                     view.plan_into(t, m, plan);
-                    let fits = plan.local.fits_within(&avail[m.index()])
-                        && plan
-                            .remote
-                            .iter()
-                            .all(|(s, d)| d.fits_within(&avail[s.index()]));
-                    if fits {
-                        avail[m.index()] -= plan.local;
-                        for (s, d) in &plan.remote {
-                            avail[s.index()] -= *d;
-                        }
+                    if plan.try_charge(m, avail) {
                         out.push(Assignment::new(t, m));
                         break;
                     }

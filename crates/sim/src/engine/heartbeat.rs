@@ -1,0 +1,216 @@
+//! One scheduling heartbeat: the policy's rounds, the guard an assignment
+//! passes before it is applied, and the application itself.
+
+use std::ops::ControlFlow;
+use std::time::Instant;
+
+use tetris_obs::{names, Event};
+
+use super::Engine;
+use crate::recovery::{DecisionLog, RecoveryError};
+use crate::state::Phase;
+use crate::view::{Assignment, ClusterView, SchedulerEvent};
+
+/// Cap on re-invocations of the policy within one scheduling round; guards
+/// against a policy that keeps returning assignments the engine rejects.
+const MAX_SCHEDULE_ROUNDS: usize = 16;
+
+/// Interned preemption-reason tag (see `dispatch`).
+const REASON_PRIORITY_PREEMPTION: &str = "priority_preemption";
+
+impl Engine<'_> {
+    /// One "resources freed → pick tasks" pass, the heartbeat of a real
+    /// cluster scheduler: deliver the batch's scheduler events, then call
+    /// the policy round after round until a round places nothing. Timed
+    /// end-to-end into the continuous version of the paper's Table-8
+    /// measurement. Breaks if the fault plan's scheduler crash fires.
+    pub(super) fn heartbeat(
+        &mut self,
+        log: &mut DecisionLog<'_>,
+    ) -> Result<ControlFlow<()>, RecoveryError> {
+        let heartbeat = self.heartbeats;
+        let crash = self.state.cfg.faults.sched_crash;
+        let crash = crash.filter(|c| c.at_heartbeat == heartbeat);
+        // Crash point (a): between batches. Nothing of this heartbeat
+        // reaches the journal — recovery resumes exactly at its commit
+        // frontier.
+        if crash.is_some_and(|c| !c.mid_commit) {
+            return Ok(ControlFlow::Break(()));
+        }
+        let mid_commit = crash.is_some();
+        log.batch_start(heartbeat, self.state.now)?;
+        // The batch's scheduler events go before the rounds' schedule
+        // calls — the protocol documented on [`SchedulerEvent`].
+        self.deliver();
+        // The freed-machine hints are fixed for the heartbeat (contract
+        // and measured reason on `ClusterView::freed_machines`): frees the
+        // rounds cause themselves — priority evictions — are dropped.
+        let hints = self.state.freed_hint.len();
+        let pending_before = self.observing.then(|| self.state.num_pending());
+        let before = self.stats.clone();
+        let verbose = self.obs.verbose();
+        let heartbeat_start = Instant::now();
+        'rounds: for round in 0..MAX_SCHEDULE_ROUNDS {
+            let schedule_start = Instant::now();
+            let assignments = {
+                let view = ClusterView::new(&self.state, self.tracker_aware).capturing(verbose);
+                self.stats.schedule_calls += 1;
+                self.policy.schedule(&view)
+            };
+            let schedule_ns = schedule_start.elapsed().as_nanos() as u64;
+            self.obs.metrics.observe(names::SCHEDULE_NS, schedule_ns);
+            if assignments.is_empty() {
+                break;
+            }
+            // Crash point (b): mid-commit. Only the first half of this
+            // heartbeat's first-round placements reach the journal and no
+            // commit record does — with a sharded policy, that is some
+            // shards' plans journaled and others lost. Recovery discards
+            // the torn batch and re-derives the frontier at the last
+            // commit.
+            let cut = if round == 0 && mid_commit {
+                assignments.len() / 2
+            } else {
+                usize::MAX
+            };
+            let mut applied = 0usize;
+            for a in assignments {
+                if !self.admissible(&a) {
+                    self.stats.rejected_assignments += 1;
+                    self.obs.metrics.counter_inc(names::REJECTED_ASSIGNMENTS);
+                    continue;
+                }
+                if applied == cut {
+                    break 'rounds;
+                }
+                applied += 1;
+                log.placement(round as u32, a.task, a.machine)?;
+                self.apply(a, verbose);
+            }
+            self.state.freed_hint.truncate(hints);
+            self.state.recompute_dirty();
+            if applied == 0 {
+                break;
+            }
+        }
+        if mid_commit {
+            // Torn at the cut above or, when the policy produced too
+            // little to tear, whole: either way the scheduler dies before
+            // the commit record, so the batch reads as uncommitted.
+            return Ok(ControlFlow::Break(()));
+        }
+        log.commit(heartbeat, &before, &self.stats, &mut self.obs.metrics)?;
+        let wall_ns = heartbeat_start.elapsed().as_nanos() as u64;
+        self.obs.metrics.observe(names::HEARTBEAT_NS, wall_ns);
+        if let Some(pending_tasks) = pending_before {
+            let placements = self.stats.placements - before.placements;
+            let now = self.state.now.as_secs();
+            let obs = &mut self.obs;
+            obs.metrics
+                .gauge_set(names::PENDING_TASKS, pending_tasks as f64);
+            obs.emit(now, || Event::HeartbeatProcessed {
+                pending_tasks,
+                placements,
+                wall_ns,
+            });
+        }
+        // Hints are consumed by the whole scheduling loop, not per round,
+        // so a policy can keep focusing on freed machines across its
+        // re-invocations.
+        self.state.freed_hint.clear();
+
+        // Telemetry time-series: one sample per heartbeat, taken after the
+        // scheduling pass so each point describes the cluster the *next*
+        // decision will see. Gated on an attached collector; the
+        // computation is a pure read of ledger state (no wall clock, no
+        // RNG), so the stream is byte-identical across runs.
+        if self.obs.sampling() {
+            let sample = crate::telemetry::sample_cluster(&self.state);
+            self.obs.record_sample(sample);
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// The engine's guard on one assignment: the task may run on the
+    /// machine, and an eviction list, if any, is honoured only with
+    /// preemption enabled, every victim still running on the target
+    /// machine, and every victim's job priority *strictly below* the
+    /// placing job's — the engine-enforced no-priority-inversion invariant
+    /// (DESIGN.md §16). One invalid victim rejects the assignment whole;
+    /// nothing is torn down first.
+    fn admissible(&self, a: &Assignment) -> bool {
+        let state = &self.state;
+        let priority = |uid| state.workload.jobs[state.job_of(uid).index()].priority;
+        let evictions_valid = a.evict.is_empty()
+            || (state.cfg.preemption && {
+                let placer = priority(a.task);
+                a.evict.iter().all(|&v| {
+                    matches!(
+                        &state.tasks[v.index()].phase,
+                        Phase::Running(info) if info.machine == a.machine
+                    ) && priority(v) < placer
+                })
+            });
+        evictions_valid && state.assignment_valid(a.task, a.machine)
+    }
+
+    /// Apply one admitted assignment: evict its victims, place its task,
+    /// and narrate each step to the policy and the trace.
+    fn apply(&mut self, a: Assignment, verbose: bool) {
+        let now = self.state.now.as_secs();
+        // Evictions land before the placement. They are *not* journaled:
+        // replay re-invokes the policy live, which re-derives the same
+        // eviction lists, and a torn mid-commit batch is discarded
+        // wholesale — so partial eviction application can never leak into
+        // recovery.
+        for &v in &a.evict {
+            let job = self.state.job_of(v);
+            let Some((_lost, host)) = self.state.preempt_task(v) else {
+                continue;
+            };
+            self.stats.preemptions += 1;
+            self.obs.metrics.counter_inc(names::PREEMPTIONS);
+            self.events.push(SchedulerEvent::TaskPreempted {
+                job,
+                task: v,
+                machine: host,
+            });
+            self.deliver();
+            let priority = self.state.workload.jobs[job.index()].priority.0;
+            self.obs.emit(now, || Event::TaskPreempted {
+                job: job.index(),
+                task: v.index(),
+                machine: host.index(),
+                reason: REASON_PRIORITY_PREEMPTION.into(),
+                priority: Some(priority),
+                preempted_by: Some(a.task.index()),
+            });
+        }
+        self.state.apply_assignment(a.task, a.machine);
+        self.stats.placements += 1;
+        self.obs.metrics.counter_inc(names::PLACEMENTS);
+        let job = self.state.job_of(a.task);
+        self.events.push(SchedulerEvent::TaskPlaced {
+            job,
+            task: a.task,
+            machine: a.machine,
+        });
+        self.deliver();
+        // Present only for non-default priority: all-batch traces stay
+        // byte-identical.
+        let priority = self.state.workload.jobs[job.index()].priority.0;
+        self.obs.emit(now, || Event::TaskPlaced {
+            job: job.index(),
+            task: a.task.index(),
+            machine: a.machine.index(),
+            alignment_score: a.scores.map(|s| s.alignment),
+            srtf_score: a.scores.map(|s| s.srtf),
+            combined_score: a.scores.map(|s| s.combined),
+            considered_machines: a.scores.map(|s| s.considered_machines),
+            // Default traces stay byte-identical whatever a policy
+            // attaches.
+            provenance: a.provenance.filter(|_| verbose),
+            priority: (priority != 0).then_some(priority),
+        });
+    }
+}

@@ -455,40 +455,19 @@ impl MachineIndex {
     /// Served from the more selective of the two bucket suffixes.
     pub fn floor_candidates_into(&self, min_cpu: f64, min_mem: f64, out: &mut Vec<u32>) {
         out.clear();
-        let cpu_from = bucket_of(min_cpu);
-        let mem_from = bucket_of(min_mem);
-        let cpu_n: usize = self.buckets[Resource::Cpu.index()][cpu_from..]
-            .iter()
-            .map(Vec::len)
-            .sum();
-        let mem_n: usize = self.buckets[Resource::Mem.index()][mem_from..]
-            .iter()
-            .map(Vec::len)
-            .sum();
-        let (ri, from) = if cpu_n <= mem_n {
-            (Resource::Cpu.index(), cpu_from)
+        let cpu = (Resource::Cpu.index(), bucket_of(min_cpu));
+        let mem = (Resource::Mem.index(), bucket_of(min_mem));
+        let (ri, from) = if self.suffix_len(cpu) <= self.suffix_len(mem) {
+            cpu
         } else {
-            (Resource::Mem.index(), mem_from)
+            mem
         };
-        for b in &self.buckets[ri][from..] {
-            for &mi in b {
-                let m = mi as usize;
-                if self.considered[m]
-                    && self.ub[m].get(Resource::Cpu) >= min_cpu
-                    && self.ub[m].get(Resource::Mem) >= min_mem
-                {
-                    out.push(mi);
-                }
-            }
-        }
+        out.extend(self.suffix(ri, from).filter(|&mi| {
+            let (considered, ub) = (self.considered[mi as usize], &self.ub[mi as usize]);
+            considered && ub.get(Resource::Cpu) >= min_cpu && ub.get(Resource::Mem) >= min_mem
+        }));
         out.sort_unstable();
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .pruned
-            .fetch_add((self.n_considered - out.len()) as u64, Ordering::Relaxed);
-        self.stats
-            .returned
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.count_query(out);
     }
 
     /// Considered machines whose availability upper bound dominates
@@ -504,23 +483,18 @@ impl MachineIndex {
             if !(d > 0.0) {
                 continue;
             }
-            let ri = r.index();
-            let from = bucket_of(d);
-            let count: usize = self.buckets[ri][from..].iter().map(Vec::len).sum();
+            let (ri, from) = (r.index(), bucket_of(d));
+            let count = self.suffix_len((ri, from));
             if best.is_none_or(|(c, ..)| count < c) {
                 best = Some((count, ri, from));
             }
         }
         match best {
             Some((_, ri, from)) => {
-                for b in &self.buckets[ri][from..] {
-                    for &mi in b {
-                        let m = mi as usize;
-                        if self.considered[m] && demand.fits_within(&self.ub[m]) {
-                            out.push(mi);
-                        }
-                    }
-                }
+                out.extend(self.suffix(ri, from).filter(|&mi| {
+                    let m = mi as usize;
+                    self.considered[m] && demand.fits_within(&self.ub[m])
+                }));
                 out.sort_unstable();
             }
             None => {
@@ -530,13 +504,25 @@ impl MachineIndex {
                 );
             }
         }
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .pruned
-            .fetch_add((self.n_considered - out.len()) as u64, Ordering::Relaxed);
-        self.stats
-            .returned
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.count_query(out);
+    }
+
+    /// The members of resource `ri`'s buckets from `from` up.
+    fn suffix(&self, ri: usize, from: usize) -> impl Iterator<Item = u32> + '_ {
+        self.buckets[ri][from..].iter().flatten().copied()
+    }
+
+    fn suffix_len(&self, (ri, from): (usize, usize)) -> usize {
+        self.buckets[ri][from..].iter().map(Vec::len).sum()
+    }
+
+    /// Count one candidate query and the machines it returned in `out`.
+    fn count_query(&self, out: &[u32]) {
+        let (stats, returned) = (&self.stats, out.len());
+        stats.queries.fetch_add(1, Ordering::Relaxed);
+        let pruned = (self.n_considered - returned) as u64;
+        stats.pruned.fetch_add(pruned, Ordering::Relaxed);
+        stats.returned.fetch_add(returned as u64, Ordering::Relaxed);
     }
 
     /// Drain the hit/prune counters (engine end-of-run, probes).

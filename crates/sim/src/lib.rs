@@ -51,6 +51,7 @@ mod config;
 mod engine;
 mod events;
 mod fault;
+mod greedy;
 mod index;
 mod journal;
 mod outcome;
@@ -67,8 +68,9 @@ mod view;
 
 pub use cluster::{ClusterConfig, MachineId};
 pub use config::{ExternalLoad, Interference, SimConfig};
-pub use engine::{GreedyFifo, Simulation};
+pub use engine::Simulation;
 pub use fault::{FaultPlan, SchedulerCrash};
+pub use greedy::GreedyFifo;
 pub use index::IndexStatsSnapshot;
 pub use journal::{DiscardedTail, Journal, JournalError, JournalStats, JOURNAL_VERSION};
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};

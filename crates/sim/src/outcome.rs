@@ -1,10 +1,13 @@
 //! Results of a simulation run: per-job/task records, utilization samples,
-//! and summary accessors used by the evaluation metrics.
+//! and summary accessors used by the evaluation metrics; and the two reads
+//! of the engine's state that produce them, `take_sample` and `finalize`.
 
 use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, TaskUid};
 
 use crate::cluster::MachineId;
+use crate::state::{Phase, SimState};
+use crate::time::SimTime;
 
 /// Final record of one job.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -213,6 +216,106 @@ impl SimOutcome {
         } else {
             sum / n as f64
         }
+    }
+}
+
+/// One utilization sample of the cluster as it stands.
+pub(crate) fn take_sample(state: &SimState) -> Sample {
+    let mut cluster_allocated = ResourceVec::zero();
+    let mut cluster_usage = ResourceVec::zero();
+    let mut running = 0usize;
+    let mut machines = state
+        .cfg
+        .record_machine_samples
+        .then(|| Vec::with_capacity(state.machines.len()));
+    for ms in &state.machines {
+        let usage = ms.usage(&state.flows);
+        cluster_allocated += ms.allocated;
+        cluster_usage += usage;
+        running += ms.running;
+        if let Some(v) = machines.as_mut() {
+            v.push(MachineSample {
+                allocated: ms.allocated,
+                usage,
+                running: ms.running,
+            });
+        }
+    }
+    let per_job_alloc = state
+        .cfg
+        .record_job_samples
+        .then(|| state.jobs.iter().map(|j| j.allocated).collect());
+    Sample {
+        t: state.now.as_secs(),
+        running_tasks: running,
+        cluster_allocated,
+        cluster_usage,
+        machines,
+        per_job_alloc,
+    }
+}
+
+/// The outcome of a run that ended with `state`.
+pub(crate) fn finalize(
+    state: SimState,
+    scheduler: String,
+    samples: Vec<Sample>,
+    mut stats: EngineStats,
+    timed_out: bool,
+) -> SimOutcome {
+    let jobs: Vec<JobRecord> = state
+        .workload
+        .jobs
+        .iter()
+        .enumerate()
+        .map(|(ji, spec)| {
+            let js = &state.jobs[ji];
+            JobRecord {
+                id: spec.id,
+                name: spec.name.clone(),
+                family: spec.family.clone(),
+                arrival: spec.arrival,
+                first_start: js.first_start.map(SimTime::as_secs),
+                finish: js.finish.map(SimTime::as_secs),
+                num_tasks: spec.num_tasks(),
+            }
+        })
+        .collect();
+
+    stats.task_failures = state
+        .tasks
+        .iter()
+        .map(|t| (t.attempts.saturating_sub(1)) as u64)
+        .sum();
+    stats.tasks_abandoned = state.tasks_abandoned;
+
+    let tasks: Vec<TaskRecord> = state
+        .workload
+        .tasks()
+        .map(|spec| {
+            let ts = &state.tasks[spec.uid.index()];
+            TaskRecord {
+                uid: spec.uid,
+                job: spec.job,
+                machine: ts.machine,
+                start: ts.start.map(SimTime::as_secs),
+                finish: ts.finish.map(SimTime::as_secs),
+                ideal_duration: spec.ideal_duration(),
+                planned_duration: ts.planned,
+                attempts: ts.attempts,
+                abandoned: matches!(ts.phase, Phase::Abandoned),
+            }
+        })
+        .collect();
+
+    SimOutcome {
+        scheduler,
+        completed: !timed_out,
+        final_time: state.now.as_secs(),
+        jobs,
+        tasks,
+        samples,
+        stats,
     }
 }
 

@@ -17,6 +17,16 @@ use crate::config::SimConfig;
 use crate::state::{PlacementPlan, SimState};
 use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy};
 
+/// `workload` bound to `cluster`, every job arrived: the root stages'
+/// tasks pending, nothing placed.
+fn all_arrived(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> SimState {
+    let mut state = SimState::new(cluster, workload, cfg);
+    for j in 0..state.jobs.len() {
+        state.job_arrives(JobId(j));
+    }
+    state
+}
+
 /// A reusable snapshot of "all jobs pending" state.
 pub struct ScheduleProbe {
     state: SimState,
@@ -27,22 +37,14 @@ impl ScheduleProbe {
     /// job arrived (all tasks of root stages pending).
     pub fn new(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> Self {
         workload.validate().expect("invalid workload");
-        let mut state = SimState::new(cluster, workload, cfg);
-        let jobs: Vec<_> = state.workload.jobs.iter().map(|j| j.id).collect();
-        for j in jobs {
-            state.job_arrives(j);
+        ScheduleProbe {
+            state: all_arrived(cluster, workload, cfg),
         }
-        ScheduleProbe { state }
     }
 
     /// Number of pending runnable tasks in the snapshot.
     pub fn pending(&self) -> usize {
-        self.state
-            .jobs
-            .iter()
-            .flat_map(|j| j.stages.iter())
-            .map(|s| s.pending.len())
-            .sum()
+        self.state.num_pending()
     }
 
     /// Invoke the policy once against the snapshot and return how many
@@ -98,11 +100,7 @@ impl RecomputeProbe {
         policy: &mut dyn SchedulerPolicy,
     ) -> Self {
         workload.validate().expect("invalid workload");
-        let mut state = SimState::new(cluster, workload, cfg);
-        let jobs: Vec<_> = state.workload.jobs.iter().map(|j| j.id).collect();
-        for j in jobs {
-            state.job_arrives(j);
-        }
+        let mut state = all_arrived(cluster, workload, cfg);
         let assignments = {
             let view = ClusterView::new(&state, policy.uses_tracker());
             policy.schedule(&view)
@@ -192,13 +190,8 @@ impl IncrementalProbe {
         workload.validate().expect("invalid workload");
         cfg.faults.restart_backoff = 0.0;
         cfg.max_task_attempts = u32::MAX;
-        let mut state = SimState::new(cluster, workload, cfg);
-        let jobs: Vec<_> = state.workload.jobs.iter().map(|j| j.id).collect();
-        for j in jobs {
-            state.job_arrives(j);
-        }
         IncrementalProbe {
-            state,
+            state: all_arrived(cluster, workload, cfg),
             reps: 0,
             events: 0,
         }
@@ -206,12 +199,7 @@ impl IncrementalProbe {
 
     /// Number of pending runnable tasks right now.
     pub fn pending(&self) -> usize {
-        self.state
-            .jobs
-            .iter()
-            .flat_map(|j| j.stages.iter())
-            .map(|s| s.pending.len())
-            .sum()
+        self.state.num_pending()
     }
 
     /// Total [`SchedulerEvent`]s delivered so far (counted once per
@@ -240,17 +228,8 @@ impl IncrementalProbe {
         inc: &mut dyn SchedulerPolicy,
         oracle: &mut dyn SchedulerPolicy,
     ) -> (usize, u64, u64) {
-        let (a_inc, inc_ns, a_oracle, oracle_ns) = {
-            let view_inc = ClusterView::new(&self.state, inc.uses_tracker());
-            let t0 = Instant::now();
-            let a_inc = inc.schedule(&view_inc);
-            let inc_ns = t0.elapsed().as_nanos() as u64;
-            let view_oracle = ClusterView::new(&self.state, oracle.uses_tracker());
-            let t1 = Instant::now();
-            let a_oracle = oracle.schedule(&view_oracle);
-            let oracle_ns = t1.elapsed().as_nanos() as u64;
-            (a_inc, inc_ns, a_oracle, oracle_ns)
-        };
+        let (a_inc, inc_ns) = timed_schedule(&self.state, inc);
+        let (a_oracle, oracle_ns) = timed_schedule(&self.state, oracle);
         assert_assignments_eq(&a_inc, &a_oracle);
         let mut placed = 0;
         for a in &a_inc {
@@ -259,7 +238,7 @@ impl IncrementalProbe {
             }
             self.state.apply_assignment(a.task, a.machine);
             placed += 1;
-            let job = JobId(self.state.task_loc[a.task.index()].0);
+            let job = self.state.job_of(a.task);
             self.deliver(
                 &mut [&mut *inc, &mut *oracle],
                 &SchedulerEvent::TaskPlaced {
@@ -324,7 +303,7 @@ impl IncrementalProbe {
             };
             debug_assert!(!abandoned, "attempt cap was lifted in new()");
             drained += 1;
-            let job = JobId(self.state.task_loc[uid.index()].0);
+            let job = self.state.job_of(uid);
             self.deliver(
                 &mut [&mut *inc, &mut *oracle],
                 &SchedulerEvent::TaskPreempted {
@@ -407,15 +386,9 @@ impl ColdPassProbe {
             let mut cfg = SimConfig::default();
             cfg.reclaim_idle = false;
             cfg.machine_index = machine_index;
-            let mut state = SimState::new(
-                ClusterConfig::uniform(n_machines, tetris_resources::MachineSpec::paper_small()),
-                workload.clone(),
-                cfg,
-            );
-            let jobs: Vec<_> = state.workload.jobs.iter().map(|j| j.id).collect();
-            for j in jobs {
-                state.job_arrives(j);
-            }
+            let cluster =
+                ClusterConfig::uniform(n_machines, tetris_resources::MachineSpec::paper_small());
+            let mut state = all_arrived(cluster, workload.clone(), cfg);
             Self::saturate(&mut state, &free);
             state
         };
@@ -527,12 +500,7 @@ impl ColdPassProbe {
     /// Pending runnable tasks in the snapshot (identical across
     /// backends).
     pub fn pending(&self) -> usize {
-        self.indexed
-            .jobs
-            .iter()
-            .flat_map(|j| j.stages.iter())
-            .map(|s| s.pending.len())
-            .sum()
+        self.indexed.num_pending()
     }
 
     /// Run one cold `schedule()` against the indexed snapshot only and
@@ -573,14 +541,8 @@ impl ColdPassProbe {
         indexed: &mut dyn SchedulerPolicy,
         linear: &mut dyn SchedulerPolicy,
     ) -> ColdPassSample {
-        let view_idx = ClusterView::new(&self.indexed, indexed.uses_tracker());
-        let t0 = Instant::now();
-        let a_idx = indexed.schedule(&view_idx);
-        let indexed_ns = t0.elapsed().as_nanos() as u64;
-        let view_lin = ClusterView::new(&self.linear, linear.uses_tracker());
-        let t1 = Instant::now();
-        let a_lin = linear.schedule(&view_lin);
-        let linear_ns = t1.elapsed().as_nanos() as u64;
+        let (a_idx, indexed_ns) = timed_schedule(&self.indexed, indexed);
+        let (a_lin, linear_ns) = timed_schedule(&self.linear, linear);
         assert_assignments_eq(&a_idx, &a_lin);
         ColdPassSample {
             indexed_ns,
@@ -588,6 +550,15 @@ impl ColdPassProbe {
             placements: a_idx.len(),
         }
     }
+}
+
+/// One `schedule()` call of `policy` against `state`, and its wall time
+/// in nanoseconds.
+fn timed_schedule(state: &SimState, policy: &mut dyn SchedulerPolicy) -> (Vec<Assignment>, u64) {
+    let view = ClusterView::new(state, policy.uses_tracker());
+    let start = Instant::now();
+    let out = policy.schedule(&view);
+    (out, start.elapsed().as_nanos() as u64)
 }
 
 #[track_caller]
@@ -608,7 +579,7 @@ fn assert_assignments_eq(a: &[Assignment], b: &[Assignment]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::GreedyFifo;
+    use crate::GreedyFifo;
     use tetris_resources::MachineSpec;
     use tetris_workload::WorkloadSuiteConfig;
 

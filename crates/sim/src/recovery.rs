@@ -35,6 +35,10 @@
 //! order *and* sequence counter, RNG state, ledger contents, policy
 //! state — the recovered outcome is byte-identical to the uninterrupted
 //! run's (pinned by `prop_recovery` and the `recovery` experiment).
+//!
+//! The engine reaches all of this through one [`DecisionLog`], which is
+//! also the journal's only writer: the record order the grammar checks is
+//! written here and checked here, and nowhere in `engine/`.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -42,6 +46,7 @@ use std::fmt;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
+use tetris_obs::{names, MetricsRegistry};
 use tetris_workload::{TaskUid, Workload};
 
 use crate::cluster::{ClusterConfig, MachineId};
@@ -50,11 +55,12 @@ use crate::events::{Event, EventQueue, FlowId};
 use crate::fault::TrackerMode;
 use crate::journal::{
     self, Admitted, CommittedBatch, DiscardedTail, Frame, Grammar, Journal, JournalError,
-    JournalRecord,
+    JournalRecord, JOURNAL_VERSION,
 };
 use crate::outcome::{EngineStats, Sample, SimOutcome};
 use crate::state::{Flow, JobState, MachineState, Phase, SimState, StageState, TaskState};
 use crate::time::SimTime;
+use crate::view::SchedulerPolicy;
 
 /// How a journaled run ended.
 #[derive(Debug)]
@@ -192,7 +198,7 @@ pub(crate) struct CheckpointState<'a> {
 
 impl<'a> CheckpointState<'a> {
     /// Snapshot the engine at a batch boundary.
-    pub(crate) fn capture(
+    fn capture(
         state: &'a SimState,
         stats: &'a EngineStats,
         samples_len: usize,
@@ -238,7 +244,7 @@ impl<'a> CheckpointState<'a> {
     /// `SimState::new` RNG draws (block placement) are discarded along
     /// with its fresh block binding. Refuses, saying why, a snapshot whose
     /// tables and queue contradict each other.
-    pub(crate) fn restore(
+    fn restore(
         self,
         cluster: ClusterConfig,
         workload: Workload,
@@ -285,25 +291,291 @@ impl<'a> CheckpointState<'a> {
     }
 }
 
-/// The replay half of a recovery: the batches between the restored
-/// checkpoint and the commit frontier, plus bookkeeping the engine fills
-/// in as it consumes them.
+/// The engine's one handle on the journal (DESIGN.md §15), called at six
+/// fixed points: run start, batch start, each applied placement, batch
+/// commit, checkpoint and run end. The only writer of its records and the
+/// only witness a replay is checked against.
+pub(crate) enum DecisionLog<'j> {
+    /// No journal: every point is a no-op.
+    Off,
+    /// A live run appending to a journal.
+    Write(Writer<'j>),
+    /// A recovery, its journal the witness its heartbeats must reproduce.
+    Replay(Box<Replay>),
+}
+
+/// A writing [`DecisionLog`]: the journal, the checkpoints it holds, and
+/// the samples its `Samples` records carry.
+pub(crate) struct Writer<'j> {
+    journal: &'j mut Journal,
+    checkpoints: u64,
+    samples: usize,
+}
+
+/// A replaying [`DecisionLog`]: the checkpoint to restore, the committed
+/// batches past it, the one the running heartbeat must reproduce.
 #[derive(Debug)]
-pub(crate) struct ReplayPlan {
-    pub batches: VecDeque<CommittedBatch>,
-    pub stats: RecoveryStats,
-    /// Started at restore begin; stops when the last batch is consumed.
-    pub started: Instant,
-    pub replay_done: bool,
+pub(crate) struct Replay {
+    resume: Option<(CheckpointState<'static>, Vec<Sample>)>,
+    batches: VecDeque<CommittedBatch>,
+    batch: Option<CommittedBatch>,
+    stats: RecoveryStats,
+    /// Started at restore begin; taken when the last batch is consumed.
+    started: Option<Instant>,
+}
+
+/// `Ok` while a replay agrees with its witness; else the divergence at
+/// `heartbeat`, saying how.
+fn agree(agrees: bool, heartbeat: u64, how: impl FnOnce() -> String) -> Result<(), RecoveryError> {
+    if agrees {
+        return Ok(());
+    }
+    let msg = how();
+    Err(RecoveryError::ReplayDivergence { heartbeat, msg })
+}
+
+impl<'j> DecisionLog<'j> {
+    /// A log appending to `journal`, opened here with the header of the
+    /// run that `fingerprint` and `cfg` describe.
+    pub(crate) fn write(journal: &'j mut Journal, fingerprint: u64, cfg: &SimConfig) -> Self {
+        journal.append(&JournalRecord::RunHeader {
+            version: JOURNAL_VERSION,
+            seed: cfg.seed,
+            fingerprint,
+            checkpoint_every: cfg.checkpoint_every,
+        });
+        DecisionLog::Write(Writer {
+            journal,
+            checkpoints: 0,
+            samples: 0,
+        })
+    }
+
+    /// A log replaying `journal`, refused here if it is another run's
+    /// (by `fingerprint`) or holds no readable checkpoint.
+    pub(crate) fn replay(journal: &Journal, fingerprint: u64) -> Result<Self, RecoveryError> {
+        let replay = plan_recovery(journal, fingerprint)?;
+        Ok(DecisionLog::Replay(Box::new(replay)))
+    }
+
+    /// Run start: the state, stats, samples and heartbeat count the loop
+    /// begins from. A replay restores its checkpoint, the policy's state
+    /// first and the crash plan cleared (recovery runs to the end); the
+    /// others begin from `fresh`, journaling the genesis checkpoint.
+    pub(crate) fn start(
+        &mut self,
+        (cluster, workload, mut cfg): (ClusterConfig, Workload, SimConfig),
+        policy: &mut dyn SchedulerPolicy,
+        fresh: impl FnOnce(ClusterConfig, Workload, SimConfig) -> SimState,
+    ) -> Result<(SimState, EngineStats, Vec<Sample>, u64), RecoveryError> {
+        if let DecisionLog::Replay(r) = self {
+            let (mut cp, samples) = r.resume.take().expect("a run starts once");
+            if let Some(ps) = cp.policy_state.take() {
+                policy.import_state(&ps);
+            }
+            cfg.faults.sched_crash = None;
+            let heartbeat = cp.heartbeat;
+            let restored = cp.restore(cluster, workload, cfg);
+            let (state, stats) = restored.map_err(|msg| {
+                let msg = msg.into();
+                RecoveryError::ReplayDivergence { heartbeat, msg }
+            })?;
+            return Ok((state, stats, samples, heartbeat));
+        }
+        let (state, stats) = (fresh(cluster, workload, cfg), EngineStats::default());
+        self.checkpoint(&state, &stats, &[], 0, policy);
+        Ok((state, stats, Vec::new(), 0))
+    }
+
+    /// Batch start, for the heartbeat about to run at `now`: replay takes
+    /// the next committed batch as its witness. Batches chain gaplessly from
+    /// the checkpoint, so a misaligned one means the journal lies.
+    pub(crate) fn batch_start(
+        &mut self,
+        heartbeat: u64,
+        now: SimTime,
+    ) -> Result<(), RecoveryError> {
+        let now_us = now.0;
+        match self {
+            DecisionLog::Off => {}
+            DecisionLog::Write(w) => w
+                .journal
+                .append(&JournalRecord::BatchStart { heartbeat, now_us }),
+            DecisionLog::Replay(r) => {
+                r.batch = r.batches.pop_front();
+                if let Some(b) = &r.batch {
+                    let (journaled, at) = (b.heartbeat, b.now_us);
+                    agree(journaled == heartbeat, heartbeat, || {
+                        format!("journal holds batch {journaled} at engine heartbeat {heartbeat}")
+                    })?;
+                    agree(at == now_us, heartbeat, || {
+                        format!("journaled batch time {at}µs, engine at {now_us}µs")
+                    })?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One applied placement: replay pops the witness's next decision and
+    /// compares, so the restored policy must re-derive the journaled
+    /// sequence placement by placement.
+    pub(crate) fn placement(
+        &mut self,
+        round: u32,
+        task: TaskUid,
+        machine: MachineId,
+    ) -> Result<(), RecoveryError> {
+        match self {
+            DecisionLog::Off => {}
+            DecisionLog::Write(w) => w.journal.append(&JournalRecord::Placement {
+                task,
+                machine,
+                round,
+            }),
+            DecisionLog::Replay(r) => {
+                let Some(b) = r.batch.as_mut() else {
+                    return Ok(());
+                };
+                let expected = b.expected.pop_front();
+                agree(
+                    expected == Some((round, task, machine)),
+                    b.heartbeat,
+                    || {
+                        let (t, m) = (task.index(), machine.index());
+                        format!(
+                        "policy placed task {t} on machine {m} in round {round}, journal expected \
+                         {expected:?}"
+                    )
+                    },
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Batch commit, given the engine's stats `before` the heartbeat and
+    /// `after` it. Written, the commit makes the batch durable and carries
+    /// its tallies; replayed, the witness must be used up and its tallies
+    /// met, so the recovered `EngineStats` are the uninterrupted run's.
+    pub(crate) fn commit(
+        &mut self,
+        heartbeat: u64,
+        before: &EngineStats,
+        after: &EngineStats,
+        metrics: &mut MetricsRegistry,
+    ) -> Result<(), RecoveryError> {
+        let placements = after.placements - before.placements;
+        let schedule_calls = after.schedule_calls - before.schedule_calls;
+        let rejected = after.rejected_assignments - before.rejected_assignments;
+        match self {
+            DecisionLog::Off => {}
+            DecisionLog::Write(w) => w.journal.append(&JournalRecord::BatchCommit {
+                heartbeat,
+                placements,
+                schedule_calls,
+                rejected,
+            }),
+            DecisionLog::Replay(r) => {
+                if let Some(b) = r.batch.take() {
+                    let left = b.expected.len();
+                    agree(left == 0, heartbeat, || {
+                        format!("{left} journaled placements were not re-derived by the policy")
+                    })?;
+                    let (calls, rejects) = (b.schedule_calls, b.rejected);
+                    let met = (schedule_calls, rejected) == (calls, rejects);
+                    agree(met, heartbeat, || {
+                        format!(
+                            "replayed batch made {schedule_calls} schedule calls ({calls} \
+                             journaled) and {rejected} rejections ({rejects} journaled)"
+                        )
+                    })?;
+                }
+                r.finish(metrics);
+            }
+        }
+        Ok(())
+    }
+
+    /// The checkpoint point, at a batch boundary, where a resumed run
+    /// re-enters the loop. On the cadence's heartbeats a writing log
+    /// journals the samples taken since its last checkpoint, then the
+    /// snapshot, which keeps only their count.
+    pub(crate) fn checkpoint(
+        &mut self,
+        state: &SimState,
+        stats: &EngineStats,
+        samples: &[Sample],
+        heartbeat: u64,
+        policy: &dyn SchedulerPolicy,
+    ) {
+        let DecisionLog::Write(w) = self else { return };
+        if !heartbeat.is_multiple_of(state.cfg.checkpoint_every) {
+            return;
+        }
+        if samples.len() > w.samples {
+            let taken = Cow::Borrowed(&samples[w.samples..]);
+            w.journal.append(&JournalRecord::Samples { samples: taken });
+            w.samples = samples.len();
+        }
+        let exported = policy.export_state();
+        let snapshot = CheckpointState::capture(state, stats, w.samples, heartbeat, exported);
+        let state = Box::new(snapshot);
+        w.journal
+            .append(&JournalRecord::Checkpoint { heartbeat, state });
+        w.checkpoints += 1;
+    }
+
+    /// Run end: a writing log's record, byte and checkpoint counts, or
+    /// the recovery counters of a replay that had no batch to reproduce.
+    /// A run without a journal adds no names to `metrics`.
+    pub(crate) fn finish(&mut self, metrics: &mut MetricsRegistry) {
+        match self {
+            DecisionLog::Off => {}
+            DecisionLog::Write(w) => {
+                metrics.counter_add(names::JOURNAL_RECORDS, w.journal.appended_records());
+                metrics.counter_add(names::JOURNAL_BYTES, w.journal.bytes().len() as u64);
+                metrics.counter_add(names::CHECKPOINTS, w.checkpoints);
+            }
+            DecisionLog::Replay(r) => r.finish(metrics),
+        }
+    }
+
+    /// What the replay took (nothing, if this log did not replay).
+    pub(crate) fn recovery_stats(&self) -> RecoveryStats {
+        match self {
+            DecisionLog::Replay(r) => r.stats,
+            _ => RecoveryStats::default(),
+        }
+    }
+}
+
+impl Replay {
+    /// Once the batches are used up, stamp the recovery wall clock
+    /// (restore begin → frontier) and publish the recovery counters, once.
+    fn finish(&mut self, metrics: &mut MetricsRegistry) {
+        if !self.batches.is_empty() {
+            return;
+        }
+        let Some(started) = self.started.take() else {
+            return;
+        };
+        self.stats.recovery_wall_us = started.elapsed().as_micros() as u64;
+        let stats = &self.stats;
+        metrics.counter_add(names::RECOVERY_REPLAYED_BATCHES, stats.replayed_batches);
+        let placements = stats.replayed_placements;
+        metrics.counter_add(names::RECOVERY_REPLAYED_PLACEMENTS, placements);
+        if stats.discarded_records > 0 {
+            metrics.counter_add(names::RECOVERY_DISCARDED_RECORDS, stats.discarded_records);
+        }
+        metrics.observe(names::RECOVERY_LATENCY_US, stats.recovery_wall_us);
+    }
 }
 
 /// Scan `journal`, validate it against the builder's `fingerprint`, and
-/// derive (checkpoint to restore, samples taken up to it, batches to
-/// replay).
-pub(crate) fn plan_recovery(
-    journal: &Journal,
-    expected_fingerprint: u64,
-) -> Result<(CheckpointState<'static>, Vec<Sample>, ReplayPlan), RecoveryError> {
+/// derive the replay: the checkpoint to restore, the samples taken up to
+/// it and the batches to reproduce.
+fn plan_recovery(journal: &Journal, expected_fingerprint: u64) -> Result<Replay, RecoveryError> {
     let started = Instant::now();
     let buf = journal.bytes();
     let discard = |offset: u64, reason: String| DiscardedTail {
@@ -385,13 +657,13 @@ pub(crate) fn plan_recovery(
             discarded_offset: tail.map(|t| t.offset),
             recovery_wall_us: 0,
         };
-        let plan = ReplayPlan {
+        return Ok(Replay {
+            resume: Some((cp, samples)),
             batches: committed.into(),
+            batch: None,
             stats,
-            started,
-            replay_done: false,
-        };
-        return Ok((cp, samples, plan));
+            started: Some(started),
+        });
     }
 }
 
@@ -423,6 +695,16 @@ mod tests {
     use crate::journal::{crc32, JOURNAL_VERSION};
 
     const FINGERPRINT: u64 = 42;
+
+    /// `plan_recovery`'s answer as (checkpoint, samples, the rest).
+    fn planned(
+        journal: &Journal,
+        fingerprint: u64,
+    ) -> Result<(CheckpointState<'static>, Vec<Sample>, Replay), RecoveryError> {
+        let mut replay = plan_recovery(journal, fingerprint)?;
+        let (cp, samples) = replay.resume.take().expect("planned");
+        Ok((cp, samples, replay))
+    }
 
     fn header() -> JournalRecord<'static> {
         JournalRecord::RunHeader {
@@ -523,20 +805,20 @@ mod tests {
     #[test]
     fn plan_requires_matching_fingerprint() {
         let j = mini_journal(&[]);
-        match plan_recovery(&j, 7) {
+        match planned(&j, 7) {
             Err(RecoveryError::Journal(JournalError::FingerprintMismatch { expected, found })) => {
                 assert_eq!((expected, found), (7, FINGERPRINT));
             }
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
-        assert!(plan_recovery(&j, FINGERPRINT).is_ok());
+        assert!(planned(&j, FINGERPRINT).is_ok());
     }
 
     #[test]
     fn torn_trailing_batch_is_discarded() {
         // No commit: the batch must not be replayed.
         let j = mini_journal(&[start(1), placement(0, 0)]);
-        let (cp, _, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (cp, _, plan) = planned(&j, FINGERPRINT).unwrap();
         assert_eq!(cp.heartbeat, 0);
         assert!(plan.batches.is_empty());
         assert_eq!(plan.stats.discarded_records, 2);
@@ -545,7 +827,7 @@ mod tests {
     #[test]
     fn committed_batches_after_checkpoint_are_replayed() {
         let j = mini_journal(&[start(1), placement(0, 0), placement(1, 1), commit(1, 2)]);
-        let (_, _, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (_, _, plan) = planned(&j, FINGERPRINT).unwrap();
         assert_eq!(plan.batches.len(), 1);
         let b = &plan.batches[0];
         assert_eq!(
@@ -559,14 +841,14 @@ mod tests {
     #[test]
     fn later_checkpoint_supersedes_earlier_batches() {
         let j = mini_journal(&[start(1), commit(1, 0), checkpoint(1)]);
-        let (cp, _, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (cp, _, plan) = planned(&j, FINGERPRINT).unwrap();
         assert_eq!(cp.heartbeat, 1);
         assert!(plan.batches.is_empty());
     }
 
     #[test]
     fn empty_journal_is_typed_not_a_panic() {
-        match plan_recovery(&Journal::new(), 0) {
+        match planned(&Journal::new(), 0) {
             Err(RecoveryError::Journal(JournalError::Empty)) => {}
             other => panic!("expected Empty, got {other:?}"),
         }
@@ -589,7 +871,7 @@ mod tests {
                 j.verify(),
                 Err(JournalError::BadPayload { offset: o, .. }) if o == offset
             ));
-            let (cp, _, plan) = plan_recovery(&j, FINGERPRINT).expect("the prefix recovers");
+            let (cp, _, plan) = planned(&j, FINGERPRINT).expect("the prefix recovers");
             assert_eq!((cp.heartbeat, plan.batches.len()), (0, 1));
             assert_eq!(plan.stats.discarded_offset, Some(offset));
         }
@@ -700,7 +982,7 @@ mod tests {
                 other => panic!("{what}: unexpected {other:?}"),
             }
             assert_eq!(
-                plan_recovery(&j, FINGERPRINT).err(),
+                planned(&j, FINGERPRINT).err(),
                 Some(RecoveryError::Journal(strict)),
                 "{what}"
             );
@@ -718,7 +1000,7 @@ mod tests {
             samples(1),
         ]);
         assert_eq!(j.verify().unwrap().checkpoints, 2);
-        let (cp, taken, plan) = plan_recovery(&j, FINGERPRINT).unwrap();
+        let (cp, taken, plan) = planned(&j, FINGERPRINT).unwrap();
         assert_eq!((cp.heartbeat, taken.len()), (1, 2));
         // The trailing `Samples` record lost its checkpoint: dropped.
         assert_eq!(plan.stats.discarded_records, 1);
@@ -735,7 +1017,7 @@ mod tests {
         let refused = JournalError::BadVersion { found: 1 };
         assert_eq!(j.verify(), Err(refused.clone()));
         assert_eq!(
-            plan_recovery(&j, FINGERPRINT).err(),
+            planned(&j, FINGERPRINT).err(),
             Some(RecoveryError::Journal(refused))
         );
     }
@@ -782,9 +1064,9 @@ mod tests {
     }
 
     /// What `sim(..).recover(journal)` plans before it restores anything.
-    fn plan(journal: &Journal) -> (CheckpointState<'static>, Vec<Sample>, ReplayPlan) {
+    fn plan(journal: &Journal) -> (CheckpointState<'static>, Vec<Sample>, Replay) {
         let (cluster, workload) = inputs();
-        plan_recovery(journal, run_fingerprint(&cluster, &workload, 7)).expect("plans")
+        planned(journal, run_fingerprint(&cluster, &workload, 7)).expect("plans")
     }
 
     fn crashed_journal() -> Journal {
@@ -968,6 +1250,173 @@ mod tests {
                     assert!(msg.contains(what), "{what}: {msg}")
                 }
                 other => panic!("{what}: {other:?}"),
+            }
+        }
+    }
+
+    /// Every record of `journal`, decoded, edited by `edit` and re-framed
+    /// under a correct length and CRC.
+    fn rewrite_records(
+        journal: &Journal,
+        edit: impl Fn(&mut Vec<JournalRecord<'static>>),
+    ) -> Journal {
+        let frames = journal::frames(journal.bytes()).unwrap();
+        let mut records: Vec<_> = frames.map(|f| f.decode().unwrap()).collect();
+        edit(&mut records);
+        let mut out = Vec::new();
+        for rec in &records {
+            frame_by_hand(&mut out, &serde_json::to_string(rec).unwrap());
+        }
+        Journal::from_bytes(out)
+    }
+
+    /// The replay witness, one edit a row, on a journal whose one replayed
+    /// placing batch is heartbeat 9 (checkpoint 8, crash at 10). A decision
+    /// the restored policy does not re-derive is a `ReplayDivergence` at
+    /// the batch that disagrees, saying what did. Two edits never reach the
+    /// witness, because `Grammar` refuses them first: a batch heartbeat out
+    /// of the chain, and a placement dropped under an unchanged commit
+    /// count. Those rows expect the grammar's `OutOfOrder`, from recovery
+    /// and from the strict reader alike; the witness's heartbeat check is
+    /// reached through the snapshot's own count instead.
+    #[test]
+    fn replay_witness_refuses_every_decision_edit() {
+        use JournalRecord::{BatchCommit, BatchStart, Checkpoint, Placement};
+        let journal = crashed_journal_at(10);
+        let records: Vec<_> = journal::frames(journal.bytes())
+            .unwrap()
+            .map(|f| f.decode().unwrap())
+            .collect();
+        let cp = records
+            .iter()
+            .rposition(|r| matches!(r, Checkpoint { .. }))
+            .unwrap();
+        let start = (cp..records.len())
+            .find(|&i| matches!(records[i], BatchStart { .. }))
+            .unwrap();
+        let commit = (start..records.len())
+            .find(|&i| matches!(records[i], BatchCommit { .. }))
+            .unwrap();
+        assert!(matches!(records[cp], Checkpoint { heartbeat: 8, .. }));
+        assert!(matches!(records[start], BatchStart { heartbeat: 9, .. }));
+        assert!(commit - start > 2, "batch 9 places more than one task");
+
+        enum Expect {
+            Diverges {
+                heartbeat: u64,
+                phrase: &'static str,
+            },
+            Refused(&'static str),
+        }
+        type Edit = Box<dyn Fn(&mut Vec<JournalRecord<'static>>)>;
+        let table: Vec<(&str, Edit, Expect)> = vec![
+            (
+                "the snapshot's heartbeat",
+                Box::new(move |r| match &mut r[cp] {
+                    Checkpoint { state, .. } => state.heartbeat -= 1,
+                    _ => unreachable!(),
+                }),
+                Expect::Diverges {
+                    heartbeat: 8,
+                    phrase: "journal holds batch 9 at engine heartbeat 8",
+                },
+            ),
+            (
+                "a batch's heartbeat",
+                Box::new(move |r| match &mut r[start] {
+                    BatchStart { heartbeat, .. } => *heartbeat += 1,
+                    _ => unreachable!(),
+                }),
+                Expect::Refused("batch 10 does not follow batch 8"),
+            ),
+            (
+                "a batch's clock",
+                Box::new(move |r| match &mut r[start] {
+                    BatchStart { now_us, .. } => *now_us += 1,
+                    _ => unreachable!(),
+                }),
+                Expect::Diverges {
+                    heartbeat: 9,
+                    phrase: "journaled batch time",
+                },
+            ),
+            (
+                "a placement's machine",
+                Box::new(move |r| match &mut r[start + 1] {
+                    Placement { machine, .. } => *machine = MachineId((machine.index() + 1) % 4),
+                    _ => unreachable!(),
+                }),
+                Expect::Diverges {
+                    heartbeat: 9,
+                    phrase: "journal expected",
+                },
+            ),
+            (
+                "a dropped placement",
+                Box::new(move |r| {
+                    r.remove(start + 1);
+                }),
+                Expect::Refused("but journaled"),
+            ),
+            (
+                "a placement the policy never made, counted by its commit",
+                Box::new(move |r| {
+                    let extra = r[commit - 1].clone();
+                    r.insert(commit, extra);
+                    match &mut r[commit + 1] {
+                        BatchCommit { placements, .. } => *placements += 1,
+                        _ => unreachable!(),
+                    }
+                }),
+                Expect::Diverges {
+                    heartbeat: 9,
+                    phrase: "1 journaled placements were not re-derived",
+                },
+            ),
+            (
+                "a commit's schedule calls",
+                Box::new(move |r| match &mut r[commit] {
+                    BatchCommit { schedule_calls, .. } => *schedule_calls += 1,
+                    _ => unreachable!(),
+                }),
+                Expect::Diverges {
+                    heartbeat: 9,
+                    phrase: "schedule calls",
+                },
+            ),
+            (
+                "a commit's rejections",
+                Box::new(move |r| match &mut r[commit] {
+                    BatchCommit { rejected, .. } => *rejected += 1,
+                    _ => unreachable!(),
+                }),
+                Expect::Diverges {
+                    heartbeat: 9,
+                    phrase: "rejections (1 journaled)",
+                },
+            ),
+        ];
+        for (what, edit, expect) in table {
+            let edited = rewrite_records(&journal, edit);
+            match (sim(None).recover(&edited), expect) {
+                (
+                    Err(RecoveryError::ReplayDivergence { heartbeat, msg }),
+                    Expect::Diverges {
+                        heartbeat: at,
+                        phrase,
+                    },
+                ) => {
+                    assert_eq!(heartbeat, at, "{what}: {msg}");
+                    assert!(msg.contains(phrase), "{what}: {msg}");
+                }
+                (Err(RecoveryError::Journal(e)), Expect::Refused(phrase)) => {
+                    assert!(
+                        matches!(&e, JournalError::OutOfOrder { msg, .. } if msg.contains(phrase)),
+                        "{what}: {e:?}"
+                    );
+                    assert_eq!(edited.verify().err(), Some(e), "{what}");
+                }
+                (other, _) => panic!("{what}: {other:?}"),
             }
         }
     }

@@ -116,6 +116,17 @@ impl CommitOverlay {
         self.committed.get(&(m.index() as u32))
     }
 
+    /// What is left of `available` on `m` once the demand committed
+    /// against it is subtracted: the residual every scoped view and the
+    /// commit stage read.
+    #[inline]
+    pub(crate) fn residual(&self, m: MachineId, mut available: ResourceVec) -> ResourceVec {
+        if let Some(c) = self.charged(m) {
+            available -= *c;
+        }
+        available
+    }
+
     /// Machines with committed demand (order unspecified — callers must
     /// not derive decisions from iteration order).
     pub fn machines(&self) -> impl Iterator<Item = MachineId> + '_ {
@@ -212,29 +223,6 @@ impl ShardedScheduler {
         self.last_critical_ns
     }
 
-    /// True if committing `plan`'s demands — local at `machine`, remote
-    /// read demands at their sources — still fits on top of what the
-    /// overlay already holds.
-    fn commit_fits(
-        view: &ClusterView<'_>,
-        overlay: &CommitOverlay,
-        machine: MachineId,
-        plan: &PlacementPlan,
-    ) -> bool {
-        let avail = |m: MachineId| {
-            let mut a = view.available(m);
-            if let Some(c) = overlay.charged(m) {
-                a -= *c;
-            }
-            a
-        };
-        plan.local.fits_within(&avail(machine))
-            && plan
-                .remote
-                .iter()
-                .all(|(src, dem)| dem.fits_within(&avail(*src)))
-    }
-
     /// Could another optimistic round commit anything *right now*?
     ///
     /// A retry pass can only see more room than round 0 did on machines
@@ -266,12 +254,9 @@ impl ShardedScheduler {
         rejected.iter().any(|&(t, _)| {
             view.is_runnable(t)
                 && touched.iter().any(|&m| {
-                    let mut a = view.available(m);
-                    if let Some(c) = overlay.charged(m) {
-                        a -= *c;
-                    }
                     view.plan_into(t, m, &mut plan);
-                    plan.local.fits_within(&a)
+                    plan.local
+                        .fits_within(&overlay.residual(m, view.available(m)))
                 })
         })
     }
@@ -411,10 +396,13 @@ impl SchedulerPolicy for ShardedScheduler {
                         // in tests/prop_sharded.rs.
                         continue;
                     }
+                    // Committing still fits: every demand of the plan, local
+                    // and remote, within what the overlay leaves.
                     view.plan_into(a.task, a.machine, &mut plan);
+                    let residual = |m| overlay.residual(m, view.available(m));
                     if view.is_runnable(a.task)
                         && !view.is_down(a.machine)
-                        && Self::commit_fits(view, &overlay, a.machine, &plan)
+                        && plan.fits(a.machine, residual)
                     {
                         overlay.charge(a.machine, &plan.local);
                         for (src, dem) in &plan.remote {

@@ -24,7 +24,7 @@ use std::sync::atomic::AtomicU64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
-use tetris_workload::{TaskSpec, TaskUid, Workload};
+use tetris_workload::{JobId, TaskSpec, TaskUid, Workload};
 
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::{ExternalLoad, SimConfig};
@@ -219,8 +219,8 @@ impl JobState {
     }
 }
 
-/// Mutable simulation state. The engine (`engine.rs`) drives it; the
-/// cluster view (`view.rs`) reads it.
+/// Mutable simulation state. The engine (`engine/`) drives it; the
+/// cluster view (`view/`) reads it.
 pub(crate) struct SimState {
     pub workload: Workload,
     pub cfg: SimConfig,
@@ -459,6 +459,23 @@ impl SimState {
     pub(crate) fn spec(&self, uid: TaskUid) -> &TaskSpec {
         let (j, s, t) = self.task_loc[uid.index()];
         &self.workload.jobs[j].stages[s].tasks[t]
+    }
+
+    /// The job a task belongs to.
+    #[inline]
+    pub(crate) fn job_of(&self, uid: TaskUid) -> JobId {
+        JobId(self.task_loc[uid.index()].0)
+    }
+
+    /// Runnable, unplaced tasks across the jobs that have arrived and not
+    /// finished.
+    pub(crate) fn num_pending(&self) -> usize {
+        self.jobs
+            .iter()
+            .filter(|j| j.is_active())
+            .flat_map(|j| j.stages.iter())
+            .map(|s| s.pending.len())
+            .sum()
     }
 
     /// Availability as seen by the scheduler.

@@ -48,6 +48,27 @@ impl PlacementPlan {
         !self.remote.is_empty()
     }
 
+    /// True if the local demand fits in `avail(host)` and every remote
+    /// demand in `avail` at its source.
+    pub(crate) fn fits(&self, host: MachineId, avail: impl Fn(MachineId) -> ResourceVec) -> bool {
+        let remote_fits = |(src, dem): &(MachineId, ResourceVec)| dem.fits_within(&avail(*src));
+        self.local.fits_within(&avail(host)) && self.remote.iter().all(remote_fits)
+    }
+
+    /// [`PlacementPlan::fits`] against `ledger`, a policy's working
+    /// availability by machine id; if the plan fits, charge it there.
+    /// Returns whether it did.
+    pub fn try_charge(&self, host: MachineId, ledger: &mut [ResourceVec]) -> bool {
+        let fits = self.fits(host, |m| ledger[m.index()]);
+        if fits {
+            ledger[host.index()] -= self.local;
+            for (src, dem) in &self.remote {
+                ledger[src.index()] -= *dem;
+            }
+        }
+        fits
+    }
+
     /// Fraction of input bytes that are remote.
     pub fn remote_fraction(&self) -> f64 {
         let remote: f64 = self.remote_reads.iter().map(|(_, b)| b).sum();

@@ -96,11 +96,7 @@ pub(crate) fn sample_cluster(state: &SimState) -> TelemetrySample {
             }
             let n = stage.pending.len();
             pending += n;
-            let rep = state
-                .workload
-                .task(stage.pending[0])
-                .expect("pending task in workload")
-                .demand;
+            let rep = state.spec(stage.pending[0]).demand;
             pending_demand += rep * n as f64;
             if rep.fits_within(&agg_free) && !free.iter().any(|f| rep.fits_within(f)) {
                 stranded += n;

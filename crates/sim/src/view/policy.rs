@@ -1,0 +1,310 @@
+//! What a policy is and what it exchanges with the engine: the
+//! [`SchedulerPolicy`] trait, the [`SchedulerEvent`]s delivered to it, the
+//! [`Assignment`]s it returns, the [`MarkAllDirty`] oracle, and the
+//! [`StageProgress`] rows the view reads out.
+
+use tetris_obs::{DecisionScores, PlacementProvenance};
+use tetris_workload::{JobId, TaskUid};
+
+use super::ClusterView;
+use crate::cluster::MachineId;
+
+/// A scheduling decision: run `task` on `machine`, optionally after
+/// evicting strictly-lower-priority running tasks from it (priority
+/// preemption, DESIGN.md §16).
+///
+/// Scoring policies (Tetris) attach a [`DecisionScores`] breakdown so the
+/// trace can explain *why* each placement won; slot baselines leave it
+/// `None`. Under verbose tracing ([`ClusterView::capture_provenance`])
+/// policies also attach the decision's [`PlacementProvenance`]. Scores
+/// and provenance are observability payload only — the engine ignores
+/// them when applying the assignment. The eviction list is *not*
+/// advisory: the engine tears each victim down (requeueing it without
+/// charging an attempt) before applying the placement, after verifying
+/// that every victim runs on `machine` and has strictly lower priority
+/// than `task`'s job — an assignment with an invalid victim is rejected
+/// whole.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assignment {
+    /// The task to place (must currently be runnable).
+    pub task: TaskUid,
+    /// The machine to place it on.
+    pub machine: MachineId,
+    /// Optional score breakdown for decision tracing.
+    pub scores: Option<DecisionScores>,
+    /// Losing candidates and cache bookkeeping behind this decision.
+    /// Filled only when the view asked for it
+    /// ([`ClusterView::capture_provenance`]); boxed so the default path
+    /// pays one pointer.
+    pub provenance: Option<Box<PlacementProvenance>>,
+    /// Running tasks to evict from `machine` before placing (empty for
+    /// ordinary placements; only honored when `SimConfig::preemption` is
+    /// on).
+    pub evict: Vec<TaskUid>,
+}
+
+impl Assignment {
+    /// Assignment without score annotations (baselines).
+    pub fn new(task: TaskUid, machine: MachineId) -> Self {
+        Assignment {
+            task,
+            machine,
+            scores: None,
+            provenance: None,
+            evict: Vec::new(),
+        }
+    }
+
+    /// Attach a score breakdown (scoring policies).
+    #[must_use]
+    pub fn with_scores(mut self, scores: DecisionScores) -> Self {
+        self.scores = Some(scores);
+        self
+    }
+
+    /// Attach decision provenance (verbose tracing).
+    #[must_use]
+    pub fn with_provenance(mut self, provenance: PlacementProvenance) -> Self {
+        self.provenance = Some(Box::new(provenance));
+        self
+    }
+
+    /// Attach an eviction list (priority preemption).
+    #[must_use]
+    pub fn with_evictions(mut self, evict: Vec<TaskUid>) -> Self {
+        self.evict = evict;
+        self
+    }
+}
+
+/// A scheduling-relevant state change, delivered to policies through
+/// [`SchedulerPolicy::on_event`] before each scheduling round.
+///
+/// Every variant names job-derived state a policy may have cached: six
+/// name the one job whose progress or pending queues moved, two name a
+/// machine crash/recovery, after which block re-replication has moved
+/// placement preferences for *every* job (DESIGN.md §11). Facts the view
+/// answers directly — availability, freed-machine hints, suspicion,
+/// tracker reports, external load — have no event: read them from the
+/// view. A policy is free to ignore any event as long as its `schedule`
+/// answers account for the change some other way.
+///
+/// Delivery guarantees (the determinism contract):
+///
+/// * every arrival, placement, completion, preemption, abandonment,
+///   restart, crash and recovery is delivered, in simulation order,
+///   before the next `schedule` call after it occurred (placements and
+///   priority evictions the engine applies between two rounds of one
+///   heartbeat included);
+/// * events are invalidation hints, not state deltas: treating one as
+///   "mark dirty" is always safe, summing them into a copy of view state
+///   is not (module docs);
+/// * machine slowdowns are deliberately **not** delivered: they alter
+///   flow rates, which are simulation ground truth the scheduler cannot
+///   observe (§4.1 trackers report usage, not speed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulerEvent {
+    /// A job arrived; its root stages became pending.
+    JobArrived {
+        /// The arriving job.
+        job: JobId,
+    },
+    /// The engine applied an assignment: `task` now runs on `machine`.
+    TaskPlaced {
+        /// Owning job.
+        job: JobId,
+        /// The placed task.
+        task: TaskUid,
+        /// Host machine.
+        machine: MachineId,
+    },
+    /// A task finished for good; its resources were released.
+    TaskFinished {
+        /// Owning job.
+        job: JobId,
+        /// The finished task.
+        task: TaskUid,
+        /// The machine that hosted it.
+        machine: MachineId,
+    },
+    /// A running attempt was torn down (failure retry or machine crash)
+    /// and the task returned to the pending queue (or a restart backoff).
+    TaskPreempted {
+        /// Owning job.
+        job: JobId,
+        /// The preempted task.
+        task: TaskUid,
+        /// The machine that hosted the killed attempt.
+        machine: MachineId,
+    },
+    /// A task permanently failed at the attempt cap; its stage counts it
+    /// as terminal.
+    TaskAbandoned {
+        /// Owning job.
+        job: JobId,
+        /// The abandoned task.
+        task: TaskUid,
+        /// The machine that hosted the final attempt.
+        machine: MachineId,
+    },
+    /// A crash-killed task finished its restart backoff and is pending
+    /// again.
+    TaskRunnable {
+        /// Owning job.
+        job: JobId,
+        /// The again-runnable task.
+        task: TaskUid,
+    },
+    /// A machine crashed: zero capacity, residents killed, blocks
+    /// re-replicating — locality preference lists are globally stale.
+    MachineDown {
+        /// The crashed machine.
+        machine: MachineId,
+    },
+    /// A crashed machine came back empty.
+    MachineUp {
+        /// The recovered machine.
+        machine: MachineId,
+    },
+}
+
+/// A cluster scheduling policy.
+///
+/// Implementations must be deterministic functions of the views and
+/// events they see (plus their own seeded state): the whole simulator is
+/// bit-reproducible and the test suite relies on it.
+pub trait SchedulerPolicy {
+    /// Short name for reports ("tetris", "drf", "fair", ...). Borrowed —
+    /// it is read per schedule round and per trace event, so allocating
+    /// here would cost on every decision.
+    fn name(&self) -> &str;
+
+    /// Observe one scheduling-relevant state change (see
+    /// [`SchedulerEvent`] for the taxonomy and delivery guarantees).
+    ///
+    /// The default does nothing — the *mark-all-dirty* contract: a policy
+    /// that ignores events must treat every `schedule` call as if
+    /// anything may have changed, which is exactly the behaviour of the
+    /// pre-event stateless API. Incremental policies override this to
+    /// invalidate only what the event touches.
+    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
+        let _ = (view, event);
+    }
+
+    /// Pick assignments for the current state. Called repeatedly within a
+    /// scheduling round until it returns an empty batch; implementations
+    /// should therefore return *all* assignments they can justify now,
+    /// maintaining their own working copy of availability while choosing.
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment>;
+
+    /// Whether this policy subtracts tracker-reported external usage
+    /// (ingestion, evacuation, misbehaving processes) from machine
+    /// availability. Tetris does (§4.3); slot-based baselines do not.
+    fn uses_tracker(&self) -> bool {
+        false
+    }
+
+    /// Drain any metrics the policy accumulated internally into
+    /// `metrics`, resetting its own tally. Called once by the engine at
+    /// end of run, next to the free-capacity index drain; probes and
+    /// experiments may call it directly. Contributions must be
+    /// zero-gated (a policy with nothing to report adds no names to the
+    /// snapshot) and must never influence scheduling decisions. The
+    /// default reports nothing.
+    fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
+        let _ = metrics;
+    }
+
+    /// Serialize the policy state that persists across `schedule()` calls
+    /// and is **not** reconstructible from the view: §3.5 starvation
+    /// reservations, learned-estimator family history, and the like.
+    /// Caches invalidated per-event are explicitly *excluded* — a rebuilt
+    /// cache entry must equal the incrementally maintained one (the
+    /// mark-all-dirty contract), so caches never need checkpointing.
+    ///
+    /// The engine stores this blob in every crash-recovery checkpoint
+    /// (DESIGN.md §15) and hands it back through
+    /// [`SchedulerPolicy::import_state`] on a freshly built policy when a
+    /// run resumes. Policies whose only cross-call state is cache keep
+    /// the default `None`. The format is policy-private; it only ever
+    /// round-trips through the same policy type.
+    fn export_state(&self) -> Option<String> {
+        None
+    }
+
+    /// Restore state produced by [`SchedulerPolicy::export_state`] on an
+    /// identically configured policy. Called at most once, before any
+    /// `on_event`/`schedule` call, when a run resumes from a checkpoint.
+    /// The default ignores the blob (correct for policies that export
+    /// `None`).
+    fn import_state(&mut self, state: &str) {
+        let _ = state;
+    }
+}
+
+/// Any policy converts into a boxed trait object, so builder entry points
+/// (notably `Simulation::scheduler`) accept concrete policies and
+/// pre-boxed ones through one `impl Into<Box<dyn SchedulerPolicy>>`
+/// parameter (the `std::error::Error` pattern).
+impl<T: SchedulerPolicy + 'static> From<T> for Box<dyn SchedulerPolicy> {
+    fn from(policy: T) -> Self {
+        Box::new(policy)
+    }
+}
+
+/// Adapter that suppresses event delivery to the wrapped policy, forcing
+/// its mark-all-dirty (full re-scan) path on every `schedule` call.
+///
+/// This is the *oracle* the equivalence suite and the Table-8 experiment
+/// compare incremental policies against: the wrapped policy never sees an
+/// event, so it can never sync its caches and must recompute from the
+/// view alone — the exact behaviour of the pre-event API.
+pub struct MarkAllDirty<P>(pub P);
+
+impl<P: SchedulerPolicy> SchedulerPolicy for MarkAllDirty<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    // No `on_event` override: the trait default swallows every event, so
+    // the inner policy stays on its view-only path.
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        self.0.schedule(view)
+    }
+
+    fn uses_tracker(&self) -> bool {
+        self.0.uses_tracker()
+    }
+
+    fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
+        self.0.drain_metrics(metrics);
+    }
+
+    fn export_state(&self) -> Option<String> {
+        self.0.export_state()
+    }
+
+    fn import_state(&mut self, state: &str) {
+        self.0.import_state(state);
+    }
+}
+
+/// Per-stage progress visible to policies (for the barrier knob, §3.5).
+#[derive(Debug, Clone, Copy)]
+pub struct StageProgress {
+    /// Total tasks in the stage.
+    pub total: usize,
+    /// Finished tasks.
+    pub finished: usize,
+    /// Currently running tasks.
+    pub running: usize,
+    /// Pending (runnable, unplaced) tasks.
+    pub pending: usize,
+    /// True if a later stage depends on this one (it precedes a barrier).
+    /// The end of the job also acts as a barrier (§3.5), so policies treat
+    /// the final stage as barrier-feeding too.
+    pub feeds_barrier: bool,
+    /// True once upstream dependencies completed and tasks became runnable.
+    pub unlocked: bool,
+}
