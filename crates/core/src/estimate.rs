@@ -10,7 +10,7 @@
 //!
 //! In the simulator the estimate affects the scheduler's *choices*
 //! (scores, feasibility); enforcement is by true peak demand, consistent
-//! with Tetris's token-bucket enforcement of allocations (§4.2).
+//! with Tetris's enforcement of allocations (§4.2, a flow-rate cap here).
 
 use std::collections::BTreeSet;
 

@@ -43,19 +43,11 @@ pub fn job_share(
 }
 
 /// Sort jobs by increasing share (the head of the list is furthest below
-/// its fair share) and return the eligible prefix of size
-/// `⌈(1−f)·|J|⌉`. Ties break by job id for determinism.
+/// its fair share) and truncate to the eligible prefix of size
+/// `⌈(1−f)·|J|⌉`, in place. Ties break by job id for determinism.
 ///
 /// `f = 0` → every job is eligible (pure packing); `f → 1` → only the
 /// most-starved job is eligible (strict fairness).
-pub fn eligible_jobs(mut shares: Vec<(JobId, f64)>, fairness_knob: f64) -> Vec<JobId> {
-    eligible_jobs_in_place(&mut shares, fairness_knob);
-    shares.into_iter().map(|(j, _)| j).collect()
-}
-
-/// As [`eligible_jobs`], sorting and truncating the caller's vector in
-/// place (the eligible jobs remain as its prefix) — the allocation-free
-/// form used on the per-event hot path.
 pub fn eligible_jobs_in_place(shares: &mut Vec<(JobId, f64)>, fairness_knob: f64) {
     assert!(
         (0.0..=1.0).contains(&fairness_knob),
@@ -77,6 +69,11 @@ pub fn eligible_jobs_in_place(shares: &mut Vec<(JobId, f64)>, fairness_knob: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn eligible_jobs(mut shares: Vec<(JobId, f64)>, fairness_knob: f64) -> Vec<JobId> {
+        eligible_jobs_in_place(&mut shares, fairness_knob);
+        shares.into_iter().map(|(j, _)| j).collect()
+    }
 
     fn shares(v: &[f64]) -> Vec<(JobId, f64)> {
         v.iter().enumerate().map(|(i, &s)| (JobId(i), s)).collect()

@@ -142,17 +142,9 @@ impl CombinedScorer {
     }
 }
 
-/// Rank each value in `[0, 1]` by ascending order (ties share the lower
-/// rank; a single element ranks 0).
-pub fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx = Vec::new();
-    let mut out = Vec::new();
-    ranks_into(values, &mut idx, &mut out);
-    out
-}
-
-/// As [`ranks`], writing into caller-owned buffers (`idx` is sort
-/// scratch) so hot paths rank without allocating per call.
+/// Rank each value in `[0, 1]` by ascending order into `out` (ties share
+/// the lower rank; a single element ranks 0). `idx` is sort scratch, so
+/// hot paths rank without allocating per call.
 pub fn ranks_into(values: &[f64], idx: &mut Vec<usize>, out: &mut Vec<f64>) {
     let n = values.len();
     out.clear();
@@ -204,6 +196,12 @@ impl RunningAvg {
 mod tests {
     use super::*;
     use tetris_resources::Resource;
+
+    fn ranks(values: &[f64]) -> Vec<f64> {
+        let (mut idx, mut out) = (Vec::new(), Vec::new());
+        ranks_into(values, &mut idx, &mut out);
+        out
+    }
 
     fn refcap() -> ResourceVec {
         ResourceVec::zero()

@@ -9,18 +9,30 @@
 
 use tetris_core::{StarvationConfig, TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, MachineSpec, ResourceVec};
-use tetris_sim::{ClusterConfig, SimConfig, Simulation};
+use tetris_sim::{ClusterConfig, MachineId, SimConfig, Simulation};
 use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::{JobId, Workload};
+use tetris_workload::{JobId, PlacementConstraints, Workload};
 
 fn starvation_workload() -> Workload {
+    churn_and_big(2.0 * GB, 8.0 * GB, PlacementConstraints::none())
+}
+
+/// Job 0 is a churn of 200 two-core tasks of `churn_mem` each, under
+/// `churn_constraints`; job 1, arriving at 5 s, is one 14-core task of
+/// `big_mem` with no constraints.
+fn churn_and_big(
+    churn_mem: f64,
+    big_mem: f64,
+    churn_constraints: PlacementConstraints,
+) -> Workload {
     let mut b = WorkloadBuilder::new();
     let churn = b.begin_job("churn", None, 0.0);
+    b.set_constraints(churn, churn_constraints);
     // Durations staggered per task so completions never coincide: freed
     // cores come back two at a time and the large task never sees 14 free.
     b.add_stage(churn, "small", vec![], 200, |i| TaskParams {
         cores: 2.0,
-        mem: 2.0 * GB,
+        mem: churn_mem,
         duration: 8.0 + (i % 7) as f64 * 1.3,
         cpu_frac: 1.0,
         io_burst: 1.0,
@@ -31,7 +43,7 @@ fn starvation_workload() -> Workload {
     let big = b.begin_job("big", None, 5.0);
     b.add_stage(big, "large", vec![], 1, |_| TaskParams {
         cores: 14.0,
-        mem: 8.0 * GB,
+        mem: big_mem,
         duration: 10.0,
         cpu_frac: 1.0,
         io_burst: 1.0,
@@ -42,20 +54,34 @@ fn starvation_workload() -> Workload {
     b.finish()
 }
 
-fn run(starvation: Option<StarvationConfig>) -> tetris_sim::SimOutcome {
-    let spec = MachineSpec::new()
-        .cores(16.0)
-        .memory(32.0 * GB)
+fn machine(cores: f64, mem: f64) -> MachineSpec {
+    MachineSpec::new()
+        .cores(cores)
+        .memory(mem)
         .disks(4, 50e6)
-        .nic(125e6);
+        .nic(125e6)
+}
+
+fn run(starvation: Option<StarvationConfig>) -> tetris_sim::SimOutcome {
+    let cluster = ClusterConfig::uniform(1, machine(16.0, 32.0 * GB));
+    run_on(cluster, Vec::new(), starvation_workload(), starvation)
+}
+
+/// Pure packing pressure: no SRTF reordering, no fairness restriction.
+fn run_on(
+    cluster: ClusterConfig,
+    machine_taints: Vec<u64>,
+    workload: Workload,
+    starvation: Option<StarvationConfig>,
+) -> tetris_sim::SimOutcome {
     let mut tc = TetrisConfig::default();
-    // Pure packing pressure: no SRTF reordering, no fairness restriction.
     tc.srtf_multiplier = 0.0;
     tc.fairness_knob = 0.0;
     tc.starvation = starvation;
     let mut cfg = SimConfig::default();
     cfg.seed = 1;
-    Simulation::build(ClusterConfig::uniform(1, spec), starvation_workload())
+    cfg.machine_taints = machine_taints;
+    Simulation::build(cluster, workload)
         .scheduler(TetrisScheduler::new(tc))
         .config(cfg)
         .run()
@@ -154,4 +180,68 @@ fn reserved_vector_is_observable() {
     let s = TetrisScheduler::new(tc);
     assert!(s.reserved_machines().is_empty());
     let _ = ResourceVec::zero();
+}
+
+/// Two machines, one tainted: reservations must never hand a task a
+/// machine its job's constraints refuse.
+#[test]
+fn reservation_respects_constraints() {
+    // Machine 0: untainted, 16 cores. Machine 1: tainted, 32 cores, so
+    // its gap is the smaller one while the churn fills both.
+    let cluster = ClusterConfig {
+        machines: vec![machine(16.0, 32.0 * GB), machine(32.0, 64.0 * GB)],
+        machines_per_rack: 20,
+    };
+    let workload = || {
+        churn_and_big(
+            2.0 * GB,
+            8.0 * GB,
+            PlacementConstraints::none().with_tolerations(1),
+        )
+    };
+    let big_host = |o: &tetris_sim::SimOutcome| {
+        let big = o.tasks.iter().find(|t| t.job == JobId(1)).unwrap();
+        big.machine.unwrap()
+    };
+    let starvation = StarvationConfig {
+        patience: 60.0,
+        max_reservations: 1,
+    };
+    let with = run_on(cluster.clone(), vec![0, 1], workload(), Some(starvation));
+    let without = run_on(cluster, vec![0, 1], workload(), None);
+    assert!(with.all_jobs_completed() && without.all_jobs_completed());
+    assert_eq!(big_host(&without), MachineId(0), "without reservations");
+    assert_eq!(big_host(&with), MachineId(0), "with reservations");
+}
+
+/// A machine too small for the starved task can look closest to fitting
+/// (8 free cores of 8 beat 0 free of 16), but reserving it rescues
+/// nothing.
+#[test]
+fn reservation_picks_a_machine_the_task_fits() {
+    // The churn's 6 GB tasks never fit machine 0's 4 GB, so they all run
+    // on machine 1, the only machine with room for 14 cores.
+    let cluster = ClusterConfig {
+        machines: vec![machine(8.0, 4.0 * GB), machine(16.0, 64.0 * GB)],
+        machines_per_rack: 20,
+    };
+    let workload = || churn_and_big(6.0 * GB, 2.0 * GB, PlacementConstraints::none());
+    let patience = 60.0;
+    let with = run_on(
+        cluster.clone(),
+        Vec::new(),
+        workload(),
+        Some(StarvationConfig {
+            patience,
+            max_reservations: 1,
+        }),
+    );
+    let without = run_on(cluster, Vec::new(), workload(), None);
+    assert!(with.all_jobs_completed() && without.all_jobs_completed());
+    let big_with = with.jct(JobId(1)).unwrap();
+    let big_without = without.jct(JobId(1)).unwrap();
+    assert!(
+        big_with < patience + 40.0,
+        "reservation did not rescue the task: big jct = {big_with} (without: {big_without})"
+    );
 }

@@ -53,7 +53,7 @@ pub struct RejectedCandidate {
 /// zeros) that produced the decision. Attached
 /// to [`Event::TaskPlaced`] only under `--trace-verbose`; default traces
 /// omit the field entirely and stay byte-identical.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PlacementProvenance {
     /// Per-job candidate caches served warm in this `schedule()` call.
     pub cache_hits: u32,
@@ -83,8 +83,7 @@ pub struct PlacementProvenance {
 ///
 /// Variants mirror the lifecycle the paper's evaluation reasons about:
 /// arrivals, placements (with score breakdowns), retries, heartbeat
-/// passes (Table 8), tracker reports (§4.1) and token-bucket throttling
-/// (§4.2).
+/// passes (Table 8) and tracker reports (§4.1).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Event {
     /// A job arrived and its root stages became runnable.
@@ -169,13 +168,6 @@ pub enum Event {
         /// Wall-clock time of the pass in nanoseconds.
         wall_ns: u64,
     },
-    /// A token bucket queued a call instead of admitting it (§4.2).
-    TokenBucketThrottled {
-        /// Tokens (≙ bytes) the call requested.
-        requested: f64,
-        /// Simulated seconds the call must wait for tokens.
-        wait_secs: f64,
-    },
     /// The resource tracker delivered a usage report round (§4.1).
     TrackerReport {
         /// Machines that reported.
@@ -248,7 +240,6 @@ impl Event {
             Event::TaskCompleted { .. } => "TaskCompleted",
             Event::TaskPreempted { .. } => "TaskPreempted",
             Event::HeartbeatProcessed { .. } => "HeartbeatProcessed",
-            Event::TokenBucketThrottled { .. } => "TokenBucketThrottled",
             Event::TrackerReport { .. } => "TrackerReport",
             Event::MachineDown { .. } => "MachineDown",
             Event::MachineUp { .. } => "MachineUp",

@@ -76,11 +76,6 @@ pub mod names {
     /// Cluster-wide tracker-reported usage fraction, worst dimension
     /// (gauge: latest).
     pub const TRACKER_USAGE_FRAC: &str = "tracker_usage_frac";
-    /// Calls queued by a token bucket (counter).
-    pub const TOKEN_THROTTLED: &str = "token_bucket_throttled";
-    /// Queueing delay imposed by token buckets (histogram, simulated
-    /// microseconds).
-    pub const TOKEN_WAIT_US: &str = "token_wait_us";
 
     // ---------------- faults family (fault injection) ----------------
 

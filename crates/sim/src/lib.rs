@@ -62,7 +62,6 @@ pub mod sharded;
 mod state;
 mod telemetry;
 pub mod time;
-pub mod token_bucket;
 pub mod tracker;
 mod view;
 

@@ -1,7 +1,7 @@
 //! Golden equivalence suite for the event-hot-path performance pass.
 //!
-//! The optimized schedulers reuse warm scratch buffers (`ScheduleScratch`,
-//! generation-stamped sets, candidate arenas) and take availability-based
+//! The optimized schedulers reuse warm scratch buffers (the Tetris pass's
+//! per-layer buffers, generation-stamped sets, candidate arenas) and take availability-based
 //! shortcuts (the SRTF quick prefilter). Both are only legal if they are
 //! *invisible*: every decision — assignments, score breakdowns, event
 //! order, job/task outcomes — must be identical to the unoptimized
