@@ -10,7 +10,7 @@
 //! over all six dimensions is provided for the §2.1 discussion.
 
 use tetris_resources::{Resource, ResourceVec};
-use tetris_sim::{Assignment, ClusterView, SchedulerPolicy};
+use tetris_sim::{Assignment, ClusterView, MachineId, SchedulerPolicy};
 use tetris_workload::JobId;
 
 use crate::PendingCursor;
@@ -54,6 +54,9 @@ struct JobQueue<'a> {
     /// Set once the head task cannot be placed anywhere; DRF then skips
     /// the job this round (no head-of-line blocking of everyone else).
     stuck: bool,
+    /// The job has §16 placement constraints, or the cluster has taints:
+    /// its machines go through `constraints_allow`.
+    constrained: bool,
 }
 
 impl SchedulerPolicy for DrfScheduler {
@@ -78,6 +81,7 @@ impl SchedulerPolicy for DrfScheduler {
                 alloc: view.job_allocated(j),
                 pending: PendingCursor::new(view, j),
                 stuck: false,
+                constrained: view.taints_active() || view.job_constraints(j).has_any(),
             })
             .filter(|j| j.pending.head().is_some())
             .collect();
@@ -108,23 +112,21 @@ impl SchedulerPolicy for DrfScheduler {
             // Place: prefer data-local machines, else spread to the
             // machine with the most available memory (YARN's continuous
             // scheduling balances load rather than packing) — checking
-            // ONLY `self.dims`.
+            // ONLY `self.dims`. Placement constraints (§16) filter the
+            // same way, and cost nothing on unconstrained jobs.
             view.preferred_machines_into(task, &mut preferred);
-            let fits = |avail: &ResourceVec| demand.fits_within(&avail.project(&self.dims));
-            let target = preferred
-                .iter()
-                .copied()
-                .find(|m| fits(&avail[m.index()]))
-                .or_else(|| {
-                    view.query()
-                        .iter_all()
-                        .filter(|m| fits(&avail[m.index()]))
-                        .max_by(|a, b| {
-                            let fa = avail[a.index()].get(Resource::Mem);
-                            let fb = avail[b.index()].get(Resource::Mem);
-                            fa.partial_cmp(&fb).unwrap().then(b.index().cmp(&a.index()))
-                        })
-                });
+            let (job, constrained) = (jobs[ji].id, jobs[ji].constrained);
+            let fits = |m: MachineId| {
+                demand.fits_within(&avail[m.index()].project(&self.dims))
+                    && (!constrained || view.constraints_allow(job, m))
+            };
+            let target = preferred.iter().copied().find(|&m| fits(m)).or_else(|| {
+                view.query().iter_all().filter(|&m| fits(m)).max_by(|a, b| {
+                    let fa = avail[a.index()].get(Resource::Mem);
+                    let fb = avail[b.index()].get(Resource::Mem);
+                    fa.partial_cmp(&fb).unwrap().then(b.index().cmp(&a.index()))
+                })
+            });
             match target {
                 Some(m) => {
                     avail[m.index()] -= demand;
@@ -156,8 +158,7 @@ mod tests {
     }
     use tetris_resources::{units::GB, MachineSpec};
     use tetris_sim::{ClusterConfig, Simulation};
-    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-    use tetris_workload::{JobId, WorkloadSuiteConfig};
+    use tetris_workload::{JobId, TaskParams, WorkloadBuilder, WorkloadSuiteConfig};
 
     #[test]
     fn completes_small_suite() {

@@ -25,7 +25,7 @@ mod upper_bound;
 
 pub use drf::DrfScheduler;
 pub use random::RandomScheduler;
-pub use slots::{CapacityScheduler, FairScheduler, DEFAULT_SLOT_MEM};
+pub use slots::{CapacityScheduler, FairScheduler};
 pub use srtf_only::SrtfScheduler;
 pub use upper_bound::{UpperBoundOutcome, UpperBoundScheduler};
 

@@ -46,11 +46,16 @@ impl SchedulerPolicy for RandomScheduler {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        // Each task with its job and whether placement constraints (§16)
+        // filter its machines: they cost nothing on unconstrained jobs.
+        let taints = view.taints_active();
         let mut tasks: Vec<_> = view
             .active_jobs()
             .flat_map(|j| {
+                let constrained = taints || view.job_constraints(j).has_any();
                 view.job_pending_stages(j)
                     .flat_map(|(_, slice)| slice.iter().copied())
+                    .map(move |t| (t, j, constrained))
             })
             .collect();
         // Fisher–Yates with the policy's own rng.
@@ -63,11 +68,14 @@ impl SchedulerPolicy for RandomScheduler {
         let n = view.num_machines();
         let mut out = Vec::new();
         let mut plan = PlacementPlan::default();
-        for t in tasks {
+        for (t, j, constrained) in tasks {
             // Random starting machine, linear probe for a fit.
             let start = self.rng.gen_range(0..n);
             for off in 0..n {
                 let m = MachineId((start + off) % n);
+                if constrained && !view.constraints_allow(j, m) {
+                    continue;
+                }
                 view.plan_into(t, m, &mut plan);
                 if plan.try_charge(m, &mut avail) {
                     out.push(Assignment::new(t, m));

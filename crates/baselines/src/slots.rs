@@ -28,7 +28,7 @@ use tetris_workload::JobId;
 use crate::PendingCursor;
 
 /// Default slot size: 2 GB, "similar to the Facebook cluster".
-pub const DEFAULT_SLOT_MEM: f64 = 2.0 * GB;
+pub(crate) const DEFAULT_SLOT_MEM: f64 = 2.0 * GB;
 
 /// How the next job to serve is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,7 +376,7 @@ mod tests {
         // Slot schedulers ignore disk/network → demand ledger exceeds
         // capacity on IO-heavy workloads.
         use tetris_resources::units::MB;
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let mut b = WorkloadBuilder::new();
         let j = b.begin_job("writers", None, 0.0);
         b.add_stage(j, "w", vec![], 8, |_| TaskParams {
@@ -410,7 +410,7 @@ mod tests {
     fn fair_balances_slots_across_jobs() {
         // Two identical jobs on a tiny cluster: fair scheduling keeps their
         // running-task counts close, so they finish close together.
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let mut b = WorkloadBuilder::new();
         for name in ["a", "b"] {
             let j = b.begin_job(name, None, 0.0);
@@ -440,7 +440,7 @@ mod tests {
     fn capacity_serves_arrivals_in_order() {
         // Same two jobs but arriving 1s apart: capacity (FIFO) finishes
         // job 0 well before job 1.
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let mut b = WorkloadBuilder::new();
         for (i, arr) in [0.0, 1.0].into_iter().enumerate() {
             let j = b.begin_job(format!("j{i}"), None, arr);

@@ -95,12 +95,10 @@ impl SchedulerPolicy for SrtfScheduler {
         let any_suspect = query.iter_all().any(|m| view.is_suspect(m));
 
         jobs.clear();
-        jobs.extend(view.active_jobs().map(|j| {
-            (
-                j,
-                tetris_core::srtf::job_remaining_work(view, j, &reference),
-            )
-        }));
+        jobs.extend(
+            view.active_jobs()
+                .map(|j| (j, tetris_core::job_remaining_work(view, j, &reference))),
+        );
         jobs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
         avail.clear();
@@ -123,6 +121,8 @@ impl SchedulerPolicy for SrtfScheduler {
 
         let mut out = Vec::new();
         for &(j, _) in jobs.iter() {
+            // Placement constraints (§16) cost nothing on unconstrained jobs.
+            let constrained = view.taints_active() || view.job_constraints(j).has_any();
             for t in view
                 .job_pending_stages(j)
                 .flat_map(|(_, slice)| slice.iter().copied())
@@ -147,6 +147,9 @@ impl SchedulerPolicy for SrtfScheduler {
                     if !exhaustive && !quick.fits_within(&avail[m.index()]) {
                         continue;
                     }
+                    if constrained && !view.constraints_allow(j, m) {
+                        continue;
+                    }
                     view.plan_into(t, m, plan);
                     if plan.try_charge(m, avail) {
                         out.push(Assignment::new(t, m));
@@ -164,8 +167,7 @@ mod tests {
     use super::*;
     use tetris_resources::{units::GB, MachineSpec};
     use tetris_sim::{ClusterConfig, Simulation};
-    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-    use tetris_workload::{JobId, WorkloadSuiteConfig};
+    use tetris_workload::{JobId, TaskParams, WorkloadBuilder, WorkloadSuiteConfig};
 
     #[test]
     fn completes_small_suite() {

@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn single_task_takes_ideal_duration() {
         use tetris_resources::units::GB;
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let mut b = WorkloadBuilder::new();
         let j = b.begin_job("j", None, 5.0);
         b.add_stage(j, "s", vec![], 1, |_| TaskParams {

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 use tetris_baselines::{CapacityScheduler, DrfScheduler, FairScheduler, SrtfScheduler};
 use tetris_resources::{units::GB, units::MB, MachineSpec, Resource};
 use tetris_sim::{SchedulerPolicy, SimConfig, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     let job = (

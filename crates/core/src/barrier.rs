@@ -11,7 +11,7 @@ use tetris_sim::StageProgress;
 
 /// True if the stage's stragglers should be promoted: it feeds a barrier,
 /// at least `b` of it has finished, and it still has pending tasks.
-pub fn stage_promoted(stage: &StageProgress, barrier_knob: f64) -> bool {
+pub(crate) fn stage_promoted(stage: &StageProgress, barrier_knob: f64) -> bool {
     assert!(
         (0.0..=1.0).contains(&barrier_knob),
         "barrier knob must be in [0,1]"

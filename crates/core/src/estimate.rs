@@ -50,7 +50,7 @@ pub enum EstimationMode {
 
 /// Stateful demand estimator used by the Tetris scheduler.
 #[derive(Debug, Clone, Default)]
-pub struct DemandEstimator {
+pub(crate) struct DemandEstimator {
     mode_learned: Option<(f64, usize)>,
     noise_sigma: Option<f64>,
     /// Families with at least one completed prior run.
@@ -61,7 +61,7 @@ pub struct DemandEstimator {
 
 impl DemandEstimator {
     /// Build an estimator for the given mode.
-    pub fn new(mode: EstimationMode) -> Self {
+    pub(crate) fn new(mode: EstimationMode) -> Self {
         let mut noise_sigma = None;
         let mode_learned = match mode {
             EstimationMode::Exact => None,
@@ -111,7 +111,7 @@ impl DemandEstimator {
     /// Track family completions: call once per `schedule()` invocation.
     /// A family becomes "known" when a previously active job of that
     /// family is no longer active (it completed a run).
-    pub fn update(&mut self, view: &ClusterView<'_>) {
+    pub(crate) fn update(&mut self, view: &ClusterView<'_>) {
         if self.mode_learned.is_none() {
             return;
         }
@@ -142,7 +142,7 @@ impl DemandEstimator {
     ///
     /// `job` and `finished_in_stage` locate the task's phase progress;
     /// `family` is the owning job's recurring family, if any.
-    pub fn estimate(
+    pub(crate) fn estimate(
         &self,
         spec: &TaskSpec,
         _job: JobId,

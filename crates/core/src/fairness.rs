@@ -23,7 +23,7 @@ pub enum FairnessMeasure {
 
 /// Compute a job's current share under the measure, given its allocation,
 /// running-task count and the cluster totals.
-pub fn job_share(
+pub(crate) fn job_share(
     measure: FairnessMeasure,
     allocated: &ResourceVec,
     running_tasks: usize,
@@ -48,7 +48,7 @@ pub fn job_share(
 ///
 /// `f = 0` → every job is eligible (pure packing); `f → 1` → only the
 /// most-starved job is eligible (strict fairness).
-pub fn eligible_jobs_in_place(shares: &mut Vec<(JobId, f64)>, fairness_knob: f64) {
+pub(crate) fn eligible_jobs_in_place(shares: &mut Vec<(JobId, f64)>, fairness_knob: f64) {
     assert!(
         (0.0..=1.0).contains(&fairness_knob),
         "fairness knob must be in [0,1]"

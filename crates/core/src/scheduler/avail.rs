@@ -291,7 +291,7 @@ mod tests {
         // memo nothing.
         use tetris_resources::units::{GB, MB};
         use tetris_sim::probe::ScheduleProbe;
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let workload = || {
             let mut b = WorkloadBuilder::new();
             let j = b.begin_job("readers", None, 0.0);
@@ -425,8 +425,7 @@ mod tests {
         // must not claim the source. Left with dem × (1 − 3 margin), the
         // source refuses even that.
         use tetris_resources::units::{GB, MB};
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-        use tetris_workload::{InputSource, InputSpec};
+        use tetris_workload::{InputSource, InputSpec, TaskParams, WorkloadBuilder};
         let params = |inputs| TaskParams {
             cores: 1.0,
             mem: GB,

@@ -440,7 +440,7 @@ mod tests {
         // writers (150 MB/s demand each) fit a machine by CPU+memory but
         // demand 9× its 200 MB/s disk.
         use tetris_resources::units::{GB, MB};
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let mut b = WorkloadBuilder::new();
         let j = b.begin_job("writers", None, 0.0);
         b.add_stage(j, "w", vec![], 12, |_| TaskParams {

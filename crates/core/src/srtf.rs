@@ -18,7 +18,11 @@ use tetris_sim::{ClusterView, StageProgress};
 use tetris_workload::JobId;
 
 /// Per-task resource-time cost: Σ_r (demand_r / reference_r) × duration.
-pub fn task_cost(demand: &ResourceVec, reference_capacity: &ResourceVec, duration: f64) -> f64 {
+pub(crate) fn task_cost(
+    demand: &ResourceVec,
+    reference_capacity: &ResourceVec,
+    duration: f64,
+) -> f64 {
     demand.normalized_by(reference_capacity).sum() * duration
 }
 
@@ -40,7 +44,7 @@ pub fn job_remaining_work(
 
 /// As [`job_remaining_work`] but reusing an already-fetched progress vector
 /// (hot paths fetch it once per job per scheduling pass).
-pub fn job_remaining_work_with(
+pub(crate) fn job_remaining_work_with(
     view: &ClusterView<'_>,
     job: JobId,
     reference_capacity: &ResourceVec,
@@ -94,7 +98,7 @@ fn stage_remaining_work(
 ///   `m·ā`, so a strongly-aligned task of a long job can still win, while
 ///   the SRTF ordering among comparable alignments is exactly preserved.
 #[derive(Debug, Clone)]
-pub struct CombinedScorer {
+pub(crate) struct CombinedScorer {
     /// The multiplier `m` (paper's sensitivity analysis: `m ≈ 1` is right;
     /// `m = 0` disables SRTF, large `m` disables packing).
     pub multiplier: f64,
@@ -103,7 +107,7 @@ pub struct CombinedScorer {
 
 impl CombinedScorer {
     /// New scorer with multiplier `m`.
-    pub fn new(multiplier: f64) -> Self {
+    pub(crate) fn new(multiplier: f64) -> Self {
         assert!(multiplier >= 0.0 && multiplier.is_finite());
         CombinedScorer {
             multiplier,
@@ -113,7 +117,7 @@ impl CombinedScorer {
 
     /// Record the alignment score of a task that was actually placed,
     /// updating `ā`.
-    pub fn observe_alignment(&mut self, a: f64) {
+    pub(crate) fn observe_alignment(&mut self, a: f64) {
         self.avg_alignment.push(a);
     }
 
@@ -132,7 +136,7 @@ impl CombinedScorer {
     /// Combine an alignment score with the owning job's remaining-work
     /// rank (`0` = shortest remaining work among active jobs, `1` =
     /// longest).
-    pub fn combined(&self, alignment: f64, p_rank: f64) -> f64 {
+    pub(crate) fn combined(&self, alignment: f64, p_rank: f64) -> f64 {
         if self.multiplier == 0.0 {
             return alignment;
         }
@@ -145,7 +149,7 @@ impl CombinedScorer {
 /// Rank each value in `[0, 1]` by ascending order into `out` (ties share
 /// the lower rank; a single element ranks 0). `idx` is sort scratch, so
 /// hot paths rank without allocating per call.
-pub fn ranks_into(values: &[f64], idx: &mut Vec<usize>, out: &mut Vec<f64>) {
+pub(crate) fn ranks_into(values: &[f64], idx: &mut Vec<usize>, out: &mut Vec<f64>) {
     let n = values.len();
     out.clear();
     out.resize(n, 0.0);

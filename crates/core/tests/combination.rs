@@ -5,8 +5,7 @@
 use tetris_core::{TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, MachineSpec};
 use tetris_sim::{ClusterConfig, Simulation};
-use tetris_workload::gen::{two_job_packing_example, TaskParams, WorkloadBuilder};
-use tetris_workload::JobId;
+use tetris_workload::{two_job_packing_example, JobId, TaskParams, WorkloadBuilder};
 
 /// Paper §3.3: two machines of 16 cores/32 GB; job 0 has six
 /// (16-core, 16 GB) tasks — perfectly aligned, so pure packing runs them

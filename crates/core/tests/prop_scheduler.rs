@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use tetris_core::{AlignmentKind, TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, units::MB, MachineSpec, Resource, ResourceVec};
 use tetris_sim::{ClusterConfig, SimConfig, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     let job = (

@@ -10,8 +10,7 @@
 use tetris_core::{StarvationConfig, TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, MachineSpec, ResourceVec};
 use tetris_sim::{ClusterConfig, MachineId, SimConfig, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::{JobId, PlacementConstraints, Workload};
+use tetris_workload::{JobId, PlacementConstraints, TaskParams, Workload, WorkloadBuilder};
 
 fn starvation_workload() -> Workload {
     churn_and_big(2.0 * GB, 8.0 * GB, PlacementConstraints::none())

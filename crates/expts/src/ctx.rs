@@ -65,11 +65,6 @@ impl RunCtx {
         self
     }
 
-    /// The same scale under a different master seed (sweeps).
-    pub fn with_seed(&self, seed: u64) -> Self {
-        RunCtx::new(self.scale, seed).scaled(self.scale_factor)
-    }
-
     /// The deployment cluster for this scale.
     pub fn cluster(&self) -> ClusterConfig {
         self.scale.cluster()
@@ -151,7 +146,7 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let a = RunCtx::new(Scale::Laptop, 7);
-        let b = a.with_seed(8);
+        let b = RunCtx::new(Scale::Laptop, 8);
         assert_ne!(
             serde_json::to_string(&a.suite()).unwrap(),
             serde_json::to_string(&b.suite()).unwrap()

@@ -16,7 +16,7 @@
 //! ahead of the crash, and the suspicion score turns that into a warning
 //! only tracker-aware scheduling can act on.
 
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_resources::MachineSpec;
 use tetris_sim::{ClusterConfig, SimConfig, SimOutcome, Simulation};
 use tetris_workload::{Workload, WorkloadSuiteConfig};

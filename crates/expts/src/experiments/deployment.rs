@@ -1,11 +1,7 @@
 //! Figures 4 and 5 and Table 6 — the deployment experiments (§5.2):
 //! the §5.1 workload suite under Tetris, the Capacity scheduler and DRF.
 
-use tetris_metrics::improvement::ImprovementSummary;
-use tetris_metrics::table::TextTable;
-use tetris_metrics::tightness::TightnessTable;
-use tetris_metrics::timeline;
-use tetris_metrics::RunMetrics;
+use tetris_metrics::{timeline, ImprovementSummary, RunMetrics, TextTable, TightnessTable};
 use tetris_resources::{MachineSpec, Resource};
 
 use crate::setup::{run, with_zero_arrivals, SchedName};

@@ -3,12 +3,10 @@
 //! quantified.
 
 use tetris_core::{EstimationMode, StarvationConfig, TetrisConfig, TetrisScheduler};
-use tetris_metrics::pct_improvement;
-use tetris_metrics::table::TextTable;
+use tetris_metrics::{pct_improvement, TextTable};
 use tetris_resources::{units::GB, MachineSpec};
 use tetris_sim::{ClusterConfig, SimConfig, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::JobId;
+use tetris_workload::{JobId, TaskParams, WorkloadBuilder};
 
 use crate::setup::{run, run_observed, run_tetris, SchedName};
 use crate::{Report, RunCtx};

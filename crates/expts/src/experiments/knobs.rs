@@ -1,10 +1,7 @@
 //! Figures 8–10 and §5.3.2 — the fairness and barrier knobs.
 
 use tetris_core::TetrisConfig;
-use tetris_metrics::improvement::ImprovementSummary;
-use tetris_metrics::pct_improvement;
-use tetris_metrics::slowdown::{relative_integral_unfairness, SlowdownSummary};
-use tetris_metrics::table::TextTable;
+use tetris_metrics::{pct_improvement, relative_integral_unfairness, SlowdownSummary, TextTable};
 use tetris_workload::JobId;
 
 use crate::setup::{run, run_tetris, with_zero_arrivals, SchedName};
@@ -239,22 +236,23 @@ pub fn fig10(ctx: &RunCtx) -> Report {
     report
 }
 
-/// Convenience for tests: tetris-vs-fair JCT gain at one knob value.
-pub fn jct_gain_at_f(ctx: &RunCtx, f: f64) -> f64 {
-    let cluster = ctx.cluster();
-    let w = ctx.suite();
-    let cfg = ctx.sim_config();
-    let fair = run(ctx, &cluster, &w, SchedName::Fair, &cfg);
-    let mut tc = TetrisConfig::default();
-    tc.fairness_knob = f;
-    let o = run_tetris(ctx, &cluster, &w, tc, &cfg);
-    let imp = ImprovementSummary::compare(&o, &fair);
-    imp.avg_jct
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetris_metrics::ImprovementSummary;
+
+    /// Tetris-vs-Fair JCT gain at one knob value.
+    fn jct_gain_at_f(ctx: &RunCtx, f: f64) -> f64 {
+        let cluster = ctx.cluster();
+        let w = ctx.suite();
+        let cfg = ctx.sim_config();
+        let fair = run(ctx, &cluster, &w, SchedName::Fair, &cfg);
+        let mut tc = TetrisConfig::default();
+        tc.fairness_knob = f;
+        let o = run_tetris(ctx, &cluster, &w, tc, &cfg);
+        let imp = ImprovementSummary::compare(&o, &fair);
+        imp.avg_jct
+    }
 
     #[test]
     fn fig8_all_knobs_still_beat_fair() {

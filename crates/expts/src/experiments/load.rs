@@ -3,8 +3,7 @@
 //! The paper varies load by shrinking the cluster ("half as many servers
 //! leads to twice the load") and finds Tetris's gains grow with load.
 
-use tetris_metrics::pct_improvement;
-use tetris_metrics::table::TextTable;
+use tetris_metrics::{pct_improvement, TextTable};
 
 use crate::setup::{run, SchedName};
 use crate::{Report, RunCtx};

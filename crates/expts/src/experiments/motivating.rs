@@ -6,11 +6,13 @@
 //! them at `{2t, 3t, 4t}` in some order — makespan −33 %, average JCT
 //! −33 %, and *every* job earlier.
 
-use tetris_metrics::table::TextTable;
-use tetris_resources::units::{gbps, GB, MB};
-use tetris_resources::MachineSpec;
+use tetris_metrics::TextTable;
+use tetris_resources::{
+    units::{gbps, GB, MB},
+    MachineSpec,
+};
 use tetris_sim::{ClusterConfig, Interference, SimConfig, Simulation};
-use tetris_workload::gen::motivating_example;
+use tetris_workload::motivating_example;
 
 use crate::setup::{run_observed, SchedName};
 use crate::{Report, RunCtx};

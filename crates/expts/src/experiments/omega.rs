@@ -34,10 +34,9 @@
 //! [`ShardedScheduler`]: tetris_sim::ShardedScheduler
 
 use tetris_core::{TetrisConfig, TetrisScheduler};
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_obs::Obs;
-use tetris_sim::probe::ColdPassProbe;
-use tetris_sim::{SchedulerPolicy, ShardedScheduler, ShardedStats};
+use tetris_sim::{probe::ColdPassProbe, SchedulerPolicy, ShardedScheduler, ShardedStats};
 
 use crate::{Report, RunCtx};
 

@@ -30,7 +30,7 @@
 //! [`ShardedScheduler`]: tetris_sim::ShardedScheduler
 
 use tetris_core::{TetrisConfig, TetrisScheduler};
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_obs::Obs;
 use tetris_resources::MachineSpec;
 use tetris_sim::{

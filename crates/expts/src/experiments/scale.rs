@@ -23,7 +23,7 @@
 //! [`ColdPassProbe`]: tetris_sim::probe::ColdPassProbe
 
 use tetris_core::{TetrisConfig, TetrisScheduler};
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_obs::{names, Obs};
 use tetris_sim::probe::ColdPassProbe;
 

@@ -6,8 +6,7 @@
 //! single-draw numbers are noisy.
 
 use tetris_core::TetrisConfig;
-use tetris_metrics::pct_improvement;
-use tetris_metrics::table::TextTable;
+use tetris_metrics::{pct_improvement, TextTable};
 use tetris_workload::stats::mean;
 
 use crate::setup::{run, run_tetris, with_zero_arrivals, SchedName};

@@ -14,7 +14,7 @@
 //! makespan. The §16 acceptance gate: Tetris's SLO-violation rate stays
 //! at or below the Capacity baseline's at **every** diurnal load point.
 
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_sim::{SimConfig, SimOutcome};
 use tetris_workload::{ServingMixConfig, Workload};
 

@@ -4,9 +4,7 @@
 
 use tetris_baselines::UpperBoundScheduler;
 use tetris_core::{AlignmentKind, TetrisConfig};
-use tetris_metrics::improvement::ImprovementSummary;
-use tetris_metrics::pct_improvement;
-use tetris_metrics::table::TextTable;
+use tetris_metrics::{pct_improvement, ImprovementSummary, TextTable};
 
 use crate::setup::{run, run_tetris, with_zero_arrivals, SchedName};
 use crate::{Report, RunCtx};

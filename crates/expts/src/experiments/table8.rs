@@ -30,11 +30,10 @@
 //! [`IncrementalProbe::settle`]: tetris_sim::probe::IncrementalProbe::settle
 
 use tetris_core::{TetrisConfig, TetrisScheduler};
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_obs::{names, Obs};
 use tetris_resources::MachineSpec;
-use tetris_sim::probe::IncrementalProbe;
-use tetris_sim::{ClusterConfig, MarkAllDirty, SimConfig};
+use tetris_sim::{probe::IncrementalProbe, ClusterConfig, MarkAllDirty, SimConfig};
 use tetris_workload::{Workload, WorkloadSuiteConfig};
 
 use crate::{Report, RunCtx};

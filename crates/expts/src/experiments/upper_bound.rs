@@ -7,8 +7,7 @@
 //! SRTF-flavoured order).
 
 use tetris_baselines::UpperBoundScheduler;
-use tetris_metrics::pct_improvement;
-use tetris_metrics::table::TextTable;
+use tetris_metrics::{pct_improvement, TextTable};
 
 use crate::setup::{run, with_zero_arrivals, SchedName};
 use crate::{Report, RunCtx};

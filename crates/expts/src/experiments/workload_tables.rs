@@ -1,8 +1,8 @@
 //! Tables 2 and 3 and Figure 2 — the workload-analysis artifacts (§2.2.2).
 
-use tetris_metrics::tightness::TightnessTable;
+use tetris_metrics::TightnessTable;
 use tetris_resources::Resource;
-use tetris_workload::analysis::{within_stage_cov, CorrelationMatrix, DemandDiversity, Heatmap};
+use tetris_workload::{within_stage_cov, CorrelationMatrix, DemandDiversity, Heatmap};
 
 use crate::setup::{run, SchedName};
 use crate::{Report, RunCtx};

@@ -36,9 +36,10 @@
 
 use tetris_baselines::UpperBoundScheduler;
 use tetris_core::{TetrisConfig, TetrisScheduler};
-use tetris_metrics::table::TextTable;
-use tetris_obs::timeseries::SeriesSummary;
-use tetris_obs::{names, Histogram, JsonlRecorder, NoopRecorder, Obs, Recorder, TimeSeries};
+use tetris_metrics::TextTable;
+use tetris_obs::{
+    names, Histogram, JsonlRecorder, NoopRecorder, Obs, Recorder, SeriesSummary, TimeSeries,
+};
 use tetris_sim::{
     Journal, RecoveryStats, RunResult, SchedulerCrash, SchedulerPolicy, ShardedScheduler,
     Simulation,
@@ -330,7 +331,7 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
     if let Some(h) = obs.metrics.histogram(names::SHARD_HEARTBEAT_US) {
         t.row(vec![
             format!("{} (us)", names::SHARD_HEARTBEAT_US),
-            tetris_obs::summary::histogram_line(h, 1.0, ""),
+            tetris_obs::histogram_line(h, 1.0, ""),
         ]);
     }
     t.row(vec![
@@ -369,7 +370,7 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
 }
 
 fn hist_us(h: &Histogram) -> String {
-    tetris_obs::summary::histogram_line(h, 1e3, "")
+    tetris_obs::histogram_line(h, 1e3, "")
 }
 
 #[cfg(test)]
@@ -396,7 +397,7 @@ mod tests {
         let text = std::fs::read_to_string(&trace).unwrap();
         assert!(!text.is_empty());
         for line in text.lines() {
-            let rec: tetris_obs::event::TraceRecord = serde_json::from_str(line).unwrap();
+            let rec: tetris_obs::TraceRecord = serde_json::from_str(line).unwrap();
             // Default traces never carry provenance.
             assert!(!line.contains("\"provenance\""), "{line}");
             let _ = rec;

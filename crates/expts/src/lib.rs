@@ -31,13 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
-pub mod ctx;
-pub mod experiments;
-pub mod instrument;
-pub mod report;
-pub mod runner;
-pub mod setup;
+pub mod cli; // `reproduce` names `cli::parse` and `cli::Cmd`.
+mod ctx;
+pub mod experiments; // `reproduce` names `experiments::find` and `experiments::registry`.
+pub mod instrument; // `reproduce` names `instrument::instrumented_run`.
+mod report;
+pub mod runner; // `reproduce` names `runner::run_experiments` and `runner::run_sweep`.
+pub mod setup; // `perfbench` names `setup::run_observed`.
 
 pub use ctx::RunCtx;
 pub use report::Report;

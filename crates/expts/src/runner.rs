@@ -1,6 +1,6 @@
 //! Deterministic parallel execution of the experiment suite.
 //!
-//! The worker pool itself lives in `tetris_sim::pool` (hoisted there so
+//! The worker pool itself lives in `tetris_sim`'s `pool` module (hoisted so
 //! the sharded cold-pass scoring loop can share it); this module drives
 //! it: workers pull the next experiment off the deque, run it against
 //! their own private [`RunCtx`], and send the finished result back tagged
@@ -22,15 +22,14 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::Serialize;
-use tetris_metrics::table::TextTable;
+use tetris_metrics::TextTable;
 use tetris_obs::{MetricsRegistry, MetricsSnapshot};
+use tetris_sim::{pool_map, pool_map_prioritized};
 use tetris_workload::stats::percentile;
 
 use crate::experiments::Experiment;
 use crate::setup::Scale;
 use crate::{Report, RunCtx};
-
-pub use tetris_sim::pool::{pool_map, pool_map_prioritized};
 
 /// One finished experiment: its report, wall-clock, and the
 /// observability metrics its simulations accumulated.

@@ -4,28 +4,31 @@
 //! the quantities the paper's §5 tables and figures are made of.
 //!
 //! * [`RunMetrics`] — one-line summary of a simulation run;
-//! * [`improvement`] — per-job JCT improvement of one scheduler over
+//! * `improvement` — per-job JCT improvement of one scheduler over
 //!   another and its CDF (Figs. 4, 7);
-//! * [`slowdown`] — fraction/magnitude of jobs slowed versus a fair
+//! * `slowdown` — fraction/magnitude of jobs slowed versus a fair
 //!   baseline (Fig. 9) and relative integral unfairness (§5.3.2);
 //! * [`timeline`] — running-task and utilization time series (Figs. 5, 6);
-//! * [`tightness`] — resource tightness probabilities (Tables 3 and 6);
-//! * [`gantt`] — ASCII machine-occupancy charts of a schedule;
-//! * [`table`] — plain-text table rendering shared by the experiment
+//! * `tightness` — resource tightness probabilities (Tables 3 and 6);
+//! * `gantt` — ASCII machine-occupancy charts of a schedule;
+//! * `table` — plain-text table rendering shared by the experiment
 //!   harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gantt;
-pub mod improvement;
-pub mod slowdown;
-pub mod table;
-pub mod tightness;
-pub mod timeline;
+mod gantt;
+mod improvement;
+mod slowdown;
+mod table;
+mod tightness;
+pub mod timeline; // Its free functions `render` and `decimate` would be vague at the root.
 
+pub use gantt::Gantt;
 pub use improvement::ImprovementSummary;
 pub use slowdown::{relative_integral_unfairness, SlowdownSummary};
+pub use table::TextTable;
+pub use tightness::TightnessTable;
 
 use tetris_sim::SimOutcome;
 use tetris_workload::stats;

@@ -81,16 +81,6 @@ impl TextTable {
     }
 }
 
-/// Format a float with one decimal and a percent sign.
-pub fn pct(x: f64) -> String {
-    format!("{x:.1}%")
-}
-
-/// Format seconds.
-pub fn secs(x: f64) -> String {
-    format!("{x:.1}s")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,11 +102,5 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_checked() {
         TextTable::new(vec!["a", "b"]).row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(pct(12.34), "12.3%");
-        assert_eq!(secs(5.0), "5.0s");
     }
 }

@@ -11,10 +11,7 @@
 //! bucket edges.
 
 /// Number of power-of-two buckets before the overflow bucket.
-pub const NUM_BUCKETS: usize = 41;
-
-/// Largest value representable without falling into the overflow bucket.
-pub const MAX_TRACKED: u64 = (1 << (NUM_BUCKETS - 1)) - 1;
+pub(crate) const NUM_BUCKETS: usize = 41;
 
 /// A fixed-bucket histogram of `u64` samples (typically nanoseconds).
 #[derive(Debug, Clone)]
@@ -188,6 +185,9 @@ pub struct HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Largest value representable without falling into the overflow bucket.
+    const MAX_TRACKED: u64 = (1 << (NUM_BUCKETS - 1)) - 1;
 
     #[test]
     fn bucket_math() {

@@ -3,20 +3,20 @@
 //! Runtime observability for the Tetris reproduction — the layer that
 //! turns scheduler behaviour from anecdotes into data:
 //!
-//! * [`event`] — typed scheduling events ([`Event`]) with serde support,
+//! * `event` — typed scheduling events ([`Event`]) with serde support,
 //!   written as JSON Lines by a [`Recorder`];
-//! * [`recorder`] — the [`Recorder`] trait plus sinks: [`NoopRecorder`]
+//! * `recorder` — the [`Recorder`] trait plus sinks: [`NoopRecorder`]
 //!   (compiles to a dead branch on the hot path), [`JsonlRecorder`]
 //!   (buffered file sink), [`VecRecorder`] (in-memory, for tests);
-//! * [`registry`] — [`MetricsRegistry`]: counters, gauges, and
+//! * `registry` — [`MetricsRegistry`]: counters, gauges, and
 //!   fixed-bucket latency [`Histogram`]s keyed by static names,
 //!   snapshotable to JSON;
-//! * [`histogram`] — power-of-two-bucket histograms with p50/p90/p99/max;
-//! * [`timeseries`] — per-heartbeat cluster telemetry samples
+//! * `histogram` — power-of-two-bucket histograms with p50/p90/p99/max;
+//! * `timeseries` — per-heartbeat cluster telemetry samples
 //!   ([`TelemetrySample`]: utilization, fragmentation, backlog, suspect
 //!   machines, packing efficiency) streamed as JSONL and rendered by
 //!   `trace-tool report`;
-//! * [`summary`] — small plain-text key/value rendering for CLI summaries.
+//! * `summary` — small plain-text key/value rendering for CLI summaries.
 //!
 //! The paper's evaluation leans on exactly this kind of instrumentation:
 //! Table 8 (heartbeat processing latency), Figures 5/6 (utilization
@@ -32,21 +32,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod histogram;
-pub mod recorder;
-pub mod registry;
-pub mod summary;
-pub mod timeseries;
+mod event;
+mod histogram;
+mod recorder;
+mod registry;
+mod summary;
+mod timeseries;
 
-pub use event::{DecisionScores, Event, PlacementProvenance, RejectedCandidate};
+pub use event::{DecisionScores, Event, PlacementProvenance, RejectedCandidate, TraceRecord};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use recorder::{JsonlRecorder, NoopRecorder, Recorder, VecRecorder};
 pub use registry::{MetricsRegistry, MetricsSnapshot};
-pub use timeseries::{TelemetrySample, TimeSeries};
+pub use summary::{histogram_line, Summary};
+pub use timeseries::{
+    csv_row, ResourceUtil, SeriesSummary, TelemetrySample, TimeSeries, CSV_HEADER,
+};
 
 /// Well-known metric names, shared across crates so snapshots stay
-/// consistent and greppable.
+/// consistent and greppable. Kept a namespace: `names::PLACEMENTS` reads
+/// as a metric name where a bare `PLACEMENTS` at the root would not.
 pub mod names {
     /// Wall time of one full "resources freed → pick tasks" scheduling
     /// pass in the engine (histogram, nanoseconds). The continuous,

@@ -1,12 +1,11 @@
 //! Minimal plain-text summary rendering for CLI tools.
 //!
-//! `tetris-metrics::table` renders the paper's report tables; this module
+//! `tetris_metrics::TextTable` renders the paper's report tables; this module
 //! covers the humbler case — a tool that used to `println!` a handful of
 //! stats and now wants them aligned and greppable without pulling in the
 //! metrics crate (which would cycle: metrics → workload → … → obs).
 
 use crate::histogram::Histogram;
-use crate::registry::MetricsRegistry;
 
 /// An aligned `key: value` block under a `== title ==` header.
 #[derive(Debug, Default)]
@@ -65,25 +64,6 @@ pub fn histogram_line(h: &Histogram, scale: f64, unit: &str) -> String {
     )
 }
 
-/// Render every metric in `m` as one summary block: counters first, then
-/// gauges, then histograms via [`histogram_line`] (raw units).
-pub fn render_metrics(title: &str, m: &MetricsRegistry) -> String {
-    let snap = m.snapshot();
-    let mut s = Summary::new(title);
-    for (k, v) in &snap.counters {
-        s.row(k.clone(), v);
-    }
-    for (k, v) in &snap.gauges {
-        s.row(k.clone(), format!("{v:.3}"));
-    }
-    for name in snap.histograms.keys() {
-        if let Some(h) = m.histogram(name) {
-            s.row(name.clone(), histogram_line(h, 1.0, ""));
-        }
-    }
-    s.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,17 +85,5 @@ mod tests {
         let line = histogram_line(&h, 1e3, "us");
         assert!(line.contains("n=1"), "{line}");
         assert!(line.contains("p50=2.0us"), "{line}");
-    }
-
-    #[test]
-    fn render_metrics_includes_all_kinds() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("placements", 3);
-        m.gauge_set("pending_tasks", 2.0);
-        m.observe("heartbeat_ns", 500);
-        let out = render_metrics("run", &m);
-        assert!(out.contains("placements"), "{out}");
-        assert!(out.contains("pending_tasks"), "{out}");
-        assert!(out.contains("heartbeat_ns"), "{out}");
     }
 }

@@ -52,7 +52,7 @@
 
 mod machine_spec;
 mod resource;
-pub mod units;
+pub mod units; // `units::GB` and `units::gbps` read as units only behind the namespace.
 mod vec;
 
 pub use machine_spec::MachineSpec;

@@ -65,12 +65,6 @@ impl Resource {
         }
     }
 
-    /// Inverse of [`Resource::index`]. Panics if `i >= NUM_RESOURCES`.
-    #[inline]
-    pub const fn from_index(i: usize) -> Resource {
-        Self::ALL[i]
-    }
-
     /// Space vs rate classification.
     #[inline]
     pub const fn kind(self) -> ResourceKind {
@@ -78,15 +72,6 @@ impl Resource {
             Resource::Mem => ResourceKind::Space,
             _ => ResourceKind::Rate,
         }
-    }
-
-    /// True for the dimensions current-generation schedulers (slot-based
-    /// Fair/Capacity, shipped DRF) actually look at when placing tasks.
-    /// The paper's central critique is that ignoring the remaining
-    /// dimensions causes over-allocation (§1, §2.1).
-    #[inline]
-    pub const fn is_explicitly_scheduled_by_baselines(self) -> bool {
-        matches!(self, Resource::Cpu | Resource::Mem)
     }
 
     /// Short machine-readable label ("cpu", "mem", ...).
@@ -116,7 +101,6 @@ mod tests {
     fn index_roundtrip() {
         for (i, r) in Resource::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
-            assert_eq!(Resource::from_index(i), *r);
         }
     }
 
@@ -128,27 +112,5 @@ mod tests {
                 _ => assert_eq!(r.kind(), ResourceKind::Rate),
             }
         }
-    }
-
-    #[test]
-    fn baselines_see_cpu_and_mem_only() {
-        let seen: Vec<_> = Resource::ALL
-            .iter()
-            .filter(|r| r.is_explicitly_scheduled_by_baselines())
-            .collect();
-        assert_eq!(seen, vec![&Resource::Cpu, &Resource::Mem]);
-    }
-
-    #[test]
-    fn labels_are_unique() {
-        let mut labels: Vec<_> = Resource::ALL.iter().map(|r| r.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), NUM_RESOURCES);
-    }
-
-    #[test]
-    fn display_matches_label() {
-        assert_eq!(Resource::DiskRead.to_string(), "disk_r");
     }
 }

@@ -21,12 +21,6 @@ pub fn gbps(g: f64) -> f64 {
     g * 1e9 / 8.0
 }
 
-/// Convert a link speed in megabits/second to bytes/second.
-#[inline]
-pub fn mbps(m: f64) -> f64 {
-    m * 1e6 / 8.0
-}
-
 /// Format a byte count with a binary-friendly decimal suffix.
 pub fn human_bytes(b: f64) -> String {
     let (v, suffix) = scale(b);
@@ -70,7 +64,6 @@ mod tests {
     #[test]
     fn link_speed_conversions() {
         assert_eq!(gbps(1.0), 125e6);
-        assert_eq!(mbps(800.0), 1e8);
     }
 
     #[test]

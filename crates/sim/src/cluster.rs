@@ -64,11 +64,6 @@ impl ClusterConfig {
         self.machines.is_empty()
     }
 
-    /// Rack of a machine.
-    pub fn rack_of(&self, m: MachineId) -> usize {
-        m.index() / self.machines_per_rack.max(1)
-    }
-
     /// Capacity vector of machine `m`.
     pub fn capacity(&self, m: MachineId) -> ResourceVec {
         self.machines[m.index()].capacity()
@@ -92,16 +87,6 @@ mod tests {
         assert!(!c.is_empty());
         let total = c.total_capacity();
         assert_eq!(total.get(Resource::Cpu), 16.0);
-    }
-
-    #[test]
-    fn racks_partition_machines() {
-        let mut c = ClusterConfig::uniform(45, MachineSpec::paper_small());
-        c.machines_per_rack = 20;
-        assert_eq!(c.rack_of(MachineId(0)), 0);
-        assert_eq!(c.rack_of(MachineId(19)), 0);
-        assert_eq!(c.rack_of(MachineId(20)), 1);
-        assert_eq!(c.rack_of(MachineId(44)), 2);
     }
 
     #[test]

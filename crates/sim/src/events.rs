@@ -74,7 +74,7 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -82,7 +82,7 @@ impl EventQueue {
     /// one queued re-times that entry in place; it takes a fresh sequence
     /// number either way, so events pop in the order a queue that kept the
     /// superseded entry (and skipped it when popped) would give.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         // Append, unless a flow's entry is there to overwrite (`NO_SLOT`
@@ -100,7 +100,7 @@ impl EventQueue {
 
     /// Drop `flow`'s queued completion, if it has one (its attempt was
     /// torn down, or its rate fell to zero).
-    pub fn cancel(&mut self, flow: FlowId) {
+    pub(crate) fn cancel(&mut self, flow: FlowId) {
         if let Some(&i) = self.heap_slot.get(flow.0).filter(|&&i| i != NO_SLOT) {
             self.remove(i);
         }
@@ -108,24 +108,24 @@ impl EventQueue {
 
     /// Pop the earliest event.
     #[cfg(test)]
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         (!self.heap.is_empty()).then(|| self.remove(0))
     }
 
     /// Pop the earliest event if it is due at `time` and was pushed before
     /// the counter read `fence`: one instant's batch, without buffering it.
-    pub fn pop_due(&mut self, time: SimTime, fence: u64) -> Option<Event> {
+    pub(crate) fn pop_due(&mut self, time: SimTime, fence: u64) -> Option<Event> {
         let head = self.heap.first()?;
         (head.time == time && head.seq < fence).then(|| self.remove(0))
     }
 
     /// Time of the earliest event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.time)
     }
 
     /// The sequence number the next push will take.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -133,7 +133,7 @@ impl EventQueue {
     /// plus the sequence counter, for checkpointing. `(time, seq)` is a
     /// total order, so the sorted vector is independent of the heap's
     /// internal layout.
-    pub fn snapshot(&self) -> (Vec<Event>, u64) {
+    pub(crate) fn snapshot(&self) -> (Vec<Event>, u64) {
         let mut events = self.heap.clone();
         events.sort_unstable_by_key(|e| (e.time, e.seq));
         (events, self.next_seq)
@@ -142,7 +142,7 @@ impl EventQueue {
     /// Rebuild a queue from a [`EventQueue::snapshot`], each event under
     /// its own sequence number, refusing one that queues a completion for
     /// a flow that is not `live`, or two for one flow.
-    pub fn restore(
+    pub(crate) fn restore(
         events: Vec<Event>,
         next_seq: u64,
         live: impl Fn(FlowId) -> bool,
@@ -165,13 +165,13 @@ impl EventQueue {
 
     /// Number of queued events.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True if no events remain.
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 

@@ -174,7 +174,7 @@ pub(crate) struct MachineIndex {
 
 impl MachineIndex {
     /// An empty, disabled index (no memory beyond the struct).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         MachineIndex {
             enabled: false,
             ub: Vec::new(),
@@ -194,7 +194,7 @@ impl MachineIndex {
     /// Build the index skeleton for `capacities.len()` machines: capacity
     /// classes are fixed for the simulation's lifetime, bucket contents
     /// start empty and are filled by the caller's initial refresh sweep.
-    pub fn new(capacities: &[ResourceVec]) -> Self {
+    pub(crate) fn new(capacities: &[ResourceVec]) -> Self {
         let n = capacities.len();
         let mut classes: Vec<ResourceVec> = Vec::new();
         let mut class_of = Vec::with_capacity(n);
@@ -231,7 +231,7 @@ impl MachineIndex {
 
     /// Seed bucket membership: every machine starts in bucket 0 of every
     /// resource; the caller's refresh sweep moves it where it belongs.
-    pub fn seed(&mut self) {
+    pub(crate) fn seed(&mut self) {
         for r in 0..NUM_RESOURCES {
             self.buckets[r][0].clear();
             for mi in 0..self.ub.len() {
@@ -247,7 +247,7 @@ impl MachineIndex {
 
     /// Refresh one machine's entry: new availability upper bound and
     /// considered flag. O(1) amortized per resource (bucket swap-remove).
-    pub fn refresh(&mut self, mi: usize, ub: ResourceVec, considered: bool) {
+    pub(crate) fn refresh(&mut self, mi: usize, ub: ResourceVec, considered: bool) {
         if !self.enabled {
             return;
         }
@@ -318,13 +318,13 @@ impl MachineIndex {
     }
 
     /// Number of machines that are neither down nor suspect.
-    pub fn considered_count(&self) -> usize {
+    pub(crate) fn considered_count(&self) -> usize {
         self.n_considered
     }
 
     /// Component-wise maximum capacity over considered machines, via the
     /// per-class considered counts (no machine scan).
-    pub fn capacity_envelope(&self) -> ResourceVec {
+    pub(crate) fn capacity_envelope(&self) -> ResourceVec {
         let mut env = ResourceVec::zero();
         for (cls, cap) in self.classes.iter().enumerate() {
             if self.class_considered[cls] > 0 {
@@ -345,7 +345,7 @@ impl MachineIndex {
     /// consulted once per distinct machine (memoized across the six
     /// descents) and must be the view's availability for the caller's
     /// tracker mode.
-    pub fn availability_envelope(
+    pub(crate) fn availability_envelope(
         &self,
         mut avail: impl FnMut(usize) -> ResourceVec,
     ) -> ResourceVec {
@@ -453,7 +453,7 @@ impl MachineIndex {
     /// cheapest-candidate floor on CPU **and** memory, ascending by id —
     /// a superset of the machines whose true availability meets it.
     /// Served from the more selective of the two bucket suffixes.
-    pub fn floor_candidates_into(&self, min_cpu: f64, min_mem: f64, out: &mut Vec<u32>) {
+    pub(crate) fn floor_candidates_into(&self, min_cpu: f64, min_mem: f64, out: &mut Vec<u32>) {
         out.clear();
         let cpu = (Resource::Cpu.index(), bucket_of(min_cpu));
         let mem = (Resource::Mem.index(), bucket_of(min_mem));
@@ -474,7 +474,7 @@ impl MachineIndex {
     /// `demand` component-wise, ascending by id — a superset of the
     /// machines `demand` truly fits on. The bucket suffix is taken on
     /// the most selective positive-demand resource.
-    pub fn fits_superset_into(&self, demand: &ResourceVec, out: &mut Vec<u32>) {
+    pub(crate) fn fits_superset_into(&self, demand: &ResourceVec, out: &mut Vec<u32>) {
         out.clear();
         // Pick the resource whose suffix has the fewest members.
         let mut best: Option<(usize, usize, usize)> = None; // (count, ri, from)
@@ -526,7 +526,7 @@ impl MachineIndex {
     }
 
     /// Drain the hit/prune counters (engine end-of-run, probes).
-    pub fn take_stats(&self) -> IndexStatsSnapshot {
+    pub(crate) fn take_stats(&self) -> IndexStatsSnapshot {
         IndexStatsSnapshot {
             queries: self.stats.queries.swap(0, Ordering::Relaxed),
             pruned: self.stats.pruned.swap(0, Ordering::Relaxed),

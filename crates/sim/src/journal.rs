@@ -68,7 +68,7 @@ use crate::recovery::CheckpointState;
 /// Journal wire-format version; bumped on any frame or record change
 /// (2: `Samples` records; sparse tasks and flows in the snapshot. 3: no
 /// `gen` on a flow or its `FlowDone`; one queued completion a live flow).
-pub const JOURNAL_VERSION: u32 = 3;
+pub(crate) const JOURNAL_VERSION: u32 = 3;
 
 /// Frame header size: `len` + `crc32`.
 const FRAME_HEADER: usize = 8;

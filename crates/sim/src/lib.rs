@@ -55,14 +55,14 @@ mod greedy;
 mod index;
 mod journal;
 mod outcome;
-pub mod pool;
-pub mod probe;
+mod pool;
+pub mod probe; // `perfbench` names `tetris_sim::probe::{ColdPassProbe, …}`.
 mod recovery;
-pub mod sharded;
+mod sharded;
 mod state;
 mod telemetry;
-pub mod time;
-pub mod tracker;
+mod time;
+mod tracker;
 mod view;
 
 pub use cluster::{ClusterConfig, MachineId};
@@ -71,11 +71,12 @@ pub use engine::Simulation;
 pub use fault::{FaultPlan, SchedulerCrash};
 pub use greedy::GreedyFifo;
 pub use index::IndexStatsSnapshot;
-pub use journal::{DiscardedTail, Journal, JournalError, JournalStats, JOURNAL_VERSION};
+pub use journal::{DiscardedTail, Journal, JournalError, JournalStats};
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
+pub use pool::{pool_map, pool_map_prioritized};
 pub use recovery::{Recovered, RecoveryError, RecoveryStats, RunResult};
-pub use sharded::{owner_shard, CommitOverlay, ShardedScheduler, ShardedStats};
-pub use state::{PlacementPlan, TaskCompletion, SHUFFLE_SHARE_MARGIN};
+pub use sharded::{CommitOverlay, ShardedScheduler, ShardedStats};
+pub use state::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
 pub use time::SimTime;
 pub use view::{
     plan_priority_preemption, Assignment, ClusterView, MachineQuery, MarkAllDirty, SchedulerEvent,

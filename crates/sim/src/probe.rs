@@ -8,7 +8,6 @@
 
 use std::time::Instant;
 
-use tetris_obs::{names, Event, Obs};
 use tetris_resources::NUM_RESOURCES;
 use tetris_workload::{JobId, Workload};
 
@@ -53,26 +52,6 @@ impl ScheduleProbe {
     pub fn measure(&self, policy: &mut dyn SchedulerPolicy) -> usize {
         let view = ClusterView::new(&self.state, policy.uses_tracker());
         policy.schedule(&view).len()
-    }
-
-    /// [`ScheduleProbe::measure`], additionally timing the pass into
-    /// `obs`'s `heartbeat_ns`/`schedule_ns` histograms and emitting a
-    /// [`tetris_obs::Event::HeartbeatProcessed`] — so one-off Table-8
-    /// probes and continuous engine runs land in the same metrics.
-    pub fn measure_observed(&self, policy: &mut dyn SchedulerPolicy, obs: &mut Obs) -> usize {
-        let pending = self.pending();
-        let start = Instant::now();
-        let n = self.measure(policy);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        obs.metrics.observe(names::HEARTBEAT_NS, wall_ns);
-        obs.metrics.observe(names::SCHEDULE_NS, wall_ns);
-        obs.metrics.gauge_set(names::PENDING_TASKS, pending as f64);
-        obs.emit(self.state.now.as_secs(), || Event::HeartbeatProcessed {
-            pending_tasks: pending,
-            placements: n as u64,
-            wall_ns,
-        });
-        n
     }
 }
 
@@ -405,7 +384,7 @@ impl ColdPassProbe {
     /// relative to the machine scan under test.
     fn workload(n_machines: usize, pending: usize, tasks_per_job: usize) -> Workload {
         use tetris_resources::units::GB;
-        use tetris_workload::gen::{TaskParams, WorkloadBuilder};
+        use tetris_workload::{TaskParams, WorkloadBuilder};
         let total = n_machines * Self::SLOTS_PER_MACHINE + pending;
         let jobs = total.div_ceil(tasks_per_job);
         let mut b = WorkloadBuilder::new();
@@ -662,26 +641,5 @@ mod tests {
         let s = probe.measure(&mut idx, &mut lin);
         assert!(s.placements > 0, "free machines must accept work");
         assert!(s.indexed_ns > 0 && s.linear_ns > 0);
-    }
-
-    #[test]
-    fn observed_probe_feeds_heartbeat_histogram() {
-        let w = WorkloadSuiteConfig::small().generate(3);
-        let probe = ScheduleProbe::new(
-            ClusterConfig::uniform(4, MachineSpec::paper_large()),
-            w,
-            SimConfig::default(),
-        );
-        let mut policy = GreedyFifo::new();
-        let mut obs = Obs::noop();
-        let n = probe.measure_observed(&mut policy, &mut obs);
-        assert_eq!(n, probe.measure(&mut policy));
-        let h = obs.metrics.histogram(names::HEARTBEAT_NS).unwrap();
-        assert_eq!(h.count(), 1);
-        assert!(h.max().unwrap() > 0);
-        assert_eq!(
-            obs.metrics.gauge(names::PENDING_TASKS),
-            Some(probe.pending() as f64)
-        );
     }
 }

@@ -1027,8 +1027,7 @@ mod tests {
 
     use crate::{GreedyFifo, SchedulerCrash, Simulation};
     use tetris_resources::{units::GB, units::MB, MachineSpec};
-    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-    use tetris_workload::Workload;
+    use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
     fn inputs() -> (ClusterConfig, Workload) {
         let mut b = WorkloadBuilder::new().with_demand_cap(MachineSpec::paper_small().capacity());

@@ -43,7 +43,7 @@ use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, Shar
 /// Bound on intra-heartbeat retry rounds for shards whose proposals lost
 /// a commit race. The engine's own schedule loop provides further rounds
 /// against true (post-apply) state, so a small bound loses nothing.
-pub const MAX_RETRY_ROUNDS: usize = 4;
+pub(crate) const MAX_RETRY_ROUNDS: usize = 4;
 
 /// Job-partition block size: consecutive job ids are assigned to shards
 /// in blocks of this many, not one by one. Job state lives in id-indexed
@@ -55,7 +55,7 @@ pub const MAX_RETRY_ROUNDS: usize = 4;
 /// workloads smaller than a few blocks degenerate to one busy shard,
 /// which is skewed but correct (sharding is a throughput device for
 /// large clusters, not a semantic one).
-pub const OWNER_BLOCK: usize = 64;
+pub(crate) const OWNER_BLOCK: usize = 64;
 
 /// The shard owning `job`: a splitmix64-style hash of the job's
 /// [`OWNER_BLOCK`] block index folded with the stable partitioning
@@ -63,7 +63,7 @@ pub const OWNER_BLOCK: usize = 64;
 /// (views, event routing, commit loop) must agree on ownership, and
 /// re-runs with the same seed must re-partition identically.
 #[inline]
-pub fn owner_shard(job: JobId, shards: usize, seed: u64) -> usize {
+pub(crate) fn owner_shard(job: JobId, shards: usize, seed: u64) -> usize {
     if shards <= 1 {
         return 0;
     }

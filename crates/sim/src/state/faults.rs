@@ -280,10 +280,8 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::config::SimConfig;
-    use tetris_resources::units::MB;
-    use tetris_resources::MachineSpec;
-    use tetris_workload::gen::WorkloadBuilder;
-    use tetris_workload::{JobId, Workload};
+    use tetris_resources::{units::MB, MachineSpec};
+    use tetris_workload::{JobId, Workload, WorkloadBuilder};
 
     /// Arrive the job and start its first task on machine 0.
     fn running(st: &mut SimState) {

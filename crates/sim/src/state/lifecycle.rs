@@ -16,7 +16,7 @@ use crate::events::EventKind;
 /// What [`SimState::task_complete`] did, so the engine can emit the
 /// matching trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskCompletion {
+pub(crate) enum TaskCompletion {
     /// The task was not actually running; nothing changed.
     Stale,
     /// The failure model re-queued the attempt: the task lost its slot on
@@ -34,19 +34,6 @@ pub enum TaskCompletion {
         /// True if this completion finished the whole job.
         job_finished: bool,
     },
-}
-
-impl TaskCompletion {
-    /// True if a job finished as a result.
-    pub fn job_finished(&self) -> bool {
-        matches!(
-            self,
-            TaskCompletion::Finished {
-                job_finished: true,
-                ..
-            }
-        )
-    }
 }
 
 impl SimState {
@@ -342,9 +329,19 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::config::SimConfig;
     use crate::time::SimTime;
-    use tetris_resources::units::MB;
-    use tetris_resources::{MachineSpec, ResourceVec};
-    use tetris_workload::gen::WorkloadBuilder;
+    use tetris_resources::{units::MB, MachineSpec, ResourceVec};
+    use tetris_workload::WorkloadBuilder;
+
+    /// True if the completion finished its whole job.
+    fn job_finished(c: TaskCompletion) -> bool {
+        matches!(
+            c,
+            TaskCompletion::Finished {
+                job_finished: true,
+                ..
+            }
+        )
+    }
 
     #[test]
     fn arrival_unlocks_root_stage() {
@@ -369,7 +366,7 @@ mod tests {
         };
         assert_eq!(done, Some(TaskUid(0)));
         let done = st.task_complete(TaskUid(0));
-        assert!(done.job_finished());
+        assert!(job_finished(done));
         assert_eq!(st.jobs_remaining, 0);
         assert_eq!(st.jobs[0].finish, Some(SimTime::from_secs(5.0)));
         // Ledger fully released.
@@ -401,7 +398,7 @@ mod tests {
         // Second attempt hits the attempt cap and must complete.
         st.apply_assignment(TaskUid(0), MachineId(0));
         let done = st.task_complete(TaskUid(0));
-        assert!(done.job_finished());
+        assert!(job_finished(done));
     }
 
     #[test]
@@ -432,7 +429,7 @@ mod tests {
                 st.now = ev.time;
                 if let EventKind::FlowDone { flow } = ev.kind {
                     if let Some(t) = st.flow_done(flow) {
-                        assert!(st.task_complete(t).job_finished());
+                        assert!(job_finished(st.task_complete(t)));
                     }
                 }
                 st.recompute_dirty();

@@ -39,7 +39,7 @@ mod lifecycle;
 mod network;
 mod plan;
 
-pub use lifecycle::TaskCompletion;
+pub(crate) use lifecycle::TaskCompletion;
 use network::DirtySet;
 pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
 
@@ -214,7 +214,7 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.arrived && self.finish.is_none()
     }
 }
@@ -519,10 +519,11 @@ impl SimState {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use tetris_resources::units::{GB, MB};
-    use tetris_resources::MachineSpec;
-    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-    use tetris_workload::JobId;
+    use tetris_resources::{
+        units::{GB, MB},
+        MachineSpec,
+    };
+    use tetris_workload::{JobId, TaskParams, WorkloadBuilder};
 
     /// A task of `cores` cores and 1 GB that computes for `duration`
     /// seconds, reads `inputs` and writes nothing.

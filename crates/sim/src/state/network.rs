@@ -443,10 +443,11 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::config::SimConfig;
-    use tetris_resources::units::{GB, MB};
-    use tetris_resources::MachineSpec;
-    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-    use tetris_workload::JobId;
+    use tetris_resources::{
+        units::{GB, MB},
+        MachineSpec,
+    };
+    use tetris_workload::{JobId, TaskParams, WorkloadBuilder};
 
     /// `n` tasks built by `task` on two machines, the job arrived.
     fn arrived(n: usize, task: TaskParams) -> SimState {

@@ -68,17 +68,6 @@ impl PlacementPlan {
         }
         fits
     }
-
-    /// Fraction of input bytes that are remote.
-    pub fn remote_fraction(&self) -> f64 {
-        let remote: f64 = self.remote_reads.iter().map(|(_, b)| b).sum();
-        let total = remote + self.local_read_bytes;
-        if total <= 0.0 {
-            0.0
-        } else {
-            remote / total
-        }
-    }
 }
 
 impl SimState {
@@ -406,10 +395,8 @@ mod tests {
     use crate::events::FlowId;
     use crate::state::Phase;
     use crate::time::SimTime;
-    use tetris_resources::units::MB;
-    use tetris_resources::MachineSpec;
-    use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-    use tetris_workload::{JobId, Workload};
+    use tetris_resources::{units::MB, MachineSpec};
+    use tetris_workload::{JobId, TaskParams, Workload, WorkloadBuilder};
 
     /// A state on `machines` `paper_small` machines under `cfg`, the job
     /// arrived.
@@ -467,7 +454,6 @@ mod tests {
         assert_eq!(plan.local_read_bytes, 100.0 * MB);
         assert_eq!(plan.local.get(Resource::NetIn), 0.0);
         assert!(plan.local.get(Resource::DiskRead) > 0.0);
-        assert_eq!(plan.remote_fraction(), 0.0);
     }
 
     #[test]
@@ -509,7 +495,6 @@ mod tests {
         assert_eq!(plan.remote_reads.len(), 1);
         assert_eq!(plan.remote_reads[0].0, MachineId(1));
         assert!((plan.remote_reads[0].1 - 50.0 * MB).abs() < 1.0);
-        assert!((plan.remote_fraction() - 0.5).abs() < 1e-9);
     }
 
     /// One task reading eight 10 MB stored blocks, one replica each, on

@@ -14,7 +14,7 @@
 //! only when a collector is attached: runs without telemetry never pay
 //! for (or observe) any of this.
 
-use tetris_obs::timeseries::{ResourceUtil, TelemetrySample};
+use tetris_obs::{ResourceUtil, TelemetrySample};
 use tetris_resources::{Resource, ResourceVec};
 
 use crate::state::SimState;

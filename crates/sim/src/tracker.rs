@@ -1,19 +1,20 @@
-//! Resource-tracker helpers (paper §4.1).
+//! Resource-tracker reports (paper §4.1).
 //!
 //! The tracker process on every node reports aggregate usage to the
 //! cluster-wide resource manager. The engine runs the report cycle every
 //! `REPORT_PERIOD_SECS` through `SimState::tracker_report`, below, which
-//! also scores each machine's trustworthiness. This module provides the
-//! *ramp-up allowance* the paper describes for usage-based reports:
+//! also scores each machine's trustworthiness and prunes the ramp-up
+//! entries older than the horizon. The paper describes the allowance for
+//! usage-based reports:
 //!
 //! > "In its reports, the tracker provides allowance for newly assigned
 //! > tasks to 'ramp up' their usages. It does so by increasing the
 //! > observed usage by a small amount per task; the amount decreases over
 //! > the task's lifetime and goes to zero after a threshold (we use 10s)."
 //!
-//! Without the allowance, a scheduler that trusts *usage* reports would
-//! over-schedule during the window between assigning a task and the task
-//! reaching its steady-state usage.
+//! `SimState::availability` adds it: without the allowance, a scheduler
+//! that trusts *usage* reports would over-schedule during the window
+//! between assigning a task and the task reaching its steady-state usage.
 
 use tetris_resources::{Resource, ResourceVec};
 
@@ -22,7 +23,7 @@ use crate::fault::TrackerMode;
 use crate::state::SimState;
 
 /// Ramp-up horizon in seconds (paper: 10 s).
-pub const RAMP_UP_HORIZON_SECS: f64 = 10.0;
+pub(crate) const RAMP_UP_HORIZON_SECS: f64 = 10.0;
 
 /// Seconds between two usage reports (§4.1: machines report usage
 /// periodically; this staleness is also what batches freed resources and
@@ -44,62 +45,34 @@ pub(crate) const REPORT_PERIOD_SECS: f64 = 1.0;
 
 /// Suspicion at or above which a machine is suspect. Two strikes: one
 /// missed report is forgiven (report loss happens), two in a row are not.
-pub const SUSPECT_THRESHOLD: f64 = 2.0;
+pub(crate) const SUSPECT_THRESHOLD: f64 = 2.0;
 /// Suspicion ceiling, so recovery time after a long outage is bounded
 /// (cap → below threshold in two good reports at the default decay).
-pub const SUSPICION_CAP: f64 = 8.0;
+pub(crate) const SUSPICION_CAP: f64 = 8.0;
 /// Multiplicative decay applied by each plausible report.
-pub const SUSPICION_DECAY: f64 = 0.5;
+pub(crate) const SUSPICION_DECAY: f64 = 0.5;
 /// Suspicion below this snaps to exactly zero (keeps honest machines'
 /// state canonical and comparisons exact).
-pub const SUSPICION_ZERO_BELOW: f64 = 0.125;
+pub(crate) const SUSPICION_ZERO_BELOW: f64 = 0.125;
 /// Suspicion added per missed report (machine down / unreachable).
-pub const MISSED_REPORT_SUSPICION: f64 = 1.0;
+pub(crate) const MISSED_REPORT_SUSPICION: f64 = 1.0;
 /// Suspicion added per implausible (over-capacity) report.
-pub const IMPLAUSIBLE_REPORT_SUSPICION: f64 = 1.0;
+pub(crate) const IMPLAUSIBLE_REPORT_SUSPICION: f64 = 1.0;
 /// A report is implausible when any rate dimension exceeds capacity by
 /// more than this factor (small margin forgives measurement jitter).
-pub const PLAUSIBLE_CAPACITY_MARGIN: f64 = 1.05;
+pub(crate) const PLAUSIBLE_CAPACITY_MARGIN: f64 = 1.05;
 /// Consecutive frozen-while-ledger-moves reports before the stale
 /// detector starts adding suspicion.
-pub const STALE_STREAK_REPORTS: u32 = 3;
+pub(crate) const STALE_STREAK_REPORTS: u32 = 3;
 
 /// True if a usage report claims more than the machine's hardware can
 /// deliver on some dimension (beyond the plausibility margin). Memory is
 /// included: a report above physical RAM is just as impossible.
-pub fn report_implausible(reported: &ResourceVec, capacity: &ResourceVec) -> bool {
+pub(crate) fn report_implausible(reported: &ResourceVec, capacity: &ResourceVec) -> bool {
     Resource::ALL.iter().any(|&r| {
         let cap = capacity.get(r);
         cap > 0.0 && reported.get(r) > cap * PLAUSIBLE_CAPACITY_MARGIN
     })
-}
-
-/// Allowance added to observed usage for one task that started `age`
-/// seconds ago with peak demand `demand`: linearly decaying from the full
-/// demand at age 0 to zero at the horizon.
-pub fn ramp_up_allowance(demand: &ResourceVec, age: f64, horizon: f64) -> ResourceVec {
-    assert!(horizon > 0.0);
-    if age >= horizon {
-        return ResourceVec::zero();
-    }
-    let frac = 1.0 - (age.max(0.0) / horizon);
-    *demand * frac
-}
-
-/// A usage report: observed usage plus ramp-up allowances for young tasks.
-///
-/// `young_tasks` holds `(demand, age_seconds)` pairs for tasks assigned to
-/// the machine within the horizon.
-pub fn adjusted_usage(
-    observed: &ResourceVec,
-    young_tasks: &[(ResourceVec, f64)],
-    horizon: f64,
-) -> ResourceVec {
-    let mut total = *observed;
-    for (demand, age) in young_tasks {
-        total += ramp_up_allowance(demand, *age, horizon);
-    }
-    total
 }
 
 impl SimState {
@@ -228,43 +201,50 @@ impl SimState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::tests::{mk_state, one_task_workload};
+    use crate::state::tests::{mk_state, one_stage, one_task_workload, params};
+    use crate::time::SimTime;
+    use tetris_workload::{JobId, TaskUid};
 
     fn d(cpu: f64) -> ResourceVec {
         ResourceVec::zero().with(Resource::Cpu, cpu)
     }
 
+    /// CPU the scheduler loses on machine 0, `age` seconds after 2-core
+    /// tasks were placed there at each of `placed_at`. No tracker report
+    /// runs, so reported usage stays zero and the loss is the ramp-up
+    /// allowance alone.
+    fn allowance_cpu(placed_at: &[f64], age: f64) -> f64 {
+        let mut st = mk_state(one_stage(placed_at.len(), params(2.0, 100.0, vec![])));
+        st.job_arrives(JobId(0));
+        for (i, &t) in placed_at.iter().enumerate() {
+            st.now = SimTime::from_secs(t);
+            st.apply_assignment(TaskUid(i), MachineId(0));
+        }
+        st.now = SimTime::from_secs(age);
+        let cap = st.machines[0].capacity.get(Resource::Cpu);
+        cap - st.availability(MachineId(0), true).get(Resource::Cpu)
+    }
+
     #[test]
     fn allowance_full_at_zero_age() {
-        let a = ramp_up_allowance(&d(2.0), 0.0, 10.0);
-        assert_eq!(a.get(Resource::Cpu), 2.0);
+        assert_eq!(allowance_cpu(&[0.0], 0.0), 2.0);
     }
 
     #[test]
     fn allowance_decays_linearly() {
-        let a = ramp_up_allowance(&d(2.0), 5.0, 10.0);
-        assert_eq!(a.get(Resource::Cpu), 1.0);
+        assert_eq!(allowance_cpu(&[0.0], RAMP_UP_HORIZON_SECS / 2.0), 1.0);
     }
 
     #[test]
-    fn allowance_zero_after_horizon() {
-        assert!(ramp_up_allowance(&d(2.0), 10.0, 10.0).is_zero());
-        assert!(ramp_up_allowance(&d(2.0), 100.0, 10.0).is_zero());
+    fn allowance_zero_at_and_after_horizon() {
+        assert_eq!(allowance_cpu(&[0.0], RAMP_UP_HORIZON_SECS), 0.0);
+        assert_eq!(allowance_cpu(&[0.0], 10.0 * RAMP_UP_HORIZON_SECS), 0.0);
     }
 
     #[test]
-    fn negative_age_clamps_to_full() {
-        let a = ramp_up_allowance(&d(2.0), -1.0, 10.0);
-        assert_eq!(a.get(Resource::Cpu), 2.0);
-    }
-
-    #[test]
-    fn adjusted_usage_sums_allowances() {
-        let observed = d(1.0);
-        let young = vec![(d(2.0), 0.0), (d(4.0), 5.0)];
-        let adj = adjusted_usage(&observed, &young, 10.0);
-        // 1 + 2 + 2 = 5.
-        assert_eq!(adj.get(Resource::Cpu), 5.0);
+    fn allowances_of_young_tasks_add_up() {
+        // 2 cores at age 0 plus half of 2 cores at age 5.
+        assert_eq!(allowance_cpu(&[0.0, 5.0], 5.0), 3.0);
     }
 
     #[test]
@@ -299,16 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn adjusted_usage_converges_to_observed() {
-        let observed = d(3.0);
-        let young = vec![(d(2.0), 20.0)];
-        assert_eq!(
-            adjusted_usage(&observed, &young, RAMP_UP_HORIZON_SECS),
-            observed
-        );
-    }
-
-    #[test]
     fn suspicion_rises_on_missed_reports_and_decays_on_good_ones() {
         let mut st = mk_state(one_task_workload(1.0, 10.0));
         st.cfg.faults.stale_frac = 0.5; // any non-zero knob enables faults
@@ -337,12 +307,12 @@ mod tests {
         let mut st = mk_state(one_task_workload(2.0, 10.0));
         st.cfg.faults.stale_frac = 0.5;
         st.tracker_modes[0] = TrackerMode::Stale;
-        st.job_arrives(tetris_workload::JobId(0));
+        st.job_arrives(JobId(0));
         let mut transitions = Vec::new();
         st.tracker_report(&mut transitions);
         // Place a task: allocation moves, but the stale report stays
         // frozen at zero usage.
-        st.apply_assignment(tetris_workload::TaskUid(0), MachineId(0));
+        st.apply_assignment(TaskUid(0), MachineId(0));
         st.recompute_dirty();
         for _ in 0..16 {
             st.tracker_report(&mut transitions);

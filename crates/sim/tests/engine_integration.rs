@@ -5,8 +5,9 @@ use tetris_sim::{
     Assignment, ClusterConfig, ExternalLoad, GreedyFifo, MachineId, SchedulerPolicy, SimConfig,
     Simulation,
 };
-use tetris_workload::gen::{motivating_example, TaskParams, WorkloadBuilder};
-use tetris_workload::{JobId, WorkloadSuiteConfig};
+use tetris_workload::{
+    motivating_example, JobId, TaskParams, WorkloadBuilder, WorkloadSuiteConfig,
+};
 
 fn small_cluster(n: usize) -> ClusterConfig {
     ClusterConfig::uniform(n, MachineSpec::paper_small())
@@ -355,7 +356,7 @@ fn arrivals_are_respected() {
 fn diamond_dag_respects_multi_dependency_barrier() {
     // extract → {transform-a, transform-b} → join: the join stage must not
     // start until BOTH transforms completed.
-    let w = tetris_workload::gen::diamond_dag(3, 10.0);
+    let w = tetris_workload::diamond_dag(3, 10.0);
     let outcome = Simulation::build(small_cluster(4), w.clone())
         .scheduler(GreedyFifo::new())
         .seed(3)

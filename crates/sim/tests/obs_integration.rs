@@ -70,7 +70,7 @@ fn jsonl_trace_is_well_formed_and_taskplaced_matches_placements() {
     std::fs::remove_file(&path).ok();
     let mut parsed = 0u64;
     for line in text.lines() {
-        let rec: tetris_obs::event::TraceRecord = serde_json::from_str(line).unwrap();
+        let rec: tetris_obs::TraceRecord = serde_json::from_str(line).unwrap();
         assert!(rec.t >= 0.0);
         parsed += 1;
     }

@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 use tetris_resources::{units::GB, units::MB, MachineSpec, Resource};
 use tetris_sim::{ClusterConfig, GreedyFifo, SimConfig, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 /// Random small workload: 1–4 jobs, 1–2 stages, 1–6 tasks per stage, with
 /// demands guaranteed to fit the small machine profile.

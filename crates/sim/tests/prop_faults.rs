@@ -7,8 +7,7 @@ use proptest::prelude::*;
 use tetris_obs::{Event, Obs, VecRecorder};
 use tetris_resources::{units::GB, units::MB, MachineSpec};
 use tetris_sim::{ClusterConfig, FaultPlan, GreedyFifo, SimConfig, SimOutcome, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 const N_MACHINES: usize = 4;
 

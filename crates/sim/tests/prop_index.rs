@@ -20,8 +20,7 @@ use tetris_sim::{
     Assignment, ClusterConfig, ClusterView, FaultPlan, GreedyFifo, MachineId, SchedulerPolicy,
     SimConfig, SimOutcome, Simulation,
 };
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 const N_MACHINES: usize = 5;
 

@@ -38,8 +38,9 @@ use tetris_sim::{
     Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerEvent,
     SchedulerPolicy, SimConfig, Simulation, SHUFFLE_SHARE_MARGIN,
 };
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::{InputSource, InputSpec, JobId, TaskUid, Workload};
+use tetris_workload::{
+    InputSource, InputSpec, JobId, TaskParams, TaskUid, Workload, WorkloadBuilder,
+};
 
 const N_MACHINES: usize = 8;
 const FANIN: usize = 3;

@@ -13,8 +13,7 @@ use tetris_sim::{
     ClusterConfig, GreedyFifo, Journal, RecoveryError, RunResult, SchedulerCrash, ShardedScheduler,
     SimConfig, SimOutcome, Simulation,
 };
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 const N_MACHINES: usize = 4;
 

@@ -25,8 +25,9 @@ use tetris_sim::{
     plan_priority_preemption, Assignment, ClusterConfig, ClusterView, FaultPlan, GreedyFifo,
     MachineId, SchedulerEvent, SchedulerPolicy, SimConfig, Simulation,
 };
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::{JobId, PlacementConstraints, PriorityClass, Workload};
+use tetris_workload::{
+    JobId, PlacementConstraints, PriorityClass, TaskParams, Workload, WorkloadBuilder,
+};
 
 const N_MACHINES: usize = 5;
 

@@ -8,10 +8,11 @@
 use proptest::prelude::*;
 use tetris_core::{TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, units::MB, MachineSpec};
-use tetris_sim::probe::ColdPassProbe;
-use tetris_sim::{ClusterConfig, FaultPlan, ShardedScheduler, SimConfig, SimOutcome, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::Workload;
+use tetris_sim::{
+    probe::ColdPassProbe, ClusterConfig, FaultPlan, ShardedScheduler, SimConfig, SimOutcome,
+    Simulation,
+};
+use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 fn sharded(shards: usize, seed: u64) -> ShardedScheduler {
     ShardedScheduler::new(shards, seed, |_| {

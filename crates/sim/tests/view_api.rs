@@ -2,8 +2,7 @@
 
 use tetris_resources::{units::GB, MachineSpec};
 use tetris_sim::{Assignment, ClusterConfig, ClusterView, SchedulerPolicy, Simulation};
-use tetris_workload::gen::{TaskParams, WorkloadBuilder};
-use tetris_workload::{JobId, TaskUid, Workload};
+use tetris_workload::{JobId, TaskParams, TaskUid, Workload, WorkloadBuilder};
 
 /// Policy that inspects the view on its first invocation and records what
 /// it saw, then delegates to greedy placement.

@@ -12,10 +12,10 @@ use crate::stats::{coeff_of_variation, pearson};
 
 /// The four "reporting view" dimensions the paper's workload tables use:
 /// cores, memory, disk (read+write) and network (in+out).
-pub const REPORT_DIMS: [&str; 4] = ["cores", "memory", "disk", "network"];
+pub(crate) const REPORT_DIMS: [&str; 4] = ["cores", "memory", "disk", "network"];
 
 /// Project a 6-dim demand vector onto the 4-dim reporting view.
-pub fn report_view(d: &ResourceVec) -> [f64; 4] {
+pub(crate) fn report_view(d: &ResourceVec) -> [f64; 4] {
     [
         d.get(Resource::Cpu),
         d.get(Resource::Mem),
@@ -25,7 +25,7 @@ pub fn report_view(d: &ResourceVec) -> [f64; 4] {
 }
 
 /// Per-task demand samples in the 4-dim reporting view.
-pub fn demand_samples(w: &Workload) -> Vec<[f64; 4]> {
+pub(crate) fn demand_samples(w: &Workload) -> Vec<[f64; 4]> {
     w.tasks().map(|t| report_view(&t.demand)).collect()
 }
 

@@ -13,12 +13,13 @@
 
 use std::process::exit;
 
-use tetris_obs::event::{Event, TraceRecord};
-use tetris_obs::summary::Summary;
-use tetris_obs::timeseries::{csv_row, SeriesSummary, CSV_HEADER};
-use tetris_obs::TelemetrySample;
-use tetris_workload::analysis::{CorrelationMatrix, DemandDiversity, Heatmap};
-use tetris_workload::{trace, FacebookTraceConfig, Workload, WorkloadSuiteConfig};
+use tetris_obs::{
+    csv_row, Event, SeriesSummary, Summary, TelemetrySample, TraceRecord, CSV_HEADER,
+};
+use tetris_workload::{
+    trace, CorrelationMatrix, DemandDiversity, FacebookTraceConfig, Heatmap, Workload,
+    WorkloadSuiteConfig,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -18,8 +18,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr_shim::LogNormal;
-use tetris_resources::units::{GB, MB};
-use tetris_resources::MachineSpec;
+use tetris_resources::{
+    units::{GB, MB},
+    MachineSpec,
+};
 
 use crate::gen::builder::{TaskParams, WorkloadBuilder};
 use crate::spec::{InputSource, InputSpec, Workload};
@@ -32,14 +34,14 @@ mod rand_distr_shim {
 
     /// Log-normal distribution parameterized by the ln-space mean and σ.
     #[derive(Debug, Clone, Copy)]
-    pub struct LogNormal {
+    pub(super) struct LogNormal {
         mu: f64,
         sigma: f64,
     }
 
     impl LogNormal {
         /// `median` is exp(mu); `sigma` is the ln-space standard deviation.
-        pub fn from_median(median: f64, sigma: f64) -> Self {
+        pub(super) fn from_median(median: f64, sigma: f64) -> Self {
             LogNormal {
                 mu: median.ln(),
                 sigma,
@@ -47,7 +49,7 @@ mod rand_distr_shim {
         }
 
         /// Draw one sample.
-        pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+        pub(super) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
             // Box–Muller.
             let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
             let u2: f64 = rng.gen_range(0.0..1.0);

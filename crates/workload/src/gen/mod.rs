@@ -16,7 +16,7 @@ mod serving;
 mod suite;
 
 pub use builder::{TaskParams, WorkloadBuilder};
-pub use examples::{diamond_dag, motivating_example, two_job_packing_example, MotivatingExample};
+pub use examples::{diamond_dag, motivating_example, two_job_packing_example};
 pub use facebook::FacebookTraceConfig;
 pub use serving::ServingMixConfig;
-pub use suite::{JobSizeClass, WorkloadSuiteConfig};
+pub use suite::WorkloadSuiteConfig;

@@ -20,10 +20,10 @@
 //!   uniform arrivals);
 //! * [`FacebookTraceConfig`] — a Facebook-like trace with heavy-tailed job
 //!   sizes and recurring job families (used by the simulation experiments);
-//! * [`gen::motivating_example`] — the exact three-job workload of the
+//! * [`motivating_example`] — the exact three-job workload of the
 //!   paper's Figure 1.
 //!
-//! [`analysis`] reproduces the paper's workload tables (correlation matrix,
+//! `analysis` reproduces the paper's workload tables (correlation matrix,
 //! heat-map, CoV) from any workload, and [`trace`] round-trips workloads to
 //! JSON so that recurring-job demand estimation has "prior runs" to learn
 //! from.
@@ -31,14 +31,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod gen;
+mod analysis;
+mod gen;
 mod ids;
 mod spec;
-pub mod stats;
-pub mod trace;
+pub mod stats; // Free functions: `stats::mean` would be a vague `mean` at the root.
+pub mod trace; // Free functions: `trace-tool` names `trace::save` and `trace::load`.
 
-pub use gen::{FacebookTraceConfig, ServingMixConfig, WorkloadSuiteConfig};
+pub use analysis::{within_stage_cov, CorrelationMatrix, DemandDiversity, Heatmap};
+pub use gen::{
+    diamond_dag, motivating_example, two_job_packing_example, FacebookTraceConfig,
+    ServingMixConfig, TaskParams, WorkloadBuilder, WorkloadSuiteConfig,
+};
 pub use ids::{BlockId, JobId, TaskUid};
 pub use spec::{
     DiurnalCurve, InputSource, InputSpec, Job, JobClass, JobSpec, PlacementConstraints,

@@ -120,15 +120,6 @@ impl Ecdf {
         self.sorted.is_empty()
     }
 
-    /// P(X ≤ x).
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// Inverse CDF (quantile).
     pub fn quantile(&self, q: f64) -> f64 {
         percentile_sorted(&self.sorted, q)
@@ -225,12 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_eval_and_quantile() {
+    fn ecdf_quantile_and_bounds() {
         let e = Ecdf::new(vec![3.0, 1.0, 2.0, 4.0]);
         assert_eq!(e.len(), 4);
-        assert_eq!(e.eval(0.5), 0.0);
-        assert_eq!(e.eval(2.0), 0.5);
-        assert_eq!(e.eval(10.0), 1.0);
         assert_eq!(e.quantile(0.0), 1.0);
         assert_eq!(e.quantile(1.0), 4.0);
         assert_eq!(e.min(), 1.0);

@@ -68,8 +68,7 @@ impl SchedulerPolicy for WidestFirst {
     }
 }
 
-use tetris::metrics::slowdown::SlowdownSummary;
-use tetris::sim::MachineId;
+use tetris::{metrics::SlowdownSummary, sim::MachineId};
 
 fn main() {
     let cluster = ClusterConfig::uniform(20, MachineSpec::paper_large());

@@ -12,8 +12,7 @@
 //! cargo run --release --example fairness_tradeoff
 //! ```
 
-use tetris::metrics::slowdown::SlowdownSummary;
-use tetris::prelude::*;
+use tetris::{metrics::SlowdownSummary, prelude::*};
 
 fn main() {
     let cluster = ClusterConfig::uniform(20, MachineSpec::paper_large());

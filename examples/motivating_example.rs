@@ -14,11 +14,13 @@
 //! cargo run --release --example motivating_example
 //! ```
 
-use tetris::metrics::gantt::Gantt;
-use tetris::prelude::*;
-use tetris::resources::units::{gbps, GB, MB};
-use tetris::sim::{Interference, SimConfig};
-use tetris::workload::gen::motivating_example;
+use tetris::{
+    metrics::Gantt,
+    prelude::*,
+    resources::units::{gbps, GB, MB},
+    sim::{Interference, SimConfig},
+    workload::motivating_example,
+};
 
 fn main() {
     let t_unit = 10.0; // seconds per paper "t"

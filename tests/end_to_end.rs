@@ -2,9 +2,7 @@
 //! through the umbrella crate's public API exactly as a downstream user
 //! would.
 
-use tetris::metrics::slowdown::SlowdownSummary;
-use tetris::prelude::*;
-use tetris::sim::GreedyFifo;
+use tetris::{metrics::SlowdownSummary, prelude::*, sim::GreedyFifo};
 
 fn cluster() -> ClusterConfig {
     ClusterConfig::uniform(20, MachineSpec::paper_large())
