@@ -54,8 +54,7 @@ struct JobQueue<'a> {
     /// Set once the head task cannot be placed anywhere; DRF then skips
     /// the job this round (no head-of-line blocking of everyone else).
     stuck: bool,
-    /// The job has §16 placement constraints, or the cluster has taints:
-    /// its machines go through `constraints_allow`.
+    /// [`ClusterView::job_constrained`], computed once per job.
     constrained: bool,
 }
 
@@ -81,7 +80,7 @@ impl SchedulerPolicy for DrfScheduler {
                 alloc: view.job_allocated(j),
                 pending: PendingCursor::new(view, j),
                 stuck: false,
-                constrained: view.taints_active() || view.job_constraints(j).has_any(),
+                constrained: view.job_constrained(j),
             })
             .filter(|j| j.pending.head().is_some())
             .collect();

@@ -46,13 +46,12 @@ impl SchedulerPolicy for RandomScheduler {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        // Each task with its job and whether placement constraints (§16)
-        // filter its machines: they cost nothing on unconstrained jobs.
-        let taints = view.taints_active();
+        // Each task with its job and whether §16 constraints filter its
+        // machines.
         let mut tasks: Vec<_> = view
             .active_jobs()
             .flat_map(|j| {
-                let constrained = taints || view.job_constraints(j).has_any();
+                let constrained = view.job_constrained(j);
                 view.job_pending_stages(j)
                     .flat_map(|(_, slice)| slice.iter().copied())
                     .map(move |t| (t, j, constrained))

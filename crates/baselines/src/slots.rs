@@ -136,7 +136,7 @@ impl SlotScheduler {
             // the constant `true` on unconstrained runs, so all-batch
             // decisions stay byte-identical too.
             let job = jobs[ji].id;
-            let constrained = view.taints_active() || view.job_constraints(job).has_any();
+            let constrained = view.job_constrained(job);
             let allow = |m: MachineId| !constrained || view.constraints_allow(job, m);
             view.preferred_machines_into(task, &mut preferred);
             let target = preferred

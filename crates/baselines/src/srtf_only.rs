@@ -121,8 +121,7 @@ impl SchedulerPolicy for SrtfScheduler {
 
         let mut out = Vec::new();
         for &(j, _) in jobs.iter() {
-            // Placement constraints (§16) cost nothing on unconstrained jobs.
-            let constrained = view.taints_active() || view.job_constraints(j).has_any();
+            let constrained = view.job_constrained(j);
             for t in view
                 .job_pending_stages(j)
                 .flat_map(|(_, slice)| slice.iter().copied())

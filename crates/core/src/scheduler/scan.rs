@@ -171,8 +171,7 @@ impl TetrisScheduler {
     /// pre-constraint scheduler.
     fn ban_constrained(&mut self, view: &ClusterView<'_>) {
         let (work, cands) = (&self.work, &self.cands.list);
-        let taints = view.taints_active();
-        let constrained = |ci: usize| taints || view.job_constraints(cands[ci].job).has_any();
+        let constrained = |ci: usize| view.job_constrained(cands[ci].job);
         for &ci in work.live.iter().filter(|&&ci| constrained(ci)) {
             for &m in work.machines.iter() {
                 if !view.constraints_allow(cands[ci].job, m) {

@@ -113,4 +113,17 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn labels_are_unique() {
+        let mut labels: Vec<_> = Resource::ALL.iter().map(|r| r.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), NUM_RESOURCES);
+    }
+
+    #[test]
+    fn display_matches_label() {
+        assert_eq!(Resource::DiskRead.to_string(), "disk_r");
+    }
 }

@@ -462,13 +462,6 @@ impl<'a> ClusterView<'a> {
         self.state.cfg.machine_taint(m.index())
     }
 
-    /// True when the run defines machine taints — with job constraints'
-    /// [`PlacementConstraints::has_any`], the cheap test policies use to
-    /// skip constraint filtering on unconstrained runs entirely.
-    pub fn taints_active(&self) -> bool {
-        !self.state.cfg.machine_taints.is_empty()
-    }
-
     /// Total number of pending runnable tasks across active (owned, on
     /// scoped views) jobs.
     pub fn num_pending(&self) -> usize {

@@ -48,6 +48,15 @@ impl<'a> ClusterView<'a> {
         self.allowed_by(j, self.job_constraints(j), m)
     }
 
+    /// Whether job `j`'s machines must go through
+    /// [`ClusterView::constraints_allow`] at all: the job carries §16
+    /// constraints, or the cluster has taints. When false the predicate
+    /// is the constant `true`, so a policy computes this once per job and
+    /// pays nothing per machine on unconstrained runs.
+    pub fn job_constrained(&self, j: JobId) -> bool {
+        !self.state.cfg.machine_taints.is_empty() || self.job_constraints(j).has_any()
+    }
+
     /// The §16 constraint predicate for job `j` under `cons`, shared
     /// verbatim by both query backends and
     /// [`ClusterView::constraints_allow`] so indexed and linear paths
