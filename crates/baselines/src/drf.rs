@@ -10,7 +10,7 @@
 //! over all six dimensions is provided for the §2.1 discussion.
 
 use tetris_resources::{Resource, ResourceVec};
-use tetris_sim::{Assignment, ClusterView, MachineId, SchedulerPolicy};
+use tetris_sim::{Assignment, ClusterView, SchedulerPolicy, WorkingLedger};
 use tetris_workload::JobId;
 
 use crate::PendingCursor;
@@ -20,6 +20,7 @@ use crate::PendingCursor;
 pub struct DrfScheduler {
     dims: Vec<Resource>,
     extended: bool,
+    ledger: WorkingLedger,
 }
 
 impl DrfScheduler {
@@ -28,6 +29,7 @@ impl DrfScheduler {
         DrfScheduler {
             dims: vec![Resource::Cpu, Resource::Mem],
             extended: false,
+            ledger: WorkingLedger::default(),
         }
     }
 
@@ -37,6 +39,7 @@ impl DrfScheduler {
         DrfScheduler {
             dims: Resource::ALL.to_vec(),
             extended: true,
+            ledger: WorkingLedger::default(),
         }
     }
 }
@@ -54,8 +57,6 @@ struct JobQueue<'a> {
     /// Set once the head task cannot be placed anywhere; DRF then skips
     /// the job this round (no head-of-line blocking of everyone else).
     stuck: bool,
-    /// [`ClusterView::job_constrained`], computed once per job.
-    constrained: bool,
 }
 
 impl SchedulerPolicy for DrfScheduler {
@@ -69,9 +70,8 @@ impl SchedulerPolicy for DrfScheduler {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let total = view.total_capacity();
-        // Working availability on the dimensions DRF examines.
-        let query = view.query();
-        let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
+        let ledger = &mut self.ledger;
+        ledger.begin(view);
 
         let mut jobs: Vec<JobQueue<'_>> = view
             .active_jobs()
@@ -80,7 +80,6 @@ impl SchedulerPolicy for DrfScheduler {
                 alloc: view.job_allocated(j),
                 pending: PendingCursor::new(view, j),
                 stuck: false,
-                constrained: view.job_constrained(j),
             })
             .filter(|j| j.pending.head().is_some())
             .collect();
@@ -114,21 +113,27 @@ impl SchedulerPolicy for DrfScheduler {
             // ONLY `self.dims`. Placement constraints (§16) filter the
             // same way, and cost nothing on unconstrained jobs.
             view.preferred_machines_into(task, &mut preferred);
-            let (job, constrained) = (jobs[ji].id, jobs[ji].constrained);
-            let fits = |m: MachineId| {
-                demand.fits_within(&avail[m.index()].project(&self.dims))
-                    && (!constrained || view.constraints_allow(job, m))
+            let (job, dims) = (jobs[ji].id, &self.dims);
+            // The memory left on `m`, if the demand fits there.
+            let mut fit_mem = |m| {
+                let a = ledger.available(view, m);
+                let fits = demand.fits_within(&a.project(dims)) && ledger.allows(view, job, m);
+                fits.then_some(a.get(Resource::Mem))
             };
-            let target = preferred.iter().copied().find(|&m| fits(m)).or_else(|| {
-                view.query().iter_all().filter(|&m| fits(m)).max_by(|a, b| {
-                    let fa = avail[a.index()].get(Resource::Mem);
-                    let fb = avail[b.index()].get(Resource::Mem);
-                    fa.partial_cmp(&fb).unwrap().then(b.index().cmp(&a.index()))
-                })
+            let target = preferred.iter().copied().find(|&m| fit_mem(m).is_some());
+            // Else the most memory, the lowest id on ties.
+            let target = target.or_else(|| {
+                let fitting = view
+                    .query()
+                    .iter_all()
+                    .filter_map(|m| Some((fit_mem(m)?, m)));
+                fitting
+                    .reduce(|b, x| if x.0 > b.0 { x } else { b })
+                    .map(|x| x.1)
             });
             match target {
                 Some(m) => {
-                    avail[m.index()] -= demand;
+                    ledger.charge(view, task, m, &demand);
                     jobs[ji].alloc += demand;
                     jobs[ji].pending.advance();
                     out.push(Assignment::new(task, m));

@@ -3,14 +3,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tetris_resources::ResourceVec;
-use tetris_sim::{Assignment, ClusterView, MachineId, PlacementPlan, SchedulerPolicy};
+use tetris_sim::{Assignment, ClusterView, MachineId, SchedulerPolicy, WorkingLedger};
 
 /// Random scheduler: shuffles pending tasks, places each on a uniformly
 /// random machine among those where its full plan fits.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: StdRng,
+    ledger: WorkingLedger,
 }
 
 impl RandomScheduler {
@@ -18,6 +18,7 @@ impl RandomScheduler {
     pub fn seeded(seed: u64) -> Self {
         RandomScheduler {
             rng: StdRng::seed_from_u64(seed),
+            ledger: WorkingLedger::default(),
         }
     }
 }
@@ -46,37 +47,26 @@ impl SchedulerPolicy for RandomScheduler {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        // Each task with its job and whether §16 constraints filter its
-        // machines.
+        // Each task with its job.
         let mut tasks: Vec<_> = view
             .active_jobs()
-            .flat_map(|j| {
-                let constrained = view.job_constrained(j);
-                view.job_pending_stages(j)
-                    .flat_map(|(_, slice)| slice.iter().copied())
-                    .map(move |t| (t, j, constrained))
-            })
+            .flat_map(|j| view.job_pending(j).map(move |t| (t, j)))
             .collect();
         // Fisher–Yates with the policy's own rng.
         for i in (1..tasks.len()).rev() {
             let k = self.rng.gen_range(0..=i);
             tasks.swap(i, k);
         }
-        let query = view.query();
-        let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
+        let ledger = &mut self.ledger;
+        ledger.begin(view);
         let n = view.num_machines();
         let mut out = Vec::new();
-        let mut plan = PlacementPlan::default();
-        for (t, j, constrained) in tasks {
+        for (t, j) in tasks {
             // Random starting machine, linear probe for a fit.
             let start = self.rng.gen_range(0..n);
             for off in 0..n {
                 let m = MachineId((start + off) % n);
-                if constrained && !view.constraints_allow(j, m) {
-                    continue;
-                }
-                view.plan_into(t, m, &mut plan);
-                if plan.try_charge(m, &mut avail) {
+                if ledger.allows(view, j, m) && ledger.try_place(view, t, m).is_ok() {
                     out.push(Assignment::new(t, m));
                     break;
                 }

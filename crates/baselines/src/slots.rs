@@ -22,6 +22,7 @@
 use tetris_resources::{units::GB, Resource};
 use tetris_sim::{
     Assignment, ClusterView, MachineId, PlacementProvenance, RejectedCandidate, SchedulerPolicy,
+    WorkingLedger,
 };
 use tetris_workload::JobId;
 
@@ -49,9 +50,21 @@ struct SlotScheduler {
     /// paper-faithful Facebook configuration — every task takes exactly
     /// one slot, silently over-committing memory (§2.1).
     mem_rounded: bool,
+    /// Slots are this policy's capacity; the ledger only keeps the §16
+    /// rule and what the call placed.
+    ledger: WorkingLedger,
 }
 
 impl SlotScheduler {
+    fn new(slot_mem: f64, order: JobOrder, mem_rounded: bool) -> Self {
+        SlotScheduler {
+            slot_mem,
+            order,
+            mem_rounded,
+            ledger: WorkingLedger::default(),
+        }
+    }
+
     fn slots_of(&self, view: &ClusterView<'_>, m: MachineId) -> usize {
         (view.capacity(m).get(Resource::Mem) / self.slot_mem).floor() as usize
     }
@@ -65,7 +78,8 @@ impl SlotScheduler {
         }
     }
 
-    fn schedule(&self, view: &ClusterView<'_>) -> Vec<Assignment> {
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        self.ledger.begin(view);
         // Free slots per machine: slots − slots held by running tasks.
         let query = view.query();
         let mut free: Vec<usize> = query
@@ -98,29 +112,27 @@ impl SlotScheduler {
             .filter(|q| q.pending.head().is_some())
             .collect();
 
+        // The policy's job order: fewest slots held, or earliest arrival;
+        // then the lower id.
+        let job_order = self.order;
+        let before = |a: &JobQ<'_>, b: &JobQ<'_>| match job_order {
+            JobOrder::FewestSlots => (a.running, a.id).cmp(&(b.running, b.id)),
+            JobOrder::Arrival => a
+                .arrival
+                .partial_cmp(&b.arrival)
+                .unwrap()
+                .then(a.id.cmp(&b.id)),
+        };
         let mut preferred = Vec::new();
         let mut out = Vec::new();
         loop {
             // Pick the next job per policy.
-            let ji = match self.order {
-                JobOrder::FewestSlots => jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| q.pending.head().is_some())
-                    .min_by_key(|(_, q)| (q.running, q.id))
-                    .map(|(i, _)| i),
-                JobOrder::Arrival => jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| q.pending.head().is_some())
-                    .min_by(|(_, a), (_, b)| {
-                        a.arrival
-                            .partial_cmp(&b.arrival)
-                            .unwrap()
-                            .then(a.id.cmp(&b.id))
-                    })
-                    .map(|(i, _)| i),
-            };
+            let ji = jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, q)| q.pending.head().is_some())
+                .min_by(|(_, a), (_, b)| before(a, b))
+                .map(|(i, _)| i);
             let Some(ji) = ji else { break };
             let task = jobs[ji].pending.head().expect("filtered head");
             let need = self.slots_needed(view.task(task).demand.get(Resource::Mem));
@@ -135,9 +147,8 @@ impl SlotScheduler {
             // constraints (§16 spec API) filter the same way: `allow` is
             // the constant `true` on unconstrained runs, so all-batch
             // decisions stay byte-identical too.
-            let job = jobs[ji].id;
-            let constrained = view.job_constrained(job);
-            let allow = |m: MachineId| !constrained || view.constraints_allow(job, m);
+            let (job, ledger) = (jobs[ji].id, &self.ledger);
+            let allow = |m: MachineId| ledger.allows(view, job, m);
             view.preferred_machines_into(task, &mut preferred);
             let target = preferred
                 .iter()
@@ -172,18 +183,7 @@ impl SlotScheduler {
                             .map(|(i, _)| i)
                             .collect();
                         let n_queued = order.len() + 1;
-                        match self.order {
-                            JobOrder::FewestSlots => {
-                                order.sort_by_key(|&i| (jobs[i].running, jobs[i].id));
-                            }
-                            JobOrder::Arrival => order.sort_by(|&x, &y| {
-                                jobs[x]
-                                    .arrival
-                                    .partial_cmp(&jobs[y].arrival)
-                                    .unwrap()
-                                    .then(jobs[x].id.cmp(&jobs[y].id))
-                            }),
-                        }
+                        order.sort_by(|&x, &y| before(&jobs[x], &jobs[y]));
                         let rejected = order
                             .iter()
                             .take(3)
@@ -199,19 +199,15 @@ impl SlotScheduler {
                                 })
                             })
                             .collect();
+                        // Stateless policy: no cache or index to report.
                         assignment = assignment.with_provenance(PlacementProvenance {
-                            // Stateless policy: no cache to report.
-                            cache_hits: 0,
-                            cache_rebuilds: 0,
-                            cache_flushed: false,
-                            dirty_jobs: 0,
                             candidates: n_queued as u32,
-                            index_pruned: 0,
-                            index_considered: 0,
                             rejected,
+                            ..PlacementProvenance::default()
                         });
                     }
                     free[m.index()] -= need;
+                    self.ledger.record(view, task, m);
                     jobs[ji].running += 1;
                     jobs[ji].pending.advance();
                     out.push(assignment);
@@ -223,7 +219,7 @@ impl SlotScheduler {
         // higher-priority job placed nothing above, evict strictly
         // lower-priority tasks to make room. No-op (None) with
         // `SimConfig::preemption` off, so batch runs are unchanged.
-        if let Some(pre) = tetris_sim::plan_priority_preemption(view, &out) {
+        if let Some(pre) = tetris_sim::plan_priority_preemption(view, &self.ledger) {
             out.push(pre);
         }
         out
@@ -246,11 +242,7 @@ impl FairScheduler {
     pub fn with_slot_mem(slot_mem: f64) -> Self {
         assert!(slot_mem > 0.0);
         FairScheduler {
-            inner: SlotScheduler {
-                slot_mem,
-                order: JobOrder::FewestSlots,
-                mem_rounded: false,
-            },
+            inner: SlotScheduler::new(slot_mem, JobOrder::FewestSlots, false),
         }
     }
 
@@ -258,11 +250,7 @@ impl FairScheduler {
     /// over-commit at the cost of more fragmentation).
     pub fn mem_rounded() -> Self {
         FairScheduler {
-            inner: SlotScheduler {
-                slot_mem: DEFAULT_SLOT_MEM,
-                order: JobOrder::FewestSlots,
-                mem_rounded: true,
-            },
+            inner: SlotScheduler::new(DEFAULT_SLOT_MEM, JobOrder::FewestSlots, true),
         }
     }
 }
@@ -304,11 +292,7 @@ impl CapacityScheduler {
     pub fn with_slot_mem(slot_mem: f64) -> Self {
         assert!(slot_mem > 0.0);
         CapacityScheduler {
-            inner: SlotScheduler {
-                slot_mem,
-                order: JobOrder::Arrival,
-                mem_rounded: false,
-            },
+            inner: SlotScheduler::new(slot_mem, JobOrder::Arrival, false),
         }
     }
 }

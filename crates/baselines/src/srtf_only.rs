@@ -8,7 +8,7 @@
 //! improvement...").
 
 use tetris_resources::{Resource, ResourceVec};
-use tetris_sim::{Assignment, ClusterView, MachineId, PlacementPlan, SchedulerPolicy};
+use tetris_sim::{Assignment, ClusterView, MachineId, SchedulerPolicy, WorkingLedger};
 use tetris_workload::JobId;
 
 /// SRTF-only scheduler.
@@ -33,10 +33,9 @@ pub struct SrtfScheduler {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     jobs: Vec<(JobId, f64)>,
-    avail: Vec<ResourceVec>,
+    ledger: WorkingLedger,
     preferred: Vec<MachineId>,
     candidates: Vec<MachineId>,
-    plan: PlacementPlan,
 }
 
 /// The demand components a placement plan cannot change: Cpu, Mem and
@@ -82,11 +81,11 @@ impl SchedulerPolicy for SrtfScheduler {
         let exhaustive = self.exhaustive;
         let Scratch {
             jobs,
-            avail,
+            ledger,
             preferred,
             candidates,
-            plan,
         } = &mut self.scratch;
+        ledger.begin(view);
         // Fault awareness: skipping down machines and stably pushing
         // suspect ones last are both exact no-ops without fault injection
         // (every machine is up and trusted then), so decisions stay
@@ -101,9 +100,6 @@ impl SchedulerPolicy for SrtfScheduler {
         );
         jobs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-        avail.clear();
-        avail.extend(query.iter_all().map(|m| view.available(m)));
-
         // Upper envelope of availability on the placement-independent
         // dims (∞ elsewhere so those always pass). Availability only
         // shrinks during the pass, so the envelope stays an upper bound:
@@ -115,17 +111,13 @@ impl SchedulerPolicy for SrtfScheduler {
             .with(Resource::DiskRead, f64::INFINITY)
             .with(Resource::NetIn, f64::INFINITY)
             .with(Resource::NetOut, f64::INFINITY);
-        for a in avail.iter() {
-            env = env.max(a);
+        for m in query.iter_all() {
+            env = env.max(&ledger.available(view, m));
         }
 
         let mut out = Vec::new();
         for &(j, _) in jobs.iter() {
-            let constrained = view.job_constrained(j);
-            for t in view
-                .job_pending_stages(j)
-                .flat_map(|(_, slice)| slice.iter().copied())
-            {
+            for t in view.job_pending(j) {
                 let quick = placement_independent(&view.task(t).demand);
                 if !exhaustive && !quick.fits_within(&env) {
                     continue; // provably unplaceable on every machine
@@ -143,14 +135,13 @@ impl SchedulerPolicy for SrtfScheduler {
                 for m in candidates.iter().copied() {
                     // Cheap exact reject before computing the plan: the
                     // plan's local demand is >= `quick` component-wise.
-                    if !exhaustive && !quick.fits_within(&avail[m.index()]) {
+                    if !exhaustive && !quick.fits_within(&ledger.available(view, m)) {
                         continue;
                     }
-                    if constrained && !view.constraints_allow(j, m) {
+                    if !ledger.allows(view, j, m) {
                         continue;
                     }
-                    view.plan_into(t, m, plan);
-                    if plan.try_charge(m, avail) {
+                    if ledger.try_place(view, t, m).is_ok() {
                         out.push(Assignment::new(t, m));
                         break;
                     }

@@ -1,9 +1,9 @@
-//! One call's working ledger, the plan that is the authority on fit (§3.2:
-//! every dimension, at the host and at each remote source), the ban grid,
-//! and the `blocked` memo that spares a head plans that must fail.
+//! What one call has proven cannot be placed: the ban grid, and the
+//! `blocked` memo that spares a head plans that must fail. The working
+//! ledger both read is `tetris_sim::WorkingLedger`.
 
 use tetris_resources::{Resource, ResourceVec};
-use tetris_sim::{ClusterView, MachineId, PlacementPlan, SHUFFLE_SHARE_MARGIN};
+use tetris_sim::{ClusterView, MachineId, WorkingLedger, SHUFFLE_SHARE_MARGIN};
 use tetris_workload::{InputSource, TaskUid};
 
 use super::candidates::Candidate;
@@ -110,139 +110,57 @@ impl StampGrid {
     }
 }
 
-/// Lazily populated availability ledger: `view.available` is evaluated
-/// once per *touched* machine per `schedule()` call (stamp-invalidated,
-/// never cleared), not for the whole cluster: the view's availability is
-/// constant within one call, so only the O(cluster) prefill is saved.
-#[derive(Default)]
-pub(super) struct AvailCache {
-    vals: Vec<ResourceVec>,
-    stamp: Vec<u64>,
-    gen: u64,
-    /// The one plan `try_commit` resolves into, call after call.
-    plan: PlacementPlan,
-    /// Every `(task, machine)` `try_commit` planned, for the memo's test.
-    #[cfg(test)]
-    planned: Vec<(TaskUid, MachineId)>,
+/// The memo earned by a plan of `task` (the ledger's last, all inputs
+/// remote) having failed on a source: [`Blocked::Source`] if the head
+/// reads shuffle output only and a source refuses its demand even less
+/// the margin, [`Blocked::Remote`] otherwise. Out of line: it runs once
+/// per blocked head per call, and inlined into `schedule` it slowed the
+/// 52 k-pending cold decision — stored inputs only, so `Remote` every
+/// time — by ≈ 3 % (2-vCPU host).
+#[cold]
+#[inline(never)]
+pub(super) fn blocked_memo(
+    ledger: &mut WorkingLedger,
+    view: &ClusterView<'_>,
+    task: TaskUid,
+) -> Blocked {
+    let inputs = &view.task(task).inputs;
+    if !inputs
+        .iter()
+        .all(|i| matches!(i.source, InputSource::Shuffle { .. }))
+    {
+        return Blocked::Remote;
+    }
+    let least = 1.0 - SHUFFLE_SHARE_MARGIN;
+    for i in 0..ledger.plan().remote.len() {
+        let (src, dem) = ledger.plan().remote[i];
+        if !(dem * least).fits_within(&ledger.available(view, src)) {
+            return Blocked::Source(src);
+        }
+    }
+    Blocked::Remote
 }
 
-/// Where an infeasible plan ran out of room.
-#[derive(Debug, PartialEq, Eq)]
-pub(super) enum PlanFailure {
-    /// At the host (its sources were not looked at).
-    Host,
-    /// At a remote input source, the host having room.
-    Source,
-}
-
-impl AvailCache {
-    /// Start a fresh call over `n` machines (all entries invalid).
-    pub(super) fn begin(&mut self, n: usize) {
-        if self.vals.len() < n {
-            self.vals.resize(n, ResourceVec::zero());
-            self.stamp.resize(n, 0);
-        }
-        self.gen += 1;
-        #[cfg(test)]
-        self.planned.clear();
-    }
-
-    /// Current working availability of `m` (view value minus this call's
-    /// committed placements so far).
-    pub(super) fn get(&mut self, view: &ClusterView<'_>, m: MachineId) -> ResourceVec {
-        let i = m.index();
-        if self.stamp[i] != self.gen {
-            self.stamp[i] = self.gen;
-            self.vals[i] = view.available(m);
-        }
-        self.vals[i]
-    }
-
-    /// Charge a committed placement against `m`'s working availability.
-    fn sub(&mut self, view: &ClusterView<'_>, m: MachineId, d: &ResourceVec) {
-        let v = self.get(view, m);
-        self.vals[m.index()] = v - *d;
-    }
-
-    /// Authoritative feasibility of `task` on `m` via the full placement
-    /// plan (checks disk/net-out at every remote input source); when it
-    /// fits, charge the plan and return its visible local demand. Host
-    /// first: a full host is the cheap answer, and looking further would
-    /// pull its sources' availability into the ledger for nothing.
-    pub(super) fn try_commit(
-        &mut self,
-        view: &ClusterView<'_>,
-        consider_io_dims: bool,
-        task: TaskUid,
-        m: MachineId,
-    ) -> Result<ResourceVec, PlanFailure> {
-        #[cfg(test)]
-        self.planned.push((task, m));
-        let mut plan = std::mem::take(&mut self.plan);
-        view.plan_into(task, m, &mut plan);
-        let local = visible(consider_io_dims, &plan.local);
-        let fit = if !local.fits_within(&visible(consider_io_dims, &self.get(view, m))) {
-            Err(PlanFailure::Host)
-        } else if consider_io_dims && !self.sources_fit(view, &plan) {
-            Err(PlanFailure::Source)
-        } else {
-            self.sub(view, m, &plan.local);
-            for (src, dem) in &plan.remote {
-                self.sub(view, *src, dem);
-            }
-            Ok(local)
-        };
-        self.plan = plan;
-        fit
-    }
-
-    /// Enough disk-read and net-out left at every remote source of `plan`?
-    fn sources_fit(&mut self, view: &ClusterView<'_>, plan: &PlacementPlan) -> bool {
-        plan.remote
-            .iter()
-            .all(|(src, dem)| dem.fits_within(&self.get(view, *src)))
-    }
-
-    /// The memo earned by `try_commit`'s plan of `task` — all inputs
-    /// remote — having failed on a source: [`Blocked::Source`] if the
-    /// head reads shuffle output only and a source refuses its demand
-    /// even less the margin, [`Blocked::Remote`] otherwise. Out of line:
-    /// it runs once per blocked head per call, and inlined into
-    /// `schedule` it slowed the 52 k-pending cold decision — stored
-    /// inputs only, so `Remote` every time — by ≈ 3 % (2-vCPU host).
-    #[cold]
-    #[inline(never)]
-    pub(super) fn blocked_memo(&mut self, view: &ClusterView<'_>, task: TaskUid) -> Blocked {
-        let inputs = &view.task(task).inputs;
-        if !inputs
-            .iter()
-            .all(|i| matches!(i.source, InputSource::Shuffle { .. }))
-        {
-            return Blocked::Remote;
-        }
-        let plan = std::mem::take(&mut self.plan);
-        let least = 1.0 - SHUFFLE_SHARE_MARGIN;
-        let refused = plan
+/// Debug builds re-plan every (head, machine) pair the `blocked` memo
+/// answers — before each scan, for every live candidate it would answer
+/// on that machine — and check the claim it rests on: the plan still
+/// fails, and on a source. Every equivalence and property suite that
+/// drives Tetris therefore exercises the monotonicity argument.
+#[cfg(debug_assertions)]
+pub(super) fn assert_blocked(
+    ledger: &mut WorkingLedger,
+    view: &ClusterView<'_>,
+    task: TaskUid,
+    m: MachineId,
+) {
+    let plan = view.plan(task, m);
+    assert!(
+        !plan
             .remote
             .iter()
-            .find(|&&(src, dem)| !(dem * least).fits_within(&self.get(view, src)));
-        let memo = refused.map_or(Blocked::Remote, |&(src, _)| Blocked::Source(src));
-        self.plan = plan;
-        memo
-    }
-
-    /// Debug builds re-plan every (head, machine) pair the `blocked` memo
-    /// answers — before each scan, for every live candidate it would
-    /// answer on that machine — and check the claim it rests on: the plan
-    /// still fails, and on a source. Every equivalence and property suite
-    /// that drives Tetris therefore exercises the monotonicity argument.
-    #[cfg(debug_assertions)]
-    pub(super) fn assert_blocked(&mut self, view: &ClusterView<'_>, task: TaskUid, m: MachineId) {
-        assert!(
-            !self.sources_fit(view, &view.plan(task, m)),
-            "blocked memo skipped {task:?} on {m:?}, where its plan does not fail on a source"
-        );
-    }
+            .all(|(src, dem)| dem.fits_within(&ledger.available(view, *src))),
+        "blocked memo skipped {task:?} on {m:?}, where its plan does not fail on a source"
+    );
 }
 
 #[cfg(test)]
@@ -357,7 +275,7 @@ mod tests {
                     .find(|a| a.task == TaskUid(uid))
                     .map(|a| a.machine)
             };
-            let planned = &spy.inner.avail.planned;
+            let planned = &spy.inner.planned;
             let non_holder_plans = |uid: usize| {
                 planned
                     .iter()
@@ -400,14 +318,18 @@ mod tests {
                     .iter_all()
                     .find(|&m| !view.task_reads_locally(reduce, m))
                     .expect("a machine without the map output");
-                let mut avail = AvailCache::default();
-                view.plan_into(reduce, host, &mut avail.plan);
-                let (source, dem) = avail.plan.remote[0];
+                let (source, dem) = view.plan(reduce, host).remote[0];
+                let mut ledger = WorkingLedger::default();
                 self.memos.set(Some(self.factors.map(|factor| {
-                    avail.begin(view.num_machines());
-                    avail.stamp[source.index()] = avail.gen;
-                    avail.vals[source.index()] = dem * factor;
-                    avail.blocked_memo(view, reduce)
+                    // Charge the source down to `dem × factor`; the
+                    // reduce's plan on the host then fails there, and is
+                    // the plan the memo reads.
+                    ledger.begin(view);
+                    let left = ledger.available(view, source);
+                    ledger.charge(view, reduce, source, &(left - dem * factor));
+                    let fit = ledger.try_place(view, reduce, host);
+                    assert_eq!(fit, Err(tetris_sim::PlanFailure::Source));
+                    blocked_memo(&mut ledger, view, reduce)
                 })));
             }
             self.inner.schedule(view)

@@ -6,7 +6,7 @@ use tetris_resources::ResourceVec;
 use tetris_sim::{ClusterView, MachineId, SchedulerEvent, StageProgress};
 use tetris_workload::{JobId, TaskUid};
 
-use super::avail::Blocked;
+use super::bans::Blocked;
 use super::{PassRecord, TetrisConfig, TetrisScheduler};
 use crate::barrier::stage_promoted;
 use crate::estimate::EstimationMode;

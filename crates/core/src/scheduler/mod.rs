@@ -6,6 +6,7 @@
 
 use tetris_sim::{
     Assignment, ClusterView, MachineId, PlacementProvenance, SchedulerEvent, SchedulerPolicy,
+    WorkingLedger,
 };
 use tetris_workload::TaskUid;
 
@@ -14,12 +15,12 @@ use crate::estimate::{DemandEstimator, EstimationMode};
 use crate::fairness::FairnessMeasure;
 use crate::srtf::CombinedScorer;
 
-mod avail;
+mod bans;
 mod candidates;
 mod reserve;
 mod scan;
 
-use avail::{AvailCache, StampGrid};
+use bans::StampGrid;
 use candidates::{CandidateSet, IncState};
 use scan::Worklist;
 
@@ -160,9 +161,13 @@ pub struct TetrisScheduler {
     /// data lives, never what it holds (`tests/schedule_equivalence.rs`).
     cands: CandidateSet,
     work: Worklist,
-    avail: AvailCache,
+    /// What this call has charged and placed.
+    ledger: WorkingLedger,
     /// (candidate, machine) pairs proven infeasible this call.
     banned: StampGrid,
+    /// Every `(task, machine)` this call planned, for the memo's test.
+    #[cfg(test)]
+    planned: Vec<(TaskUid, MachineId)>,
     /// Rendered once at construction — `name()` is called per round and
     /// per trace event.
     name: String,
@@ -192,8 +197,10 @@ impl TetrisScheduler {
             inc: IncState::default(),
             cands: CandidateSet::default(),
             work: Worklist::default(),
-            avail: AvailCache::default(),
+            ledger: WorkingLedger::new(!cfg.consider_io_dims),
             banned: StampGrid::default(),
+            #[cfg(test)]
+            planned: Vec::new(),
             name,
             cfg,
         }
@@ -216,7 +223,7 @@ impl TetrisScheduler {
     pub fn reset_scratch(&mut self) {
         self.cands = CandidateSet::default();
         self.work = Worklist::default();
-        self.avail = AvailCache::default();
+        self.ledger = WorkingLedger::new(!self.cfg.consider_io_dims);
         self.banned = StampGrid::default();
     }
 }
@@ -291,6 +298,9 @@ impl SchedulerPolicy for TetrisScheduler {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let mut pass = PassRecord::default();
+        self.ledger.begin(view);
+        #[cfg(test)]
+        self.planned.clear();
         self.inc.invalidate(&self.cfg, &mut pass);
         self.estimator.update(view);
         self.lapse_reservations(view);
@@ -304,7 +314,7 @@ impl SchedulerPolicy for TetrisScheduler {
         // higher-priority job placed nothing above, evict strictly
         // lower-priority tasks to make room. No-op (None) with
         // `SimConfig::preemption` off, so batch runs are unchanged.
-        if let Some(pre) = tetris_sim::plan_priority_preemption(view, &out) {
+        if let Some(pre) = tetris_sim::plan_priority_preemption(view, &self.ledger) {
             out.push(pre);
         }
         out

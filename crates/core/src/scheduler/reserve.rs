@@ -3,7 +3,7 @@
 
 use tetris_sim::{Assignment, ClusterView, MachineId};
 
-use super::avail::visible;
+use super::bans::visible;
 use super::TetrisScheduler;
 
 impl TetrisScheduler {
@@ -11,9 +11,9 @@ impl TetrisScheduler {
     /// their machine no longer admits it: anti-affinity and spread change
     /// over time (§16), so a machine that once admitted the task may not.
     pub(super) fn lapse_reservations(&mut self, view: &ClusterView<'_>) {
-        self.reservations.retain(|&(m, t)| {
-            view.is_runnable(t) && view.constraints_allow(view.task_stage(t).0, m)
-        });
+        let ledger = &self.ledger;
+        self.reservations
+            .retain(|&(m, t)| view.is_runnable(t) && ledger.allows(view, view.task_stage(t).0, m));
     }
 
     /// A machine reserved for a starved task accepts only that task: place
@@ -28,8 +28,9 @@ impl TetrisScheduler {
         let Some(&(_, starved)) = self.reservations.iter().find(|&&(rm, _)| rm == m) else {
             return false;
         };
-        let io = self.cfg.consider_io_dims;
-        if self.avail.try_commit(view, io, starved, m).is_ok() {
+        #[cfg(test)]
+        self.planned.push((starved, m));
+        if self.ledger.try_place(view, starved, m).is_ok() {
             // Reservation redemptions are placed by right, not by score —
             // no DecisionScores to attach.
             out.push(Assignment::new(starved, m));
@@ -77,13 +78,13 @@ impl TetrisScheduler {
                     || view.is_down(m)
                     || view.is_suspect(m)
                     || !own.fits_within(&cap)
-                    || !view.constraints_allow(c.job, m)
+                    || !self.ledger.allows(view, c.job, m)
                 {
                     continue;
                 }
                 // Shortfall: worst normalized gap between demand and
                 // current availability (0 ⇒ it already fits).
-                let a = visible(io, &self.avail.get(view, m));
+                let a = visible(io, &self.ledger.available(view, m));
                 let short = (demand - a).clamp_non_negative();
                 let gap = short.normalized_by(&cap).max_component();
                 if best.is_none_or(|(_, bg)| gap < bg) {

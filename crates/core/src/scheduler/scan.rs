@@ -4,10 +4,11 @@
 
 use tetris_resources::{Resource, ResourceVec};
 use tetris_sim::{
-    Assignment, ClusterView, DecisionScores, MachineId, PlacementProvenance, RejectedCandidate,
+    Assignment, ClusterView, DecisionScores, MachineId, PlacementProvenance, PlanFailure,
+    RejectedCandidate,
 };
 
-use super::avail::{visible, PlanFailure, StampGrid};
+use super::bans::{blocked_memo, visible, StampGrid};
 use super::candidates::Candidate;
 use super::{PassRecord, TetrisConfig, TetrisScheduler};
 use crate::srtf::CombinedScorer;
@@ -60,9 +61,6 @@ impl TetrisScheduler {
             work.machines.dedup();
             work.machines.retain(|&m| considered(m));
         }
-        // Working availability ledger, populated lazily (remote
-        // feasibility can touch machines outside the hint set).
-        self.avail.begin(view.num_machines());
         let (rows, cols) = (self.cands.list.len(), view.num_machines());
         self.banned.begin(rows, cols);
 
@@ -78,7 +76,7 @@ impl TetrisScheduler {
         } else {
             let zero = (ResourceVec::zero(), ResourceVec::zero());
             work.machines.iter().fold(zero, |(cap, avail), &m| {
-                let a = self.avail.get(view, m).clamp_non_negative();
+                let a = self.ledger.available(view, m).clamp_non_negative();
                 (cap.max(&view.capacity(m)), avail.max(&a))
             })
         };
@@ -164,17 +162,17 @@ impl TetrisScheduler {
     }
 
     /// Placement constraints (§16 spec API): pre-ban every (candidate,
-    /// machine) pair the job's constraints or machine taints disallow,
-    /// reusing the `banned` stamp grid so the scoring scans need no extra
-    /// per-pair checks. Unconstrained runs insert nothing (`banned.any`
-    /// stays false), keeping all-batch decisions byte-identical to the
+    /// machine) pair the ledger's constraint rule disallows, reusing the
+    /// `banned` stamp grid so the scoring scans need no extra per-pair
+    /// checks. Unconstrained runs insert nothing (`banned.any` stays
+    /// false), keeping all-batch decisions byte-identical to the
     /// pre-constraint scheduler.
     fn ban_constrained(&mut self, view: &ClusterView<'_>) {
         let (work, cands) = (&self.work, &self.cands.list);
         let constrained = |ci: usize| view.job_constrained(cands[ci].job);
         for &ci in work.live.iter().filter(|&&ci| constrained(ci)) {
             for &m in work.machines.iter() {
-                if !view.constraints_allow(cands[ci].job, m) {
+                if !self.ledger.allows(view, cands[ci].job, m) {
                     self.banned.insert(ci, m.index());
                 }
             }
@@ -201,7 +199,7 @@ impl TetrisScheduler {
             let capacity = view.capacity(m);
             let cls = self.work.class_of[m.index()];
             loop {
-                let a = self.avail.get(view, m);
+                let a = self.ledger.available(view, m);
                 let below_floor = a.get(Resource::Cpu) < min_cpu || a.get(Resource::Mem) < min_mem;
                 if self.work.live.is_empty() || below_floor {
                     break;
@@ -222,7 +220,7 @@ impl TetrisScheduler {
                 for c in self.work.live.iter().map(|&ci| &self.cands.list[ci]) {
                     if c.alive && c.blocked_on(view, m) {
                         let head = c.head(view).expect("candidate head");
-                        self.avail.assert_blocked(view, head, m);
+                        super::bans::assert_blocked(&mut self.ledger, view, head, m);
                     }
                 }
                 // The best candidate by (promoted, score); provenance capture
@@ -239,47 +237,46 @@ impl TetrisScheduler {
                 };
 
                 // The normalized check was a prefilter; the plan decides.
-                let c = &mut self.cands.list[ci];
-                let uid = c.head(view).expect("candidate head");
+                let c = &self.cands.list[ci];
+                let (uid, job) = (c.head(view).expect("candidate head"), c.job);
                 // Under capture the scan scored memo-blocked candidates
                 // too; the memo answers for them here, without a plan.
                 if c.blocked_on(view, m) {
                     self.banned.insert(ci, m.index());
                     continue;
                 }
-                let local = match self.avail.try_commit(view, io, uid, m) {
-                    Ok(local) => local,
-                    Err(why) => {
-                        if why == PlanFailure::Source && !view.task_reads_locally(uid, m) {
-                            c.blocked = self.avail.blocked_memo(view, uid);
-                        }
-                        self.banned.insert(ci, m.index());
-                        continue;
+                #[cfg(test)]
+                self.planned.push((uid, m));
+                if let Err(why) = self.ledger.try_place(view, uid, m) {
+                    if why == PlanFailure::Source && !view.task_reads_locally(uid, m) {
+                        self.cands.list[ci].blocked = blocked_memo(&mut self.ledger, view, uid);
                     }
-                };
-                let left = visible(io, &self.avail.get(view, m));
+                    self.banned.insert(ci, m.index());
+                    continue;
+                }
+                let local = visible(io, &self.ledger.plan().local);
+                let left = visible(io, &self.ledger.available(view, m));
                 let a_placed = self.cfg.alignment.score(&local, &left, &capacity);
                 self.scorer.observe_alignment(a_placed.max(0.0));
                 let mut assignment = Assignment::new(uid, m).with_scores(DecisionScores {
                     alignment,
-                    srtf: c.p,
+                    srtf: self.cands.list[ci].p,
                     combined,
                     considered_machines: pass.considered,
                 });
                 if capture {
-                    let prov = provenance(view, &self.cands.list, scored, ci, pass);
+                    let prov = provenance(view, &self.cands.list, &mut self.work.scored, ci, pass);
                     assignment = assignment.with_provenance(prov);
                 }
                 out.push(assignment);
-                let c = &mut self.cands.list[ci];
-                c.advance(view);
-                // In-call spread approximation: until the job's *running*
-                // tasks span the spread floor, at most one task a machine a
-                // call (`constraints_allow` holds the authoritative check;
-                // this stops one call stacking a wave on one machine).
-                if let Some(n) = view.job_constraints(c.job).spread {
-                    if view.job_spread(c.job) < n {
-                        self.banned.insert(ci, m.index());
+                self.cands.list[ci].advance(view);
+                // The ledger's in-call spread rule may have closed `m` to
+                // the job: to each of its candidates.
+                if !self.ledger.allows(view, job, m) {
+                    for &cj in self.work.live.iter() {
+                        if self.cands.list[cj].job == job {
+                            self.banned.insert(cj, m.index());
+                        }
                     }
                 }
             }

@@ -5,33 +5,66 @@
 //! check does not look at constraints, so a policy that skips the
 //! predicate places replicas where the spec forbids them.
 //!
+//! Nor may one call stack a spread-floored job: the view cannot see the
+//! call's own earlier picks, so a second replica on a machine that took
+//! one earlier in the same call is counted while the job's spread — the
+//! view's count plus the call's earlier distinct machines — is below its
+//! floor.
+//!
 //! The input is the `serving` experiment's: the laptop serving mix
 //! (spread-floored service waves over a batch backlog) with preemption
 //! on, and the same mix again on a cluster with tainted machines that
 //! only some jobs tolerate. The matrix is [`SchedName::ALL`], so a policy
-//! added to the registry is covered without anyone listing it here.
-//!
-//! Two spread replicas of one job placed on one machine *within* a single
-//! `schedule` call are not counted: the view cannot see the call's own
-//! earlier picks, so the predicate is the same for both.
+//! added to the registry is covered without anyone listing it here, plus
+//! the simulator's own `GreedyFifo`.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use tetris_expts::{RunCtx, SchedName};
-use tetris_sim::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, SimConfig, Simulation};
-use tetris_workload::{ServingMixConfig, Workload};
+use tetris_sim::{
+    Assignment, ClusterView, GreedyFifo, MachineId, SchedulerEvent, SchedulerPolicy, SimConfig,
+    Simulation,
+};
+use tetris_workload::{JobId, ServingMixConfig, Workload};
 
 /// Taint bit carried by every fourth machine in the tainted variant.
 const TAINT: u64 = 1;
 
-/// Forwards every call to `inner` and counts, in `disallowed`, the
-/// returned assignments whose machine the view's constraint predicate
-/// rules out.
+/// What one policy's run proposed and how much of it broke §16.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    proposed: usize,
+    /// On a machine the view's constraint predicate rules out.
+    disallowed: usize,
+    /// A spread replica stacked on a machine within one call.
+    stacked: usize,
+}
+
+/// Forwards every call to `inner` and tallies what it returned.
 struct Audit {
     inner: Box<dyn SchedulerPolicy>,
-    proposed: Rc<Cell<usize>>,
-    disallowed: Rc<Cell<usize>>,
+    tally: Rc<Cell<Tally>>,
+}
+
+/// Replicas in `out` placed, while their job is below its spread floor,
+/// on a machine that took one of its tasks earlier in the same call.
+fn stacked(view: &ClusterView<'_>, out: &[Assignment]) -> usize {
+    let mut earlier: Vec<(JobId, MachineId)> = Vec::new();
+    let mut n = 0;
+    for a in out {
+        let j = view.task_stage(a.task).0;
+        let Some(floor) = view.job_constraints(j).spread else {
+            continue;
+        };
+        let machines = earlier.iter().filter(|&&(ej, _)| ej == j).count();
+        if earlier.contains(&(j, a.machine)) {
+            n += usize::from(view.job_spread(j) + machines < floor);
+        } else {
+            earlier.push((j, a.machine));
+        }
+    }
+    n
 }
 
 impl SchedulerPolicy for Audit {
@@ -45,12 +78,14 @@ impl SchedulerPolicy for Audit {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let out = self.inner.schedule(view);
-        self.proposed.set(self.proposed.get() + out.len());
-        let bad = out
+        let mut t = self.tally.get();
+        t.proposed += out.len();
+        t.disallowed += out
             .iter()
             .filter(|a| !view.constraints_allow(view.task_stage(a.task).0, a.machine))
             .count();
-        self.disallowed.set(self.disallowed.get() + bad);
+        t.stacked += stacked(view, &out);
+        self.tally.set(t);
         out
     }
 
@@ -80,37 +115,38 @@ fn serving(ctx: &RunCtx) -> (Workload, SimConfig) {
     (w, cfg)
 }
 
-/// Every policy's `(label, proposed, disallowed)` on `w` under `cfg`.
-fn audit(ctx: &RunCtx, w: &Workload, cfg: &SimConfig) -> Vec<(&'static str, usize, usize)> {
-    SchedName::ALL
+/// Every policy's tally on `w` under `cfg`, by label.
+fn audit(ctx: &RunCtx, w: &Workload, cfg: &SimConfig) -> Vec<(&'static str, Tally)> {
+    let policies = SchedName::ALL
         .iter()
-        .map(|&sched| {
-            let proposed = Rc::new(Cell::new(0));
-            let disallowed = Rc::new(Cell::new(0));
+        .map(|&sched| (sched.label(), sched.build(cfg.seed)))
+        .chain([("greedy-fifo", Box::new(GreedyFifo::new()) as Box<_>)]);
+    policies
+        .map(|(label, inner)| {
+            let tally = Rc::default();
             let policy = Audit {
-                inner: sched.build(cfg.seed),
-                proposed: Rc::clone(&proposed),
-                disallowed: Rc::clone(&disallowed),
+                inner,
+                tally: Rc::clone(&tally),
             };
             Simulation::build(ctx.cluster(), w.clone())
                 .scheduler(policy)
                 .config(cfg.clone())
                 .run();
-            (sched.label(), proposed.get(), disallowed.get())
+            (label, tally.get())
         })
         .collect()
 }
 
-fn assert_all_allowed(rows: &[(&str, usize, usize)]) {
+fn assert_all_allowed(rows: &[(&str, Tally)]) {
     assert!(
-        rows.iter().all(|&(_, proposed, _)| proposed > 0),
+        rows.iter().all(|(_, t)| t.proposed > 0),
         "a policy placed nothing: {rows:?}"
     );
-    let bad: Vec<_> = rows.iter().filter(|r| r.2 > 0).collect();
-    assert!(
-        bad.is_empty(),
-        "(policy, proposed, on disallowed machines): {bad:?}"
-    );
+    let bad: Vec<_> = rows
+        .iter()
+        .filter(|(_, t)| t.disallowed + t.stacked > 0)
+        .collect();
+    assert!(bad.is_empty(), "policies breaking §16: {bad:?}");
 }
 
 #[test]

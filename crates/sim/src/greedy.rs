@@ -1,17 +1,14 @@
 //! [`GreedyFifo`], the simulator's own reference policy.
 
-use tetris_resources::ResourceVec;
-
-use crate::state::PlacementPlan;
-use crate::view::{Assignment, ClusterView, SchedulerPolicy};
+use crate::view::{Assignment, ClusterView, SchedulerPolicy, WorkingLedger};
 
 /// A deliberately naive reference policy: first-fit in task-uid order over
-/// machines in id order, honouring full six-dimension feasibility. Useful
-/// as a sanity baseline and for engine tests; not one of the paper's
-/// comparators.
+/// the machines that are up, in id order, honouring full six-dimension
+/// feasibility and §16 placement constraints. Useful as a sanity baseline
+/// and for engine tests; not one of the paper's comparators.
 #[derive(Debug, Default, Clone)]
 pub struct GreedyFifo {
-    _private: (),
+    ledger: WorkingLedger,
 }
 
 impl GreedyFifo {
@@ -27,21 +24,19 @@ impl SchedulerPolicy for GreedyFifo {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let query = view.query();
-        let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
+        let (query, ledger) = (view.query(), &mut self.ledger);
+        ledger.begin(view);
         let mut out = Vec::new();
-        let mut plan = PlacementPlan::default();
         for j in view.active_jobs() {
             for t in view.job_pending(j) {
                 // Full feasibility: local demand at the host and
                 // disk/net-out demand at every remote input source.
                 let host = query.iter_all().find(|&m| {
-                    view.plan_into(t, m, &mut plan);
-                    plan.try_charge(m, &mut avail)
+                    !view.is_down(m)
+                        && ledger.allows(view, j, m)
+                        && ledger.try_place(view, t, m).is_ok()
                 });
-                if let Some(m) = host {
-                    out.push(Assignment::new(t, m));
-                }
+                out.extend(host.map(|m| Assignment::new(t, m)));
             }
         }
         out

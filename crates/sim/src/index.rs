@@ -108,7 +108,7 @@ pub struct IndexStatsSnapshot {
 /// concurrent revalidations recompute identical values from `ub`, so any
 /// interleaving of their stores leaves the same cache. The `stale` flag
 /// is released/acquired so a reader seeing `stale == false` also sees
-/// the matching `ub`/`mi` stores. Scoped (overlay-adjusted) availability
+/// the matching `ub`/`mi` stores. Scoped (ledger-adjusted) availability
 /// closures are safe here too: the cache only ever holds `ub`-derived
 /// values, never closure results.
 #[derive(Debug)]

@@ -75,12 +75,12 @@ pub use journal::{DiscardedTail, Journal, JournalError, JournalStats};
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
 pub use pool::{pool_map, pool_map_prioritized};
 pub use recovery::{Recovered, RecoveryError, RecoveryStats, RunResult};
-pub use sharded::{CommitOverlay, ShardedScheduler, ShardedStats};
+pub use sharded::{ShardedScheduler, ShardedStats};
 pub use state::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
 pub use time::SimTime;
 pub use view::{
-    plan_priority_preemption, Assignment, ClusterView, MachineQuery, MarkAllDirty, SchedulerEvent,
-    SchedulerPolicy, StageProgress,
+    plan_priority_preemption, Assignment, ClusterView, MachineQuery, MarkAllDirty, PlanFailure,
+    SchedulerEvent, SchedulerPolicy, StageProgress, WorkingLedger,
 };
 // Re-exported so policies can annotate assignments without naming the obs
 // crate themselves.

@@ -8,13 +8,13 @@
 //! 1. every shard with work runs its inner policy's `schedule()` pass
 //!    concurrently on the deterministic worker pool (`crate::pool`),
 //!    against a read-only [`ClusterView`] scoped to its own partition;
-//! 2. proposals are committed *serially* in shard order against a
-//!    [`CommitOverlay`] — the demand ledger of what this heartbeat has
-//!    already accepted. A proposal whose placement no longer fits (a
-//!    racing shard won the machine) is rejected and counted as a
+//! 2. proposals are committed *serially* in shard order, each charged to
+//!    one [`WorkingLedger`] — what this heartbeat has already accepted —
+//!    that the scoped views read. A proposal whose placement no longer
+//!    fits (a racing shard won the machine) is rejected and counted as a
 //!    conflict;
 //! 3. shards that lost at least one proposal retry within the same
-//!    heartbeat against the updated overlay, for at most
+//!    heartbeat against the updated ledger, for at most
 //!    [`MAX_RETRY_ROUNDS`] rounds — and only when a cheap commit-time
 //!    feasibility check says a rejected task could still fit somewhere
 //!    (`retry_could_place`), so fully-contended heartbeats don't pay for
@@ -28,17 +28,18 @@
 //! job → shard hash is a pure function of (job id, seed) — parallelism
 //! changes wall-clock only, never output.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 use tetris_obs::{names, MetricsRegistry};
-use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, TaskUid};
 
 use crate::cluster::MachineId;
 use crate::pool::pool_map;
 use crate::state::PlacementPlan;
-use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, ShardScope};
+use crate::view::{
+    Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, ShardScope, WorkingLedger,
+};
 
 /// Bound on intra-heartbeat retry rounds for shards whose proposals lost
 /// a commit race. The engine's own schedule loop provides further rounds
@@ -76,64 +77,6 @@ pub(crate) fn owner_shard(job: JobId, shards: usize, seed: u64) -> usize {
     (z % shards as u64) as usize
 }
 
-/// Demand committed earlier in the current heartbeat, per machine — the
-/// ledger the serialized commit stage checks proposals against and the
-/// amount shard-scoped views subtract from availability on retry rounds.
-///
-/// Starts empty every `schedule()` call, so round 0 (the common,
-/// conflict-free case) pays nothing: an empty overlay never allocates
-/// and every lookup is a trivial miss.
-#[derive(Debug, Default)]
-pub struct CommitOverlay {
-    committed: HashMap<u32, ResourceVec>,
-}
-
-impl CommitOverlay {
-    /// Empty overlay (no committed demand).
-    pub fn new() -> Self {
-        CommitOverlay::default()
-    }
-
-    /// True when nothing has been committed this heartbeat.
-    pub fn is_empty(&self) -> bool {
-        self.committed.is_empty()
-    }
-
-    /// Charge `demand` against `m` (accumulates across commits).
-    pub fn charge(&mut self, m: MachineId, demand: &ResourceVec) {
-        *self
-            .committed
-            .entry(m.index() as u32)
-            .or_insert_with(ResourceVec::zero) += *demand;
-    }
-
-    /// Demand committed against `m` so far, if any.
-    #[inline]
-    pub fn charged(&self, m: MachineId) -> Option<&ResourceVec> {
-        if self.committed.is_empty() {
-            return None;
-        }
-        self.committed.get(&(m.index() as u32))
-    }
-
-    /// What is left of `available` on `m` once the demand committed
-    /// against it is subtracted: the residual every scoped view and the
-    /// commit stage read.
-    #[inline]
-    pub(crate) fn residual(&self, m: MachineId, mut available: ResourceVec) -> ResourceVec {
-        if let Some(c) = self.charged(m) {
-            available -= *c;
-        }
-        available
-    }
-
-    /// Machines with committed demand (order unspecified — callers must
-    /// not derive decisions from iteration order).
-    pub fn machines(&self) -> impl Iterator<Item = MachineId> + '_ {
-        self.committed.keys().map(|&k| MachineId(k as usize))
-    }
-}
-
 /// Conflict/retry tally of one [`ShardedScheduler`], drained via
 /// [`ShardedScheduler::drain_metrics`] (the engine calls it at end of
 /// run; experiments call it directly).
@@ -163,6 +106,8 @@ pub struct ShardedScheduler {
     /// Per-shard `schedule()` pass wall-times (nanoseconds), drained into
     /// the `heartbeat_shard_us` histogram.
     shard_ns: Vec<u64>,
+    /// The commit stage's ledger, begun each `schedule()` call.
+    ledger: WorkingLedger,
     /// Critical path of the most recent `schedule()` call (nanoseconds):
     /// partition bucketing, plus per round the *slowest* shard pass and
     /// the serialized commit stage. See
@@ -195,6 +140,7 @@ impl ShardedScheduler {
             name,
             stats: ShardedStats::default(),
             shard_ns: Vec::new(),
+            ledger: WorkingLedger::default(),
             last_critical_ns: 0,
         }
     }
@@ -226,7 +172,7 @@ impl ShardedScheduler {
     /// Could another optimistic round commit anything *right now*?
     ///
     /// A retry pass can only see more room than round 0 did on machines
-    /// the heartbeat has touched: overlay-charged machines (where racing
+    /// the heartbeat has touched: `charged` machines (where racing
     /// commits changed availability) and machines named by rejected
     /// proposals (whose working-ledger charge the losing shard will not
     /// re-apply). So the retry is skipped — an O(rejected × touched)
@@ -241,11 +187,12 @@ impl ShardedScheduler {
     /// quiescence against true post-apply state, the same backstop that
     /// justifies [`MAX_RETRY_ROUNDS`] being finite.
     fn retry_could_place(
+        &mut self,
         view: &ClusterView<'_>,
-        overlay: &CommitOverlay,
+        charged: &[MachineId],
         rejected: &[(TaskUid, MachineId)],
     ) -> bool {
-        let mut touched: Vec<MachineId> = overlay.machines().collect();
+        let mut touched = charged.to_vec();
         touched.extend(rejected.iter().map(|&(_, m)| m));
         touched.sort_unstable();
         touched.dedup();
@@ -255,8 +202,7 @@ impl ShardedScheduler {
             view.is_runnable(t)
                 && touched.iter().any(|&m| {
                     view.plan_into(t, m, &mut plan);
-                    plan.local
-                        .fits_within(&overlay.residual(m, view.available(m)))
+                    plan.local.fits_within(&self.ledger.available(view, m))
                 })
         })
     }
@@ -273,13 +219,12 @@ impl SchedulerPolicy for ShardedScheduler {
             return self.inner[0].on_event(view, event);
         }
         // Events are delivered outside the commit pipeline, so shards see
-        // an empty overlay (true ledger state) with their partition lens.
-        let empty = CommitOverlay::new();
+        // the view's availability with their partition lens.
         let scope = |shard| ShardScope {
             shard,
             shards,
             seed: self.seed,
-            overlay: &empty,
+            ledger: None,
             jobs: None,
         };
         match event {
@@ -315,7 +260,9 @@ impl SchedulerPolicy for ShardedScheduler {
         }
 
         let seed = self.seed;
-        let mut overlay = CommitOverlay::new();
+        self.ledger.begin(view);
+        // Machines a commit charged, host and sources (may repeat).
+        let mut charged: Vec<MachineId> = Vec::new();
         let mut accepted: Vec<Assignment> = Vec::new();
         let mut committed_tasks: HashSet<TaskUid> = HashSet::new();
         let mut active: Vec<usize> = (0..shards).collect();
@@ -343,9 +290,9 @@ impl SchedulerPolicy for ShardedScheduler {
         for round in 0..=MAX_RETRY_ROUNDS {
             // Fan out: every active shard runs its pass concurrently
             // against a read-only view scoped to its partition and the
-            // overlay committed so far. The pool returns results in
+            // ledger committed so far. The pool returns results in
             // submission (= shard) order regardless of finish order.
-            let overlay_ref = &overlay;
+            let ledger = &self.ledger;
             let partition_ref = &partition;
             let items: Vec<(usize, &mut Box<dyn SchedulerPolicy + Send>)> = self
                 .inner
@@ -363,7 +310,7 @@ impl SchedulerPolicy for ShardedScheduler {
                         shard: si,
                         shards,
                         seed,
-                        overlay: overlay_ref,
+                        ledger: Some(ledger),
                         jobs: Some(&partition_ref[si]),
                     });
                     let out = policy.schedule(&scoped);
@@ -378,7 +325,6 @@ impl SchedulerPolicy for ShardedScheduler {
             // tie-break), proposals in each shard's own order.
             let mut losers: Vec<usize> = Vec::new();
             let mut rejected: Vec<(TaskUid, MachineId)> = Vec::new();
-            let mut plan = PlacementPlan::default();
             for (si, proposals, ns) in results {
                 self.shard_ns.push(ns);
                 let mut lost = false;
@@ -388,7 +334,7 @@ impl SchedulerPolicy for ShardedScheduler {
                         // committed (the proposing shard has not seen a
                         // TaskPlaced event yet) — not a conflict. Audit
                         // note: this guard is what keeps the commit stage
-                        // idempotent under retries — the overlay is
+                        // idempotent under retries — the ledger is
                         // charged and `stats.committed` bumped exactly
                         // once per task, and `stats.conflicts` counts
                         // only genuine capacity losses. Pinned by
@@ -397,17 +343,13 @@ impl SchedulerPolicy for ShardedScheduler {
                         continue;
                     }
                     // Committing still fits: every demand of the plan, local
-                    // and remote, within what the overlay leaves.
-                    view.plan_into(a.task, a.machine, &mut plan);
-                    let residual = |m| overlay.residual(m, view.available(m));
+                    // and remote, within what the ledger leaves.
                     if view.is_runnable(a.task)
                         && !view.is_down(a.machine)
-                        && plan.fits(a.machine, residual)
+                        && self.ledger.try_place(view, a.task, a.machine).is_ok()
                     {
-                        overlay.charge(a.machine, &plan.local);
-                        for (src, dem) in &plan.remote {
-                            overlay.charge(*src, dem);
-                        }
+                        charged.push(a.machine);
+                        charged.extend(self.ledger.plan().remote.iter().map(|&(src, _)| src));
                         committed_tasks.insert(a.task);
                         accepted.push(a);
                         self.stats.committed += 1;
@@ -428,7 +370,7 @@ impl SchedulerPolicy for ShardedScheduler {
             // fits" at O(partition) cost per loser.
             let done = losers.is_empty()
                 || round == MAX_RETRY_ROUNDS
-                || !Self::retry_could_place(view, &overlay, &rejected);
+                || !self.retry_could_place(view, &charged, &rejected);
             critical_ns += t_commit.elapsed().as_nanos() as u64;
 
             if done {
@@ -531,16 +473,5 @@ mod tests {
                 assert_eq!(first, owner_shard(JobId(b * OWNER_BLOCK + o), shards, 7));
             }
         }
-    }
-
-    #[test]
-    fn overlay_accumulates_charges() {
-        let mut o = CommitOverlay::new();
-        assert!(o.is_empty());
-        assert!(o.charged(MachineId(3)).is_none());
-        o.charge(MachineId(3), &ResourceVec::splat(2.0));
-        o.charge(MachineId(3), &ResourceVec::splat(1.0));
-        assert_eq!(o.charged(MachineId(3)), Some(&ResourceVec::splat(3.0)));
-        assert!(o.charged(MachineId(0)).is_none());
     }
 }

@@ -42,34 +42,6 @@ pub struct PlacementPlan {
 /// `blocked` memo leans on it (DESIGN.md §9).
 pub const SHUFFLE_SHARE_MARGIN: f64 = 1e-9;
 
-impl PlacementPlan {
-    /// True if any input comes from a remote machine.
-    pub fn is_remote(&self) -> bool {
-        !self.remote.is_empty()
-    }
-
-    /// True if the local demand fits in `avail(host)` and every remote
-    /// demand in `avail` at its source.
-    pub(crate) fn fits(&self, host: MachineId, avail: impl Fn(MachineId) -> ResourceVec) -> bool {
-        let remote_fits = |(src, dem): &(MachineId, ResourceVec)| dem.fits_within(&avail(*src));
-        self.local.fits_within(&avail(host)) && self.remote.iter().all(remote_fits)
-    }
-
-    /// [`PlacementPlan::fits`] against `ledger`, a policy's working
-    /// availability by machine id; if the plan fits, charge it there.
-    /// Returns whether it did.
-    pub fn try_charge(&self, host: MachineId, ledger: &mut [ResourceVec]) -> bool {
-        let fits = self.fits(host, |m| ledger[m.index()]);
-        if fits {
-            ledger[host.index()] -= self.local;
-            for (src, dem) in &self.remote {
-                ledger[src.index()] -= *dem;
-            }
-        }
-        fits
-    }
-}
-
 impl SimState {
     /// Rank a finished stage's output map for `ranked_reads`, if it has
     /// more sources than the fan-in bound keeps (below it the general
@@ -425,7 +397,7 @@ mod tests {
         // Place on a different machine.
         let host = MachineId((replica.index() + 1) % 4);
         let plan = st.placement_plan(TaskUid(0), host);
-        assert!(plan.is_remote());
+        assert!(!plan.remote.is_empty());
         assert_eq!(plan.remote_reads, vec![(replica, 100.0 * MB)]);
         assert_eq!(plan.local_read_bytes, 0.0);
         assert!(plan.local.get(Resource::NetIn) > 0.0);
@@ -450,7 +422,7 @@ mod tests {
         let st = arrived(4, b.finish(), replicated(2));
         let replica = st.blocks[0][0];
         let plan = st.placement_plan(TaskUid(0), replica);
-        assert!(!plan.is_remote());
+        assert!(plan.remote.is_empty());
         assert_eq!(plan.local_read_bytes, 100.0 * MB);
         assert_eq!(plan.local.get(Resource::NetIn), 0.0);
         assert!(plan.local.get(Resource::DiskRead) > 0.0);

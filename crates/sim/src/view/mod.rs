@@ -2,9 +2,10 @@
 //! [`Assignment`] and [`ClusterView`].
 //!
 //! One file a concern (DESIGN.md "Engine and view layers"): `policy` holds
-//! the trait and what crosses it, this file the view, and `query` the
+//! the trait and what crosses it, this file the view, `query` the
 //! machine-selection layer, the constraint predicate and the shared
-//! preemption planner.
+//! preemption planner, and `ledger` the working ledger a `schedule` call
+//! charges its placements to.
 //!
 //! The protocol says one thing (DESIGN.md §11): *events name which cached,
 //! job-derived state to invalidate; every fact the view exposes is read
@@ -33,12 +34,14 @@ use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskSpec, TaskUid};
 
 use crate::cluster::MachineId;
-use crate::sharded::{owner_shard, CommitOverlay};
+use crate::sharded::owner_shard;
 use crate::state::{Phase, PlacementPlan, SimState};
 
+mod ledger;
 mod policy;
 mod query;
 
+pub use ledger::{PlanFailure, WorkingLedger};
 pub use policy::{Assignment, MarkAllDirty, SchedulerEvent, SchedulerPolicy, StageProgress};
 pub use query::{plan_priority_preemption, MachineQuery};
 
@@ -48,11 +51,11 @@ const MAX_EVICTIONS_PER_ASSIGNMENT: usize = 8;
 
 /// The job-partition lens a sharded heartbeat applies to a view: which
 /// shard the wrapped policy is, how many shards exist, the stable
-/// partitioning seed, and the demand already committed by earlier
-/// shards/rounds of this heartbeat (see `crate::sharded`).
+/// partitioning seed, and the commit stage's ledger of what earlier
+/// shards/rounds of this heartbeat committed (see `crate::sharded`).
 ///
 /// A scoped view narrows job enumeration to the shard's owned partition
-/// and subtracts the commit overlay from availability, so an inner
+/// and reads availability through the commit ledger, so an inner
 /// policy sees a consistent "my jobs, remaining capacity" world without
 /// knowing it runs sharded. Machine-level facts (capacity, down/suspect
 /// flags, freed hints) stay global — every shard may place anywhere.
@@ -64,8 +67,9 @@ pub(crate) struct ShardScope<'a> {
     pub shards: usize,
     /// Stable seed of the job → shard hash.
     pub seed: u64,
-    /// Demand committed by earlier shards/rounds of this heartbeat.
-    pub overlay: &'a CommitOverlay,
+    /// The commit stage's ledger of this heartbeat; `None` outside the
+    /// commit pipeline (event delivery), where availability is the view's.
+    pub ledger: Option<&'a WorkingLedger>,
     /// The shard's active owned jobs in id order, pre-bucketed by the
     /// sharded driver once per heartbeat so each shard's job enumeration
     /// costs O(partition), not O(cluster jobs) — without this, every
@@ -110,10 +114,10 @@ impl<'a> ClusterView<'a> {
         self.capture
     }
 
-    /// This view narrowed to one shard's job partition, with `scope`'s
-    /// commit overlay charged against availability. The result borrows
-    /// for the overlay's (possibly shorter) lifetime — `&'a SimState`
-    /// shrinks covariantly.
+    /// This view narrowed to one shard's job partition, with availability
+    /// read through `scope`'s commit ledger. The result borrows for the
+    /// ledger's (possibly shorter) lifetime — `&'a SimState` shrinks
+    /// covariantly.
     pub(crate) fn scoped<'b>(&self, scope: ShardScope<'b>) -> ClusterView<'b>
     where
         'a: 'b,
@@ -162,12 +166,12 @@ impl<'a> ClusterView<'a> {
     /// Scheduler-visible availability of a machine: capacity minus the
     /// demand ledger (minus tracker-reported external usage for
     /// tracker-aware policies). Negative components mean someone
-    /// over-allocated. Shard-scoped views additionally subtract the
-    /// demand already committed this heartbeat by racing shards.
+    /// over-allocated. Shard-scoped views read what the commit stage's
+    /// ledger leaves of it once racing shards' commits are charged.
     pub fn available(&self, m: MachineId) -> ResourceVec {
         let a = self.state.availability(m, self.tracker_aware);
-        match self.scope {
-            Some(s) => s.overlay.residual(m, a),
+        match self.scope.and_then(|s| s.ledger) {
+            Some(ledger) => ledger.residual(m, a),
             None => a,
         }
     }

@@ -5,7 +5,7 @@
 use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskUid};
 
-use super::{Assignment, ClusterView};
+use super::{Assignment, ClusterView, WorkingLedger};
 use crate::cluster::MachineId;
 use crate::state::{Phase, PlacementPlan};
 
@@ -51,8 +51,9 @@ impl<'a> ClusterView<'a> {
     /// Whether job `j`'s machines must go through
     /// [`ClusterView::constraints_allow`] at all: the job carries §16
     /// constraints, or the cluster has taints. When false the predicate
-    /// is the constant `true`, so a policy computes this once per job and
-    /// pays nothing per machine on unconstrained runs.
+    /// is the constant `true`: `WorkingLedger::allows` asks this first,
+    /// so an unconstrained run pays one test a machine and no more.
+    #[inline]
     pub fn job_constrained(&self, j: JobId) -> bool {
         !self.state.cfg.machine_taints.is_empty() || self.job_constraints(j).has_any()
     }
@@ -118,8 +119,9 @@ impl<'a> ClusterView<'a> {
 ///
 /// A machine is *considered* when it is neither down nor suspect —
 /// the standing candidate filter shared by every shipping policy.
-/// Availability is the view's, overlay included; the index's unscoped
-/// bounds stay sound, as the overlay only *lowers* availability.
+/// Availability is the view's, a shard's commit ledger included; the
+/// index's unscoped bounds stay sound, as commits only *lower*
+/// availability.
 pub struct MachineQuery<'a> {
     view: ClusterView<'a>,
 }
@@ -241,9 +243,8 @@ impl<'a> MachineQuery<'a> {
 
 /// Plan one priority-preemptive assignment, if the round needs one
 /// (DESIGN.md §16). Shared epilogue for Tetris and the slot baselines:
-/// policies call it after their ordinary placement loop with the
-/// assignments they just produced, and append the result (if any) to the
-/// batch.
+/// policies call it after their ordinary placement loop with the ledger
+/// that loop charged, and append the result (if any) to the batch.
 ///
 /// The plan targets the highest-priority job (above the lowest class)
 /// that has pending work and got *nothing* this `schedule()` call, and
@@ -263,7 +264,7 @@ impl<'a> MachineQuery<'a> {
 /// can call it unconditionally without perturbing batch-only runs.
 pub fn plan_priority_preemption(
     view: &ClusterView<'_>,
-    placed: &[Assignment],
+    ledger: &WorkingLedger,
 ) -> Option<Assignment> {
     if !view.preemption_enabled() {
         return None;
@@ -280,7 +281,7 @@ pub fn plan_priority_preemption(
         if starved.is_some_and(|(bp, _, _)| p <= bp) {
             continue;
         }
-        if placed.iter().any(|a| view.task_stage(a.task).0 == j) {
+        if ledger.placed_any(j) {
             continue;
         }
         if let Some(task) = view.job_pending(j).next() {

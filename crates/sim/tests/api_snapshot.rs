@@ -93,10 +93,11 @@ fn extract_api(src: &str) -> String {
 }
 
 /// The view module's files, in snapshot order.
-const VIEW_FILES: [&str; 3] = [
+const VIEW_FILES: [&str; 4] = [
     include_str!("../src/view/policy.rs"),
     include_str!("../src/view/mod.rs"),
     include_str!("../src/view/query.rs"),
+    include_str!("../src/view/ledger.rs"),
 ];
 
 #[test]

@@ -23,7 +23,7 @@ use tetris_obs::{Event, Obs, VecRecorder};
 use tetris_resources::{units::GB, MachineSpec, ResourceVec};
 use tetris_sim::{
     plan_priority_preemption, Assignment, ClusterConfig, ClusterView, FaultPlan, GreedyFifo,
-    MachineId, SchedulerEvent, SchedulerPolicy, SimConfig, Simulation,
+    MachineId, SchedulerEvent, SchedulerPolicy, SimConfig, Simulation, WorkingLedger,
 };
 use tetris_workload::{
     JobId, PlacementConstraints, PriorityClass, TaskParams, Workload, WorkloadBuilder,
@@ -142,6 +142,8 @@ fn job_of_task(w: &Workload) -> Vec<JobId> {
 /// when the victim's priority is strictly below the placer's.
 struct EvictProbe {
     inner: GreedyFifo,
+    /// What `inner` placed this call, for the epilogue.
+    ledger: WorkingLedger,
 }
 
 impl SchedulerPolicy for EvictProbe {
@@ -155,7 +157,11 @@ impl SchedulerPolicy for EvictProbe {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let mut out = self.inner.schedule(view);
-        if let Some(pre) = plan_priority_preemption(view, &out) {
+        self.ledger.begin(view);
+        for a in &out {
+            self.ledger.record(view, a.task, a.machine);
+        }
+        if let Some(pre) = plan_priority_preemption(view, &self.ledger) {
             out.push(pre);
         }
         // Adversarial proposal: pending head of the first active job,
@@ -274,6 +280,7 @@ fn probe_preempts_on_a_saturated_cluster() {
     )
     .scheduler(EvictProbe {
         inner: GreedyFifo::new(),
+        ledger: WorkingLedger::default(),
     })
     .config(config(0, FaultPlan::default(), Vec::new(), true))
     .run();
@@ -305,7 +312,10 @@ proptest! {
             ClusterConfig::uniform(N_MACHINES, MachineSpec::paper_small()),
             w.clone(),
         )
-        .scheduler(EvictProbe { inner: GreedyFifo::new() })
+        .scheduler(EvictProbe {
+            inner: GreedyFifo::new(),
+            ledger: WorkingLedger::default(),
+        })
         .config(config(seed, plan, taints, true))
         .observe(&mut obs)
         .run();

@@ -198,7 +198,7 @@ proptest! {
 /// forced intra-heartbeat contention — 16 commit slots, many more pending
 /// tasks, four shards racing — a task is committed at most once however
 /// many shards or retry rounds re-propose it. The committed-task guard
-/// skips re-proposals without charging the overlay a second time and
+/// skips re-proposals without charging the commit ledger a second time and
 /// without counting them as conflicts, so `stats.committed` equals the
 /// accepted assignment count exactly, and the pass still fills every free
 /// slot (a double charge would leave phantom demand and strand slots).

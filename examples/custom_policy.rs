@@ -16,8 +16,14 @@
 
 use tetris::prelude::*;
 
-/// Widest-task-first with emptiest-machine placement.
-struct WidestFirst;
+/// Widest-task-first with emptiest-machine placement. The working ledger
+/// is what the call has charged so far: it plans each placement, checks
+/// it on every dimension at the host and at each remote input source,
+/// charges it, and applies the placement constraints.
+#[derive(Default)]
+struct WidestFirst {
+    ledger: WorkingLedger,
+}
 
 impl SchedulerPolicy for WidestFirst {
     fn name(&self) -> &str {
@@ -27,48 +33,37 @@ impl SchedulerPolicy for WidestFirst {
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let total = view.total_capacity();
         // Collect pending tasks, widest (largest normalized demand) first.
-        let mut tasks: Vec<(f64, _)> = view
+        let mut tasks: Vec<(f64, _, _)> = view
             .active_jobs()
-            .flat_map(|j| view.job_pending_stages(j))
-            .flat_map(|(_, slice)| slice.iter().copied())
-            .map(|t| (view.task(t).demand.normalized_by(&total).sum(), t))
+            .flat_map(|j| view.job_pending(j).map(move |t| (j, t)))
+            .map(|(j, t)| (view.task(t).demand.normalized_by(&total).sum(), j, t))
             .collect();
         tasks.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
 
-        let query = view.query();
-        let mut avail: Vec<ResourceVec> = query.iter_all().map(|m| view.available(m)).collect();
+        let ledger = &mut self.ledger;
+        ledger.begin(view);
         let mut out = Vec::new();
-        for (_, t) in tasks {
-            // Emptiest machine (most free normalized resources) that fits.
-            let mut best: Option<(f64, MachineId)> = None;
-            for m in query.iter_all() {
-                let plan = view.plan(t, m);
-                let fits = plan.local.fits_within(&avail[m.index()])
-                    && plan
-                        .remote
-                        .iter()
-                        .all(|(s, d)| d.fits_within(&avail[s.index()]));
-                if fits {
-                    let freeness = avail[m.index()].normalized_by(&view.capacity(m)).sum();
-                    if best.is_none_or(|(bf, _)| freeness > bf) {
-                        best = Some((freeness, m));
-                    }
-                }
+        let mut machines = Vec::new();
+        for (_, j, t) in tasks {
+            // Emptiest machine (most free normalized resources) first; the
+            // first one the ledger places the task on wins.
+            machines.clear();
+            for m in view.query().iter_all() {
+                let freeness = ledger.available(view, m).normalized_by(&view.capacity(m));
+                machines.push((freeness.sum(), m));
             }
-            if let Some((_, m)) = best {
-                let plan = view.plan(t, m);
-                avail[m.index()] -= plan.local;
-                for (s, d) in &plan.remote {
-                    avail[s.index()] -= *d;
-                }
-                out.push(Assignment::new(t, m));
-            }
+            machines.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let host = machines
+                .iter()
+                .map(|&(_, m)| m)
+                .find(|&m| ledger.allows(view, j, m) && ledger.try_place(view, t, m).is_ok());
+            out.extend(host.map(|m| Assignment::new(t, m)));
         }
         out
     }
 }
 
-use tetris::{metrics::SlowdownSummary, sim::MachineId};
+use tetris::{metrics::SlowdownSummary, sim::WorkingLedger};
 
 fn main() {
     let cluster = ClusterConfig::uniform(20, MachineSpec::paper_large());
@@ -93,7 +88,7 @@ fn main() {
             "tetris",
             Box::new(TetrisScheduler::new(TetrisConfig::default())) as Box<dyn SchedulerPolicy>,
         ),
-        ("widest-first", Box::new(WidestFirst)),
+        ("widest-first", Box::new(WidestFirst::default())),
     ] {
         let o = run(sched);
         let slow = SlowdownSummary::compare(&o, &fair);

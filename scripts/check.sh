@@ -3,8 +3,18 @@
 #
 #   scripts/check.sh                      the gate
 #   scripts/check.sh --perf [BASE.jsonl]  did this change regress performance?
+#   scripts/check.sh --mutants [ROW...]   do the catalogued tests fail when
+#                                         what they pin is broken?
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--mutants" ]]; then
+  # The mutation catalogue (scripts/mutants.txt; the runner's header says
+  # how it works). Slow — a build and a test run a row — so never part of
+  # the default gate.
+  shift
+  exec scripts/mutants.sh "$@"
+fi
 
 if [[ "${1:-}" == "--perf" ]]; then
   # Measure this tree with perfbench (every workload, appended to
@@ -177,11 +187,11 @@ echo "$shard_out" | grep -q "scheduling_conflicts_total" \
 
 echo "== grep gate: shard workers never mutate shared cluster state =="
 # The sharded driver sees the cluster only through a read-only
-# ClusterView plus its own CommitOverlay ledger; every real mutation
-# happens when the engine applies the committed batch after schedule()
-# returns. Any engine-state type, interior mutability, or unsafe block
-# in the module would be a way to smuggle writes into the parallel
-# section.
+# ClusterView plus the working ledger its commit stage charges; every
+# real mutation happens when the engine applies the committed batch
+# after schedule() returns. Any engine-state type, interior mutability,
+# or unsafe block in the module would be a way to smuggle writes into
+# the parallel section.
 if grep -nE 'SimState|RefCell|Mutex|RwLock|UnsafeCell|Atomic[UIB]|unsafe' \
     crates/sim/src/sharded.rs; then
   echo "sharded driver can mutate shared state from a worker"; exit 1
