@@ -28,24 +28,6 @@ impl SchedulerPolicy for RandomScheduler {
         "random"
     }
 
-    /// The rng stream is the one piece of cross-call state here, and it
-    /// is not re-derivable from the view: a recovered run must resume it
-    /// where the checkpoint left it.
-    fn export_state(&self) -> Option<String> {
-        let [a, b, c, d] = self.rng.state();
-        Some(format!("{a:x} {b:x} {c:x} {d:x}"))
-    }
-
-    fn import_state(&mut self, state: &str) {
-        // The blob arrives through a CRC-framed, fingerprint-checked
-        // journal: a parse failure is a bug, not an input error.
-        let mut words = state
-            .split(' ')
-            .map(|w| u64::from_str_radix(w, 16).expect("valid rng state word"));
-        let s = std::array::from_fn(|_| words.next().expect("four rng state words"));
-        self.rng = StdRng::from_state(s);
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         // Each task with its job.
         let mut tasks: Vec<_> = view

@@ -86,28 +86,6 @@ impl DemandEstimator {
         }
     }
 
-    /// Persistent learned state for checkpointing (DESIGN.md §15):
-    /// `(known, active)` family sets, or `None` when there is nothing to
-    /// carry (non-Learned modes never populate them).
-    pub(crate) fn export_families(&self) -> Option<(Vec<String>, Vec<String>)> {
-        if self.known_families.is_empty() && self.active_families.is_empty() {
-            return None;
-        }
-        Some((
-            self.known_families.iter().cloned().collect(),
-            self.active_families.iter().cloned().collect(),
-        ))
-    }
-
-    /// Restore state captured by [`export_families`]. Replaces (does not
-    /// merge) both sets: import happens on a fresh estimator.
-    ///
-    /// [`export_families`]: DemandEstimator::export_families
-    pub(crate) fn import_families(&mut self, known: Vec<String>, active: Vec<String>) {
-        self.known_families = known.into_iter().collect();
-        self.active_families = active.into_iter().collect();
-    }
-
     /// Track family completions: call once per `schedule()` invocation.
     /// A family becomes "known" when a previously active job of that
     /// family is no longer active (it completed a run).

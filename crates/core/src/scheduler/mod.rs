@@ -236,55 +236,9 @@ struct PassRecord {
     considered: u32,
 }
 
-/// Persistent scheduler state carried in engine checkpoints (the
-/// `export_state`/`import_state` contract): the §3.5 reservations and the
-/// estimator's learned family sets — everything that outlives a
-/// `schedule()` call yet cannot be re-derived from the cluster view.
-/// Caches (`inc`, scratch, provenance) are deliberately excluded: a
-/// restored policy rebuilds them from events and views.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct PolicyState {
-    reservations: Vec<(MachineId, TaskUid)>,
-    /// `(known, active)` recurring-family sets of a Learned estimator.
-    #[serde(default)]
-    families: Option<(Vec<String>, Vec<String>)>,
-    /// `(mean, n)` of the scorer's running average alignment ā (the ε =
-    /// m·ā/p̄ weighting, §3.3.2). JSON floats roundtrip exactly
-    /// (`float_roundtrip`), so a restored ā is bit-identical.
-    #[serde(default)]
-    avg_alignment: Option<(f64, u64)>,
-}
-
 impl SchedulerPolicy for TetrisScheduler {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn export_state(&self) -> Option<String> {
-        let families = self.estimator.export_families();
-        let avg_alignment = self.scorer.export_avg();
-        if self.reservations.is_empty() && families.is_none() && avg_alignment.is_none() {
-            return None;
-        }
-        let s = PolicyState {
-            reservations: self.reservations.clone(),
-            families,
-            avg_alignment,
-        };
-        Some(serde_json::to_string(&s).expect("policy state serializes"))
-    }
-
-    fn import_state(&mut self, state: &str) {
-        // The blob arrives through a CRC-framed, fingerprint-checked
-        // journal: a parse failure is a bug, not an input error.
-        let s: PolicyState = serde_json::from_str(state).expect("valid policy state blob");
-        self.reservations = s.reservations;
-        if let Some((known, active)) = s.families {
-            self.estimator.import_families(known, active);
-        }
-        if let Some((mean, n)) = s.avg_alignment {
-            self.scorer.import_avg(mean, n);
-        }
     }
 
     fn uses_tracker(&self) -> bool {

@@ -121,18 +121,6 @@ impl CombinedScorer {
         self.avg_alignment.push(a);
     }
 
-    /// Persistent ā state for checkpointing (the scheduler's
-    /// `export_state` contract): `(mean, n)`, or `None` before any
-    /// placement has been observed.
-    pub(crate) fn export_avg(&self) -> Option<(f64, u64)> {
-        (self.avg_alignment.n > 0).then_some((self.avg_alignment.mean, self.avg_alignment.n))
-    }
-
-    /// Restore ā captured by [`export_avg`](CombinedScorer::export_avg).
-    pub(crate) fn import_avg(&mut self, mean: f64, n: u64) {
-        self.avg_alignment = RunningAvg { mean, n };
-    }
-
     /// Combine an alignment score with the owning job's remaining-work
     /// rank (`0` = shortest remaining work among active jobs, `1` =
     /// longest).

@@ -49,10 +49,7 @@ fn srtf_term_fixes_the_packing_only_ordering() {
 fn heterogeneous_cluster_places_big_tasks_on_big_machines() {
     let mut machines = vec![MachineSpec::paper_small(); 3];
     machines.push(MachineSpec::paper_large());
-    let cluster = ClusterConfig {
-        machines,
-        machines_per_rack: 20,
-    };
+    let cluster = ClusterConfig { machines };
 
     let mut b = WorkloadBuilder::new();
     let j = b.begin_job("mixed", None, 0.0);

@@ -7,9 +7,14 @@
 //! machine, lets it drain, and runs the large task; without them, the
 //! large task waits for the churn to end.
 
+mod common;
+
+use common::{per_heartbeat, wire, Calls, Watched};
 use tetris_core::{StarvationConfig, TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, MachineSpec, ResourceVec};
-use tetris_sim::{ClusterConfig, MachineId, SimConfig, Simulation};
+use tetris_sim::{
+    ClusterConfig, Journal, MachineId, RunResult, SchedulerCrash, SimConfig, Simulation,
+};
 use tetris_workload::{JobId, PlacementConstraints, TaskParams, Workload, WorkloadBuilder};
 
 fn starvation_workload() -> Workload {
@@ -189,7 +194,6 @@ fn reservation_respects_constraints() {
     // its gap is the smaller one while the churn fills both.
     let cluster = ClusterConfig {
         machines: vec![machine(16.0, 32.0 * GB), machine(32.0, 64.0 * GB)],
-        machines_per_rack: 20,
     };
     let workload = || {
         churn_and_big(
@@ -222,7 +226,6 @@ fn reservation_picks_a_machine_the_task_fits() {
     // on machine 1, the only machine with room for 14 cores.
     let cluster = ClusterConfig {
         machines: vec![machine(8.0, 4.0 * GB), machine(16.0, 64.0 * GB)],
-        machines_per_rack: 20,
     };
     let workload = || churn_and_big(6.0 * GB, 2.0 * GB, PlacementConstraints::none());
     let patience = 60.0;
@@ -243,4 +246,70 @@ fn reservation_picks_a_machine_the_task_fits() {
         big_with < patience + 40.0,
         "reservation did not rescue the task: big jct = {big_with} (without: {big_without})"
     );
+}
+
+/// The reservation scenario under a journal, its Tetris watched for a
+/// standing reservation after every call.
+fn reserving_sim(crash: Option<SchedulerCrash>, calls: &Calls) -> Simulation<'static> {
+    let mut tc = TetrisConfig::default();
+    tc.srtf_multiplier = 0.0;
+    tc.fairness_knob = 0.0;
+    tc.starvation = Some(StarvationConfig {
+        patience: 60.0,
+        max_reservations: 1,
+    });
+    let mut cfg = SimConfig::default();
+    cfg.seed = 1;
+    cfg.faults.sched_crash = crash;
+    let policy = Watched {
+        inner: TetrisScheduler::new(tc),
+        probe: |t: &TetrisScheduler| !t.reserved_machines().is_empty(),
+        calls: calls.clone(),
+    };
+    Simulation::build(
+        ClusterConfig::uniform(1, machine(16.0, 32.0 * GB)),
+        starvation_workload(),
+    )
+    .scheduler(policy)
+    .config(cfg)
+}
+
+/// A scheduler that dies while a §3.5 reservation stands — state no view
+/// shows, which a checkpoint once had to carry — comes back through a
+/// fresh policy replayed from heartbeat 0: the replay stands the same
+/// reservation again, and the run ends exactly as the uninterrupted one.
+#[test]
+fn recovery_rebuilds_a_standing_reservation() {
+    let calls = Calls::default();
+    let golden = reserving_sim(None, &calls).run();
+    let heartbeats = per_heartbeat(&calls);
+    // The first heartbeat that ends with a reservation standing; the
+    // crash takes the one after it.
+    let reserved_at = 1 + heartbeats
+        .iter()
+        .position(|&(_, r)| r)
+        .expect("a reservation") as u64;
+    assert!(heartbeats[reserved_at as usize].1, "it still stands next");
+    let crash_at = reserved_at + 1;
+    for mid_commit in [false, true] {
+        let crash = SchedulerCrash {
+            at_heartbeat: crash_at,
+            mid_commit,
+        };
+        let mut journal = Journal::new();
+        let res = reserving_sim(Some(crash), &Calls::default()).run_result(Some(&mut journal));
+        assert!(matches!(res, RunResult::Crashed { heartbeat } if heartbeat == crash_at));
+
+        let fresh = Calls::default();
+        let rec = reserving_sim(None, &fresh)
+            .recover(&journal)
+            .expect("recovery succeeds");
+        assert_eq!(rec.stats.replayed_batches, reserved_at);
+        let rebuilt = per_heartbeat(&fresh);
+        assert!(
+            rebuilt[reserved_at as usize - 1].1,
+            "the fresh policy reserved again before the frontier"
+        );
+        assert_eq!(wire(&rec.outcome), wire(&golden), "mid_commit {mid_commit}");
+    }
 }

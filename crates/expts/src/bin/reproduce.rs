@@ -16,11 +16,11 @@
 //! reproduce --trace run.jsonl --trace-verbose --timeseries ts.jsonl
 //!                          # + decision provenance on TaskPlaced events
 //!                          # and a per-heartbeat telemetry stream
-//! reproduce --journal run.wal --checkpoint-every 4 --crash-at 6 --outcome o.json
+//! reproduce --journal run.wal --crash-at 6 --outcome o.json
 //!                          # journaled run killed at heartbeat 6, then
-//!                          # recovered from the journal; the recovered
-//!                          # outcome must be byte-identical to an
-//!                          # uninterrupted run
+//!                          # recovered by replaying the journal; the
+//!                          # recovered outcome must be byte-identical to
+//!                          # an uninterrupted run
 //! ```
 
 use std::io::Write;
@@ -57,7 +57,6 @@ fn main() {
             crash_frac,
             shards,
             journal,
-            checkpoint_every,
             crash_at,
             outcome,
         } => {
@@ -70,7 +69,6 @@ fn main() {
                 crash_frac,
                 shards,
                 journal,
-                checkpoint_every,
                 crash_at,
                 outcome,
             };

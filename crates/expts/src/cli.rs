@@ -55,12 +55,8 @@ pub enum Cmd {
         /// single-scheduler path.
         shards: usize,
         /// `--journal FILE`: append a write-ahead decision journal
-        /// (checkpoints + committed batches, DESIGN.md §15) and save it
-        /// here.
+        /// (committed batches, DESIGN.md §15) and save it here.
         journal: Option<String>,
-        /// `--checkpoint-every K`: snapshot cadence of the journal, in
-        /// scheduling heartbeats (requires `--journal`).
-        checkpoint_every: Option<u64>,
         /// `--crash-at N`: kill the scheduler at heartbeat `N`, then
         /// recover it from the journal and continue to completion
         /// (requires `--journal`).
@@ -110,7 +106,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
     let mut shards = 1usize;
     let mut shards_given = false;
     let mut journal = None;
-    let mut checkpoint_every = None;
     let mut crash_at = None;
     let mut outcome = None;
     let mut seeds_range = None;
@@ -180,12 +175,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
                 shards_given = true;
             }
             "--journal" => journal = Some(value("--journal")?),
-            "--checkpoint-every" => {
-                let v = value("--checkpoint-every")?;
-                checkpoint_every = Some(v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or(
-                    format!("--checkpoint-every expects an integer >= 1 (got '{v}')"),
-                )?);
-            }
             "--crash-at" => {
                 let v = value("--crash-at")?;
                 crash_at = Some(
@@ -224,9 +213,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
         if verbose && trace.is_none() {
             return Err("--trace-verbose requires --trace FILE.jsonl".to_string());
         }
-        if checkpoint_every.is_some() && journal.is_none() {
-            return Err("--checkpoint-every requires --journal FILE".to_string());
-        }
         if crash_at.is_some() && journal.is_none() {
             return Err(
                 "--crash-at requires --journal FILE (recovery needs the journal)".to_string(),
@@ -240,7 +226,6 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
             crash_frac,
             shards,
             journal,
-            checkpoint_every,
             crash_at,
             outcome,
         }
@@ -275,16 +260,12 @@ pub fn parse(args: &[String], default_jobs: usize) -> Result<Parsed, String> {
     if bench.is_some() && !matches!(cmd, Cmd::Run { .. }) {
         return Err("--bench only applies to experiment runs".to_string());
     }
-    if (verbose
-        || crash_frac_given
-        || shards_given
-        || checkpoint_every.is_some()
-        || crash_at.is_some())
+    if (verbose || crash_frac_given || shards_given || crash_at.is_some())
         && !matches!(cmd, Cmd::Instrument { .. })
     {
         return Err(
-            "--trace-verbose/--crash-frac/--shards/--checkpoint-every/--crash-at only \
-             apply to the instrumented run (--trace/--metrics/--timeseries/--journal)"
+            "--trace-verbose/--crash-frac/--shards/--crash-at only apply to the \
+             instrumented run (--trace/--metrics/--timeseries/--journal)"
                 .to_string(),
         );
     }
@@ -319,7 +300,7 @@ pub fn print_help() {
          \x20      reproduce sweep <experiment> [--seeds A..B]\n\
          \x20      reproduce [--trace FILE.jsonl [--trace-verbose]] [--metrics FILE.json]\n\
          \x20                [--timeseries FILE.jsonl] [--crash-frac F] [--shards N]\n\
-         \x20                [--journal FILE [--checkpoint-every K] [--crash-at N]]\n\
+         \x20                [--journal FILE [--crash-at N]]\n\
          \x20                [--outcome FILE.json]\n\n\
          --laptop  20-machine cluster, scaled workloads (default; seconds\n\
                    per experiment)\n\
@@ -363,15 +344,12 @@ pub fn print_help() {
                    only at N=1)\n\
          --journal FILE\n\
                    write-ahead decision journal for the instrumented run:\n\
-                   CRC-framed checkpoints + committed placement batches\n\
-                   (DESIGN.md §15), saved to FILE for crash recovery\n\
-         --checkpoint-every K\n\
-                   full-state snapshot cadence of the journal in\n\
-                   scheduling heartbeats (default 32; bounds recovery's\n\
-                   replay to at most K batches; requires --journal)\n\
+                   CRC-framed committed placement batches (DESIGN.md §15),\n\
+                   saved to FILE for crash recovery\n\
          --crash-at N\n\
-                   kill the scheduler at heartbeat N, then recover it from\n\
-                   the journal and continue — the final outcome must be\n\
+                   kill the scheduler at heartbeat N, then recover it by\n\
+                   replaying the journal from heartbeat 0 and continue —\n\
+                   the final outcome must be\n\
                    byte-identical to the uninterrupted run (requires\n\
                    --journal)\n\
          --outcome FILE.json\n\
@@ -497,7 +475,6 @@ mod tests {
                 crash_frac: 0.0,
                 shards: 1,
                 journal: None,
-                checkpoint_every: None,
                 crash_at: None,
                 outcome: None,
             }
@@ -530,7 +507,6 @@ mod tests {
                 crash_frac: 0.1,
                 shards: 1,
                 journal: None,
-                checkpoint_every: None,
                 crash_at: None,
                 outcome: None,
             }
@@ -599,7 +575,6 @@ mod tests {
         match p(&["--journal", "j.wal"]).unwrap().cmd {
             Cmd::Instrument {
                 journal: Some(j),
-                checkpoint_every: None,
                 crash_at: None,
                 ..
             } => assert_eq!(j, "j.wal"),
@@ -608,8 +583,6 @@ mod tests {
         match p(&[
             "--journal",
             "j.wal",
-            "--checkpoint-every",
-            "4",
             "--crash-at",
             "6",
             "--outcome",
@@ -620,13 +593,11 @@ mod tests {
         {
             Cmd::Instrument {
                 journal: Some(j),
-                checkpoint_every: Some(k),
                 crash_at: Some(n),
                 outcome: Some(o),
                 ..
             } => {
                 assert_eq!(j, "j.wal");
-                assert_eq!(k, 4);
                 assert_eq!(n, 6);
                 assert_eq!(o, "o.json");
             }
@@ -640,17 +611,16 @@ mod tests {
             } => assert_eq!(o, "o.json"),
             c => panic!("{c:?}"),
         }
-        // The journal-dependent knobs need the journal.
-        assert!(p(&["--metrics", "m.json", "--checkpoint-every", "4"])
+        // The snapshot cadence went with the snapshots: the flag is
+        // unknown.
+        assert!(p(&["--journal", "j.wal", "--checkpoint-every", "4"])
             .unwrap_err()
-            .contains("requires --journal"));
+            .contains("unknown flag '--checkpoint-every'"));
+        // The crash point needs the journal.
         assert!(p(&["--metrics", "m.json", "--crash-at", "3"])
             .unwrap_err()
             .contains("requires --journal"));
         // Value validation.
-        assert!(p(&["--journal", "j", "--checkpoint-every", "0"])
-            .unwrap_err()
-            .contains(">= 1"));
         assert!(p(&["--journal", "j", "--crash-at", "0"])
             .unwrap_err()
             .contains(">= 1"));

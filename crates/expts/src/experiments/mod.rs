@@ -189,7 +189,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "recovery",
-            what: "Extension — crash-recovery: checkpoint + WAL replay, byte-identical resume",
+            what: "Extension — crash-recovery: re-execution against a WAL, byte-identical resume",
             run: recovery::recovery,
             cost: 15,
         },

@@ -1,28 +1,26 @@
-//! Recovery — scheduler crash-recovery via checkpoint + write-ahead
-//! decision journal (robustness extension; DESIGN.md §15).
+//! Recovery — scheduler crash-recovery by re-execution against a
+//! write-ahead decision journal (robustness extension; DESIGN.md §15).
 //!
-//! The engine journals every commit decision and snapshots its full state
-//! every `checkpoint_every` heartbeats. This experiment kills the
-//! scheduler at {¼, ½, ¾} of the run's heartbeats, for checkpoint
-//! intervals K ∈ {4, 16, 64}, recovers each crashed run from its journal
-//! alone, and gates on the §15 contract:
+//! The engine journals every commit decision, and nothing else. This
+//! experiment kills the scheduler at {¼, ½, ¾} of the run's heartbeats,
+//! each point once between batches and once mid-commit, recovers each
+//! crashed run by replaying its journal from heartbeat 0 with a fresh
+//! policy, and gates on the §15 contract:
 //!
 //! * **Equivalence** — the recovered outcome is byte-identical (as
 //!   serialized JSON) to the same configuration run uninterrupted; an
 //!   in-experiment assert fails the suite otherwise.
-//! * **Bounded replay** — on an untruncated journal, recovery replays at
-//!   most K committed batches (the checkpoint cadence is the replay
-//!   bound).
+//! * **Full witness** — recovery replays every batch committed before
+//!   the crash, so replay (and the journal) grow with the crash point.
 //!
-//! Crash points alternate between clean heartbeat-boundary kills and
-//! mid-commit kills (the scheduler dies after applying only half of a
-//! batch's placements, leaving the journal's last batch torn and
-//! uncommitted). One mid-commit point runs under the Omega-style
+//! A mid-commit kill makes the scheduler die after applying only half of
+//! a batch's placements, leaving the journal's last batch torn and
+//! uncommitted. The mid-commit kill at ½ runs under the Omega-style
 //! [`ShardedScheduler`] so the re-derived commit frontier is exercised
 //! where some shard plans landed in the journal and others did not.
 //!
 //! The report table carries only deterministic counts (crash heartbeat,
-//! checkpoint restored, batches/placements replayed); recovery wall-clock
+//! batches/placements replayed, journal bytes); recovery wall-clock
 //! goes to the bench metrics (`recovery_latency_us_p50`) alongside the
 //! engine's own `recovery_*` counters, so `reproduce all` output stays
 //! byte-stable.
@@ -41,10 +39,16 @@ use tetris_workload::{Workload, WorkloadSuiteConfig};
 
 use crate::{Report, RunCtx};
 
-/// Checkpoint intervals swept (heartbeats between snapshots).
-pub const CHECKPOINT_INTERVALS: [u64; 3] = [4, 16, 64];
-/// Crash points as fractions of the uninterrupted run's heartbeat count.
-const CRASH_FRACS: [(u64, u64); 3] = [(1, 4), (1, 2), (3, 4)];
+/// Crash points: a fraction of the uninterrupted run's heartbeat count,
+/// whether the kill lands mid-commit, and the scheduler's shard count.
+const CRASH_POINTS: [((u64, u64), bool, usize); 6] = [
+    ((1, 4), false, 1),
+    ((1, 4), true, 1),
+    ((1, 2), false, 1),
+    ((1, 2), true, 2),
+    ((3, 4), false, 1),
+    ((3, 4), true, 1),
+];
 /// Cluster size at `--scale 1.0`.
 const MACHINES: usize = 40;
 /// Jobs at `--scale 1.0`; the CLI multiplier shrinks this for smokes.
@@ -99,15 +103,15 @@ fn wire(o: &SimOutcome) -> String {
 pub fn recovery(ctx: &RunCtx) -> Report {
     let mut out = String::new();
     out.push_str(
-        "Recovery — scheduler crash-recovery from a write-ahead decision\n\
-         journal with periodic checkpoints (DESIGN.md 15). The scheduler is\n\
-         killed at 1/4, 1/2 and 3/4 of the run's heartbeats for checkpoint\n\
-         intervals K in {4, 16, 64}, alternating clean heartbeat-boundary\n\
-         kills with mid-commit kills (half a batch applied, journal tail\n\
-         torn); one mid-commit point runs the Omega-style sharded scheduler.\n\
-         Each crashed run is recovered from its journal alone and must\n\
-         reproduce the uninterrupted run's outcome byte-for-byte (asserted\n\
-         in-experiment), replaying at most K committed batches. Recovery\n\
+        "Recovery — scheduler crash-recovery by re-execution against a\n\
+         write-ahead decision journal (DESIGN.md 15). The scheduler is killed\n\
+         at 1/4, 1/2 and 3/4 of the run's heartbeats, each point once between\n\
+         batches and once mid-commit (half a batch applied, journal tail\n\
+         torn); the mid-commit kill at 1/2 runs the Omega-style sharded\n\
+         scheduler. Each crashed run is recovered by replaying its journal\n\
+         from heartbeat 0 with a fresh policy and must reproduce the\n\
+         uninterrupted run's outcome byte-for-byte (asserted in-experiment),\n\
+         after replaying every batch committed before the crash. Recovery\n\
          wall-clock goes to the bench metrics; the table below is the\n\
          deterministic part.\n\n",
     );
@@ -147,11 +151,10 @@ pub fn recovery(ctx: &RunCtx) -> Report {
     };
 
     let mut t = TextTable::new(vec![
-        "K",
         "crash_hb",
         "mid_commit",
         "shards",
-        "restored_from",
+        "journal_bytes",
         "replayed",
         "replayed_placements",
         "identical",
@@ -159,77 +162,63 @@ pub fn recovery(ctx: &RunCtx) -> Report {
     let mut latencies: Vec<u64> = Vec::new();
     let mut max_replayed = 0u64;
     let mut points = 0u64;
-    for (ki, &k) in CHECKPOINT_INTERVALS.iter().enumerate() {
-        for (fi, &(num, den)) in CRASH_FRACS.iter().enumerate() {
-            let idx = ki * CRASH_FRACS.len() + fi;
-            let mid_commit = idx % 2 == 1;
-            // One mid-commit point exercises the sharded commit frontier.
-            let shards = if k == 16 && (num, den) == (1, 2) {
-                2
-            } else {
-                1
-            };
-            let (golden_wire, h) = golden(shards);
-            let crash_hb = (h * num / den).max(1);
+    for ((num, den), mid_commit, shards) in CRASH_POINTS {
+        let (golden_wire, h) = golden(shards);
+        let crash_hb = (h * num / den).max(1);
 
-            let mut crash_cfg = cfg.clone();
-            crash_cfg.checkpoint_every = k;
-            crash_cfg.faults.sched_crash = Some(SchedulerCrash {
-                at_heartbeat: crash_hb,
-                mid_commit,
-            });
-            let mut j = Journal::new();
-            match sim(&cluster, &workload, crash_cfg, shards)
-                .observe(&mut obs)
-                .run_result(Some(&mut j))
-            {
-                RunResult::Crashed { heartbeat } => {
-                    assert_eq!(heartbeat, crash_hb, "crash fired at the wrong heartbeat")
-                }
-                RunResult::Completed(_) => {
-                    unreachable!("crash at heartbeat {crash_hb} of {h} never fired")
-                }
+        let mut crash_cfg = cfg.clone();
+        crash_cfg.faults.sched_crash = Some(SchedulerCrash {
+            at_heartbeat: crash_hb,
+            mid_commit,
+        });
+        let mut j = Journal::new();
+        match sim(&cluster, &workload, crash_cfg, shards)
+            .observe(&mut obs)
+            .run_result(Some(&mut j))
+        {
+            RunResult::Crashed { heartbeat } => {
+                assert_eq!(heartbeat, crash_hb, "crash fired at the wrong heartbeat")
             }
-
-            // A fresh scheduler process: rebuild everything from the
-            // journal alone and continue to completion.
-            let mut rec_cfg = cfg.clone();
-            rec_cfg.checkpoint_every = k;
-            let rec = sim(&cluster, &workload, rec_cfg, shards)
-                .observe(&mut obs)
-                .recover(&j)
-                .expect("recovery from the crash journal");
-            let identical = wire(&rec.outcome) == golden_wire;
-            assert!(
-                identical,
-                "recovered outcome diverged from the uninterrupted run \
-                 (K={k}, crash_hb={crash_hb}, mid_commit={mid_commit}, shards={shards})"
-            );
-            assert!(
-                rec.stats.replayed_batches <= k,
-                "replayed {} batches with checkpoint interval {k}",
-                rec.stats.replayed_batches
-            );
-            if mid_commit {
-                assert!(
-                    rec.stats.discarded_records > 0,
-                    "a mid-commit kill must leave a torn batch to discard"
-                );
+            RunResult::Completed(_) => {
+                unreachable!("crash at heartbeat {crash_hb} of {h} never fired")
             }
-            latencies.push(rec.stats.recovery_wall_us);
-            max_replayed = max_replayed.max(rec.stats.replayed_batches);
-            points += 1;
-            t.row(vec![
-                format!("{k}"),
-                format!("{crash_hb}"),
-                String::from(if mid_commit { "yes" } else { "no" }),
-                format!("{shards}"),
-                format!("{}", rec.stats.checkpoint_heartbeat),
-                format!("{}", rec.stats.replayed_batches),
-                format!("{}", rec.stats.replayed_placements),
-                String::from(if identical { "yes" } else { "NO (BUG)" }),
-            ]);
         }
+
+        // A fresh scheduler process: re-run the same inputs against the
+        // journal and continue to completion.
+        let rec = sim(&cluster, &workload, cfg.clone(), shards)
+            .observe(&mut obs)
+            .recover(&j)
+            .expect("recovery from the crash journal");
+        let identical = wire(&rec.outcome) == golden_wire;
+        assert!(
+            identical,
+            "recovered outcome diverged from the uninterrupted run \
+             (crash_hb={crash_hb}, mid_commit={mid_commit}, shards={shards})"
+        );
+        assert_eq!(
+            rec.stats.replayed_batches,
+            crash_hb - 1,
+            "recovery replays every batch committed before the crash"
+        );
+        if mid_commit {
+            assert!(
+                rec.stats.discarded_records > 0,
+                "a mid-commit kill must leave a torn batch to discard"
+            );
+        }
+        latencies.push(rec.stats.recovery_wall_us);
+        max_replayed = max_replayed.max(rec.stats.replayed_batches);
+        points += 1;
+        t.row(vec![
+            format!("{crash_hb}"),
+            String::from(if mid_commit { "yes" } else { "no" }),
+            format!("{shards}"),
+            format!("{}", j.bytes().len()),
+            format!("{}", rec.stats.replayed_batches),
+            format!("{}", rec.stats.replayed_placements),
+            String::from(if identical { "yes" } else { "NO (BUG)" }),
+        ]);
     }
     out.push_str(&t.render());
     out.push_str(&format!(
@@ -260,18 +249,15 @@ mod tests {
 
     #[test]
     fn recovery_sweeps_and_reports_headlines() {
-        // The in-experiment asserts (byte-identity at every point,
-        // replay <= K, torn tails on mid-commit kills) are the real
-        // gates; here we pin report shape.
+        // The in-experiment asserts (byte-identity at every point, every
+        // committed batch replayed, torn tails on mid-commit kills) are
+        // the real gates; here we pin report shape.
         let ctx = RunCtx::new(Scale::Laptop, DEFAULT_SEED).scaled(0.02);
         let r = recovery(&ctx);
         assert_eq!(r.get("recovery_equivalence"), Some(1.0));
-        assert_eq!(
-            r.get("recovery_points"),
-            Some((CHECKPOINT_INTERVALS.len() * CRASH_FRACS.len()) as f64)
-        );
+        assert_eq!(r.get("recovery_points"), Some(CRASH_POINTS.len() as f64));
         let max_replay = r.get("recovery_max_replay_batches").unwrap();
-        assert!(max_replay <= 64.0, "replay bound: {max_replay}");
+        assert!(max_replay > 0.0, "the 3/4 crash replays batches");
         assert!(r.get("recovery_latency_us_p50").is_some());
         assert!(r.text.contains("mid_commit"), "{}", r.text);
         assert!(!r.text.contains("NO (BUG)"), "{}", r.text);

@@ -26,9 +26,9 @@
 //! * `--crash-frac F` injects churn-style machine crash/recover cycles so
 //!   the telemetry curves can be read against cluster churn.
 //! * `--journal FILE` attaches the write-ahead decision journal
-//!   (DESIGN.md §15) to the run, `--checkpoint-every K` sets its snapshot
-//!   cadence, and `--crash-at N` kills the scheduler at heartbeat N and
-//!   recovers it from that journal. The recovered outcome feeds the same
+//!   (DESIGN.md §15) to the run, and `--crash-at N` kills the scheduler at
+//!   heartbeat N and recovers it by replaying that journal from
+//!   heartbeat 0. The recovered outcome feeds the same
 //!   traced-vs-control identity cross-check, so a crashed run only passes
 //!   if recovery reproduced the uninterrupted run byte-for-byte.
 //!   `--outcome FILE.json` writes the final `SimOutcome` so shell smokes
@@ -72,10 +72,6 @@ pub struct InstrumentOpts {
     /// kept for the whole run and saved here after it (and any recovery)
     /// finishes.
     pub journal: Option<String>,
-    /// Checkpoint cadence of the journal in scheduling heartbeats
-    /// (`None` keeps [`tetris_sim::SimConfig`]'s default; needs
-    /// `journal`).
-    pub checkpoint_every: Option<u64>,
     /// Kill the scheduler at this heartbeat (1-based), then recover from
     /// the journal and continue to completion (needs `journal`).
     pub crash_at: Option<u64>,
@@ -104,9 +100,6 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
         cfg.faults.downtime = CRASH_DOWNTIME;
         cfg.faults.window = CRASH_WINDOW;
         cfg.faults.flake_lead = CRASH_FLAKE_LEAD;
-    }
-    if let Some(k) = opts.checkpoint_every {
-        cfg.checkpoint_every = k;
     }
     // The scheduler crash goes on the traced run only; the control run
     // stays uninterrupted so the identity cross-check doubles as the
@@ -171,7 +164,7 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
                 .as_ref()
                 .expect("the CLI rejects --crash-at without --journal");
             // A fresh scheduler process: new builder, crash-free config,
-            // state rebuilt from the journal alone.
+            // state rebuilt by re-running the inputs against the journal.
             let rec = Simulation::build(cluster.clone(), workload.clone())
                 .scheduler(build(cfg.seed))
                 .config(cfg.clone())
@@ -242,10 +235,7 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
         t.row(vec!["scheduler crash heartbeat".into(), hb.to_string()]);
     }
     if let Some(rs) = &recovery {
-        t.row(vec![
-            "recovered from checkpoint".into(),
-            rs.checkpoint_heartbeat.to_string(),
-        ]);
+        t.row(vec!["recovery", "replay from heartbeat 0"]);
         t.row(vec![
             "replayed batches".into(),
             rs.replayed_batches.to_string(),
@@ -268,10 +258,6 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
     if let Some(js) = &journal_stats {
         t.row(vec!["journal records".into(), js.records.to_string()]);
         t.row(vec!["journal bytes".into(), js.bytes.to_string()]);
-        t.row(vec![
-            "journal checkpoints".into(),
-            js.checkpoints.to_string(),
-        ]);
     }
     t.row(vec![
         "makespan (s)".into(),
@@ -447,14 +433,13 @@ mod tests {
         let outcome = dir.join(format!("tetris-instr-rec-{}.json", std::process::id()));
         let o = InstrumentOpts {
             journal: Some(journal.to_str().unwrap().into()),
-            checkpoint_every: Some(3),
             crash_at: Some(5),
             outcome: Some(outcome.to_str().unwrap().into()),
             ..InstrumentOpts::default()
         };
         let report = instrumented_run(&RunCtx::default(), &o).unwrap();
         assert!(report.contains("scheduler crash heartbeat"), "{report}");
-        assert!(report.contains("recovered from checkpoint"), "{report}");
+        assert!(report.contains("replay from heartbeat 0"), "{report}");
         assert!(report.contains("replayed batches"), "{report}");
         assert!(report.contains("journal records"), "{report}");
         assert!(!report.contains("NO (BUG)"), "{report}");
@@ -464,8 +449,8 @@ mod tests {
             .unwrap()
             .verify()
             .unwrap();
-        assert!(stats.checkpoints >= 1);
-        // Replay is bounded by the checkpoint interval on a clean journal.
+        // Replay witnesses every batch committed before the crash.
+        assert_eq!(stats.committed_batches, 4);
         let line = report
             .lines()
             .find(|l| l.contains("replayed batches"))
@@ -476,10 +461,7 @@ mod tests {
             .unwrap()
             .parse()
             .expect("numeric cell");
-        assert!(
-            replayed <= 3,
-            "replay must be <= checkpoint interval: {line}"
-        );
+        assert_eq!(replayed, 4, "batches 1 to 4 replay: {line}");
 
         // The outcome file is the recovered run's SimOutcome, parseable
         // and complete — shell smokes `cmp` it against a crash-free one.
@@ -497,7 +479,6 @@ mod tests {
         let journal = dir.join(format!("tetris-instr-nc-{}.wal", std::process::id()));
         let o = InstrumentOpts {
             journal: Some(journal.to_str().unwrap().into()),
-            checkpoint_every: Some(4),
             ..InstrumentOpts::default()
         };
         let report = instrumented_run(&RunCtx::default(), &o).unwrap();

@@ -96,14 +96,6 @@ impl SchedulerPolicy for Audit {
     fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
         self.inner.drain_metrics(metrics);
     }
-
-    fn export_state(&self) -> Option<String> {
-        self.inner.export_state()
-    }
-
-    fn import_state(&mut self, state: &str) {
-        self.inner.import_state(state);
-    }
 }
 
 /// The serving experiment's workload and config at laptop scale.

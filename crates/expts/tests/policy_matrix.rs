@@ -1,9 +1,9 @@
 //! Every registered policy × crash recovery (DESIGN.md §15): a *fresh*
-//! policy attached to a restored checkpoint must carry the run on exactly
-//! as the original would have. That holds only if everything a policy
-//! keeps across `schedule()` calls is either re-derivable from the view
-//! or exported with the checkpoint — a private, event-built copy of view
-//! state is neither, and restarts empty.
+//! policy, replayed from heartbeat 0 against the journal, must carry the
+//! run on exactly as the original would have. That holds only if
+//! everything a policy keeps across `schedule()` calls is a deterministic
+//! function of what it has been shown — re-execution then rebuilds it,
+//! reservations, learned state and seeded rng streams included.
 //!
 //! The matrix is [`SchedName::ALL`], so a policy added to the registry is
 //! covered without anyone remembering to list it here.
@@ -16,8 +16,8 @@ use tetris_workload::{FacebookTraceConfig, Workload};
 const CRASH_AT: u64 = 200;
 
 /// A contended Facebook-like trace: jobs overlap heavily on 4 machines,
-/// so at any checkpoint several jobs are mid-flight and most slots are
-/// held — the state a recovered policy has to see.
+/// so at the crash several jobs are mid-flight and most slots are held —
+/// the state a recovered policy has to rebuild.
 fn workload() -> Workload {
     FacebookTraceConfig {
         n_jobs: 60,
@@ -31,7 +31,6 @@ fn workload() -> Workload {
 fn sim(sched: SchedName, crash: Option<SchedulerCrash>) -> Simulation<'static> {
     let mut cfg = SimConfig::default();
     cfg.seed = 7;
-    cfg.checkpoint_every = 8;
     cfg.faults.sched_crash = crash;
     Simulation::build(
         ClusterConfig::uniform(4, MachineSpec::paper_large()),
@@ -67,9 +66,10 @@ fn every_policy_recovers_to_the_uninterrupted_outcome() {
         let rec = sim(sched, None)
             .recover(&journal)
             .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
-        assert!(
-            rec.stats.replayed_batches > 0,
-            "{label}: no batch witnessed the restored policy"
+        assert_eq!(
+            rec.stats.replayed_batches,
+            CRASH_AT - 1,
+            "{label}: every committed batch witnesses the fresh policy"
         );
         assert_eq!(
             serde_json::to_string(&rec.outcome).expect("outcome serializes"),

@@ -152,9 +152,6 @@ pub mod names {
     pub const JOURNAL_RECORDS: &str = "journal_records_total";
     /// Bytes appended to the write-ahead decision journal (counter).
     pub const JOURNAL_BYTES: &str = "journal_bytes_total";
-    /// State checkpoints written into the journal, including the genesis
-    /// checkpoint (counter).
-    pub const CHECKPOINTS: &str = "checkpoints_total";
     /// Scheduling batches re-applied from the journal during crash
     /// recovery (counter; absent unless a recovery ran).
     pub const RECOVERY_REPLAYED_BATCHES: &str = "recovery_replayed_batches";
@@ -163,8 +160,8 @@ pub mod names {
     /// Torn/truncated trailing journal records discarded by the lenient
     /// recovery scan (counter; absent when the tail was clean).
     pub const RECOVERY_DISCARDED_RECORDS: &str = "recovery_discarded_records";
-    /// Wall time to restore the checkpoint and replay the journal tail
-    /// back to the crash frontier (histogram, microseconds).
+    /// Wall time to scan the journal and replay it from heartbeat 0 back
+    /// to the crash frontier (histogram, microseconds).
     pub const RECOVERY_LATENCY_US: &str = "recovery_latency_us";
 }
 

@@ -26,12 +26,10 @@ impl std::fmt::Display for MachineId {
 /// Static cluster configuration.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ClusterConfig {
-    /// Per-machine hardware specs.
+    /// Per-machine hardware specs. The simulator models each machine's
+    /// last-hop link only (§4.1: modern cores have small
+    /// over-subscription), so racks are not described.
     pub machines: Vec<MachineSpec>,
-    /// Machines per rack (racks are metadata; the simulator models the
-    /// last-hop link per §4.1 since modern cores have small
-    /// over-subscription).
-    pub machines_per_rack: usize,
 }
 
 impl ClusterConfig {
@@ -40,7 +38,6 @@ impl ClusterConfig {
         assert!(n > 0, "cluster needs at least one machine");
         ClusterConfig {
             machines: vec![spec; n],
-            machines_per_rack: 20,
         }
     }
 

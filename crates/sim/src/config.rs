@@ -143,10 +143,10 @@ pub struct SimConfig {
     /// Disable to force the linear-scan oracle every indexed path is
     /// pinned decision-identical against (`sim/tests/prop_index.rs`).
     pub machine_index: bool,
-    /// Checkpoint cadence of the write-ahead journal (DESIGN.md §15): a
-    /// full engine snapshot every K scheduling heartbeats, bounding crash
-    /// recovery's replay to at most K batches. Ignored unless the run
-    /// journals.
+    /// Ignored: the write-ahead journal holds decisions only and recovery
+    /// replays from heartbeat 0 (DESIGN.md §15), so there is no snapshot
+    /// cadence to set. Kept only until the benchmark harness stops
+    /// setting it.
     pub checkpoint_every: u64,
     /// Priority preemption (DESIGN.md §16): when on, policies may return
     /// assignments that evict strictly-lower-priority running tasks to
@@ -222,9 +222,6 @@ impl SimConfig {
                 return Err(format!("external load {i} has invalid load vector"));
             }
         }
-        if self.checkpoint_every == 0 {
-            return Err("checkpoint_every must be ≥ 1".into());
-        }
         self.faults.validate(self.max_time)?;
         Ok(())
     }
@@ -274,12 +271,6 @@ mod tests {
         let mut c = SimConfig::default();
         c.shuffle_fanin = 0;
         assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
-        c.checkpoint_every = 0;
-        assert!(c.validate().is_err());
-        c.checkpoint_every = 1;
-        assert_eq!(c.validate(), Ok(()));
 
         // Scheduler crashes are 1-based: heartbeat 0 never happens.
         let mut c = SimConfig::default();

@@ -126,25 +126,27 @@ impl<'o> Simulation<'o> {
     /// [`SchedulerCrash`](crate::SchedulerCrash) fires (DESIGN.md §15).
     pub fn run_result(self, journal: Option<&mut Journal>) -> RunResult {
         let mut log = match journal {
-            Some(j) => DecisionLog::write(j, self.fingerprint(), &self.cfg),
+            Some(j) => DecisionLog::write(j, self.fingerprint(), self.cfg.seed),
             None => DecisionLog::Off,
         };
         self.run_core(&mut log)
             .expect("no replay: recovery errors are impossible")
     }
 
-    /// Recover a crashed run from its journal: restore the most recent
-    /// checkpoint, deterministically replay the committed batches past it,
-    /// then continue live to completion. The recovered outcome is
-    /// byte-identical to what the uninterrupted run would have produced.
+    /// Recover a crashed run from its journal: re-run this builder's
+    /// inputs from heartbeat 0 with its (fresh) policy, checking every
+    /// committed batch against the journal, then continue live to
+    /// completion. The recovered outcome is byte-identical to what the
+    /// uninterrupted run would have produced.
     ///
     /// The builder must describe the run the journal was written by
     /// (cluster, workload, seed) — recovery refuses on fingerprint
     /// mismatch. A configured `sched_crash` is ignored: recovery always
     /// runs to the end. Torn trailing records (a mid-commit crash's
     /// artifact) are discarded, never replayed.
-    pub fn recover(self, journal: &Journal) -> Result<Recovered, RecoveryError> {
+    pub fn recover(mut self, journal: &Journal) -> Result<Recovered, RecoveryError> {
         let mut log = DecisionLog::replay(journal, self.fingerprint())?;
+        self.cfg.faults.sched_crash = None;
         let outcome = self
             .run_core(&mut log)?
             .completed()
@@ -164,7 +166,7 @@ impl<'o> Simulation<'o> {
     /// [`recover`](Simulation::recover), journaling, replaying or neither
     /// as `log` says.
     fn run_core(self, log: &mut DecisionLog<'_>) -> Result<RunResult, RecoveryError> {
-        let mut policy = self.policy.expect("Simulation requires a scheduler");
+        let policy = self.policy.expect("Simulation requires a scheduler");
         self.cfg.validate().expect("invalid SimConfig");
         self.workload
             .validate_for_cluster(self.cluster.len())
@@ -193,14 +195,12 @@ impl<'o> Simulation<'o> {
             }
         };
 
-        let inputs = (self.cluster, self.workload, self.cfg);
-        let (state, stats, samples, heartbeats) = log.start(inputs, policy.as_mut(), seeded)?;
         let mut engine = Engine {
             tracker_aware: policy.uses_tracker(),
-            state,
-            stats,
-            samples,
-            heartbeats,
+            state: seeded(self.cluster, self.workload, self.cfg),
+            stats: EngineStats::default(),
+            samples: Vec::new(),
+            heartbeats: 0,
             policy,
             obs,
             observing,
@@ -243,15 +243,6 @@ impl<'o> Simulation<'o> {
             // under-count running tasks.
             if want_sample {
                 engine.samples.push(take_sample(&engine.state));
-            }
-            if did_heartbeat {
-                log.checkpoint(
-                    &engine.state,
-                    &engine.stats,
-                    &engine.samples,
-                    engine.heartbeats,
-                    engine.policy.as_ref(),
-                );
             }
             if engine.state.jobs_remaining == 0 {
                 break;

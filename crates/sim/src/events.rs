@@ -12,14 +12,11 @@ use tetris_workload::{JobId, TaskUid};
 use crate::time::SimTime;
 
 /// Index of a flow in the engine's flow table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct FlowId(pub usize);
 
 /// What happens at an event.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum EventKind {
     /// A job's arrival time has been reached.
     JobArrival(JobId),
@@ -53,7 +50,7 @@ pub(crate) enum EventKind {
     TaskRestart(TaskUid),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Event {
     pub time: SimTime,
     pub seq: u64,
@@ -127,40 +124,6 @@ impl EventQueue {
     /// The sequence number the next push will take.
     pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Snapshot the pending events in deterministic `(time, seq)` order
-    /// plus the sequence counter, for checkpointing. `(time, seq)` is a
-    /// total order, so the sorted vector is independent of the heap's
-    /// internal layout.
-    pub(crate) fn snapshot(&self) -> (Vec<Event>, u64) {
-        let mut events = self.heap.clone();
-        events.sort_unstable_by_key(|e| (e.time, e.seq));
-        (events, self.next_seq)
-    }
-
-    /// Rebuild a queue from a [`EventQueue::snapshot`], each event under
-    /// its own sequence number, refusing one that queues a completion for
-    /// a flow that is not `live`, or two for one flow.
-    pub(crate) fn restore(
-        events: Vec<Event>,
-        next_seq: u64,
-        live: impl Fn(FlowId) -> bool,
-    ) -> Result<Self, &'static str> {
-        let mut queue = EventQueue::default();
-        for ev in events {
-            if let EventKind::FlowDone { flow } = ev.kind {
-                if !live(flow) {
-                    return Err("checkpoint queues a completion for a flow that is not live");
-                } else if *queue.slot_mut(flow) != NO_SLOT {
-                    return Err("checkpoint queues two completions for one flow");
-                }
-            }
-            queue.next_seq = ev.seq;
-            queue.push(ev.time, ev.kind);
-        }
-        queue.next_seq = next_seq;
-        Ok(queue)
     }
 
     /// Number of queued events.
@@ -257,31 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_preserves_order_and_seq() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        q.push(SimTime::from_secs(2.0), EventKind::TrackerReport);
-        for i in 0..5 {
-            q.push(t, EventKind::JobArrival(JobId(i)));
-        }
-        let (events, next_seq) = q.snapshot();
-        assert_eq!(events.len(), 6);
-        assert_eq!(events[0].kind, EventKind::JobArrival(JobId(0)));
-        let mut r = EventQueue::restore(events, next_seq, |_| false).expect("no flow events");
-        r.push(SimTime::from_secs(1.5), EventKind::Sample);
-        for i in 0..5 {
-            assert_eq!(r.pop().unwrap().kind, EventKind::JobArrival(JobId(i)));
-        }
-        assert_eq!(r.pop().unwrap().kind, EventKind::Sample);
-        assert_eq!(r.pop().unwrap().kind, EventKind::TrackerReport);
-        assert!(r.pop().is_none());
-        // The restored queue's fresh pushes continue the original seq
-        // stream, so replayed pushes tie-break identically.
-        let (_, seq_after) = EventQueue::new().snapshot();
-        assert_eq!(seq_after, 0);
-    }
-
-    #[test]
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         assert!(q.peek_time().is_none());
@@ -308,21 +246,6 @@ mod tests {
         assert!(q.pop_due(t, fence).is_none());
         assert_eq!(q.peek_time(), Some(t));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn restore_refuses_a_flow_queued_twice_or_not_live() {
-        let done = |secs, seq, flow| Event {
-            time: SimTime::from_secs(secs),
-            seq,
-            kind: EventKind::FlowDone { flow: FlowId(flow) },
-        };
-        let live = |flow: FlowId| flow.0 < 2;
-        assert!(EventQueue::restore(vec![done(1.0, 0, 0), done(2.0, 1, 1)], 2, live).is_ok());
-        let twice = EventQueue::restore(vec![done(1.0, 0, 1), done(2.0, 1, 1)], 2, live);
-        assert!(twice.unwrap_err().contains("two completions"));
-        let dead = EventQueue::restore(vec![done(1.0, 0, 2)], 1, live);
-        assert!(dead.unwrap_err().contains("not live"));
     }
 
     /// The queue this one replaced, kept as the reference: a heap that
@@ -384,12 +307,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random push / re-time / cancel / pop programs: the indexed queue
-        /// pops exactly the reference's live events, holds nothing else,
-        /// and a snapshot restored mid-program pops the same tail.
+        /// pops exactly the reference's live events and holds nothing
+        /// else.
         #[test]
         fn prop_queue(
             program in proptest::collection::vec((0usize..6, 0usize..8, 0u64..12), 1..200),
-            restore_at in 0usize..200,
         ) {
             let mut q = EventQueue::new();
             let mut model = LazyQueue { gen: vec![0; 8], ..LazyQueue::default() };
@@ -411,10 +333,6 @@ mod tests {
                     _ => prop_assert_eq!(q.pop(), model.pop()),
                 }
                 prop_assert_eq!(q.len(), model.live);
-                if step == restore_at {
-                    let (events, next_seq) = q.snapshot();
-                    q = EventQueue::restore(events, next_seq, |_| true).expect("one a flow");
-                }
             }
             while let Some(ev) = model.pop() {
                 prop_assert_eq!(q.pop(), Some(ev));

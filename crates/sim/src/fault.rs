@@ -320,7 +320,7 @@ impl FaultKind {
 }
 
 /// How a machine's tracker behaves (assigned per machine at expansion).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum TrackerMode {
     /// Reports true usage.
     Honest,

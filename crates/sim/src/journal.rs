@@ -2,10 +2,12 @@
 //!
 //! An append-only, CRC-framed record stream that makes the *scheduler*
 //! restart-safe: the engine journals every scheduling batch's commit
-//! decisions plus periodic checkpoints of the full ledger state, and
-//! [`crate::Simulation::recover`] restores the latest surviving
-//! checkpoint and deterministically replays the tail so the recovered
-//! run's outcome is byte-identical to an uninterrupted run.
+//! decisions, and [`crate::Simulation::recover`] re-runs the simulation
+//! from heartbeat 0 against them, so the recovered run's outcome is
+//! byte-identical to an uninterrupted run. The journal holds decisions
+//! only: the simulator is a deterministic function of the caller's
+//! cluster, workload and config, so re-execution rebuilds every piece of
+//! engine and policy state a snapshot would have carried.
 //!
 //! ## Frame format
 //!
@@ -21,19 +23,13 @@
 //! ## Record stream grammar
 //!
 //! ```text
-//! RunHeader Checkpoint(0)
-//!   ( BatchStart Placement* BatchCommit ( Samples? Checkpoint )? )*
+//! RunHeader ( BatchStart Placement* BatchCommit )*
 //! ```
 //!
 //! A batch is *committed* iff its `BatchCommit` made it into the journal;
 //! recovery replays only committed batches (the commit frontier) and
 //! discards a trailing `BatchStart` whose commit never landed — exactly
 //! the torn state a mid-commit crash leaves behind.
-//!
-//! A checkpoint holds only state that can still change. Utilization
-//! samples are history: a `Samples` record ahead of each periodic
-//! checkpoint carries those taken since the previous one (omitted when
-//! none were) and the snapshot keeps only their running count.
 //!
 //! ## One scanner, one grammar, two policies on a bad frame
 //!
@@ -48,11 +44,8 @@
 //! * `recovery::plan_recovery`, the *lenient* one: the first bad frame
 //!   ends the readable prefix and is reported, not raised (a torn tail is
 //!   an expected crash artifact); a grammar violation inside the prefix is
-//!   the error `verify` gives, at the same offset. It decodes every small
-//!   record but takes a `Checkpoint` frame at its tag, decoding only the
-//!   one it restores.
+//!   the error `verify` gives, at the same offset.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
@@ -62,20 +55,20 @@ use std::path::Path;
 use tetris_workload::TaskUid;
 
 use crate::cluster::MachineId;
-use crate::outcome::Sample;
-use crate::recovery::CheckpointState;
 
 /// Journal wire-format version; bumped on any frame or record change
 /// (2: `Samples` records; sparse tasks and flows in the snapshot. 3: no
-/// `gen` on a flow or its `FlowDone`; one queued completion a live flow).
-pub(crate) const JOURNAL_VERSION: u32 = 3;
+/// `gen` on a flow or its `FlowDone`; one queued completion a live flow.
+/// 4: decisions only — no `Checkpoint` or `Samples` record, no
+/// `checkpoint_every` in the header).
+pub(crate) const JOURNAL_VERSION: u32 = 4;
 
 /// Frame header size: `len` + `crc32`.
 const FRAME_HEADER: usize = 8;
 
 /// Hard cap on a single record's payload so a corrupt length field can't
-/// ask the scanner to allocate the universe (checkpoints of very large
-/// clusters are tens of MB; 1 GiB is far beyond any real record).
+/// ask the scanner to allocate the universe (a record is a few dozen
+/// bytes; 1 GiB is far beyond any real one).
 const MAX_RECORD_LEN: u32 = 1 << 30;
 
 /// The length rule both ends of a frame hold a payload to: the writer
@@ -133,10 +126,9 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// One journal record: written borrowing its bulk payloads (snapshot,
-/// samples) from the live run, decoded owning them (`'static`).
+/// One journal record.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) enum JournalRecord<'a> {
+pub(crate) enum JournalRecord {
     /// First record of every journal: identifies the run it belongs to.
     RunHeader {
         /// Wire-format version ([`JOURNAL_VERSION`]).
@@ -146,22 +138,6 @@ pub(crate) enum JournalRecord<'a> {
         /// Fingerprint of (cluster, workload, seed) — recovery refuses a
         /// journal whose fingerprint disagrees with the builder's.
         fingerprint: u64,
-        /// Checkpoint cadence the run was configured with.
-        checkpoint_every: u64,
-    },
-    /// Engine snapshot at a batch boundary (heartbeat 0 = genesis, written
-    /// immediately after the header).
-    Checkpoint {
-        /// Scheduling heartbeats completed when the snapshot was taken.
-        heartbeat: u64,
-        /// The snapshot itself.
-        state: Box<CheckpointState<'a>>,
-    },
-    /// The utilization samples taken since the previous checkpoint,
-    /// written immediately before the checkpoint that counts them.
-    Samples {
-        /// In the order taken.
-        samples: Cow<'a, [Sample]>,
     },
     /// A scheduling batch began.
     BatchStart {
@@ -176,9 +152,8 @@ pub(crate) enum JournalRecord<'a> {
         task: TaskUid,
         /// Machine it was placed on.
         machine: MachineId,
-        /// Scheduling round within the batch (placements must re-apply in
-        /// per-round groups: rate recomputation between rounds pushes
-        /// queue events whose sequence numbers feed event ordering).
+        /// Scheduling round within the batch (the policy is called round
+        /// after round until one places nothing).
         round: u32,
     },
     /// The scheduling batch committed.
@@ -187,9 +162,8 @@ pub(crate) enum JournalRecord<'a> {
         heartbeat: u64,
         /// Placements applied in the batch (cross-check for replay).
         placements: u64,
-        /// `schedule()` invocations the batch made — not re-derivable
-        /// during replay (the policy is not re-invoked), so the delta is
-        /// journaled to keep [`crate::EngineStats`] byte-identical.
+        /// `schedule()` invocations the batch made: a tally the replayed
+        /// batch, which re-invokes the policy, must meet.
         schedule_calls: u64,
         /// Assignments the engine rejected as invalid in the batch.
         rejected: u64,
@@ -251,8 +225,6 @@ pub enum JournalError {
         /// Version stored in the header.
         found: u32,
     },
-    /// No checkpoint survives in the readable prefix — nothing to restore.
-    NoCheckpoint,
 }
 
 impl fmt::Display for JournalError {
@@ -284,23 +256,11 @@ impl fmt::Display for JournalError {
             JournalError::BadVersion { found } => {
                 write!(f, "unsupported journal version {found} (expected {JOURNAL_VERSION})")
             }
-            JournalError::NoCheckpoint => write!(f, "no checkpoint survives in the journal"),
         }
     }
 }
 
 impl std::error::Error for JournalError {}
-
-/// What the lenient scan dropped from the tail, if anything.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiscardedTail {
-    /// Byte offset where the readable prefix ends.
-    pub offset: u64,
-    /// Bytes dropped.
-    pub bytes: u64,
-    /// Why the scan stopped (display form of the frame defect).
-    pub reason: String,
-}
 
 /// Aggregate counts from a strict scan ([`Journal::verify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -309,7 +269,8 @@ pub struct JournalStats {
     pub records: u64,
     /// Total bytes.
     pub bytes: u64,
-    /// Checkpoints (including genesis).
+    /// Always 0: the journal holds no checkpoints since version 4. Kept
+    /// only until the benchmark harness stops reading it.
     pub checkpoints: u64,
     /// Committed batches.
     pub committed_batches: u64,
@@ -359,7 +320,7 @@ impl Journal {
     }
 
     /// Append one framed record, its text written once into a reused buffer.
-    pub(crate) fn append(&mut self, rec: &JournalRecord<'_>) {
+    pub(crate) fn append(&mut self, rec: &JournalRecord) {
         serde::Serialize::write_json(rec, &mut self.text);
         let payload = self.text.as_bytes();
         let len = record_len(payload.len()).unwrap_or_else(|msg| panic!("unwritable: {msg}"));
@@ -395,13 +356,9 @@ impl Journal {
         let mut grammar = Grammar::default();
         for frame in frames(&self.buf)? {
             stats.records += 1;
-            match grammar.step(frame.offset, &frame.decode()?)? {
-                Admitted::Checkpoint => stats.checkpoints += 1,
-                Admitted::Batch(b) => {
-                    stats.committed_batches += 1;
-                    stats.placements += b.expected.len() as u64;
-                }
-                Admitted::Header { .. } | Admitted::Pending => {}
+            if let Admitted::Batch(b) = grammar.step(frame.offset, &frame.decode()?)? {
+                stats.committed_batches += 1;
+                stats.placements += b.expected.len() as u64;
             }
         }
         grammar.finish()?;
@@ -420,23 +377,12 @@ pub(crate) struct Frame<'a> {
 
 impl Frame<'_> {
     /// Fully decode the payload.
-    pub(crate) fn decode(&self) -> Result<JournalRecord<'static>, JournalError> {
+    pub(crate) fn decode(&self) -> Result<JournalRecord, JournalError> {
         let text = self.payload.clone()?;
         serde_json::from_str(text).map_err(|e| JournalError::BadPayload {
             offset: self.offset,
             msg: e.to_string(),
         })
-    }
-
-    /// The heartbeat of a `Checkpoint` frame, read off the fixed prefix
-    /// [`Journal::append`] gives its payload: nothing decoded, the state
-    /// not looked at. `None` for any other payload — legal JSON the writer
-    /// never emits included — which then takes the full decode.
-    pub(crate) fn checkpoint_heartbeat(&self) -> Option<u64> {
-        let text = self.payload.as_ref().ok()?;
-        let rest = text.strip_prefix("{\"Checkpoint\":{\"heartbeat\":")?;
-        let digits = rest.find(|c: char| !c.is_ascii_digit())?;
-        rest[..digits].parse().ok()
     }
 }
 
@@ -504,50 +450,24 @@ pub(crate) struct CommittedBatch {
 pub(crate) enum Admitted {
     /// The run header, carrying the run's fingerprint.
     Header { fingerprint: u64 },
-    /// A checkpoint, between batches.
-    Checkpoint,
     /// The open batch, committed.
     Batch(CommittedBatch),
     /// A batch opened or grew; nothing is complete yet.
     Pending,
 }
 
-/// Progress through the `( Samples? Checkpoint )?` slot after a commit.
-#[derive(Debug, Default, PartialEq)]
-enum Slot {
-    #[default]
-    Closed,
-    AfterCommit,
-    AfterSamples,
-}
-
 /// The record-stream grammar (module docs) as a state machine: header
 /// first and unique, batches open and close in turn, heartbeats chain
-/// without a gap, a checkpoint sits between batches at the heartbeat just
-/// committed and counts the samples journaled before it, a commit counts
-/// its placements. [`Journal::verify`] and recovery both drive this one
-/// copy, so they cannot disagree on what a journal may say or on where it
-/// stops saying it.
+/// from 1 without a gap, a commit counts its placements.
+/// [`Journal::verify`] and recovery both drive this one copy, so they
+/// cannot disagree on what a journal may say or on where it stops saying
+/// it.
 #[derive(Debug, Default)]
 pub(crate) struct Grammar {
     seen_header: bool,
     open: Option<CommittedBatch>,
     /// Heartbeat of the last committed batch (0 before the first).
     last_heartbeat: u64,
-    slot: Slot,
-    /// Samples carried by the `Samples` records admitted so far.
-    samples: usize,
-}
-
-/// A snapshot's `samples_len` must be what the `Samples` records before
-/// it carry: [`Grammar::step`] holds every checkpoint it is shown in full
-/// to this, recovery the one it decodes.
-pub(crate) fn samples_agree(offset: u64, stored: usize, read: usize) -> Result<(), JournalError> {
-    if stored == read {
-        return Ok(());
-    }
-    let msg = format!("checkpoint counts {stored} samples, the records before it carry {read}");
-    Err(JournalError::OutOfOrder { offset, msg })
 }
 
 impl Grammar {
@@ -555,7 +475,7 @@ impl Grammar {
     pub(crate) fn step(
         &mut self,
         offset: u64,
-        rec: &JournalRecord<'_>,
+        rec: &JournalRecord,
     ) -> Result<Admitted, JournalError> {
         let out_of_order = |msg: String| Err(JournalError::OutOfOrder { offset, msg });
         match *rec {
@@ -573,27 +493,7 @@ impl Grammar {
                 self.seen_header = true;
                 Ok(Admitted::Header { fingerprint })
             }
-            JournalRecord::Checkpoint {
-                heartbeat,
-                ref state,
-            } => {
-                let admitted = self.checkpoint(offset, heartbeat)?;
-                samples_agree(offset, state.samples_len, self.samples).map(|()| admitted)
-            }
             _ if !self.seen_header => Err(JournalError::MissingHeader { offset }),
-            _ if self.slot == Slot::AfterSamples => {
-                out_of_order("only its checkpoint may follow a Samples record".into())
-            }
-            JournalRecord::Samples { ref samples } => {
-                if self.slot != Slot::AfterCommit {
-                    return out_of_order(
-                        "Samples record not between a commit and its checkpoint".into(),
-                    );
-                }
-                self.slot = Slot::AfterSamples;
-                self.samples += samples.len();
-                Ok(Admitted::Pending)
-            }
             JournalRecord::BatchStart { heartbeat, now_us } => {
                 if let Some(open) = self.open.as_ref().map(|b| b.heartbeat) {
                     return out_of_order(format!(
@@ -604,7 +504,6 @@ impl Grammar {
                 if heartbeat != last + 1 {
                     return out_of_order(format!("batch {heartbeat} does not follow batch {last}"));
                 }
-                self.slot = Slot::Closed;
                 self.open = Some(CommittedBatch {
                     heartbeat,
                     now_us,
@@ -638,7 +537,6 @@ impl Grammar {
                         ));
                     }
                     self.last_heartbeat = heartbeat;
-                    self.slot = Slot::AfterCommit;
                     Ok(Admitted::Batch(CommittedBatch {
                         schedule_calls,
                         rejected,
@@ -654,42 +552,14 @@ impl Grammar {
         }
     }
 
-    /// Admit a `Checkpoint` known only by its heartbeat: all the grammar
-    /// reads of one, all recovery knows of one it does not restore.
-    pub(crate) fn checkpoint(
-        &mut self,
-        offset: u64,
-        heartbeat: u64,
-    ) -> Result<Admitted, JournalError> {
-        let out_of_order = |msg: String| Err(JournalError::OutOfOrder { offset, msg });
-        if !self.seen_header {
-            return Err(JournalError::MissingHeader { offset });
-        }
-        if let Some(open) = self.open.as_ref().map(|b| b.heartbeat) {
-            return out_of_order(format!(
-                "checkpoint {heartbeat} inside uncommitted batch {open}"
-            ));
-        }
-        let last = self.last_heartbeat;
-        if heartbeat != last {
-            return out_of_order(format!(
-                "checkpoint at heartbeat {heartbeat} after batch {last}"
-            ));
-        }
-        self.slot = Slot::Closed;
-        Ok(Admitted::Checkpoint)
-    }
-
     /// The stream ended (or its readable prefix did). It must have begun
     /// with a header; a trailing batch left open — the mid-commit crash
-    /// artifact — or a `Samples` record cut off from its checkpoint is
-    /// legal, and this many records of it are discarded.
-    pub(crate) fn finish(self) -> Result<u64, JournalError> {
+    /// artifact — is legal, and handed back to be discarded.
+    pub(crate) fn finish(self) -> Result<Option<CommittedBatch>, JournalError> {
         if !self.seen_header {
             return Err(JournalError::MissingHeader { offset: 0 });
         }
-        let cut_off = (self.slot == Slot::AfterSamples) as u64;
-        Ok(self.open.map_or(cut_off, |b| 1 + b.expected.len() as u64))
+        Ok(self.open)
     }
 }
 
@@ -697,16 +567,15 @@ impl Grammar {
 mod tests {
     use super::*;
 
-    fn header() -> JournalRecord<'static> {
+    fn header() -> JournalRecord {
         JournalRecord::RunHeader {
             version: JOURNAL_VERSION,
             seed: 7,
             fingerprint: 0xfeed,
-            checkpoint_every: 4,
         }
     }
 
-    fn commit(hb: u64, placements: u64) -> JournalRecord<'static> {
+    fn commit(hb: u64, placements: u64) -> JournalRecord {
         JournalRecord::BatchCommit {
             heartbeat: hb,
             placements,
@@ -715,7 +584,7 @@ mod tests {
         }
     }
 
-    fn placement() -> JournalRecord<'static> {
+    fn placement() -> JournalRecord {
         JournalRecord::Placement {
             task: TaskUid(3),
             machine: MachineId(1),
@@ -723,13 +592,13 @@ mod tests {
         }
     }
 
-    fn wire(rec: &JournalRecord<'_>) -> String {
+    fn wire(rec: &JournalRecord) -> String {
         serde_json::to_string(rec).unwrap()
     }
 
     /// Every frame the scanner yields, decoded; the defect that ended the
     /// scan, if one did.
-    fn scan(j: &Journal) -> (Vec<(u64, JournalRecord<'static>)>, Option<JournalError>) {
+    fn scan(j: &Journal) -> (Vec<(u64, JournalRecord)>, Option<JournalError>) {
         let mut recs = Vec::new();
         for frame in frames(j.bytes()).unwrap() {
             match frame.decode() {

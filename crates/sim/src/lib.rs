@@ -71,7 +71,7 @@ pub use engine::Simulation;
 pub use fault::{FaultPlan, SchedulerCrash};
 pub use greedy::GreedyFifo;
 pub use index::IndexStatsSnapshot;
-pub use journal::{DiscardedTail, Journal, JournalError, JournalStats};
+pub use journal::{Journal, JournalError, JournalStats};
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
 pub use pool::{pool_map, pool_map_prioritized};
 pub use recovery::{Recovered, RecoveryError, RecoveryStats, RunResult};

@@ -388,33 +388,6 @@ impl SchedulerPolicy for ShardedScheduler {
         self.inner[0].uses_tracker()
     }
 
-    fn export_state(&self) -> Option<String> {
-        // One slot per shard, in shard order: job→shard ownership is a
-        // pure hash, so a restored driver routes every job to the shard
-        // whose state it re-imports. `None` when no shard carries state,
-        // keeping stateless configurations blob-free.
-        let per_shard: Vec<Option<String>> = self.inner.iter().map(|p| p.export_state()).collect();
-        if per_shard.iter().all(Option::is_none) {
-            return None;
-        }
-        Some(serde_json::to_string(&per_shard).expect("shard states serialize"))
-    }
-
-    fn import_state(&mut self, state: &str) {
-        let per_shard: Vec<Option<String>> =
-            serde_json::from_str(state).expect("valid sharded state blob");
-        assert_eq!(
-            per_shard.len(),
-            self.inner.len(),
-            "checkpointed shard count differs from this driver's"
-        );
-        for (p, s) in self.inner.iter_mut().zip(per_shard) {
-            if let Some(s) = s {
-                p.import_state(&s);
-            }
-        }
-    }
-
     fn drain_metrics(&mut self, metrics: &mut MetricsRegistry) {
         for p in &mut self.inner {
             p.drain_metrics(metrics);

@@ -4,8 +4,8 @@
 //! One struct, [`SimState`], with flat fields. Its methods are split by
 //! layer, one `impl SimState` block a file (DESIGN.md "SimState layers"):
 //!
-//! * this file: the struct, the records a checkpoint serialises,
-//!   construction, the free-capacity index glue and `availability`;
+//! * this file: the struct and its records, construction, the
+//!   free-capacity index glue and `availability`;
 //! * `plan`: where a task's input bytes come from on a machine and what
 //!   it demands there and at its sources;
 //! * `network`: flows, links, the factor tables, the dirty set and the
@@ -16,7 +16,7 @@
 //!
 //! Visibility is the interface between them: a helper is private to its
 //! file, `pub(super)` when a sibling layer calls it, and `pub(crate)`
-//! only when the engine, the view, a probe or recovery does.
+//! only when the engine, the view or a probe does.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::AtomicU64;
@@ -44,7 +44,7 @@ use network::DirtySet;
 pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
 
 /// One unit of schedulable work in flight.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Flow {
     pub task: TaskUid,
     pub host: MachineId,
@@ -57,26 +57,8 @@ pub(crate) struct Flow {
     pub done: bool,
 }
 
-impl Flow {
-    /// What a checkpoint restore puts in the slot of a flow that had
-    /// finished: `done`, so nothing reads past that flag.
-    pub(crate) fn tombstone() -> Flow {
-        Flow {
-            task: TaskUid(0),
-            host: MachineId(0),
-            cap: 0.0,
-            links: Vec::new(),
-            remaining: 0.0,
-            init_work: 0.0,
-            rate: 0.0,
-            last_update: SimTime::ZERO,
-            done: true,
-        }
-    }
-}
-
 /// Runtime state of one machine.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct MachineState {
     pub capacity: ResourceVec,
     /// Demand ledger: sum of peak demands of everything placed here
@@ -138,7 +120,7 @@ impl MachineState {
 }
 
 /// Lifecycle of a task.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) enum Phase {
     /// Waiting on upstream stages.
     Blocked,
@@ -157,7 +139,7 @@ pub(crate) enum Phase {
 }
 
 /// Bookkeeping for a running task.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct RunInfo {
     pub machine: MachineId,
     /// Flow ids of this attempt (torn down on a crash).
@@ -168,7 +150,7 @@ pub(crate) struct RunInfo {
     pub gen: u64,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct TaskState {
     pub phase: Phase,
     pub attempts: u32,
@@ -184,7 +166,7 @@ pub(crate) struct TaskState {
     pub planned: Option<f64>,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct StageState {
     pub unlocked: bool,
     pub pending: Vec<TaskUid>,
@@ -201,7 +183,7 @@ pub(crate) struct StageState {
     pub total_out: f64,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct JobState {
     pub arrived: bool,
     pub finish: Option<SimTime>,
@@ -268,7 +250,7 @@ pub(crate) struct SimState {
     pub plans: AtomicU64,
     /// The links, machines and flows the next `recompute_dirty` looks at:
     /// every change to a link's demand or a machine's memory marks them.
-    /// Empty at a batch boundary, so not checkpointed.
+    /// Empty at a batch boundary.
     pub(crate) dirty: DirtySet,
     /// Pending events. The state queues what its own changes cause
     /// (completions, restarts, re-replication); the engine seeds the rest
@@ -276,14 +258,13 @@ pub(crate) struct SimState {
     pub(crate) queue: EventQueue,
     /// `factor` of each (machine, dim) link and `thrash_factor` of each
     /// machine as of the last drain of the dirty set: what every live
-    /// flow's `rate` was computed from. Derived, so not checkpointed.
+    /// flow's `rate` was computed from.
     link_factor: Vec<f64>,
     thrash: Vec<f64>,
     /// `[job][stage]`: the output map of each finished stage with more
     /// sources than `shuffle_fanin`, ordered as the fan-in bound keeps
     /// them — bytes descending, then machine ascending (empty elsewhere;
-    /// grown as stages finish). Derived, so not checkpointed:
-    /// `rank_finished_stages` rebuilds it at restore.
+    /// grown as stages finish).
     shuffle_ranks: Vec<Vec<Vec<(MachineId, f64)>>>,
     /// The plan `apply_assignment` resolves into, placement after
     /// placement.

@@ -182,11 +182,11 @@ impl DirtySet {
 }
 
 impl SimState {
-    /// Recompute the factor tables from the ledgers. Exact wherever the
-    /// dirty set is empty (a restored checkpoint): every change to a
+    /// Recompute the factor tables from the ledgers: every change to a
     /// link's demand or a machine's memory marks it dirty, and a drain
     /// leaves each dirty entry at the value computed here.
-    pub(crate) fn rebuild_factors(&mut self) {
+    #[cfg(debug_assertions)]
+    fn rebuild_factors(&mut self) {
         let interference = &self.cfg.interference;
         let of_links = |ms: &MachineState| Resource::ALL.map(|r| ms.factor(r, interference));
         self.link_factor = self.machines.iter().flat_map(of_links).collect();
@@ -334,10 +334,9 @@ impl SimState {
         self.dirty.affected = affected;
     }
 
-    /// Debug builds check, at every drain, what the gather and a restore
-    /// rest on: the refreshed tables are what the ledgers give everywhere,
-    /// and a flow by a dirty entry that is not visited is at the rate they
-    /// give. Every suite that runs the engine therefore exercises the skip.
+    /// Debug builds check, at every drain, what the gather rests on: the
+    /// refreshed tables are what the ledgers give everywhere, and a flow
+    /// by a dirty entry that is not visited is at the rate they give. Every suite that runs the engine therefore exercises the skip.
     #[cfg(debug_assertions)]
     fn assert_unvisited_settled(&mut self) {
         let (links, thrash) = (self.link_factor.clone(), self.thrash.clone());

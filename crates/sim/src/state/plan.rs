@@ -64,18 +64,6 @@ impl SimState {
         job[si] = rank;
     }
 
-    /// Rank every finished stage (a restored checkpoint).
-    pub(crate) fn rank_finished_stages(&mut self) {
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].stages.len() {
-                let st = &self.jobs[ji].stages[si];
-                if st.finished == st.total {
-                    self.rank_stage(ji, si);
-                }
-            }
-        }
-    }
-
     /// Resolve where a task's input bytes would come from if placed on
     /// `machine`, and what it would demand locally/remotely.
     pub(crate) fn placement_plan(&self, uid: TaskUid, machine: MachineId) -> PlacementPlan {

@@ -215,28 +215,16 @@ pub trait SchedulerPolicy {
         let _ = metrics;
     }
 
-    /// Serialize the policy state that persists across `schedule()` calls
-    /// and is **not** reconstructible from the view: §3.5 starvation
-    /// reservations, learned-estimator family history, and the like.
-    /// Caches invalidated per-event are explicitly *excluded* — a rebuilt
-    /// cache entry must equal the incrementally maintained one (the
-    /// mark-all-dirty contract), so caches never need checkpointing.
-    ///
-    /// The engine stores this blob in every crash-recovery checkpoint
-    /// (DESIGN.md §15) and hands it back through
-    /// [`SchedulerPolicy::import_state`] on a freshly built policy when a
-    /// run resumes. Policies whose only cross-call state is cache keep
-    /// the default `None`. The format is policy-private; it only ever
-    /// round-trips through the same policy type.
+    /// A no-op: recovery re-executes the run from heartbeat 0 with a
+    /// fresh policy (DESIGN.md §15), which rebuilds every piece of state
+    /// a policy keeps across calls, so there is nothing to export. Kept
+    /// only until the benchmark harness stops forwarding it; do not
+    /// override it.
     fn export_state(&self) -> Option<String> {
         None
     }
 
-    /// Restore state produced by [`SchedulerPolicy::export_state`] on an
-    /// identically configured policy. Called at most once, before any
-    /// `on_event`/`schedule` call, when a run resumes from a checkpoint.
-    /// The default ignores the blob (correct for policies that export
-    /// `None`).
+    /// A no-op, for the reason [`SchedulerPolicy::export_state`] gives.
     fn import_state(&mut self, state: &str) {
         let _ = state;
     }
@@ -279,14 +267,6 @@ impl<P: SchedulerPolicy> SchedulerPolicy for MarkAllDirty<P> {
 
     fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
         self.0.drain_metrics(metrics);
-    }
-
-    fn export_state(&self) -> Option<String> {
-        self.0.export_state()
-    }
-
-    fn import_state(&mut self, state: &str) {
-        self.0.import_state(state);
     }
 }
 

@@ -1,8 +1,9 @@
 //! Crash-recovery invariants (DESIGN.md §15): a run recovered from its
 //! write-ahead journal is **byte-identical** to the uninterrupted run —
-//! under random crash heartbeats, random checkpoint cadences, mid-commit
-//! sharded crashes, and journals truncated at arbitrary byte offsets or
-//! bit-flipped anywhere. Damage beyond repair surfaces as a typed
+//! at every crash heartbeat, between batches and mid-commit, at 1–4
+//! scheduler shards, and from journals truncated at arbitrary byte
+//! offsets or bit-flipped anywhere. Recovery replays every batch committed
+//! before the crash. Damage beyond repair surfaces as a typed
 //! [`JournalError`]/[`RecoveryError`], never a panic and never a silently
 //! divergent outcome.
 
@@ -66,10 +67,9 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
     })
 }
 
-fn cfg(seed: u64, checkpoint_every: u64, crash: Option<SchedulerCrash>) -> SimConfig {
+fn cfg(seed: u64, crash: Option<SchedulerCrash>) -> SimConfig {
     let mut c = SimConfig::default();
     c.seed = seed;
-    c.checkpoint_every = checkpoint_every;
     c.faults.sched_crash = crash;
     c.validate().expect("valid config");
     c
@@ -100,131 +100,108 @@ fn wire(o: &SimOutcome) -> String {
 
 #[test]
 fn recovered_run_is_byte_identical_to_uninterrupted() {
-    let golden = greedy_sim(fixed_workload(), cfg(7, 2, None)).run();
+    let golden = greedy_sim(fixed_workload(), cfg(7, None)).run();
 
     let crash = SchedulerCrash {
         at_heartbeat: 5,
         mid_commit: false,
     };
     let mut journal = Journal::new();
-    let res = greedy_sim(fixed_workload(), cfg(7, 2, Some(crash))).run_result(Some(&mut journal));
+    let res = greedy_sim(fixed_workload(), cfg(7, Some(crash))).run_result(Some(&mut journal));
     assert!(matches!(res, RunResult::Crashed { heartbeat: 5 }));
     journal.verify().expect("crashed journal verifies clean");
 
-    let rec = greedy_sim(fixed_workload(), cfg(7, 2, None))
+    let rec = greedy_sim(fixed_workload(), cfg(7, None))
         .recover(&journal)
         .expect("recovery succeeds");
     assert_eq!(wire(&rec.outcome), wire(&golden));
-    // Replay never exceeds the checkpoint cadence on an untruncated
-    // journal — the headline bound of the `recovery` experiment.
-    assert!(rec.stats.replayed_batches <= 2);
-    assert_eq!(rec.stats.checkpoint_heartbeat, 4);
+    // Replay starts at heartbeat 0 and witnesses every committed batch.
+    assert_eq!(rec.stats.replayed_batches, 4);
+    assert_eq!(rec.stats.checkpoint_heartbeat, 0);
 }
 
 #[test]
 fn mid_commit_sharded_crash_recovers_exactly() {
-    let golden = sharded_sim(fixed_workload(), cfg(11, 3, None), 2).run();
+    let golden = sharded_sim(fixed_workload(), cfg(11, None), 2).run();
 
     let crash = SchedulerCrash {
         at_heartbeat: 4,
         mid_commit: true,
     };
     let mut journal = Journal::new();
-    let res =
-        sharded_sim(fixed_workload(), cfg(11, 3, Some(crash)), 2).run_result(Some(&mut journal));
+    let res = sharded_sim(fixed_workload(), cfg(11, Some(crash)), 2).run_result(Some(&mut journal));
     assert!(matches!(res, RunResult::Crashed { heartbeat: 4 }));
     // The torn batch (some shard plans journaled, no commit) still
     // verifies clean — it is the documented mid-commit crash artifact.
     journal.verify().expect("torn trailing batch is legal");
 
-    let rec = sharded_sim(fixed_workload(), cfg(11, 3, None), 2)
+    let rec = sharded_sim(fixed_workload(), cfg(11, None), 2)
         .recover(&journal)
         .expect("recovery succeeds");
     assert_eq!(wire(&rec.outcome), wire(&golden));
     // The torn batch was discarded, not replayed: at minimum its
     // BatchStart record is dropped.
     assert!(rec.stats.discarded_records >= 1);
+    assert_eq!(rec.stats.replayed_batches, 3);
 }
 
-/// `Samples` records in `journal`, by elimination: `verify()` counts every
-/// other kind but the `discarded` records of a torn trailing batch.
-fn samples_records(journal: &Journal, discarded: u64) -> u64 {
-    let s = journal.verify().expect("verifies");
-    s.records - 1 - s.checkpoints - 2 * s.committed_batches - s.placements - discarded
-}
-
-/// The sample history rides beside the checkpoints, not in them: whatever
-/// mix of restored `Samples` records and samples re-taken live a recovery
-/// ends up with, the outcome's `samples` — part of its wire form — are the
-/// uninterrupted run's.
+/// Every crash point of the fixed run — each heartbeat, between batches
+/// and mid-commit, at 1–4 shards — recovers to the uninterrupted outcome,
+/// sample history included (it is part of the wire form), after
+/// replaying exactly the batches committed before the crash.
 #[test]
-fn sample_history_survives_every_recovery_shape() {
-    let between = |at_heartbeat| SchedulerCrash {
-        at_heartbeat,
-        mid_commit: false,
-    };
-    // (checkpoint cadence, crash heartbeat, checkpoint restored)
-    for (every, at, restored) in [(1, 9, 8), (3, 9, 6), (u64::MAX, 9, 0), (4, 3, 0)] {
-        let golden = greedy_sim(fixed_workload(), cfg(7, every, None)).run();
+fn every_crash_point_recovers_exactly() {
+    for shards in 1..=4 {
+        let golden = sharded_sim(fixed_workload(), cfg(11, None), shards).run();
         assert!(golden.samples.len() >= 3);
         let mut journal = Journal::new();
-        let res = greedy_sim(fixed_workload(), cfg(7, every, Some(between(at))))
-            .run_result(Some(&mut journal));
-        assert!(matches!(res, RunResult::Crashed { .. }));
-        let rec = greedy_sim(fixed_workload(), cfg(7, every, None))
-            .recover(&journal)
-            .expect("recovery succeeds");
-        assert_eq!(rec.stats.checkpoint_heartbeat, restored, "every {every}");
-        assert_eq!(wire(&rec.outcome), wire(&golden), "every {every}");
-        // A genesis restore has no `Samples` record to read — no periodic
-        // checkpoint was written, so none was either; any other has some,
-        // at most one a periodic checkpoint.
-        let periodic = journal.verify().unwrap().checkpoints - 1;
-        let samples = samples_records(&journal, 0);
-        assert_eq!(periodic, restored / every, "every {every}");
-        assert!(samples <= periodic && (samples > 0) == (restored > 0));
+        let _ = sharded_sim(fixed_workload(), cfg(11, None), shards).run_result(Some(&mut journal));
+        let heartbeats = journal.verify().unwrap().committed_batches;
+        for at_heartbeat in 1..=heartbeats {
+            for mid_commit in [false, true] {
+                let crash = SchedulerCrash {
+                    at_heartbeat,
+                    mid_commit,
+                };
+                let mut journal = Journal::new();
+                let res = sharded_sim(fixed_workload(), cfg(11, Some(crash)), shards)
+                    .run_result(Some(&mut journal));
+                let point = format!("shards {shards}, crash at {at_heartbeat} ({mid_commit})");
+                assert!(matches!(res, RunResult::Crashed { .. }), "{point}");
+                let rec = sharded_sim(fixed_workload(), cfg(11, None), shards)
+                    .recover(&journal)
+                    .unwrap_or_else(|e| panic!("{point}: {e}"));
+                assert_eq!(rec.stats.replayed_batches, at_heartbeat - 1, "{point}");
+                assert_eq!(rec.stats.discarded_records > 0, mid_commit, "{point}");
+                assert_eq!(wire(&rec.outcome), wire(&golden), "{point}");
+            }
+        }
     }
-
-    // Mid-commit, sharded: the torn batch goes, the samples stay.
-    let crash = SchedulerCrash {
-        at_heartbeat: 8,
-        mid_commit: true,
-    };
-    let golden = sharded_sim(fixed_workload(), cfg(11, 3, None), 2).run();
-    let mut journal = Journal::new();
-    let res =
-        sharded_sim(fixed_workload(), cfg(11, 3, Some(crash)), 2).run_result(Some(&mut journal));
-    assert!(matches!(res, RunResult::Crashed { heartbeat: 8 }));
-    let rec = sharded_sim(fixed_workload(), cfg(11, 3, None), 2)
-        .recover(&journal)
-        .expect("recovery succeeds");
-    assert_eq!(rec.stats.checkpoint_heartbeat, 6);
-    assert!(samples_records(&journal, rec.stats.discarded_records) >= 1);
-    assert_eq!(wire(&rec.outcome), wire(&golden));
 }
 
 #[test]
 fn journal_of_completed_run_recovers_too() {
     let mut journal = Journal::new();
-    let golden = greedy_sim(fixed_workload(), cfg(3, 4, None))
+    let golden = greedy_sim(fixed_workload(), cfg(3, None))
         .run_result(Some(&mut journal))
         .completed()
         .expect("no crash configured");
     let stats = journal.verify().expect("complete journal verifies");
-    assert!(stats.checkpoints >= 1);
+    assert!(stats.committed_batches >= 1);
 
-    let rec = greedy_sim(fixed_workload(), cfg(3, 4, None))
+    let rec = greedy_sim(fixed_workload(), cfg(3, None))
         .recover(&journal)
         .expect("recovery succeeds");
     assert_eq!(wire(&rec.outcome), wire(&golden));
+    assert_eq!(rec.stats.replayed_batches, stats.committed_batches);
 }
 
 #[test]
 fn recovery_refuses_wrong_builder() {
     let mut journal = Journal::new();
-    let _ = greedy_sim(fixed_workload(), cfg(3, 4, None)).run_result(Some(&mut journal));
+    let _ = greedy_sim(fixed_workload(), cfg(3, None)).run_result(Some(&mut journal));
     // Different seed → different fingerprint → typed refusal.
-    let err = greedy_sim(fixed_workload(), cfg(4, 4, None))
+    let err = greedy_sim(fixed_workload(), cfg(4, None))
         .recover(&journal)
         .expect_err("fingerprint must not match");
     assert!(matches!(
@@ -241,15 +218,14 @@ fn crashed_journal(seed: u64) -> Journal {
         mid_commit: false,
     };
     let mut journal = Journal::new();
-    let res =
-        greedy_sim(fixed_workload(), cfg(seed, 2, Some(crash))).run_result(Some(&mut journal));
+    let res = greedy_sim(fixed_workload(), cfg(seed, Some(crash))).run_result(Some(&mut journal));
     assert!(matches!(res, RunResult::Crashed { .. }));
     journal
 }
 
 #[test]
 fn empty_journal_is_a_typed_error() {
-    let err = greedy_sim(fixed_workload(), cfg(7, 2, None))
+    let err = greedy_sim(fixed_workload(), cfg(7, None))
         .recover(&Journal::new())
         .expect_err("empty journal cannot recover");
     assert!(matches!(
@@ -262,7 +238,7 @@ fn empty_journal_is_a_typed_error() {
 fn bit_flipped_crc_reports_the_failing_offset() {
     let journal = crashed_journal(7);
     let mut bytes = journal.bytes().to_vec();
-    // Flip one payload bit of the second frame (the genesis checkpoint):
+    // Flip one payload bit of the second frame (the first batch's start):
     // its CRC no longer matches, and strict verification names its offset.
     let first_len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
     let second = 8 + first_len;
@@ -301,34 +277,33 @@ fn duplicated_record_is_a_typed_structural_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: crash anywhere, at any checkpoint cadence,
-    /// mid-commit or between batches, sharded or not — recovery
-    /// reconstructs the uninterrupted outcome byte for byte, and replay
-    /// stays within one checkpoint interval.
+    /// The tentpole invariant: crash at any heartbeat, mid-commit or
+    /// between batches, at 1–4 shards — recovery reconstructs the
+    /// uninterrupted outcome byte for byte, after replaying every batch
+    /// committed before the crash.
     #[test]
     fn random_crash_recovery_is_byte_identical(
         w in arb_workload(),
         seed in 0u64..20,
         at_heartbeat in 1u64..12,
-        checkpoint_every in 1u64..6,
         mid_commit in proptest::bool::ANY,
-        shards in 1usize..3,
+        shards in 1usize..=4,
     ) {
-        let golden = sharded_sim(w.clone(), cfg(seed, checkpoint_every, None), shards).run();
+        let golden = sharded_sim(w.clone(), cfg(seed, None), shards).run();
 
         let crash = SchedulerCrash { at_heartbeat, mid_commit };
         let mut journal = Journal::new();
-        let res = sharded_sim(w.clone(), cfg(seed, checkpoint_every, Some(crash)), shards)
+        let res = sharded_sim(w.clone(), cfg(seed, Some(crash)), shards)
             .run_result(Some(&mut journal));
         match res {
             RunResult::Crashed { heartbeat } => {
                 prop_assert_eq!(heartbeat, at_heartbeat);
                 journal.verify().expect("crashed journal verifies clean");
-                let rec = sharded_sim(w, cfg(seed, checkpoint_every, None), shards)
+                let rec = sharded_sim(w, cfg(seed, None), shards)
                     .recover(&journal)
                     .expect("recovery succeeds");
                 prop_assert_eq!(wire(&rec.outcome), wire(&golden));
-                prop_assert!(rec.stats.replayed_batches <= checkpoint_every);
+                prop_assert_eq!(rec.stats.replayed_batches, at_heartbeat - 1);
             }
             RunResult::Completed(o) => {
                 // The run ended before the crash heartbeat: the journaled
@@ -346,11 +321,11 @@ proptest! {
         seed in 0u64..6,
         frac in 0.0f64..1.0,
     ) {
-        let golden = greedy_sim(fixed_workload(), cfg(seed, 2, None)).run();
+        let golden = greedy_sim(fixed_workload(), cfg(seed, None)).run();
         let journal = crashed_journal(seed);
         let cut = (journal.bytes().len() as f64 * frac) as usize;
         let truncated = Journal::from_bytes(journal.bytes()[..cut].to_vec());
-        match greedy_sim(fixed_workload(), cfg(seed, 2, None)).recover(&truncated) {
+        match greedy_sim(fixed_workload(), cfg(seed, None)).recover(&truncated) {
             Ok(rec) => prop_assert_eq!(wire(&rec.outcome), wire(&golden)),
             Err(RecoveryError::Journal(_)) => {}
             Err(e) => panic!("unexpected error: {e}"),
@@ -367,13 +342,13 @@ proptest! {
         byte_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let golden = greedy_sim(fixed_workload(), cfg(seed, 2, None)).run();
+        let golden = greedy_sim(fixed_workload(), cfg(seed, None)).run();
         let journal = crashed_journal(seed);
         let mut bytes = journal.bytes().to_vec();
         let idx = ((bytes.len() - 1) as f64 * byte_frac) as usize;
         bytes[idx] ^= 1 << bit;
         let damaged = Journal::from_bytes(bytes);
-        match greedy_sim(fixed_workload(), cfg(seed, 2, None)).recover(&damaged) {
+        match greedy_sim(fixed_workload(), cfg(seed, None)).recover(&damaged) {
             Ok(rec) => prop_assert_eq!(wire(&rec.outcome), wire(&golden)),
             Err(RecoveryError::Journal(_)) => {}
             Err(e) => panic!("unexpected error: {e}"),

@@ -197,26 +197,29 @@ if grep -nE 'SimState|RefCell|Mutex|RwLock|UnsafeCell|Atomic[UIB]|unsafe' \
   echo "sharded driver can mutate shared state from a worker"; exit 1
 fi
 
-echo "== recovery smoke (checkpoint + WAL replay) =="
-# Crash an instrumented run mid-way, recover it from the journal alone,
-# and diff the recovered outcome's wire bytes against a crash-free run's.
-# Byte-identity is the DESIGN.md 15 contract, not a statistical property
-# — cmp, not a tolerance.
-rec_out="$(target/release/reproduce --journal "$tmp/rec.wal" --checkpoint-every 4 \
+echo "== recovery smoke (re-execution against the WAL) =="
+# Crash an instrumented run mid-way, recover it by replaying the journal
+# from heartbeat 0, and diff the recovered outcome's wire bytes against a
+# crash-free run's. Byte-identity is the DESIGN.md 15 contract, not a
+# statistical property — cmp, not a tolerance.
+rec_out="$(target/release/reproduce --journal "$tmp/rec.wal" \
   --crash-at 6 --outcome "$tmp/recovered.json" --scale 0.1)"
-echo "$rec_out" | grep -q "recovered from checkpoint" \
+echo "$rec_out" | grep -q "replay from heartbeat 0" \
   || { echo "instrumented run did not crash and recover"; echo "$rec_out"; exit 1; }
 # The journal's own bytes are pinned too, not only what recovers from
 # them: a serializer or framing change must write the bytes the last
 # JOURNAL_VERSION wrote. Regenerate only with a deliberate
 # JOURNAL_VERSION bump or a golden-changing decision change — the pin
 # and scripts/golden/recovery_frames.txt (`frames rec.wal`) together.
-# This pin is JOURNAL_VERSION 3's (no `gen` on a flow or its FlowDone;
-# one queued completion a live flow), regenerated on purpose. Version 2
-# (Samples records; sparse tasks and flows in the snapshot) wrote
-# "1373707829 115954" — as many bytes: this run's two checkpoints, at
-# heartbeats 0 and 4, precede its first placement and hold no flow, so
-# only the header's version digit differs. Version 1 wrote
+# This pin is JOURNAL_VERSION 4's (decisions only: no checkpoints, no
+# Samples records, no checkpoint cadence in the header), regenerated on
+# purpose; its BatchStart and BatchCommit frames are version 3's, byte
+# for byte. Version 3 (no `gen` on a flow or its FlowDone; one queued
+# completion a live flow) wrote "2906723017 115954". Version 2 (Samples
+# records; sparse tasks and flows in the snapshot) wrote
+# "1373707829 115954" — as many bytes: that run's two checkpoints, at
+# heartbeats 0 and 4, preceded its first placement and held no flow, so
+# only the header's version digit differed. Version 1 wrote
 # "42343950 876208".
 #
 # One line a frame of journal $1: byte offset, payload CRC, record tag
@@ -231,16 +234,17 @@ frames() {
   done
 }
 wal_sum="$(cksum < "$tmp/rec.wal")" # "<crc> <bytes>"
-if [[ "$wal_sum" != "2906723017 115954" ]]; then
+if [[ "$wal_sum" != "2630259592 785" ]]; then
   echo "journal bytes changed: cksum $wal_sum; first frame (offset crc tag)" \
     "that differs, written (<) against pinned (>):"
   diff <(frames "$tmp/rec.wal") scripts/golden/recovery_frames.txt | grep -m2 '^[<>]'
   exit 1
 fi
-# Size budget beside the pin: a third of version 1's 876 208 bytes. A
-# field that quietly re-grows the snapshot fails here, at the deliberate
+# Size budget beside the pin: the crash-at-6 journal is a header plus five
+# committed batches, so 4 096 bytes. A record that quietly re-grows the
+# journal (a snapshot creeping back in) fails here, at the deliberate
 # regeneration that would otherwise wave it through, not in a benchmark.
-(( ${wal_sum#* } * 3 <= 876208 )) \
+(( ${wal_sum#* } <= 4096 )) \
   || { echo "journal outgrew its budget: ${wal_sum#* } bytes"; exit 1; }
 # The decision stream is pinned beside the journal: the default
 # `--trace --scale 0.1` run from the telemetry smoke above, its one
