@@ -1,6 +1,7 @@
-//! What one call has proven cannot be placed: the ban grid, and the
-//! `blocked` memo that spares a head plans that must fail. The working
-//! ledger both read is `tetris_sim::WorkingLedger`.
+//! What one call has proven cannot be placed: the `blocked` memo that
+//! spares a head plans that must fail, and the debug oracle behind every
+//! drop from a machine's fit list. The working ledger both read is
+//! `tetris_sim::WorkingLedger`.
 
 use tetris_resources::{Resource, ResourceVec};
 use tetris_sim::{ClusterView, MachineId, WorkingLedger, SHUFFLE_SHARE_MARGIN};
@@ -47,69 +48,6 @@ impl Candidate {
     }
 }
 
-/// Above this many cells the grid switches to a sparse pair list: at
-/// 100k machines × hundreds of candidates a dense stamp array would cost
-/// hundreds of megabytes, while plan-infeasibility bans are rare enough
-/// that a linear membership scan (guarded by the `any` fast path) wins.
-const DENSE_GRID_CELLS_MAX: usize = 1 << 24;
-
-/// Generation-stamped membership grid: O(1) insert/query with no per-call
-/// clearing (bumping the generation invalidates every cell). Falls back
-/// to a sparse pair list past [`DENSE_GRID_CELLS_MAX`] cells. The dense
-/// stamp array is allocated lazily on the first insert — plan-
-/// infeasibility bans are rare, so most calls (and at cluster scale,
-/// most schedulers) never pay for the grid at all.
-#[derive(Default)]
-pub(super) struct StampGrid {
-    stamps: Vec<u64>,
-    gen: u64,
-    stride: usize,
-    need: usize,
-    pub(super) any: bool,
-    sparse: bool,
-    pairs: Vec<(u32, u32)>,
-}
-
-impl StampGrid {
-    /// Start a fresh (rows × cols) grid with all cells absent. O(1): no
-    /// allocation or clearing happens until an insert.
-    pub(super) fn begin(&mut self, rows: usize, cols: usize) {
-        self.sparse = rows.saturating_mul(cols) > DENSE_GRID_CELLS_MAX;
-        if self.sparse {
-            self.pairs.clear();
-        } else {
-            self.stride = cols;
-            self.need = rows * cols;
-            self.gen += 1;
-        }
-        self.any = false;
-    }
-
-    pub(super) fn insert(&mut self, row: usize, col: usize) {
-        if self.sparse {
-            self.pairs.push((row as u32, col as u32));
-        } else {
-            if self.stamps.len() < self.need {
-                self.stamps.resize(self.need, 0);
-            }
-            self.stamps[row * self.stride + col] = self.gen;
-        }
-        self.any = true;
-    }
-
-    pub(super) fn contains(&self, row: usize, col: usize) -> bool {
-        if self.sparse {
-            self.pairs.contains(&(row as u32, col as u32))
-        } else {
-            // Cells past the (lazily grown) stamp array were never
-            // inserted this generation.
-            self.stamps
-                .get(row * self.stride + col)
-                .is_some_and(|&s| s == self.gen)
-        }
-    }
-}
-
 /// The memo earned by a plan of `task` (the ledger's last, all inputs
 /// remote) having failed on a source: [`Blocked::Source`] if the head
 /// reads shuffle output only and a source refuses its demand even less
@@ -141,25 +79,43 @@ pub(super) fn blocked_memo(
     Blocked::Remote
 }
 
-/// Debug builds re-plan every (head, machine) pair the `blocked` memo
-/// answers — before each scan, for every live candidate it would answer
-/// on that machine — and check the claim it rests on: the plan still
-/// fails, and on a source. Every equivalence and property suite that
-/// drives Tetris therefore exercises the monotonicity argument.
+/// Debug builds re-plan every (head, machine) pair a machine's fit list
+/// dropped while its normalized demand still fits, before each scan, and
+/// check the claim the drop rests on: the plan still fails against the
+/// working ledger, and where the `blocked` memo answered (`on_source`),
+/// on a source. With `cpu_mem_only` the plan fails as the ledger judges
+/// it then, on CPU and memory at the host. Every equivalence and property
+/// suite that drives Tetris therefore exercises the monotonicity
+/// argument.
 #[cfg(debug_assertions)]
-pub(super) fn assert_blocked(
+pub(super) fn assert_unplaceable(
     ledger: &mut WorkingLedger,
     view: &ClusterView<'_>,
     task: TaskUid,
     m: MachineId,
+    cpu_mem_only: bool,
+    on_source: bool,
 ) {
     let plan = view.plan(task, m);
-    assert!(
-        !plan
+    let source_fails = !cpu_mem_only
+        && !plan
             .remote
             .iter()
-            .all(|(src, dem)| dem.fits_within(&ledger.available(view, *src))),
+            .all(|(src, dem)| dem.fits_within(&ledger.available(view, *src)));
+    assert!(
+        source_fails || !on_source,
         "blocked memo skipped {task:?} on {m:?}, where its plan does not fail on a source"
+    );
+    let (local, host) = (plan.local, ledger.available(view, m));
+    let dims = [Resource::Cpu, Resource::Mem];
+    let host_fits = if cpu_mem_only {
+        local.project(&dims).fits_within(&host.project(&dims))
+    } else {
+        local.fits_within(&host)
+    };
+    assert!(
+        source_fails || !host_fits,
+        "{task:?} dropped from {m:?}'s fit list, where its plan fits"
     );
 }
 

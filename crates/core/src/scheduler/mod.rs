@@ -20,7 +20,6 @@ mod candidates;
 mod reserve;
 mod scan;
 
-use bans::StampGrid;
 use candidates::{CandidateSet, IncState};
 use scan::Worklist;
 
@@ -163,8 +162,6 @@ pub struct TetrisScheduler {
     work: Worklist,
     /// What this call has charged and placed.
     ledger: WorkingLedger,
-    /// (candidate, machine) pairs proven infeasible this call.
-    banned: StampGrid,
     /// Every `(task, machine)` this call planned, for the memo's test.
     #[cfg(test)]
     planned: Vec<(TaskUid, MachineId)>,
@@ -198,7 +195,6 @@ impl TetrisScheduler {
             cands: CandidateSet::default(),
             work: Worklist::default(),
             ledger: WorkingLedger::new(!cfg.consider_io_dims),
-            banned: StampGrid::default(),
             #[cfg(test)]
             planned: Vec::new(),
             name,
@@ -224,7 +220,6 @@ impl TetrisScheduler {
         self.cands = CandidateSet::default();
         self.work = Worklist::default();
         self.ledger = WorkingLedger::new(!self.cfg.consider_io_dims);
-        self.banned = StampGrid::default();
     }
 }
 

@@ -35,6 +35,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
 
+use crate::cluster::MachineId;
+
 /// Buckets per resource: bucket 0 holds `ub ≤ 0` (and NaN, defensively);
 /// bucket `k ∈ [1, 64]` holds values with clamped binary exponent
 /// `k − 17`, i.e. `x ∈ [2^(k−17), 2^(k−16))` for interior buckets.
@@ -453,7 +455,12 @@ impl MachineIndex {
     /// cheapest-candidate floor on CPU **and** memory, ascending by id —
     /// a superset of the machines whose true availability meets it.
     /// Served from the more selective of the two bucket suffixes.
-    pub(crate) fn floor_candidates_into(&self, min_cpu: f64, min_mem: f64, out: &mut Vec<u32>) {
+    pub(crate) fn floor_candidates_into(
+        &self,
+        min_cpu: f64,
+        min_mem: f64,
+        out: &mut Vec<MachineId>,
+    ) {
         out.clear();
         let cpu = (Resource::Cpu.index(), bucket_of(min_cpu));
         let mem = (Resource::Mem.index(), bucket_of(min_mem));
@@ -462,12 +469,14 @@ impl MachineIndex {
         } else {
             mem
         };
-        out.extend(self.suffix(ri, from).filter(|&mi| {
-            let (considered, ub) = (self.considered[mi as usize], &self.ub[mi as usize]);
+        let meets = |mi: usize| {
+            let (considered, ub) = (self.considered[mi], &self.ub[mi]);
             considered && ub.get(Resource::Cpu) >= min_cpu && ub.get(Resource::Mem) >= min_mem
-        }));
+        };
+        let members = self.suffix(ri, from).map(|mi| mi as usize);
+        out.extend(members.filter(|&mi| meets(mi)).map(MachineId));
         out.sort_unstable();
-        self.count_query(out);
+        self.count_query(out.len());
     }
 
     /// Considered machines whose availability upper bound dominates
@@ -504,7 +513,7 @@ impl MachineIndex {
                 );
             }
         }
-        self.count_query(out);
+        self.count_query(out.len());
     }
 
     /// The members of resource `ri`'s buckets from `from` up.
@@ -516,9 +525,9 @@ impl MachineIndex {
         self.buckets[ri][from..].iter().map(Vec::len).sum()
     }
 
-    /// Count one candidate query and the machines it returned in `out`.
-    fn count_query(&self, out: &[u32]) {
-        let (stats, returned) = (&self.stats, out.len());
+    /// Count one candidate query and the `returned` machines it returned.
+    fn count_query(&self, returned: usize) {
+        let stats = &self.stats;
         stats.queries.fetch_add(1, Ordering::Relaxed);
         let pruned = (self.n_considered - returned) as u64;
         stats.pruned.fetch_add(pruned, Ordering::Relaxed);
@@ -579,12 +588,12 @@ mod tests {
         assert_eq!(idx.capacity_envelope(), ResourceVec::splat(8.0));
         let mut out = Vec::new();
         idx.floor_candidates_into(4.0, 4.0, &mut out);
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(out, [0, 1, 2, 3].map(MachineId));
         // Drop machine 2 below the floor; mark machine 3 unconsidered.
         idx.refresh(2, ResourceVec::splat(1.0), true);
         idx.refresh(3, ResourceVec::splat(8.0), false);
         idx.floor_candidates_into(4.0, 4.0, &mut out);
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(out, [0, 1].map(MachineId));
         assert_eq!(idx.considered_count(), 3);
         let env = idx.availability_envelope(|mi| idx.ub[mi]);
         assert_eq!(env, ResourceVec::splat(8.0));

@@ -76,6 +76,11 @@ pub(crate) struct MachineState {
     pub external_reported: ResourceVec,
     /// Total usage (flow rates + external) as of the last tracker report.
     pub usage_reported: ResourceVec,
+    /// An input of the next report moved since the last one: a flow's
+    /// rate or membership on one of the machine's links, its external
+    /// load, or its ledger (every `index_touch`). The no-fault report
+    /// re-reads only the machines that have it set.
+    pub report_stale: bool,
     /// Recently placed demands (placement time, demand) for the ramp-up
     /// allowance; pruned at tracker reports.
     pub recent: Vec<(SimTime, ResourceVec)>,
@@ -108,6 +113,7 @@ impl MachineState {
             external: ResourceVec::zero(),
             external_reported: ResourceVec::zero(),
             usage_reported: ResourceVec::zero(),
+            report_stale: true,
             recent: Vec::new(),
             running: 0,
             running_tasks: Vec::new(),
@@ -413,8 +419,10 @@ impl SimState {
     }
 
     /// Refresh one machine's index entry after a ledger / liveness /
-    /// suspicion change. No-op when the index is disabled.
+    /// suspicion change, and mark its next tracker report stale. The
+    /// refresh is a no-op when the index is disabled.
     pub(crate) fn index_touch(&mut self, mi: usize) {
+        self.machines[mi].report_stale = true;
         if !self.index.enabled {
             return;
         }

@@ -211,6 +211,7 @@ impl SimState {
             let ms = &mut self.machines[m.index()];
             ms.link_demand[r.index()] += cap;
             ms.link_flows[r.index()].push(fid);
+            ms.report_stale = true;
             self.dirty.insert_link(m.index(), r.index());
         }
         self.flows.push(Flow {
@@ -243,6 +244,7 @@ impl SimState {
             let ms = &mut self.machines[m.index()];
             ms.link_demand[r.index()] = (ms.link_demand[r.index()] - cap).max(0.0);
             ms.link_flows[r.index()].retain(|&x| x != fid);
+            ms.report_stale = true;
             self.dirty.insert_link(m.index(), r.index());
         }
         task
@@ -321,6 +323,9 @@ impl SimState {
             if changed {
                 f.rate = new_rate;
                 self.flow_retimes += 1;
+                for &(m, _) in &f.links {
+                    self.machines[m.index()].report_stale = true;
+                }
                 // No ETA at rate 0: a later link change revisits the flow.
                 let eta = self.now.after_secs(f.remaining / new_rate);
                 if new_rate > 0.0 && eta < SimTime::MAX {
@@ -412,6 +417,7 @@ impl SimState {
             self.dirty.insert_link(mi, r.index());
         }
         let ms = &mut self.machines[mi];
+        ms.report_stale = true;
         if active {
             ms.external += e.load;
         } else {

@@ -91,19 +91,28 @@ impl SimState {
         let horizon = RAMP_UP_HORIZON_SECS;
         let now = self.now;
         if !self.cfg.faults.enabled() {
-            // Fast path, byte-identical to the pre-fault tracker.
+            // Fast path, byte-identical to the pre-fault tracker: a report
+            // re-reads only the machines whose inputs moved (`report_stale`);
+            // every other one would report what it reported last.
             for mi in 0..self.machines.len() {
-                let usage = self.machines[mi].usage(&self.flows);
                 let ms = &mut self.machines[mi];
-                ms.external_reported = ms.external;
-                ms.usage_reported = usage;
                 ms.recent.retain(|(t, _)| now.secs_since(*t) < horizon);
-            }
-            if self.cfg.reclaim_idle {
-                // Reported usage moved on every machine and feeds the
-                // reclaim-mode availability bound; the report is already
-                // O(machines), so the index refresh rides along free.
-                self.index_rebuild();
+                if !ms.report_stale {
+                    debug_assert!(
+                        ms.usage(&self.flows) == ms.usage_reported
+                            && ms.external == ms.external_reported,
+                        "machine {mi}'s report inputs moved with no stale flag"
+                    );
+                    continue;
+                }
+                ms.usage_reported = ms.usage(&self.flows);
+                ms.external_reported = ms.external;
+                if self.cfg.reclaim_idle {
+                    // Reported usage feeds the reclaim-mode availability
+                    // bound.
+                    self.index_touch(mi);
+                }
+                self.machines[mi].report_stale = false;
             }
             return;
         }

@@ -192,15 +192,11 @@ impl<'a> MachineQuery<'a> {
     /// linear backend returns every considered machine: the floors are a
     /// pruning opportunity, not a correctness filter.
     pub fn floor_candidates_into(&self, min_cpu: f64, min_mem: f64, out: &mut Vec<MachineId>) {
-        out.clear();
         if self.indexed() {
-            let mut raw = Vec::new();
-            self.view
-                .state
-                .index
-                .floor_candidates_into(min_cpu, min_mem, &mut raw);
-            out.extend(raw.into_iter().map(|mi| MachineId(mi as usize)));
+            let index = &self.view.state.index;
+            index.floor_candidates_into(min_cpu, min_mem, out);
         } else {
+            out.clear();
             out.extend(self.considered());
         }
     }

@@ -273,7 +273,7 @@ fn srtf_prefilter_matches_exhaustive_reference() {
 #[test]
 fn packing_only_warm_scratch_matches_cold_reference() {
     // A second Tetris operating point (no SRTF term, no fairness) drives
-    // different branches through the candidate loop and the banned set.
+    // different branches through the candidate loop and the fit lists.
     for seed in SEEDS {
         for (wname, w) in workloads(seed) {
             assert_equivalent(
