@@ -1,9 +1,9 @@
-//! This call's candidates: the per-job caches events invalidate, the
-//! fairness cut (§3.4), assembly from the caches (§3.5's barrier
+//! This call's candidates: the per-job caches the view's epochs validate,
+//! the fairness cut (§3.4), assembly from the caches (§3.5's barrier
 //! promotion included) and the jobs' remaining-work ranks (§3.3).
 
 use tetris_resources::ResourceVec;
-use tetris_sim::{ClusterView, MachineId, SchedulerEvent, StageProgress};
+use tetris_sim::{ClusterView, MachineId, StageProgress};
 use tetris_workload::{JobId, TaskUid};
 
 use super::bans::Blocked;
@@ -74,16 +74,17 @@ impl Candidate {
     }
 }
 
-/// One job's cached candidates, rebuilt only when an event dirtied the
-/// job. Validity is the incremental contract: every mutation of a job's
-/// progress or pending queues arrives as a [`SchedulerEvent`] naming the
-/// job, and block-replica moves (which alter preference lists globally)
-/// arrive as `MachineDown`/`MachineUp`, which flush every entry.
-/// Everything else a pass needs — availability, freed-machine hints,
-/// suspicion — is read from the view each call, never cached.
+/// One job's cached candidates, stamped with the view's epochs at build
+/// time and rebuilt when either has moved since: the job epoch moves with
+/// every change to the job's progress or pending queues, the replica
+/// epoch with every block-replica move (which alters preference lists
+/// globally). Everything else a pass needs — availability, freed-machine
+/// hints, suspicion — is read from the view each call, never cached.
 #[derive(Default)]
 struct JobCache {
-    valid: bool,
+    /// (job epoch, replica epoch) this entry was built at; `None` until
+    /// built, and always in the cache-off slot.
+    built_at: Option<(u64, u64)>,
     /// SRTF remaining-work score (pre-ranking).
     p_score: f64,
     /// The job's candidates as the call assembling them starts them, one
@@ -93,74 +94,14 @@ struct JobCache {
     prefs: Vec<MachineId>,
 }
 
-/// Event-invalidated incremental state: the per-job candidate caches.
+/// The per-job candidate caches, valid for as long as their epochs are.
 #[derive(Default)]
 pub(super) struct IncState {
-    /// The cache-validity gate: true once any event has been delivered.
-    /// Before that the policy may be driven bare (probes, direct
-    /// `schedule` calls) and nothing would invalidate an entry, so every
-    /// call rebuilds. The first event finds every entry invalid (nothing
-    /// was ever cached), so a policy attached mid-run starts correct.
-    synced: bool,
-    /// Invalidate every cache entry on the next call (machine down/up:
-    /// re-replication moves blocks, so preference lists are globally
-    /// stale).
-    flush_all: bool,
-    /// Jobs dirtied by events since the last call (may repeat).
-    dirty: Vec<JobId>,
-    /// Whether this call may reuse a valid entry ([`IncState::invalidate`]).
-    reuse: bool,
     /// Per-job caches, indexed by job id (grown on demand).
     cache: Vec<JobCache>,
     /// The rebuild slot of cache-off calls: growing `cache` to the highest
-    /// job id for entries that are never revalidated would be pure
-    /// allocation, a real cost when a sharded driver runs many cold passes.
+    /// job id for entries that are never reused would be pure allocation.
     cold: JobCache,
-}
-
-impl IncState {
-    /// Note what an event dirtied.
-    pub(super) fn on_event(&mut self, event: &SchedulerEvent) {
-        self.synced = true;
-        match *event {
-            // Anything that moves a job's progress or pending queues
-            // dirties exactly that job's cached candidates.
-            SchedulerEvent::JobArrived { job }
-            | SchedulerEvent::TaskPlaced { job, .. }
-            | SchedulerEvent::TaskFinished { job, .. }
-            | SchedulerEvent::TaskPreempted { job, .. }
-            | SchedulerEvent::TaskAbandoned { job, .. }
-            | SchedulerEvent::TaskRunnable { job, .. } => self.dirty.push(job),
-            // Crash/recovery re-replicates blocks: every cached preference
-            // list may be stale, so flush the lot (rare events).
-            SchedulerEvent::MachineDown { .. } | SchedulerEvent::MachineUp { .. } => {
-                self.flush_all = true;
-            }
-        }
-    }
-
-    /// Invalidate what the events since the last call dirtied. An entry is
-    /// reused only once events flow (`synced`) and under the `Exact`
-    /// estimator (`Learned` keys off cross-job family state the per-job
-    /// events don't cover); otherwise every entry is rebuilt each call.
-    pub(super) fn invalidate(&mut self, cfg: &TetrisConfig, pass: &mut PassRecord) {
-        self.reuse = self.synced && matches!(cfg.estimation, EstimationMode::Exact);
-        pass.prov.cache_flushed = !self.reuse || self.flush_all;
-        pass.prov.dirty_jobs = self.dirty.len() as u32;
-        if pass.prov.cache_flushed {
-            for c in self.cache.iter_mut() {
-                c.valid = false;
-            }
-            self.flush_all = false;
-        } else {
-            for &j in &self.dirty {
-                if let Some(c) = self.cache.get_mut(j.index()) {
-                    c.valid = false;
-                }
-            }
-        }
-        self.dirty.clear();
-    }
 }
 
 /// This call's candidates and the buffers that build them.
@@ -193,29 +134,39 @@ impl TetrisScheduler {
         if !set.fairness_cut(view, cfg) {
             return false;
         }
-        // One pass per eligible job: rebuild its cache entry if an event
-        // dirtied it (or caching is off), then assemble candidates from it.
-        // A warm entry is byte-for-byte a rebuilt one (pinned by
-        // `tests/schedule_equivalence.rs` and the incremental proptest).
+        // An entry is reused only under the `Exact` estimator: `Learned`
+        // keys off cross-job family state no job epoch covers.
+        let reuse = matches!(cfg.estimation, EstimationMode::Exact);
+        pass.prov.cache_flushed = !reuse;
+        // One pass per eligible job: rebuild its cache entry if an epoch
+        // moved since it was built (or caching is off), then assemble
+        // candidates from it. A warm entry is byte-for-byte a rebuilt one
+        // (pinned by `tests/schedule_equivalence.rs` and the incremental
+        // proptest).
+        let replica = view.replica_epoch();
         let reference = view.total_capacity() / view.num_machines() as f64;
         set.p_scores.clear();
         set.list.clear();
         set.preferred_arena.clear();
         for &(j, _) in set.shares.iter() {
             let ji = j.index();
-            let cached = if inc.reuse {
+            let cached = if reuse {
                 if inc.cache.len() <= ji {
                     inc.cache.resize_with(ji + 1, JobCache::default);
                 }
                 &mut inc.cache[ji]
             } else {
-                inc.cold.valid = false;
                 &mut inc.cold
             };
-            if cached.valid {
+            let epochs = (view.job_epoch(j), replica);
+            if cached.built_at == Some(epochs) {
                 pass.prov.cache_hits += 1;
             } else {
                 pass.prov.cache_rebuilds += 1;
+                if let Some((job, replica)) = cached.built_at {
+                    pass.prov.dirty_jobs += u32::from(job != epochs.0);
+                    pass.prov.cache_flushed |= replica != epochs.1;
+                }
                 let (family, progress) = (view.job_family(j), &mut set.progress);
                 view.stage_progress_into(j, progress);
                 cached.p_score = job_remaining_work_with(view, j, &reference, progress);
@@ -238,7 +189,7 @@ impl TetrisScheduler {
                         blocked: Blocked::No,
                     });
                 }
-                cached.valid = inc.reuse;
+                cached.built_at = reuse.then_some(epochs);
             }
             let p_slot = set.p_scores.len() as f64; // rank filled in below
             set.p_scores.push(cached.p_score);

@@ -5,8 +5,7 @@
 //! the interface between them (DESIGN.md "The Tetris pass in layers").
 
 use tetris_sim::{
-    Assignment, ClusterView, MachineId, PlacementProvenance, SchedulerEvent, SchedulerPolicy,
-    WorkingLedger,
+    Assignment, ClusterView, MachineId, PlacementProvenance, SchedulerPolicy, WorkingLedger,
 };
 use tetris_workload::TaskUid;
 
@@ -154,7 +153,8 @@ pub struct TetrisScheduler {
     estimator: DemandEstimator,
     /// Machines currently reserved for a starved task (§3.5).
     reservations: Vec<(MachineId, TaskUid)>,
-    /// Event-maintained incremental state (see [`IncState`]).
+    /// Per-job candidate caches, validated by the view's epochs (see
+    /// [`IncState`]).
     inc: IncState,
     /// The per-call layers, reused across calls: that changes where the
     /// data lives, never what it holds (`tests/schedule_equivalence.rs`).
@@ -212,14 +212,36 @@ impl TetrisScheduler {
         &self.cfg
     }
 
-    /// Drop every layer's reusable buffers, forcing the next `schedule()`
-    /// call to start from cold allocations — the reference behaviour the
-    /// equivalence suite compares warm-scratch runs against. Persistent
-    /// policy state (estimator, reservations, caches) is untouched.
-    pub fn reset_scratch(&mut self) {
+    /// Drop every layer's reusable buffers and every job cache, so the
+    /// next `schedule()` call starts from nothing ([`ColdTetris`]).
+    /// Persistent policy state (estimator, reservations) is untouched.
+    fn reset_scratch(&mut self) {
+        self.inc = IncState::default();
         self.cands = CandidateSet::default();
         self.work = Worklist::default();
         self.ledger = WorkingLedger::new(!self.cfg.consider_io_dims);
+    }
+}
+
+/// Tetris rebuilt from nothing before every `schedule()` call: no job
+/// cache, no reused buffer. Its decisions are by definition what the view
+/// alone implies, so it is the reference every warm Tetris is pinned
+/// against (`tests/schedule_equivalence.rs`, the incremental proptest,
+/// Table 8's "full" arm).
+pub struct ColdTetris(pub TetrisScheduler);
+
+impl SchedulerPolicy for ColdTetris {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn uses_tracker(&self) -> bool {
+        self.0.uses_tracker()
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        self.0.reset_scratch();
+        self.0.schedule(view)
     }
 }
 
@@ -241,16 +263,11 @@ impl SchedulerPolicy for TetrisScheduler {
         true
     }
 
-    fn on_event(&mut self, _view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.inc.on_event(event);
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let mut pass = PassRecord::default();
         self.ledger.begin(view);
         #[cfg(test)]
         self.planned.clear();
-        self.inc.invalidate(&self.cfg, &mut pass);
         self.estimator.update(view);
         self.lapse_reservations(view);
         if !self.build_candidates(view, &mut pass) {

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use tetris_sim::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, SimOutcome};
+use tetris_sim::{Assignment, ClusterView, SchedulerPolicy, SimOutcome};
 
 /// `(simulated time, probe)` after each `schedule` call.
 pub(crate) type Calls = Rc<RefCell<Vec<(f64, bool)>>>;
@@ -24,10 +24,6 @@ impl<P: SchedulerPolicy> SchedulerPolicy for Watched<P> {
 
     fn uses_tracker(&self) -> bool {
         self.inner.uses_tracker()
-    }
-
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.inner.on_event(view, event);
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {

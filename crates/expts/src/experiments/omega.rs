@@ -50,7 +50,7 @@ const PENDING_PER_MACHINE: usize = 10;
 /// partitioner has something to spread (one scoring candidate per job).
 const TASKS_PER_JOB: usize = 2;
 /// Timed heartbeats per shard count; the reported latency is the median.
-/// Fresh unsynced schedulers per rep keep every pass genuinely cold.
+/// Fresh schedulers per rep keep every pass genuinely cold.
 const REPS: usize = 3;
 
 /// Static metric keys per sweep point: median sharded-heartbeat

@@ -34,7 +34,7 @@ pub const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// Pending backlog per machine (100 k machines → 1 M pending tasks).
 const PENDING_PER_MACHINE: usize = 10;
 /// Timed cold passes per size; the reported latency is the median. Each
-/// rep uses fresh unsynced schedulers so every pass is genuinely cold.
+/// rep uses fresh schedulers so every pass is genuinely cold.
 const REPS: usize = 3;
 
 /// Static metric keys per sweep point: indexed / linear cold-pass median

@@ -1,5 +1,4 @@
-//! Table 8 — scheduler overheads at heartbeat scale (paper §5.4), on the
-//! redesigned event-driven `SchedulerPolicy` API.
+//! Table 8 — scheduler overheads at heartbeat scale (paper §5.4).
 //!
 //! The paper reports the resource manager's time to process one
 //! node-manager heartbeat with 10 k/50 k tasks pending and finds Tetris's
@@ -8,15 +7,14 @@
 //! backlog. This experiment reproduces that operating point with the
 //! incremental core: a cluster is packed solid
 //! ([`IncrementalProbe::settle`]), then each measured heartbeat drains
-//! one machine, delivers the [`SchedulerEvent`]s naming the jobs the
-//! drain touched, and times one `schedule()` call — both policies reading
-//! the same freed-machine hints from the view — for
+//! one machine and times one `schedule()` call — both policies reading
+//! the same state, freed-machine hints and epochs from the view — for
 //!
-//! * **full** — [`MarkAllDirty`]-wrapped Tetris, which ignores events and
-//!   rebuilds every job's remaining-work score, demand estimates, and
-//!   placement preferences from the view (the pre-redesign cost); and
-//! * **incremental** — the same Tetris synced by events, whose per-job
-//!   candidate caches stay valid except for the jobs the drain touched.
+//! * **full** — [`ColdTetris`], which drops every cache before each call
+//!   and rebuilds every job's remaining-work score, demand estimates,
+//!   and placement preferences from the view; and
+//! * **incremental** — plain Tetris, whose per-job candidate caches stay
+//!   valid except for the jobs whose epoch the drain moved.
 //!
 //! Both must propose byte-identical assignments every heartbeat (the
 //! probe asserts it); the sweep over 2.5 k/11 k/51 k/100 k pending tasks
@@ -25,15 +23,12 @@
 //! only deterministic counts (latencies go to metrics), so `reproduce
 //! all` output stays byte-stable run to run.
 //!
-//! [`SchedulerEvent`]: tetris_sim::SchedulerEvent
-//! [`MarkAllDirty`]: tetris_sim::MarkAllDirty
 //! [`IncrementalProbe::settle`]: tetris_sim::probe::IncrementalProbe::settle
 
-use tetris_core::{TetrisConfig, TetrisScheduler};
+use tetris_core::{ColdTetris, TetrisConfig, TetrisScheduler};
 use tetris_metrics::TextTable;
-use tetris_obs::{names, Obs};
 use tetris_resources::MachineSpec;
-use tetris_sim::{probe::IncrementalProbe, ClusterConfig, MarkAllDirty, SimConfig};
+use tetris_sim::{probe::IncrementalProbe, ClusterConfig, SimConfig};
 use tetris_workload::{Workload, WorkloadSuiteConfig};
 
 use crate::{Report, RunCtx};
@@ -51,7 +46,7 @@ const REPS: usize = 8;
 /// latencies (milliseconds), the full/incremental warm ratio, and the
 /// headline `decision_speedup_*` — cold full-rescan over warm
 /// incremental, i.e. how much cheaper one decision got at this backlog
-/// under the event-driven API (Table 8's ≥5× target at 51 k).
+/// with per-job caches (Table 8's ≥5× target at 51 k).
 fn metric_names(i: usize) -> [&'static str; 5] {
     match i {
         0 => [
@@ -113,19 +108,19 @@ pub fn table8(ctx: &RunCtx) -> Report {
     let mut out = String::new();
     out.push_str(&format!(
         "Table 8 — scheduler overheads on {n_machines} machines: one warm heartbeat\n\
-         (drain a machine, deliver its events, schedule) under the event-synced\n\
-         incremental Tetris vs the same policy rebuilding from scratch\n\
-         (mark-all-dirty), asserted decision-identical at every heartbeat.\n\
+         (drain a machine, schedule) under incremental Tetris, whose per-job\n\
+         caches are keyed on the view's epochs, vs the same policy rebuilding\n\
+         from scratch, asserted decision-identical at every heartbeat.\n\
          Latencies land in the bench metrics (cold_ms_*, warm_full_ms_*,\n\
          warm_inc_ms_*, warm_speedup_*); the table below is the deterministic\n\
-         part. expectation: warm_speedup grows with backlog — the full rebuild\n\
+         part; `touched` counts the jobs whose epoch the warm heartbeats moved.\n\
+         expectation: warm_speedup grows with backlog — the full rebuild\n\
          pays O(pending), the incremental pass pays O(changed).\n\n",
     ));
     let mut t = TextTable::new(vec![
-        "backlog", "pending", "jobs", "settled", "drained", "replaced", "events",
+        "backlog", "pending", "jobs", "settled", "drained", "replaced", "touched",
     ]);
     let mut report = Report::new(String::new());
-    let mut obs = Obs::noop();
     for (i, &backlog) in BACKLOGS.iter().enumerate() {
         let target = ((backlog as f64 * ctx.scale_factor).round() as usize).max(60);
         let w = pending_workload(target, ctx.seed + 80);
@@ -139,7 +134,7 @@ pub fn table8(ctx: &RunCtx) -> Report {
         );
         let pending = probe.pending();
         let mut inc = TetrisScheduler::new(TetrisConfig::default());
-        let mut full = MarkAllDirty(TetrisScheduler::new(TetrisConfig::default()));
+        let mut full = ColdTetris(TetrisScheduler::new(TetrisConfig::default()));
         let (settled, cold_inc, _cold_full) = probe.settle(&mut inc, &mut full);
         let (mut inc_ns, mut full_ns) = (Vec::new(), Vec::new());
         let (mut drained, mut replaced) = (0, 0);
@@ -150,8 +145,7 @@ pub fn table8(ctx: &RunCtx) -> Report {
             drained += hb.drained;
             replaced += hb.placements;
         }
-        let events = probe.events_delivered();
-        obs.metrics.counter_add(names::SCHED_EVENTS, events);
+        let touched = probe.touched_jobs();
         let (inc_med, full_med) = (median(&mut inc_ns), median(&mut full_ns));
         let names = metric_names(i);
         report.push(names[0], cold_inc as f64 / 1e6);
@@ -166,10 +160,9 @@ pub fn table8(ctx: &RunCtx) -> Report {
             format!("{settled}"),
             format!("{drained}"),
             format!("{replaced}"),
-            format!("{events}"),
+            format!("{touched}"),
         ]);
     }
-    ctx.absorb(&obs.metrics);
     out.push_str(&t.render());
     report.text = out;
     report
@@ -195,7 +188,7 @@ mod tests {
                 assert!(v.is_finite() && v > 0.0, "{name} = {v}");
             }
         }
-        assert!(r.text.contains("events"), "{}", r.text);
+        assert!(r.text.contains("touched"), "{}", r.text);
     }
 
     #[test]

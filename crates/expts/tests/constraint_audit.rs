@@ -23,8 +23,7 @@ use std::rc::Rc;
 
 use tetris_expts::{RunCtx, SchedName};
 use tetris_sim::{
-    Assignment, ClusterView, GreedyFifo, MachineId, SchedulerEvent, SchedulerPolicy, SimConfig,
-    Simulation,
+    Assignment, ClusterView, GreedyFifo, MachineId, SchedulerPolicy, SimConfig, Simulation,
 };
 use tetris_workload::{JobId, ServingMixConfig, Workload};
 
@@ -70,10 +69,6 @@ fn stacked(view: &ClusterView<'_>, out: &[Assignment]) -> usize {
 impl SchedulerPolicy for Audit {
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.inner.on_event(view, event);
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {

@@ -57,12 +57,12 @@ pub struct RejectedCandidate {
 pub struct PlacementProvenance {
     /// Per-job candidate caches served warm in this `schedule()` call.
     pub cache_hits: u32,
-    /// Caches rebuilt this call (cold start or dirtied by an event).
+    /// Caches built this call: never built before, or stale.
     pub cache_rebuilds: u32,
-    /// True when the incremental state was flushed wholesale (first call,
-    /// topology change, or a mark-all-dirty event).
+    /// True when caching is off (non-exact estimation) or the view's
+    /// replica epoch moved under an entry this call rebuilt.
     pub cache_flushed: bool,
-    /// Jobs named dirty by scheduler events since the previous call.
+    /// Entries rebuilt this call because their job's epoch moved.
     pub dirty_jobs: u32,
     /// Candidates scored on the winning machine for this slot.
     pub candidates: u32,

@@ -65,9 +65,6 @@ pub mod names {
     pub const REJECTED_ASSIGNMENTS: &str = "rejected_assignments";
     /// Simulation events processed (counter).
     pub const ENGINE_EVENTS: &str = "engine_events";
-    /// `SchedulerEvent`s delivered to the policy's `on_event` hook
-    /// (counter) — nonzero proves the incremental path is exercised.
-    pub const SCHED_EVENTS: &str = "scheduler_events";
     /// Task attempts re-queued by the failure model (counter).
     pub const TASK_RETRIES: &str = "task_retries";
     /// Running tasks evicted by priority preemption (counter;

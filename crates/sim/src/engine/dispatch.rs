@@ -1,5 +1,5 @@
-//! One popped event: the state change it makes, the scheduler events it
-//! queues for the policy, and the trace output and counters it leaves.
+//! One popped event: the state change it makes, whether it asks for a
+//! heartbeat, and the trace output and counters it leaves.
 
 use tetris_obs::{names, Event};
 use tetris_workload::TaskUid;
@@ -9,7 +9,6 @@ use crate::events::EventKind;
 use crate::fault::TrackerMode;
 use crate::state::{Phase, TaskCompletion};
 use crate::tracker::REPORT_PERIOD_SECS;
-use crate::view::SchedulerEvent;
 
 /// Interned preemption-reason tags: `&'static str` into the event's `Cow`
 /// field, so emitting a retry allocates nothing for the reason.
@@ -27,8 +26,7 @@ pub(super) enum Wants {
 }
 
 impl Engine<'_> {
-    /// Apply one popped event. Every event that queues a scheduler event
-    /// asks for a heartbeat, so none is left undelivered past its batch.
+    /// Apply one popped event.
     pub(super) fn dispatch(&mut self, kind: EventKind) -> Wants {
         self.stats.events += 1;
         self.obs.metrics.counter_inc(names::ENGINE_EVENTS);
@@ -36,7 +34,6 @@ impl Engine<'_> {
         match kind {
             EventKind::JobArrival(j) => {
                 self.state.job_arrives(j);
-                self.events.push(SchedulerEvent::JobArrived { job: j });
                 let spec = &self.state.workload.jobs[j.index()];
                 self.obs.emit(now, || Event::JobArrived {
                     job: j.index(),
@@ -114,17 +111,10 @@ impl Engine<'_> {
                 metrics.counter_add(names::FAULT_RETRIES, rep.requeued.len() as u64);
                 metrics.counter_add(names::FAULT_ABANDONED, rep.abandoned.len() as u64);
                 metrics.counter_add(names::FAULT_EVACUATIONS, rep.evacuations as u64);
-                // Scheduler events carry the *host* of each killed attempt
-                // (remote readers run elsewhere); the trace events keep
-                // attributing to the crashed machine, matching the
-                // pre-event trace format.
-                for &(task, host) in &rep.requeued {
+                // The trace attributes every killed attempt to the crashed
+                // machine, those of remote readers hosted elsewhere too.
+                for &task in &rep.requeued {
                     let job = self.state.job_of(task);
-                    self.events.push(SchedulerEvent::TaskPreempted {
-                        job,
-                        task,
-                        machine: host,
-                    });
                     self.obs.emit(now, || Event::TaskPreempted {
                         job: job.index(),
                         task: task.index(),
@@ -134,13 +124,8 @@ impl Engine<'_> {
                         preempted_by: None,
                     });
                 }
-                for &(task, host) in &rep.abandoned {
+                for &task in &rep.abandoned {
                     let job = self.state.job_of(task);
-                    self.events.push(SchedulerEvent::TaskAbandoned {
-                        job,
-                        task,
-                        machine: host,
-                    });
                     let attempts = self.state.tasks[task.index()].attempts;
                     self.obs.emit(now, || Event::TaskAbandoned {
                         job: job.index(),
@@ -148,7 +133,6 @@ impl Engine<'_> {
                         attempts,
                     });
                 }
-                self.events.push(SchedulerEvent::MachineDown { machine: m });
                 self.obs.emit(now, || Event::MachineDown {
                     machine: m.index(),
                     killed,
@@ -161,7 +145,6 @@ impl Engine<'_> {
             }
             EventKind::MachineUp(m) => {
                 self.state.machine_recover(m);
-                self.events.push(SchedulerEvent::MachineUp { machine: m });
                 self.obs.metrics.counter_inc(names::FAULT_RECOVERIES);
                 let machine = m.index();
                 self.obs.emit(now, || Event::MachineUp { machine });
@@ -196,8 +179,6 @@ impl Engine<'_> {
                 if !self.state.task_restart(task) {
                     return Wants::Nothing;
                 }
-                let job = self.state.job_of(task);
-                self.events.push(SchedulerEvent::TaskRunnable { job, task });
                 self.obs.metrics.counter_inc(names::FAULT_BACKOFF_WAITS);
                 Wants::Heartbeat
             }
@@ -213,8 +194,6 @@ impl Engine<'_> {
         match done {
             TaskCompletion::Stale => {}
             TaskCompletion::Requeued { machine } => {
-                self.events
-                    .push(SchedulerEvent::TaskPreempted { job, task, machine });
                 self.obs.metrics.counter_inc(names::TASK_RETRIES);
                 self.obs.emit(now, || Event::TaskPreempted {
                     job: job.index(),
@@ -228,8 +207,6 @@ impl Engine<'_> {
             TaskCompletion::Finished {
                 machine, attempts, ..
             } => {
-                self.events
-                    .push(SchedulerEvent::TaskFinished { job, task, machine });
                 self.obs.emit(now, || Event::TaskCompleted {
                     job: job.index(),
                     task: task.index(),

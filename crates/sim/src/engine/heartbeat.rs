@@ -9,7 +9,7 @@ use tetris_obs::{names, Event};
 use super::Engine;
 use crate::recovery::{DecisionLog, RecoveryError};
 use crate::state::Phase;
-use crate::view::{Assignment, ClusterView, SchedulerEvent};
+use crate::view::{Assignment, ClusterView};
 
 /// Cap on re-invocations of the policy within one scheduling round; guards
 /// against a policy that keeps returning assignments the engine rejects.
@@ -20,10 +20,10 @@ const REASON_PRIORITY_PREEMPTION: &str = "priority_preemption";
 
 impl Engine<'_> {
     /// One "resources freed → pick tasks" pass, the heartbeat of a real
-    /// cluster scheduler: deliver the batch's scheduler events, then call
-    /// the policy round after round until a round places nothing. Timed
-    /// end-to-end into the continuous version of the paper's Table-8
-    /// measurement. Breaks if the fault plan's scheduler crash fires.
+    /// cluster scheduler: call the policy round after round until a round
+    /// places nothing. Timed end-to-end into the continuous version of the
+    /// paper's Table-8 measurement. Breaks if the fault plan's scheduler
+    /// crash fires.
     pub(super) fn heartbeat(
         &mut self,
         log: &mut DecisionLog<'_>,
@@ -39,9 +39,6 @@ impl Engine<'_> {
         }
         let mid_commit = crash.is_some();
         log.batch_start(heartbeat, self.state.now)?;
-        // The batch's scheduler events go before the rounds' schedule
-        // calls — the protocol documented on [`SchedulerEvent`].
-        self.deliver();
         // The freed-machine hints are fixed for the heartbeat (contract
         // and measured reason on `ClusterView::freed_machines`): frees the
         // rounds cause themselves — priority evictions — are dropped.
@@ -155,7 +152,7 @@ impl Engine<'_> {
     }
 
     /// Apply one admitted assignment: evict its victims, place its task,
-    /// and narrate each step to the policy and the trace.
+    /// and narrate each step to the trace.
     fn apply(&mut self, a: Assignment, verbose: bool) {
         let now = self.state.now.as_secs();
         // Evictions land before the placement. They are *not* journaled:
@@ -170,12 +167,6 @@ impl Engine<'_> {
             };
             self.stats.preemptions += 1;
             self.obs.metrics.counter_inc(names::PREEMPTIONS);
-            self.events.push(SchedulerEvent::TaskPreempted {
-                job,
-                task: v,
-                machine: host,
-            });
-            self.deliver();
             let priority = self.state.workload.jobs[job.index()].priority.0;
             self.obs.emit(now, || Event::TaskPreempted {
                 job: job.index(),
@@ -190,12 +181,6 @@ impl Engine<'_> {
         self.stats.placements += 1;
         self.obs.metrics.counter_inc(names::PLACEMENTS);
         let job = self.state.job_of(a.task);
-        self.events.push(SchedulerEvent::TaskPlaced {
-            job,
-            task: a.task,
-            machine: a.machine,
-        });
-        self.deliver();
         // Present only for non-default priority: all-batch traces stay
         // byte-identical.
         let priority = self.state.workload.jobs[job.index()].priority.0;

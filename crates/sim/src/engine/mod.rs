@@ -1,7 +1,7 @@
 //! The simulation engine: the builder and the event loop, which batches
 //! events by instant. One `impl Engine` block a file (DESIGN.md "Engine
 //! and view layers"): `dispatch` turns one popped event into state
-//! changes, scheduler events and trace output; `heartbeat` runs the
+//! changes, its heartbeat request and trace output; `heartbeat` runs the
 //! policy's rounds and applies what they return. Durability is the
 //! [`DecisionLog`]'s: the engine calls it at fixed points.
 
@@ -18,7 +18,7 @@ use crate::recovery::{run_fingerprint, DecisionLog, Recovered, RecoveryError, Ru
 use crate::state::SimState;
 use crate::time::SimTime;
 use crate::tracker::REPORT_PERIOD_SECS;
-use crate::view::{ClusterView, SchedulerEvent, SchedulerPolicy};
+use crate::view::SchedulerPolicy;
 
 mod dispatch;
 mod heartbeat;
@@ -204,7 +204,6 @@ impl<'o> Simulation<'o> {
             policy,
             obs,
             observing,
-            events: Vec::new(),
             transitions: Vec::new(),
         };
         let max_t = engine.state.cfg.max_sim_time();
@@ -335,23 +334,6 @@ struct Engine<'o> {
     /// An observability context is attached: gates the state walks only a
     /// reader pays for.
     observing: bool,
-    /// Scheduler events not yet delivered: a batch's, handed over before
-    /// its heartbeat's rounds, or one the rounds caused.
-    events: Vec<SchedulerEvent>,
     /// Suspicion transitions of the last tracker report.
     transitions: Vec<(MachineId, bool)>,
-}
-
-impl Engine<'_> {
-    /// Hand the queued scheduler events to the policy through a view of
-    /// the state as it stands, counting them: the one way events arrive.
-    fn deliver(&mut self) {
-        let view = ClusterView::new(&self.state, self.tracker_aware);
-        for e in &self.events {
-            self.policy.on_event(&view, e);
-        }
-        let delivered = self.events.len() as u64;
-        self.obs.metrics.counter_add(names::SCHED_EVENTS, delivered);
-        self.events.clear();
-    }
 }

@@ -79,8 +79,8 @@ pub use sharded::{ShardedScheduler, ShardedStats};
 pub use state::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
 pub use time::SimTime;
 pub use view::{
-    plan_priority_preemption, Assignment, ClusterView, MachineQuery, MarkAllDirty, PlanFailure,
-    SchedulerEvent, SchedulerPolicy, StageProgress, WorkingLedger,
+    plan_priority_preemption, Assignment, ClusterView, MachineQuery, PlanFailure, SchedulerEvent,
+    SchedulerPolicy, StageProgress, WorkingLedger,
 };
 // Re-exported so policies can annotate assignments without naming the obs
 // crate themselves.

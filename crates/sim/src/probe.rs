@@ -14,7 +14,7 @@ use tetris_workload::{JobId, Workload};
 use crate::cluster::{ClusterConfig, MachineId};
 use crate::config::SimConfig;
 use crate::state::{PlacementPlan, SimState};
-use crate::view::{Assignment, ClusterView, SchedulerEvent, SchedulerPolicy};
+use crate::view::{Assignment, ClusterView, SchedulerPolicy};
 
 /// `workload` bound to `cluster`, every job arrived: the root stages'
 /// tasks pending, nothing placed.
@@ -121,37 +121,35 @@ impl RecomputeProbe {
 }
 
 /// A live snapshot for benchmarking *incremental* scheduling: the
-/// heartbeat-scale loop of [`SchedulerEvent`]-driven policies.
+/// heartbeat-scale loop of policies that cache per-job state keyed on the
+/// view's epochs.
 ///
-/// [`ScheduleProbe`] measures the cold decision — an unsynced policy
-/// rebuilding its world from the view. This probe measures the warm one:
-/// after [`settle`](IncrementalProbe::settle) bootstraps two policies
-/// (typically the incremental policy under test and a
-/// [`MarkAllDirty`](crate::view::MarkAllDirty) oracle) onto a packed
-/// cluster, each [`warm_heartbeat`](IncrementalProbe::warm_heartbeat)
-/// drains one machine, delivers the resulting [`TaskPreempted`] events
-/// exactly as the engine would, and times one `schedule()` call per
-/// policy on the identical state — asserting the two assignment streams
-/// stay byte-identical.
+/// [`ScheduleProbe`] measures the cold decision — a fresh policy
+/// building its world from the view. This probe measures the warm one:
+/// after [`settle`](IncrementalProbe::settle) runs two policies (typically
+/// the incremental policy under test and a reference that rebuilds from
+/// nothing every call, `tetris_core::ColdTetris`) onto a packed cluster,
+/// each [`warm_heartbeat`](IncrementalProbe::warm_heartbeat) drains one
+/// machine and times one `schedule()` call per policy on the identical
+/// state — asserting the two assignment streams stay byte-identical.
 ///
-/// Both policies read the same freed-machine hints from the view, as they
-/// would inside the engine. What the oracle pays and the synced policy
-/// skips is the per-job state rebuild (remaining-work scores, demand
-/// estimates, placement preferences for every pending job) — the cost
-/// Table 8's incremental row reports.
-///
-/// [`TaskPreempted`]: SchedulerEvent::TaskPreempted
+/// Both policies read the same state, freed-machine hints and epochs, as
+/// they would inside the engine; the probe hands them nothing else. What
+/// the reference pays and the incremental policy skips is the per-job
+/// state rebuild (remaining-work scores, demand estimates, placement
+/// preferences for every pending job) — the cost Table 8's incremental
+/// row reports.
 pub struct IncrementalProbe {
     state: SimState,
     reps: u64,
-    events: u64,
+    touched: u64,
 }
 
 /// One timed warm heartbeat: wall-clock nanoseconds for the policy under
 /// test and the oracle, plus what the (identical) decisions did.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmHeartbeat {
-    /// Nanoseconds for the event-synced policy's `schedule()` call.
+    /// Nanoseconds for the incremental policy's `schedule()` call.
     pub inc_ns: u64,
     /// Nanoseconds for the oracle policy's `schedule()` call.
     pub oracle_ns: u64,
@@ -172,7 +170,7 @@ impl IncrementalProbe {
         IncrementalProbe {
             state: all_arrived(cluster, workload, cfg),
             reps: 0,
-            events: 0,
+            touched: 0,
         }
     }
 
@@ -181,27 +179,23 @@ impl IncrementalProbe {
         self.state.num_pending()
     }
 
-    /// Total [`SchedulerEvent`]s delivered so far (counted once per
-    /// event, not per receiving policy) — deterministic for a given
-    /// snapshot and call sequence, which is what lets callers assert the
-    /// incremental path was actually exercised.
-    pub fn events_delivered(&self) -> u64 {
-        self.events
+    /// Jobs whose epoch moved, by a drain or a placement, summed over the
+    /// warm heartbeats so far: each one a cache entry an incremental
+    /// policy rebuilds. Counted outside the timed calls, and deterministic
+    /// for a given snapshot and call sequence, which is what lets callers
+    /// assert the incremental path was exercised.
+    pub fn touched_jobs(&self) -> u64 {
+        self.touched
     }
 
-    fn deliver(&mut self, policies: &mut [&mut dyn SchedulerPolicy], event: &SchedulerEvent) {
-        self.events += 1;
-        for p in policies.iter_mut() {
-            let view = ClusterView::new(&self.state, p.uses_tracker());
-            p.on_event(&view, event);
-        }
+    fn job_epochs(&self) -> Vec<u64> {
+        self.state.jobs.iter().map(|j| j.epoch).collect()
     }
 
     /// One engine-faithful scheduling round over both policies: schedule
     /// on the identical state, assert the streams match, apply `inc`'s
-    /// assignments, deliver a [`TaskPlaced`](SchedulerEvent::TaskPlaced)
-    /// per application to both, and consume the freed-machine hints.
-    /// Returns (placements, inc_ns, oracle_ns).
+    /// assignments and consume the freed-machine hints. Returns
+    /// (placements, inc_ns, oracle_ns).
     fn round(
         &mut self,
         inc: &mut dyn SchedulerPolicy,
@@ -217,25 +211,14 @@ impl IncrementalProbe {
             }
             self.state.apply_assignment(a.task, a.machine);
             placed += 1;
-            let job = self.state.job_of(a.task);
-            self.deliver(
-                &mut [&mut *inc, &mut *oracle],
-                &SchedulerEvent::TaskPlaced {
-                    job,
-                    task: a.task,
-                    machine: a.machine,
-                },
-            );
         }
         self.state.recompute_dirty();
         self.state.freed_hint.clear();
         (placed, inc_ns, oracle_ns)
     }
 
-    /// Bootstrap both policies: deliver a
-    /// [`JobArrived`](SchedulerEvent::JobArrived) per job (syncing any
-    /// event-driven policy), then run scheduling rounds until the cluster
-    /// stops accepting work. Returns (placements, cold-pass ns for `inc`,
+    /// Run scheduling rounds over both policies until the cluster stops
+    /// accepting work. Returns (placements, cold-pass ns for `inc`,
     /// cold-pass ns for `oracle`) where the cold pass is the first —
     /// all-pending — `schedule()` call of each.
     pub fn settle(
@@ -243,13 +226,6 @@ impl IncrementalProbe {
         inc: &mut dyn SchedulerPolicy,
         oracle: &mut dyn SchedulerPolicy,
     ) -> (usize, u64, u64) {
-        let jobs: Vec<JobId> = self.state.workload.jobs.iter().map(|j| j.id).collect();
-        for j in jobs {
-            self.deliver(
-                &mut [&mut *inc, &mut *oracle],
-                &SchedulerEvent::JobArrived { job: j },
-            );
-        }
         let (mut total, cold_inc, cold_oracle) = self.round(inc, oracle);
         loop {
             let (placed, _, _) = self.round(inc, oracle);
@@ -262,10 +238,10 @@ impl IncrementalProbe {
     }
 
     /// One warm heartbeat: drain the next machine round-robin (kill its
-    /// resident tasks back into the pending pool), deliver the preemption
-    /// events, and time one `schedule()` per policy on the identical
-    /// state (the drain's freed-machine hints in place). Panics if the two
-    /// assignment streams diverge.
+    /// resident tasks back into the pending pool) and time one
+    /// `schedule()` per policy on the identical state (the drain's
+    /// freed-machine hints in place). Panics if the two assignment
+    /// streams diverge.
     pub fn warm_heartbeat(
         &mut self,
         inc: &mut dyn SchedulerPolicy,
@@ -274,27 +250,21 @@ impl IncrementalProbe {
         let mi = (self.reps as usize) % self.state.machines.len();
         self.reps += 1;
         let machine = MachineId(mi);
+        let before = self.job_epochs();
         let victims: Vec<_> = self.state.machines[mi].running_tasks.clone();
         let mut drained = 0;
         for uid in victims {
-            let Some((abandoned, _, host)) = self.state.kill_task(uid) else {
+            let Some((abandoned, _)) = self.state.kill_task(uid) else {
                 continue;
             };
             debug_assert!(!abandoned, "attempt cap was lifted in new()");
             drained += 1;
-            let job = self.state.job_of(uid);
-            self.deliver(
-                &mut [&mut *inc, &mut *oracle],
-                &SchedulerEvent::TaskPreempted {
-                    job,
-                    task: uid,
-                    machine: host,
-                },
-            );
         }
         self.state.recompute_dirty();
         debug_assert!(drained == 0 || self.state.freed_hint.contains(&machine));
         let (placements, inc_ns, oracle_ns) = self.round(inc, oracle);
+        let after = self.job_epochs();
+        self.touched += before.iter().zip(&after).filter(|(b, a)| b != a).count() as u64;
         WarmHeartbeat {
             inc_ns,
             oracle_ns,
@@ -486,7 +456,7 @@ impl ColdPassProbe {
     /// return the placement count. Single-backend entry point for
     /// Criterion, which wants the two sides as separate measurements;
     /// cross-backend equivalence is [`measure`](ColdPassProbe::measure)'s
-    /// job. Same freshness contract: pass an unsynced policy.
+    /// job. Same freshness contract: pass a fresh policy.
     pub fn cold_schedule_indexed(&self, policy: &mut dyn SchedulerPolicy) -> usize {
         let view = ClusterView::new(&self.indexed, policy.uses_tracker());
         policy.schedule(&view).len()
@@ -503,8 +473,8 @@ impl ColdPassProbe {
     /// raw assignment stream — for cross-*policy* equivalence gates (the
     /// omega experiment pins a one-shard `ShardedScheduler` against its
     /// bare inner policy this way), where `measure`'s cross-*backend*
-    /// comparison is the wrong axis. Same freshness contract: pass an
-    /// unsynced policy.
+    /// comparison is the wrong axis. Same freshness contract: pass a
+    /// fresh policy.
     pub fn cold_assignments_indexed(&self, policy: &mut dyn SchedulerPolicy) -> Vec<Assignment> {
         let view = ClusterView::new(&self.indexed, policy.uses_tracker());
         policy.schedule(&view)
@@ -512,9 +482,9 @@ impl ColdPassProbe {
 
     /// Time one cold `schedule()` call per backend on the identical
     /// snapshot and assert the assignment streams match. The snapshot
-    /// carries no freed hint, so every pass is cold; pass *fresh,
-    /// unsynced* policies each call so adaptive internal state (score
-    /// normalization, caches) never leaks between reps.
+    /// carries no freed hint, so every pass is cold; pass *fresh* policies
+    /// each call, so adaptive internal state (score normalization,
+    /// caches a second call would hit) never leaks between reps.
     pub fn measure(
         &self,
         indexed: &mut dyn SchedulerPolicy,

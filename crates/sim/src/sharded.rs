@@ -37,9 +37,7 @@ use tetris_workload::{JobId, TaskUid};
 use crate::cluster::MachineId;
 use crate::pool::pool_map;
 use crate::state::PlacementPlan;
-use crate::view::{
-    Assignment, ClusterView, SchedulerEvent, SchedulerPolicy, ShardScope, WorkingLedger,
-};
+use crate::view::{Assignment, ClusterView, SchedulerPolicy, ShardScope, WorkingLedger};
 
 /// Bound on intra-heartbeat retry rounds for shards whose proposals lost
 /// a commit race. The engine's own schedule loop provides further rounds
@@ -60,9 +58,9 @@ pub(crate) const OWNER_BLOCK: usize = 64;
 
 /// The shard owning `job`: a splitmix64-style hash of the job's
 /// [`OWNER_BLOCK`] block index folded with the stable partitioning
-/// `seed`, reduced mod `shards`. A pure function — every component
-/// (views, event routing, commit loop) must agree on ownership, and
-/// re-runs with the same seed must re-partition identically.
+/// `seed`, reduced mod `shards`. A pure function — the partition bucketing
+/// and every test that checks it must agree on ownership, and re-runs
+/// with the same seed must re-partition identically.
 #[inline]
 pub(crate) fn owner_shard(job: JobId, shards: usize, seed: u64) -> usize {
     if shards <= 1 {
@@ -96,7 +94,7 @@ pub struct ShardedStats {
 /// pipeline; see [`owner_shard`] for the partitioning.
 ///
 /// With one shard the driver is a transparent delegate — same name, same
-/// views, same event stream — so `shards = 1` output is byte-identical
+/// views — so `shards = 1` output is byte-identical
 /// to running the inner policy bare (pinned by `tests/prop_sharded.rs`).
 pub struct ShardedScheduler {
     inner: Vec<Box<dyn SchedulerPolicy + Send>>,
@@ -213,41 +211,6 @@ impl SchedulerPolicy for ShardedScheduler {
         &self.name
     }
 
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        let shards = self.inner.len();
-        if shards == 1 {
-            return self.inner[0].on_event(view, event);
-        }
-        // Events are delivered outside the commit pipeline, so shards see
-        // the view's availability with their partition lens.
-        let scope = |shard| ShardScope {
-            shard,
-            shards,
-            seed: self.seed,
-            ledger: None,
-            jobs: None,
-        };
-        match event {
-            // Job-scoped events concern exactly one partition.
-            SchedulerEvent::JobArrived { job }
-            | SchedulerEvent::TaskPlaced { job, .. }
-            | SchedulerEvent::TaskFinished { job, .. }
-            | SchedulerEvent::TaskPreempted { job, .. }
-            | SchedulerEvent::TaskAbandoned { job, .. }
-            | SchedulerEvent::TaskRunnable { job, .. } => {
-                let owner = owner_shard(*job, shards, self.seed);
-                self.inner[owner].on_event(&view.scoped(scope(owner)), event);
-            }
-            // A crash or recovery moves block replicas, which concerns
-            // every partition's jobs.
-            SchedulerEvent::MachineDown { .. } | SchedulerEvent::MachineUp { .. } => {
-                for (i, p) in self.inner.iter_mut().enumerate() {
-                    p.on_event(&view.scoped(scope(i)), event);
-                }
-            }
-        }
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let shards = self.inner.len();
         if shards == 1 {
@@ -307,11 +270,8 @@ impl SchedulerPolicy for ShardedScheduler {
                 |(si, policy), _| {
                     let t0 = Instant::now();
                     let scoped = view.scoped(ShardScope {
-                        shard: si,
-                        shards,
-                        seed,
-                        ledger: Some(ledger),
-                        jobs: Some(&partition_ref[si]),
+                        ledger,
+                        jobs: &partition_ref[si],
                     });
                     let out = policy.schedule(&scoped);
                     (si, out, t0.elapsed().as_nanos() as u64)
@@ -331,8 +291,8 @@ impl SchedulerPolicy for ShardedScheduler {
                 for a in proposals {
                     if committed_tasks.contains(&a.task) {
                         // Re-proposal of a task this heartbeat already
-                        // committed (the proposing shard has not seen a
-                        // TaskPlaced event yet) — not a conflict. Audit
+                        // committed (the proposing shard's view does not
+                        // show the placement yet) — not a conflict. Audit
                         // note: this guard is what keeps the commit stage
                         // idempotent under retries — the ledger is
                         // charged and `stats.committed` bumped exactly

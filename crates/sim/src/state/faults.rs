@@ -13,19 +13,16 @@ use crate::config::ExternalLoad;
 use crate::events::EventKind;
 use crate::time::SimTime;
 
-/// What a machine crash did, so the engine can trace and count it.
-///
-/// Each victim carries the machine that *hosted* the killed attempt —
-/// remote readers of the crashed machine's disks run elsewhere, so the
-/// host is not always the crashed machine itself.
+/// What a machine crash did, so the engine can trace and count it. The
+/// victims include remote readers of the crashed machine's disks, which
+/// run elsewhere.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CrashReport {
     /// Tasks whose attempt was lost but which will run again (directly
-    /// runnable or in backoff), with the machine that hosted the attempt.
-    pub requeued: Vec<(TaskUid, MachineId)>,
-    /// Tasks permanently failed (attempt cap reached), with the machine
-    /// that hosted the final attempt.
-    pub abandoned: Vec<(TaskUid, MachineId)>,
+    /// runnable or in backoff).
+    pub requeued: Vec<TaskUid>,
+    /// Tasks permanently failed (attempt cap reached).
+    pub abandoned: Vec<TaskUid>,
     /// Sum over killed attempts of seconds of progress lost.
     pub lost_task_seconds: f64,
     /// Blocks re-replicated off the dead machine.
@@ -39,9 +36,9 @@ impl SimState {
     /// `restart_backoff > 0`, immediately runnable otherwise.
     ///
     /// Returns `None` if the task was not actually running, else
-    /// `Some((abandoned, lost_task_seconds, host_machine))`.
-    pub(crate) fn kill_task(&mut self, uid: TaskUid) -> Option<(bool, f64, MachineId)> {
-        let host = self.teardown_attempt(uid)?.machine;
+    /// `Some((abandoned, lost_task_seconds))`.
+    pub(crate) fn kill_task(&mut self, uid: TaskUid) -> Option<(bool, f64)> {
+        self.teardown_attempt(uid)?;
         let now = self.now;
         let backoff = self.cfg.faults.restart_backoff;
         let t = &mut self.tasks[uid.index()];
@@ -63,7 +60,7 @@ impl SimState {
         } else {
             self.requeue(uid);
         }
-        Some((abandoned, lost, host))
+        Some((abandoned, lost))
     }
 
     /// Priority preemption (DESIGN.md §16): tear down a running attempt
@@ -101,6 +98,7 @@ impl SimState {
             }
         }
         self.release_attempt(uid, &info);
+        self.touch_job(self.task_loc[uid.index()].0); // kill or preemption
         Some(info)
     }
 
@@ -127,12 +125,12 @@ impl SimState {
 
         let mut report = CrashReport::default();
         for uid in victims {
-            if let Some((abandoned, lost, host)) = self.kill_task(uid) {
+            if let Some((abandoned, lost)) = self.kill_task(uid) {
                 report.lost_task_seconds += lost;
                 if abandoned {
-                    report.abandoned.push((uid, host));
+                    report.abandoned.push(uid);
                 } else {
-                    report.requeued.push((uid, host));
+                    report.requeued.push(uid);
                 }
             }
         }
@@ -168,6 +166,7 @@ impl SimState {
         }
 
         report.evacuations = self.evacuate_blocks(machine);
+        self.touch_replicas();
         // Crash fallout touches many machines (victim kills released
         // remote ledgers, the dead machine's flags flipped); a crash is
         // already O(cluster) work, so refresh the whole index.
@@ -261,6 +260,7 @@ impl SimState {
         ms.stale_streak = 0;
         self.freed_hint.push(machine);
         self.index_touch(machine.index());
+        self.touch_replicas();
     }
 
     /// A crash-lost task finishes its restart backoff. Returns true if it
@@ -270,6 +270,7 @@ impl SimState {
             return false;
         }
         self.requeue(uid);
+        self.touch_job(self.task_loc[uid.index()].0); // restart
         true
     }
 }
@@ -306,7 +307,7 @@ mod tests {
         running(&mut st);
         st.now = SimTime::from_secs(3.0);
         let rep = st.machine_crash(MachineId(0));
-        assert_eq!(rep.requeued, vec![(TaskUid(0), MachineId(0))]);
+        assert_eq!(rep.requeued, vec![TaskUid(0)]);
         assert!(rep.abandoned.is_empty());
         assert!((rep.lost_task_seconds - 3.0).abs() < 1e-9);
         // Attempt fully torn down: runnable again, ledgers released,
@@ -333,7 +334,7 @@ mod tests {
         running(&mut st);
         st.now = SimTime::from_secs(1.0);
         let rep = st.machine_crash(MachineId(0));
-        assert_eq!(rep.requeued, vec![(TaskUid(0), MachineId(0))]);
+        assert_eq!(rep.requeued, vec![TaskUid(0)]);
         assert!(matches!(st.tasks[0].phase, Phase::Backoff));
         assert!(st.jobs[0].stages[0].pending.is_empty());
         // The restart event fires after the backoff.
@@ -353,6 +354,38 @@ mod tests {
     }
 
     #[test]
+    fn kills_restarts_and_preemptions_move_the_job_epoch() {
+        let mut st = mk_state(one_task_workload(2.0, 10.0));
+        st.cfg.faults.restart_backoff = 7.5;
+        running(&mut st);
+        let mut last = st.jobs[0].epoch;
+        let mut moved = |st: &SimState| {
+            let before = std::mem::replace(&mut last, st.jobs[0].epoch);
+            before != last
+        };
+        assert!(st.preempt_task(TaskUid(0)).is_some());
+        assert!(moved(&st), "preemption");
+        st.apply_assignment(TaskUid(0), MachineId(0));
+        assert!(moved(&st), "placement");
+        assert_eq!(st.kill_task(TaskUid(0)), Some((false, 0.0)));
+        assert!(matches!(st.tasks[0].phase, Phase::Backoff));
+        assert!(moved(&st), "a kill into backoff");
+        assert!(st.task_restart(TaskUid(0)));
+        assert!(moved(&st), "restart");
+        assert!(!st.task_restart(TaskUid(0)));
+        assert!(!moved(&st), "a stale restart");
+        // A crash and a recovery of a machine the job does not use move
+        // the replica epoch, not the job's.
+        let replica_epoch = st.replica_epoch;
+        st.machine_crash(MachineId(1));
+        assert_ne!(st.replica_epoch, replica_epoch);
+        let replica_epoch = st.replica_epoch;
+        st.machine_recover(MachineId(1));
+        assert_ne!(st.replica_epoch, replica_epoch);
+        assert!(!moved(&st), "a crash and recovery elsewhere");
+    }
+
+    #[test]
     fn crash_abandons_task_out_of_attempts_and_job_terminates() {
         let w = one_task_workload(2.0, 10.0);
         let cluster = ClusterConfig::uniform(2, MachineSpec::paper_small());
@@ -362,7 +395,7 @@ mod tests {
         running(&mut st);
         st.now = SimTime::from_secs(2.0);
         let rep = st.machine_crash(MachineId(0));
-        assert_eq!(rep.abandoned, vec![(TaskUid(0), MachineId(0))]);
+        assert_eq!(rep.abandoned, vec![TaskUid(0)]);
         assert!(rep.requeued.is_empty());
         // Terminal-failure audit: the job still reaches a terminal state.
         assert!(matches!(st.tasks[0].phase, Phase::Abandoned));
@@ -391,10 +424,14 @@ mod tests {
         // The deterministic replica choice for uid 0 is replicas[0].
         let src = replicas[0];
         st.now = SimTime::from_secs(1.0);
+        let (job_epoch, replica_epoch) = (st.jobs[0].epoch, st.replica_epoch);
         let rep = st.machine_crash(src);
-        // The reader lost its input stream even though its host is fine —
-        // the report carries the *host*, not the crashed source.
-        assert_eq!(rep.requeued, vec![(TaskUid(0), host)]);
+        // The reader lost its input stream even though its host is fine.
+        assert_eq!(rep.requeued, vec![TaskUid(0)]);
+        // Both epochs moved: the reader's job lost an attempt, and the
+        // crash moved block replicas.
+        assert_ne!(st.jobs[0].epoch, job_epoch);
+        assert_ne!(st.replica_epoch, replica_epoch);
         assert!(matches!(st.tasks[0].phase, Phase::Runnable));
         assert!(st.machines[host.index()].allocated.is_zero());
         // Block evacuated: the dead machine no longer appears as a

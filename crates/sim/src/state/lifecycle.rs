@@ -41,6 +41,7 @@ impl SimState {
     pub(crate) fn job_arrives(&mut self, job: JobId) {
         let ji = job.index();
         self.jobs[ji].arrived = true;
+        self.touch_job(ji); // arrival
         let root_stages: Vec<usize> = self.workload.jobs[ji]
             .stages
             .iter()
@@ -144,6 +145,7 @@ impl SimState {
         }
 
         // Job/stage bookkeeping.
+        self.touch_job(ji); // placement
         let job = &mut self.jobs[ji];
         job.allocated += plan.local;
         job.running += 1;
@@ -243,6 +245,7 @@ impl SimState {
             return TaskCompletion::Stale;
         };
         self.release_attempt(uid, &info);
+        self.touch_job(self.task_loc[uid.index()].0); // finish or failure retry
         let host = info.machine;
 
         // Failure roll: rerun the task from scratch.
@@ -399,6 +402,43 @@ mod tests {
         st.apply_assignment(TaskUid(0), MachineId(0));
         let done = st.task_complete(TaskUid(0));
         assert!(job_finished(done));
+    }
+
+    #[test]
+    fn each_job_transition_moves_the_job_epoch_and_nothing_else_does() {
+        let w = one_task_workload(1.0, 5.0);
+        let cluster = ClusterConfig::uniform(2, MachineSpec::paper_small());
+        let mut cfg = SimConfig::default();
+        cfg.task_failure_prob = 0.999_999;
+        cfg.max_task_attempts = 2;
+        let mut st = SimState::new(cluster, w, cfg);
+        let replica_epoch = st.replica_epoch;
+        let mut last = st.jobs[0].epoch;
+        let mut moved = |st: &SimState| {
+            let before = std::mem::replace(&mut last, st.jobs[0].epoch);
+            before != last
+        };
+        st.job_arrives(JobId(0));
+        assert!(moved(&st), "arrival");
+        st.apply_assignment(TaskUid(0), MachineId(0));
+        assert!(moved(&st), "placement");
+        st.recompute_dirty();
+        assert!(!moved(&st), "a rate recompute");
+        assert!(matches!(
+            st.task_complete(TaskUid(0)),
+            TaskCompletion::Requeued { .. }
+        ));
+        assert!(moved(&st), "requeue");
+        st.apply_assignment(TaskUid(0), MachineId(1));
+        assert!(moved(&st), "placement");
+        assert!(job_finished(st.task_complete(TaskUid(0))));
+        assert!(moved(&st), "finish");
+        assert!(matches!(
+            st.task_complete(TaskUid(0)),
+            TaskCompletion::Stale
+        ));
+        assert!(!moved(&st), "a stale completion");
+        assert_eq!(st.replica_epoch, replica_epoch);
     }
 
     #[test]

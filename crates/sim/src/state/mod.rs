@@ -19,7 +19,7 @@
 //! only when the engine, the view or a probe does.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +42,17 @@ mod plan;
 pub(crate) use lifecycle::TaskCompletion;
 use network::DirtySet;
 pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
+
+/// The source of every epoch value, shared by all states in the process:
+/// no two bumps anywhere yield the same value, so a policy carried from
+/// one state to another cannot take an entry it cached against the first
+/// for current in the second. Relaxed: a value only has to be unique, and
+/// publishes no other data.
+static EPOCHS: AtomicU64 = AtomicU64::new(0);
+
+fn next_epoch() -> u64 {
+    EPOCHS.fetch_add(1, Ordering::Relaxed) + 1
+}
 
 /// One unit of schedulable work in flight.
 #[derive(Debug, Clone)]
@@ -199,6 +210,9 @@ pub(crate) struct JobState {
     pub finished_tasks: usize,
     pub total_tasks: usize,
     pub stages: Vec<StageState>,
+    /// Moves whenever the job's progress or pending queues do
+    /// ([`SimState::touch_job`]); 0 until the job arrives.
+    pub epoch: u64,
 }
 
 impl JobState {
@@ -247,6 +261,9 @@ pub(crate) struct SimState {
     pub external_cancelled: Vec<bool>,
     /// Tasks permanently failed after exhausting `max_task_attempts`.
     pub tasks_abandoned: u64,
+    /// Moves whenever block replicas may have moved — a machine crash or
+    /// recovery — which changes every task's locality preferences.
+    pub replica_epoch: u64,
     /// Free-capacity index serving `MachineQuery` (DESIGN.md §13).
     /// Disabled (empty) when `cfg.machine_index` is off.
     pub index: MachineIndex,
@@ -333,6 +350,7 @@ impl SimState {
                 finished_tasks: 0,
                 total_tasks: job.num_tasks(),
                 stages,
+                epoch: 0,
             });
         }
 
@@ -381,6 +399,7 @@ impl SimState {
             external_cancelled: vec![false; n_external],
             dynamic_loads: Vec::new(),
             tasks_abandoned: 0,
+            replica_epoch: 0,
             index,
             plans: AtomicU64::new(0),
             dirty: DirtySet::default(),
@@ -416,6 +435,17 @@ impl SimState {
             .usage_reported
             .with(Resource::Mem, ms.allocated.get(Resource::Mem));
         ledger.max(&(ms.capacity - usage_adj))
+    }
+
+    /// Note that job `ji`'s progress or pending queues moved: every
+    /// entry point that moves them calls this once (DESIGN.md §11).
+    pub(super) fn touch_job(&mut self, ji: usize) {
+        self.jobs[ji].epoch = next_epoch();
+    }
+
+    /// Note that block replicas may have moved (a crash or a recovery).
+    pub(super) fn touch_replicas(&mut self) {
+        self.replica_epoch = next_epoch();
     }
 
     /// Refresh one machine's index entry after a ledger / liveness /

@@ -278,11 +278,8 @@ mod tests {
         // The host follows the source, so this machine is neither.
         let untouched = MachineId((host.index() + 1) % 4);
         let scoped = view.scoped(ShardScope {
-            shard: 0,
-            shards: 2,
-            seed: 0,
-            ledger: Some(&ledger),
-            jobs: None,
+            ledger: &ledger,
+            jobs: &[],
         });
         assert_eq!(scoped.available(host), view.available(host) - local);
         assert_eq!(scoped.available(source), view.available(source) - dem);

@@ -1,5 +1,5 @@
-//! The scheduler-facing API: [`SchedulerPolicy`], [`SchedulerEvent`],
-//! [`Assignment`] and [`ClusterView`].
+//! The scheduler-facing API: [`SchedulerPolicy`], [`Assignment`] and
+//! [`ClusterView`].
 //!
 //! One file a concern (DESIGN.md "Engine and view layers"): `policy` holds
 //! the trait and what crosses it, this file the view, `query` the
@@ -7,23 +7,19 @@
 //! preemption planner, and `ledger` the working ledger a `schedule` call
 //! charges its placements to.
 //!
-//! The protocol says one thing (DESIGN.md §11): *events name which cached,
-//! job-derived state to invalidate; every fact the view exposes is read
-//! from the view.* Whenever scheduling-relevant state changes, the engine
-//! first delivers the typed [`SchedulerEvent`]s naming *what* changed
-//! through [`SchedulerPolicy::on_event`], then asks for decisions through
-//! [`SchedulerPolicy::schedule`]. A policy may ignore events entirely —
-//! the default `on_event` is a no-op, which is the "mark all dirty"
-//! contract: `schedule` then derives everything it needs from the view.
-//! A policy that *does* consume events may cache what is expensive to
-//! derive from a job (candidate lists, remaining-work scores) and rebuild
-//! only the entries an event named, provided its answers stay
-//! byte-identical to its own mark-all-dirty behaviour (pinned by
-//! `tests/schedule_equivalence.rs` and the [`MarkAllDirty`] oracle). It
-//! must not keep a private copy of anything the view already answers —
-//! free slots, active jobs, freed machines: a copy built from events is
-//! empty on a policy attached mid-run (crash recovery) and goes stale
-//! wherever the engine mutates state without narrating it.
+//! The protocol says one thing (DESIGN.md §11): *the view informs, and
+//! says what changed.* The engine asks for decisions through
+//! [`SchedulerPolicy::schedule`] and hands over nothing but a view of the
+//! state as it stands. A policy may cache what is expensive to derive
+//! from a job (candidate lists, remaining-work scores) provided it stamps
+//! each entry with the epochs the view reports —
+//! [`ClusterView::job_epoch`], which moves with the job's progress or
+//! pending queues, and [`ClusterView::replica_epoch`], which moves when
+//! block replicas may have — and rebuilds the entry when either differs.
+//! Its answers must stay byte-identical to a rebuild from nothing (pinned
+//! by `tests/schedule_equivalence.rs` against `tetris_core::ColdTetris`).
+//! It must not keep a private copy of anything the view already answers —
+//! free slots, active jobs, freed machines.
 //!
 //! The view exposes *reported* information — peak demands, machine
 //! availability ledgers, tracker reports — never simulation ground truth
@@ -34,7 +30,6 @@ use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskSpec, TaskUid};
 
 use crate::cluster::MachineId;
-use crate::sharded::owner_shard;
 use crate::state::{Phase, PlacementPlan, SimState};
 
 mod ledger;
@@ -42,16 +37,15 @@ mod policy;
 mod query;
 
 pub use ledger::{PlanFailure, WorkingLedger};
-pub use policy::{Assignment, MarkAllDirty, SchedulerEvent, SchedulerPolicy, StageProgress};
+pub use policy::{Assignment, SchedulerEvent, SchedulerPolicy, StageProgress};
 pub use query::{plan_priority_preemption, MachineQuery};
 
 /// Most tasks one preemptive assignment may evict
 /// ([`ClusterView::max_evictions`]).
 const MAX_EVICTIONS_PER_ASSIGNMENT: usize = 8;
 
-/// The job-partition lens a sharded heartbeat applies to a view: which
-/// shard the wrapped policy is, how many shards exist, the stable
-/// partitioning seed, and the commit stage's ledger of what earlier
+/// The job-partition lens a sharded heartbeat applies to a view: the
+/// shard's owned jobs and the commit stage's ledger of what earlier
 /// shards/rounds of this heartbeat committed (see `crate::sharded`).
 ///
 /// A scoped view narrows job enumeration to the shard's owned partition
@@ -61,22 +55,14 @@ const MAX_EVICTIONS_PER_ASSIGNMENT: usize = 8;
 /// flags, freed hints) stay global — every shard may place anywhere.
 #[derive(Clone, Copy)]
 pub(crate) struct ShardScope<'a> {
-    /// This shard's index in `0..shards`.
-    pub shard: usize,
-    /// Total shard count (≥ 2 on scoped views).
-    pub shards: usize,
-    /// Stable seed of the job → shard hash.
-    pub seed: u64,
-    /// The commit stage's ledger of this heartbeat; `None` outside the
-    /// commit pipeline (event delivery), where availability is the view's.
-    pub ledger: Option<&'a WorkingLedger>,
+    /// The commit stage's ledger of this heartbeat.
+    pub ledger: &'a WorkingLedger,
     /// The shard's active owned jobs in id order, pre-bucketed by the
     /// sharded driver once per heartbeat so each shard's job enumeration
     /// costs O(partition), not O(cluster jobs) — without this, every
     /// shard re-scans the whole job table per pass and the fan-out
     /// cannot beat one scheduler no matter how many cores run it.
-    /// `None` (event delivery) falls back to the hash-filtered scan.
-    pub jobs: Option<&'a [JobId]>,
+    pub jobs: &'a [JobId],
 }
 
 /// Read-only snapshot interface over the simulation state.
@@ -170,8 +156,8 @@ impl<'a> ClusterView<'a> {
     /// ledger leaves of it once racing shards' commits are charged.
     pub fn available(&self, m: MachineId) -> ResourceVec {
         let a = self.state.availability(m, self.tracker_aware);
-        match self.scope.and_then(|s| s.ledger) {
-            Some(ledger) => ledger.residual(m, a),
+        match self.scope {
+            Some(s) => s.ledger.residual(m, a),
             None => a,
         }
     }
@@ -207,17 +193,15 @@ impl<'a> ClusterView<'a> {
     /// Allocation-free: the iterator borrows the underlying state (not the
     /// view), so it can outlive the `&self` borrow.
     pub fn active_jobs(&self) -> impl Iterator<Item = JobId> + 'a {
-        // Scoped views with a pre-bucketed partition list iterate the
-        // list (O(partition)); everything else scans the job table. The
-        // two halves of the chain are mutually exclusive — `take(0)`
-        // empties the scan when the list exists — and both yield id
-        // order, so the chain does too. The list re-checks `is_active`
-        // for free exactness, though activity cannot change within the
-        // heartbeat that built the list.
+        // Scoped views iterate their partition list (O(partition));
+        // unscoped ones scan the job table. The two halves of the chain
+        // are mutually exclusive — `take(0)` empties the scan when the
+        // list exists — and both yield id order, so the chain does too.
+        // The list re-checks `is_active` for free exactness, though
+        // activity cannot change within the heartbeat that built it.
         let state = self.state;
-        let list: Option<&'a [JobId]> = self.scope.and_then(|s| s.jobs);
+        let list: Option<&'a [JobId]> = self.scope.map(|s| s.jobs);
         let scan_take = if list.is_some() { 0 } else { usize::MAX };
-        let part = self.scope.map(|s| (s.shard, s.shards, s.seed));
         state
             .jobs
             .iter()
@@ -225,10 +209,6 @@ impl<'a> ClusterView<'a> {
             .take(scan_take)
             .filter(|(_, j)| j.is_active())
             .map(|(i, _)| JobId(i))
-            .filter(move |&j| match part {
-                None => true,
-                Some((shard, shards, seed)) => owner_shard(j, shards, seed) == shard,
-            })
             .chain(
                 list.unwrap_or(&[])
                     .iter()
@@ -259,6 +239,22 @@ impl<'a> ClusterView<'a> {
     /// the job's current allocation, used for fair-share deficits.
     pub fn job_allocated(&self, j: JobId) -> ResourceVec {
         self.state.jobs[j.index()].allocated
+    }
+
+    /// The job's epoch: it moves whenever the job's progress or pending
+    /// queues do — arrival, a placement, a finish, a requeue or
+    /// preemption, an abandonment, a restart — and at no other time. A
+    /// policy that caches what it derives from a job keys the entry on
+    /// this value (module docs).
+    pub fn job_epoch(&self, j: JobId) -> u64 {
+        self.state.jobs[j.index()].epoch
+    }
+
+    /// The replica epoch: it moves when a machine crashes or recovers,
+    /// since block re-replication then moves the locality preferences of
+    /// every task ([`ClusterView::preferred_machines_into`]).
+    pub fn replica_epoch(&self) -> u64 {
+        self.state.replica_epoch
     }
 
     /// Number of running tasks of the job (slot-based fairness counts

@@ -1,10 +1,11 @@
 //! What a policy is and what it exchanges with the engine: the
-//! [`SchedulerPolicy`] trait, the [`SchedulerEvent`]s delivered to it, the
-//! [`Assignment`]s it returns, the [`MarkAllDirty`] oracle, and the
-//! [`StageProgress`] rows the view reads out.
+//! [`SchedulerPolicy`] trait, the [`Assignment`]s it returns, and the
+//! [`StageProgress`] rows the view reads out. The engine hands a policy
+//! nothing but views; what changed since a policy last looked, the view
+//! says through its epochs (module docs of `view`).
 
 use tetris_obs::{DecisionScores, PlacementProvenance};
-use tetris_workload::{JobId, TaskUid};
+use tetris_workload::TaskUid;
 
 use super::ClusterView;
 use crate::cluster::MachineId;
@@ -77,101 +78,18 @@ impl Assignment {
     }
 }
 
-/// A scheduling-relevant state change, delivered to policies through
-/// [`SchedulerPolicy::on_event`] before each scheduling round.
-///
-/// Every variant names job-derived state a policy may have cached: six
-/// name the one job whose progress or pending queues moved, two name a
-/// machine crash/recovery, after which block re-replication has moved
-/// placement preferences for *every* job (DESIGN.md §11). Facts the view
-/// answers directly — availability, freed-machine hints, suspicion,
-/// tracker reports, external load — have no event: read them from the
-/// view. A policy is free to ignore any event as long as its `schedule`
-/// answers account for the change some other way.
-///
-/// Delivery guarantees (the determinism contract):
-///
-/// * every arrival, placement, completion, preemption, abandonment,
-///   restart, crash and recovery is delivered, in simulation order,
-///   before the next `schedule` call after it occurred (placements and
-///   priority evictions the engine applies between two rounds of one
-///   heartbeat included);
-/// * events are invalidation hints, not state deltas: treating one as
-///   "mark dirty" is always safe, summing them into a copy of view state
-///   is not (module docs);
-/// * machine slowdowns are deliberately **not** delivered: they alter
-///   flow rates, which are simulation ground truth the scheduler cannot
-///   observe (§4.1 trackers report usage, not speed).
+/// No value of this type exists: the engine delivers no events. What
+/// changed since a policy last looked, the view says through
+/// [`ClusterView::job_epoch`] and [`ClusterView::replica_epoch`]. Kept,
+/// with [`SchedulerPolicy::on_event`], only until the benchmark harness
+/// stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerEvent {
-    /// A job arrived; its root stages became pending.
-    JobArrived {
-        /// The arriving job.
-        job: JobId,
-    },
-    /// The engine applied an assignment: `task` now runs on `machine`.
-    TaskPlaced {
-        /// Owning job.
-        job: JobId,
-        /// The placed task.
-        task: TaskUid,
-        /// Host machine.
-        machine: MachineId,
-    },
-    /// A task finished for good; its resources were released.
-    TaskFinished {
-        /// Owning job.
-        job: JobId,
-        /// The finished task.
-        task: TaskUid,
-        /// The machine that hosted it.
-        machine: MachineId,
-    },
-    /// A running attempt was torn down (failure retry or machine crash)
-    /// and the task returned to the pending queue (or a restart backoff).
-    TaskPreempted {
-        /// Owning job.
-        job: JobId,
-        /// The preempted task.
-        task: TaskUid,
-        /// The machine that hosted the killed attempt.
-        machine: MachineId,
-    },
-    /// A task permanently failed at the attempt cap; its stage counts it
-    /// as terminal.
-    TaskAbandoned {
-        /// Owning job.
-        job: JobId,
-        /// The abandoned task.
-        task: TaskUid,
-        /// The machine that hosted the final attempt.
-        machine: MachineId,
-    },
-    /// A crash-killed task finished its restart backoff and is pending
-    /// again.
-    TaskRunnable {
-        /// Owning job.
-        job: JobId,
-        /// The again-runnable task.
-        task: TaskUid,
-    },
-    /// A machine crashed: zero capacity, residents killed, blocks
-    /// re-replicating — locality preference lists are globally stale.
-    MachineDown {
-        /// The crashed machine.
-        machine: MachineId,
-    },
-    /// A crashed machine came back empty.
-    MachineUp {
-        /// The recovered machine.
-        machine: MachineId,
-    },
-}
+pub enum SchedulerEvent {}
 
 /// A cluster scheduling policy.
 ///
-/// Implementations must be deterministic functions of the views and
-/// events they see (plus their own seeded state): the whole simulator is
+/// Implementations must be deterministic functions of the views they
+/// see (plus their own seeded state): the whole simulator is
 /// bit-reproducible and the test suite relies on it.
 pub trait SchedulerPolicy {
     /// Short name for reports ("tetris", "drf", "fair", ...). Borrowed —
@@ -179,14 +97,9 @@ pub trait SchedulerPolicy {
     /// here would cost on every decision.
     fn name(&self) -> &str;
 
-    /// Observe one scheduling-relevant state change (see
-    /// [`SchedulerEvent`] for the taxonomy and delivery guarantees).
-    ///
-    /// The default does nothing — the *mark-all-dirty* contract: a policy
-    /// that ignores events must treat every `schedule` call as if
-    /// anything may have changed, which is exactly the behaviour of the
-    /// pre-event stateless API. Incremental policies override this to
-    /// invalidate only what the event touches.
+    /// A no-op that is never called: [`SchedulerEvent`] has no values.
+    /// Kept only until the benchmark harness stops forwarding it; do not
+    /// override it.
     fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
         let _ = (view, event);
     }
@@ -237,36 +150,6 @@ pub trait SchedulerPolicy {
 impl<T: SchedulerPolicy + 'static> From<T> for Box<dyn SchedulerPolicy> {
     fn from(policy: T) -> Self {
         Box::new(policy)
-    }
-}
-
-/// Adapter that suppresses event delivery to the wrapped policy, forcing
-/// its mark-all-dirty (full re-scan) path on every `schedule` call.
-///
-/// This is the *oracle* the equivalence suite and the Table-8 experiment
-/// compare incremental policies against: the wrapped policy never sees an
-/// event, so it can never sync its caches and must recompute from the
-/// view alone — the exact behaviour of the pre-event API.
-pub struct MarkAllDirty<P>(pub P);
-
-impl<P: SchedulerPolicy> SchedulerPolicy for MarkAllDirty<P> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    // No `on_event` override: the trait default swallows every event, so
-    // the inner policy stays on its view-only path.
-
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        self.0.schedule(view)
-    }
-
-    fn uses_tracker(&self) -> bool {
-        self.0.uses_tracker()
-    }
-
-    fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
-        self.0.drain_metrics(metrics);
     }
 }
 

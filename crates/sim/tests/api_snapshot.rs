@@ -1,8 +1,8 @@
 //! Golden snapshot of `tetris-sim`'s scheduler-facing API surface.
 //!
 //! The `view` module *is* the contract between the engine and every
-//! policy — the `SchedulerPolicy` trait, the `SchedulerEvent` taxonomy,
-//! `ClusterView`'s read surface, `Assignment`. Changing any of it must be
+//! policy — the `SchedulerPolicy` trait, `ClusterView`'s read surface
+//! (its epochs included), `Assignment`. Changing any of it must be
 //! an explicit, reviewed diff of `tests/snapshots/view_api.txt`, not a
 //! silent break discovered by downstream policies. The module's files are
 //! read in a fixed order, [`VIEW_FILES`], and each item is snapshotted
@@ -61,7 +61,9 @@ fn extract_api(src: &str) -> String {
                 .iter()
                 .any(|p| t.starts_with(p))
                 || t.starts_with("pub(crate) fn ");
-            if is_item && !(t.ends_with('{') || t.ends_with(';')) {
+            // A signature is open until its `{` or `;`; an item with an
+            // empty body (`pub enum E {}`) is whole on its line.
+            if is_item && !(t.ends_with('{') || t.ends_with(';') || t.ends_with("{}")) {
                 sig_open = true;
             }
             if t.starts_with("pub enum ") && t.ends_with('{') {

@@ -1,12 +1,12 @@
 //! Observability contract tests: the trace is well-formed and complete,
 //! and attaching it never perturbs the simulation.
 
-use tetris_core::{TetrisConfig, TetrisScheduler};
+use tetris_core::{ColdTetris, TetrisConfig, TetrisScheduler};
 use tetris_obs::{names, Event, JsonlRecorder, Obs, PlacementProvenance, VecRecorder};
 use tetris_resources::MachineSpec;
 use tetris_sim::{
-    Assignment, ClusterConfig, ClusterView, GreedyFifo, MarkAllDirty, SchedulerEvent,
-    SchedulerPolicy, ShardedScheduler, SimConfig, SimOutcome, Simulation,
+    Assignment, ClusterConfig, ClusterView, GreedyFifo, SchedulerPolicy, ShardedScheduler,
+    SimConfig, SimOutcome, Simulation,
 };
 use tetris_workload::{Workload, WorkloadSuiteConfig};
 
@@ -166,13 +166,13 @@ fn verbose_run(
 fn verbose_tracing_attaches_provenance_without_perturbing_the_run() {
     let w = WorkloadSuiteConfig::small().generate(7);
     // Each input pairs the policy run verbosely with the same policy run
-    // unobserved: bare Tetris, the event-suppressing oracle wrapper, and
-    // the sharded driver (whose decisions differ from bare Tetris, hence
-    // its own baseline).
+    // unobserved: bare Tetris, the cold-rebuild reference, and the
+    // sharded driver (whose decisions differ from bare Tetris, hence its
+    // own baseline).
     type Make = fn() -> Box<dyn SchedulerPolicy>;
     let inputs: [(&str, Make); 3] = [
         ("tetris", || Box::new(tetris())),
-        ("mark-all-dirty", || Box::new(MarkAllDirty(tetris()))),
+        ("cold", || Box::new(ColdTetris(tetris()))),
         ("sharded", || {
             Box::new(ShardedScheduler::new(2, 7, |_| Box::new(tetris())))
         }),
@@ -209,11 +209,16 @@ fn verbose_tracing_attaches_provenance_without_perturbing_the_run() {
                 assert!(r.score.is_finite());
             }
         }
-        // Incremental-cache provenance: once synced, later rounds hit the
-        // cache.
+        // Incremental-cache provenance: every call builds or reuses
+        // entries, and only the cold reference never reuses one.
         assert!(provs
             .iter()
             .any(|p| p.cache_hits > 0 || p.cache_rebuilds > 0));
+        assert_eq!(
+            label == "cold",
+            provs.iter().all(|p| p.cache_hits == 0),
+            "{label}"
+        );
     }
 
     // Default traces carry no provenance at all.
@@ -241,10 +246,6 @@ struct Forwarding<P>(P);
 impl<P: SchedulerPolicy> SchedulerPolicy for Forwarding<P> {
     fn name(&self) -> &str {
         self.0.name()
-    }
-
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.0.on_event(view, event);
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {

@@ -1,27 +1,28 @@
-//! Property test for the event-driven incremental scheduling path.
+//! Property test for the incremental scheduling path.
 //!
-//! Random workloads × random fault plans drive random interleavings of
-//! every [`SchedulerEvent`] the engine emits — job arrivals, task
-//! placements/finishes, crash preemptions and abandonments, machine
-//! down/up cycles, tracker flakes and suspicion flips, restarts — through
-//! the incremental Tetris policy and through the same policy behind the
-//! [`MarkAllDirty`] adapter (which swallows events, so the inner policy
-//! never syncs and recomputes from the view every round). The two runs
-//! must be indistinguishable: identical trace event streams (which carry
-//! every assignment and its score breakdown) and identical outcomes.
-//!
-//! [`SchedulerEvent`]: tetris_sim::SchedulerEvent
-//! [`MarkAllDirty`]: tetris_sim::MarkAllDirty
+//! Random workloads × random fault plans × 1–4 shards drive random
+//! interleavings of everything that moves Tetris's cache keys — job
+//! arrivals, task placements and finishes, failure retries, crash kills
+//! and abandonments, restarts after backoff, replica moves on machine
+//! down/up, tracker flakes and suspicion flips — through the incremental
+//! Tetris policy and through [`ColdTetris`], the same policy with every
+//! cache dropped before each call. Nothing is delivered to either: each
+//! reads the view's epochs or ignores them. Sharded, each shard's Tetris
+//! validates its caches through its scoped view. The two runs must be
+//! indistinguishable: identical trace event streams (which carry every
+//! assignment and its score breakdown) and identical outcomes.
 
 use proptest::prelude::*;
-use tetris_core::{EstimationMode, TetrisConfig, TetrisScheduler};
+use tetris_core::{ColdTetris, EstimationMode, TetrisConfig, TetrisScheduler};
 use tetris_obs::{Event, Obs, VecRecorder};
 use tetris_resources::MachineSpec;
-use tetris_sim::{ClusterConfig, SchedulerPolicy, SimConfig, SimOutcome, Simulation};
+use tetris_sim::{
+    ClusterConfig, SchedulerPolicy, ShardedScheduler, SimConfig, SimOutcome, Simulation,
+};
 use tetris_workload::WorkloadSuiteConfig;
 
 /// Everything that varies across cases: the workload draw, the cluster,
-/// the fault plan, and the scheduler's estimation mode.
+/// the fault plan, the scheduler's estimation mode and its shard count.
 #[derive(Debug, Clone)]
 struct Case {
     seed: u64,
@@ -33,6 +34,7 @@ struct Case {
     flake_lead: f64,
     restart_backoff: f64,
     noisy_estimates: bool,
+    shards: usize,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -46,6 +48,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
         prop_oneof![Just(0.0), 10.0f64..=40.0],
         prop_oneof![Just(0.0), Just(5.0)],
         prop_oneof![Just(false), Just(true)],
+        1usize..=4,
     )
         .prop_map(
             |(
@@ -58,6 +61,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 flake_lead,
                 restart_backoff,
                 noisy_estimates,
+                shards,
             )| Case {
                 seed,
                 n_jobs,
@@ -68,6 +72,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 flake_lead,
                 restart_backoff,
                 noisy_estimates,
+                shards,
             },
         )
 }
@@ -123,11 +128,22 @@ fn normalize(events: Vec<(f64, Event)>) -> Vec<(f64, Event)> {
 fn tetris_cfg(case: &Case) -> TetrisConfig {
     let mut cfg = TetrisConfig::default();
     if case.noisy_estimates {
-        // Non-Exact estimation disables the candidate cache; the synced
-        // policy must still match the oracle through the fallback path.
+        // Non-Exact estimation disables the candidate cache; the policy
+        // must still match the oracle through the fallback path.
         cfg.estimation = EstimationMode::Noisy { sigma: 0.3 };
     }
     cfg
+}
+
+/// `case.shards` shards of what `make` builds (one shard is the bare
+/// policy's delegate).
+fn sharded<P: SchedulerPolicy + Send + 'static>(
+    case: &Case,
+    make: impl Fn() -> P,
+) -> Box<dyn SchedulerPolicy> {
+    Box::new(ShardedScheduler::new(case.shards, case.seed, |_| {
+        Box::new(make())
+    }))
 }
 
 proptest! {
@@ -135,8 +151,8 @@ proptest! {
 
     #[test]
     fn incremental_tetris_is_byte_identical_to_oracle(case in arb_case()) {
-        let inc = Box::new(TetrisScheduler::new(tetris_cfg(&case)));
-        let oracle = Box::new(tetris_sim::MarkAllDirty(TetrisScheduler::new(tetris_cfg(&case))));
+        let inc = sharded(&case, || TetrisScheduler::new(tetris_cfg(&case)));
+        let oracle = sharded(&case, || ColdTetris(TetrisScheduler::new(tetris_cfg(&case))));
         let (o_inc, e_inc) = run_case(&case, inc);
         let (o_oracle, e_oracle) = run_case(&case, oracle);
 

@@ -16,7 +16,9 @@
 //!   and must read what the general path reads — the bytes of every
 //!   source, and of the host, bit for bit. The reference is restated here
 //!   ([`general_reads`]) from the stage's output map, which the audit sums
-//!   from `TaskFinished` events in completion order as the engine does.
+//!   from its own placements as the view shows them finished. Every
+//!   output here is a whole number of bytes, so the sums are exact in any
+//!   order.
 //!   The rest of a plan is computed from its reads by one code path, and
 //!   debug builds re-derive every ranked plan by the general path inside
 //!   the crate too;
@@ -35,8 +37,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use tetris_resources::{units::GB, units::MB, MachineSpec, Resource};
 use tetris_sim::{
-    Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerEvent,
-    SchedulerPolicy, SimConfig, Simulation, SHUFFLE_SHARE_MARGIN,
+    Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerPolicy, SimConfig,
+    Simulation, SHUFFLE_SHARE_MARGIN,
 };
 use tetris_workload::{
     InputSource, InputSpec, JobId, TaskParams, TaskUid, Workload, WorkloadBuilder,
@@ -181,8 +183,9 @@ struct Coverage {
 struct SpreadAudit {
     /// Reused across every `plan_into` of the run, never cleared.
     dirty: PlacementPlan,
-    /// Per (job, stage): output bytes by machine and in total, summed in
-    /// completion order, as the engine sums them.
+    /// Placed tasks not yet seen finished, with their hosts.
+    placed: BTreeMap<TaskUid, MachineId>,
+    /// Per (job, stage): output bytes by machine and in total.
     outs: BTreeMap<(JobId, usize), (BTreeMap<MachineId, f64>, f64)>,
     /// Shared with the caller: the engine owns the policy.
     seen: Rc<RefCell<Coverage>>,
@@ -228,6 +231,24 @@ fn bits(reads: &[(MachineId, f64)]) -> Vec<(MachineId, u64)> {
 }
 
 impl SpreadAudit {
+    /// Credit each placed task the view no longer shows running on its
+    /// host (nor pending: nothing fails here) with its output there.
+    fn note_finished(&mut self, view: &ClusterView<'_>) {
+        let outs = &mut self.outs;
+        self.placed.retain(|&task, &mut host| {
+            if view.is_runnable(task) || view.machine_tasks(host).contains(&task) {
+                return true;
+            }
+            let out = view.task(task).output_bytes;
+            if out > 0.0 {
+                let (outs, total) = outs.entry(view.task_stage(task)).or_default();
+                *outs.entry(host).or_insert(0.0) += out;
+                *total += out;
+            }
+            false
+        });
+    }
+
     fn audit(&mut self, view: &ClusterView<'_>) {
         let machines: Vec<MachineId> = view.query().iter_all().collect();
         for j in view.active_jobs() {
@@ -364,20 +385,11 @@ impl SchedulerPolicy for SpreadAudit {
         "spread-audit"
     }
 
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        if let &SchedulerEvent::TaskFinished { task, machine, .. } = event {
-            let out = view.task(task).output_bytes;
-            if out > 0.0 {
-                let (outs, total) = self.outs.entry(view.task_stage(task)).or_default();
-                *outs.entry(machine).or_insert(0.0) += out;
-                *total += out;
-            }
-        }
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        self.note_finished(view);
         self.audit(view);
-        view.active_jobs()
+        let out: Vec<_> = view
+            .active_jobs()
             .flat_map(|j| view.job_pending(j))
             .map(|t| {
                 let host = (0..N_MACHINES)
@@ -386,7 +398,9 @@ impl SchedulerPolicy for SpreadAudit {
                     .expect("a replica holder of the empty input reads it locally");
                 Assignment::new(t, host)
             })
-            .collect()
+            .collect();
+        self.placed.extend(out.iter().map(|a| (a.task, a.machine)));
+        out
     }
 }
 

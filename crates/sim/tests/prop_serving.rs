@@ -23,7 +23,7 @@ use tetris_obs::{Event, Obs, VecRecorder};
 use tetris_resources::{units::GB, MachineSpec, ResourceVec};
 use tetris_sim::{
     plan_priority_preemption, Assignment, ClusterConfig, ClusterView, FaultPlan, GreedyFifo,
-    MachineId, SchedulerEvent, SchedulerPolicy, SimConfig, Simulation, WorkingLedger,
+    MachineId, SchedulerPolicy, SimConfig, Simulation, WorkingLedger,
 };
 use tetris_workload::{
     JobId, PlacementConstraints, PriorityClass, TaskParams, Workload, WorkloadBuilder,
@@ -149,10 +149,6 @@ struct EvictProbe {
 impl SchedulerPolicy for EvictProbe {
     fn name(&self) -> &str {
         "evict-probe"
-    }
-
-    fn on_event(&mut self, view: &ClusterView<'_>, event: &SchedulerEvent) {
-        self.inner.on_event(view, event);
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {

@@ -213,7 +213,8 @@ fn explain(args: &[String]) {
                     Some(p) => {
                         println!(
                             "  incremental: cache_hits={} cache_rebuilds={} \
-                             cache_flushed={} dirty_jobs={}",
+                             cache_flushed={} (off, or replicas moved) \
+                             dirty_jobs={} (job epoch moved)",
                             p.cache_hits, p.cache_rebuilds, p.cache_flushed, p.dirty_jobs
                         );
                         println!(

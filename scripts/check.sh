@@ -137,14 +137,14 @@ target/release/trace-tool info "$tmp/deep.json" 2> "$tmp/deep.err" || code=$?
 
 echo "== table8 smoke (incremental heartbeat path) =="
 # The probe inside table8 asserts incremental == full-rebuild decisions
-# every heartbeat; here we additionally check the event-driven path was
-# actually exercised: every sweep row must report delivered scheduler
-# events (last column > 0).
+# every heartbeat; here we additionally check the incremental path was
+# actually exercised: every sweep row must report jobs whose epoch the
+# warm heartbeats moved (last column, `touched`, > 0).
 table8_out="$(target/release/reproduce table8 --scale 0.05)"
 echo "$table8_out" | awk '
   /^(2500|11000|51000|100000) / { rows++; if ($7 + 0 <= 0) bad = 1 }
   END { exit (rows == 4 && !bad) ? 0 : 1 }
-' || { echo "table8 smoke failed: expected 4 sweep rows with events > 0"; echo "$table8_out"; exit 1; }
+' || { echo "table8 smoke failed: expected 4 sweep rows with touched > 0"; echo "$table8_out"; exit 1; }
 
 echo "== scale smoke (indexed MachineQuery vs linear oracle) =="
 # The ColdPassProbe inside the experiment asserts byte-identical

@@ -1,15 +1,15 @@
 //! Golden equivalence suite for the event-hot-path performance pass.
 //!
-//! The optimized schedulers reuse warm scratch buffers (the Tetris pass's
-//! per-layer buffers, generation-stamped sets, candidate arenas) and take availability-based
-//! shortcuts (the SRTF quick prefilter). Both are only legal if they are
-//! *invisible*: every decision — assignments, score breakdowns, event
-//! order, job/task outcomes — must be identical to the unoptimized
-//! reference path. This suite pins that across ≥3 seeds × 2 workload
-//! shapes for:
+//! The optimized schedulers reuse warm state (Tetris's per-job candidate
+//! caches and per-layer buffers, generation-stamped sets, candidate
+//! arenas) and take availability-based shortcuts (the SRTF quick
+//! prefilter). Both are only legal if they are *invisible*: every
+//! decision — assignments, score breakdowns, event order, job/task
+//! outcomes — must be identical to the unoptimized reference path. This
+//! suite pins that across ≥3 seeds × 2 workload shapes for:
 //!
-//! * `TetrisScheduler` with warm (reused) scratch vs the same scheduler
-//!   with its scratch dropped before every `schedule()` call;
+//! * `TetrisScheduler` vs [`ColdTetris`], the same scheduler with every
+//!   cache and buffer dropped before each `schedule()` call;
 //! * `SrtfScheduler::new()` (envelope prefilter) vs
 //!   `SrtfScheduler::exhaustive()` (checks every machine).
 //!
@@ -18,39 +18,22 @@
 //! (`HeartbeatProcessed::wall_ns`) zeroed, plus a structural fingerprint
 //! of the outcome (per-job finishes, per-task placements).
 //!
-//! The event-driven API adds a third axis: Tetris, the one policy with
-//! event-invalidated state (per-job candidate caches), is pinned against
-//! itself behind the [`MarkAllDirty`] adapter — which swallows events, so
-//! the inner policy never syncs and recomputes everything from the view —
-//! on fault-free runs, under machine crash/recover churn (the event arms a
-//! quiet run never exercises) *and* under priority preemption (where the
-//! engine frees machines between the rounds of one heartbeat). The
-//! baselines are stateless — wrapper and wrapped are the same code — so
-//! they have no leg here; `crates/expts/tests/policy_matrix.rs` covers
-//! every registered policy against crash recovery instead.
+//! Tetris's caches are keyed on the view's job and replica epochs, so the
+//! Tetris pair also runs under machine crash/recover churn (which moves
+//! replicas and kills, abandons and restarts tasks) *and* under priority
+//! preemption (where the engine frees machines between the rounds of one
+//! heartbeat): a cache entry that outlives a change it depends on
+//! diverges here. The baselines keep no state across calls, so they have
+//! no leg here; `crates/expts/tests/policy_matrix.rs` covers every
+//! registered policy against crash recovery instead.
 
 use tetris::prelude::*;
-use tetris::sim::{ClusterView, MarkAllDirty, SimConfig};
+use tetris::scheduler::ColdTetris;
+use tetris::sim::SimConfig;
 use tetris::workload::ServingMixConfig;
 use tetris_obs::{Event, Obs, VecRecorder};
 
 const SEEDS: [u64; 3] = [11, 42, 77];
-
-/// Tetris whose scratch is dropped before every call: the cold reference.
-struct ColdScratchTetris(TetrisScheduler);
-
-impl SchedulerPolicy for ColdScratchTetris {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn uses_tracker(&self) -> bool {
-        self.0.uses_tracker()
-    }
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        self.0.reset_scratch();
-        self.0.schedule(view)
-    }
-}
 
 fn cluster() -> ClusterConfig {
     ClusterConfig::uniform(8, MachineSpec::paper_large())
@@ -93,9 +76,8 @@ fn quiet_cfg(seed: u64) -> SimConfig {
 }
 
 /// Machine churn: a quarter of the cluster crash/recover-cycles, with
-/// flaky trackers leading each crash — drives the `TaskPreempted` /
-/// `TaskAbandoned` / `MachineDown` / `MachineUp` / `MachineSuspected` /
-/// `MachineCleared` event arms through every policy under test.
+/// flaky trackers leading each crash — kills, abandonments, restarts,
+/// replica moves and suspicion flips through every policy under test.
 fn churn_cfg(seed: u64) -> SimConfig {
     let mut cfg = quiet_cfg(seed);
     cfg.faults.crash_frac = 0.25;
@@ -247,9 +229,7 @@ fn tetris_warm_scratch_matches_cold_reference() {
                 seed,
                 &w,
                 Box::new(TetrisScheduler::new(TetrisConfig::default())),
-                Box::new(ColdScratchTetris(TetrisScheduler::new(
-                    TetrisConfig::default(),
-                ))),
+                Box::new(ColdTetris(TetrisScheduler::new(TetrisConfig::default()))),
             );
         }
     }
@@ -281,7 +261,7 @@ fn packing_only_warm_scratch_matches_cold_reference() {
                 seed,
                 &w,
                 Box::new(TetrisScheduler::new(TetrisConfig::packing_only())),
-                Box::new(ColdScratchTetris(TetrisScheduler::new(
+                Box::new(ColdTetris(TetrisScheduler::new(
                     TetrisConfig::packing_only(),
                 ))),
             );
@@ -289,29 +269,19 @@ fn packing_only_warm_scratch_matches_cold_reference() {
     }
 }
 
-/// Event-synced Tetris and its mark-all-dirty reference twin.
+/// Incremental Tetris and its cold-rebuild reference twin.
 fn tetris_pair() -> (Box<dyn SchedulerPolicy>, Box<dyn SchedulerPolicy>) {
     (
         Box::new(TetrisScheduler::new(TetrisConfig::default())),
-        Box::new(MarkAllDirty(TetrisScheduler::new(TetrisConfig::default()))),
+        Box::new(ColdTetris(TetrisScheduler::new(TetrisConfig::default()))),
     )
 }
 
 #[test]
-fn incremental_policies_match_mark_all_dirty_oracle() {
-    for seed in SEEDS {
-        for (wname, w) in workloads(seed) {
-            let (inc, oracle) = tetris_pair();
-            assert_equivalent(&format!("tetris-inc/{wname}"), seed, &w, inc, oracle);
-        }
-    }
-}
-
-#[test]
 fn incremental_policies_match_oracle_under_machine_churn() {
-    // Crashes preempt and abandon tasks, take machines down and up, and
-    // flake trackers — the full event taxonomy. A cache entry that
-    // survives an event it should not diverges here.
+    // Crashes kill, abandon and restart tasks, move block replicas, and
+    // flake trackers. A cache entry that outlives a change it depends on
+    // diverges here.
     for seed in SEEDS {
         for (wname, w) in workloads(seed) {
             let (inc, oracle) = tetris_pair();
