@@ -1,37 +1,26 @@
-//! A policy wrapper that records what each `schedule` call saw, so a test
-//! can find the heartbeat at which some private policy state stands and
-//! crash a journaled run there.
+//! What the crash-recovery tests share: a policy watched after each call,
+//! so a test can find the heartbeat at which some private policy state
+//! stands and crash a journaled run there.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use tetris_sim::{Assignment, ClusterView, SchedulerPolicy, SimOutcome};
+use tetris_sim::SchedulerPolicy;
+use tetris_testkit::Audited;
 
 /// `(simulated time, probe)` after each `schedule` call.
 pub(crate) type Calls = Rc<RefCell<Vec<(f64, bool)>>>;
 
-/// `inner`, recording `probe(&inner)` after every `schedule` call.
-pub(crate) struct Watched<P> {
-    pub(crate) inner: P,
-    pub(crate) probe: fn(&P) -> bool,
-    pub(crate) calls: Calls,
-}
-
-impl<P: SchedulerPolicy> SchedulerPolicy for Watched<P> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn uses_tracker(&self) -> bool {
-        self.inner.uses_tracker()
-    }
-
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let out = self.inner.schedule(view);
-        let seen = (view.now(), (self.probe)(&self.inner));
-        self.calls.borrow_mut().push(seen);
-        out
-    }
+/// `inner`, recording `probe(&inner)` into `calls` after every call.
+pub(crate) fn watched<P: SchedulerPolicy + 'static>(
+    inner: P,
+    probe: fn(&P) -> bool,
+    calls: &Calls,
+) -> Audited<P> {
+    let calls = Rc::clone(calls);
+    Audited::new(Box::new(inner), move |p, view, _| {
+        calls.borrow_mut().push((view.now(), probe(p)))
+    })
 }
 
 /// One entry a heartbeat, in order: its time and the probe after its last
@@ -46,9 +35,4 @@ pub(crate) fn per_heartbeat(calls: &Calls) -> Vec<(f64, bool)> {
         }
     }
     out
-}
-
-/// The byte-identity oracle: an outcome's full wire form.
-pub(crate) fn wire(o: &SimOutcome) -> String {
-    serde_json::to_string(o).expect("outcome serializes")
 }

@@ -6,10 +6,11 @@
 
 mod common;
 
-use common::{per_heartbeat, wire, Calls, Watched};
+use common::{per_heartbeat, watched, Calls};
 use tetris_core::{EstimationMode, TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, MachineSpec};
 use tetris_sim::{ClusterConfig, Journal, RunResult, SchedulerCrash, SimConfig, Simulation};
+use tetris_testkit::wire;
 use tetris_workload::{JobId, TaskParams, Workload, WorkloadBuilder};
 
 /// When the second run of the family arrives.
@@ -59,12 +60,8 @@ fn learned_sim(
         .disks(4, 50e6)
         .nic(125e6);
     Simulation::build(ClusterConfig::uniform(1, machine), workload)
-        .scheduler(Watched {
-            inner: TetrisScheduler::new(tc),
-            // Only the clock is read here.
-            probe: |_: &TetrisScheduler| false,
-            calls: calls.clone(),
-        })
+        // Only the clock is read here.
+        .scheduler(watched(TetrisScheduler::new(tc), |_| false, calls))
         .config(cfg)
 }
 

@@ -9,12 +9,13 @@
 
 mod common;
 
-use common::{per_heartbeat, wire, Calls, Watched};
+use common::{per_heartbeat, watched, Calls};
 use tetris_core::{StarvationConfig, TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, MachineSpec, ResourceVec};
 use tetris_sim::{
     ClusterConfig, Journal, MachineId, RunResult, SchedulerCrash, SimConfig, Simulation,
 };
+use tetris_testkit::wire;
 use tetris_workload::{JobId, PlacementConstraints, TaskParams, Workload, WorkloadBuilder};
 
 fn starvation_workload() -> Workload {
@@ -261,11 +262,11 @@ fn reserving_sim(crash: Option<SchedulerCrash>, calls: &Calls) -> Simulation<'st
     let mut cfg = SimConfig::default();
     cfg.seed = 1;
     cfg.faults.sched_crash = crash;
-    let policy = Watched {
-        inner: TetrisScheduler::new(tc),
-        probe: |t: &TetrisScheduler| !t.reserved_machines().is_empty(),
-        calls: calls.clone(),
-    };
+    let policy = watched(
+        TetrisScheduler::new(tc),
+        |t| !t.reserved_machines().is_empty(),
+        calls,
+    );
     Simulation::build(
         ClusterConfig::uniform(1, machine(16.0, 32.0 * GB)),
         starvation_workload(),

@@ -203,6 +203,13 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
+/// The upper median of `xs` (sorted in place): the sweeps' per-rep
+/// timing summary.
+fn median(xs: &mut [u64]) -> f64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2] as f64
+}
+
 /// Look up one experiment by id.
 pub fn find(id: &str) -> Option<Experiment> {
     registry().into_iter().find(|e| e.id == id)

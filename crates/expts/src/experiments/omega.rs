@@ -38,6 +38,7 @@ use tetris_metrics::TextTable;
 use tetris_obs::Obs;
 use tetris_sim::{probe::ColdPassProbe, SchedulerPolicy, ShardedScheduler, ShardedStats};
 
+use super::median;
 use crate::{Report, RunCtx};
 
 /// Shard counts swept.
@@ -62,11 +63,6 @@ fn metric_names(shards: usize) -> [&'static str; 2] {
         4 => ["omega_heartbeat_ms_s4", "omega_conflicts_s4"],
         _ => ["omega_heartbeat_ms_s8", "omega_conflicts_s8"],
     }
-}
-
-fn median(xs: &mut [u64]) -> f64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2] as f64
 }
 
 fn sharded(shards: usize, seed: u64) -> ShardedScheduler {

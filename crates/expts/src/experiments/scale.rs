@@ -27,6 +27,7 @@ use tetris_metrics::TextTable;
 use tetris_obs::{names, Obs};
 use tetris_sim::probe::ColdPassProbe;
 
+use super::median;
 use crate::{Report, RunCtx};
 
 /// Cluster sizes swept at `--scale 1.0`.
@@ -58,11 +59,6 @@ fn metric_names(i: usize) -> [&'static str; 3] {
             "cold_pass_speedup_100k",
         ],
     }
-}
-
-fn median(xs: &mut [u64]) -> f64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2] as f64
 }
 
 /// Run the cold-pass scale sweep.

@@ -31,6 +31,7 @@ use tetris_resources::MachineSpec;
 use tetris_sim::{probe::IncrementalProbe, ClusterConfig, SimConfig};
 use tetris_workload::{Workload, WorkloadSuiteConfig};
 
+use super::median;
 use crate::{Report, RunCtx};
 
 /// Pending-task backlogs swept at `--scale 1.0` (the paper's 10 k/50 k
@@ -95,11 +96,6 @@ fn pending_workload(n: usize, seed: u64) -> Workload {
         }
         jobs += (jobs / 4).max(1);
     }
-}
-
-fn median(xs: &mut [u64]) -> f64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2] as f64
 }
 
 /// Run the Table 8 overhead sweep.

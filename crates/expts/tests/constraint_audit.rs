@@ -22,9 +22,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tetris_expts::{RunCtx, SchedName};
-use tetris_sim::{
-    Assignment, ClusterView, GreedyFifo, MachineId, SchedulerPolicy, SimConfig, Simulation,
-};
+use tetris_sim::{Assignment, ClusterView, GreedyFifo, MachineId, SimConfig, Simulation};
+use tetris_testkit::Audited;
 use tetris_workload::{JobId, ServingMixConfig, Workload};
 
 /// Taint bit carried by every fourth machine in the tainted variant.
@@ -38,12 +37,6 @@ struct Tally {
     disallowed: usize,
     /// A spread replica stacked on a machine within one call.
     stacked: usize,
-}
-
-/// Forwards every call to `inner` and tallies what it returned.
-struct Audit {
-    inner: Box<dyn SchedulerPolicy>,
-    tally: Rc<Cell<Tally>>,
 }
 
 /// Replicas in `out` placed, while their job is below its spread floor,
@@ -66,33 +59,6 @@ fn stacked(view: &ClusterView<'_>, out: &[Assignment]) -> usize {
     n
 }
 
-impl SchedulerPolicy for Audit {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let out = self.inner.schedule(view);
-        let mut t = self.tally.get();
-        t.proposed += out.len();
-        t.disallowed += out
-            .iter()
-            .filter(|a| !view.constraints_allow(view.task_stage(a.task).0, a.machine))
-            .count();
-        t.stacked += stacked(view, &out);
-        self.tally.set(t);
-        out
-    }
-
-    fn uses_tracker(&self) -> bool {
-        self.inner.uses_tracker()
-    }
-
-    fn drain_metrics(&mut self, metrics: &mut tetris_obs::MetricsRegistry) {
-        self.inner.drain_metrics(metrics);
-    }
-}
-
 /// The serving experiment's workload and config at laptop scale.
 fn serving(ctx: &RunCtx) -> (Workload, SimConfig) {
     let w = ServingMixConfig::laptop(1.0).generate(ctx.seed + 33);
@@ -110,11 +76,18 @@ fn audit(ctx: &RunCtx, w: &Workload, cfg: &SimConfig) -> Vec<(&'static str, Tall
         .chain([("greedy-fifo", Box::new(GreedyFifo::new()) as Box<_>)]);
     policies
         .map(|(label, inner)| {
-            let tally = Rc::default();
-            let policy = Audit {
-                inner,
-                tally: Rc::clone(&tally),
-            };
+            let tally = Rc::new(Cell::new(Tally::default()));
+            let seen = Rc::clone(&tally);
+            let policy = Audited::new(inner, move |_, view, out| {
+                let mut t = seen.get();
+                t.proposed += out.len();
+                t.disallowed += out
+                    .iter()
+                    .filter(|a| !view.constraints_allow(view.task_stage(a.task).0, a.machine))
+                    .count();
+                t.stacked += stacked(view, out);
+                seen.set(t);
+            });
             Simulation::build(ctx.cluster(), w.clone())
                 .scheduler(policy)
                 .config(cfg.clone())

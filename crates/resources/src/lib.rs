@@ -57,4 +57,4 @@ mod vec;
 
 pub use machine_spec::MachineSpec;
 pub use resource::{Resource, ResourceKind, NUM_RESOURCES};
-pub use vec::ResourceVec;
+pub use vec::{ResourceVec, FIT_TOLERANCE};

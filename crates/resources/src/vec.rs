@@ -7,6 +7,10 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 
 use crate::resource::{Resource, NUM_RESOURCES};
 
+/// [`ResourceVec::fits_within`]'s tolerance: a demand `d` fits an
+/// availability `a` while `d ≤ a + FIT_TOLERANCE · max(|a|, 1)`.
+pub const FIT_TOLERANCE: f64 = 1e-9;
+
 /// A point in the 6-dimensional resource space.
 ///
 /// Used for machine capacities, machine availabilities, task peak demands
@@ -123,28 +127,14 @@ impl ResourceVec {
         ResourceVec(out)
     }
 
-    /// Component-wise multiply (inverse of [`normalized_by`] for positive
-    /// capacities).
-    ///
-    /// [`normalized_by`]: ResourceVec::normalized_by
-    #[must_use]
-    pub fn scaled_by(&self, other: &ResourceVec) -> ResourceVec {
-        let mut out = [0.0; NUM_RESOURCES];
-        for i in 0..NUM_RESOURCES {
-            out[i] = self.0[i] * other.0[i];
-        }
-        ResourceVec(out)
-    }
-
     /// True iff `self ≤ other` component-wise (with a tiny tolerance for
     /// floating-point accumulation). The feasibility test: "only tasks whose
     /// peak demands are satisfiable are considered; so over-allocation is
     /// impossible" (§3.2).
     pub fn fits_within(&self, avail: &ResourceVec) -> bool {
-        const EPS: f64 = 1e-9;
         for i in 0..NUM_RESOURCES {
             // Tolerance scales with magnitude so byte-ranged dims work too.
-            let tol = EPS * avail.0[i].abs().max(1.0);
+            let tol = FIT_TOLERANCE * avail.0[i].abs().max(1.0);
             if self.0[i] > avail.0[i] + tol {
                 return false;
             }

@@ -308,10 +308,14 @@ pub(crate) enum FaultKind {
 }
 
 impl FaultKind {
+    /// A recovery sorts before a crash at the same instant: the spacing
+    /// in [`FaultPlan::expand`] starts a machine's next cycle exactly when
+    /// its last one ends, and the other order would crash the machine
+    /// while it is down and then bring it up for the whole next cycle.
     fn sort_key(&self) -> (u8, usize) {
         match *self {
-            FaultKind::Down(m) => (0, m),
-            FaultKind::Up(m) => (1, m),
+            FaultKind::Up(m) => (0, m),
+            FaultKind::Down(m) => (1, m),
             FaultKind::SlowStart(m) => (2, m),
             FaultKind::SlowEnd(m) => (3, m),
             FaultKind::Flake(m) => (4, m),
@@ -424,20 +428,29 @@ mod tests {
             ..FaultPlan::default()
         };
         let ex = p.expand(4, 1e6, &mut StdRng::seed_from_u64(3));
+        // In the order the engine applies them, not only in time: a cycle
+        // pushed back to start as the last one ends shares its instant.
         for m in 0..4 {
-            let mut last_up = f64::NEG_INFINITY;
-            let mut downs = 0;
+            let (mut down, mut downs, mut abutting) = (None, 0, 0);
             for &(t, k) in &ex.events {
                 match k {
                     FaultKind::Down(x) if x == m => {
-                        assert!(t >= last_up, "machine {m} crashed while down");
+                        assert!(down.is_none(), "machine {m} crashed while down");
+                        down = Some(t);
                         downs += 1;
                     }
-                    FaultKind::Up(x) if x == m => last_up = t,
+                    FaultKind::Up(x) if x == m => {
+                        down.take().expect("recovered while up");
+                        abutting += usize::from(ex.events.contains(&(t, FaultKind::Down(m))));
+                    }
                     _ => {}
                 }
             }
-            assert!(downs >= 1);
+            assert!(downs >= 1 && down.is_none());
+            assert!(
+                abutting >= 1,
+                "the tight window abuts cycles on machine {m}"
+            );
         }
     }
 

@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
+use tetris_resources::{Resource, ResourceVec, FIT_TOLERANCE, NUM_RESOURCES};
 
 use crate::cluster::MachineId;
 
@@ -492,7 +492,10 @@ impl MachineIndex {
             if !(d > 0.0) {
                 continue;
             }
-            let (ri, from) = (r.index(), bucket_of(d));
+            // From the bucket of the least availability `fits_within`
+            // admits: its tolerance reaches below a power of two.
+            let least = (d / (1.0 + FIT_TOLERANCE)).min(d - FIT_TOLERANCE);
+            let (ri, from) = (r.index(), bucket_of(least));
             let count = self.suffix_len((ri, from));
             if best.is_none_or(|(c, ..)| count < c) {
                 best = Some((count, ri, from));
@@ -614,5 +617,21 @@ mod tests {
         assert_eq!(out, vec![1, 2]);
         idx.fits_superset_into(&ResourceVec::splat(f64::INFINITY), &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn fits_superset_keeps_what_the_fit_tolerance_admits() {
+        // Releasing work leaves float dust: a free machine can read a hair
+        // under its capacity, one bucket below a power-of-two demand that
+        // `fits_within` still admits.
+        let mut idx = MachineIndex::new(&[ResourceVec::splat(16.0)]);
+        idx.seed();
+        let dusty = ResourceVec::splat(16.0 - 4e-15);
+        idx.refresh(0, dusty, true);
+        let demand = ResourceVec::splat(16.0);
+        assert!(demand.fits_within(&dusty));
+        let mut out = Vec::new();
+        idx.fits_superset_into(&demand, &mut out);
+        assert_eq!(out, vec![0]);
     }
 }

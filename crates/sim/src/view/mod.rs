@@ -217,12 +217,6 @@ impl<'a> ClusterView<'a> {
             )
     }
 
-    /// True iff at least one (owned, on scoped views) job has arrived and
-    /// not finished.
-    pub fn has_active_jobs(&self) -> bool {
-        self.active_jobs().next().is_some()
-    }
-
     /// Job arrival time (seconds).
     pub fn job_arrival(&self, j: JobId) -> f64 {
         self.state.workload.jobs[j.index()].arrival

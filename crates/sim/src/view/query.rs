@@ -208,7 +208,7 @@ impl<'a> MachineQuery<'a> {
     /// superset prune with the exact availability re-filter and the
     /// constraint predicate; the linear oracle applies the identical
     /// predicate, so both backends return the same list (`prop_index.rs`
-    /// and `prop_serving.rs` pin this). The constraint filter
+    /// pins this). The constraint filter
     /// is exact, never an inflated demand envelope: folding constraints
     /// into the demand vector would change which buckets prune and is
     /// not decision-safe.
@@ -305,16 +305,18 @@ pub fn plan_priority_preemption(
             continue;
         }
         view.plan_into(task, m, &mut plan);
+        // What this call's placements left, not what the view shows.
+        let left = |m| ledger.residual(m, view.available(m));
         // Remote demands must fit without eviction: evicting here frees
         // nothing on the input hosts.
         if plan
             .remote
             .iter()
-            .any(|&(rm, ref dem)| !dem.fits_within(&view.available(rm)))
+            .any(|&(rm, ref dem)| !dem.fits_within(&left(rm)))
         {
             continue;
         }
-        let mut avail = view.available(m);
+        let mut avail = left(m);
         victims.clear();
         for &v in view.machine_tasks(m) {
             if plan.local.fits_within(&avail) || victims.len() >= cap {

@@ -5,9 +5,9 @@ use tetris_core::{ColdTetris, TetrisConfig, TetrisScheduler};
 use tetris_obs::{names, Event, JsonlRecorder, Obs, PlacementProvenance, VecRecorder};
 use tetris_resources::MachineSpec;
 use tetris_sim::{
-    Assignment, ClusterConfig, ClusterView, GreedyFifo, SchedulerPolicy, ShardedScheduler,
-    SimConfig, SimOutcome, Simulation,
+    ClusterConfig, GreedyFifo, SchedulerPolicy, ShardedScheduler, SimConfig, SimOutcome, Simulation,
 };
+use tetris_testkit::Audited;
 use tetris_workload::{Workload, WorkloadSuiteConfig};
 
 fn cluster() -> ClusterConfig {
@@ -238,25 +238,6 @@ fn verbose_tracing_attaches_provenance_without_perturbing_the_run() {
     )));
 }
 
-/// A wrapper that forwards only what decides placements — the shape of
-/// `perfbench`'s `Timed<P>` — and leaves every other trait method at its
-/// default.
-struct Forwarding<P>(P);
-
-impl<P: SchedulerPolicy> SchedulerPolicy for Forwarding<P> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        self.0.schedule(view)
-    }
-
-    fn uses_tracker(&self) -> bool {
-        self.0.uses_tracker()
-    }
-}
-
 #[test]
 fn wrappers_are_observability_transparent() {
     let w = WorkloadSuiteConfig::small().generate(7);
@@ -264,7 +245,9 @@ fn wrappers_are_observability_transparent() {
         .scheduler(tetris())
         .seed(7)
         .run();
-    let (wrapped, provs) = verbose_run(&w, Box::new(Forwarding(tetris())));
+    // A forwarding wrapper knows nothing of observability.
+    let forwarding = Audited::new(Box::new(tetris()), |_, _, _| {});
+    let (wrapped, provs) = verbose_run(&w, Box::new(forwarding));
     // Provenance rides on the assignments `schedule` returns, so a wrapper
     // that knows nothing about it cannot drop it.
     assert!(

@@ -7,18 +7,18 @@
 //! all inputs remote, sources fixed by `replicas[uid % len]` and the
 //! stage's output map, fan-in truncation included. Tetris's `blocked`
 //! memo (DESIGN.md §9) skips machines on the strength of it, so it is
-//! pinned here, field for field, for every runnable task on every
-//! scheduling round of runs whose shuffle stages have both fewer and more
-//! sources than `shuffle_fanin`.
+//! pinned here, field for field, for every runnable task after every
+//! scheduling call of calm scenario draws, whose shuffle stages have both
+//! fewer and more sources than their 1–4 `shuffle_fanin`.
 //!
 //! Two more claims about a reader whose one input is a shuffle:
 //! * its plan walks the stage's ranked output (`SimState::ranked_reads`)
 //!   and must read what the general path reads — the bytes of every
 //!   source, and of the host, bit for bit. The reference is restated here
 //!   ([`general_reads`]) from the stage's output map, which the audit sums
-//!   from its own placements as the view shows them finished. Every
-//!   output here is a whole number of bytes, so the sums are exact in any
-//!   order.
+//!   from the run's placements as the view shows them finished (calm
+//!   draws: no attempt is killed, fails or is preempted). Every output is
+//!   a whole number of bytes, so the sums are exact in any order.
 //!   The rest of a plan is computed from its reads by one code path, and
 //!   debug builds re-derive every ranked plan by the general path inside
 //!   the crate too;
@@ -34,116 +34,18 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use proptest::prelude::*;
 use tetris_resources::{units::GB, units::MB, MachineSpec, Resource};
 use tetris_sim::{
-    Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerPolicy, SimConfig,
-    Simulation, SHUFFLE_SHARE_MARGIN,
+    Assignment, ClusterConfig, ClusterView, MachineId, PlacementPlan, SchedulerPolicy,
+    SHUFFLE_SHARE_MARGIN,
 };
+use tetris_testkit::{forall, Audited, Policy, Scenario, SchedName};
 use tetris_workload::{
     InputSource, InputSpec, JobId, TaskParams, TaskUid, Workload, WorkloadBuilder,
 };
 
-const N_MACHINES: usize = 8;
-const FANIN: usize = 3;
-
-/// One generated job: a map stage over stored blocks feeding a reduce
-/// stage that shuffles from it.
-#[derive(Debug, Clone)]
-struct JobShape {
-    /// Map tasks — with [`SpreadAudit`] also the number of machines the
-    /// stage leaves output on, so 1..=8 straddles [`FANIN`].
-    maps: usize,
-    /// Stored inputs per map task, drawn from a pool of `pool` blocks
-    /// (small pools make two inputs share a replica holder).
-    inputs_per_map: usize,
-    pool: usize,
-    /// Give every map task one extra zero-byte stored input.
-    zero_byte_input: bool,
-    /// Every map task writes as much output, so the fan-in bound breaks
-    /// ties by machine id; otherwise outputs are uneven.
-    equal_out: bool,
-    reduces: usize,
-    /// Reduce tasks also read a stored block (mixed inputs).
-    mixed: bool,
-}
-
-fn arb_job() -> impl Strategy<Value = JobShape> {
-    (
-        1usize..=N_MACHINES,
-        1usize..=3,
-        1usize..=6,
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-        1usize..=3,
-        proptest::bool::ANY,
-    )
-        .prop_map(
-            |(maps, inputs_per_map, pool, zero_byte_input, equal_out, reduces, mixed)| JobShape {
-                maps,
-                inputs_per_map,
-                pool,
-                zero_byte_input,
-                equal_out,
-                reduces,
-                mixed,
-            },
-        )
-}
-
-fn build(jobs: &[JobShape]) -> Workload {
-    let mut b = WorkloadBuilder::new().with_demand_cap(MachineSpec::paper_small().capacity());
-    for (ji, shape) in jobs.iter().enumerate() {
-        let j = b.begin_job(format!("j{ji}"), None, ji as f64);
-        let pool: Vec<_> = (0..shape.pool).map(|_| b.new_block()).collect();
-        let stored = |k: usize, bytes: f64| InputSpec {
-            source: InputSource::Stored(pool[k % pool.len()]),
-            bytes,
-        };
-        let map = b.add_stage(j, "map", vec![], shape.maps, |i| {
-            let mut inputs: Vec<_> = (0..shape.inputs_per_map)
-                .map(|k| stored(i + 2 * k, (8 + 4 * k) as f64 * MB))
-                .collect();
-            if shape.zero_byte_input {
-                inputs.push(stored(i + 1, 0.0));
-            }
-            TaskParams {
-                cores: 0.5,
-                mem: 0.25 * GB,
-                duration: 4.0,
-                cpu_frac: 0.5,
-                io_burst: 1.0,
-                inputs,
-                // Uneven outputs give fan-in truncation a real order.
-                output_bytes: if shape.equal_out { 8 } else { 5 + 3 * i } as f64 * MB,
-                remote_frac: 1.0,
-            }
-        });
-        b.add_stage(j, "reduce", vec![map], shape.reduces, |i| {
-            let mut inputs = vec![InputSpec {
-                source: InputSource::Shuffle { stage: map },
-                bytes: 6.0 * MB,
-            }];
-            if shape.mixed {
-                inputs.push(stored(i, 10.0 * MB));
-            }
-            TaskParams {
-                cores: 0.5,
-                mem: 0.25 * GB,
-                duration: 4.0,
-                cpu_frac: 0.5,
-                io_burst: 1.0,
-                inputs,
-                output_bytes: 0.0,
-                remote_frac: 1.0,
-            }
-        });
-    }
-    b.finish()
-}
-
-/// What one run's audit covered, so the deterministic test can show the
-/// property was not checked vacuously.
+/// What a run's audit covered, so the deterministic tests can show the
+/// claims were not checked vacuously.
 #[derive(Debug, Default)]
 struct Coverage {
     /// (task, machine) pairs compared against the task's reference plan.
@@ -172,15 +74,10 @@ struct Coverage {
     within_margin: u64,
 }
 
-/// Audits every runnable task on every round, then places task `t` on
-/// machine `t mod n` without a fit check (over-allocation is the
-/// policy's call, and spreading is what gives map stages many output
-/// machines) — or on the next machine along where no remote read is
-/// empty: the engine refuses to start a flow that carries no bytes, so a
-/// zero-byte input can be planned anywhere but placed only where it is
-/// local or shares its source with a real read.
+/// The audit's state across one run's calls.
 #[derive(Default)]
-struct SpreadAudit {
+struct PlanAudit {
+    fanin: usize,
     /// Reused across every `plan_into` of the run, never cleared.
     dirty: PlacementPlan,
     /// Placed tasks not yet seen finished, with their hosts.
@@ -193,12 +90,13 @@ struct SpreadAudit {
 
 /// The general plan's reads for a reader of `frac` of a stage whose
 /// output is `outs`, on `host`: (bytes read locally, bytes from each
-/// remote source by machine), at most [`FANIN`] sources kept — largest
+/// remote source by machine), at most `fanin` sources kept — largest
 /// share first, ties by machine — and the rest folded into them.
 fn general_reads(
     outs: &BTreeMap<MachineId, f64>,
     frac: f64,
     host: MachineId,
+    fanin: usize,
 ) -> (f64, Vec<(MachineId, f64)>) {
     let mut local = 0.0;
     let mut remote = Vec::new();
@@ -213,11 +111,11 @@ fn general_reads(
             remote.push((m, share));
         }
     }
-    if remote.len() > FANIN {
+    if remote.len() > fanin {
         remote.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let kept: f64 = remote[..FANIN].iter().map(|r| r.1).sum();
-        let tail: f64 = remote[FANIN..].iter().map(|r| r.1).sum();
-        remote.truncate(FANIN);
+        let kept: f64 = remote[..fanin].iter().map(|r| r.1).sum();
+        let tail: f64 = remote[fanin..].iter().map(|r| r.1).sum();
+        remote.truncate(fanin);
         for r in &mut remote {
             r.1 *= (kept + tail) / kept;
         }
@@ -230,7 +128,26 @@ fn bits(reads: &[(MachineId, f64)]) -> Vec<(MachineId, u64)> {
     reads.iter().map(|&(m, b)| (m, b.to_bits())).collect()
 }
 
-impl SpreadAudit {
+impl PlanAudit {
+    /// `policy`, audited after each call; the coverage counts come back
+    /// through the shared cell.
+    fn wrap<P: SchedulerPolicy + ?Sized + 'static>(
+        policy: Box<P>,
+        fanin: usize,
+    ) -> (Audited<P>, Rc<RefCell<Coverage>>) {
+        let mut audit = PlanAudit {
+            fanin,
+            ..PlanAudit::default()
+        };
+        let seen = Rc::clone(&audit.seen);
+        let policy = Audited::new(policy, move |_, view, out: &mut Vec<Assignment>| {
+            audit.note_finished(view);
+            audit.audit(view);
+            audit.placed.extend(out.iter().map(|a| (a.task, a.machine)));
+        });
+        (policy, seen)
+    }
+
     /// Credit each placed task the view no longer shows running on its
     /// host (nor pending: nothing fails here) with its output there.
     fn note_finished(&mut self, view: &ClusterView<'_>) {
@@ -285,7 +202,7 @@ impl SpreadAudit {
             match reference {
                 None => {
                     if view.task(t).reads_shuffle() {
-                        if plan.remote.len() < FANIN {
+                        if plan.remote.len() < self.fanin {
                             seen.shuffle_under_fanin += 1;
                         } else {
                             seen.shuffle_at_fanin += 1;
@@ -316,13 +233,14 @@ impl SpreadAudit {
         else {
             return;
         };
+        let fanin = self.fanin;
         let (outs, total) = &self.outs[&(view.task_stage(t).0, stage)];
         let frac = bytes / total;
         let mut seen = self.seen.borrow_mut();
 
         // Ranked ≡ general, bit for bit.
         for (&h, plan) in machines.iter().zip(plans) {
-            let (local, remote) = general_reads(outs, frac, h);
+            let (local, remote) = general_reads(outs, frac, h, fanin);
             assert_eq!(
                 (plan.local_read_bytes.to_bits(), bits(&plan.remote_reads)),
                 (local.to_bits(), bits(&remote)),
@@ -330,14 +248,14 @@ impl SpreadAudit {
                 plan.local_read_bytes,
                 plan.remote_reads,
             );
-            if outs.len() > FANIN {
+            if outs.len() > fanin {
                 seen.ranked_checks += 1;
             }
         }
         seen.source_counts.insert(outs.len());
         let mut order: Vec<(MachineId, f64)> = outs.iter().map(|(&m, &b)| (m, b * frac)).collect();
         order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        if order.len() > FANIN && order[FANIN - 1].1 == order[FANIN].1 {
+        if order.len() > fanin && order[fanin - 1].1 == order[fanin].1 {
             seen.tied_at_bound += 1;
         }
 
@@ -370,8 +288,8 @@ impl SpreadAudit {
                     seen.within_margin += 1;
                 }
                 match order.iter().position(|&(m, _)| m == h) {
-                    Some(rank) if rank + 1 < FANIN => seen.host_inside += 1,
-                    Some(rank) if rank + 1 == FANIN => seen.host_at_edge += 1,
+                    Some(rank) if rank + 1 < fanin => seen.host_inside += 1,
+                    Some(rank) if rank + 1 == fanin => seen.host_at_edge += 1,
                     Some(_) => seen.host_outside += 1,
                     None => {}
                 }
@@ -380,62 +298,114 @@ impl SpreadAudit {
     }
 }
 
-impl SchedulerPolicy for SpreadAudit {
-    fn name(&self) -> &str {
-        "spread-audit"
-    }
-
-    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        self.note_finished(view);
-        self.audit(view);
-        let out: Vec<_> = view
-            .active_jobs()
-            .flat_map(|j| view.job_pending(j))
-            .map(|t| {
-                let host = (0..N_MACHINES)
-                    .map(|k| MachineId((t.index() + k) % N_MACHINES))
-                    .find(|&m| view.plan(t, m).remote_reads.iter().all(|&(_, b)| b > 0.0))
-                    .expect("a replica holder of the empty input reads it locally");
-                Assignment::new(t, host)
-            })
-            .collect();
-        self.placed.extend(out.iter().map(|a| (a.task, a.machine)));
-        out
-    }
+#[test]
+fn non_local_hosts_share_one_plan() {
+    let mut ranked = 0;
+    forall("non_local_hosts_share_one_plan", 24, |s| {
+        let s = s.calm();
+        let (policy, seen) = PlanAudit::wrap(s.policy(), s.cfg.shuffle_fanin);
+        assert!(s.run_with(policy).outcome.all_jobs_completed());
+        ranked += seen.borrow().ranked_checks;
+    });
+    assert!(
+        ranked > 0,
+        "no stage ever had more sources than its fan-in keeps"
+    );
 }
 
-fn run(workload: Workload, seed: u64) -> Coverage {
-    let mut cfg = SimConfig::default();
-    cfg.seed = seed;
-    cfg.shuffle_fanin = FANIN;
-    cfg.max_time = 50_000.0;
-    let policy = SpreadAudit::default();
-    let seen = Rc::clone(&policy.seen);
-    let outcome = Simulation::build(
-        ClusterConfig::uniform(N_MACHINES, MachineSpec::paper_small()),
-        workload,
-    )
-    .scheduler(policy)
-    .config(cfg)
-    .run();
-    assert!(outcome.all_jobs_completed());
+// The generator's corners on fixed inputs, with the coverage counted.
+
+const N_MACHINES: usize = 8;
+const FANIN: usize = 3;
+
+/// One job: a map stage over stored blocks feeding a reduce stage that
+/// shuffles from it.
+#[derive(Debug, Clone)]
+struct JobShape {
+    /// Map tasks, spread over machines, so 1..=8 straddles [`FANIN`].
+    maps: usize,
+    /// Stored inputs per map task, drawn from a pool of `pool` blocks
+    /// (small pools make two inputs share a replica holder).
+    inputs_per_map: usize,
+    pool: usize,
+    /// Give every map task one extra zero-byte stored input.
+    zero_byte_input: bool,
+    /// Every map task writes as much output, so the fan-in bound breaks
+    /// ties by machine id; otherwise outputs are uneven.
+    equal_out: bool,
+    reduces: usize,
+    /// Reduce tasks also read a stored block (mixed inputs).
+    mixed: bool,
+}
+
+fn build(jobs: &[JobShape]) -> Workload {
+    let mut b = WorkloadBuilder::new().with_demand_cap(MachineSpec::paper_small().capacity());
+    for (ji, shape) in jobs.iter().enumerate() {
+        let j = b.begin_job(format!("j{ji}"), None, ji as f64);
+        let pool: Vec<_> = (0..shape.pool).map(|_| b.new_block()).collect();
+        let stored = |k: usize, bytes: f64| InputSpec {
+            source: InputSource::Stored(pool[k % pool.len()]),
+            bytes,
+        };
+        let params = |inputs, output_bytes| TaskParams {
+            cores: 0.5,
+            mem: 0.25 * GB,
+            duration: 4.0,
+            cpu_frac: 0.5,
+            io_burst: 1.0,
+            inputs,
+            output_bytes,
+            remote_frac: 1.0,
+        };
+        let map = b.add_stage(j, "map", vec![], shape.maps, |i| {
+            let mut inputs: Vec<_> = (0..shape.inputs_per_map)
+                .map(|k| stored(i + 2 * k, (8 + 4 * k) as f64 * MB))
+                .collect();
+            if shape.zero_byte_input {
+                inputs.push(stored(i + 1, 0.0));
+            }
+            // Uneven outputs give fan-in truncation a real order.
+            params(
+                inputs,
+                if shape.equal_out { 8 } else { 5 + 3 * i } as f64 * MB,
+            )
+        });
+        b.add_stage(j, "reduce", vec![map], shape.reduces, |i| {
+            let mut inputs = vec![InputSpec {
+                source: InputSource::Shuffle { stage: map },
+                bytes: 6.0 * MB,
+            }];
+            if shape.mixed {
+                inputs.push(stored(i, 10.0 * MB));
+            }
+            params(inputs, 0.0)
+        });
+    }
+    b.finish()
+}
+
+/// `jobs` under seeded random placement, audited. The engine refuses to
+/// start a flow that carries no bytes, so a zero-byte input can be planned
+/// anywhere but placed only where it is local or shares its source with a
+/// real read: proposals elsewhere are dropped, and random placement tries
+/// again on the next call.
+fn run(jobs: &[JobShape], seed: u64) -> Coverage {
+    let cluster = ClusterConfig::uniform(N_MACHINES, MachineSpec::paper_small());
+    let mut s = Scenario::fixed(cluster, build(jobs), Policy::Named(SchedName::Random));
+    s.cfg.seed = seed;
+    s.cfg.shuffle_fanin = FANIN;
+    let random = Audited::new(s.policy(), |_, view, out: &mut Vec<Assignment>| {
+        out.retain(|a| {
+            let plan = view.plan(a.task, a.machine);
+            plan.remote_reads.iter().all(|&(_, b)| b > 0.0)
+        });
+    });
+    let (policy, seen) = PlanAudit::wrap(Box::new(random), FANIN);
+    assert!(s.run_with(policy).outcome.all_jobs_completed());
     seen.take()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn non_local_hosts_share_one_plan(
-        jobs in proptest::collection::vec(arb_job(), 1..=3),
-        seed in 0u64..1000,
-    ) {
-        run(build(&jobs), seed);
-    }
-}
-
-/// The generator's corners on fixed inputs, with the coverage counted: a
-/// wide map stage (six sources, over the fan-in bound, two machines left
+/// A wide map stage (six sources, over the fan-in bound, two machines left
 /// without output), a narrow one (two sources), one whose readers mix a
 /// stored block in, and zero-byte inputs throughout.
 #[test]
@@ -449,8 +419,7 @@ fn audit_covers_both_sides_of_the_fanin_bound() {
         reduces: 2,
         mixed,
     };
-    let jobs = [shape(6, false), shape(2, false), shape(3, true)];
-    let seen = run(build(&jobs), 11);
+    let seen = run(&[shape(6, false), shape(2, false), shape(3, true)], 11);
     assert!(seen.same_plan_checks > 0, "{seen:?}");
     assert!(seen.local_machines > 0, "{seen:?}");
     assert!(seen.shuffle_under_fanin > 0, "{seen:?}");
@@ -476,7 +445,7 @@ fn ranked_plans_cover_the_fanin_bound_ties_and_host_ranks() {
         .into_iter()
         .flat_map(|maps| [shape(maps, false), shape(maps, true)])
         .collect();
-    let seen = run(build(&jobs), 5);
+    let seen = run(&jobs, 5);
     assert!(seen.ranked_checks > 0, "{seen:?}");
     assert!(seen.tied_at_bound > 0, "{seen:?}");
     for n in [FANIN - 1, FANIN, FANIN + 1] {

@@ -5,15 +5,16 @@
 //! offsets or bit-flipped anywhere. Recovery replays every batch committed
 //! before the crash. Damage beyond repair surfaces as a typed
 //! [`JournalError`]/[`RecoveryError`], never a panic and never a silently
-//! divergent outcome.
+//! divergent outcome. The fixed-input tests pin exact counts; the
+//! properties crash the shared scenario's draws.
 
-use proptest::prelude::*;
 use tetris_core::{TetrisConfig, TetrisScheduler};
 use tetris_resources::{units::GB, units::MB, MachineSpec};
 use tetris_sim::{
     ClusterConfig, GreedyFifo, Journal, RecoveryError, RunResult, SchedulerCrash, ShardedScheduler,
-    SimConfig, SimOutcome, Simulation,
+    SimConfig, Simulation,
 };
+use tetris_testkit::{forall, same_outcome, wire, Scenario};
 use tetris_workload::{TaskParams, Workload, WorkloadBuilder};
 
 const N_MACHINES: usize = 4;
@@ -36,35 +37,6 @@ fn fixed_workload() -> Workload {
         });
     }
     b.finish()
-}
-
-/// Random small workload whose demands fit the small machine profile.
-fn arb_workload() -> impl Strategy<Value = Workload> {
-    let job = (
-        1usize..=4,    // tasks
-        0.25f64..=2.0, // cores
-        0.5f64..=3.0,  // mem GB
-        2.0f64..=20.0, // duration
-        0.0f64..=30.0, // arrival
-    );
-    proptest::collection::vec(job, 1..=4).prop_map(|jobs| {
-        let mut b = WorkloadBuilder::new().with_demand_cap(MachineSpec::paper_small().capacity());
-        for (ji, (n, cores, mem_gb, dur, arrival)) in jobs.into_iter().enumerate() {
-            let j = b.begin_job(format!("j{ji}"), None, arrival);
-            let inputs: Vec<_> = (0..n).map(|_| b.stored_input(16.0 * MB)).collect();
-            b.add_stage(j, "map", vec![], n, |i| TaskParams {
-                cores,
-                mem: mem_gb * GB,
-                duration: dur,
-                cpu_frac: 0.6,
-                io_burst: 1.0,
-                inputs: vec![inputs[i]],
-                output_bytes: 10.0 * MB,
-                remote_frac: 1.0,
-            });
-        }
-        b.finish()
-    })
 }
 
 fn cfg(seed: u64, crash: Option<SchedulerCrash>) -> SimConfig {
@@ -91,11 +63,6 @@ fn sharded_sim(w: Workload, c: SimConfig, shards: usize) -> Simulation<'static> 
             Box::new(TetrisScheduler::new(TetrisConfig::default()))
         }))
         .config(c)
-}
-
-/// The byte-identity oracle: outcomes compared on their full wire form.
-fn wire(o: &SimOutcome) -> String {
-    serde_json::to_string(o).expect("outcome serializes")
 }
 
 #[test]
@@ -272,86 +239,76 @@ fn duplicated_record_is_a_typed_structural_error() {
     }
 }
 
-// --- property tests ---------------------------------------------------------
+// --- properties over the shared scenario ---------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The tentpole invariant: crash at any heartbeat, mid-commit or
-    /// between batches, at 1–4 shards — recovery reconstructs the
-    /// uninterrupted outcome byte for byte, after replaying every batch
-    /// committed before the crash.
-    #[test]
-    fn random_crash_recovery_is_byte_identical(
-        w in arb_workload(),
-        seed in 0u64..20,
-        at_heartbeat in 1u64..12,
-        mid_commit in proptest::bool::ANY,
-        shards in 1usize..=4,
-    ) {
-        let golden = sharded_sim(w.clone(), cfg(seed, None), shards).run();
-
-        let crash = SchedulerCrash { at_heartbeat, mid_commit };
-        let mut journal = Journal::new();
-        let res = sharded_sim(w.clone(), cfg(seed, Some(crash)), shards)
-            .run_result(Some(&mut journal));
-        match res {
-            RunResult::Crashed { heartbeat } => {
-                prop_assert_eq!(heartbeat, at_heartbeat);
+/// The tentpole invariant: crash at any heartbeat, mid-commit or between
+/// batches, under any policy at 1–4 shards — recovery reconstructs the
+/// uninterrupted run, outcome and trace, after replaying every batch
+/// committed before the crash.
+#[test]
+fn random_crash_recovery_is_byte_identical() {
+    let mut recovered = 0;
+    forall("random_crash_recovery_is_byte_identical", 12, |s| {
+        let s = s.crashing();
+        let golden = s.run();
+        let at = s.crash.expect("a crashing draw").at_heartbeat;
+        match s.journaled() {
+            (RunResult::Crashed { heartbeat }, journal) => {
+                assert_eq!(heartbeat, at);
                 journal.verify().expect("crashed journal verifies clean");
-                let rec = sharded_sim(w, cfg(seed, None), shards)
-                    .recover(&journal)
-                    .expect("recovery succeeds");
-                prop_assert_eq!(wire(&rec.outcome), wire(&golden));
-                prop_assert_eq!(rec.stats.replayed_batches, at_heartbeat - 1);
+                let (rec, stats) = s.recover(&journal).expect("recovery succeeds");
+                same_outcome(&rec, &golden);
+                assert_eq!(stats.replayed_batches, at - 1);
+                recovered += 1;
             }
-            RunResult::Completed(o) => {
-                // The run ended before the crash heartbeat: the journaled
-                // run must already match the golden run.
-                prop_assert_eq!(wire(&o), wire(&golden));
-            }
+            // The run ended before the crash heartbeat: the journaled run
+            // must already match the golden run.
+            (RunResult::Completed(o), _) => assert_eq!(wire(&o), wire(&golden.outcome)),
         }
-    }
+    });
+    assert!(recovered > 0, "no draw crashed before it ended");
+}
 
-    /// Truncating the journal at *any* byte offset never panics: recovery
-    /// either reconstructs the exact uninterrupted outcome from the
-    /// surviving prefix, or fails with a typed error. No third outcome.
-    #[test]
-    fn truncated_journal_recovers_exactly_or_fails_typed(
-        seed in 0u64..6,
-        frac in 0.0f64..1.0,
-    ) {
-        let golden = greedy_sim(fixed_workload(), cfg(seed, None)).run();
-        let journal = crashed_journal(seed);
-        let cut = (journal.bytes().len() as f64 * frac) as usize;
-        let truncated = Journal::from_bytes(journal.bytes()[..cut].to_vec());
-        match greedy_sim(fixed_workload(), cfg(seed, None)).recover(&truncated) {
-            Ok(rec) => prop_assert_eq!(wire(&rec.outcome), wire(&golden)),
-            Err(RecoveryError::Journal(_)) => {}
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+/// Recovery from a damaged journal: exactly the uninterrupted outcome from
+/// the surviving prefix, or a typed journal error. No third outcome.
+fn recovers_exactly_or_fails_typed(s: &Scenario, golden: &str, damaged: Journal) {
+    match s.recover(&damaged) {
+        Ok((rec, _)) => assert_eq!(wire(&rec.outcome), golden),
+        Err(RecoveryError::Journal(_)) => {}
+        Err(e) => panic!("unexpected error: {e}"),
     }
+}
 
-    /// Flipping any single bit never panics: the CRC framing catches the
-    /// damage, the lenient scan discards from the damaged frame on, and
-    /// recovery from the surviving prefix is still exact — or the journal
-    /// is unusable and says so with a typed error.
-    #[test]
-    fn bit_flips_never_panic_and_never_diverge(
-        seed in 0u64..6,
-        byte_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let golden = greedy_sim(fixed_workload(), cfg(seed, None)).run();
-        let journal = crashed_journal(seed);
-        let mut bytes = journal.bytes().to_vec();
-        let idx = ((bytes.len() - 1) as f64 * byte_frac) as usize;
-        bytes[idx] ^= 1 << bit;
-        let damaged = Journal::from_bytes(bytes);
-        match greedy_sim(fixed_workload(), cfg(seed, None)).recover(&damaged) {
-            Ok(rec) => prop_assert_eq!(wire(&rec.outcome), wire(&golden)),
-            Err(RecoveryError::Journal(_)) => {}
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    }
+/// Truncating the journal at *any* byte offset never panics.
+#[test]
+fn truncated_journal_recovers_exactly_or_fails_typed() {
+    forall(
+        "truncated_journal_recovers_exactly_or_fails_typed",
+        8,
+        |s| {
+            let s = s.crashing();
+            let golden = wire(&s.run().outcome);
+            let bytes = s.journaled().1.bytes().to_vec();
+            let cut = (s.draw % 1000) as usize * bytes.len() / 1000;
+            recovers_exactly_or_fails_typed(
+                &s,
+                &golden,
+                Journal::from_bytes(bytes[..cut].to_vec()),
+            );
+        },
+    );
+}
+
+/// Flipping any single bit never panics: the CRC framing catches the
+/// damage, and the lenient scan discards from the damaged frame on.
+#[test]
+fn bit_flips_never_panic_and_never_diverge() {
+    forall("bit_flips_never_panic_and_never_diverge", 8, |s| {
+        let s = s.crashing();
+        let golden = wire(&s.run().outcome);
+        let mut bytes = s.journaled().1.bytes().to_vec();
+        let idx = (s.draw / 8 % 1000) as usize * (bytes.len() - 1) / 1000;
+        bytes[idx] ^= 1 << (s.draw % 8);
+        recovers_exactly_or_fails_typed(&s, &golden, Journal::from_bytes(bytes));
+    });
 }

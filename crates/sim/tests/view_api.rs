@@ -24,7 +24,7 @@ impl SchedulerPolicy for Capture {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        if self.seen.is_none() && view.has_active_jobs() {
+        if self.seen.is_none() && view.active_jobs().next().is_some() {
             let j = JobId(0);
             self.seen = Some(CaptureData {
                 pending_stages: view
