@@ -86,10 +86,12 @@ impl TetrisScheduler {
         // considered machines fits nowhere — skip it for the whole call.
         // Valid throughout: availability only shrinks as we place. Cold
         // passes take the envelopes from the query (the indexed backend
-        // answers without scanning the cluster); warm passes fold over
-        // the hinted worklist.
+        // answers without scanning the cluster, and what it reads stays
+        // in the ledger for the fill); warm passes fold over the hinted
+        // worklist.
         let (cap_env, avail_env) = if cold {
-            (query.capacity_envelope(), query.availability_envelope())
+            let avail_env = query.availability_envelope(&mut self.ledger);
+            (query.capacity_envelope(), avail_env)
         } else {
             let zero = (ResourceVec::zero(), ResourceVec::zero());
             work.machines.iter().fold(zero, |(cap, avail), &m| {

@@ -30,10 +30,9 @@
 //! oracle by `sim/tests/prop_index.rs` and the `scale` experiment's
 //! internal assertion.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use tetris_resources::{Resource, ResourceVec, FIT_TOLERANCE, NUM_RESOURCES};
+use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
 
 use crate::cluster::MachineId;
 
@@ -343,17 +342,16 @@ impl MachineIndex {
     /// remaining upper bound (`avail ≤ ub`). A bucket holding the whole
     /// cluster therefore costs one availability evaluation when its best
     /// member's availability meets its bound (the common case: an
-    /// untouched resource), never a full scan of evaluations. `avail` is
-    /// consulted once per distinct machine (memoized across the six
-    /// descents) and must be the view's availability for the caller's
-    /// tracker mode.
+    /// untouched resource), never a full scan of evaluations. `avail`
+    /// must be the view's availability for the caller's tracker mode; it
+    /// may be asked for one machine in several descents, so the caller
+    /// memoizes it (`MachineQuery` reads through the call's working
+    /// ledger) and counts the distinct machines it reads in `env_visits`.
     pub(crate) fn availability_envelope(
         &self,
         mut avail: impl FnMut(usize) -> ResourceVec,
     ) -> ResourceVec {
         let mut env = ResourceVec::zero();
-        let mut memo: HashMap<u32, ResourceVec> = HashMap::new();
-        let mut visits = 0u64;
         // Best-first scratch: max-heap keyed on the `ub` component's bit
         // pattern (order-preserving for the positive values interior
         // buckets hold), machine id ascending on key ties so the visit
@@ -408,10 +406,7 @@ impl MachineIndex {
                 if env.get(r) >= maxub || bmi == u32::MAX {
                     continue;
                 }
-                let a = *memo.entry(bmi).or_insert_with(|| {
-                    visits += 1;
-                    avail(bmi as usize).clamp_non_negative()
-                });
+                let a = avail(bmi as usize).clamp_non_negative();
                 // Maxing the full vector is sound for every component
                 // (each is ≤ its own true maximum) and exact for `r`
                 // once this resource's descent ends.
@@ -438,16 +433,11 @@ impl MachineIndex {
                         // avail[r] — sits at or below the running max.
                         break;
                     }
-                    let a = *memo.entry(mi).or_insert_with(|| {
-                        visits += 1;
-                        avail(mi as usize).clamp_non_negative()
-                    });
-                    env = env.max(&a);
+                    env = env.max(&avail(mi as usize).clamp_non_negative());
                 }
                 scratch = heap.into_vec();
             }
         }
-        self.stats.env_visits.fetch_add(visits, Ordering::Relaxed);
         env
     }
 
@@ -479,44 +469,12 @@ impl MachineIndex {
         self.count_query(out.len());
     }
 
-    /// Considered machines whose availability upper bound dominates
-    /// `demand` component-wise, ascending by id — a superset of the
-    /// machines `demand` truly fits on. The bucket suffix is taken on
-    /// the most selective positive-demand resource.
-    pub(crate) fn fits_superset_into(&self, demand: &ResourceVec, out: &mut Vec<u32>) {
-        out.clear();
-        // Pick the resource whose suffix has the fewest members.
-        let mut best: Option<(usize, usize, usize)> = None; // (count, ri, from)
-        for r in Resource::ALL {
-            let d = demand.get(r);
-            if !(d > 0.0) {
-                continue;
-            }
-            // From the bucket of the least availability `fits_within`
-            // admits: its tolerance reaches below a power of two.
-            let least = (d / (1.0 + FIT_TOLERANCE)).min(d - FIT_TOLERANCE);
-            let (ri, from) = (r.index(), bucket_of(least));
-            let count = self.suffix_len((ri, from));
-            if best.is_none_or(|(c, ..)| count < c) {
-                best = Some((count, ri, from));
-            }
-        }
-        match best {
-            Some((_, ri, from)) => {
-                out.extend(self.suffix(ri, from).filter(|&mi| {
-                    let m = mi as usize;
-                    self.considered[m] && demand.fits_within(&self.ub[m])
-                }));
-                out.sort_unstable();
-            }
-            None => {
-                // Zero demand fits anywhere a scheduler may place.
-                out.extend(
-                    (0..self.considered.len() as u32).filter(|&mi| self.considered[mi as usize]),
-                );
-            }
-        }
-        self.count_query(out.len());
+    /// Whether machine `mi` is considered and its availability upper
+    /// bound admits `demand` — a necessary condition for the demand to
+    /// fit its true availability, with the same tolerance.
+    #[inline]
+    pub(crate) fn may_fit(&self, mi: usize, demand: &ResourceVec) -> bool {
+        self.considered[mi] && demand.fits_within(&self.ub[mi])
     }
 
     /// The members of resource `ri`'s buckets from `from` up.
@@ -603,35 +561,30 @@ mod tests {
     }
 
     #[test]
-    fn fits_superset_handles_zero_and_infinite_demand() {
-        let caps = vec![ResourceVec::splat(8.0); 3];
+    fn may_fit_handles_zero_and_infinite_demand() {
+        let caps = vec![ResourceVec::splat(8.0); 4];
         let mut idx = MachineIndex::new(&caps);
         idx.seed();
         for mi in 0..3 {
             idx.refresh(mi, ResourceVec::splat(2.0_f64.powi(mi as i32)), true);
         }
-        let mut out = Vec::new();
-        idx.fits_superset_into(&ResourceVec::zero(), &mut out);
-        assert_eq!(out, vec![0, 1, 2]);
-        idx.fits_superset_into(&ResourceVec::splat(2.0), &mut out);
-        assert_eq!(out, vec![1, 2]);
-        idx.fits_superset_into(&ResourceVec::splat(f64::INFINITY), &mut out);
-        assert!(out.is_empty());
+        idx.refresh(3, ResourceVec::splat(8.0), false);
+        let fits = |d: ResourceVec| (0..4).filter(|&mi| idx.may_fit(mi, &d)).collect::<Vec<_>>();
+        assert_eq!(fits(ResourceVec::zero()), vec![0, 1, 2]);
+        assert_eq!(fits(ResourceVec::splat(2.0)), vec![1, 2]);
+        assert!(fits(ResourceVec::splat(f64::INFINITY)).is_empty());
     }
 
     #[test]
-    fn fits_superset_keeps_what_the_fit_tolerance_admits() {
+    fn may_fit_keeps_what_the_fit_tolerance_admits() {
         // Releasing work leaves float dust: a free machine can read a hair
-        // under its capacity, one bucket below a power-of-two demand that
-        // `fits_within` still admits.
+        // under its capacity, below a demand `fits_within` still admits.
         let mut idx = MachineIndex::new(&[ResourceVec::splat(16.0)]);
         idx.seed();
         let dusty = ResourceVec::splat(16.0 - 4e-15);
         idx.refresh(0, dusty, true);
         let demand = ResourceVec::splat(16.0);
         assert!(demand.fits_within(&dusty));
-        let mut out = Vec::new();
-        idx.fits_superset_into(&demand, &mut out);
-        assert_eq!(out, vec![0]);
+        assert!(idx.may_fit(0, &demand));
     }
 }

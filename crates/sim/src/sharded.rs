@@ -12,7 +12,9 @@
 //!    one [`WorkingLedger`] — what this heartbeat has already accepted —
 //!    that the scoped views read. A proposal whose placement no longer
 //!    fits (a racing shard won the machine) is rejected and counted as a
-//!    conflict;
+//!    conflict; a preemptive one is charged after its victims' local
+//!    allocations are credited to its target, once the engine's eviction
+//!    rules admit them and no earlier commit evicted one of them;
 //! 3. shards that lost at least one proposal retry within the same
 //!    heartbeat against the updated ledger, for at most
 //!    [`MAX_RETRY_ROUNDS`] rounds — and only when a cheap commit-time
@@ -206,6 +208,26 @@ impl ShardedScheduler {
     }
 }
 
+/// Whether the commit stage may take `a`'s eviction list: by the engine's
+/// rules (`Engine::admissible`) preemption is on and every victim still
+/// runs on the target, at a priority strictly below the placing task's;
+/// and no victim is evicted already this heartbeat, by an earlier commit
+/// or earlier in the list. Vacuous for a proposal that evicts nothing.
+fn evictions_valid(view: &ClusterView<'_>, a: &Assignment, evicted: &HashSet<TaskUid>) -> bool {
+    if a.evict.is_empty() {
+        return true;
+    }
+    let placer = view.task_priority(a.task);
+    view.preemption_enabled()
+        && a.evict.iter().enumerate().all(|(i, &v)| {
+            view.running_on(v)
+                .is_some_and(|(host, _)| host == a.machine)
+                && view.task_priority(v) < placer
+                && !evicted.contains(&v)
+                && !a.evict[..i].contains(&v)
+        })
+}
+
 impl SchedulerPolicy for ShardedScheduler {
     fn name(&self) -> &str {
         &self.name
@@ -228,6 +250,8 @@ impl SchedulerPolicy for ShardedScheduler {
         let mut charged: Vec<MachineId> = Vec::new();
         let mut accepted: Vec<Assignment> = Vec::new();
         let mut committed_tasks: HashSet<TaskUid> = HashSet::new();
+        // Victims of the preemptive proposals committed so far.
+        let mut evicted: HashSet<TaskUid> = HashSet::new();
         let mut active: Vec<usize> = (0..shards).collect();
         let mut critical_ns;
 
@@ -303,11 +327,17 @@ impl SchedulerPolicy for ShardedScheduler {
                         continue;
                     }
                     // Committing still fits: every demand of the plan, local
-                    // and remote, within what the ledger leaves.
+                    // and remote, within what the ledger leaves once the
+                    // proposal's victims, if it may evict them, are gone.
                     if view.is_runnable(a.task)
                         && !view.is_down(a.machine)
-                        && self.ledger.try_place(view, a.task, a.machine).is_ok()
+                        && evictions_valid(view, &a, &evicted)
+                        && self
+                            .ledger
+                            .try_place_evicting(view, a.task, a.machine, &a.evict)
+                            .is_ok()
                     {
+                        evicted.extend(a.evict.iter().copied());
                         charged.push(a.machine);
                         charged.extend(self.ledger.plan().remote.iter().map(|&(src, _)| src));
                         committed_tasks.insert(a.task);

@@ -281,8 +281,9 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::config::SimConfig;
+    use crate::state::TaskCompletion;
     use tetris_resources::{units::MB, MachineSpec};
-    use tetris_workload::{JobId, Workload, WorkloadBuilder};
+    use tetris_workload::{JobId, PlacementConstraints, Workload, WorkloadBuilder};
 
     /// Arrive the job and start its first task on machine 0.
     fn running(st: &mut SimState) {
@@ -383,6 +384,77 @@ mod tests {
         st.machine_recover(MachineId(1));
         assert_ne!(st.replica_epoch, replica_epoch);
         assert!(!moved(&st), "a crash and recovery elsewhere");
+    }
+
+    #[test]
+    fn a_spread_jobs_host_count_follows_every_start_and_stop() {
+        // Six one-core replicas of a spread job on three machines. Every
+        // completion fails while an attempt is left, a crash backs off.
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("svc", None, 0.0);
+        b.set_constraints(j, PlacementConstraints::none().with_spread(2));
+        b.add_stage(j, "replicas", vec![], 6, |_| params(1.0, 10.0, vec![]));
+        let cluster = ClusterConfig::uniform(3, MachineSpec::paper_small());
+        let mut cfg = SimConfig::default();
+        cfg.task_failure_prob = 0.999_999;
+        cfg.max_task_attempts = 2;
+        cfg.faults.restart_backoff = 5.0;
+        let mut st = SimState::new(cluster, b.finish(), cfg);
+        st.job_arrives(j);
+        let t = TaskUid;
+        let (m0, m1, m2) = (MachineId(0), MachineId(1), MachineId(2));
+        let hosts = |st: &SimState| {
+            let recount = (0..3).filter(|&m| st.hosts_job(MachineId(m), j)).count();
+            assert_eq!(st.jobs[0].hosts, recount, "the count is the recount");
+            recount
+        };
+        // Placement: a machine counts once, however many replicas it runs.
+        st.apply_assignment(t(0), m0);
+        st.apply_assignment(t(1), m0);
+        assert_eq!(hosts(&st), 1);
+        st.apply_assignment(t(2), m1);
+        assert_eq!(hosts(&st), 2);
+        // Failure retry: a machine leaves the count with its last replica.
+        assert!(matches!(
+            st.task_complete(t(1)),
+            TaskCompletion::Requeued { .. }
+        ));
+        assert_eq!(hosts(&st), 2, "m0 still runs task 0");
+        assert!(matches!(
+            st.task_complete(t(2)),
+            TaskCompletion::Requeued { .. }
+        ));
+        assert_eq!(hosts(&st), 1);
+        // Finish: task 2's second attempt is its last, and completes.
+        st.apply_assignment(t(2), m2);
+        assert_eq!(hosts(&st), 2);
+        assert!(matches!(
+            st.task_complete(t(2)),
+            TaskCompletion::Finished { .. }
+        ));
+        assert_eq!(hosts(&st), 1);
+        // Priority preemption.
+        assert!(st.preempt_task(t(0)).is_some());
+        assert_eq!(hosts(&st), 0);
+        // A crash of m1 backs task 0 off and abandons task 1, at its
+        // second attempt; m2 keeps task 3.
+        st.apply_assignment(t(0), m1);
+        st.apply_assignment(t(1), m1);
+        st.apply_assignment(t(3), m2);
+        assert_eq!(hosts(&st), 2);
+        let rep = st.machine_crash(m1);
+        assert_eq!((rep.requeued, rep.abandoned), (vec![t(0)], vec![t(1)]));
+        assert_eq!(hosts(&st), 1);
+        // Restart: task 0 joins task 3 on m2, task 4 takes m0, and the
+        // recovered m1 takes task 5.
+        assert!(st.task_restart(t(0)));
+        st.apply_assignment(t(0), m2);
+        assert_eq!(hosts(&st), 1);
+        st.apply_assignment(t(4), m0);
+        assert_eq!(hosts(&st), 2);
+        st.machine_recover(m1);
+        st.apply_assignment(t(5), m1);
+        assert_eq!(hosts(&st), 3);
     }
 
     #[test]

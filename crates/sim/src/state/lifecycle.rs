@@ -124,7 +124,9 @@ impl SimState {
             flows.push(self.add_flow(uid, machine, dem.get(Resource::DiskRead), links, bytes));
         }
 
-        // Charge demand ledgers.
+        // Charge demand ledgers. A spread job counts the machine if it
+        // is the first of the job's running tasks there.
+        let new_host = self.counts_hosts(ji) && !self.hosts_job(machine, JobId(ji));
         let now = self.now;
         let ms = &mut self.machines[machine.index()];
         ms.allocated += plan.local;
@@ -149,6 +151,7 @@ impl SimState {
         let job = &mut self.jobs[ji];
         job.allocated += plan.local;
         job.running += 1;
+        job.hosts += usize::from(new_host);
         job.first_start = Some(job.first_start.unwrap_or(now));
         let stage = &mut job.stages[si];
         stage.running += 1;
@@ -221,10 +224,19 @@ impl SimState {
         for &(m, _) in &info.remote_alloc {
             self.index_touch(m.index());
         }
+        // A spread job leaves the host with its last running task there.
+        let left_host = self.counts_hosts(ji) && !self.hosts_job(host, JobId(ji));
         let job = &mut self.jobs[ji];
         job.allocated = (job.allocated - info.local_alloc).clamp_non_negative();
         job.running -= 1;
+        job.hosts -= usize::from(left_host);
         job.stages[si].running -= 1;
+    }
+
+    /// Whether job `ji` keeps `JobState::hosts`: it has a spread floor.
+    /// Batch jobs never pay for the count.
+    fn counts_hosts(&self, ji: usize) -> bool {
+        self.workload.jobs[ji].constraints.spread.is_some()
     }
 
     /// Return a task to runnable as of now, at the back of its stage's

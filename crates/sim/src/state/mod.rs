@@ -213,6 +213,11 @@ pub(crate) struct JobState {
     /// Moves whenever the job's progress or pending queues do
     /// ([`SimState::touch_job`]); 0 until the job arrives.
     pub epoch: u64,
+    /// Distinct machines hosting a running task of the job: the spread
+    /// count of its §16 floor. Kept only for a job with a spread floor
+    /// (0 for any other), moved where a placement joins a machine's
+    /// running set and where a release leaves it.
+    pub hosts: usize,
 }
 
 impl JobState {
@@ -351,6 +356,7 @@ impl SimState {
                 total_tasks: job.num_tasks(),
                 stages,
                 epoch: 0,
+                hosts: 0,
             });
         }
 
@@ -484,6 +490,14 @@ impl SimState {
     #[inline]
     pub(crate) fn job_of(&self, uid: TaskUid) -> JobId {
         JobId(self.task_loc[uid.index()].0)
+    }
+
+    /// True iff at least one running task of job `j` is hosted on `m` —
+    /// resolved through the machine's resident list, which is short
+    /// relative to the job's task count.
+    pub(crate) fn hosts_job(&self, m: MachineId, j: JobId) -> bool {
+        let residents = &self.machines[m.index()].running_tasks;
+        residents.iter().any(|&uid| self.job_of(uid) == j)
     }
 
     /// Runnable, unplaced tasks across the jobs that have arrived and not

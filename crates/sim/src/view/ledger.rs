@@ -76,14 +76,25 @@ impl WorkingLedger {
         self.vals[i]
     }
 
-    /// [`WorkingLedger::available`] given `available`, the view's value,
-    /// read-only: what a shard-scoped view reads of the commit ledger.
+    /// [`WorkingLedger::available`] read-only, `available` giving the
+    /// view's value, asked only for a machine the call has not read: what
+    /// a shard-scoped view reads of the commit ledger.
     #[inline]
-    pub(crate) fn residual(&self, m: MachineId, available: ResourceVec) -> ResourceVec {
+    pub(crate) fn residual(
+        &self,
+        m: MachineId,
+        available: impl FnOnce() -> ResourceVec,
+    ) -> ResourceVec {
         match self.stamp.get(m.index()) {
             Some(&s) if s == self.gen => self.vals[m.index()],
-            _ => available,
+            _ => available(),
         }
+    }
+
+    /// True when this call has read `m` (and keeps its value).
+    #[inline]
+    pub(crate) fn has_read(&self, m: MachineId) -> bool {
+        self.stamp.get(m.index()) == Some(&self.gen)
     }
 
     /// Plan `task` on `m` and, if the plan fits, charge it. Host first: a
@@ -125,6 +136,30 @@ impl WorkingLedger {
             Ok(())
         };
         self.plan = plan;
+        fit
+    }
+
+    /// [`WorkingLedger::try_place`] with `victims`, tasks running on `m`,
+    /// evicted first: their local allocations are handed back to `m`, and
+    /// stay handed back only if the plan fits. The sharded commit stage
+    /// takes a preemptive proposal this way.
+    pub(crate) fn try_place_evicting(
+        &mut self,
+        view: &ClusterView<'_>,
+        task: TaskUid,
+        m: MachineId,
+        victims: &[TaskUid],
+    ) -> Result<(), PlanFailure> {
+        if victims.is_empty() {
+            return self.try_place(view, task, m);
+        }
+        let before = self.available(view, m);
+        let freed = victims.iter().filter_map(|&v| view.running_on(v));
+        self.vals[m.index()] = freed.fold(before, |a, (_, alloc)| a + alloc);
+        let fit = self.try_place(view, task, m);
+        if fit.is_err() {
+            self.vals[m.index()] = before;
+        }
         fit
     }
 
@@ -219,10 +254,6 @@ mod tests {
         (st, replica, MachineId((replica.index() + 1) % 4))
     }
 
-    fn read(ledger: &WorkingLedger, m: MachineId) -> bool {
-        ledger.stamp[m.index()] == ledger.gen
-    }
-
     #[test]
     fn a_full_host_leaves_its_sources_unread() {
         let (st, source, host) = readers();
@@ -234,12 +265,12 @@ mod tests {
             ledger.try_place(&view, TaskUid(0), host),
             Err(PlanFailure::Host)
         );
-        assert!(!read(&ledger, source));
+        assert!(!ledger.has_read(source));
         assert_eq!(ledger.plan().remote[0].0, source, "the plan is kept");
         // With room at the host, the source is read, and charged.
         ledger.begin(&view);
         assert_eq!(ledger.try_place(&view, TaskUid(0), host), Ok(()));
-        assert!(read(&ledger, source));
+        assert!(ledger.has_read(source));
     }
 
     #[test]
@@ -298,7 +329,7 @@ mod tests {
         ledger.begin(&view);
         assert!(!ledger.placed_any(JobId(0)));
         assert_eq!(
-            ledger.residual(host, view.available(host)),
+            ledger.residual(host, || view.available(host)),
             view.available(host)
         );
         assert_eq!(ledger.available(&view, host), view.available(host));

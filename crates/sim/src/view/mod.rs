@@ -155,10 +155,10 @@ impl<'a> ClusterView<'a> {
     /// over-allocated. Shard-scoped views read what the commit stage's
     /// ledger leaves of it once racing shards' commits are charged.
     pub fn available(&self, m: MachineId) -> ResourceVec {
-        let a = self.state.availability(m, self.tracker_aware);
+        let a = || self.state.availability(m, self.tracker_aware);
         match self.scope {
             Some(s) => s.ledger.residual(m, a),
-            None => a,
+            None => a(),
         }
     }
 
@@ -342,6 +342,15 @@ impl<'a> ClusterView<'a> {
     pub fn task_stage(&self, uid: TaskUid) -> (JobId, usize) {
         let (j, s, _) = self.state.task_loc[uid.index()];
         (JobId(j), s)
+    }
+
+    /// The host and the local allocation of the task's running attempt,
+    /// `None` if it is not running: what evicting it frees, and where.
+    pub fn running_on(&self, uid: TaskUid) -> Option<(MachineId, ResourceVec)> {
+        match &self.state.tasks[uid.index()].phase {
+            Phase::Running(info) => Some((info.machine, info.local_alloc)),
+            _ => None,
+        }
     }
 
     /// Whether the task is currently runnable (pending placement).

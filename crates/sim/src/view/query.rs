@@ -2,6 +2,8 @@
 //! predicate both of its backends share, and the priority-preemption
 //! planner every shipping policy calls.
 
+use std::sync::atomic::Ordering;
+
 use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskUid};
 
@@ -18,12 +20,22 @@ impl<'a> ClusterView<'a> {
         MachineQuery { view: *self }
     }
 
-    /// Number of distinct machines currently hosting running tasks of the
-    /// job (the spread count of its constraint floor). Scans the job's own
-    /// tasks (constrained jobs are small service waves), using a tiny vec
-    /// for distinctness — replica counts stay far below any threshold
-    /// where a hash set would win.
+    /// Number of distinct machines currently hosting running tasks of job
+    /// `j`, which must have a spread floor: the spread count of that
+    /// floor (DESIGN.md §16). The state keeps it as tasks start and stop,
+    /// so this is one read; debug builds recount it from the job's tasks.
     pub fn job_spread(&self, j: JobId) -> usize {
+        debug_assert!(
+            self.job_constraints(j).spread.is_some(),
+            "{j:?} has no spread floor, so nothing counts its hosts"
+        );
+        let hosts = self.state.jobs[j.index()].hosts;
+        debug_assert_eq!(hosts, self.spread_recount(j), "{j:?}'s host count");
+        hosts
+    }
+
+    /// [`ClusterView::job_spread`] recounted from the job's own tasks.
+    fn spread_recount(&self, j: JobId) -> usize {
         let mut machines: Vec<MachineId> = Vec::new();
         for stage in &self.state.workload.jobs[j.index()].stages {
             for t in &stage.tasks {
@@ -95,12 +107,9 @@ impl<'a> ClusterView<'a> {
         true
     }
 
-    /// True iff at least one running task of job `j` is hosted on `m` —
-    /// resolved through the machine's resident list (placement order),
-    /// which is short relative to the job's task count.
+    /// True iff at least one running task of job `j` is hosted on `m`.
     fn hosts_job(&self, m: MachineId, j: JobId) -> bool {
-        let residents = self.machine_tasks(m);
-        residents.iter().any(|&uid| self.state.job_of(uid) == j)
+        self.state.hosts_job(m, j)
     }
 }
 
@@ -171,15 +180,26 @@ impl<'a> MachineQuery<'a> {
 
     /// Component-wise maximum of non-negative-clamped availability over
     /// considered machines — exact on both backends (the indexed descent
-    /// stops early but never below the true maximum).
-    pub fn availability_envelope(&self) -> ResourceVec {
-        let available = |m: MachineId| self.view.available(m);
+    /// stops early but never below the true maximum). Availability is
+    /// read through `ledger`, begun on this view and charged nothing yet:
+    /// its stamp is the call's memo, so the descent, which may ask for a
+    /// machine once per resource, reads the view once, and the caller's
+    /// own reads of the same machines afterwards are free.
+    pub fn availability_envelope(&self, ledger: &mut WorkingLedger) -> ResourceVec {
+        let view = self.view;
         if self.indexed() {
-            let index = &self.view.state.index;
-            index.availability_envelope(|mi| available(MachineId(mi)))
+            let index = &view.state.index;
+            let mut visits = 0;
+            let env = index.availability_envelope(|mi| {
+                let m = MachineId(mi);
+                visits += u64::from(!ledger.has_read(m));
+                ledger.available(&view, m)
+            });
+            index.stats.env_visits.fetch_add(visits, Ordering::Relaxed);
+            env
         } else {
             self.considered().fold(ResourceVec::zero(), |env, m| {
-                env.max(&available(m).clamp_non_negative())
+                env.max(&ledger.available(&view, m).clamp_non_negative())
             })
         }
     }
@@ -203,37 +223,43 @@ impl<'a> MachineQuery<'a> {
 
     /// Considered machines the demand fits on right now (exact
     /// availability check, raw — not clamped) **and** that `job`'s
-    /// placement constraints allow, ascending by id — the one fit query
-    /// (DESIGN.md §16). The indexed backend composes the bucketed
-    /// superset prune with the exact availability re-filter and the
-    /// constraint predicate; the linear oracle applies the identical
-    /// predicate, so both backends return the same list (`prop_index.rs`
-    /// pins this). The constraint filter
-    /// is exact, never an inflated demand envelope: folding constraints
-    /// into the demand vector would change which buckets prune and is
-    /// not decision-safe.
+    /// placement constraints allow, ascending by id, lazily — the one fit
+    /// query (DESIGN.md §16). A caller that asks whether anything fits
+    /// takes `.next()` and reads no machine past the first fit. Both
+    /// backends walk the ids in order and apply the identical predicate;
+    /// the indexed one first drops a machine whose availability upper
+    /// bound already refuses the demand, before reading its availability
+    /// (`prop_index.rs` pins the two equal). The constraint filter is
+    /// exact, never an inflated demand envelope: folding constraints into
+    /// the demand vector would change which machines prune and is not
+    /// decision-safe.
     ///
     /// `job` is the placing task's owning job — needed because spread
     /// and self-exclusion are evaluated against that job's own running
     /// replicas, not just the constraint literals.
-    pub fn fits_constrained(
+    pub fn fits_constrained<'c>(
         &self,
         demand: &ResourceVec,
         job: JobId,
-        constraints: &PlacementConstraints,
-    ) -> Vec<MachineId> {
-        let view = self.view;
-        let fits = |m: MachineId| {
-            demand.fits_within(&view.available(m)) && view.allowed_by(job, constraints, m)
+        constraints: &'c PlacementConstraints,
+    ) -> impl Iterator<Item = MachineId> + 'c
+    where
+        'a: 'c,
+    {
+        let (view, demand) = (self.view, *demand);
+        let index = &view.state.index;
+        let candidate = move |m: MachineId| {
+            if index.enabled {
+                index.may_fit(m.index(), &demand)
+            } else {
+                !view.is_down(m) && !view.is_suspect(m)
+            }
         };
-        if self.indexed() {
-            let mut raw = Vec::new();
-            view.state.index.fits_superset_into(demand, &mut raw);
-            let superset = raw.into_iter().map(|mi| MachineId(mi as usize));
-            superset.filter(|&m| fits(m)).collect()
-        } else {
-            self.considered().filter(|&m| fits(m)).collect()
-        }
+        (0..view.num_machines()).map(MachineId).filter(move |&m| {
+            candidate(m)
+                && demand.fits_within(&view.available(m))
+                && view.allowed_by(job, constraints, m)
+        })
     }
 }
 
@@ -290,23 +316,32 @@ pub fn plan_priority_preemption(
 
     // A constrained fit exists → not preemption's problem.
     let demand = view.task(task).demand;
-    if !query.fits_constrained(&demand, job, cons).is_empty() {
+    if query.fits_constrained(&demand, job, cons).next().is_some() {
         return None;
     }
 
     // Best (victim-count, machine) plan across eligible machines; one
-    // plan and two victim lists serve every machine.
+    // plan and two victim lists serve every machine. Machines come in
+    // ascending id order, so the first one-victim plan is the answer: no
+    // later machine has fewer victims, and a tie goes to the lower id.
     let cap = view.max_evictions();
     let mut best: Option<MachineId> = None;
     let mut plan = PlacementPlan::default();
     let (mut victims, mut best_victims) = (Vec::new(), Vec::new());
+    // What this call's placements left, not what the view shows; a
+    // machine the call has read costs no second read of the view.
+    let left = |m| ledger.residual(m, || view.available(m));
     for m in query.considered() {
-        if !view.constraints_allow(job, m) {
+        // A machine with no lower-priority resident has no victims: it is
+        // skipped before the constraint predicate and the plan.
+        let evictable = view
+            .machine_tasks(m)
+            .iter()
+            .any(|&v| view.task_priority(v) < prio);
+        if !evictable || !view.constraints_allow(job, m) {
             continue;
         }
         view.plan_into(task, m, &mut plan);
-        // What this call's placements left, not what the view shows.
-        let left = |m| ledger.residual(m, view.available(m));
         // Remote demands must fit without eviction: evicting here frees
         // nothing on the input hosts.
         if plan
@@ -323,24 +358,71 @@ pub fn plan_priority_preemption(
                 break;
             }
             if view.task_priority(v) < prio {
-                if let Phase::Running(info) = &view.state.tasks[v.index()].phase {
-                    avail += info.local_alloc;
+                if let Some((_, alloc)) = view.running_on(v) {
+                    avail += alloc;
                     victims.push(v);
                 }
             }
         }
-        if !victims.is_empty() && plan.local.fits_within(&avail) {
-            let n = best_victims.len();
-            let better = match best {
-                None => true,
-                Some(bm) => victims.len() < n || (victims.len() == n && m < bm),
-            };
-            if better {
-                best = Some(m);
-                std::mem::swap(&mut victims, &mut best_victims);
+        if !victims.is_empty()
+            && plan.local.fits_within(&avail)
+            && best.is_none_or(|_| victims.len() < best_victims.len())
+        {
+            best = Some(m);
+            std::mem::swap(&mut victims, &mut best_victims);
+            if best_victims.len() == 1 {
+                break;
             }
         }
     }
     let machine = best?;
     Some(Assignment::new(task, machine).with_evictions(best_victims))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::config::SimConfig;
+    use crate::state::tests::params;
+    use crate::state::SimState;
+    use tetris_resources::MachineSpec;
+    use tetris_workload::WorkloadBuilder;
+
+    #[test]
+    fn the_first_machine_with_fewest_victims_wins() {
+        // Four full 4-core machines: machine 0 runs two 2-core batch
+        // tasks, machines 1 and 2 one 4-core batch task each, machine 3 a
+        // service replica. The service's second replica needs 3 cores.
+        let mut b = WorkloadBuilder::new();
+        let batch = b.begin_job("batch", None, 0.0);
+        let cores = [2.0, 2.0, 4.0, 4.0];
+        b.add_stage(batch, "fill", vec![], 4, |i| {
+            params(cores[i], 100.0, vec![])
+        });
+        let svc = b.begin_job("svc", None, 0.0);
+        b.set_priority(svc, PriorityClass::SERVICE);
+        b.add_stage(svc, "serve", vec![], 2, |i| {
+            params([4.0, 3.0][i], 100.0, vec![])
+        });
+        let cluster = ClusterConfig::uniform(4, MachineSpec::paper_small());
+        let mut cfg = SimConfig::default();
+        cfg.preemption = true;
+        let mut st = SimState::new(cluster, b.finish(), cfg);
+        st.job_arrives(batch);
+        st.job_arrives(svc);
+        for (t, m) in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3)] {
+            st.apply_assignment(TaskUid(t), MachineId(m));
+        }
+        let view = ClusterView::new(&st, false);
+        let mut ledger = WorkingLedger::default();
+        ledger.begin(&view);
+        let a = plan_priority_preemption(&view, &ledger).expect("the service preempts");
+        // Machine 0 would take two victims, machine 3 has none to give,
+        // and machine 2 ties machine 1 at one victim, later.
+        assert_eq!(
+            (a.task, a.machine, a.evict),
+            (TaskUid(5), MachineId(1), vec![TaskUid(2)])
+        );
+    }
 }

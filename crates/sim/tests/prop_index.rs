@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tetris_resources::{units::GB, Resource, ResourceVec};
-use tetris_sim::{ClusterView, MachineId};
+use tetris_sim::{ClusterView, MachineId, WorkingLedger};
 use tetris_testkit::{check_invariants, forall, same_outcome, Audited};
 
 /// Recompute every query answer of `view` from its primitives; returns
@@ -32,8 +32,10 @@ fn audit_queries(view: &ClusterView<'_>, indexed: bool) -> usize {
         avail_env = avail_env.max(&view.available(m).clamp_non_negative());
     }
     assert_eq!(query.capacity_envelope(), cap_env, "capacity envelope");
+    let mut ledger = WorkingLedger::default();
+    ledger.begin(view);
     assert_eq!(
-        query.availability_envelope(),
+        query.availability_envelope(&mut ledger),
         avail_env,
         "availability envelope must be exact, not a bound"
     );
@@ -58,7 +60,7 @@ fn audit_queries(view: &ClusterView<'_>, indexed: bool) -> usize {
                 .filter(|&m| d.fits_within(&view.available(m)) && view.constraints_allow(j, m))
                 .collect();
             assert_eq!(
-                query.fits_constrained(d, j, cons),
+                query.fits_constrained(d, j, cons).collect::<Vec<_>>(),
                 oracle,
                 "fits_constrained({d:?}, {j:?}, {cons:?}), indexed {indexed}, available {:?}",
                 oracle

@@ -11,10 +11,11 @@ use std::rc::Rc;
 
 use tetris_resources::{units::GB, MachineSpec, Resource};
 use tetris_sim::{
-    plan_priority_preemption, Assignment, ClusterConfig, ClusterView, GreedyFifo, WorkingLedger,
+    plan_priority_preemption, Assignment, ClusterConfig, ClusterView, GreedyFifo, MachineId,
+    WorkingLedger,
 };
 use tetris_testkit::{check_invariants, forall, Audited, Policy, Scenario, SchedName};
-use tetris_workload::{PriorityClass, TaskParams, WorkloadBuilder};
+use tetris_workload::{JobId, PriorityClass, TaskParams, TaskUid, WorkloadBuilder};
 
 /// One eviction proposal the engine must refuse: the first pending task
 /// of the first active job, onto the first machine running a task of its
@@ -63,6 +64,117 @@ fn preemption_never_inverts_and_conserves_terminal_states() {
         preemptions.set(preemptions.get() + stats.preemptions);
     });
     assert!(preemptions.get() > 0, "no draw preempted");
+}
+
+/// The job of each spread floor, its maintained spread, and its spread
+/// recounted from every machine's resident list.
+fn spreads(view: &ClusterView<'_>) -> Vec<(JobId, usize, usize)> {
+    let hosts = |j| {
+        let hosts_j = |m| {
+            view.machine_tasks(m)
+                .iter()
+                .any(|&t| view.task_stage(t).0 == j)
+        };
+        view.query().iter_all().filter(|&m| hosts_j(m)).count()
+    };
+    view.active_jobs()
+        .filter(|&j| view.job_constraints(j).spread.is_some())
+        .map(|j| (j, view.job_spread(j), hosts(j)))
+        .collect()
+}
+
+/// `plan_priority_preemption` without its shortcuts: the starved job by a
+/// scan of every active job, the fit check and the victim plan on every
+/// considered machine, then the fewest victims at the lowest id.
+fn exhaustive_plan(
+    view: &ClusterView<'_>,
+    ledger: &WorkingLedger,
+    placed: &[JobId],
+) -> Option<(TaskUid, MachineId, Vec<TaskUid>)> {
+    if !view.preemption_enabled() {
+        return None;
+    }
+    let starved = view
+        .active_jobs()
+        .filter(|&j| view.job_priority(j) > PriorityClass::BATCH && !placed.contains(&j))
+        .filter_map(|j| Some((view.job_priority(j), j, view.job_pending(j).next()?)));
+    let (prio, job, task) =
+        starved.fold(None, |best: Option<(PriorityClass, _, _)>, c| match best {
+            Some((p, ..)) if c.0 <= p => best,
+            _ => Some(c),
+        })?;
+    let mut left = ledger.clone();
+    let considered: Vec<MachineId> = (view.query().iter_all())
+        .filter(|&m| !view.is_down(m) && !view.is_suspect(m) && view.constraints_allow(job, m))
+        .collect();
+    let demand = view.task(task).demand;
+    if considered
+        .iter()
+        .any(|&m| demand.fits_within(&view.available(m)))
+    {
+        return None;
+    }
+    let mut best: Option<(MachineId, Vec<TaskUid>)> = None;
+    for &m in &considered {
+        let plan = view.plan(task, m);
+        if plan
+            .remote
+            .iter()
+            .any(|(rm, dem)| !dem.fits_within(&left.available(view, *rm)))
+        {
+            continue;
+        }
+        let mut avail = left.available(view, m);
+        let mut victims = Vec::new();
+        for &v in view.machine_tasks(m) {
+            if plan.local.fits_within(&avail) || victims.len() >= view.max_evictions() {
+                break;
+            }
+            if view.task_priority(v) < prio {
+                avail += view.running_on(v).expect("a resident runs").1;
+                victims.push(v);
+            }
+        }
+        let fewer = best.as_ref().is_none_or(|(_, b)| victims.len() < b.len());
+        if !victims.is_empty() && plan.local.fits_within(&avail) && fewer {
+            best = Some((m, victims));
+        }
+    }
+    best.map(|(m, victims)| (task, m, victims))
+}
+
+/// On every call of saturated, churned draws with preemption on, sharded
+/// ones included: each spread floor's maintained count is the recount,
+/// and the early-exit planner answers what the exhaustive one does, on a
+/// ledger charged with the call's placements.
+#[test]
+fn the_planner_and_the_spread_count_match_a_rescan() {
+    let planned = Rc::new(Cell::new(0));
+    forall("the_planner_and_the_spread_count_match_a_rescan", 16, |s| {
+        let mut s = s.saturated().churned();
+        s.cfg.preemption = true;
+        let seen = Rc::clone(&planned);
+        let mut ledger = WorkingLedger::default();
+        let policy = Audited::new(s.policy(), move |_, view, out| {
+            for (j, kept, recount) in spreads(view) {
+                assert_eq!(kept, recount, "{j:?}'s spread");
+            }
+            ledger.begin(view);
+            let mut placed = Vec::new();
+            for a in out.iter().filter(|a| a.evict.is_empty()) {
+                if ledger.try_place(view, a.task, a.machine).is_err() {
+                    ledger.record(view, a.task, a.machine);
+                }
+                placed.push(view.task_stage(a.task).0);
+            }
+            let fast = plan_priority_preemption(view, &ledger);
+            let fast = fast.map(|a| (a.task, a.machine, a.evict));
+            assert_eq!(fast, exhaustive_plan(view, &ledger, &placed));
+            seen.set(seen.get() + u64::from(fast.is_some()));
+        });
+        check_invariants(&s, &s.run_with(policy));
+    });
+    assert!(planned.get() > 0, "the planner never planned");
 }
 
 /// On a saturated cluster a late high-priority arrival preempts, planned

@@ -7,12 +7,16 @@
 //! byte-identical to the bare policy.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use tetris_core::{TetrisConfig, TetrisScheduler};
+use tetris_obs::Event;
 use tetris_sim::{probe::ColdPassProbe, Assignment, ClusterView, MachineId, ShardedScheduler};
 use tetris_testkit::SchedName::{Capacity, Drf, Fair, TetrisCpuMemOnly};
-use tetris_testkit::{check_invariants, forall, same_outcome, Audited, Policy, Scenario};
+use tetris_testkit::{
+    check_invariants, forall, same_outcome, Audited, Policy, Scenario, SchedName,
+};
 use tetris_workload::JobId;
 
 /// §16 breaches in one call: an assignment the view's constraint
@@ -54,10 +58,9 @@ fn racing_shards_keep_every_invariant() {
             "a commit was refused"
         );
         // A policy whose fit reads every dimension the commit stage checks
-        // loses a proposal only to another shard. The others also lose
-        // what over-commits the dimensions they skip, and the commit
-        // refuses every preemptive proposal: it does not count the
-        // evictions that make room.
+        // loses a proposal only to another shard's placement. The others
+        // also lose what over-commits the dimensions they skip, and a
+        // preemptive proposal also loses a victim another shard evicted.
         let partial = matches!(
             s.policy,
             Policy::Named(Fair | Capacity | Drf | TetrisCpuMemOnly)
@@ -68,6 +71,34 @@ fn racing_shards_keep_every_invariant() {
     });
     assert!(conflicts > 0, "no two shards raced");
     assert_eq!(breached.get(), 0, "commits broke §16 constraints");
+}
+
+/// Sharded Tetris on a saturated draw with preemption on: the commit
+/// stage credits a preemptive proposal's victims on its target, so shards
+/// preempt, and no victim is evicted by two commits.
+#[test]
+fn saturated_shards_preempt_each_victim_once() {
+    let tetris =
+        |s: &Scenario| s.shards == 2 && matches!(s.policy, Policy::Named(SchedName::Tetris));
+    let mut s = Scenario::find(3, tetris).saturated();
+    s.cfg.preemption = true;
+    let run = s.run();
+    check_invariants(&s, &run);
+    let stats = &run.outcome.stats;
+    assert!(stats.preemptions > 0, "no shard preempted");
+    assert_eq!(stats.rejected_assignments, 0, "a commit was refused");
+    let mut running = HashSet::new();
+    for (_, e) in &run.trace {
+        match e {
+            Event::TaskPlaced { task, .. } => {
+                running.insert(*task);
+            }
+            Event::TaskPreempted { task, reason, .. } if reason == "priority_preemption" => {
+                assert!(running.remove(task), "task {task} evicted twice");
+            }
+            _ => {}
+        }
+    }
 }
 
 #[test]
