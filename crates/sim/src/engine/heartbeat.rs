@@ -46,16 +46,20 @@ impl Engine<'_> {
         let pending_before = self.observing.then(|| self.state.num_pending());
         let before = self.stats.clone();
         let verbose = self.obs.verbose();
-        let heartbeat_start = Instant::now();
+        // The clock is read only for an attached context: unobserved, the
+        // timings would go to a registry nobody reads.
+        let heartbeat_start = self.observing.then(Instant::now);
         'rounds: for round in 0..MAX_SCHEDULE_ROUNDS {
-            let schedule_start = Instant::now();
+            let schedule_start = self.observing.then(Instant::now);
             let assignments = {
                 let view = ClusterView::new(&self.state, self.tracker_aware).capturing(verbose);
                 self.stats.schedule_calls += 1;
                 self.policy.schedule(&view)
             };
-            let schedule_ns = schedule_start.elapsed().as_nanos() as u64;
-            self.obs.metrics.observe(names::SCHEDULE_NS, schedule_ns);
+            if let Some(start) = schedule_start {
+                let schedule_ns = start.elapsed().as_nanos() as u64;
+                self.obs.metrics.observe(names::SCHEDULE_NS, schedule_ns);
+            }
             if assignments.is_empty() {
                 break;
             }
@@ -97,9 +101,9 @@ impl Engine<'_> {
             return Ok(ControlFlow::Break(()));
         }
         log.commit(heartbeat, &before, &self.stats, &mut self.obs.metrics)?;
-        let wall_ns = heartbeat_start.elapsed().as_nanos() as u64;
-        self.obs.metrics.observe(names::HEARTBEAT_NS, wall_ns);
-        if let Some(pending_tasks) = pending_before {
+        if let (Some(start), Some(pending_tasks)) = (heartbeat_start, pending_before) {
+            let wall_ns = start.elapsed().as_nanos() as u64;
+            self.obs.metrics.observe(names::HEARTBEAT_NS, wall_ns);
             let placements = self.stats.placements - before.placements;
             let now = self.state.now.as_secs();
             let obs = &mut self.obs;

@@ -182,9 +182,9 @@ impl<'o> Simulation<'o> {
 
         // Without an attached context the engine observes into a local
         // noop one (discarded at the end), so the loop never branches on
-        // "is observability on". `observing` gates only the extra state
-        // walks (pending-task counts) that would otherwise cost time for
-        // nobody.
+        // "is observability on". `observing` gates only the work that
+        // would otherwise cost time for nobody: the pending-task gauge and
+        // the heartbeat and schedule clocks.
         let observing = self.obs.is_some();
         let mut local_obs;
         let obs: &mut Obs = match self.obs {
@@ -331,8 +331,8 @@ struct Engine<'o> {
     policy: Box<dyn SchedulerPolicy>,
     tracker_aware: bool,
     obs: &'o mut Obs,
-    /// An observability context is attached: gates the state walks only a
-    /// reader pays for.
+    /// An observability context is attached: gates the gauges and clocks
+    /// only a reader pays for.
     observing: bool,
     /// Suspicion transitions of the last tracker report.
     transitions: Vec<(MachineId, bool)>,

@@ -51,7 +51,7 @@ impl SimState {
             t.phase = Phase::Abandoned;
             t.finish = Some(now);
             self.tasks_abandoned += 1;
-            let (ji, si, _) = self.task_loc[uid.index()];
+            let (ji, si, _) = self.loc(uid);
             self.note_task_terminal(ji, si);
         } else if backoff > 0.0 {
             t.phase = Phase::Backoff;
@@ -90,7 +90,7 @@ impl SimState {
     /// release every ledger it charged. The task's phase is left
     /// `Runnable`; callers refine it. Returns `None` (phase untouched) if
     /// the task was not running.
-    fn teardown_attempt(&mut self, uid: TaskUid) -> Option<RunInfo> {
+    fn teardown_attempt(&mut self, uid: TaskUid) -> Option<Box<RunInfo>> {
         let info = self.take_attempt(uid, Phase::Runnable)?;
         for &fid in &info.flows {
             if !self.flows[fid.0].done {
@@ -98,7 +98,7 @@ impl SimState {
             }
         }
         self.release_attempt(uid, &info);
-        self.touch_job(self.task_loc[uid.index()].0); // kill or preemption
+        self.touch_job(self.loc(uid).0); // kill or preemption
         Some(info)
     }
 
@@ -270,7 +270,7 @@ impl SimState {
             return false;
         }
         self.requeue(uid);
-        self.touch_job(self.task_loc[uid.index()].0); // restart
+        self.touch_job(self.loc(uid).0); // restart
         true
     }
 }
@@ -455,6 +455,71 @@ mod tests {
         st.machine_recover(m1);
         st.apply_assignment(t(5), m1);
         assert_eq!(hosts(&st), 3);
+    }
+
+    #[test]
+    fn the_pending_count_follows_every_list_change() {
+        // Three tasks, then two behind them. Every completion fails while
+        // an attempt is left.
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("j", None, 0.0);
+        let first = b.add_stage(j, "map", vec![], 3, |_| params(1.0, 10.0, vec![]));
+        b.add_stage(j, "reduce", vec![first], 2, |_| params(1.0, 10.0, vec![]));
+        let cluster = ClusterConfig::uniform(3, MachineSpec::paper_small());
+        let mut cfg = SimConfig::default();
+        cfg.task_failure_prob = 0.999_999;
+        cfg.max_task_attempts = 2;
+        cfg.faults.restart_backoff = 0.0;
+        let mut st = SimState::new(cluster, b.finish(), cfg);
+        let t = TaskUid;
+        let (m0, m1, m2) = (MachineId(0), MachineId(1), MachineId(2));
+        let pending = |st: &SimState| {
+            let walk: usize = st.jobs[0].stages.iter().map(|s| s.pending.len()).sum();
+            assert_eq!(st.pending_total, walk, "the count is the walk");
+            st.num_pending()
+        };
+        assert_eq!(pending(&st), 0);
+        // Unlock: the root stage's three tasks.
+        st.job_arrives(j);
+        assert_eq!(pending(&st), 3);
+        // Placement.
+        st.apply_assignment(t(0), m0);
+        st.apply_assignment(t(1), m1);
+        st.apply_assignment(t(2), m2);
+        assert_eq!(pending(&st), 0);
+        // Failure retry.
+        assert!(matches!(
+            st.task_complete(t(0)),
+            TaskCompletion::Requeued { .. }
+        ));
+        assert_eq!(pending(&st), 1);
+        // Preemption.
+        assert!(st.preempt_task(t(1)).is_some());
+        assert_eq!(pending(&st), 2);
+        // Crash requeue, without a backoff.
+        assert_eq!(st.machine_crash(m2).requeued, vec![t(2)]);
+        assert_eq!(pending(&st), 3);
+        // A crash into a backoff, then the restart.
+        st.machine_recover(m2);
+        st.cfg.faults.restart_backoff = 5.0;
+        st.apply_assignment(t(1), m2);
+        assert_eq!(pending(&st), 2);
+        st.machine_crash(m2);
+        assert_eq!(pending(&st), 2, "a backed-off task is not pending");
+        assert!(st.task_restart(t(1)));
+        assert_eq!(pending(&st), 3);
+        // Finishing the root stage unlocks the next one's two tasks.
+        for (uid, m) in [(t(0), m0), (t(1), m1), (t(2), m0)] {
+            st.apply_assignment(uid, m);
+        }
+        assert_eq!(pending(&st), 0);
+        for uid in [t(0), t(1), t(2)] {
+            assert!(matches!(
+                st.task_complete(uid),
+                TaskCompletion::Finished { .. }
+            ));
+        }
+        assert_eq!(pending(&st), 2);
     }
 
     #[test]

@@ -71,6 +71,7 @@ impl SimState {
             t.phase = Phase::Runnable;
             t.runnable_since = Some(now);
         }
+        self.pending_total += uids.len();
         self.jobs[ji].stages[si].pending = uids;
     }
 
@@ -92,7 +93,7 @@ impl SimState {
         debug_assert!(self.assignment_valid(uid, machine));
         let mut plan = std::mem::take(&mut self.applied_plan);
         self.placement_plan_into(uid, machine, &mut plan);
-        let (ji, si, _) = self.task_loc[uid.index()];
+        let (ji, si, _) = self.loc(uid);
         let spec = self.spec(uid);
         let d = spec.demand;
         let cpu_work = spec.cpu_work;
@@ -161,24 +162,24 @@ impl SimState {
             .position(|&t| t == uid)
             .expect("pending task not in its stage's pending list");
         stage.pending.swap_remove(pos);
+        self.pending_total -= 1;
 
         // Task bookkeeping.
         let t = &mut self.tasks[uid.index()];
         t.attempts += 1;
         t.start = Some(now);
-        t.first_start = Some(t.first_start.unwrap_or(now));
         t.machine = Some(machine);
         t.planned = Some(plan.est_duration);
         let flows_left = flows.len();
         let gen = t.attempts as u64;
-        t.phase = Phase::Running(RunInfo {
+        t.phase = Phase::Running(Box::new(RunInfo {
             machine,
             flows,
             flows_left,
             local_alloc: plan.local,
             remote_alloc: plan.remote.clone(),
             gen,
-        });
+        }));
 
         if flows_left == 0 {
             // Zero-work task: completes immediately.
@@ -189,7 +190,7 @@ impl SimState {
 
     /// Take the running attempt of `uid` out of its phase, which becomes
     /// `then`; `None`, the phase untouched, if the task is not running.
-    pub(super) fn take_attempt(&mut self, uid: TaskUid, then: Phase) -> Option<RunInfo> {
+    pub(super) fn take_attempt(&mut self, uid: TaskUid, then: Phase) -> Option<Box<RunInfo>> {
         let phase = &mut self.tasks[uid.index()].phase;
         match std::mem::replace(phase, then) {
             Phase::Running(info) => Some(info),
@@ -205,7 +206,7 @@ impl SimState {
     /// counters. Hints the host, then the sources, as freed. How every
     /// attempt ends — completed, failed, killed or preempted.
     pub(super) fn release_attempt(&mut self, uid: TaskUid, info: &RunInfo) {
-        let (ji, si, _) = self.task_loc[uid.index()];
+        let (ji, si, _) = self.loc(uid);
         let host = info.machine;
         let ms = &mut self.machines[host.index()];
         ms.allocated = (ms.allocated - info.local_alloc).clamp_non_negative();
@@ -243,11 +244,12 @@ impl SimState {
     /// pending list: a failed attempt's retry, a kill without backoff, a
     /// preemption, a backoff's end.
     pub(super) fn requeue(&mut self, uid: TaskUid) {
-        let (ji, si, _) = self.task_loc[uid.index()];
+        let (ji, si, _) = self.loc(uid);
         let t = &mut self.tasks[uid.index()];
         t.phase = Phase::Runnable;
         t.runnable_since = Some(self.now);
         self.jobs[ji].stages[si].pending.push(uid);
+        self.pending_total += 1;
     }
 
     /// Complete (or fail-and-retry) a task whose work is all done.
@@ -257,7 +259,7 @@ impl SimState {
             return TaskCompletion::Stale;
         };
         self.release_attempt(uid, &info);
-        self.touch_job(self.task_loc[uid.index()].0); // finish or failure retry
+        self.touch_job(self.loc(uid).0); // finish or failure retry
         let host = info.machine;
 
         // Failure roll: rerun the task from scratch.
@@ -272,7 +274,7 @@ impl SimState {
         }
 
         // Genuine completion.
-        let (ji, si, _) = self.task_loc[uid.index()];
+        let (ji, si, _) = self.loc(uid);
         self.completions += 1;
         self.tasks[uid.index()].finish = Some(self.now);
         let out = self.spec(uid).output_bytes;

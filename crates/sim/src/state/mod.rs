@@ -18,7 +18,6 @@
 //! file, `pub(super)` when a sibling layer calls it, and `pub(crate)`
 //! only when the engine, the view or a probe does.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
@@ -52,6 +51,22 @@ static EPOCHS: AtomicU64 = AtomicU64::new(0);
 
 fn next_epoch() -> u64 {
     EPOCHS.fetch_add(1, Ordering::Relaxed) + 1
+}
+
+/// One block's replica machines, ascending: uniform draws until
+/// `replication` distinct machines came up, a repeat drawn again.
+/// `replication` is a handful, so the linear repeat test beats a set,
+/// and the list is the block's only allocation.
+fn bind_replicas(rng: &mut StdRng, n_machines: usize, replication: usize) -> Vec<MachineId> {
+    let mut reps = Vec::with_capacity(replication);
+    while reps.len() < replication {
+        let m = MachineId(rng.gen_range(0..n_machines));
+        if !reps.contains(&m) {
+            reps.push(m);
+        }
+    }
+    reps.sort_unstable();
+    reps
 }
 
 /// One unit of schedulable work in flight.
@@ -143,8 +158,10 @@ pub(crate) enum Phase {
     Blocked,
     /// Schedulable.
     Runnable,
-    /// Placed and running.
-    Running(RunInfo),
+    /// Placed and running. Boxed: most tasks of a large backlog never
+    /// run at once, and inline the attempt's record would more than
+    /// double every task's.
+    Running(Box<RunInfo>),
     /// Done.
     Finished,
     /// Attempt lost to a machine crash; waiting out the restart backoff
@@ -155,7 +172,7 @@ pub(crate) enum Phase {
     Abandoned,
 }
 
-/// Bookkeeping for a running task.
+/// Bookkeeping for a running task: what its attempt charged, and where.
 #[derive(Debug, Clone)]
 pub(crate) struct RunInfo {
     pub machine: MachineId,
@@ -167,12 +184,14 @@ pub(crate) struct RunInfo {
     pub gen: u64,
 }
 
+/// Runtime state of one task: 104 bytes, one record for every task of
+/// the workload whether it ever runs or not (the attempt's own record
+/// lives behind `Phase::Running` while it runs).
 #[derive(Debug, Clone)]
 pub(crate) struct TaskState {
     pub phase: Phase,
     pub attempts: u32,
     pub start: Option<SimTime>,
-    pub first_start: Option<SimTime>,
     pub finish: Option<SimTime>,
     pub machine: Option<MachineId>,
     /// When the task last became runnable (stage unlock or retry) — the
@@ -234,9 +253,13 @@ pub(crate) struct SimState {
     pub now: SimTime,
     pub machines: Vec<MachineState>,
     pub tasks: Vec<TaskState>,
-    /// uid → (job index, stage index, task index) for O(1) spec lookup.
-    pub task_loc: Vec<(usize, usize, usize)>,
+    /// uid → [job index, stage index, task index] for O(1) spec lookup
+    /// ([`SimState::loc`]); `u32`s, half the width of `usize`s.
+    task_loc: Vec<[u32; 3]>,
     pub jobs: Vec<JobState>,
+    /// Length of every stage's pending list together, moved wherever one
+    /// is filled, pushed or drained: [`SimState::num_pending`].
+    pending_total: usize,
     /// Block id → replica machines.
     pub blocks: Vec<Vec<MachineId>>,
     pub flows: Vec<Flow>,
@@ -315,24 +338,19 @@ impl SimState {
         // Bind stored blocks to replica machines.
         let replication = cfg.replication.min(n_machines);
         let blocks = (0..workload.num_blocks)
-            .map(|_| {
-                let mut reps = BTreeSet::new();
-                while reps.len() < replication {
-                    reps.insert(MachineId(rng.gen_range(0..n_machines)));
-                }
-                reps.into_iter().collect::<Vec<_>>()
-            })
+            .map(|_| bind_replicas(&mut rng, n_machines, replication))
             .collect();
 
         // Index tasks and initialize job/stage state.
         let n_tasks = workload.num_tasks();
-        let mut task_loc = vec![(0, 0, 0); n_tasks];
+        let narrow = |i: usize| u32::try_from(i).expect("workload index past u32");
+        let mut task_loc = vec![[0; 3]; n_tasks];
         let mut jobs = Vec::with_capacity(workload.jobs.len());
         for (ji, job) in workload.jobs.iter().enumerate() {
             let mut stages = Vec::with_capacity(job.stages.len());
             for (si, stage) in job.stages.iter().enumerate() {
                 for (ti, t) in stage.tasks.iter().enumerate() {
-                    task_loc[t.uid.index()] = (ji, si, ti);
+                    task_loc[t.uid.index()] = [narrow(ji), narrow(si), narrow(ti)];
                 }
                 let feeds_downstream = job.stages.iter().any(|s2| s2.deps.contains(&si));
                 stages.push(StageState {
@@ -365,7 +383,6 @@ impl SimState {
                 phase: Phase::Blocked,
                 attempts: 0,
                 start: None,
-                first_start: None,
                 finish: None,
                 machine: None,
                 planned: None,
@@ -392,6 +409,7 @@ impl SimState {
             tasks,
             task_loc,
             jobs,
+            pending_total: 0,
             blocks,
             flows: Vec::new(),
             jobs_remaining,
@@ -479,17 +497,24 @@ impl SimState {
         }
     }
 
+    /// (job index, stage index, task index) of a task.
+    #[inline]
+    pub(crate) fn loc(&self, uid: TaskUid) -> (usize, usize, usize) {
+        let [j, s, t] = self.task_loc[uid.index()];
+        (j as usize, s as usize, t as usize)
+    }
+
     /// Task spec by uid.
     #[inline]
     pub(crate) fn spec(&self, uid: TaskUid) -> &TaskSpec {
-        let (j, s, t) = self.task_loc[uid.index()];
+        let (j, s, t) = self.loc(uid);
         &self.workload.jobs[j].stages[s].tasks[t]
     }
 
     /// The job a task belongs to.
     #[inline]
     pub(crate) fn job_of(&self, uid: TaskUid) -> JobId {
-        JobId(self.task_loc[uid.index()].0)
+        JobId(self.loc(uid).0)
     }
 
     /// True iff at least one running task of job `j` is hosted on `m` —
@@ -501,14 +526,20 @@ impl SimState {
     }
 
     /// Runnable, unplaced tasks across the jobs that have arrived and not
-    /// finished.
+    /// finished. A stage's list fills only after its job arrived and is
+    /// empty once the job finished, so the count of every list is theirs.
     pub(crate) fn num_pending(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_active())
-            .flat_map(|j| j.stages.iter())
-            .map(|s| s.pending.len())
-            .sum()
+        debug_assert_eq!(
+            self.pending_total,
+            self.jobs
+                .iter()
+                .filter(|j| j.is_active())
+                .flat_map(|j| j.stages.iter())
+                .map(|s| s.pending.len())
+                .sum::<usize>(),
+            "the pending count is the walk"
+        );
+        self.pending_total
     }
 
     /// Availability as seen by the scheduler.
@@ -593,6 +624,52 @@ pub(crate) mod tests {
     pub(crate) fn mk_state(w: Workload) -> SimState {
         let cluster = ClusterConfig::uniform(2, MachineSpec::paper_small());
         SimState::new(cluster, w, SimConfig::default())
+    }
+
+    #[test]
+    fn replica_binding_matches_a_set_of_draws() {
+        // The binding the state replaced: draws into an ordered set until
+        // it holds `replication` machines.
+        fn reference(rng: &mut StdRng, machines: usize, replication: usize) -> Vec<MachineId> {
+            let mut reps = std::collections::BTreeSet::new();
+            while reps.len() < replication {
+                reps.insert(MachineId(rng.gen_range(0..machines)));
+            }
+            reps.into_iter().collect()
+        }
+        for seed in [0, 7, 42, 1234] {
+            for machines in [1, 2, 3, 5, 40] {
+                for replication in [1, 2, 3, 5, 8] {
+                    let mut w = one_task_workload(1.0, 1.0);
+                    w.num_blocks = 300;
+                    let cluster = ClusterConfig::uniform(machines, MachineSpec::paper_small());
+                    let mut cfg = SimConfig::default();
+                    cfg.seed = seed;
+                    cfg.replication = replication;
+                    let mut st = SimState::new(cluster, w, cfg);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let expected: Vec<_> = (0..300)
+                        .map(|_| reference(&mut rng, machines, replication.min(machines)))
+                        .collect();
+                    let case =
+                        format!("seed {seed}, {machines} machines, replication {replication}");
+                    assert_eq!(st.blocks, expected, "{case}");
+                    assert_eq!(
+                        st.rng.gen::<u64>(),
+                        rng.gen::<u64>(),
+                        "{case}: the same draws"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_task_record_holds_no_running_attempt() {
+        // The attempt's record is boxed into `Phase::Running`; what every
+        // task pays for is its phase, attempt count and five times.
+        assert_eq!(std::mem::size_of::<Phase>(), 16);
+        assert_eq!(std::mem::size_of::<TaskState>(), 104);
     }
 
     #[test]

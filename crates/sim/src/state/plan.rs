@@ -82,7 +82,7 @@ impl SimState {
     /// plan fail on a remote source skip every other such machine.
     /// Allocation-free.
     pub(crate) fn task_reads_locally(&self, uid: TaskUid, machine: MachineId) -> bool {
-        let (ji, _, _) = self.task_loc[uid.index()];
+        let (ji, _, _) = self.loc(uid);
         self.spec(uid)
             .inputs
             .iter()
@@ -105,7 +105,7 @@ impl SimState {
         remote: &mut Vec<(MachineId, f64)>,
     ) -> f64 {
         let spec = self.spec(uid);
-        let (ji, _, _) = self.task_loc[uid.index()];
+        let (ji, _, _) = self.loc(uid);
         let mut local_bytes = 0.0f64;
         // Bytes per remote source, kept sorted by machine and summed in
         // input order: the sorted map this used to build, key for key
@@ -202,7 +202,7 @@ impl SimState {
         else {
             return None;
         };
-        let (ji, _, _) = self.task_loc[uid.index()];
+        let (ji, _, _) = self.loc(uid);
         let rank = self.shuffle_ranks.get(ji)?.get(stage)?;
         if rank.is_empty() {
             return None; // unfinished, or no more sources than the bound keeps

@@ -340,7 +340,7 @@ impl<'a> ClusterView<'a> {
 
     /// Owning job and stage of a task.
     pub fn task_stage(&self, uid: TaskUid) -> (JobId, usize) {
-        let (j, s, _) = self.state.task_loc[uid.index()];
+        let (j, s, _) = self.state.loc(uid);
         (JobId(j), s)
     }
 
