@@ -56,6 +56,12 @@ impl SchedulerPolicy for RandomScheduler {
         }
         out
     }
+
+    /// Every call draws from the policy's RNG, so an idle call still
+    /// moves the next one's draws.
+    fn reads_ticks(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

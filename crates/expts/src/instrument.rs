@@ -64,7 +64,7 @@ pub struct InstrumentOpts {
     /// Omega-style scheduler shard count (DESIGN.md §14). `0` and `1`
     /// both mean the plain single-scheduler path; `> 1` wraps the
     /// reference scheduler in a [`ShardedScheduler`] — optimistic
-    /// parallel per-partition passes over shared state, conflicts
+    /// per-partition passes over shared state, conflicts
     /// resolved at a serialized commit stage — and surfaces the conflict
     /// counters and per-shard pass latencies in the summary table.
     pub shards: usize,

@@ -81,6 +81,7 @@ impl Engine<'_> {
                 }
                 Wants::Heartbeat
             }
+            EventKind::Wake => Wants::Heartbeat,
             EventKind::Sample => {
                 if let Some(p) = self.state.cfg.sample_period {
                     if self.state.jobs_remaining > 0 {

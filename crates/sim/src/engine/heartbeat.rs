@@ -7,8 +7,11 @@ use std::time::Instant;
 use tetris_obs::{names, Event};
 
 use super::Engine;
+use crate::events::EventKind;
 use crate::recovery::{DecisionLog, RecoveryError};
 use crate::state::Phase;
+use crate::time::SimTime;
+use crate::tracker::REPORT_PERIOD_SECS;
 use crate::view::{Assignment, ClusterView};
 
 /// Cap on re-invocations of the policy within one scheduling round; guards
@@ -49,6 +52,9 @@ impl Engine<'_> {
         // The clock is read only for an attached context: unobserved, the
         // timings would go to a registry nobody reads.
         let heartbeat_start = self.observing.then(Instant::now);
+        // A round that placed nothing: the policy has said all it will
+        // until something changes.
+        let mut settled = false;
         'rounds: for round in 0..MAX_SCHEDULE_ROUNDS {
             let schedule_start = self.observing.then(Instant::now);
             let assignments = {
@@ -61,6 +67,7 @@ impl Engine<'_> {
                 self.obs.metrics.observe(names::SCHEDULE_NS, schedule_ns);
             }
             if assignments.is_empty() {
+                settled = true;
                 break;
             }
             // Crash point (b): mid-commit. Only the first half of this
@@ -91,6 +98,7 @@ impl Engine<'_> {
             self.state.freed_hint.truncate(hints);
             self.state.recompute_dirty();
             if applied == 0 {
+                settled = true;
                 break;
             }
         }
@@ -101,6 +109,14 @@ impl Engine<'_> {
             return Ok(ControlFlow::Break(()));
         }
         log.commit(heartbeat, &before, &self.stats, &mut self.obs.metrics)?;
+        if !settled && !self.state.tracker_ticks {
+            // Out of rounds with placements still coming: the next tracker
+            // report would heartbeat again, so a run without reports wakes
+            // itself at that instant.
+            let period = SimTime::from_secs(REPORT_PERIOD_SECS).as_micros();
+            let next = SimTime((self.state.now.as_micros() / period + 1) * period);
+            self.state.queue.push(next, EventKind::Wake);
+        }
         if let (Some(start), Some(pending_tasks)) = (heartbeat_start, pending_before) {
             let wall_ns = start.elapsed().as_nanos() as u64;
             self.obs.metrics.observe(names::HEARTBEAT_NS, wall_ns);

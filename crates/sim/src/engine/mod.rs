@@ -195,9 +195,14 @@ impl<'o> Simulation<'o> {
             }
         };
 
+        // Suspicion moves only at reports, and only under a fault plan:
+        // without one, a policy that reads no ticks gets none. A policy
+        // that uses the tracker gets them whatever it says: its view reads
+        // what the reports refresh.
+        let ticks = policy.uses_tracker() || policy.reads_ticks() || self.cfg.faults.enabled();
         let mut engine = Engine {
             tracker_aware: policy.uses_tracker(),
-            state: seeded(self.cluster, self.workload, self.cfg),
+            state: seeded(self.cluster, self.workload, self.cfg, ticks),
             stats: EngineStats::default(),
             samples: Vec::new(),
             heartbeats: 0,
@@ -247,6 +252,12 @@ impl<'o> Simulation<'o> {
                 break;
             }
         }
+        // Work that can never be placed ends the run at the hard stop. The
+        // ticks keep the queue busy until then; a run without them can
+        // drain it first.
+        if engine.state.jobs_remaining > 0 {
+            engine.state.now = max_t;
+        }
 
         let (state, obs) = (engine.state, engine.obs);
         // Drain the free-capacity index's hit/prune counters and the
@@ -280,9 +291,11 @@ impl<'o> Simulation<'o> {
 }
 
 /// A fresh state with its queue seeded: every job arrival, external load,
-/// the first sample and tracker report, and the fault plan.
-fn seeded(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> SimState {
+/// the first sample, the first tracker report if the run has `ticks`, and
+/// the fault plan.
+fn seeded(cluster: ClusterConfig, workload: Workload, cfg: SimConfig, ticks: bool) -> SimState {
     let mut state = SimState::new(cluster, workload, cfg);
+    state.tracker_ticks = ticks;
     for job in &state.workload.jobs {
         let arrival = SimTime::from_secs(job.arrival);
         state.queue.push(arrival, EventKind::JobArrival(job.id));
@@ -296,8 +309,10 @@ fn seeded(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> SimStat
     if state.cfg.sample_period.is_some() {
         state.queue.push(SimTime::ZERO, EventKind::Sample);
     }
-    let first_report = SimTime::from_secs(REPORT_PERIOD_SECS);
-    state.queue.push(first_report, EventKind::TrackerReport);
+    if ticks {
+        let first_report = SimTime::from_secs(REPORT_PERIOD_SECS);
+        state.queue.push(first_report, EventKind::TrackerReport);
+    }
     // Fault plan expansion draws from the sim RNG *after* all other
     // seeding, and only when enabled: a disabled plan draws nothing and
     // pushes nothing, keeping fault-free runs byte-identical.

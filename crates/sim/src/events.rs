@@ -26,6 +26,10 @@ pub(crate) enum EventKind {
     TaskDone { task: TaskUid, gen: u64 },
     /// Periodic resource-tracker report.
     TrackerReport,
+    /// A heartbeat the engine asks of itself, in a run without tracker
+    /// reports, at the instant the next one would have come: the last
+    /// heartbeat ran out of rounds with placements still coming.
+    Wake,
     /// Periodic utilization sample.
     Sample,
     /// External load period begins (index into `SimConfig::external_loads`,

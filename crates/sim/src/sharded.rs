@@ -1,13 +1,13 @@
-//! Omega-style sharded multi-scheduler: optimistic parallel placement
+//! Omega-style sharded multi-scheduler: optimistic per-partition placement
 //! over shared cluster state (DESIGN.md §14).
 //!
 //! [`ShardedScheduler`] wraps N inner [`SchedulerPolicy`] instances, each
 //! owning a deterministic hash partition of the job space. One
 //! `schedule()` call from the engine becomes a fan-out / commit pipeline:
 //!
-//! 1. every shard with work runs its inner policy's `schedule()` pass
-//!    concurrently on the deterministic worker pool (`crate::pool`),
-//!    against a read-only [`ClusterView`] scoped to its own partition;
+//! 1. every shard with work runs its inner policy's `schedule()` pass,
+//!    inline and in shard order, against a read-only [`ClusterView`]
+//!    scoped to its own partition, timed pass by pass;
 //! 2. proposals are committed *serially* in shard order, each charged to
 //!    one [`WorkingLedger`] — what this heartbeat has already accepted —
 //!    that the scoped views read. A proposal whose placement no longer
@@ -22,13 +22,15 @@
 //!    (`retry_could_place`), so fully-contended heartbeats don't pay for
 //!    retry passes that would place nothing.
 //!
-//! Shard workers only ever *read* shared state: all mutation flows
+//! Shard passes only ever *read* shared state: all mutation flows
 //! through the engine applying the committed assignment batch after
 //! `schedule()` returns (`scripts/check.sh` greps this module to keep it
-//! that way). Determinism holds because the pool delivers results in
-//! submission order, commits iterate shards in index order, and the
-//! job → shard hash is a pure function of (job id, seed) — parallelism
-//! changes wall-clock only, never output.
+//! that way, and to keep it free of threads). Determinism holds because
+//! passes run and commit in shard order and the job → shard hash is a
+//! pure function of (job id, seed). What a shard buys here is a measured
+//! critical path — the slowest pass of each round plus the serial commit
+//! ([`ShardedScheduler::last_heartbeat_critical_ns`]) — not wall clock
+//! (DESIGN.md §14).
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -37,7 +39,6 @@ use tetris_obs::{names, MetricsRegistry};
 use tetris_workload::{JobId, TaskUid};
 
 use crate::cluster::MachineId;
-use crate::pool::pool_map;
 use crate::state::PlacementPlan;
 use crate::view::{Assignment, ClusterView, SchedulerPolicy, ShardScope, WorkingLedger};
 
@@ -159,9 +160,8 @@ impl ShardedScheduler {
     /// the serial partition bucketing, plus — per fan-out round — the
     /// *slowest* shard pass and the serialized commit stage. This is the
     /// heartbeat wall-clock a deployment with one core per shard
-    /// observes, and unlike raw elapsed time it is measurable on any
-    /// host core count: per-pass timings are taken inside each pass, so
-    /// they stay clean even when the pool time-shares fewer cores.
+    /// observes, and unlike raw elapsed time it is measurable on one
+    /// core: the passes run one after another, each timed on its own.
     /// With one shard it is simply the inner pass's elapsed time.
     ///
     /// Timing only — never feeds back into decisions (determinism).
@@ -268,40 +268,27 @@ impl SchedulerPolicy for ShardedScheduler {
         }
         critical_ns = t0.elapsed().as_nanos() as u64;
 
-        // Never oversubscribe the host: extra workers only time-share.
-        // Worker count is invisible in the output (pool contract).
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-
         for round in 0..=MAX_RETRY_ROUNDS {
-            // Fan out: every active shard runs its pass concurrently
-            // against a read-only view scoped to its partition and the
-            // ledger committed so far. The pool returns results in
-            // submission (= shard) order regardless of finish order.
+            // Every active shard runs its pass, in shard order, against a
+            // read-only view scoped to its partition and the ledger
+            // committed so far. Each pass is timed on its own: the round's
+            // critical path is the slowest of them.
             let ledger = &self.ledger;
-            let partition_ref = &partition;
-            let items: Vec<(usize, &mut Box<dyn SchedulerPolicy + Send>)> = self
+            let results: Vec<(usize, Vec<Assignment>, u64)> = self
                 .inner
                 .iter_mut()
                 .enumerate()
                 .filter(|(i, _)| active.contains(i))
-                .collect();
-            let workers = items.len().min(cores);
-            let results: Vec<(usize, Vec<Assignment>, u64)> = pool_map(
-                items,
-                workers,
-                |(si, policy), _| {
+                .map(|(si, policy)| {
                     let t0 = Instant::now();
                     let scoped = view.scoped(ShardScope {
                         ledger,
-                        jobs: &partition_ref[si],
+                        jobs: &partition[si],
                     });
                     let out = policy.schedule(&scoped);
                     (si, out, t0.elapsed().as_nanos() as u64)
-                },
-                |_, _| {},
-            );
+                })
+                .collect();
             critical_ns += results.iter().map(|(_, _, ns)| *ns).max().unwrap_or(0);
             let t_commit = Instant::now();
 
@@ -376,6 +363,10 @@ impl SchedulerPolicy for ShardedScheduler {
 
     fn uses_tracker(&self) -> bool {
         self.inner[0].uses_tracker()
+    }
+
+    fn reads_ticks(&self) -> bool {
+        self.inner.iter().any(|p| p.reads_ticks())
     }
 
     fn drain_metrics(&mut self, metrics: &mut MetricsRegistry) {

@@ -128,10 +128,12 @@ impl SimState {
         // Charge demand ledgers. A spread job counts the machine if it
         // is the first of the job's running tasks there.
         let new_host = self.counts_hosts(ji) && !self.hosts_job(machine, JobId(ji));
-        let now = self.now;
+        let (now, ticks) = (self.now, self.tracker_ticks);
         let ms = &mut self.machines[machine.index()];
         ms.allocated += plan.local;
-        ms.recent.push((now, plan.local));
+        if ticks {
+            ms.recent.push((now, plan.local));
+        }
         ms.running += 1;
         ms.running_tasks.push(uid);
         if plan.local.get(Resource::Mem) > 0.0 {
@@ -140,7 +142,9 @@ impl SimState {
         for &(m, dem) in &plan.remote {
             let ms = &mut self.machines[m.index()];
             ms.allocated += dem;
-            ms.recent.push((now, dem));
+            if ticks {
+                ms.recent.push((now, dem));
+            }
         }
         self.index_touch(machine.index());
         for &(m, _) in &plan.remote {

@@ -108,7 +108,8 @@ pub(crate) struct MachineState {
     /// re-reads only the machines that have it set.
     pub report_stale: bool,
     /// Recently placed demands (placement time, demand) for the ramp-up
-    /// allowance; pruned at tracker reports.
+    /// allowance; pruned at tracker reports, and kept only in runs that
+    /// have them (`SimState::tracker_ticks`).
     pub recent: Vec<(SimTime, ResourceVec)>,
     /// Hosted running tasks.
     pub running: usize,
@@ -276,6 +277,11 @@ pub(crate) struct SimState {
     /// Planned tracker behavior, restored when a machine recovers from a
     /// crash (pre-crash flaking is transient; a reboot resets the agent).
     pub tracker_modes_baseline: Vec<TrackerMode>,
+    /// Tracker reports run: the policy reads the ticks or the fault plan
+    /// is on (DESIGN.md §3). Without them nothing prunes or reads the
+    /// ramp-up entries (`MachineState::recent`), so a placement pushes
+    /// none.
+    pub tracker_ticks: bool,
     /// External loads synthesized at runtime (crash-time re-replication);
     /// indexed by `ExternalStart`/`ExternalEnd` past the end of
     /// `cfg.external_loads`.
@@ -419,6 +425,7 @@ impl SimState {
             completions: 0,
             tracker_modes: vec![TrackerMode::Honest; n_machines],
             tracker_modes_baseline: vec![TrackerMode::Honest; n_machines],
+            tracker_ticks: true,
             external_active: vec![false; n_external],
             external_cancelled: vec![false; n_external],
             dynamic_loads: Vec::new(),
@@ -670,6 +677,24 @@ pub(crate) mod tests {
         // task pays for is its phase, attempt count and five times.
         assert_eq!(std::mem::size_of::<Phase>(), 16);
         assert_eq!(std::mem::size_of::<TaskState>(), 104);
+    }
+
+    #[test]
+    fn ramp_up_allowance_decays_and_needs_the_ticks() {
+        // A 2-core task placed at t = 0: before any report, a
+        // tracker-aware view counts its demand whole, then less as it
+        // ages. A run without tracker reports keeps no entry to count.
+        for ticks in [true, false] {
+            let mut st = mk_state(one_task_workload(2.0, 100.0));
+            st.tracker_ticks = ticks;
+            st.job_arrives(JobId(0));
+            st.apply_assignment(TaskUid(0), MachineId(0));
+            let cpu = |st: &SimState| st.availability(MachineId(0), true).get(Resource::Cpu);
+            assert_eq!(cpu(&st), if ticks { 2.0 } else { 4.0 });
+            st.now = SimTime::from_secs(5.0);
+            assert_eq!(cpu(&st), if ticks { 3.0 } else { 4.0 });
+            assert_eq!(st.machines[0].recent.is_empty(), !ticks);
+        }
     }
 
     #[test]

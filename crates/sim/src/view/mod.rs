@@ -114,7 +114,10 @@ impl<'a> ClusterView<'a> {
         }
     }
 
-    /// Current simulated time in seconds.
+    /// Current simulated time in seconds. A policy whose answer reads it
+    /// must return `true` from [`SchedulerPolicy::reads_ticks`]: otherwise
+    /// a run without a fault plan calls it only at events, not every
+    /// tracker tick.
     pub fn now(&self) -> f64 {
         self.state.now.as_secs()
     }

@@ -117,6 +117,24 @@ pub trait SchedulerPolicy {
         false
     }
 
+    /// Whether a tracker tick can change this policy's answer. A run
+    /// whose policy says `false` and whose fault plan is off has no
+    /// tracker reports at all, and so none of the heartbeats they would
+    /// wake (DESIGN.md §3). Say `false` only when the answer depends on
+    /// nothing but state that events change: not on the clock, not on
+    /// tracker reports, not on per-call randomness.
+    ///
+    /// The default is [`uses_tracker`](SchedulerPolicy::uses_tracker): a
+    /// policy that reads reports reads their ticks, and one that reads
+    /// none of them — DRF, Fair, Capacity — needs none. So a wrapper that
+    /// forwards `uses_tracker` answers as its inner policy does, unless
+    /// the inner one overrides this. Override it with `true` where the
+    /// answer reads the clock or draws randomness on every call, as the
+    /// random baseline does.
+    fn reads_ticks(&self) -> bool {
+        self.uses_tracker()
+    }
+
     /// Drain any metrics the policy accumulated internally into
     /// `metrics`, resetting its own tally. Called once by the engine at
     /// end of run, next to the free-capacity index drain; probes and

@@ -140,7 +140,7 @@ impl Scenario {
             MachineSpec::paper_large()
         };
         let machines = rng.gen_range(3..=8);
-        // Sharded runs cost the most (a worker pool a call): one in four.
+        // Sharded runs cost the most (a pass a shard a call): one in four.
         let shards = if rng.gen_bool(0.75) {
             1
         } else {
@@ -707,6 +707,10 @@ impl<P: SchedulerPolicy + ?Sized> SchedulerPolicy for Audited<P> {
 
     fn uses_tracker(&self) -> bool {
         self.inner.uses_tracker()
+    }
+
+    fn reads_ticks(&self) -> bool {
+        self.inner.reads_ticks()
     }
 
     fn drain_metrics(&mut self, metrics: &mut MetricsRegistry) {

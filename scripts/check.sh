@@ -191,10 +191,18 @@ echo "== grep gate: shard workers never mutate shared cluster state =="
 # real mutation happens when the engine applies the committed batch
 # after schedule() returns. Any engine-state type, interior mutability,
 # or unsafe block in the module would be a way to smuggle writes into
-# the parallel section.
+# a shard's pass.
 if grep -nE 'SimState|RefCell|Mutex|RwLock|UnsafeCell|Atomic[UIB]|unsafe' \
     crates/sim/src/sharded.rs; then
   echo "sharded driver can mutate shared state from a worker"; exit 1
+fi
+
+echo "== grep gate: shards run inline, on the calling thread =="
+# A shard's pass is timed on its own and the round's critical path is the
+# slowest pass plus the commit (DESIGN.md 14), so threads buy nothing
+# that this simulator measures.
+if grep -nE 'pool_map|std::thread' crates/sim/src/sharded.rs; then
+  echo "sharded scheduler spawns threads"; exit 1
 fi
 
 echo "== recovery smoke (re-execution against the WAL) =="

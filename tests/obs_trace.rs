@@ -106,3 +106,45 @@ fn heartbeat_histograms_fill_for_every_policy() {
         );
     }
 }
+
+/// DRF reads no tracker tick, so its run has no report: no
+/// `TrackerReport` event and no `tracker_reports` count. What `trace-tool`
+/// reads — the JSONL records and the telemetry series — reads back whole,
+/// and summarises as any other run's.
+#[test]
+fn a_drf_trace_has_no_tracker_reports_and_reads_back() {
+    let path = std::env::temp_dir().join(format!("tetris-drf-{}.jsonl", std::process::id()));
+    let recorder = tetris_obs::JsonlRecorder::create(&path).expect("temp file opens");
+    let mut obs = Obs::with_recorder(Box::new(recorder));
+    obs.set_timeseries(tetris_obs::TimeSeries::in_memory());
+    let outcome = Simulation::build(cluster(), WorkloadSuiteConfig::small().generate(29))
+        .scheduler(DrfScheduler::new())
+        .seed(29)
+        .observe(&mut obs)
+        .run();
+    obs.flush();
+    assert!(outcome.all_jobs_completed());
+    let snapshot = obs.metrics.snapshot();
+    assert!(!snapshot.counters.contains_key(names::TRACKER_REPORTS));
+    assert!(!snapshot.gauges.contains_key(names::TRACKER_USAGE_FRAC));
+
+    let text = std::fs::read_to_string(&path).expect("trace reads");
+    std::fs::remove_file(&path).ok();
+    let records: Vec<tetris_obs::TraceRecord> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("every line is a record"))
+        .collect();
+    assert!(!records
+        .iter()
+        .any(|r| matches!(r.event, Event::TrackerReport { .. })));
+    let placed = records
+        .iter()
+        .filter(|r| matches!(r.event, Event::TaskPlaced { .. }))
+        .count();
+    assert_eq!(placed as u64, outcome.stats.placements);
+
+    let samples = obs.take_timeseries().expect("attached").into_samples();
+    assert!(!samples.is_empty());
+    let summary = tetris_obs::SeriesSummary::compute(&samples).render();
+    assert!(summary.contains("packing_efficiency"), "{summary}");
+}
