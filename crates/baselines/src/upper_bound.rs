@@ -143,7 +143,7 @@ impl UpperBoundScheduler {
         }
         let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
         let mut seq = 0u64;
-        for j in &workload.jobs {
+        for j in workload.jobs.iter() {
             heap.push(Reverse((
                 SimTime::from_secs(j.arrival),
                 seq,
@@ -290,7 +290,7 @@ mod tests {
     fn respects_barriers() {
         let w = WorkloadSuiteConfig::small().generate(4);
         let o = UpperBoundScheduler::new().simulate(&w, cap(6));
-        for j in &w.jobs {
+        for j in w.jobs.iter() {
             // A two-stage job can never beat map-dur + reduce-dur.
             let min_map = j.stages[0]
                 .tasks

@@ -29,7 +29,7 @@ fn alignment_scores_finite_and_monotone_under_scaling() {
             let capacity = s.cluster.machines[0].capacity();
             let avail = capacity * 0.8;
             let frac = 0.1 + 0.9 * (s.draw % 1000) as f64 / 1000.0;
-            for job in &s.workload.jobs {
+            for job in s.workload.jobs.iter() {
                 let task = &job.stages[0].tasks[0];
                 let d = ResourceVec::zero()
                     .with(Resource::Cpu, task.demand.get(Resource::Cpu))

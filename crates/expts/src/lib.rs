@@ -35,6 +35,7 @@ pub mod cli; // `reproduce` names `cli::parse` and `cli::Cmd`.
 mod ctx;
 pub mod experiments; // `reproduce` names `experiments::find` and `experiments::registry`.
 pub mod instrument; // `reproduce` names `instrument::instrumented_run`.
+mod pool;
 mod report;
 pub mod runner; // `reproduce` names `runner::run_experiments` and `runner::run_sweep`.
 pub mod setup; // `perfbench` names `setup::run_observed`.

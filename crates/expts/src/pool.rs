@@ -7,9 +7,7 @@
 //! completion for item 3 is buffered until items 0..3 have been
 //! delivered), and the returned vector is in submission order too.
 //! Parallelism changes only the wall-clock, never the output — the
-//! guarantee its one consumer, the experiment runner (`crates/expts`),
-//! rests on. The module stays in `sim` until ROADMAP item 2 moves it to
-//! `expts`.
+//! guarantee its one consumer, the experiment runner, rests on.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -21,7 +19,7 @@ use std::sync::Mutex;
 ///
 /// `jobs = 1` still routes through the pool — one worker draining the
 /// deque in order — so the serial and parallel paths are the same code.
-pub fn pool_map<T, R, F, C>(items: Vec<T>, jobs: usize, f: F, on_done: C) -> Vec<R>
+pub(crate) fn pool_map<T, R, F, C>(items: Vec<T>, jobs: usize, f: F, on_done: C) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -37,7 +35,7 @@ where
 /// grinding it alone while the rest idle). Delivery to `on_done` and the
 /// returned vector stay in submission order regardless; priorities
 /// change wall-clock only, never output.
-pub fn pool_map_prioritized<T, R, P, F, C>(
+pub(crate) fn pool_map_prioritized<T, R, P, F, C>(
     items: Vec<T>,
     jobs: usize,
     priority: P,

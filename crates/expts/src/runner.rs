@@ -1,7 +1,6 @@
 //! Deterministic parallel execution of the experiment suite.
 //!
-//! The worker pool itself lives in `tetris_sim`'s `pool` module (hoisted so
-//! the sharded cold-pass scoring loop can share it); this module drives
+//! The worker pool itself lives in the `pool` module; this module drives
 //! it: workers pull the next experiment off the deque, run it against
 //! their own private [`RunCtx`], and send the finished result back tagged
 //! with its submission index. The main thread re-orders completions and
@@ -24,10 +23,10 @@ use std::time::Instant;
 use serde::Serialize;
 use tetris_metrics::TextTable;
 use tetris_obs::{MetricsRegistry, MetricsSnapshot};
-use tetris_sim::{pool_map, pool_map_prioritized};
 use tetris_workload::stats::percentile;
 
 use crate::experiments::Experiment;
+use crate::pool::{pool_map, pool_map_prioritized};
 use crate::setup::Scale;
 use crate::{Report, RunCtx};
 

@@ -209,7 +209,7 @@ pub fn run_tetris(
 /// Zero all arrivals (the paper's makespan measurements assume "all jobs
 /// arrived at the beginning of the trace", §5.3.1).
 pub fn with_zero_arrivals(mut w: Workload) -> Workload {
-    for j in &mut w.jobs {
+    for j in w.jobs_mut() {
         j.arrival = 0.0;
     }
     w

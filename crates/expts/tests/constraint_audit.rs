@@ -123,7 +123,7 @@ fn every_policy_respects_taints_on_the_serving_mix() {
     cfg.machine_taints = (0..ctx.cluster().len())
         .map(|m| if m % 4 == 0 { TAINT } else { 0 })
         .collect();
-    for job in w.jobs.iter_mut().step_by(2) {
+    for job in w.jobs_mut().iter_mut().step_by(2) {
         job.constraints.tolerations |= TAINT;
     }
     assert_all_allowed(&audit(&ctx, &w, &cfg));

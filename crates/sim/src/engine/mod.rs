@@ -296,7 +296,7 @@ impl<'o> Simulation<'o> {
 fn seeded(cluster: ClusterConfig, workload: Workload, cfg: SimConfig, ticks: bool) -> SimState {
     let mut state = SimState::new(cluster, workload, cfg);
     state.tracker_ticks = ticks;
-    for job in &state.workload.jobs {
+    for job in state.workload.jobs.iter() {
         let arrival = SimTime::from_secs(job.arrival);
         state.queue.push(arrival, EventKind::JobArrival(job.id));
     }

@@ -55,7 +55,6 @@ mod greedy;
 mod index;
 mod journal;
 mod outcome;
-mod pool;
 pub mod probe; // `perfbench` names `tetris_sim::probe::{ColdPassProbe, …}`.
 mod recovery;
 mod sharded;
@@ -73,7 +72,6 @@ pub use greedy::GreedyFifo;
 pub use index::IndexStatsSnapshot;
 pub use journal::{Journal, JournalError, JournalStats};
 pub use outcome::{EngineStats, JobRecord, MachineSample, Sample, SimOutcome, TaskRecord};
-pub use pool::{pool_map, pool_map_prioritized};
 pub use recovery::{Recovered, RecoveryError, RecoveryStats, RunResult};
 pub use sharded::{ShardedScheduler, ShardedStats};
 pub use state::{PlacementPlan, SHUFFLE_SHARE_MARGIN};

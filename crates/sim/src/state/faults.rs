@@ -195,7 +195,7 @@ impl SimState {
                 // placement treats the dead machine as its (only) source.
                 continue;
             }
-            self.blocks[bi].remove(pos);
+            self.blocks.remove(bi, pos);
             if !self.cfg.faults.evacuate {
                 continue;
             }
@@ -213,8 +213,7 @@ impl SimState {
             }
             let src = sources[self.rng.gen_range(0..sources.len())];
             let dest = dests[self.rng.gen_range(0..dests.len())];
-            self.blocks[bi].push(dest);
-            self.blocks[bi].sort_unstable();
+            self.blocks.insert(bi, dest);
 
             // One transfer at a time: the k-th evacuated block starts
             // after the previous one finishes.
@@ -551,7 +550,7 @@ mod tests {
         cfg.faults.restart_backoff = 0.0;
         let mut st = SimState::new(cluster, one_reader(100.0 * MB), cfg);
         st.job_arrives(JobId(0));
-        let replicas = st.blocks[0].clone();
+        let replicas = st.blocks[0].to_vec();
         let host = (0..4)
             .map(MachineId)
             .find(|m| !replicas.contains(m))
@@ -598,5 +597,40 @@ mod tests {
         assert_eq!(rep.evacuations, 0);
         assert_eq!(st.blocks[0], vec![only]);
         assert!(st.dynamic_loads.is_empty());
+    }
+
+    #[test]
+    fn evacuation_keeps_every_block_ascending_within_its_replication() {
+        // 300 blocks, three replicas each on six machines; machines crash
+        // one after another and none recovers. After every crash each
+        // block is strictly ascending with one to three replicas, and a
+        // down machine is left only as a block's sole replica.
+        for evacuate in [true, false] {
+            let mut w = one_task_workload(1.0, 1.0);
+            w.num_blocks = 300;
+            let cluster = ClusterConfig::uniform(6, MachineSpec::paper_small());
+            let mut cfg = SimConfig::default();
+            cfg.replication = 3;
+            cfg.faults.evacuate = evacuate;
+            let mut st = SimState::new(cluster, w, cfg);
+            let mut sole_kept = 0;
+            for m in 0..6 {
+                st.machine_crash(MachineId(m));
+                assert_eq!(st.blocks.len(), 300);
+                for reps in st.blocks.iter() {
+                    let case = format!("evacuate {evacuate}, after crash {m}: {reps:?}");
+                    assert!(reps.windows(2).all(|p| p[0] < p[1]), "{case}");
+                    assert!((1..=3).contains(&reps.len()), "{case}");
+                    if reps.iter().any(|r| st.machines[r.index()].down) {
+                        assert_eq!(reps.len(), 1, "{case}");
+                        sole_kept += 1;
+                    }
+                }
+            }
+            assert!(
+                sole_kept > 0,
+                "evacuate {evacuate}: some block lost all but one"
+            );
+        }
     }
 }

@@ -60,19 +60,14 @@ impl SimState {
             return;
         }
         stage.unlocked = true;
-        let uids: Vec<TaskUid> = self.workload.jobs[ji].stages[si]
-            .tasks
-            .iter()
-            .map(|t| t.uid)
-            .collect();
+        stage.pending = std::mem::take(&mut stage.locked);
         let now = self.now;
-        for &uid in &uids {
+        for &uid in &stage.pending {
             let t = &mut self.tasks[uid.index()];
             t.phase = Phase::Runnable;
             t.runnable_since = Some(now);
         }
-        self.pending_total += uids.len();
-        self.jobs[ji].stages[si].pending = uids;
+        self.pending_total += stage.pending.len();
     }
 
     /// Check an assignment is applicable: the task is pending/runnable and
@@ -346,6 +341,7 @@ impl SimState {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{mk_state, one_task_workload, params};
+    use super::super::Replicas;
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::config::SimConfig;
@@ -472,7 +468,7 @@ mod tests {
             b.add_stage(j, "s", vec![], 1, |_| params(1.0, 10.0, inputs.clone()));
             let cluster = ClusterConfig::uniform(3, MachineSpec::paper_small());
             let mut st = SimState::new(cluster, b.finish(), SimConfig::default());
-            st.blocks = vec![vec![MachineId(0)], vec![MachineId(1)]];
+            st.blocks = Replicas::from_lists(&[&[MachineId(0)], &[MachineId(1)]]);
             st.job_arrives(JobId(0));
             st.apply_assignment(TaskUid(0), MachineId(0));
             st.recompute_dirty();

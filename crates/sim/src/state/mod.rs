@@ -37,10 +37,12 @@ mod faults;
 mod lifecycle;
 mod network;
 mod plan;
+mod replicas;
 
 pub(crate) use lifecycle::TaskCompletion;
 use network::DirtySet;
 pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
+use replicas::Replicas;
 
 /// The source of every epoch value, shared by all states in the process:
 /// no two bumps anywhere yield the same value, so a policy carried from
@@ -51,22 +53,6 @@ static EPOCHS: AtomicU64 = AtomicU64::new(0);
 
 fn next_epoch() -> u64 {
     EPOCHS.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// One block's replica machines, ascending: uniform draws until
-/// `replication` distinct machines came up, a repeat drawn again.
-/// `replication` is a handful, so the linear repeat test beats a set,
-/// and the list is the block's only allocation.
-fn bind_replicas(rng: &mut StdRng, n_machines: usize, replication: usize) -> Vec<MachineId> {
-    let mut reps = Vec::with_capacity(replication);
-    while reps.len() < replication {
-        let m = MachineId(rng.gen_range(0..n_machines));
-        if !reps.contains(&m) {
-            reps.push(m);
-        }
-    }
-    reps.sort_unstable();
-    reps
 }
 
 /// One unit of schedulable work in flight.
@@ -206,6 +192,10 @@ pub(crate) struct TaskState {
 #[derive(Debug, Clone)]
 pub(crate) struct StageState {
     pub unlocked: bool,
+    /// The stage's task uids while it is locked, in spec order: filled
+    /// where `SimState::new` indexes the specs, and moved into `pending`
+    /// when the stage unlocks (empty from then on).
+    pub locked: Vec<TaskUid>,
     pub pending: Vec<TaskUid>,
     pub running: usize,
     pub finished: usize,
@@ -261,8 +251,8 @@ pub(crate) struct SimState {
     /// Length of every stage's pending list together, moved wherever one
     /// is filled, pushed or drained: [`SimState::num_pending`].
     pending_total: usize,
-    /// Block id → replica machines.
-    pub blocks: Vec<Vec<MachineId>>,
+    /// Block id → replica machines, ascending.
+    pub blocks: Replicas,
     pub flows: Vec<Flow>,
     pub jobs_remaining: usize,
     pub total_capacity: ResourceVec,
@@ -343,9 +333,9 @@ impl SimState {
 
         // Bind stored blocks to replica machines.
         let replication = cfg.replication.min(n_machines);
-        let blocks = (0..workload.num_blocks)
-            .map(|_| bind_replicas(&mut rng, n_machines, replication))
-            .collect();
+        let blocks = Replicas::bind(workload.num_blocks, replication, || {
+            MachineId(rng.gen_range(0..n_machines))
+        });
 
         // Index tasks and initialize job/stage state.
         let n_tasks = workload.num_tasks();
@@ -355,12 +345,15 @@ impl SimState {
         for (ji, job) in workload.jobs.iter().enumerate() {
             let mut stages = Vec::with_capacity(job.stages.len());
             for (si, stage) in job.stages.iter().enumerate() {
+                let mut locked = Vec::with_capacity(stage.tasks.len());
                 for (ti, t) in stage.tasks.iter().enumerate() {
                     task_loc[t.uid.index()] = [narrow(ji), narrow(si), narrow(ti)];
+                    locked.push(t.uid);
                 }
                 let feeds_downstream = job.stages.iter().any(|s2| s2.deps.contains(&si));
                 stages.push(StageState {
                     unlocked: false,
+                    locked,
                     pending: Vec::new(),
                     running: 0,
                     finished: 0,

@@ -517,7 +517,7 @@ mod tests {
         let total: f64 = outs.iter().sum();
         let tied = |bytes: f64| x * (bytes / total) == x.next_up() * (bytes / total);
         let bytes = (1..10_000).map(|k| k as f64 * 1e3).find(|&b| tied(b));
-        w.jobs[0].stages[1].tasks[0].inputs = shuffle(bytes.expect("a frac that ties them"));
+        w.jobs_mut()[0].stages[1].tasks[0].inputs = shuffle(bytes.expect("a frac that ties them"));
         let mut cfg = SimConfig::default();
         cfg.shuffle_fanin = 3;
         let mut st = SimState::new(
@@ -558,7 +558,7 @@ mod tests {
         // the plan sorts sources by bytes — `partial_cmp().unwrap()`
         // panicked on the NaN here.
         let (mut w, cfg) = eight_block_reader();
-        w.jobs[0].stages[0].tasks[0].inputs[2].bytes = f64::NAN;
+        w.jobs_mut()[0].stages[0].tasks[0].inputs[2].bytes = f64::NAN;
         let refused = tetris_workload::ValidationError::BadInputBytes(TaskUid(0));
         assert_eq!(w.validate(), Err(refused));
         let st = arrived(16, w, cfg);

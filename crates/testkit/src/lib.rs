@@ -244,7 +244,7 @@ impl Scenario {
     /// Every job arrives in the first five seconds: high priorities queue
     /// behind low ones, and evict them where preemption is on.
     pub fn saturated(mut self) -> Scenario {
-        for j in &mut self.workload.jobs {
+        for j in self.workload.jobs_mut() {
             j.arrival /= 12.0;
         }
         self

@@ -149,7 +149,7 @@ impl DemandDiversity {
 pub fn within_stage_cov(w: &Workload) -> [f64; 4] {
     let mut acc = [0.0f64; 4];
     let mut weight = 0.0f64;
-    for job in &w.jobs {
+    for job in w.jobs.iter() {
         for stage in &job.stages {
             if stage.tasks.len() < 2 {
                 continue;

@@ -11,6 +11,7 @@
 //! trace-tool report  ts.jsonl [--csv ts.csv]  # telemetry series summary
 //! ```
 
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 
 use tetris_obs::{
@@ -39,6 +40,30 @@ fn main() {
             exit(2);
         }
     }
+}
+
+/// Every line the tool prints goes through here. A reader that closed
+/// early (`trace-tool report ts.jsonl | head`) ends the run cleanly with
+/// exit 0: nobody reads the rest. Any other write error is exit 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -95,7 +120,7 @@ fn generate(args: &[String]) {
     s.row("jobs", w.jobs.len())
         .row("tasks", w.num_tasks())
         .row("provenance", provenance);
-    print!("{s}");
+    out!("{s}");
 }
 
 fn load(args: &[String]) -> (String, Workload, String) {
@@ -124,18 +149,18 @@ fn info(args: &[String]) {
         .row("stages", stages)
         .row("recurring jobs", recurring)
         .row("arrival horizon", format!("{horizon:.0}s"));
-    print!("{s}");
+    out!("{s}");
 }
 
 fn analyze(args: &[String]) {
     let (_, w, _) = load(args);
-    println!("== demand correlation (Table 2) ==");
+    outln!("== demand correlation (Table 2) ==");
     let m = CorrelationMatrix::compute(&w);
-    println!("{}", m.render());
-    println!("== demand diversity (Figure 2) ==");
-    println!("{}", DemandDiversity::compute(&w).render());
-    println!("== cores vs memory heat-map ==");
-    println!("{}", Heatmap::compute(&w, 1, 20).render());
+    outln!("{}", m.render());
+    outln!("== demand diversity (Figure 2) ==");
+    outln!("{}", DemandDiversity::compute(&w).render());
+    outln!("== cores vs memory heat-map ==");
+    outln!("{}", Heatmap::compute(&w, 1, 20).render());
 }
 
 /// Parse a decision-trace JSONL file into trace records. Exits 1 on
@@ -198,11 +223,11 @@ fn explain(args: &[String]) {
             } if matches_filter(*job, *task) => {
                 shown += 1;
                 let prio = priority.map_or(String::new(), |p| format!(" priority=p{p}"));
-                println!(
+                outln!(
                     "t={:.2} job={job} task={task} PLACED on machine {machine}{prio}",
                     r.t
                 );
-                println!(
+                outln!(
                     "  scores: alignment={} srtf={} combined={} considered_machines={}",
                     fmt_opt(*alignment_score),
                     fmt_opt(*srtf_score),
@@ -211,19 +236,22 @@ fn explain(args: &[String]) {
                 );
                 match provenance {
                     Some(p) => {
-                        println!(
+                        outln!(
                             "  incremental: cache_hits={} cache_rebuilds={} \
                              cache_flushed={} (off, or replicas moved) \
                              dirty_jobs={} (job epoch moved)",
-                            p.cache_hits, p.cache_rebuilds, p.cache_flushed, p.dirty_jobs
+                            p.cache_hits,
+                            p.cache_rebuilds,
+                            p.cache_flushed,
+                            p.dirty_jobs
                         );
-                        println!(
+                        outln!(
                             "  candidates scored on this machine: {} ({} rejected shown)",
                             p.candidates,
                             p.rejected.len()
                         );
                         for (i, c) in p.rejected.iter().enumerate() {
-                            println!(
+                            outln!(
                                 "    rejected #{}: job={} task={} alignment={} srtf={} score={:.4}",
                                 i + 1,
                                 c.job,
@@ -235,7 +263,7 @@ fn explain(args: &[String]) {
                         }
                     }
                     None => {
-                        println!("  (no provenance in this trace — record it with --trace-verbose)")
+                        outln!("  (no provenance in this trace — record it with --trace-verbose)")
                     }
                 }
             }
@@ -249,7 +277,7 @@ fn explain(args: &[String]) {
             } if matches_filter(*job, *task) => {
                 let prio = priority.map_or(String::new(), |p| format!(" priority=p{p}"));
                 let by = preempted_by.map_or(String::new(), |t| format!(" preempted_by=task {t}"));
-                println!(
+                outln!(
                     "t={:.2} job={job} task={task} PREEMPTED from machine {machine} \
                      ({reason}){prio}{by}",
                     r.t
@@ -261,7 +289,7 @@ fn explain(args: &[String]) {
                 machine,
                 attempts,
             } if matches_filter(*job, *task) => {
-                println!(
+                outln!(
                     "t={:.2} job={job} task={task} COMPLETED on machine {machine} \
                      (attempts={attempts})",
                     r.t
@@ -272,7 +300,7 @@ fn explain(args: &[String]) {
                 task,
                 attempts,
             } if matches_filter(*job, *task) => {
-                println!(
+                outln!(
                     "t={:.2} job={job} task={task} ABANDONED after {attempts} attempts",
                     r.t
                 );
@@ -318,15 +346,23 @@ fn report(args: &[String]) {
         exit(1);
     }
 
-    println!("== telemetry summary ({path}) ==");
-    print!("{}", SeriesSummary::compute(&samples).render());
+    outln!("== telemetry summary ({path}) ==");
+    out!("{}", SeriesSummary::compute(&samples).render());
 
     // Downsampled curve table: at most 20 evenly spaced rows, always
     // including the last sample, so a long run still fits a terminal.
-    println!();
-    println!(
+    outln!();
+    outln!(
         "{:>10} {:>9} {:>9} {:>6} {:>8} {:>8} {:>8} {:>8} {:>5}",
-        "t", "max_alloc", "max_usage", "frag", "pack_eff", "pending", "running", "suspect", "down"
+        "t",
+        "max_alloc",
+        "max_usage",
+        "frag",
+        "pack_eff",
+        "pending",
+        "running",
+        "suspect",
+        "down"
     );
     let step = samples.len().div_ceil(20).max(1);
     let rows = samples
@@ -338,7 +374,7 @@ fn report(args: &[String]) {
             None
         });
     for s in rows {
-        println!(
+        outln!(
             "{:>10.2} {:>9.4} {:>9.4} {:>6.3} {:>8.4} {:>8} {:>8} {:>8} {:>5}",
             s.t,
             s.alloc.max(),
@@ -364,6 +400,6 @@ fn report(args: &[String]) {
             eprintln!("cannot write {csv_path}: {e}");
             exit(1);
         });
-        println!("\ncsv -> {csv_path}");
+        outln!("\ncsv -> {csv_path}");
     }
 }

@@ -230,7 +230,7 @@ impl WorkloadBuilder {
     /// not an input-validation path.
     pub fn finish(self) -> Workload {
         let w = Workload {
-            jobs: self.jobs,
+            jobs: self.jobs.into(),
             num_blocks: self.next_block,
         };
         if let Err(e) = w.validate() {

@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(w.jobs[0].stages[0].len(), 18);
         assert_eq!(w.jobs[1].stages[0].len(), 6);
         assert_eq!(w.jobs[2].stages[0].len(), 6);
-        for j in &w.jobs {
+        for j in w.jobs.iter() {
             assert_eq!(j.stages[1].len(), 3);
         }
     }
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn fig1_shuffle_volume_conserved() {
         let ex = motivating_example(10.0);
-        for j in &ex.workload.jobs {
+        for j in ex.workload.jobs.iter() {
             let map_out: f64 = j.stages[0].tasks.iter().map(|t| t.output_bytes).sum();
             let red_in: f64 = j.stages[1].tasks.iter().map(|t| t.input_bytes()).sum();
             assert!((map_out - red_in).abs() < 1.0);

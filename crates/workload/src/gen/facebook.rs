@@ -344,7 +344,7 @@ mod tests {
         let w = small().generate(3);
         use std::collections::HashMap;
         let mut by_family: HashMap<&str, Vec<&crate::JobSpec>> = HashMap::new();
-        for j in &w.jobs {
+        for j in w.jobs.iter() {
             if let Some(f) = &j.family {
                 by_family.entry(f).or_default().push(j);
             }

@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn jobs_are_two_stage_mapreduce() {
         let w = WorkloadSuiteConfig::small().generate(3);
-        for j in &w.jobs {
+        for j in w.jobs.iter() {
             assert_eq!(j.stages.len(), 2);
             assert_eq!(j.stages[0].name, "map");
             assert_eq!(j.stages[1].deps, vec![0]);
@@ -309,7 +309,7 @@ mod tests {
     fn arrivals_within_horizon() {
         let cfg = WorkloadSuiteConfig::small();
         let w = cfg.generate(9);
-        for j in &w.jobs {
+        for j in w.jobs.iter() {
             assert!(j.arrival >= 0.0 && j.arrival < cfg.arrival_horizon);
         }
     }
@@ -318,7 +318,7 @@ mod tests {
     fn shuffle_bytes_conserved() {
         // Total reduce input equals total map output per job.
         let w = WorkloadSuiteConfig::small().generate(5);
-        for j in &w.jobs {
+        for j in w.jobs.iter() {
             let map_out: f64 = j.stages[0].tasks.iter().map(|t| t.output_bytes).sum();
             let red_in: f64 = j.stages[1].tasks.iter().map(|t| t.input_bytes()).sum();
             assert!(

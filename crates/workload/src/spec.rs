@@ -1,6 +1,7 @@
 //! Machine-independent workload descriptions: tasks, stages, jobs, DAGs.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tetris_resources::{Resource, ResourceVec};
 
@@ -348,10 +349,16 @@ impl JobSpec {
 
 /// A complete workload: jobs plus the universe of stored data blocks their
 /// map tasks read.
+///
+/// The job table is shared: a clone bumps a reference count, so every
+/// simulation state and probe bound to one workload reads one copy of
+/// it. Build a table as a `Vec` and convert it (`vec.into()`); change
+/// one through [`Workload::jobs_mut`], which copies it first if another
+/// workload still shares it.
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct Workload {
     /// Jobs, indexed by [`JobId`].
-    pub jobs: Vec<JobSpec>,
+    pub jobs: Arc<[JobSpec]>,
     /// Number of distinct stored blocks referenced by `Stored` inputs.
     /// Block → machine replica placement happens at simulation bind time.
     pub num_blocks: usize,
@@ -471,6 +478,12 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 impl Workload {
+    /// The job table, writable: copied first if another workload shares
+    /// it ([`Arc::make_mut`]), so no clone sees the change.
+    pub fn jobs_mut(&mut self) -> &mut [JobSpec] {
+        Arc::make_mut(&mut self.jobs)
+    }
+
     /// Total number of tasks across all jobs.
     pub fn num_tasks(&self) -> usize {
         self.jobs.iter().map(|j| j.num_tasks()).sum()
@@ -606,7 +619,7 @@ impl Workload {
     /// is bound to a concrete cluster.
     pub fn validate_for_cluster(&self, machines: usize) -> Result<(), ValidationError> {
         self.validate()?;
-        for job in &self.jobs {
+        for job in self.jobs.iter() {
             if let Some(spread) = job.constraints.spread {
                 if spread > machines {
                     return Err(ValidationError::SpreadExceedsMachines {
@@ -672,7 +685,8 @@ mod tests {
                 priority: PriorityClass::default(),
                 constraints: PlacementConstraints::none(),
                 stages: vec![map, reduce],
-            }],
+            }]
+            .into(),
             num_blocks: 1,
         }
     }
@@ -696,6 +710,47 @@ mod tests {
         assert!((t.ideal_duration() - 4.0).abs() < 1e-9);
     }
 
+    /// `simple_workload()`'s wire bytes as a `Vec` job table wrote them:
+    /// sharing the table changes no byte of a trace file.
+    const SIMPLE_WORKLOAD_JSON: &str = concat!(
+        r#"{"jobs":[{"id":0,"name":"job0","family":null,"arrival":0.0,"class":"Batch","#,
+        r#""priority":0,"constraints":{"affinity":[],"anti_affinity":[],"spread":null,"#,
+        r#""tolerations":0},"stages":[{"name":"map","deps":[],"tasks":[{"uid":0,"job":0,"#,
+        r#""stage":0,"index":0,"demand":[1.0,2000000000.0,50000000.0,50000000.0,0.0,0.0],"#,
+        r#""cpu_work":30.0,"output_bytes":100000000.0,"inputs":[{"source":{"Stored":0},"#,
+        r#""bytes":200000000.0}]},{"uid":1,"job":0,"stage":0,"index":1,"demand":[1.0,"#,
+        r#"2000000000.0,50000000.0,50000000.0,0.0,0.0],"cpu_work":30.0,"output_bytes":"#,
+        r#"100000000.0,"inputs":[{"source":{"Stored":0},"bytes":200000000.0}]}]},{"name":"#,
+        r#""reduce","deps":[0],"tasks":[{"uid":2,"job":0,"stage":1,"index":0,"demand":[1.0,"#,
+        r#"2000000000.0,50000000.0,50000000.0,0.0,0.0],"cpu_work":30.0,"output_bytes":"#,
+        r#"100000000.0,"inputs":[{"source":{"Shuffle":{"stage":0}},"bytes":150000000.0}]}]}]}],"#,
+        r#""num_blocks":1}"#,
+    );
+
+    #[test]
+    fn the_job_table_encodes_as_before_and_reads_back() {
+        let w = simple_workload();
+        assert_eq!(serde_json::to_string(&w).unwrap(), SIMPLE_WORKLOAD_JSON);
+        let back: Workload = serde_json::from_str(SIMPLE_WORKLOAD_JSON).unwrap();
+        assert_eq!(back, w);
+    }
+
+    #[test]
+    fn a_clone_shares_the_job_table_and_a_write_copies_it() {
+        let w = simple_workload();
+        let mut c = w.clone();
+        assert!(Arc::ptr_eq(&w.jobs, &c.jobs), "a clone is a reference");
+        c.jobs_mut()[0].arrival = 5.0;
+        assert!(!Arc::ptr_eq(&w.jobs, &c.jobs), "the write copied first");
+        assert_eq!(w.jobs[0].arrival, 0.0, "the original is untouched");
+        assert_eq!(c.jobs[0].arrival, 5.0);
+        // Now the clone's own: a second write lands in place.
+        let table = Arc::as_ptr(&c.jobs);
+        c.jobs_mut()[0].arrival = 6.0;
+        assert_eq!(Arc::as_ptr(&c.jobs), table);
+        assert_eq!(c.jobs[0].arrival, 6.0);
+    }
+
     #[test]
     fn counts() {
         let w = simple_workload();
@@ -708,7 +763,7 @@ mod tests {
     #[test]
     fn detects_duplicate_uid() {
         let mut w = simple_workload();
-        w.jobs[0].stages[0].tasks[1].uid = TaskUid(0);
+        w.jobs_mut()[0].stages[0].tasks[1].uid = TaskUid(0);
         assert!(matches!(
             w.validate(),
             Err(ValidationError::BadTaskIdentity(_))
@@ -718,7 +773,7 @@ mod tests {
     #[test]
     fn detects_forward_dep() {
         let mut w = simple_workload();
-        w.jobs[0].stages[1].deps = vec![1];
+        w.jobs_mut()[0].stages[1].deps = vec![1];
         assert!(matches!(
             w.validate(),
             Err(ValidationError::BadStageDep { .. })
@@ -728,7 +783,7 @@ mod tests {
     #[test]
     fn detects_shuffle_from_non_dep() {
         let mut w = simple_workload();
-        w.jobs[0].stages[1].deps = vec![];
+        w.jobs_mut()[0].stages[1].deps = vec![];
         assert!(matches!(
             w.validate(),
             Err(ValidationError::ShuffleNotADep { .. })
@@ -748,7 +803,7 @@ mod tests {
     #[test]
     fn detects_work_without_demand() {
         let mut w = simple_workload();
-        w.jobs[0].stages[0].tasks[0]
+        w.jobs_mut()[0].stages[0].tasks[0]
             .demand
             .set(Resource::DiskWrite, 0.0);
         assert!(matches!(
@@ -763,7 +818,9 @@ mod tests {
     #[test]
     fn detects_negative_demand() {
         let mut w = simple_workload();
-        w.jobs[0].stages[0].tasks[0].demand.set(Resource::Cpu, -1.0);
+        w.jobs_mut()[0].stages[0].tasks[0]
+            .demand
+            .set(Resource::Cpu, -1.0);
         assert!(matches!(w.validate(), Err(ValidationError::BadDemand(_))));
     }
 
@@ -771,7 +828,7 @@ mod tests {
     fn detects_bad_input_bytes() {
         for bad in [f64::NAN, -1.0, f64::INFINITY] {
             let mut w = simple_workload();
-            w.jobs[0].stages[0].tasks[0].inputs[0].bytes = bad;
+            w.jobs_mut()[0].stages[0].tasks[0].inputs[0].bytes = bad;
             assert_eq!(
                 w.validate(),
                 Err(ValidationError::BadInputBytes(TaskUid(0))),
@@ -779,35 +836,35 @@ mod tests {
             );
         }
         let mut w = simple_workload();
-        w.jobs[0].stages[0].tasks[0].inputs[0].bytes = 0.0;
+        w.jobs_mut()[0].stages[0].tasks[0].inputs[0].bytes = 0.0;
         assert_eq!(w.validate(), Ok(()));
     }
 
     #[test]
     fn detects_empty_stage() {
         let mut w = simple_workload();
-        w.jobs[0].stages[0].tasks.clear();
+        w.jobs_mut()[0].stages[0].tasks.clear();
         assert!(matches!(w.validate(), Err(ValidationError::Empty(_))));
     }
 
     #[test]
     fn detects_bad_arrival() {
         let mut w = simple_workload();
-        w.jobs[0].arrival = -1.0;
+        w.jobs_mut()[0].arrival = -1.0;
         assert!(matches!(w.validate(), Err(ValidationError::BadArrival(_))));
     }
 
     #[test]
     fn detects_bad_priority() {
         let mut w = simple_workload();
-        w.jobs[0].priority = PriorityClass(PriorityClass::MAX.0 + 1);
+        w.jobs_mut()[0].priority = PriorityClass(PriorityClass::MAX.0 + 1);
         assert!(matches!(w.validate(), Err(ValidationError::BadPriority(_))));
     }
 
     #[test]
     fn detects_bad_slo() {
         let mut w = simple_workload();
-        w.jobs[0].class = JobClass::Service {
+        w.jobs_mut()[0].class = JobClass::Service {
             slo_latency: 0.0,
             diurnal_curve: DiurnalCurve::flat(),
         };
@@ -831,7 +888,7 @@ mod tests {
                 points: vec![1.0, -0.5],
             },
         ] {
-            w.jobs[0].class = JobClass::Service {
+            w.jobs_mut()[0].class = JobClass::Service {
                 slo_latency: 5.0,
                 diurnal_curve: curve,
             };
@@ -842,7 +899,7 @@ mod tests {
     #[test]
     fn detects_zero_spread() {
         let mut w = simple_workload();
-        w.jobs[0].constraints.spread = Some(0);
+        w.jobs_mut()[0].constraints.spread = Some(0);
         assert!(matches!(w.validate(), Err(ValidationError::BadSpread(_))));
     }
 
@@ -850,14 +907,14 @@ mod tests {
     fn detects_bad_constraint_target() {
         let mut w = simple_workload();
         // Unknown job.
-        w.jobs[0].constraints.anti_affinity = vec![JobId(7)];
+        w.jobs_mut()[0].constraints.anti_affinity = vec![JobId(7)];
         assert!(matches!(
             w.validate(),
             Err(ValidationError::BadConstraintJob { .. })
         ));
         // Self-reference.
-        w.jobs[0].constraints.anti_affinity.clear();
-        w.jobs[0].constraints.affinity = vec![JobId(0)];
+        w.jobs_mut()[0].constraints.anti_affinity.clear();
+        w.jobs_mut()[0].constraints.affinity = vec![JobId(0)];
         assert!(matches!(
             w.validate(),
             Err(ValidationError::BadConstraintJob { .. })
@@ -867,7 +924,7 @@ mod tests {
     #[test]
     fn spread_checked_against_cluster() {
         let mut w = simple_workload();
-        w.jobs[0].constraints.spread = Some(5);
+        w.jobs_mut()[0].constraints.spread = Some(5);
         assert_eq!(w.validate(), Ok(()));
         assert!(matches!(
             w.validate_for_cluster(3),
@@ -883,15 +940,15 @@ mod tests {
     #[test]
     fn valid_service_job_passes() {
         let mut w = simple_workload();
-        w.jobs[0].class = JobClass::Service {
+        w.jobs_mut()[0].class = JobClass::Service {
             slo_latency: 10.0,
             diurnal_curve: DiurnalCurve {
                 period: 3600.0,
                 points: vec![0.2, 1.0, 0.6],
             },
         };
-        w.jobs[0].priority = PriorityClass::SERVICE;
-        w.jobs[0].constraints = PlacementConstraints::none().with_spread(2);
+        w.jobs_mut()[0].priority = PriorityClass::SERVICE;
+        w.jobs_mut()[0].constraints = PlacementConstraints::none().with_spread(2);
         assert_eq!(w.validate(), Ok(()));
         assert!(w.jobs[0].class.is_service());
         assert_eq!(w.jobs[0].class.slo_latency(), Some(10.0));

@@ -159,7 +159,7 @@ mod tests {
     fn rejects_invalid_workload() {
         let mut w = WorkloadSuiteConfig::small().generate(6);
         let s = {
-            w.jobs[0].arrival = -5.0;
+            w.jobs_mut()[0].arrival = -5.0;
             let tf = TraceFile {
                 version: TRACE_VERSION,
                 provenance: String::new(),
@@ -176,7 +176,7 @@ mod tests {
     fn rejects_sparse_task_uids() {
         let mut w = WorkloadSuiteConfig::scaled(4, 0.05).generate(42);
         let n = w.num_tasks();
-        let last = w.jobs.last_mut().unwrap().stages.last_mut().unwrap();
+        let last = w.jobs_mut().last_mut().unwrap().stages.last_mut().unwrap();
         last.tasks.last_mut().unwrap().uid = TaskUid(n + 7);
         let tf = TraceFile {
             version: TRACE_VERSION,

@@ -54,3 +54,39 @@ fn hostile_nesting_in_a_trace_file_is_a_json_error() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("trace json error"), "{stderr}");
 }
+
+/// A reader that stops early (`trace-tool report ts.jsonl | head`) is no
+/// error of the tool's: the write that finds the pipe closed ends the run
+/// with exit code 0, not a panic.
+#[test]
+fn a_reader_that_closes_early_is_a_clean_exit() {
+    let sample = tetris_obs::TelemetrySample {
+        t: 1.0,
+        alloc: Default::default(),
+        usage: Default::default(),
+        fragmentation: 0.0,
+        packing_efficiency: 1.0,
+        pending_tasks: 3,
+        running_tasks: 2,
+        abandoned_tasks: 0,
+        suspect_machines: 0,
+        down_machines: 0,
+    };
+    let line = serde_json::to_string(&sample).expect("a sample serializes");
+    let path = std::env::temp_dir().join(format!("tetris-ts-{}.jsonl", std::process::id()));
+    std::fs::write(&path, format!("{line}\n")).expect("temp file writes");
+    // The read end is closed before the tool starts, so its first write
+    // finds no reader.
+    let (reader, writer) = std::io::pipe().expect("a pipe opens");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_trace-tool"))
+        .arg("report")
+        .arg(&path)
+        .stdout(writer)
+        .output()
+        .expect("trace-tool runs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -112,8 +112,8 @@ target/release/reproduce --timeseries "$tmp/ts2.jsonl" --scale 0.1 >/dev/null
 cmp -s "$tmp/ts1.jsonl" "$tmp/ts2.jsonl" \
   || { echo "telemetry stream is not deterministic across runs"; exit 1; }
 # explain reconstructs a placement story from the verbose trace. (Write
-# to a file before grepping: `| grep -q` exits at first match and the
-# closed pipe would SIGPIPE the tool, which pipefail reads as failure.)
+# to a file before grepping: `| grep -q` exits at first match, and the
+# tool, which then ends at its next write, would not run to completion.)
 task="$(grep -m1 '"rejected":\[{' "$tmp/verbose.jsonl" \
   | sed 's/.*"TaskPlaced":{"job":[0-9]*,"task":\([0-9]*\).*/\1/')"
 target/release/trace-tool explain "$tmp/verbose.jsonl" --task "$task" > "$tmp/explain.txt"
@@ -197,12 +197,13 @@ if grep -nE 'SimState|RefCell|Mutex|RwLock|UnsafeCell|Atomic[UIB]|unsafe' \
   echo "sharded driver can mutate shared state from a worker"; exit 1
 fi
 
-echo "== grep gate: shards run inline, on the calling thread =="
+echo "== grep gate: the simulator runs on the calling thread =="
 # A shard's pass is timed on its own and the round's critical path is the
 # slowest pass plus the commit (DESIGN.md 14), so threads buy nothing
-# that this simulator measures.
-if grep -nE 'pool_map|std::thread' crates/sim/src/sharded.rs; then
-  echo "sharded scheduler spawns threads"; exit 1
+# that this simulator measures. The one thread pool is the experiment
+# runner's (crates/expts/src/pool.rs).
+if grep -rnE 'pool_map|std::thread' crates/sim/src; then
+  echo "the simulator spawns threads"; exit 1
 fi
 
 echo "== recovery smoke (re-execution against the WAL) =="

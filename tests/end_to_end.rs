@@ -54,7 +54,7 @@ fn headline_tetris_beats_slot_and_drf_schedulers() {
 #[test]
 fn makespan_gains_with_all_jobs_at_time_zero() {
     let mut w = suite(3);
-    for j in &mut w.jobs {
+    for j in w.jobs_mut() {
         j.arrival = 0.0;
     }
     let tetris = run(
