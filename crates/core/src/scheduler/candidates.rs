@@ -102,6 +102,11 @@ pub(super) struct IncState {
     /// The rebuild slot of cache-off calls: growing `cache` to the highest
     /// job id for entries that are never reused would be pure allocation.
     cold: JobCache,
+    /// Each blocked head's all-remote demands at its sources, planned at
+    /// replica epoch `kept_at`: a function of the task, its replicas and
+    /// its upstream stages' final output maps (DESIGN.md §9).
+    pub(super) kept: std::collections::HashMap<TaskUid, Vec<(MachineId, ResourceVec)>>,
+    pub(super) kept_at: u64,
 }
 
 /// This call's candidates and the buffers that build them.

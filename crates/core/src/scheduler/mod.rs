@@ -5,7 +5,8 @@
 //! the interface between them (DESIGN.md "The Tetris pass in layers").
 
 use tetris_sim::{
-    Assignment, ClusterView, MachineId, PlacementProvenance, SchedulerPolicy, WorkingLedger,
+    names, Assignment, ClusterView, MachineId, MetricsRegistry, PlacementProvenance,
+    SchedulerPolicy, WorkingLedger,
 };
 use tetris_workload::TaskUid;
 
@@ -162,6 +163,9 @@ pub struct TetrisScheduler {
     work: Worklist,
     /// What this call has charged and placed.
     ledger: WorkingLedger,
+    /// Memos set from kept demands, and machines skipped, since a drain.
+    kept_answers: u64,
+    walk_skips: u64,
     /// Every `(task, machine)` this call planned, for the memo's test.
     #[cfg(test)]
     planned: Vec<(TaskUid, MachineId)>,
@@ -195,6 +199,8 @@ impl TetrisScheduler {
             cands: CandidateSet::default(),
             work: Worklist::default(),
             ledger: WorkingLedger::new(!cfg.consider_io_dims),
+            kept_answers: 0,
+            walk_skips: 0,
             #[cfg(test)]
             planned: Vec::new(),
             name,
@@ -284,6 +290,14 @@ impl SchedulerPolicy for TetrisScheduler {
             out.push(pre);
         }
         out
+    }
+
+    fn drain_metrics(&mut self, metrics: &mut MetricsRegistry) {
+        let counts = [&mut self.kept_answers, &mut self.walk_skips].map(std::mem::take);
+        let names = [names::KEPT_PLAN_ANSWERS, names::WALK_SKIPPED];
+        for (name, n) in names.into_iter().zip(counts).filter(|&(_, n)| n > 0) {
+            metrics.counter_add(name, n);
+        }
     }
 }
 

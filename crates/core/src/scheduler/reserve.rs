@@ -36,9 +36,9 @@ impl TetrisScheduler {
             out.push(Assignment::new(starved, m));
             // Consume the matching candidate head if present so the task
             // is not double-placed this round.
-            for c in self.cands.list.iter_mut() {
-                if c.head(view) == Some(starved) {
-                    c.advance(view);
+            for ci in 0..self.cands.list.len() {
+                if self.cands.list[ci].head(view) == Some(starved) {
+                    self.advance(view, ci);
                 }
             }
             self.reservations.retain(|&(rm, _)| rm != m);

@@ -9,7 +9,7 @@ use tetris_sim::{
 };
 use tetris_workload::TaskUid;
 
-use super::bans::{blocked_memo, visible};
+use super::bans::{blocked_memo, visible, Blocked};
 use super::candidates::Candidate;
 use super::{PassRecord, TetrisConfig, TetrisScheduler};
 use crate::srtf::CombinedScorer;
@@ -40,6 +40,43 @@ pub(super) struct Worklist {
     fit: Vec<Fit>,
     /// The current machine-iteration's scores, kept under capture only.
     scored: Vec<Scored>,
+    /// What the memos leave the walk: how many live heads have none, and per
+    /// machine (the call that last counted it, memo-blocked heads that can
+    /// use it). A machine no head can use resets an empty fit list.
+    unblocked: usize,
+    domains: Vec<(u64, i32)>,
+    calls: u64,
+}
+
+impl Worklist {
+    /// True when no live head can use `m`.
+    fn skips(&self, m: MachineId) -> bool {
+        let (call, heads) = self.domains[m.index()];
+        self.unblocked == 0 && (call != self.calls || heads == 0)
+    }
+
+    /// Count candidate `c`, if it has a head and norms (is live), in (`add`)
+    /// or out as its memo stands: a memo-blocked head can use `s` for
+    /// `Source(s)`, the machines it reads input from for `Remote`.
+    fn count(&mut self, view: &ClusterView<'_>, c: &Candidate, add: bool) {
+        if !c.alive || c.norms_start == usize::MAX {
+            return;
+        }
+        let (call, d) = (self.calls, if add { 1 } else { -1 });
+        let mut bump = |m: MachineId| {
+            let e = &mut self.domains[m.index()];
+            *e = (call, if e.0 == call { e.1 + d } else { d });
+        };
+        match c.blocked {
+            Blocked::No if add => self.unblocked += 1,
+            Blocked::No => self.unblocked -= 1,
+            Blocked::Source(s) => bump(s),
+            Blocked::Remote => {
+                let head = c.head(view).expect("an alive candidate has a head");
+                view.input_hosts(head).for_each(bump);
+            }
+        }
+    }
 }
 
 /// One entry of a machine's fit list: what its scans read of a candidate
@@ -192,7 +229,8 @@ impl TetrisScheduler {
     /// one machine's loop its working availability only shrinks, and the
     /// rule, the memo and dead heads only ever exclude — `advance`, the
     /// one reset, touches only the candidate just placed, which stays
-    /// while its stage has a head.
+    /// while its stage has a head. The walk skips each machine that would
+    /// reset an empty list (`Worklist::skips`).
     pub(super) fn fill(&mut self, view: &ClusterView<'_>, pass: &PassRecord) -> Vec<Assignment> {
         let mut out = Vec::new();
         // Verbose tracing: attach provenance to each assignment. Capture
@@ -200,8 +238,18 @@ impl TetrisScheduler {
         let capture = view.capture_provenance();
         let io = self.cfg.consider_io_dims;
         let (min_cpu, min_mem) = self.work.floor;
+        self.begin_memos(view);
+        // Not while a machine is reserved (it is redeemed first), nor under
+        // capture, whose fit lists keep memo-blocked candidates.
+        let prune = !capture && self.reservations.is_empty();
         for i in 0..self.work.machines.len() {
             let m = self.work.machines[i];
+            if prune && self.work.skips(m) {
+                #[cfg(debug_assertions)]
+                self.assert_skippable(view, m);
+                self.walk_skips += 1;
+                continue;
+            }
             if self.redeem(view, m, &mut out) {
                 continue;
             }
@@ -262,7 +310,7 @@ impl TetrisScheduler {
                     assignment = assignment.with_provenance(prov);
                 }
                 out.push(assignment);
-                self.cands.list[ci].advance(view);
+                self.advance(view, ci);
                 // A stage with no head left leaves the list, and so does
                 // each of the job's candidates once the ledger's in-call
                 // spread rule has closed `m` to the job.
@@ -282,9 +330,58 @@ impl TetrisScheduler {
         out
     }
 
+    /// Start the call's memos: every live head is unblocked but one whose
+    /// kept demands (of this replica epoch) a source refuses now.
+    fn begin_memos(&mut self, view: &ClusterView<'_>) {
+        if self.inc.kept_at != view.replica_epoch() {
+            self.inc.kept_at = view.replica_epoch();
+            self.inc.kept.clear();
+        }
+        let (live, work) = (self.work.live.len(), &mut self.work);
+        let machines = view.num_machines().max(work.domains.len());
+        work.domains.resize(machines, (0, 0));
+        (work.calls, work.unblocked) = (work.calls + 1, live);
+        for i in 0..live {
+            self.kept_answers += u64::from(self.recall(view, self.work.live[i]));
+        }
+    }
+
+    /// Set candidate `ci`'s memo from its head's kept demands, if any: true
+    /// when it blocks. The one source of a memo, after or instead of a plan.
+    fn recall(&mut self, view: &ClusterView<'_>, ci: usize) -> bool {
+        if self.inc.kept.is_empty() {
+            return false;
+        }
+        let c = &mut self.cands.list[ci];
+        let Some(head) = c.head(view) else {
+            return false;
+        };
+        let Some(remote) = self.inc.kept.get(&head) else {
+            return false;
+        };
+        let memo = blocked_memo(&mut self.ledger, view, head, remote);
+        self.work.count(view, c, false);
+        c.blocked = memo;
+        self.work.count(view, c, true);
+        memo != Blocked::No
+    }
+
+    /// Move candidate `ci` past its placed head, and recall the next one's.
+    pub(super) fn advance(&mut self, view: &ClusterView<'_>, ci: usize) {
+        let (c, work) = (&mut self.cands.list[ci], &mut self.work);
+        if let Some(placed) = c.head(view).filter(|_| !self.inc.kept.is_empty()) {
+            self.inc.kept.remove(&placed);
+        }
+        work.count(view, c, false);
+        c.advance(view);
+        work.count(view, c, true);
+        self.kept_answers += u64::from(self.recall(view, ci));
+    }
+
     /// Plan candidate `ci`'s head `uid` on `m` and, if it fits, charge it.
     /// A plan that fails on a remote source, on a machine the head reads
-    /// nothing from, earns the head its `blocked` memo.
+    /// nothing from, earns the head its `blocked` memo, and its demands at
+    /// the sources are kept.
     fn place_head(
         &mut self,
         view: &ClusterView<'_>,
@@ -298,7 +395,10 @@ impl TetrisScheduler {
             Ok(()) => true,
             Err(why) => {
                 if why == PlanFailure::Source && !view.task_reads_locally(uid, m) {
-                    self.cands.list[ci].blocked = blocked_memo(&mut self.ledger, view, uid);
+                    let plan = &self.ledger.plan().remote;
+                    let kept = self.inc.kept.entry(uid).or_insert_with(|| plan.clone());
+                    debug_assert_eq!(kept, plan, "{uid:?}'s kept demands are not its plan's");
+                    self.recall(view, ci);
                 }
                 false
             }
@@ -334,6 +434,18 @@ impl TetrisScheduler {
                 p: c.p,
                 norm: if local { norm_local } else { norm },
             });
+        }
+    }
+
+    /// Debug builds check each machine the walk skips: every live head is
+    /// memo-blocked there, and its plan fails there on a source.
+    #[cfg(debug_assertions)]
+    fn assert_skippable(&mut self, view: &ClusterView<'_>, m: MachineId) {
+        for &ci in self.work.live.iter() {
+            let (c, io) = (&self.cands.list[ci], self.cfg.consider_io_dims);
+            let Some(head) = c.head(view) else { continue };
+            assert!(c.blocked_on(view, m), "{head:?} can use {m:?}");
+            super::bans::assert_unplaceable(&mut self.ledger, view, head, m, !io, true);
         }
     }
 

@@ -285,6 +285,8 @@ pub fn instrumented_run(ctx: &RunCtx, opts: &InstrumentOpts) -> Result<String, S
         names::ENGINE_EVENTS,
         names::PLACEMENTS,
         names::PLACEMENT_PLANS,
+        names::KEPT_PLAN_ANSWERS,
+        names::WALK_SKIPPED,
         names::RECOMPUTE_VISITS,
         names::FLOW_RETIMES,
         names::REJECTED_ASSIGNMENTS,
@@ -392,6 +394,9 @@ mod tests {
         let snap: tetris_obs::MetricsSnapshot =
             serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
         assert!(snap.counters["placements"] > 0);
+        // Tetris reports what its kept demands and pruned walk saved.
+        assert!(snap.counters[names::KEPT_PLAN_ANSWERS] > 0);
+        assert!(snap.counters[names::WALK_SKIPPED] > 0);
         let hb = &snap.histograms["heartbeat_ns"];
         assert!(hb.count > 0);
         assert!(hb.p50.unwrap() > 0 && hb.p99.unwrap() > 0);
@@ -420,6 +425,10 @@ mod tests {
         assert!(report.contains(names::SCHED_CONFLICTS), "{report}");
         assert!(report.contains(names::CONFLICT_RETRY_ROUNDS), "{report}");
         assert!(report.contains(names::SHARD_HEARTBEAT_US), "{report}");
+        // The shards' Tetris counters reach the summary through the driver.
+        let row = |name| report.lines().find_map(|l| l.strip_prefix(name));
+        let kept = row(names::KEPT_PLAN_ANSWERS).map(str::trim);
+        assert!(kept.is_some_and(|n| n != "0"), "{report}");
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl SchedName {
     /// (currently only [`SchedName::Random`]); deterministic policies
     /// ignore it.
     pub fn build(self, seed: u64) -> Box<dyn SchedulerPolicy> {
-        self.build_send(seed)
-    }
-
-    /// [`SchedName::build`], as a shard of a `ShardedScheduler` needs it.
-    pub fn build_send(self, seed: u64) -> Box<dyn SchedulerPolicy + Send> {
         match self {
             SchedName::Tetris => Box::new(TetrisScheduler::new(TetrisConfig::default())),
             SchedName::Fair => Box::new(FairScheduler::new()),

@@ -118,6 +118,13 @@ pub mod names {
     /// `placement_plans / placements` is a timer-free read of how much
     /// planning a policy spends per task it places.
     pub const PLACEMENT_PLANS: &str = "placement_plans";
+    /// Heads Tetris found blocked from the demands it kept of their last
+    /// failed plan, before planning them (counter; DESIGN.md §9). Each
+    /// saves the plan that would have found it blocked.
+    pub const KEPT_PLAN_ANSWERS: &str = "kept_plan_answers";
+    /// Machines Tetris's walk skipped because every live head was blocked
+    /// there by its memo (counter; DESIGN.md §9).
+    pub const WALK_SKIPPED: &str = "walk_machines_skipped";
     /// Flows whose rate the engine re-evaluated because a factor on their
     /// path moved, or because they were new (counter). Deterministic.
     pub const RECOMPUTE_VISITS: &str = "recompute_visits";

@@ -80,6 +80,8 @@ pub use view::{
     plan_priority_preemption, Assignment, ClusterView, MachineQuery, PlanFailure, SchedulerEvent,
     SchedulerPolicy, StageProgress, WorkingLedger,
 };
-// Re-exported so policies can annotate assignments without naming the obs
-// crate themselves.
-pub use tetris_obs::{DecisionScores, PlacementProvenance, RejectedCandidate};
+// Re-exported so policies can annotate assignments and report counters
+// without naming the obs crate themselves.
+pub use tetris_obs::{
+    names, DecisionScores, MetricsRegistry, PlacementProvenance, RejectedCandidate,
+};

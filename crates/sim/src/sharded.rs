@@ -100,7 +100,7 @@ pub struct ShardedStats {
 /// views — so `shards = 1` output is byte-identical
 /// to running the inner policy bare (pinned by `tests/prop_sharded.rs`).
 pub struct ShardedScheduler {
-    inner: Vec<Box<dyn SchedulerPolicy + Send>>,
+    inner: Vec<Box<dyn SchedulerPolicy>>,
     seed: u64,
     name: String,
     stats: ShardedStats,
@@ -126,7 +126,7 @@ impl ShardedScheduler {
     /// If `shards` is zero.
     pub fn new<F>(shards: usize, seed: u64, mut make: F) -> Self
     where
-        F: FnMut(usize) -> Box<dyn SchedulerPolicy + Send>,
+        F: FnMut(usize) -> Box<dyn SchedulerPolicy>,
     {
         assert!(shards >= 1, "ShardedScheduler requires at least one shard");
         let inner: Vec<_> = (0..shards).map(&mut make).collect();

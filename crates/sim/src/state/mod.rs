@@ -286,7 +286,7 @@ pub(crate) struct SimState {
     /// Tasks permanently failed after exhausting `max_task_attempts`.
     pub tasks_abandoned: u64,
     /// Moves whenever block replicas may have moved — a machine crash or
-    /// recovery — which changes every task's locality preferences.
+    /// recovery — and is drawn fresh for each new state (never shared).
     pub replica_epoch: u64,
     /// Free-capacity index serving `MachineQuery` (DESIGN.md §13).
     /// Disabled (empty) when `cfg.machine_index` is off.
@@ -423,7 +423,7 @@ impl SimState {
             external_cancelled: vec![false; n_external],
             dynamic_loads: Vec::new(),
             tasks_abandoned: 0,
-            replica_epoch: 0,
+            replica_epoch: next_epoch(),
             index,
             plans: AtomicU64::new(0),
             dirty: DirtySet::default(),

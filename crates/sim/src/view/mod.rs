@@ -395,6 +395,21 @@ impl<'a> ClusterView<'a> {
         self.state.task_reads_locally(task, machine)
     }
 
+    /// The machines where [`ClusterView::task_reads_locally`] holds, some more than
+    /// once: `task`'s stored inputs' replica holders, then its shuffles' output hosts.
+    pub fn input_hosts(&self, task: TaskUid) -> impl Iterator<Item = MachineId> + 'a {
+        use tetris_workload::InputSource::{Shuffle, Stored};
+        let (state, (ji, _, _)) = (self.state, self.state.loc(task));
+        state.spec(task).inputs.iter().flat_map(move |input| {
+            let (stored, shuffled): (&[_], &[_]) = match input.source {
+                Stored(b) => (&state.blocks[b.index()], &[]),
+                Shuffle { stage } => (&[], &state.jobs[ji].stages[stage].out_by_machine),
+            };
+            let shuffled = shuffled.iter().map(|&(m, _)| m);
+            stored.iter().copied().chain(shuffled)
+        })
+    }
+
     /// Fill `out` with the machines holding a replica of at least one of
     /// the task's stored input blocks (locality preferences), sorted and
     /// deduplicated. Caller-buffer form so hot paths can reuse one

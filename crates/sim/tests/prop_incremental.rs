@@ -28,10 +28,10 @@ fn warm_tetris_matches_cold_tetris() {
             // must still match through the fallback path.
             cfg.estimation = EstimationMode::Noisy { sigma: 0.3 };
         }
-        let warm = s.run_with(s.sharded(|| -> Box<dyn SchedulerPolicy + Send> {
+        let warm = s.run_with(s.sharded(|| -> Box<dyn SchedulerPolicy> {
             Box::new(TetrisScheduler::new(cfg.clone()))
         }));
-        let cold = s.run_with(s.sharded(|| -> Box<dyn SchedulerPolicy + Send> {
+        let cold = s.run_with(s.sharded(|| -> Box<dyn SchedulerPolicy> {
             Box::new(ColdTetris(TetrisScheduler::new(cfg.clone())))
         }));
         same_outcome(&warm, &cold);

@@ -65,10 +65,10 @@ pub enum Policy {
 
 impl Policy {
     /// A fresh instance; `seed` feeds the stochastic ones.
-    pub fn build(&self, seed: u64) -> Box<dyn SchedulerPolicy + Send> {
+    pub fn build(&self, seed: u64) -> Box<dyn SchedulerPolicy> {
         match self {
             Policy::Greedy => Box::new(GreedyFifo::new()),
-            Policy::Named(name) => name.build_send(seed),
+            Policy::Named(name) => name.build(seed),
             Policy::Tetris(cfg) => Box::new(TetrisScheduler::new(cfg.clone())),
         }
     }
@@ -294,10 +294,7 @@ impl Scenario {
     }
 
     /// `make`'s policy at the scenario's shard count (bare at one).
-    pub fn sharded(
-        &self,
-        make: impl Fn() -> Box<dyn SchedulerPolicy + Send>,
-    ) -> Box<dyn SchedulerPolicy> {
+    pub fn sharded(&self, make: impl Fn() -> Box<dyn SchedulerPolicy>) -> Box<dyn SchedulerPolicy> {
         match self.shards {
             1 => make(),
             n => Box::new(ShardedScheduler::new(n, self.cfg.seed, |_| make())),

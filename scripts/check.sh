@@ -92,14 +92,15 @@ if grep -q '"provenance"' "$tmp/plain.jsonl"; then
 fi
 # Timer-free gate on Tetris's blocked-head memo (DESIGN.md 9): placement
 # plans resolved per task placed, from the run's own summary. Both counts
-# repeat exactly. This run makes 28 721 plans for 2 902 placements (9.9
-# each; 11.2 with the memo blind to machines holding part of a shuffle
-# head's input, 12.2 with no memo), so the bound is 10.2. A
-# cold-pass-heavy input moves far more (suite_pack: 36 -> 6.4); this is
-# the one the gate already runs.
+# repeat exactly. This run makes 10 393 plans for 2 902 placements (3.58
+# each; 9.9 with the memo forgotten when its call ends, 11.2 with the memo
+# also blind to machines holding part of a shuffle head's input, 12.2 with
+# no memo), so the bound, 3.8, leaves a margin of 6 %. A cold-pass-heavy
+# input moves far more (suite_pack, seed 42: 36 -> 2.3); this is the one
+# the gate already runs.
 awk '$1 == "placements" { placed = $2 } $1 == "placement_plans" { plans = $2 }
-  END { exit (placed > 0 && plans > 0 && plans * 10 <= placed * 102) ? 0 : 1 }' "$tmp/plain.txt" \
-  || { echo "placement_plans per placement above 10.2:"; grep '^placement' "$tmp/plain.txt"; exit 1; }
+  END { exit (placed > 0 && plans > 0 && plans * 10 <= placed * 38) ? 0 : 1 }' "$tmp/plain.txt" \
+  || { echo "placement_plans per placement above 3.8:"; grep '^placement' "$tmp/plain.txt"; exit 1; }
 # Verbose run: provenance with rejected candidates must be present, and
 # the telemetry stream must be byte-identical across repeated runs.
 target/release/reproduce --trace "$tmp/verbose.jsonl" --trace-verbose \
