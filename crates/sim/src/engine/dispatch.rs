@@ -7,7 +7,7 @@ use tetris_workload::TaskUid;
 use super::Engine;
 use crate::events::EventKind;
 use crate::fault::TrackerMode;
-use crate::state::{Phase, TaskCompletion};
+use crate::state::TaskCompletion;
 use crate::tracker::REPORT_PERIOD_SECS;
 
 /// Interned preemption-reason tags: `&'static str` into the event's `Cow`
@@ -49,9 +49,8 @@ impl Engine<'_> {
             EventKind::TaskDone { task, gen } => {
                 // Zero-flow tasks: gen is the attempt number at placement;
                 // ignore stale retries.
-                let phase = &self.state.tasks[task.index()].phase;
-                match phase {
-                    Phase::Running(info) if info.gen == gen => self.complete(task),
+                match self.state.attempt(task) {
+                    Some(info) if info.gen == gen => self.complete(task),
                     _ => Wants::Nothing,
                 }
             }
@@ -127,7 +126,7 @@ impl Engine<'_> {
                 }
                 for &task in &rep.abandoned {
                     let job = self.state.job_of(task);
-                    let attempts = self.state.tasks[task.index()].attempts;
+                    let attempts = self.state.attempts(task);
                     self.obs.emit(now, || Event::TaskAbandoned {
                         job: job.index(),
                         task: task.index(),

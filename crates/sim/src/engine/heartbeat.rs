@@ -9,7 +9,6 @@ use tetris_obs::{names, Event};
 use super::Engine;
 use crate::events::EventKind;
 use crate::recovery::{DecisionLog, RecoveryError};
-use crate::state::Phase;
 use crate::time::SimTime;
 use crate::tracker::REPORT_PERIOD_SECS;
 use crate::view::{Assignment, ClusterView};
@@ -162,10 +161,10 @@ impl Engine<'_> {
             || (state.cfg.preemption && {
                 let placer = priority(a.task);
                 a.evict.iter().all(|&v| {
-                    matches!(
-                        &state.tasks[v.index()].phase,
-                        Phase::Running(info) if info.machine == a.machine
-                    ) && priority(v) < placer
+                    state
+                        .attempt(v)
+                        .is_some_and(|info| info.machine == a.machine)
+                        && priority(v) < placer
                 })
             });
         evictions_valid && state.assignment_valid(a.task, a.machine)

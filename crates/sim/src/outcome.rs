@@ -3,7 +3,7 @@
 //! of the engine's state that produce them, `take_sample` and `finalize`.
 
 use tetris_resources::ResourceVec;
-use tetris_workload::{JobId, TaskUid};
+use tetris_workload::{JobId, TaskSpec, TaskUid};
 
 use crate::cluster::MachineId;
 use crate::state::{Phase, SimState};
@@ -255,6 +255,22 @@ pub(crate) fn take_sample(state: &SimState) -> Sample {
     }
 }
 
+/// The final record of one task as `state` holds it.
+pub(crate) fn task_record(state: &SimState, spec: &TaskSpec) -> TaskRecord {
+    let started = state.started(spec.uid);
+    TaskRecord {
+        uid: spec.uid,
+        job: spec.job,
+        machine: started.and_then(|s| s.machine),
+        start: started.map(|s| s.start.as_secs()),
+        finish: started.and_then(|s| s.finish).map(SimTime::as_secs),
+        ideal_duration: spec.ideal_duration(),
+        planned_duration: started.map(|s| s.planned),
+        attempts: started.map_or(0, |s| s.attempts),
+        abandoned: state.tasks[spec.uid.index()].phase == Phase::Abandoned,
+    }
+}
+
 /// The outcome of a run that ended with `state`.
 pub(crate) fn finalize(
     state: SimState,
@@ -283,7 +299,7 @@ pub(crate) fn finalize(
         .collect();
 
     stats.task_failures = state
-        .tasks
+        .started_tasks()
         .iter()
         .map(|t| (t.attempts.saturating_sub(1)) as u64)
         .sum();
@@ -292,20 +308,7 @@ pub(crate) fn finalize(
     let tasks: Vec<TaskRecord> = state
         .workload
         .tasks()
-        .map(|spec| {
-            let ts = &state.tasks[spec.uid.index()];
-            TaskRecord {
-                uid: spec.uid,
-                job: spec.job,
-                machine: ts.machine,
-                start: ts.start.map(SimTime::as_secs),
-                finish: ts.finish.map(SimTime::as_secs),
-                ideal_duration: spec.ideal_duration(),
-                planned_duration: ts.planned,
-                attempts: ts.attempts,
-                abandoned: matches!(ts.phase, Phase::Abandoned),
-            }
-        })
+        .map(|spec| task_record(&state, spec))
         .collect();
 
     SimOutcome {

@@ -7,7 +7,7 @@ use rand::Rng;
 use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
 use tetris_workload::TaskUid;
 
-use super::{Phase, RunInfo, SimState};
+use super::{widen, Phase, RunInfo, SimState};
 use crate::cluster::MachineId;
 use crate::config::ExternalLoad;
 use crate::events::EventKind;
@@ -41,20 +41,21 @@ impl SimState {
         self.teardown_attempt(uid)?;
         let now = self.now;
         let backoff = self.cfg.faults.restart_backoff;
-        let t = &mut self.tasks[uid.index()];
-        let lost = t.start.map_or(0.0, |s| now.secs_since(s));
+        let max_attempts = self.cfg.max_task_attempts;
+        let t = self.started_mut(uid);
+        let lost = now.secs_since(t.start);
         t.machine = None;
-        let abandoned = t.attempts >= self.cfg.max_task_attempts;
+        let abandoned = t.attempts >= max_attempts;
         if abandoned {
             // Out of attempts: permanently failed, but still terminal so
             // the owning stage/job completes instead of hanging.
-            t.phase = Phase::Abandoned;
             t.finish = Some(now);
+            self.tasks[uid.index()].phase = Phase::Abandoned;
             self.tasks_abandoned += 1;
             let (ji, si, _) = self.loc(uid);
             self.note_task_terminal(ji, si);
         } else if backoff > 0.0 {
-            t.phase = Phase::Backoff;
+            self.tasks[uid.index()].phase = Phase::Backoff;
             let restart = now.after_secs(backoff);
             self.queue.push(restart, EventKind::TaskRestart(uid));
         } else {
@@ -76,8 +77,8 @@ impl SimState {
     pub(crate) fn preempt_task(&mut self, uid: TaskUid) -> Option<(f64, MachineId)> {
         let host = self.teardown_attempt(uid)?.machine;
         let now = self.now;
-        let t = &mut self.tasks[uid.index()];
-        let lost = t.start.map_or(0.0, |s| now.secs_since(s));
+        let t = self.started_mut(uid);
+        let lost = now.secs_since(t.start);
         t.machine = None;
         // The attempt counter was bumped at placement; hand it back.
         t.attempts = t.attempts.saturating_sub(1);
@@ -186,7 +187,7 @@ impl SimState {
         let duration = self.cfg.faults.rerep_bytes / bw;
         let mut evacuations = 0usize;
         for bi in 0..self.blocks.len() {
-            let Some(pos) = self.blocks[bi].iter().position(|&m| m == machine) else {
+            let Some(pos) = self.blocks[bi].iter().position(|&r| widen(r) == machine) else {
                 continue;
             };
             if self.blocks[bi].len() == 1 {
@@ -201,12 +202,12 @@ impl SimState {
             }
             let sources: Vec<MachineId> = self.blocks[bi]
                 .iter()
-                .copied()
+                .map(|&r| widen(r))
                 .filter(|m| !self.machines[m.index()].down)
                 .collect();
             let dests: Vec<MachineId> = (0..n)
                 .map(MachineId)
-                .filter(|m| !self.machines[m.index()].down && !self.blocks[bi].contains(m))
+                .filter(|&m| !self.machines[m.index()].down && !self.blocks.holds(bi, m))
                 .collect();
             if sources.is_empty() || dests.is_empty() {
                 continue;
@@ -265,7 +266,7 @@ impl SimState {
     /// A crash-lost task finishes its restart backoff. Returns true if it
     /// became runnable (false if it is no longer waiting one out).
     pub(crate) fn task_restart(&mut self, uid: TaskUid) -> bool {
-        if !matches!(self.tasks[uid.index()].phase, Phase::Backoff) {
+        if self.tasks[uid.index()].phase != Phase::Backoff {
             return false;
         }
         self.requeue(uid);
@@ -550,7 +551,7 @@ mod tests {
         cfg.faults.restart_backoff = 0.0;
         let mut st = SimState::new(cluster, one_reader(100.0 * MB), cfg);
         st.job_arrives(JobId(0));
-        let replicas = st.blocks[0].to_vec();
+        let replicas = st.blocks.machines(0);
         let host = (0..4)
             .map(MachineId)
             .find(|m| !replicas.contains(m))
@@ -574,7 +575,7 @@ mod tests {
         // replica, replication is restored, and the copy shows up as a
         // pair of dynamic external loads (source + destination).
         assert_eq!(rep.evacuations, 1);
-        assert!(!st.blocks[0].contains(&src));
+        assert!(!st.blocks.holds(0, src));
         assert_eq!(st.blocks[0].len(), 2);
         assert_eq!(st.dynamic_loads.len(), 2);
         let placed = st.placement_plan(TaskUid(0), host);
@@ -590,12 +591,12 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.replication = 1;
         let mut st = SimState::new(cluster, one_reader(10.0 * MB), cfg);
-        let only = st.blocks[0][0];
+        let only = st.blocks.machines(0)[0];
         let rep = st.machine_crash(only);
         // Nothing to copy from: the replica entry is retained so the
         // block is readable again after recovery.
         assert_eq!(rep.evacuations, 0);
-        assert_eq!(st.blocks[0], vec![only]);
+        assert_eq!(st.blocks.machines(0), vec![only]);
         assert!(st.dynamic_loads.is_empty());
     }
 
@@ -617,7 +618,7 @@ mod tests {
             for m in 0..6 {
                 st.machine_crash(MachineId(m));
                 assert_eq!(st.blocks.len(), 300);
-                for reps in st.blocks.iter() {
+                for reps in (0..300).map(|b| st.blocks.machines(b)) {
                     let case = format!("evacuate {evacuate}, after crash {m}: {reps:?}");
                     assert!(reps.windows(2).all(|p| p[0] < p[1]), "{case}");
                     assert!((1..=3).contains(&reps.len()), "{case}");

@@ -65,7 +65,7 @@ impl SimState {
         for &uid in &stage.pending {
             let t = &mut self.tasks[uid.index()];
             t.phase = Phase::Runnable;
-            t.runnable_since = Some(now);
+            t.runnable_since = now;
         }
         self.pending_total += stage.pending.len();
     }
@@ -79,7 +79,7 @@ impl SimState {
         machine.index() < self.machines.len()
             && !self.machines[machine.index()].down
             && task.index() < self.tasks.len()
-            && matches!(self.tasks[task.index()].phase, Phase::Runnable)
+            && self.tasks[task.index()].phase == Phase::Runnable
     }
 
     /// Place a runnable task on a machine: build flows, charge ledgers,
@@ -164,14 +164,15 @@ impl SimState {
         self.pending_total -= 1;
 
         // Task bookkeeping.
-        let t = &mut self.tasks[uid.index()];
+        self.tasks[uid.index()].phase = Phase::Running;
+        let t = self.start_slot(uid);
         t.attempts += 1;
-        t.start = Some(now);
+        t.start = now;
         t.machine = Some(machine);
-        t.planned = Some(plan.est_duration);
+        t.planned = plan.est_duration;
         let flows_left = flows.len();
         let gen = t.attempts as u64;
-        t.phase = Phase::Running(Box::new(RunInfo {
+        t.run = Some(Box::new(RunInfo {
             machine,
             flows,
             flows_left,
@@ -187,17 +188,18 @@ impl SimState {
         self.applied_plan = plan;
     }
 
-    /// Take the running attempt of `uid` out of its phase, which becomes
-    /// `then`; `None`, the phase untouched, if the task is not running.
+    /// Take the running attempt of `uid` out of its record, its phase
+    /// becoming `then`; `None`, the phase untouched, if the task is not
+    /// running.
     pub(super) fn take_attempt(&mut self, uid: TaskUid, then: Phase) -> Option<Box<RunInfo>> {
         let phase = &mut self.tasks[uid.index()].phase;
-        match std::mem::replace(phase, then) {
-            Phase::Running(info) => Some(info),
-            other => {
-                *phase = other;
-                None
-            }
+        if *phase != Phase::Running {
+            return None;
         }
+        *phase = then;
+        let info = self.started_mut(uid).run.take();
+        debug_assert!(info.is_some(), "{uid:?} runs without an attempt");
+        info
     }
 
     /// Release every ledger an attempt charged: the host's and each
@@ -246,7 +248,7 @@ impl SimState {
         let (ji, si, _) = self.loc(uid);
         let t = &mut self.tasks[uid.index()];
         t.phase = Phase::Runnable;
-        t.runnable_since = Some(self.now);
+        t.runnable_since = self.now;
         self.jobs[ji].stages[si].pending.push(uid);
         self.pending_total += 1;
     }
@@ -262,12 +264,12 @@ impl SimState {
         let host = info.machine;
 
         // Failure roll: rerun the task from scratch.
-        let attempts = self.tasks[uid.index()].attempts;
+        let attempts = self.attempts(uid);
         if self.cfg.task_failure_prob > 0.0
             && attempts < self.cfg.max_task_attempts
             && self.rng.gen::<f64>() < self.cfg.task_failure_prob
         {
-            self.tasks[uid.index()].machine = None;
+            self.started_mut(uid).machine = None;
             self.requeue(uid);
             return TaskCompletion::Requeued { machine: host };
         }
@@ -275,7 +277,7 @@ impl SimState {
         // Genuine completion.
         let (ji, si, _) = self.loc(uid);
         self.completions += 1;
-        self.tasks[uid.index()].finish = Some(self.now);
+        self.started_mut(uid).finish = Some(self.now);
         let out = self.spec(uid).output_bytes;
         if out > 0.0 {
             let stage = &mut self.jobs[ji].stages[si];

@@ -42,6 +42,7 @@ mod replicas;
 pub(crate) use lifecycle::TaskCompletion;
 use network::DirtySet;
 pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
+pub(crate) use replicas::widen;
 use replicas::Replicas;
 
 /// The source of every epoch value, shared by all states in the process:
@@ -138,17 +139,16 @@ impl MachineState {
     }
 }
 
-/// Lifecycle of a task.
-#[derive(Debug, Clone)]
+/// Lifecycle of a task: a one-byte tag. The running attempt's record
+/// lives in the task's [`StartedTask`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// Waiting on upstream stages.
     Blocked,
     /// Schedulable.
     Runnable,
-    /// Placed and running. Boxed: most tasks of a large backlog never
-    /// run at once, and inline the attempt's record would more than
-    /// double every task's.
-    Running(Box<RunInfo>),
+    /// Placed and running: `StartedTask::run` holds the attempt.
+    Running,
     /// Done.
     Finished,
     /// Attempt lost to a machine crash; waiting out the restart backoff
@@ -171,22 +171,43 @@ pub(crate) struct RunInfo {
     pub gen: u64,
 }
 
-/// Runtime state of one task: 104 bytes, one record for every task of
-/// the workload whether it ever runs or not (the attempt's own record
-/// lives behind `Phase::Running` while it runs).
+/// `TaskState::started` of a task never placed.
+const NEVER_STARTED: u32 = u32::MAX;
+
+/// What every task of the workload holds, placed or not: 16 bytes. What
+/// only a placed task holds is its [`StartedTask`], taken at its first
+/// placement ([`SimState::started`]).
 #[derive(Debug, Clone)]
 pub(crate) struct TaskState {
     pub phase: Phase,
-    pub attempts: u32,
-    pub start: Option<SimTime>,
-    pub finish: Option<SimTime>,
-    pub machine: Option<MachineId>,
     /// When the task last became runnable (stage unlock or retry) — the
-    /// basis for starvation detection (paper §3.5).
-    pub runnable_since: Option<SimTime>,
+    /// basis for starvation detection (paper §3.5). Read only while the
+    /// task is `Runnable`.
+    pub runnable_since: SimTime,
+    /// The task's slot in `SimState::started`, `NEVER_STARTED` until its
+    /// first placement.
+    started: u32,
+}
+
+/// The record of a task that has been placed at least once: its attempt
+/// count, the times, host and plan of its latest attempt, and that
+/// attempt's own record while it runs.
+#[derive(Debug)]
+pub(crate) struct StartedTask {
+    pub attempts: u32,
+    /// When the latest attempt was placed.
+    pub start: SimTime,
+    /// When the task finished or was abandoned.
+    pub finish: Option<SimTime>,
+    /// Host of the latest attempt; `None` once a kill, a preemption or a
+    /// failure roll took that attempt back.
+    pub machine: Option<MachineId>,
     /// Placement-plan duration estimate of the latest attempt (true lower
     /// bound on the attempt's simulated duration).
-    pub planned: Option<f64>,
+    pub planned: f64,
+    /// The running attempt: `Some` exactly while the phase is `Running`.
+    /// Boxed: a finished task keeps its record, not its attempt's.
+    pub run: Option<Box<RunInfo>>,
 }
 
 #[derive(Debug, Clone)]
@@ -244,6 +265,9 @@ pub(crate) struct SimState {
     pub now: SimTime,
     pub machines: Vec<MachineState>,
     pub tasks: Vec<TaskState>,
+    /// The records of the tasks placed so far, in first-placement order
+    /// (`TaskState::started` indexes it).
+    started: Vec<StartedTask>,
     /// uid → [job index, stage index, task index] for O(1) spec lookup
     /// ([`SimState::loc`]); `u32`s, half the width of `usize`s.
     task_loc: Vec<[u32; 3]>,
@@ -380,12 +404,8 @@ impl SimState {
         let tasks = vec![
             TaskState {
                 phase: Phase::Blocked,
-                attempts: 0,
-                start: None,
-                finish: None,
-                machine: None,
-                planned: None,
-                runnable_since: None,
+                runnable_since: SimTime::ZERO,
+                started: NEVER_STARTED,
             };
             n_tasks
         ];
@@ -406,6 +426,7 @@ impl SimState {
             now: SimTime::ZERO,
             machines,
             tasks,
+            started: Vec::new(),
             task_loc,
             jobs,
             pending_total: 0,
@@ -517,6 +538,65 @@ impl SimState {
         JobId(self.loc(uid).0)
     }
 
+    /// The record of a task placed at least once, `None` before its
+    /// first placement.
+    pub(crate) fn started(&self, uid: TaskUid) -> Option<&StartedTask> {
+        match self.tasks[uid.index()].started {
+            NEVER_STARTED => None,
+            slot => Some(&self.started[slot as usize]),
+        }
+    }
+
+    /// The record of a task placed at least once.
+    fn started_mut(&mut self, uid: TaskUid) -> &mut StartedTask {
+        let slot = self.tasks[uid.index()].started;
+        debug_assert_ne!(slot, NEVER_STARTED, "{uid:?} was never placed");
+        &mut self.started[slot as usize]
+    }
+
+    /// The record of a task being placed: its own, or at its first
+    /// placement a fresh one in the next slot.
+    fn start_slot(&mut self, uid: TaskUid) -> &mut StartedTask {
+        let t = &mut self.tasks[uid.index()];
+        if t.started == NEVER_STARTED {
+            let slot = self.started.len();
+            assert!(slot < NEVER_STARTED as usize, "started tasks past u32");
+            t.started = slot as u32;
+            self.started.push(StartedTask {
+                attempts: 0,
+                start: SimTime::ZERO,
+                finish: None,
+                machine: None,
+                planned: 0.0,
+                run: None,
+            });
+        }
+        &mut self.started[t.started as usize]
+    }
+
+    /// The running attempt of a task, `None` unless it is running.
+    pub(crate) fn attempt(&self, uid: TaskUid) -> Option<&RunInfo> {
+        self.started(uid)?.run.as_deref()
+    }
+
+    /// The running attempt of a task, mutably.
+    fn attempt_mut(&mut self, uid: TaskUid) -> Option<&mut RunInfo> {
+        match self.tasks[uid.index()].started {
+            NEVER_STARTED => None,
+            slot => self.started[slot as usize].run.as_deref_mut(),
+        }
+    }
+
+    /// Attempts a task has used (0 before its first placement).
+    pub(crate) fn attempts(&self, uid: TaskUid) -> u32 {
+        self.started(uid).map_or(0, |s| s.attempts)
+    }
+
+    /// Every placed task's record, in first-placement order.
+    pub(crate) fn started_tasks(&self) -> &[StartedTask] {
+        &self.started
+    }
+
     /// True iff at least one running task of job `j` is hosted on `m` —
     /// resolved through the machine's resident list, which is short
     /// relative to the job's task count.
@@ -588,6 +668,9 @@ pub(crate) mod tests {
         MachineSpec,
     };
     use tetris_workload::{JobId, TaskParams, WorkloadBuilder};
+
+    use crate::events::EventKind;
+    use crate::outcome::TaskRecord;
 
     /// A task of `cores` cores and 1 GB that computes for `duration`
     /// seconds, reads `inputs` and writes nothing.
@@ -666,10 +749,187 @@ pub(crate) mod tests {
 
     #[test]
     fn a_task_record_holds_no_running_attempt() {
-        // The attempt's record is boxed into `Phase::Running`; what every
-        // task pays for is its phase, attempt count and five times.
-        assert_eq!(std::mem::size_of::<Phase>(), 16);
-        assert_eq!(std::mem::size_of::<TaskState>(), 104);
+        // What every task pays for is its phase tag, the time it became
+        // runnable and its slot among the started tasks; attempts, times,
+        // host and the running attempt live in that slot.
+        assert_eq!(std::mem::size_of::<Phase>(), 1);
+        assert_eq!(std::mem::size_of::<TaskState>(), 16);
+    }
+
+    /// The fields of task 0's outcome record that its transitions move:
+    /// machine, start, finish, planned duration, attempts, abandoned.
+    type Fields = (
+        Option<MachineId>,
+        Option<f64>,
+        Option<f64>,
+        Option<f64>,
+        u32,
+        bool,
+    );
+
+    fn fields(st: &SimState) -> Fields {
+        let r = crate::outcome::task_record(st, st.spec(TaskUid(0)));
+        let TaskRecord {
+            machine,
+            start,
+            finish,
+            planned_duration,
+            attempts,
+            abandoned,
+            ..
+        } = r;
+        (
+            machine,
+            start,
+            finish,
+            planned_duration,
+            attempts,
+            abandoned,
+        )
+    }
+
+    fn at(st: &mut SimState, secs: f64) {
+        st.now = SimTime::from_secs(secs);
+    }
+
+    /// Place task 0 on `m` now and rate its flows.
+    fn place(st: &mut SimState, m: usize) {
+        st.apply_assignment(TaskUid(0), MachineId(m));
+        st.recompute_dirty();
+    }
+
+    /// Run the queue until task 0's attempt has done its work, and
+    /// complete it.
+    fn run_attempt(st: &mut SimState) -> TaskCompletion {
+        loop {
+            let ev = st.queue.pop().expect("the attempt's completion is queued");
+            st.now = ev.time;
+            let done = match ev.kind {
+                EventKind::FlowDone { flow } => st.flow_done(flow),
+                EventKind::TaskDone { task, .. } => Some(task),
+                other => panic!("unexpected {other:?}"),
+            };
+            if let Some(task) = done {
+                return st.task_complete(task);
+            }
+        }
+    }
+
+    /// Seconds task 0 has waited runnable, as a policy reads it.
+    fn pending_age(st: &SimState) -> f64 {
+        crate::view::ClusterView::new(st, true).task_pending_age(TaskUid(0))
+    }
+
+    fn finished(machine: usize, attempts: u32) -> TaskCompletion {
+        TaskCompletion::Finished {
+            machine: MachineId(machine),
+            attempts,
+            job_finished: true,
+        }
+    }
+
+    #[test]
+    fn a_preempted_task_starts_afresh_when_placed_again() {
+        let mut st = mk_state(one_task_workload(1.0, 10.0));
+        st.job_arrives(JobId(0));
+        assert_eq!(fields(&st), (None, None, None, None, 0, false));
+        place(&mut st, 0);
+        let m0 = Some(MachineId(0));
+        assert_eq!(fields(&st), (m0, Some(0.0), None, Some(10.0), 1, false));
+        at(&mut st, 3.0);
+        assert_eq!(st.preempt_task(TaskUid(0)), Some((3.0, MachineId(0))));
+        // The eviction hands its attempt back; the old start stays on
+        // record until the next placement.
+        assert_eq!(fields(&st), (None, Some(0.0), None, Some(10.0), 0, false));
+        at(&mut st, 4.0);
+        assert_eq!(pending_age(&st), 1.0);
+        place(&mut st, 1);
+        let m1 = Some(MachineId(1));
+        assert_eq!(fields(&st), (m1, Some(4.0), None, Some(10.0), 1, false));
+        assert_eq!(run_attempt(&mut st), finished(1, 1));
+        assert_eq!(
+            fields(&st),
+            (m1, Some(4.0), Some(14.0), Some(10.0), 1, false)
+        );
+    }
+
+    #[test]
+    fn a_killed_task_counts_both_attempts_after_its_backoff() {
+        let mut st = mk_state(one_task_workload(1.0, 10.0));
+        st.cfg.faults.restart_backoff = 5.0;
+        st.job_arrives(JobId(0));
+        place(&mut st, 0);
+        at(&mut st, 2.0);
+        assert_eq!(st.kill_task(TaskUid(0)), Some((false, 2.0)));
+        assert_eq!(fields(&st), (None, Some(0.0), None, Some(10.0), 1, false));
+        assert_eq!(pending_age(&st), 0.0, "a task in backoff is not pending");
+        let ev = st.queue.pop().expect("the restart is queued");
+        assert!(matches!(ev.kind, EventKind::TaskRestart(TaskUid(0))));
+        assert_eq!(ev.time, SimTime::from_secs(7.0));
+        st.now = ev.time;
+        assert!(st.task_restart(TaskUid(0)));
+        at(&mut st, 8.0);
+        assert_eq!(pending_age(&st), 1.0);
+        place(&mut st, 1);
+        let m1 = Some(MachineId(1));
+        assert_eq!(fields(&st), (m1, Some(8.0), None, Some(10.0), 2, false));
+        assert_eq!(run_attempt(&mut st), finished(1, 2));
+        assert_eq!(
+            fields(&st),
+            (m1, Some(8.0), Some(18.0), Some(10.0), 2, false)
+        );
+    }
+
+    #[test]
+    fn a_kill_at_the_attempt_cap_abandons_the_task() {
+        let mut st = mk_state(one_task_workload(1.0, 10.0));
+        st.cfg.max_task_attempts = 1;
+        st.job_arrives(JobId(0));
+        place(&mut st, 0);
+        at(&mut st, 2.0);
+        assert_eq!(st.kill_task(TaskUid(0)), Some((true, 2.0)));
+        assert_eq!(
+            fields(&st),
+            (None, Some(0.0), Some(2.0), Some(10.0), 1, true)
+        );
+        assert_eq!((st.tasks_abandoned, st.jobs_remaining), (1, 0));
+        assert_eq!(pending_age(&st), 0.0);
+    }
+
+    #[test]
+    fn a_failed_attempt_is_requeued_runnable_from_its_failure() {
+        let mut st = mk_state(one_task_workload(1.0, 10.0));
+        st.cfg.task_failure_prob = 0.999_999;
+        st.cfg.max_task_attempts = 2;
+        st.job_arrives(JobId(0));
+        place(&mut st, 0);
+        let requeued = TaskCompletion::Requeued {
+            machine: MachineId(0),
+        };
+        assert_eq!(run_attempt(&mut st), requeued);
+        assert_eq!(st.now, SimTime::from_secs(10.0));
+        assert_eq!(fields(&st), (None, Some(0.0), None, Some(10.0), 1, false));
+        at(&mut st, 12.0);
+        assert_eq!(pending_age(&st), 2.0);
+        place(&mut st, 1);
+        assert_eq!(run_attempt(&mut st), finished(1, 2));
+        let m1 = Some(MachineId(1));
+        assert_eq!(
+            fields(&st),
+            (m1, Some(12.0), Some(22.0), Some(10.0), 2, false)
+        );
+    }
+
+    #[test]
+    fn a_zero_work_task_finishes_where_it_starts() {
+        let mut st = mk_state(one_task_workload(1.0, 0.0));
+        st.job_arrives(JobId(0));
+        at(&mut st, 2.0);
+        assert_eq!(pending_age(&st), 2.0);
+        place(&mut st, 0);
+        assert_eq!(run_attempt(&mut st), finished(0, 1));
+        let m0 = Some(MachineId(0));
+        assert_eq!(fields(&st), (m0, Some(2.0), Some(2.0), Some(0.0), 1, false));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use tetris_resources::{Resource, ResourceVec, NUM_RESOURCES};
 use tetris_workload::TaskUid;
 
-use super::{Flow, MachineState, Phase, SimState};
+use super::{Flow, MachineState, SimState};
 use crate::cluster::MachineId;
 use crate::config::Interference;
 use crate::events::{EventKind, FlowId};
@@ -380,7 +380,7 @@ impl SimState {
             return None;
         }
         let task = self.retire_flow(fid);
-        if let Phase::Running(ref mut info) = self.tasks[task.index()].phase {
+        if let Some(info) = self.attempt_mut(task) {
             info.flows_left -= 1;
             if info.flows_left == 0 {
                 return Some(task);
@@ -551,7 +551,7 @@ mod tests {
         let mut st = SimState::new(cluster, w, cfg);
         st.job_arrives(JobId(0));
         st.now = SimTime::from_secs(3.0);
-        let replica = st.blocks[0][0];
+        let replica = st.blocks.machines(0)[0];
         let host = MachineId((replica.index() + 1) % 4);
         st.apply_assignment(TaskUid(0), host);
         st.recompute_dirty();

@@ -11,7 +11,7 @@ use std::sync::atomic::Ordering;
 use tetris_resources::{Resource, ResourceVec};
 use tetris_workload::{InputSource, InputSpec, TaskUid};
 
-use super::SimState;
+use super::{widen, SimState};
 use crate::cluster::MachineId;
 
 /// Resolved placement of a task on a candidate machine: what it would
@@ -87,7 +87,7 @@ impl SimState {
             .inputs
             .iter()
             .any(|input| match input.source {
-                InputSource::Stored(b) => self.blocks[b.index()].contains(&machine),
+                InputSource::Stored(b) => self.blocks.holds(b.index(), machine),
                 InputSource::Shuffle { stage } => self.jobs[ji].stages[stage]
                     .out_by_machine
                     .binary_search_by_key(&machine, |&(m, _)| m)
@@ -121,12 +121,13 @@ impl SimState {
         for input in &spec.inputs {
             match input.source {
                 InputSource::Stored(b) => {
-                    let replicas = &self.blocks[b.index()];
-                    if replicas.contains(&machine) {
+                    if self.blocks.holds(b.index(), machine) {
                         local_bytes += input.bytes;
                     } else {
                         // Deterministic replica choice, spread by uid.
-                        add_remote(replicas[uid.index() % replicas.len()], input.bytes);
+                        let replicas = &self.blocks[b.index()];
+                        let r = replicas[uid.index() % replicas.len()];
+                        add_remote(widen(r), input.bytes);
                     }
                 }
                 InputSource::Shuffle { stage } => {
@@ -381,7 +382,7 @@ mod tests {
         let input = b.stored_input(100.0 * MB);
         b.add_stage(j, "s", vec![], 1, |_| params(1.0, 10.0, vec![input]));
         let mut st = arrived(4, b.finish(), replicated(1));
-        let replica = st.blocks[0][0];
+        let replica = st.blocks.machines(0)[0];
         // Place on a different machine.
         let host = MachineId((replica.index() + 1) % 4);
         let plan = st.placement_plan(TaskUid(0), host);
@@ -408,7 +409,7 @@ mod tests {
         let input = b.stored_input(100.0 * MB);
         b.add_stage(j, "s", vec![], 1, |_| params(1.0, 10.0, vec![input]));
         let st = arrived(4, b.finish(), replicated(2));
-        let replica = st.blocks[0][0];
+        let replica = st.blocks.machines(0)[0];
         let plan = st.placement_plan(TaskUid(0), replica);
         assert!(plan.remote.is_empty());
         assert_eq!(plan.local_read_bytes, 100.0 * MB);
@@ -478,7 +479,7 @@ mod tests {
         // Find a host with no replicas.
         let host = (0..16)
             .map(MachineId)
-            .find(|m| !st.blocks.iter().any(|r| r.contains(m)))
+            .find(|&m| !(0..st.blocks.len()).any(|b| st.blocks.holds(b, m)))
             .expect("some machine without replicas");
         let plan = st.placement_plan(TaskUid(0), host);
         assert!(plan.remote_reads.len() <= 3);

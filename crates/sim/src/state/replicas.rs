@@ -5,6 +5,9 @@
 //! `stride` of them, and evacuation (`faults`) removes the crashed one
 //! before it adds a copy. So the table is two allocations whatever the
 //! block count, not one a block (52 305 blocks on the Table 8 backlog).
+//! A slot is a `u32` machine id and a count a `u8`, half and an eighth of
+//! `usize`: 13 bytes a block at the default replication of 3, not 32.
+//! Readers widen a slot back to a [`MachineId`] with [`widen`].
 
 use std::fmt;
 use std::ops::Index;
@@ -18,8 +21,19 @@ pub(crate) struct Replicas {
     stride: usize,
     /// Block `b`'s replicas are `slots[b * stride..][..len[b]]`; the rest
     /// of its stride is free.
-    slots: Vec<MachineId>,
-    len: Vec<u32>,
+    slots: Vec<u32>,
+    len: Vec<u8>,
+}
+
+/// A slot's machine.
+#[inline]
+pub(crate) fn widen(slot: u32) -> MachineId {
+    MachineId(slot as usize)
+}
+
+/// A machine's slot value.
+fn narrow(m: MachineId) -> u32 {
+    u32::try_from(m.0).expect("machine id past u32")
 }
 
 impl Replicas {
@@ -32,12 +46,12 @@ impl Replicas {
         replication: usize,
         mut draw: impl FnMut() -> MachineId,
     ) -> Self {
-        let width = u32::try_from(replication).expect("replication past u32");
+        let width = u8::try_from(replication).expect("replication past u8");
         let mut slots = Vec::with_capacity(blocks * replication);
         for _ in 0..blocks {
             let start = slots.len();
             while slots.len() - start < replication {
-                let m = draw();
+                let m = narrow(draw());
                 if !slots[start..].contains(&m) {
                     slots.push(m);
                 }
@@ -56,9 +70,14 @@ impl Replicas {
         self.len.len()
     }
 
-    /// Every block's replicas, in block order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[MachineId]> {
-        (0..self.len()).map(|b| &self[b])
+    /// Whether block `b` has a replica on `m`.
+    pub(crate) fn holds(&self, b: usize, m: MachineId) -> bool {
+        self[b].iter().any(|&r| widen(r) == m)
+    }
+
+    /// Block `b`'s replicas, widened.
+    pub(crate) fn machines(&self, b: usize) -> Vec<MachineId> {
+        self[b].iter().map(|&r| widen(r)).collect()
     }
 
     /// Drop the replica at `pos` of block `b`; the rest keep their order.
@@ -74,8 +93,8 @@ impl Replicas {
     /// hold `m`; the block stays ascending.
     pub(super) fn insert(&mut self, b: usize, m: MachineId) {
         let (start, n) = (b * self.stride, self.len[b] as usize);
-        debug_assert!(n < self.stride && !self[b].contains(&m));
-        self.slots[start + n] = m;
+        debug_assert!(n < self.stride && !self.holds(b, m));
+        self.slots[start + n] = narrow(m);
         self.slots[start..=start + n].sort_unstable();
         self.len[b] += 1;
     }
@@ -85,29 +104,33 @@ impl Replicas {
     #[cfg(test)]
     pub(crate) fn from_lists(lists: &[&[MachineId]]) -> Self {
         let stride = lists.iter().map(|l| l.len()).max().unwrap_or(0);
-        let mut slots = vec![MachineId(0); lists.len() * stride];
+        let mut slots = vec![0; lists.len() * stride];
         for (b, l) in lists.iter().enumerate() {
-            slots[b * stride..][..l.len()].copy_from_slice(l);
+            for (slot, &m) in slots[b * stride..].iter_mut().zip(l.iter()) {
+                *slot = narrow(m);
+            }
         }
         Replicas {
             stride,
             slots,
-            len: lists.iter().map(|l| l.len() as u32).collect(),
+            len: lists.iter().map(|l| l.len() as u8).collect(),
         }
     }
 }
 
 impl Index<usize> for Replicas {
-    type Output = [MachineId];
+    type Output = [u32];
 
-    fn index(&self, b: usize) -> &[MachineId] {
+    fn index(&self, b: usize) -> &[u32] {
         &self.slots[b * self.stride..][..self.len[b] as usize]
     }
 }
 
 impl fmt::Debug for Replicas {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        f.debug_list()
+            .entries((0..self.len()).map(|b| self.machines(b)))
+            .finish()
     }
 }
 
@@ -115,7 +138,7 @@ impl fmt::Debug for Replicas {
 #[cfg(test)]
 impl<L: AsRef<[MachineId]>> PartialEq<Vec<L>> for Replicas {
     fn eq(&self, other: &Vec<L>) -> bool {
-        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a == b.as_ref())
+        self.len() == other.len() && (0..self.len()).all(|b| self.machines(b) == other[b].as_ref())
     }
 }
 

@@ -250,7 +250,7 @@ mod tests {
         let input = b.stored_input(100.0 * MB);
         b.add_stage(j, "s", vec![], 2, |_| params(1.0, 10.0, vec![input]));
         let st = arrived(4, b.finish());
-        let replica = st.blocks[0][0];
+        let replica = st.blocks.machines(0)[0];
         (st, replica, MachineId((replica.index() + 1) % 4))
     }
 

@@ -30,7 +30,7 @@ use tetris_resources::ResourceVec;
 use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskSpec, TaskUid};
 
 use crate::cluster::MachineId;
-use crate::state::{Phase, PlacementPlan, SimState};
+use crate::state::{widen, Phase, PlacementPlan, SimState};
 
 mod ledger;
 mod policy;
@@ -350,23 +350,21 @@ impl<'a> ClusterView<'a> {
     /// The host and the local allocation of the task's running attempt,
     /// `None` if it is not running: what evicting it frees, and where.
     pub fn running_on(&self, uid: TaskUid) -> Option<(MachineId, ResourceVec)> {
-        match &self.state.tasks[uid.index()].phase {
-            Phase::Running(info) => Some((info.machine, info.local_alloc)),
-            _ => None,
-        }
+        let info = self.state.attempt(uid)?;
+        Some((info.machine, info.local_alloc))
     }
 
     /// Whether the task is currently runnable (pending placement).
     pub fn is_runnable(&self, uid: TaskUid) -> bool {
-        matches!(self.state.tasks[uid.index()].phase, Phase::Runnable)
+        self.state.tasks[uid.index()].phase == Phase::Runnable
     }
 
     /// Seconds the task has been runnable without being placed (0 if it is
     /// not currently pending). Basis for starvation detection (§3.5).
     pub fn task_pending_age(&self, uid: TaskUid) -> f64 {
         let t = &self.state.tasks[uid.index()];
-        match (&t.phase, t.runnable_since) {
-            (Phase::Runnable, Some(since)) => self.state.now.secs_since(since),
+        match t.phase {
+            Phase::Runnable => self.state.now.secs_since(t.runnable_since),
             _ => 0.0,
         }
     }
@@ -401,12 +399,12 @@ impl<'a> ClusterView<'a> {
         use tetris_workload::InputSource::{Shuffle, Stored};
         let (state, (ji, _, _)) = (self.state, self.state.loc(task));
         state.spec(task).inputs.iter().flat_map(move |input| {
-            let (stored, shuffled): (&[_], &[_]) = match input.source {
+            let (stored, shuffled): (&[u32], &[_]) = match input.source {
                 Stored(b) => (&state.blocks[b.index()], &[]),
                 Shuffle { stage } => (&[], &state.jobs[ji].stages[stage].out_by_machine),
             };
             let shuffled = shuffled.iter().map(|&(m, _)| m);
-            stored.iter().copied().chain(shuffled)
+            stored.iter().map(|&r| widen(r)).chain(shuffled)
         })
     }
 
@@ -432,7 +430,7 @@ impl<'a> ClusterView<'a> {
         let spec = self.state.spec(task);
         for input in &spec.inputs {
             if let tetris_workload::InputSource::Stored(b) = input.source {
-                out.extend_from_slice(&self.state.blocks[b.index()]);
+                out.extend(self.state.blocks[b.index()].iter().map(|&r| widen(r)));
             }
         }
         out[start..].sort_unstable();

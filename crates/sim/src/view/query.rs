@@ -9,7 +9,7 @@ use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskUid};
 
 use super::{Assignment, ClusterView, WorkingLedger};
 use crate::cluster::MachineId;
-use crate::state::{Phase, PlacementPlan};
+use crate::state::PlacementPlan;
 
 impl<'a> ClusterView<'a> {
     /// Machine-selection interface (indexed when the simulation maintains
@@ -39,7 +39,7 @@ impl<'a> ClusterView<'a> {
         let mut machines: Vec<MachineId> = Vec::new();
         for stage in &self.state.workload.jobs[j.index()].stages {
             for t in &stage.tasks {
-                if let Phase::Running(info) = &self.state.tasks[t.uid.index()].phase {
+                if let Some(info) = self.state.attempt(t.uid) {
                     if !machines.contains(&info.machine) {
                         machines.push(info.machine);
                     }

@@ -6,18 +6,21 @@
 //! optimistic passes collide. And one shard is a transparent delegate:
 //! byte-identical to the bare policy.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
 use tetris_core::{TetrisConfig, TetrisScheduler};
 use tetris_obs::Event;
-use tetris_sim::{probe::ColdPassProbe, Assignment, ClusterView, MachineId, ShardedScheduler};
+use tetris_resources::MachineSpec;
+use tetris_sim::{
+    probe::ColdPassProbe, Assignment, ClusterConfig, ClusterView, MachineId, ShardedScheduler,
+};
 use tetris_testkit::SchedName::{Capacity, Drf, Fair, TetrisCpuMemOnly};
 use tetris_testkit::{
-    check_invariants, forall, same_outcome, Audited, Policy, Scenario, SchedName,
+    check_invariants, forall, same_outcome, wire, Audited, Policy, Scenario, SchedName,
 };
-use tetris_workload::JobId;
+use tetris_workload::{JobId, WorkloadSuiteConfig};
 
 /// §16 breaches in one call: an assignment the view's constraint
 /// predicate rules out, or a spread replica stacked in the call while its
@@ -138,4 +141,56 @@ fn reproposals_commit_once_without_double_charging() {
         "committed tally disagrees with the accepted assignments"
     );
     assert_eq!(asg.len(), SLOTS, "free slots left stranded");
+}
+
+/// FNV-1a of `bytes`: a stable digest of an outcome's wire form.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A sharded engine run whose jobs span four owner blocks (sixty-four
+/// job ids each, `OWNER_BLOCK`), so both shards own work and race for the
+/// same machines: the pin of sharded output. Fewer jobs than one block
+/// shard nothing, and their output equals an unsharded run's.
+#[test]
+fn two_shards_over_four_owner_blocks_race_and_keep_their_outcome() {
+    let mut suite = WorkloadSuiteConfig::small();
+    suite.n_jobs = 200;
+    suite.arrival_horizon = 20.0;
+    let workload = suite.generate(7);
+    let cluster = ClusterConfig::uniform(30, MachineSpec::paper_small());
+    let mut s = Scenario::fixed(cluster, workload, Policy::Named(SchedName::Tetris));
+    s.cfg.max_time = 50_000.0; // the last job ends near 8 300 s
+                               // The jobs each shard proposed a task of; a job has one owner.
+    let owned: Vec<Rc<RefCell<HashSet<JobId>>>> = (0..2).map(|_| Rc::default()).collect();
+    let shards = ShardedScheduler::new(2, s.cfg.seed, |k| {
+        let jobs = Rc::clone(&owned[k]);
+        Box::new(Audited::new(
+            s.policy.build(s.cfg.seed),
+            move |_, view, out| {
+                let mut jobs = jobs.borrow_mut();
+                jobs.extend(out.iter().map(|a| view.task_stage(a.task).0));
+            },
+        ))
+    });
+    let run = s.run_with(shards);
+    check_invariants(&s, &run);
+    assert!(run.outcome.completed, "the run reached the hard stop");
+    assert!(run.conflicts > 0, "the shards never raced");
+    for (k, jobs) in owned.iter().enumerate() {
+        let placed = run
+            .outcome
+            .tasks
+            .iter()
+            .filter(|t| t.start.is_some() && jobs.borrow().contains(&t.job))
+            .count();
+        assert!(placed > 0, "shard {k} placed nothing");
+    }
+    let digest = fnv1a(wire(&run.outcome).as_bytes());
+    assert_eq!(
+        digest, 0xabe4_4a3b_41d9_242c,
+        "outcome digest {digest:#018x}"
+    );
 }

@@ -140,8 +140,9 @@ impl Scenario {
             MachineSpec::paper_large()
         };
         let machines = rng.gen_range(3..=8);
-        // Sharded runs cost the most (a pass a shard a call): one in four.
-        let shards = if rng.gen_bool(0.75) {
+        // Sharded runs cost about 1.4 times an unsharded one (a pass a
+        // shard a call) and carry every sharded property: one in two.
+        let shards = if rng.gen_bool(0.5) {
             1
         } else {
             rng.gen_range(2..=4)

@@ -63,6 +63,15 @@ find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== memory gate: the bytes a backlog task costs a probe =="
+# Timer-free: a counting global allocator reads the live bytes one
+# ScheduleProbe holds beyond its workload, a task of a 17 032-task
+# suite backlog (crates/sim/tests/probe_memory.rs; DESIGN.md 2, "What a
+# state holds"). It reads 56.2 (157.5 before the per-task record was
+# split); the bound is 64. The workspace run above ran it too: this
+# names the gate and prints its figure.
+cargo test -q -p tetris-sim --test probe_memory -- --nocapture
+
 echo "== reproduce smoke (parallel runner) =="
 cargo build --release -p tetris-expts -q
 target/release/reproduce fig1 table2 --jobs 2 >/dev/null
