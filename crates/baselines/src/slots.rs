@@ -2,11 +2,11 @@
 //! paper deploys against (§5.1).
 //!
 //! Both divide each machine into **slots defined on memory only** (the
-//! Facebook cluster's 2 GB slots) and allot slots to tasks, each task
-//! occupying `ceil(task memory / slot memory)` slots (how Hadoop admins
-//! ran big-memory jobs). Placing a task checks *only* slot availability:
-//! CPU, disk and network are never examined, and a 1 GB task still holds a
-//! full 2 GB slot. These are exactly the fragmentation/wastage and
+//! Facebook cluster's 2 GB slots) and allot one slot to each task,
+//! whatever its memory. Placing a task checks *only* slot availability:
+//! CPU, disk and network are never examined, a 1 GB task still holds a
+//! full 2 GB slot, and a bigger one silently over-commits memory. These
+//! are exactly the fragmentation/wastage and
 //! over-allocation behaviours the paper attributes to production
 //! schedulers (§2.1).
 //!
@@ -45,22 +45,16 @@ enum JobOrder {
 struct SlotScheduler {
     slot_mem: f64,
     order: JobOrder,
-    /// When true, a task occupies `ceil(mem/slot_mem)` slots (admins
-    /// configuring multi-slot big-memory tasks); when false — the
-    /// paper-faithful Facebook configuration — every task takes exactly
-    /// one slot, silently over-committing memory (§2.1).
-    mem_rounded: bool,
     /// Slots are this policy's capacity; the ledger only keeps the §16
     /// rule and what the call placed.
     ledger: WorkingLedger,
 }
 
 impl SlotScheduler {
-    fn new(slot_mem: f64, order: JobOrder, mem_rounded: bool) -> Self {
+    fn new(slot_mem: f64, order: JobOrder) -> Self {
         SlotScheduler {
             slot_mem,
             order,
-            mem_rounded,
             ledger: WorkingLedger::default(),
         }
     }
@@ -69,29 +63,16 @@ impl SlotScheduler {
         (view.capacity(m).get(Resource::Mem) / self.slot_mem).floor() as usize
     }
 
-    /// Slots one task occupies.
-    fn slots_needed(&self, mem: f64) -> usize {
-        if self.mem_rounded {
-            ((mem / self.slot_mem).ceil() as usize).max(1)
-        } else {
-            1
-        }
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         self.ledger.begin(view);
-        // Free slots per machine: slots − slots held by running tasks.
+        // Free slots per machine: slots − running tasks, one slot each
+        // whatever its memory (the Facebook configuration, §2.1).
         let query = view.query();
         let mut free: Vec<usize> = query
             .iter_all()
             .map(|m| {
-                let total = self.slots_of(view, m);
-                let used: usize = view
-                    .machine_tasks(m)
-                    .iter()
-                    .map(|&t| self.slots_needed(view.task(t).demand.get(Resource::Mem)))
-                    .sum();
-                total.saturating_sub(used)
+                self.slots_of(view, m)
+                    .saturating_sub(view.machine_tasks(m).len())
             })
             .collect();
 
@@ -135,7 +116,6 @@ impl SlotScheduler {
                 .map(|(i, _)| i);
             let Some(ji) = ji else { break };
             let task = jobs[ji].pending.head().expect("filtered head");
-            let need = self.slots_needed(view.task(task).demand.get(Resource::Mem));
 
             // Place: prefer a machine holding the task's input, else the
             // machine with the most free slots (simple spread), checking
@@ -154,11 +134,11 @@ impl SlotScheduler {
                 .iter()
                 .copied()
                 .filter(|&m| !view.is_down(m) && !view.is_suspect(m) && allow(m))
-                .find(|m| free[m.index()] >= need)
+                .find(|m| free[m.index()] > 0)
                 .or_else(|| {
                     query
                         .iter_all()
-                        .filter(|&m| !view.is_down(m) && free[m.index()] >= need && allow(m))
+                        .filter(|&m| !view.is_down(m) && free[m.index()] > 0 && allow(m))
                         .max_by_key(|m| {
                             (
                                 !view.is_suspect(*m),
@@ -206,7 +186,7 @@ impl SlotScheduler {
                             ..PlacementProvenance::default()
                         });
                     }
-                    free[m.index()] -= need;
+                    free[m.index()] -= 1;
                     self.ledger.record(view, task, m);
                     jobs[ji].running += 1;
                     jobs[ji].pending.advance();
@@ -242,15 +222,7 @@ impl FairScheduler {
     pub fn with_slot_mem(slot_mem: f64) -> Self {
         assert!(slot_mem > 0.0);
         FairScheduler {
-            inner: SlotScheduler::new(slot_mem, JobOrder::FewestSlots, false),
-        }
-    }
-
-    /// Variant where big-memory tasks occupy multiple slots (avoids memory
-    /// over-commit at the cost of more fragmentation).
-    pub fn mem_rounded() -> Self {
-        FairScheduler {
-            inner: SlotScheduler::new(DEFAULT_SLOT_MEM, JobOrder::FewestSlots, true),
+            inner: SlotScheduler::new(slot_mem, JobOrder::FewestSlots),
         }
     }
 }
@@ -263,11 +235,7 @@ impl Default for FairScheduler {
 
 impl SchedulerPolicy for FairScheduler {
     fn name(&self) -> &str {
-        if self.inner.mem_rounded {
-            "fair-slots-memrounded"
-        } else {
-            "fair-slots"
-        }
+        "fair-slots"
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
@@ -292,7 +260,7 @@ impl CapacityScheduler {
     pub fn with_slot_mem(slot_mem: f64) -> Self {
         assert!(slot_mem > 0.0);
         CapacityScheduler {
-            inner: SlotScheduler::new(slot_mem, JobOrder::Arrival, false),
+            inner: SlotScheduler::new(slot_mem, JobOrder::Arrival),
         }
     }
 }
@@ -353,6 +321,43 @@ mod tests {
                 assert!(ms.running <= 16, "{} tasks on one machine", ms.running);
             }
         }
+    }
+
+    #[test]
+    fn a_machine_offers_its_slots_less_its_resident_tasks() {
+        // One 32 GB machine: 16 two-gigabyte slots. Three 4 GB residents
+        // hold one slot each, so a job arriving later gets 13 at once and
+        // the rest only as slots free.
+        use tetris_workload::{TaskParams, WorkloadBuilder};
+        let task = |mem, duration| TaskParams {
+            cores: 1.0,
+            mem,
+            duration,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs: vec![],
+            output_bytes: 0.0,
+            remote_frac: 1.0,
+        };
+        let mut b = WorkloadBuilder::new();
+        let residents = b.begin_job("residents", None, 0.0);
+        b.add_stage(residents, "s", vec![], 3, |_| task(4.0 * GB, 1000.0));
+        let late = b.begin_job("late", None, 5.0);
+        b.add_stage(late, "s", vec![], 20, |_| task(GB, 10.0));
+        let outcome = Simulation::build(
+            ClusterConfig::uniform(1, MachineSpec::paper_large()),
+            b.finish(),
+        )
+        .scheduler(FairScheduler::new())
+        .run();
+        let starts: Vec<f64> = outcome
+            .tasks
+            .iter()
+            .filter(|t| t.job == late)
+            .map(|t| t.start.unwrap())
+            .collect();
+        let first = starts.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(starts.iter().filter(|&&s| s == first).count(), 13);
     }
 
     #[test]

@@ -6,41 +6,7 @@
 //! ⌈(1−f)·|J|⌉ jobs in the sorted list. Setting f = 0 results in the most
 //! efficient scheduling choice, whereas f → 1 yields perfect fairness."
 
-use tetris_resources::{Resource, ResourceVec};
 use tetris_workload::JobId;
-
-/// How a job's distance from its fair share is measured. Tetris composes
-/// with "most policies for fairness" (§3.4); the two it evaluates against:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FairnessMeasure {
-    /// DRF-style: a job's share is its dominant share over the given
-    /// dimension set; furthest-below-equal-share first.
-    #[default]
-    DominantShare,
-    /// Slot-style: a job's share is its running-task count (slots held).
-    Slots,
-}
-
-/// Compute a job's current share under the measure, given its allocation,
-/// running-task count and the cluster totals.
-pub(crate) fn job_share(
-    measure: FairnessMeasure,
-    allocated: &ResourceVec,
-    running_tasks: usize,
-    total_capacity: &ResourceVec,
-    total_slots: usize,
-) -> f64 {
-    match measure {
-        FairnessMeasure::DominantShare => allocated.dominant_share(total_capacity, &Resource::ALL),
-        FairnessMeasure::Slots => {
-            if total_slots == 0 {
-                0.0
-            } else {
-                running_tasks as f64 / total_slots as f64
-            }
-        }
-    }
-}
 
 /// Sort jobs by increasing share (the head of the list is furthest below
 /// its fair share) and truncate to the eligible prefix of size
@@ -69,6 +35,7 @@ pub(crate) fn eligible_jobs_in_place(shares: &mut Vec<(JobId, f64)>, fairness_kn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetris_resources::{Resource, ResourceVec};
 
     fn eligible_jobs(mut shares: Vec<(JobId, f64)>, fairness_knob: f64) -> Vec<JobId> {
         eligible_jobs_in_place(&mut shares, fairness_knob);
@@ -124,16 +91,7 @@ mod tests {
         let alloc = ResourceVec::zero()
             .with(Resource::Cpu, 2.0)
             .with(Resource::Mem, 50.0);
-        let s = job_share(FairnessMeasure::DominantShare, &alloc, 3, &cap, 10);
-        assert_eq!(s, 0.5);
-    }
-
-    #[test]
-    fn slot_share_counts_tasks() {
-        let cap = ResourceVec::zero();
-        let s = job_share(FairnessMeasure::Slots, &cap, 3, &cap, 12);
-        assert_eq!(s, 0.25);
-        assert_eq!(job_share(FairnessMeasure::Slots, &cap, 3, &cap, 0), 0.0);
+        assert_eq!(alloc.dominant_share(&cap, &Resource::ALL), 0.5);
     }
 
     #[test]

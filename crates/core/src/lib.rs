@@ -36,6 +36,5 @@ mod srtf;
 
 pub use align::AlignmentKind;
 pub use estimate::EstimationMode;
-pub use fairness::FairnessMeasure;
 pub use scheduler::{ColdTetris, StarvationConfig, TetrisConfig, TetrisScheduler};
 pub use srtf::job_remaining_work;

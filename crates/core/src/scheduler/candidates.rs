@@ -2,7 +2,7 @@
 //! the fairness cut (§3.4), assembly from the caches (§3.5's barrier
 //! promotion included) and the jobs' remaining-work ranks (§3.3).
 
-use tetris_resources::ResourceVec;
+use tetris_resources::{Resource, ResourceVec};
 use tetris_sim::{ClusterView, MachineId, StageProgress};
 use tetris_workload::{JobId, TaskUid};
 
@@ -10,7 +10,7 @@ use super::bans::Blocked;
 use super::{PassRecord, TetrisConfig, TetrisScheduler};
 use crate::barrier::stage_promoted;
 use crate::estimate::EstimationMode;
-use crate::fairness::{eligible_jobs_in_place, job_share};
+use crate::fairness::eligible_jobs_in_place;
 use crate::srtf::{job_remaining_work_with, ranks_into};
 
 /// One placement candidate: the next pending task of one stage of one
@@ -230,17 +230,11 @@ impl CandidateSet {
         if self.shares.is_empty() {
             return false;
         }
-        let total_capacity = view.total_capacity();
-        let running = |&(j, _): &(JobId, f64)| view.job_running(j);
-        let total_slots = self.shares.iter().map(running).sum::<usize>() + view.num_pending();
+        let total = view.total_capacity();
         for (j, share) in self.shares.iter_mut() {
-            *share = job_share(
-                cfg.fairness_measure,
-                &view.job_allocated(*j),
-                view.job_running(*j),
-                &total_capacity,
-                total_slots.max(1),
-            );
+            *share = view
+                .job_allocated(*j)
+                .dominant_share(&total, &Resource::ALL);
         }
         eligible_jobs_in_place(&mut self.shares, cfg.fairness_knob);
         true

@@ -12,7 +12,6 @@ use tetris_workload::TaskUid;
 
 use crate::align::AlignmentKind;
 use crate::estimate::{DemandEstimator, EstimationMode};
-use crate::fairness::FairnessMeasure;
 use crate::srtf::CombinedScorer;
 
 mod bans;
@@ -42,8 +41,6 @@ pub struct TetrisConfig {
     pub srtf_multiplier: f64,
     /// Alignment heuristic (Table 7). Default: cosine.
     pub alignment: AlignmentKind,
-    /// How distance-from-fair-share is measured for the fairness knob.
-    pub fairness_measure: FairnessMeasure,
     /// Ablation switch: when false, Tetris only *sees* CPU and memory —
     /// like the shipped baselines — so it over-allocates disk/network.
     /// Used to decompose the gains (§5.3.1: "nearly two-thirds of the
@@ -88,7 +85,6 @@ impl Default for TetrisConfig {
             remote_penalty: 0.10,
             srtf_multiplier: 1.0,
             alignment: AlignmentKind::Cosine,
-            fairness_measure: FairnessMeasure::DominantShare,
             consider_io_dims: true,
             estimation: EstimationMode::Exact,
             starvation: None,

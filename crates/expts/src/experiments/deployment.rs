@@ -1,8 +1,9 @@
 //! Figures 4 and 5 and Table 6 — the deployment experiments (§5.2):
 //! the §5.1 workload suite under Tetris, the Capacity scheduler and DRF.
 
-use tetris_metrics::{timeline, ImprovementSummary, RunMetrics, TextTable, TightnessTable};
+use tetris_metrics::{pct_improvement, timeline, ImprovementSummary, RunMetrics, TightnessTable};
 use tetris_resources::{MachineSpec, Resource};
+use tetris_workload::stats::mean;
 
 use crate::setup::{run, with_zero_arrivals, SchedName};
 use crate::{Report, RunCtx};
@@ -22,19 +23,21 @@ pub fn fig4(ctx: &RunCtx) -> Report {
 
     // Makespan convention: all jobs at t=0 (§5.3.1). The zero-arrival
     // makespan is tail-dominated (whichever job finishes last sets it), so
-    // it is averaged over three workload seeds.
-    let makespan_gain = |base: SchedName| {
-        let mut gains = Vec::new();
-        for seed in ctx.sweep_seeds() {
-            let w0 = with_zero_arrivals(ctx.scale.suite_seeded(seed));
-            let t0 = run(ctx, &cluster, &w0, SchedName::Tetris, &cfg);
-            let b0 = run(ctx, &cluster, &w0, base, &cfg);
-            gains.push(tetris_metrics::pct_improvement(
-                b0.makespan(),
-                t0.makespan(),
-            ));
-        }
-        tetris_workload::stats::mean(&gains)
+    // it is averaged over three workload seeds; Tetris runs each once.
+    let draws0: Vec<_> = ctx
+        .sweep_seeds()
+        .into_iter()
+        .map(|s| with_zero_arrivals(ctx.scale.suite_seeded(s)))
+        .collect();
+    let makespans = |s| -> Vec<f64> {
+        let run0 = |w0| run(ctx, &cluster, w0, s, &cfg).makespan();
+        draws0.iter().map(run0).collect()
+    };
+    let tetris0 = makespans(SchedName::Tetris);
+    let makespan_gain = |base| {
+        let gains = makespans(base).into_iter().zip(&tetris0);
+        let gains = gains.map(|(b, &t)| pct_improvement(b, t));
+        mean(&gains.collect::<Vec<_>>())
     };
 
     let mut out = String::new();
@@ -158,26 +161,6 @@ pub fn table6(ctx: &RunCtx) -> Report {
     }
     report.text = out;
     report
-}
-
-/// Shared summary row for EXPERIMENTS.md.
-pub fn headline(ctx: &RunCtx) -> TextTable {
-    let cluster = ctx.cluster();
-    let w = ctx.suite();
-    let cfg = ctx.sim_config();
-    let tetris = run(ctx, &cluster, &w, SchedName::Tetris, &cfg);
-    let mut t = TextTable::new(vec!["comparison", "median JCT", "avg JCT", "makespan"]);
-    for base in [SchedName::Capacity, SchedName::Drf] {
-        let b = run(ctx, &cluster, &w, base, &cfg);
-        let imp = ImprovementSummary::compare(&tetris, &b);
-        t.row(vec![
-            format!("tetris vs {}", base.label()),
-            format!("{:+.1}%", imp.median()),
-            format!("{:+.1}%", imp.avg_jct),
-            format!("{:+.1}%", imp.makespan),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]

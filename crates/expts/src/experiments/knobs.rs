@@ -1,32 +1,23 @@
 //! Figures 8–10 and §5.3.2 — the fairness and barrier knobs.
 
-use tetris_core::TetrisConfig;
-use tetris_metrics::{pct_improvement, relative_integral_unfairness, SlowdownSummary, TextTable};
+use tetris_metrics::{relative_integral_unfairness, SlowdownSummary, TextTable};
 use tetris_workload::JobId;
 
-use crate::setup::{run, run_tetris, with_zero_arrivals, SchedName};
+use super::gains::{facebook_draws, mean_gains, sweep};
+use crate::setup::{run, run_tetris, SchedName};
 use crate::{Report, RunCtx};
 
 /// The knob values swept (paper Figs. 8/9 use {0, 0.25, 0.5, 0.75, →1}).
 pub const FAIRNESS_KNOBS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.99];
 
-/// Metric names for the per-knob vs-fair JCT gains (same order as
-/// [`FAIRNESS_KNOBS`]).
-const F_JCT_VS_FAIR: [&str; 5] = [
-    "f0.00_jct_gain_vs_fair",
-    "f0.25_jct_gain_vs_fair",
-    "f0.50_jct_gain_vs_fair",
-    "f0.75_jct_gain_vs_fair",
-    "f0.99_jct_gain_vs_fair",
-];
-
-/// Metric names for the per-knob vs-fair makespan gains.
-const F_MK_VS_FAIR: [&str; 5] = [
-    "f0.00_makespan_gain_vs_fair",
-    "f0.25_makespan_gain_vs_fair",
-    "f0.50_makespan_gain_vs_fair",
-    "f0.75_makespan_gain_vs_fair",
-    "f0.99_makespan_gain_vs_fair",
+/// Metric names for the per-knob vs-fair (JCT, makespan) gains, same
+/// order as [`FAIRNESS_KNOBS`].
+const F_VS_FAIR: [(&str, &str); 5] = [
+    ("f0.00_jct_gain_vs_fair", "f0.00_makespan_gain_vs_fair"),
+    ("f0.25_jct_gain_vs_fair", "f0.25_makespan_gain_vs_fair"),
+    ("f0.50_jct_gain_vs_fair", "f0.50_makespan_gain_vs_fair"),
+    ("f0.75_jct_gain_vs_fair", "f0.75_makespan_gain_vs_fair"),
+    ("f0.99_jct_gain_vs_fair", "f0.99_makespan_gain_vs_fair"),
 ];
 
 /// Metric names for the per-knob fraction of jobs slowed vs fair.
@@ -42,15 +33,9 @@ const F_SLOWED_VS_FAIR: [&str; 5] = [
 /// achieves nearly the best efficiency; even f → 1 retains sizeable gains
 /// (a fair job choice still leaves many tasks to pick from).
 pub fn fig8(ctx: &RunCtx) -> Report {
-    let cluster = ctx.cluster();
-    let w = ctx.suite();
-    let w0 = with_zero_arrivals(w.clone());
-    let cfg = ctx.sim_config();
-
-    let fair = run(ctx, &cluster, &w, SchedName::Fair, &cfg);
-    let drf = run(ctx, &cluster, &w, SchedName::Drf, &cfg);
-    let fair0 = run(ctx, &cluster, &w0, SchedName::Fair, &cfg);
-    let drf0 = run(ctx, &cluster, &w0, SchedName::Drf, &cfg);
+    let configs = sweep(&FAIRNESS_KNOBS, |tc, f| tc.fairness_knob = f);
+    let baselines = [SchedName::Fair, SchedName::Drf];
+    let gains = mean_gains(ctx, &[ctx.suite()], &baselines, &configs);
 
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec![
@@ -60,22 +45,17 @@ pub fn fig8(ctx: &RunCtx) -> Report {
         "makespan vs fair",
         "makespan vs drf",
     ]);
-    for (i, f) in FAIRNESS_KNOBS.into_iter().enumerate() {
-        let mut tc = TetrisConfig::default();
-        tc.fairness_knob = f;
-        let o = run_tetris(ctx, &cluster, &w, tc.clone(), &cfg);
-        let o0 = run_tetris(ctx, &cluster, &w0, tc, &cfg);
-        let jct_fair = pct_improvement(fair.avg_jct(), o.avg_jct());
-        let mk_fair = pct_improvement(fair0.makespan(), o0.makespan());
+    for (i, (f, g)) in FAIRNESS_KNOBS.into_iter().zip(gains).enumerate() {
+        let [fair, drf] = [g[0], g[1]];
         t.row(vec![
             format!("{f:.2}"),
-            format!("{jct_fair:+.1}%"),
-            format!("{:+.1}%", pct_improvement(drf.avg_jct(), o.avg_jct())),
-            format!("{mk_fair:+.1}%"),
-            format!("{:+.1}%", pct_improvement(drf0.makespan(), o0.makespan())),
+            format!("{:+.1}%", fair.jct),
+            format!("{:+.1}%", drf.jct),
+            format!("{:+.1}%", fair.makespan),
+            format!("{:+.1}%", drf.makespan),
         ]);
-        report.push(F_JCT_VS_FAIR[i], jct_fair);
-        report.push(F_MK_VS_FAIR[i], mk_fair);
+        report.push(F_VS_FAIR[i].0, fair.jct);
+        report.push(F_VS_FAIR[i].1, fair.makespan);
     }
     report.text = format!(
         "Figure 8 — fairness knob sweep (f = 0 most efficient, f → 1 most fair)\n\
@@ -104,9 +84,8 @@ pub fn fig9(ctx: &RunCtx) -> Report {
         "slowed vs drf",
         "avg (max) slowdown ",
     ]);
-    for (i, f) in FAIRNESS_KNOBS.into_iter().enumerate() {
-        let mut tc = TetrisConfig::default();
-        tc.fairness_knob = f;
+    let configs = sweep(&FAIRNESS_KNOBS, |tc, f| tc.fairness_knob = f);
+    for (i, (f, tc)) in FAIRNESS_KNOBS.into_iter().zip(configs).enumerate() {
         let o = run_tetris(ctx, &cluster, &w, tc, &cfg);
         let sf = SlowdownSummary::compare(&o, &fair);
         let sd = SlowdownSummary::compare(&o, &drf);
@@ -168,25 +147,15 @@ pub fn riu(ctx: &RunCtx) -> Report {
 /// The barrier knob values swept in Figure 10.
 pub const BARRIER_KNOBS: [f64; 6] = [0.5, 0.75, 0.85, 0.9, 0.95, 1.0];
 
-/// Metric names for the per-knob vs-drf JCT gains (same order as
-/// [`BARRIER_KNOBS`]).
-const B_JCT_VS_DRF: [&str; 6] = [
-    "b0.50_jct_gain_vs_drf",
-    "b0.75_jct_gain_vs_drf",
-    "b0.85_jct_gain_vs_drf",
-    "b0.90_jct_gain_vs_drf",
-    "b0.95_jct_gain_vs_drf",
-    "b1.00_jct_gain_vs_drf",
-];
-
-/// Metric names for the per-knob vs-drf makespan gains.
-const B_MK_VS_DRF: [&str; 6] = [
-    "b0.50_makespan_gain_vs_drf",
-    "b0.75_makespan_gain_vs_drf",
-    "b0.85_makespan_gain_vs_drf",
-    "b0.90_makespan_gain_vs_drf",
-    "b0.95_makespan_gain_vs_drf",
-    "b1.00_makespan_gain_vs_drf",
+/// Metric names for the per-knob vs-drf (JCT, makespan) gains, same
+/// order as [`BARRIER_KNOBS`].
+const B_VS_DRF: [(&str, &str); 6] = [
+    ("b0.50_jct_gain_vs_drf", "b0.50_makespan_gain_vs_drf"),
+    ("b0.75_jct_gain_vs_drf", "b0.75_makespan_gain_vs_drf"),
+    ("b0.85_jct_gain_vs_drf", "b0.85_makespan_gain_vs_drf"),
+    ("b0.90_jct_gain_vs_drf", "b0.90_makespan_gain_vs_drf"),
+    ("b0.95_jct_gain_vs_drf", "b0.95_makespan_gain_vs_drf"),
+    ("b1.00_jct_gain_vs_drf", "b1.00_makespan_gain_vs_drf"),
 ];
 
 /// Figure 10 — barrier knob sweep. Paper: b ≈ 0.9 is net positive on both
@@ -194,37 +163,22 @@ const B_MK_VS_DRF: [&str; 6] = [
 /// Gains are averaged over three workload seeds (zero-arrival makespan is
 /// tail-dominated and noisy on a single draw).
 pub fn fig10(ctx: &RunCtx) -> Report {
-    let cluster = ctx.cluster();
-    let cfg = ctx.sim_config();
+    let configs = sweep(&BARRIER_KNOBS, |tc, b| tc.barrier_knob = b);
+    // Deep DAGs make barrier handling matter: the Facebook-like trace has
+    // map-only, 2- and 3-stage jobs.
+    let gains = mean_gains(ctx, &facebook_draws(ctx), &[SchedName::Drf], &configs);
 
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec!["b", "JCT gain vs drf", "makespan vs drf"]);
-    for (i, b) in BARRIER_KNOBS.into_iter().enumerate() {
-        let mut jct = Vec::new();
-        let mut mk = Vec::new();
-        for seed in ctx.sweep_seeds() {
-            // Deep DAGs make barrier handling matter: the Facebook-like
-            // trace has map-only, 2- and 3-stage jobs.
-            let w = ctx.scale.facebook_seeded(seed);
-            let w0 = with_zero_arrivals(w.clone());
-            let drf = run(ctx, &cluster, &w, SchedName::Drf, &cfg);
-            let drf0 = run(ctx, &cluster, &w0, SchedName::Drf, &cfg);
-            let mut tc = TetrisConfig::default();
-            tc.barrier_knob = b;
-            let o = run_tetris(ctx, &cluster, &w, tc.clone(), &cfg);
-            let o0 = run_tetris(ctx, &cluster, &w0, tc, &cfg);
-            jct.push(pct_improvement(drf.avg_jct(), o.avg_jct()));
-            mk.push(pct_improvement(drf0.makespan(), o0.makespan()));
-        }
-        let jct_mean = tetris_workload::stats::mean(&jct);
-        let mk_mean = tetris_workload::stats::mean(&mk);
+    for (i, (b, g)) in BARRIER_KNOBS.into_iter().zip(gains).enumerate() {
+        let drf = g[0];
         t.row(vec![
             format!("{b:.2}"),
-            format!("{jct_mean:+.1}%"),
-            format!("{mk_mean:+.1}%"),
+            format!("{:+.1}%", drf.jct),
+            format!("{:+.1}%", drf.makespan),
         ]);
-        report.push(B_JCT_VS_DRF[i], jct_mean);
-        report.push(B_MK_VS_DRF[i], mk_mean);
+        report.push(B_VS_DRF[i].0, drf.jct);
+        report.push(B_VS_DRF[i].1, drf.makespan);
     }
     report.text = format!(
         "Figure 10 — barrier knob sweep (b = 1 disables straggler promotion;\n\
@@ -239,6 +193,7 @@ pub fn fig10(ctx: &RunCtx) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetris_core::TetrisConfig;
     use tetris_metrics::ImprovementSummary;
 
     /// Tetris-vs-Fair JCT gain at one knob value.

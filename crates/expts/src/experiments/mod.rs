@@ -5,6 +5,7 @@
 pub mod churn;
 pub mod deployment;
 pub mod extensions;
+mod gains;
 pub mod ingestion;
 pub mod knobs;
 pub mod load;
@@ -31,11 +32,11 @@ pub struct Experiment {
     /// functions of the context, which is what makes running them on a
     /// thread pool sound.
     pub run: fn(&RunCtx) -> Report,
-    /// Rough serial cost in seconds at laptop scale. Only the relative
-    /// magnitudes matter: the parallel runner starts the most expensive
-    /// experiments first (longest-processing-time-first), which is what
-    /// keeps the suite's critical path from being one big experiment
-    /// queued last.
+    /// Serial seconds (at least 1) at laptop scale, as `reproduce all
+    /// --jobs 1` measured them on a 2-vCPU host. The parallel runner starts
+    /// the most expensive experiments first (longest-processing-time-
+    /// first), which keeps the suite's critical path from being one big
+    /// experiment queued last.
     pub cost: u32,
 }
 
@@ -70,13 +71,13 @@ pub fn registry() -> Vec<Experiment> {
             id: "ub",
             what: "§2.2.3 — aggregate upper bound on packing gains",
             run: upper_bound::ub,
-            cost: 6,
+            cost: 1,
         },
         Experiment {
             id: "fig4",
             what: "Figure 4 — deployment: JCT improvement CDF + makespan",
             run: deployment::fig4,
-            cost: 6,
+            cost: 1,
         },
         Experiment {
             id: "fig5",
@@ -100,25 +101,25 @@ pub fn registry() -> Vec<Experiment> {
             id: "fig7",
             what: "Figure 7 — simulation: JCT improvement CDFs + ablations",
             run: simulation::fig7,
-            cost: 110,
+            cost: 6,
         },
         Experiment {
             id: "table7",
             what: "Table 7 — alignment heuristic comparison",
             run: simulation::table7,
-            cost: 8,
+            cost: 1,
         },
         Experiment {
             id: "fig8",
             what: "Figure 8 — fairness knob sweep (efficiency side)",
             run: knobs::fig8,
-            cost: 4,
+            cost: 1,
         },
         Experiment {
             id: "fig9",
             what: "Figure 9 — fairness knob sweep (job slowdowns)",
             run: knobs::fig9,
-            cost: 2,
+            cost: 1,
         },
         Experiment {
             id: "riu",
@@ -136,25 +137,25 @@ pub fn registry() -> Vec<Experiment> {
             id: "rp",
             what: "§5.3.3 — remote-penalty sensitivity",
             run: sensitivity::remote_penalty,
-            cost: 25,
+            cost: 3,
         },
         Experiment {
             id: "eps",
             what: "§5.3.3 — alignment-vs-SRTF weighting sensitivity",
             run: sensitivity::epsilon,
-            cost: 25,
+            cost: 4,
         },
         Experiment {
             id: "fig11",
             what: "Figure 11 — gains vs cluster load",
             run: load::fig11,
-            cost: 15,
+            cost: 1,
         },
         Experiment {
             id: "ext-est",
             what: "Extension — robustness to demand-estimation error (§4.1)",
             run: extensions::estimation,
-            cost: 8,
+            cost: 1,
         },
         Experiment {
             id: "ext-starve",
@@ -166,39 +167,39 @@ pub fn registry() -> Vec<Experiment> {
             id: "churn",
             what: "Extension — graceful degradation under machine churn (§3.1/§4.3)",
             run: churn::churn,
-            cost: 30,
+            cost: 19,
         },
         Experiment {
             id: "table8",
             what: "Table 8 — heartbeat overheads: incremental vs full-rebuild scheduling",
             run: table8::table8,
-            cost: 20,
+            cost: 1,
         },
         Experiment {
             id: "scale",
             what:
                 "Extension — indexed MachineQuery: sublinear cold-pass placement at 100k machines",
             run: scale::scale,
-            cost: 40,
+            cost: 2,
         },
         Experiment {
             id: "omega",
             what: "Extension — Omega-style sharded multi-scheduler: heartbeat scaling vs shards",
             run: omega::omega,
-            cost: 20,
+            cost: 1,
         },
         Experiment {
             id: "recovery",
             what: "Extension — crash-recovery: re-execution against a WAL, byte-identical resume",
             run: recovery::recovery,
-            cost: 15,
+            cost: 1,
         },
         Experiment {
             id: "serving",
             what:
                 "Extension — serving SLOs: diurnal services + preemption over a batch backlog (§16)",
             run: serving::serving,
-            cost: 12,
+            cost: 1,
         },
     ]
 }

@@ -1,35 +1,21 @@
 //! §5.3.3 sensitivity analyses: remote penalty and the ε (alignment vs
 //! SRTF) weighting.
 //!
-//! Gains are averaged over three workload seeds: zero-arrival makespan is
-//! tail-dominated (whichever job happens to finish last sets it), so
-//! single-draw numbers are noisy.
+//! Gains are averaged over three workload seeds
+//! ([`facebook_draws`](super::gains::facebook_draws)).
 
 use tetris_core::TetrisConfig;
-use tetris_metrics::{pct_improvement, TextTable};
-use tetris_workload::stats::mean;
+use tetris_metrics::TextTable;
 
-use crate::setup::{run, run_tetris, with_zero_arrivals, SchedName};
+use super::gains::{facebook_draws, mean_gains, sweep, Gain};
+use crate::setup::SchedName;
 use crate::{Report, RunCtx};
 
-/// Mean (JCT gain, makespan gain) of a Tetris config vs the fair
-/// scheduler over the sweep seeds.
-fn mean_gains(ctx: &RunCtx, make: impl Fn() -> TetrisConfig) -> (f64, f64) {
-    let cluster = ctx.cluster();
-    let cfg = ctx.sim_config();
-    let mut jct = Vec::new();
-    let mut mk = Vec::new();
-    for seed in ctx.sweep_seeds() {
-        let w = ctx.scale.facebook_seeded(seed);
-        let w0 = with_zero_arrivals(w.clone());
-        let fair = run(ctx, &cluster, &w, SchedName::Fair, &cfg);
-        let fair0 = run(ctx, &cluster, &w0, SchedName::Fair, &cfg);
-        let o = run_tetris(ctx, &cluster, &w, make(), &cfg);
-        let o0 = run_tetris(ctx, &cluster, &w0, make(), &cfg);
-        jct.push(pct_improvement(fair.avg_jct(), o.avg_jct()));
-        mk.push(pct_improvement(fair0.makespan(), o0.makespan()));
-    }
-    (mean(&jct), mean(&mk))
+/// Each config's mean gains against the fair scheduler over the sweep
+/// seeds.
+fn gains_vs_fair(ctx: &RunCtx, configs: &[TetrisConfig]) -> Vec<Gain> {
+    let gains = mean_gains(ctx, &facebook_draws(ctx), &[SchedName::Fair], configs);
+    gains.into_iter().map(|g| g[0]).collect()
 }
 
 /// The remote penalties swept.
@@ -54,12 +40,8 @@ pub fn remote_penalty(ctx: &RunCtx) -> Report {
         "avg JCT gain vs fair",
         "makespan gain vs fair",
     ]);
-    for (i, p) in PENALTIES.into_iter().enumerate() {
-        let (jct, mk) = mean_gains(ctx, || {
-            let mut tc = TetrisConfig::default();
-            tc.remote_penalty = p;
-            tc
-        });
+    let gains = gains_vs_fair(ctx, &sweep(&PENALTIES, |tc, p| tc.remote_penalty = p));
+    for (i, (p, Gain { jct, makespan: mk })) in PENALTIES.into_iter().zip(gains).enumerate() {
         t.row(vec![
             format!("{:.0}%", p * 100.0),
             format!("{jct:+.1}%"),
@@ -94,12 +76,8 @@ const EPS_JCT: [&str; 6] = [
 pub fn epsilon(ctx: &RunCtx) -> Report {
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec!["m", "avg JCT gain", "makespan gain"]);
-    for (i, m) in MULTIPLIERS.into_iter().enumerate() {
-        let (jct, mk) = mean_gains(ctx, || {
-            let mut tc = TetrisConfig::default();
-            tc.srtf_multiplier = m;
-            tc
-        });
+    let gains = gains_vs_fair(ctx, &sweep(&MULTIPLIERS, |tc, m| tc.srtf_multiplier = m));
+    for (i, (m, Gain { jct, makespan: mk })) in MULTIPLIERS.into_iter().zip(gains).enumerate() {
         t.row(vec![
             format!("{m:.1}"),
             format!("{jct:+.1}%"),

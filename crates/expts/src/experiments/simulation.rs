@@ -3,10 +3,11 @@
 //! ablations, and the alignment-heuristic comparison.
 
 use tetris_baselines::UpperBoundScheduler;
-use tetris_core::{AlignmentKind, TetrisConfig};
+use tetris_core::AlignmentKind;
 use tetris_metrics::{pct_improvement, ImprovementSummary, TextTable};
 
-use crate::setup::{run, run_tetris, with_zero_arrivals, SchedName};
+use super::gains::{mean_gains, sweep};
+use crate::setup::{run, with_zero_arrivals, SchedName};
 use crate::{Report, RunCtx};
 
 /// Figure 7 + the §5.3.1 decomposition. Paper: Tetris speeds jobs up ~40 %
@@ -74,9 +75,10 @@ pub fn fig7(ctx: &RunCtx) -> Report {
         "jobs slowed",
     ]);
     for (name, metric) in variants {
-        let o = run(ctx, &cluster, &w, name, &cfg);
+        let ran = (name != SchedName::Tetris).then(|| run(ctx, &cluster, &w, name, &cfg));
+        let o = ran.as_ref().unwrap_or(&tetris);
         let o0 = run(ctx, &cluster, &w0, name, &cfg);
-        let slowed = ImprovementSummary::compare(&o, &fair).frac_slowed();
+        let slowed = ImprovementSummary::compare(o, &fair).frac_slowed();
         let jct_gain = pct_improvement(fair.avg_jct(), o.avg_jct());
         t.row(vec![
             o.scheduler.clone(),
@@ -113,23 +115,13 @@ fn alignment_metric_names(kind: AlignmentKind) -> (&'static str, &'static str) {
 /// metrics; L2-Norm-Diff close on makespan but behind on JCT; FFD variants
 /// trail.
 pub fn table7(ctx: &RunCtx) -> Report {
-    let cluster = ctx.cluster();
-    let w = ctx.facebook();
-    let w0 = with_zero_arrivals(w.clone());
-    let cfg = ctx.sim_config();
-
-    let fair = run(ctx, &cluster, &w, SchedName::Fair, &cfg);
-    let fair0 = run(ctx, &cluster, &w0, SchedName::Fair, &cfg);
+    let configs = sweep(&AlignmentKind::ALL, |tc, kind| tc.alignment = kind);
+    let gains = mean_gains(ctx, &[ctx.facebook()], &[SchedName::Fair], &configs);
 
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec!["alignment", "avg JCT gain", "makespan gain"]);
-    for kind in AlignmentKind::ALL {
-        let mut tc = TetrisConfig::default();
-        tc.alignment = kind;
-        let o = run_tetris(ctx, &cluster, &w, tc.clone(), &cfg);
-        let o0 = run_tetris(ctx, &cluster, &w0, tc, &cfg);
-        let jct_gain = pct_improvement(fair.avg_jct(), o.avg_jct());
-        let mk_gain = pct_improvement(fair0.makespan(), o0.makespan());
+    for (kind, g) in AlignmentKind::ALL.into_iter().zip(gains) {
+        let (jct_gain, mk_gain) = (g[0].jct, g[0].makespan);
         t.row(vec![
             kind.label().to_string(),
             format!("{jct_gain:+.1}%"),

@@ -9,6 +9,7 @@ use tetris_obs::{names, Event};
 use super::Engine;
 use crate::events::EventKind;
 use crate::recovery::{DecisionLog, RecoveryError};
+use crate::state::evictions_allowed;
 use crate::time::SimTime;
 use crate::tracker::REPORT_PERIOD_SECS;
 use crate::view::{Assignment, ClusterView};
@@ -148,26 +149,12 @@ impl Engine<'_> {
     }
 
     /// The engine's guard on one assignment: the task may run on the
-    /// machine, and an eviction list, if any, is honoured only with
-    /// preemption enabled, every victim still running on the target
-    /// machine, and every victim's job priority *strictly below* the
-    /// placing job's — the engine-enforced no-priority-inversion invariant
-    /// (DESIGN.md §16). One invalid victim rejects the assignment whole;
-    /// nothing is torn down first.
+    /// machine, and its eviction list passes the §16 rule
+    /// (`state::evictions_allowed`). One invalid victim rejects the
+    /// assignment whole; nothing is torn down first.
     fn admissible(&self, a: &Assignment) -> bool {
-        let state = &self.state;
-        let priority = |uid| state.workload.jobs[state.job_of(uid).index()].priority;
-        let evictions_valid = a.evict.is_empty()
-            || (state.cfg.preemption && {
-                let placer = priority(a.task);
-                a.evict.iter().all(|&v| {
-                    state
-                        .attempt(v)
-                        .is_some_and(|info| info.machine == a.machine)
-                        && priority(v) < placer
-                })
-            });
-        evictions_valid && state.assignment_valid(a.task, a.machine)
+        let view = ClusterView::new(&self.state, self.tracker_aware);
+        evictions_allowed(&view, a) && self.state.assignment_valid(a.task, a.machine)
     }
 
     /// Apply one admitted assignment: evict its victims, place its task,
@@ -216,5 +203,113 @@ impl Engine<'_> {
             provenance: a.provenance.filter(|_| verbose),
             priority: (priority != 0).then_some(priority),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tetris_resources::MachineSpec;
+    use tetris_workload::{PriorityClass, TaskUid, WorkloadBuilder};
+
+    use crate::cluster::{ClusterConfig, MachineId};
+    use crate::config::SimConfig;
+    use crate::engine::Simulation;
+    use crate::state::tests::params;
+    use crate::view::{Assignment, ClusterView, SchedulerPolicy};
+
+    // Builder order fixes the uids: job `low` (priority 0) holds tasks
+    // 0–2, job `peer` (priority 5) task 3, job `urgent` (priority 5,
+    // arriving at 10 s) task 4.
+    const LOW_M0: TaskUid = TaskUid(0);
+    const LOW_M1: TaskUid = TaskUid(1);
+    const LOW_PENDING: TaskUid = TaskUid(2);
+    const PEER_M0: TaskUid = TaskUid(3);
+    const URGENT: TaskUid = TaskUid(4);
+
+    /// Places `low`'s first task on machine 0, its second on machine 1
+    /// and `peer`'s task on machine 0, and holds `low`'s third back. Its
+    /// first sight of `urgent` is one proposal onto machine 0 evicting
+    /// `evict`; after it, every pending task goes to machine 1 so the run
+    /// ends.
+    struct Scripted {
+        evict: Vec<TaskUid>,
+        proposed: bool,
+    }
+
+    impl SchedulerPolicy for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+            let pending: Vec<TaskUid> = view
+                .active_jobs()
+                .flat_map(|j| view.job_pending(j))
+                .collect();
+            if pending.contains(&URGENT) && !self.proposed {
+                self.proposed = true;
+                let a = Assignment::new(URGENT, MachineId(0));
+                return vec![a.with_evictions(self.evict.clone())];
+            }
+            if !self.proposed {
+                let homes = [(LOW_M0, 0), (LOW_M1, 1), (PEER_M0, 0)];
+                return homes
+                    .into_iter()
+                    .filter(|(t, _)| pending.contains(t))
+                    .map(|(t, m)| Assignment::new(t, MachineId(m)))
+                    .collect();
+            }
+            pending
+                .into_iter()
+                .map(|t| Assignment::new(t, MachineId(1)))
+                .collect()
+        }
+    }
+
+    /// (rejected assignments, preemptions) of the run that proposes
+    /// `evict` for `urgent`.
+    fn propose(evict: Vec<TaskUid>, preemption: bool) -> (u64, u64) {
+        let mut b = WorkloadBuilder::new();
+        for (name, priority, arrival, n) in [
+            ("low", 0, 0.0, 3),
+            ("peer", 5, 0.0, 1),
+            ("urgent", 5, 10.0, 1),
+        ] {
+            let j = b.begin_job(name, None, arrival);
+            b.set_priority(j, PriorityClass(priority));
+            b.add_stage(j, "s", vec![], n, |_| params(1.0, 100.0, vec![]));
+        }
+        let mut cfg = SimConfig::default();
+        cfg.preemption = preemption;
+        let outcome = Simulation::build(
+            ClusterConfig::uniform(2, MachineSpec::paper_small()),
+            b.finish(),
+        )
+        .scheduler(Scripted {
+            evict,
+            proposed: false,
+        })
+        .config(cfg)
+        .run();
+        assert!(outcome.all_jobs_completed());
+        (
+            outcome.stats.rejected_assignments,
+            outcome.stats.preemptions,
+        )
+    }
+
+    #[test]
+    fn the_engine_admits_only_evictions_the_rule_allows() {
+        let refused = (1, 0);
+        assert_eq!(propose(vec![PEER_M0], true), refused, "equal priority");
+        assert_eq!(propose(vec![LOW_M1], true), refused, "on another host");
+        assert_eq!(propose(vec![LOW_PENDING], true), refused, "not running");
+        assert_eq!(propose(vec![LOW_M0], false), refused, "preemption off");
+        assert_eq!(
+            propose(vec![LOW_M0, PEER_M0], true),
+            refused,
+            "one bad victim"
+        );
+        assert_eq!(propose(vec![LOW_M0], true), (0, 1), "a valid list");
     }
 }

@@ -39,7 +39,7 @@ use tetris_obs::{names, MetricsRegistry};
 use tetris_workload::{JobId, TaskUid};
 
 use crate::cluster::MachineId;
-use crate::state::PlacementPlan;
+use crate::state::{evictions_allowed, PlacementPlan};
 use crate::view::{Assignment, ClusterView, SchedulerPolicy, ShardScope, WorkingLedger};
 
 /// Bound on intra-heartbeat retry rounds for shards whose proposals lost
@@ -208,24 +208,13 @@ impl ShardedScheduler {
     }
 }
 
-/// Whether the commit stage may take `a`'s eviction list: by the engine's
-/// rules (`Engine::admissible`) preemption is on and every victim still
-/// runs on the target, at a priority strictly below the placing task's;
-/// and no victim is evicted already this heartbeat, by an earlier commit
-/// or earlier in the list. Vacuous for a proposal that evicts nothing.
+/// Whether the commit stage may take `a`'s eviction list: it passes the
+/// engine's §16 rule (`state::evictions_allowed`), and no victim is
+/// evicted already this heartbeat, by an earlier commit or earlier in the
+/// list.
 fn evictions_valid(view: &ClusterView<'_>, a: &Assignment, evicted: &HashSet<TaskUid>) -> bool {
-    if a.evict.is_empty() {
-        return true;
-    }
-    let placer = view.task_priority(a.task);
-    view.preemption_enabled()
-        && a.evict.iter().enumerate().all(|(i, &v)| {
-            view.running_on(v)
-                .is_some_and(|(host, _)| host == a.machine)
-                && view.task_priority(v) < placer
-                && !evicted.contains(&v)
-                && !a.evict[..i].contains(&v)
-        })
+    let unique = |(i, v): (usize, &TaskUid)| !evicted.contains(v) && !a.evict[..i].contains(v);
+    evictions_allowed(view, a) && a.evict.iter().enumerate().all(unique)
 }
 
 impl SchedulerPolicy for ShardedScheduler {

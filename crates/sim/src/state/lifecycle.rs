@@ -12,6 +12,20 @@ use tetris_workload::{JobId, TaskUid};
 use super::{Phase, RunInfo, SimState};
 use crate::cluster::MachineId;
 use crate::events::EventKind;
+use crate::view::{Assignment, ClusterView};
+
+/// The §16 eviction rule, stated once (DESIGN.md §16): `a` may evict its
+/// victims only with preemption on, each running on `a.machine`, at a job
+/// priority strictly below the placer's. Vacuous for an empty list.
+pub(crate) fn evictions_allowed(view: &ClusterView<'_>, a: &Assignment) -> bool {
+    a.evict.iter().all(|&v| {
+        view.preemption_enabled()
+            && view
+                .running_on(v)
+                .is_some_and(|(host, _)| host == a.machine)
+            && view.task_priority(v) < view.task_priority(a.task)
+    })
+}
 
 /// What [`SimState::task_complete`] did, so the engine can emit the
 /// matching trace event.

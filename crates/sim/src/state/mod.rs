@@ -39,7 +39,7 @@ mod network;
 mod plan;
 mod replicas;
 
-pub(crate) use lifecycle::TaskCompletion;
+pub(crate) use lifecycle::{evictions_allowed, TaskCompletion};
 use network::DirtySet;
 pub use plan::{PlacementPlan, SHUFFLE_SHARE_MARGIN};
 pub(crate) use replicas::widen;

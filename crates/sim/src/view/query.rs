@@ -9,7 +9,7 @@ use tetris_workload::{JobId, PlacementConstraints, PriorityClass, TaskUid};
 
 use super::{Assignment, ClusterView, WorkingLedger};
 use crate::cluster::MachineId;
-use crate::state::PlacementPlan;
+use crate::state::{evictions_allowed, PlacementPlan};
 
 impl<'a> ClusterView<'a> {
     /// Machine-selection interface (indexed when the simulation maintains
@@ -375,8 +375,9 @@ pub fn plan_priority_preemption(
             }
         }
     }
-    let machine = best?;
-    Some(Assignment::new(task, machine).with_evictions(best_victims))
+    let a = Assignment::new(task, best?).with_evictions(best_victims);
+    debug_assert!(evictions_allowed(view, &a));
+    Some(a)
 }
 
 #[cfg(test)]

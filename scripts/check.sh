@@ -85,6 +85,14 @@ target/release/reproduce fig1 table2 --jobs 2 | sed '/finished in/d' \
   | cmp - scripts/golden/batch_reproduce.txt \
   || { echo "batch reproduce output diverged from the pre-§16 golden"; exit 1; }
 
+echo "== sweeps golden (each knob sweep's simulations, pinned) =="
+# The §5.3 sweeps and the experiments whose runs they share must render
+# byte-identical to the golden (about 12 s on two workers). cmp, not a
+# tolerance.
+target/release/reproduce fig4 fig7 table7 fig8 fig10 rp eps --jobs 2 | sed '/finished in/d' \
+  | cmp - scripts/golden/sweeps_reproduce.txt \
+  || { echo "sweep experiments' output diverged from the golden"; exit 1; }
+
 echo "== churn smoke (fault sweep at toy scale) =="
 target/release/reproduce churn --scale 0.05 >/dev/null
 
