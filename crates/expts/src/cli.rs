@@ -303,59 +303,59 @@ pub fn print_help() {
          \x20                [--journal FILE [--crash-at N]]\n\
          \x20                [--outcome FILE.json]\n\n\
          --laptop  20-machine cluster, scaled workloads (default; seconds\n\
-                   per experiment)\n\
+         \x20         per experiment)\n\
          --full    250-machine cluster, paper-scale workloads (roughly ten\n\
-                   minutes per simulation run — pick experiments singly)\n\
+         \x20         minutes per simulation run — pick experiments singly)\n\
          --seed N  master seed (default 42; workloads derive from it)\n\
          --scale F workload-size multiplier for self-sizing experiments\n\
-                   like churn (default 1.0; CI smokes use e.g. 0.05)\n\
+         \x20         like churn (default 1.0; CI smokes use e.g. 0.05)\n\
          --jobs N  worker threads for running experiments/seeds in\n\
-                   parallel (default: available cores; output is\n\
-                   byte-identical to --jobs 1)\n\
+         \x20         parallel (default: available cores; output is\n\
+         \x20         byte-identical to --jobs 1)\n\
          sweep     run one experiment across a seed range and aggregate\n\
-                   its headline metrics (median/p10/p90); --seeds A..B is\n\
-                   inclusive and defaults to 1..8\n\
+         \x20         its headline metrics (median/p10/p90); --seeds A..B is\n\
+         \x20         inclusive and defaults to 1..8\n\
          --bench FILE\n\
-                   write a machine-readable benchmark record (wall-clock,\n\
-                   per-experiment seconds, merged heartbeat histograms)\n\
+         \x20         write a machine-readable benchmark record (wall-clock,\n\
+         \x20         per-experiment seconds, merged heartbeat histograms)\n\
          --trace   instrumented reference run; stream every scheduling\n\
-                   decision to FILE.jsonl as JSON Lines\n\
+         \x20         decision to FILE.jsonl as JSON Lines\n\
          --metrics instrumented reference run; write the metrics snapshot\n\
-                   (counters + latency histograms + telemetry samples) to\n\
-                   FILE.json\n\
+         \x20         (counters + latency histograms + telemetry samples) to\n\
+         \x20         FILE.json\n\
          --trace-verbose\n\
-                   attach decision provenance to every TaskPlaced trace\n\
-                   event: top rejected candidates with their score\n\
-                   breakdown plus incremental-cache state (requires\n\
-                   --trace; default traces stay byte-identical)\n\
+         \x20         attach decision provenance to every TaskPlaced trace\n\
+         \x20         event: top rejected candidates with their score\n\
+         \x20         breakdown plus incremental-cache state (requires\n\
+         \x20         --trace; default traces stay byte-identical)\n\
          --timeseries FILE.jsonl\n\
-                   stream one cluster telemetry sample per heartbeat\n\
-                   (utilization, fragmentation, packing efficiency,\n\
-                   backlog, suspect machines) as JSON Lines\n\
+         \x20         stream one cluster telemetry sample per heartbeat\n\
+         \x20         (utilization, fragmentation, packing efficiency,\n\
+         \x20         backlog, suspect machines) as JSON Lines\n\
          --crash-frac F\n\
-                   churn-style fault injection for the instrumented run:\n\
-                   fraction of machines crash/recover-cycling in [0,1]\n\
+         \x20         churn-style fault injection for the instrumented run:\n\
+         \x20         fraction of machines crash/recover-cycling in [0,1]\n\
          --shards N\n\
-                   run the instrumented reference configuration under the\n\
-                   Omega-style sharded multi-scheduler: N optimistic\n\
-                   scheduler instances over shared cluster state with\n\
-                   commit-time conflict resolution (default 1 = the plain\n\
-                   single-scheduler path; decisions are byte-identical\n\
-                   only at N=1)\n\
+         \x20         run the instrumented reference configuration under the\n\
+         \x20         Omega-style sharded multi-scheduler: N optimistic\n\
+         \x20         scheduler instances over shared cluster state with\n\
+         \x20         commit-time conflict resolution (default 1 = the plain\n\
+         \x20         single-scheduler path; decisions are byte-identical\n\
+         \x20         only at N=1)\n\
          --journal FILE\n\
-                   write-ahead decision journal for the instrumented run:\n\
-                   CRC-framed committed placement batches (DESIGN.md §15),\n\
-                   saved to FILE for crash recovery\n\
+         \x20         write-ahead decision journal for the instrumented run:\n\
+         \x20         CRC-framed committed placement batches (DESIGN.md §15),\n\
+         \x20         saved to FILE for crash recovery\n\
          --crash-at N\n\
-                   kill the scheduler at heartbeat N, then recover it by\n\
-                   replaying the journal from heartbeat 0 and continue —\n\
-                   the final outcome must be\n\
-                   byte-identical to the uninterrupted run (requires\n\
-                   --journal)\n\
+         \x20         kill the scheduler at heartbeat N, then recover it by\n\
+         \x20         replaying the journal from heartbeat 0 and continue —\n\
+         \x20         the final outcome must be\n\
+         \x20         byte-identical to the uninterrupted run (requires\n\
+         \x20         --journal)\n\
          --outcome FILE.json\n\
-                   write the run's final SimOutcome as JSON; recovery\n\
-                   smokes `cmp` a crashed-and-recovered outcome against an\n\
-                   uninterrupted one"
+         \x20         write the run's final SimOutcome as JSON; recovery\n\
+         \x20         smokes `cmp` a crashed-and-recovered outcome against an\n\
+         \x20         uninterrupted one"
     );
 }
 

@@ -52,7 +52,12 @@ pub fn fig4(ctx: &RunCtx) -> Report {
     out.push('\n');
 
     let mut report = Report::new(String::new());
-    for (base, base_name) in [(&cs, SchedName::Capacity), (&drf, SchedName::Drf)] {
+    // Each baseline's tag names its metrics (`cs`, not the scheduler's
+    // label `capacity`).
+    for (base, base_name, tag) in [
+        (&cs, SchedName::Capacity, "cs"),
+        (&drf, SchedName::Drf, "drf"),
+    ] {
         let imp = ImprovementSummary::compare(&tetris, base);
         let mk = makespan_gain(base_name);
         out.push_str(&format!(
@@ -68,27 +73,11 @@ pub fn fig4(ctx: &RunCtx) -> Report {
         out.push('\n');
         out.push_str(&imp.render_cdf(10));
         out.push('\n');
-        let (m_med, m_p90, m_avg, m_mk, m_slow) = match base_name {
-            SchedName::Capacity => (
-                "median_jct_gain_vs_cs",
-                "p90_jct_gain_vs_cs",
-                "avg_jct_gain_vs_cs",
-                "makespan_gain_vs_cs",
-                "frac_slowed_vs_cs",
-            ),
-            _ => (
-                "median_jct_gain_vs_drf",
-                "p90_jct_gain_vs_drf",
-                "avg_jct_gain_vs_drf",
-                "makespan_gain_vs_drf",
-                "frac_slowed_vs_drf",
-            ),
-        };
-        report.push(m_med, imp.median());
-        report.push(m_p90, imp.percentile(0.9));
-        report.push(m_avg, imp.avg_jct);
-        report.push(m_mk, mk);
-        report.push(m_slow, imp.frac_slowed());
+        report.push(format!("median_jct_gain_vs_{tag}"), imp.median());
+        report.push(format!("p90_jct_gain_vs_{tag}"), imp.percentile(0.9));
+        report.push(format!("avg_jct_gain_vs_{tag}"), imp.avg_jct);
+        report.push(format!("makespan_gain_vs_{tag}"), mk);
+        report.push(format!("frac_slowed_vs_{tag}"), imp.frac_slowed());
     }
     report.text = out;
     report
@@ -111,11 +100,7 @@ pub fn fig5(ctx: &RunCtx) -> Report {
          allocation above 100% is over-allocation)\n",
     );
     let mut report = Report::new(String::new());
-    for (sched, metric) in [
-        (SchedName::Tetris, "tetris_makespan_s"),
-        (SchedName::Capacity, "capacity_makespan_s"),
-        (SchedName::Drf, "drf_makespan_s"),
-    ] {
+    for sched in [SchedName::Tetris, SchedName::Capacity, SchedName::Drf] {
         let o = run(ctx, &cluster, &w, sched, &cfg);
         let tl = timeline::cluster_timeline(&o, &total);
         out.push_str(&format!(
@@ -124,7 +109,7 @@ pub fn fig5(ctx: &RunCtx) -> Report {
             o.makespan(),
             timeline::render(&timeline::decimate(&tl, 12))
         ));
-        report.push(metric, o.makespan());
+        report.push(format!("{}_makespan_s", sched.label()), o.makespan());
     }
     report.text = out;
     report
@@ -148,16 +133,15 @@ pub fn table6(ctx: &RunCtx) -> Report {
          (up to idle-reclamation of observed-unused resources).\n",
     );
     let mut report = Report::new(String::new());
-    for (sched, metric) in [
-        (SchedName::Tetris, "tetris_p_mem_over_100"),
-        (SchedName::Capacity, "capacity_p_mem_over_100"),
-        (SchedName::Drf, "drf_p_mem_over_100"),
-    ] {
+    for sched in [SchedName::Tetris, SchedName::Capacity, SchedName::Drf] {
         let o = run(ctx, &cluster, &w, sched, &cfg);
         let t =
             TightnessTable::machines(&o, &cap, &[0.8, 0.9, 1.0]).expect("machine samples enabled");
         out.push_str(&format!("\n### {}\n{}", o.scheduler, t.render()));
-        report.push(metric, t.get(Resource::Mem, 2));
+        report.push(
+            format!("{}_p_mem_over_100", sched.label()),
+            t.get(Resource::Mem, 2),
+        );
     }
     report.text = out;
     report

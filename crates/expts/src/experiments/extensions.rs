@@ -13,12 +13,6 @@ use crate::{Report, RunCtx};
 
 /// The estimate-noise levels swept (multiplicative log-normal ln-σ).
 const SIGMAS: [f64; 3] = [0.2, 0.5, 1.0];
-/// Per-σ JCT-gain metric names, same order as `SIGMAS`.
-const SIGMA_JCT: [&str; 3] = [
-    "sigma0.2_jct_gain_vs_fair",
-    "sigma0.5_jct_gain_vs_fair",
-    "sigma1.0_jct_gain_vs_fair",
-];
 
 /// §4.1 robustness: Tetris's gains vs the fair scheduler as the demand
 /// estimates degrade (multiplicative log-normal error of ln-σ `sigma`).
@@ -43,7 +37,7 @@ pub fn estimation(ctx: &RunCtx) -> Report {
         format!("{oracle_gain:+.1}%"),
         "100%".to_string(),
     ]);
-    for (i, sigma) in SIGMAS.into_iter().enumerate() {
+    for sigma in SIGMAS {
         let mut tc = TetrisConfig::default();
         tc.estimation = EstimationMode::Noisy { sigma };
         let o = run_tetris(ctx, &cluster, &w, tc, &cfg);
@@ -53,7 +47,7 @@ pub fn estimation(ctx: &RunCtx) -> Report {
             format!("{gain:+.1}%"),
             format!("{:.0}%", 100.0 * gain / oracle_gain.max(1e-9)),
         ]);
-        report.push(SIGMA_JCT[i], gain);
+        report.push(format!("sigma{sigma:.1}_jct_gain_vs_fair"), gain);
     }
     report.text = format!(
         "Extension — sensitivity to demand-estimation error (§4.1 robustness\n\
@@ -116,21 +110,15 @@ pub fn starvation(ctx: &RunCtx) -> Report {
 
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec!["config", "large-task JCT", "churn JCT", "makespan"]);
-    for (name, starve, m_large, m_mk) in [
-        (
-            "no reservations (paper §3.5)",
-            None,
-            "large_jct_no_reservation_s",
-            "makespan_no_reservation_s",
-        ),
+    for (name, starve, tag) in [
+        ("no reservations (paper §3.5)", None, "no"),
         (
             "reservations, patience 60s",
             Some(StarvationConfig {
                 patience: 60.0,
                 max_reservations: 1,
             }),
-            "large_jct_with_reservation_s",
-            "makespan_with_reservation_s",
+            "with",
         ),
     ] {
         let o = run_one(starve);
@@ -140,8 +128,11 @@ pub fn starvation(ctx: &RunCtx) -> Report {
             format!("{:.0}s", o.jct(JobId(0)).unwrap()),
             format!("{:.0}s", o.makespan()),
         ]);
-        report.push(m_large, o.jct(JobId(1)).unwrap());
-        report.push(m_mk, o.makespan());
+        report.push(
+            format!("large_jct_{tag}_reservation_s"),
+            o.jct(JobId(1)).unwrap(),
+        );
+        report.push(format!("makespan_{tag}_reservation_s"), o.makespan());
     }
     report.text = format!(
         "Extension — starvation prevention by reservation (the paper's §3.5\n\
@@ -164,6 +155,8 @@ mod tests {
         assert!(r.text.contains("oracle"));
         assert!(r.text.contains("0.5"));
         assert!(r.get("oracle_jct_gain_vs_fair").is_some());
+        assert_eq!(r.metrics.len(), 1 + SIGMAS.len());
+        assert!(r.get("sigma0.5_jct_gain_vs_fair").is_some());
     }
 
     #[test]

@@ -84,18 +84,7 @@ pub fn fig6(ctx: &RunCtx) -> Report {
          contention lowers disk throughput for tasks and ingestion alike.\n",
     ));
     let mut report = Report::new(String::new());
-    for (sched, m_tasks, m_stretch) in [
-        (
-            SchedName::Tetris,
-            "tetris_tasks_during_ingestion",
-            "tetris_mean_stretch",
-        ),
-        (
-            SchedName::Capacity,
-            "capacity_tasks_during_ingestion",
-            "capacity_mean_stretch",
-        ),
-    ] {
+    for sched in [SchedName::Tetris, SchedName::Capacity] {
         let o = run_one(ctx, sched);
         let tl = timeline::machine_timeline(&o, LOADED, &cap).expect("machine samples");
         let tasks = tasks_during_ingestion(&o);
@@ -106,8 +95,9 @@ pub fn fig6(ctx: &RunCtx) -> Report {
             o.mean_task_stretch(),
             timeline::render(&timeline::decimate(&tl, 16))
         ));
-        report.push(m_tasks, tasks);
-        report.push(m_stretch, o.mean_task_stretch());
+        let name = sched.label();
+        report.push(format!("{name}_tasks_during_ingestion"), tasks);
+        report.push(format!("{name}_mean_stretch"), o.mean_task_stretch());
     }
     report.text = out;
     report

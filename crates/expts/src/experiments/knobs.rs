@@ -10,25 +10,6 @@ use crate::{Report, RunCtx};
 /// The knob values swept (paper Figs. 8/9 use {0, 0.25, 0.5, 0.75, →1}).
 pub const FAIRNESS_KNOBS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.99];
 
-/// Metric names for the per-knob vs-fair (JCT, makespan) gains, same
-/// order as [`FAIRNESS_KNOBS`].
-const F_VS_FAIR: [(&str, &str); 5] = [
-    ("f0.00_jct_gain_vs_fair", "f0.00_makespan_gain_vs_fair"),
-    ("f0.25_jct_gain_vs_fair", "f0.25_makespan_gain_vs_fair"),
-    ("f0.50_jct_gain_vs_fair", "f0.50_makespan_gain_vs_fair"),
-    ("f0.75_jct_gain_vs_fair", "f0.75_makespan_gain_vs_fair"),
-    ("f0.99_jct_gain_vs_fair", "f0.99_makespan_gain_vs_fair"),
-];
-
-/// Metric names for the per-knob fraction of jobs slowed vs fair.
-const F_SLOWED_VS_FAIR: [&str; 5] = [
-    "f0.00_frac_slowed_vs_fair",
-    "f0.25_frac_slowed_vs_fair",
-    "f0.50_frac_slowed_vs_fair",
-    "f0.75_frac_slowed_vs_fair",
-    "f0.99_frac_slowed_vs_fair",
-];
-
 /// Figure 8: JCT and makespan gains vs the fairness knob. Paper: f ≈ 0.25
 /// achieves nearly the best efficiency; even f → 1 retains sizeable gains
 /// (a fair job choice still leaves many tasks to pick from).
@@ -45,7 +26,7 @@ pub fn fig8(ctx: &RunCtx) -> Report {
         "makespan vs fair",
         "makespan vs drf",
     ]);
-    for (i, (f, g)) in FAIRNESS_KNOBS.into_iter().zip(gains).enumerate() {
+    for (f, g) in FAIRNESS_KNOBS.into_iter().zip(gains) {
         let [fair, drf] = [g[0], g[1]];
         t.row(vec![
             format!("{f:.2}"),
@@ -54,8 +35,8 @@ pub fn fig8(ctx: &RunCtx) -> Report {
             format!("{:+.1}%", fair.makespan),
             format!("{:+.1}%", drf.makespan),
         ]);
-        report.push(F_VS_FAIR[i].0, fair.jct);
-        report.push(F_VS_FAIR[i].1, fair.makespan);
+        report.push(format!("f{f:.2}_jct_gain_vs_fair"), fair.jct);
+        report.push(format!("f{f:.2}_makespan_gain_vs_fair"), fair.makespan);
     }
     report.text = format!(
         "Figure 8 — fairness knob sweep (f = 0 most efficient, f → 1 most fair)\n\
@@ -85,7 +66,7 @@ pub fn fig9(ctx: &RunCtx) -> Report {
         "avg (max) slowdown ",
     ]);
     let configs = sweep(&FAIRNESS_KNOBS, |tc, f| tc.fairness_knob = f);
-    for (i, (f, tc)) in FAIRNESS_KNOBS.into_iter().zip(configs).enumerate() {
+    for (f, tc) in FAIRNESS_KNOBS.into_iter().zip(configs) {
         let o = run_tetris(ctx, &cluster, &w, tc, &cfg);
         let sf = SlowdownSummary::compare(&o, &fair);
         let sd = SlowdownSummary::compare(&o, &drf);
@@ -96,7 +77,7 @@ pub fn fig9(ctx: &RunCtx) -> Report {
             format!("{:.0}%", sd.frac_slowed * 100.0),
             format!("{:.0}% ({:.0}%)", sd.avg_slowdown_pct, sd.max_slowdown_pct),
         ]);
-        report.push(F_SLOWED_VS_FAIR[i], sf.frac_slowed);
+        report.push(format!("f{f:.2}_frac_slowed_vs_fair"), sf.frac_slowed);
     }
     report.text = format!(
         "Figure 9 — job slowdown vs fair baselines across the fairness knob\n\
@@ -147,17 +128,6 @@ pub fn riu(ctx: &RunCtx) -> Report {
 /// The barrier knob values swept in Figure 10.
 pub const BARRIER_KNOBS: [f64; 6] = [0.5, 0.75, 0.85, 0.9, 0.95, 1.0];
 
-/// Metric names for the per-knob vs-drf (JCT, makespan) gains, same
-/// order as [`BARRIER_KNOBS`].
-const B_VS_DRF: [(&str, &str); 6] = [
-    ("b0.50_jct_gain_vs_drf", "b0.50_makespan_gain_vs_drf"),
-    ("b0.75_jct_gain_vs_drf", "b0.75_makespan_gain_vs_drf"),
-    ("b0.85_jct_gain_vs_drf", "b0.85_makespan_gain_vs_drf"),
-    ("b0.90_jct_gain_vs_drf", "b0.90_makespan_gain_vs_drf"),
-    ("b0.95_jct_gain_vs_drf", "b0.95_makespan_gain_vs_drf"),
-    ("b1.00_jct_gain_vs_drf", "b1.00_makespan_gain_vs_drf"),
-];
-
 /// Figure 10 — barrier knob sweep. Paper: b ≈ 0.9 is net positive on both
 /// metrics; very small b (promote too early) is worse than no promotion.
 /// Gains are averaged over three workload seeds (zero-arrival makespan is
@@ -170,15 +140,15 @@ pub fn fig10(ctx: &RunCtx) -> Report {
 
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec!["b", "JCT gain vs drf", "makespan vs drf"]);
-    for (i, (b, g)) in BARRIER_KNOBS.into_iter().zip(gains).enumerate() {
+    for (b, g) in BARRIER_KNOBS.into_iter().zip(gains) {
         let drf = g[0];
         t.row(vec![
             format!("{b:.2}"),
             format!("{:+.1}%", drf.jct),
             format!("{:+.1}%", drf.makespan),
         ]);
-        report.push(B_VS_DRF[i].0, drf.jct);
-        report.push(B_VS_DRF[i].1, drf.makespan);
+        report.push(format!("b{b:.2}_jct_gain_vs_drf"), drf.jct);
+        report.push(format!("b{b:.2}_makespan_gain_vs_drf"), drf.makespan);
     }
     report.text = format!(
         "Figure 10 — barrier knob sweep (b = 1 disables straggler promotion;\n\
@@ -219,6 +189,14 @@ mod tests {
     }
 
     #[test]
+    fn fig8_names_each_knob_value_at_two_decimals() {
+        let r = fig8(&RunCtx::default());
+        assert_eq!(r.metrics.len(), 2 * FAIRNESS_KNOBS.len());
+        assert!(r.get("f0.25_jct_gain_vs_fair").is_some());
+        assert!(r.get("f0.75_makespan_gain_vs_fair").is_some());
+    }
+
+    #[test]
     fn fig9_moderate_knob_limits_slowdowns() {
         let ctx = RunCtx::default();
         let cluster = ctx.cluster();
@@ -249,5 +227,6 @@ mod tests {
         assert!(r.text.contains("0.90"));
         assert!(r.text.contains("1.00"));
         assert_eq!(r.metrics.len(), 12);
+        assert!(r.get("b0.90_makespan_gain_vs_drf").is_some());
     }
 }

@@ -15,20 +15,6 @@ use crate::{Report, RunCtx};
 /// the interesting regime is the rise before that.
 pub const LOADS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
-/// Per-load metric names (vs fair, vs drf), same order as [`LOADS`].
-const LOAD_JCT_VS_FAIR: [&str; 4] = [
-    "load1x_jct_gain_vs_fair",
-    "load2x_jct_gain_vs_fair",
-    "load4x_jct_gain_vs_fair",
-    "load8x_jct_gain_vs_fair",
-];
-const LOAD_JCT_VS_DRF: [&str; 4] = [
-    "load1x_jct_gain_vs_drf",
-    "load2x_jct_gain_vs_drf",
-    "load4x_jct_gain_vs_drf",
-    "load8x_jct_gain_vs_drf",
-];
-
 /// Gains of Tetris over fair and DRF at one load multiplier.
 pub fn gains_at(ctx: &RunCtx, load: f64) -> (f64, f64) {
     let cluster = ctx.cluster_with_load(load);
@@ -55,16 +41,17 @@ pub fn fig11(ctx: &RunCtx) -> Report {
         "JCT gain vs fair",
         "JCT gain vs drf",
     ]);
-    for (i, load) in LOADS.into_iter().enumerate() {
+    for load in LOADS {
         let (vs_fair, vs_drf) = gains_at(ctx, load);
+        let mult = format!("{:.0}x", load / LOADS[0]);
         t.row(vec![
-            format!("{:.0}x", load / LOADS[0]),
+            mult.clone(),
             format!("{}", ctx.cluster_with_load(load).len()),
             format!("{vs_fair:+.1}%"),
             format!("{vs_drf:+.1}%"),
         ]);
-        report.push(LOAD_JCT_VS_FAIR[i], vs_fair);
-        report.push(LOAD_JCT_VS_DRF[i], vs_drf);
+        report.push(format!("load{mult}_jct_gain_vs_fair"), vs_fair);
+        report.push(format!("load{mult}_jct_gain_vs_drf"), vs_drf);
     }
     report.text = format!(
         "Figure 11 — gains vs cluster load (load varied by shrinking the cluster)\n\

@@ -41,10 +41,7 @@ pub fn fig1(ctx: &RunCtx) -> Report {
 
     let mut report = Report::new(String::new());
     let mut table = TextTable::new(vec!["scheduler", "A", "B", "C", "avg JCT", "makespan"]);
-    for (sched, m_jct, m_mk) in [
-        (SchedName::Tetris, "tetris_avg_jct_t", "tetris_makespan_t"),
-        (SchedName::Drf, "drf_avg_jct_t", "drf_makespan_t"),
-    ] {
+    for sched in [SchedName::Tetris, SchedName::Drf] {
         let o = run_observed(
             ctx,
             Simulation::build(cluster.clone(), ex.workload.clone())
@@ -61,8 +58,8 @@ pub fn fig1(ctx: &RunCtx) -> Report {
             t(o.avg_jct()),
             t(o.makespan()),
         ]);
-        report.push(m_jct, o.avg_jct() / ex.t);
-        report.push(m_mk, o.makespan() / ex.t);
+        report.push(format!("{}_avg_jct_t", sched.label()), o.avg_jct() / ex.t);
+        report.push(format!("{}_makespan_t", sched.label()), o.makespan() / ex.t);
     }
 
     report.text = format!(

@@ -20,15 +20,6 @@ fn gains_vs_fair(ctx: &RunCtx, configs: &[TetrisConfig]) -> Vec<Gain> {
 
 /// The remote penalties swept.
 const PENALTIES: [f64; 6] = [0.0, 0.05, 0.10, 0.20, 0.35, 0.5];
-/// Per-penalty JCT-gain metric names, same order as `PENALTIES`.
-const RP_JCT: [&str; 6] = [
-    "rp0_jct_gain_vs_fair",
-    "rp5_jct_gain_vs_fair",
-    "rp10_jct_gain_vs_fair",
-    "rp20_jct_gain_vs_fair",
-    "rp35_jct_gain_vs_fair",
-    "rp50_jct_gain_vs_fair",
-];
 
 /// Remote-penalty sweep. Paper: completion time and makespan change little
 /// for penalties between ~8 % and ~20 %; both extremes (0: over-use remote
@@ -41,13 +32,14 @@ pub fn remote_penalty(ctx: &RunCtx) -> Report {
         "makespan gain vs fair",
     ]);
     let gains = gains_vs_fair(ctx, &sweep(&PENALTIES, |tc, p| tc.remote_penalty = p));
-    for (i, (p, Gain { jct, makespan: mk })) in PENALTIES.into_iter().zip(gains).enumerate() {
+    for (p, Gain { jct, makespan: mk }) in PENALTIES.into_iter().zip(gains) {
+        let pct = format!("{:.0}", p * 100.0);
         t.row(vec![
-            format!("{:.0}%", p * 100.0),
+            format!("{pct}%"),
             format!("{jct:+.1}%"),
             format!("{mk:+.1}%"),
         ]);
-        report.push(RP_JCT[i], jct);
+        report.push(format!("rp{pct}_jct_gain_vs_fair"), jct);
     }
     report.text = format!(
         "§5.3.3 — remote-penalty sensitivity (mean of 3 workload seeds)\n\
@@ -60,15 +52,6 @@ pub fn remote_penalty(ctx: &RunCtx) -> Report {
 
 /// The ε multipliers swept.
 const MULTIPLIERS: [f64; 6] = [0.0, 0.1, 0.5, 1.0, 2.0, 4.0];
-/// Per-multiplier JCT-gain metric names, same order as `MULTIPLIERS`.
-const EPS_JCT: [&str; 6] = [
-    "m0.0_jct_gain_vs_fair",
-    "m0.1_jct_gain_vs_fair",
-    "m0.5_jct_gain_vs_fair",
-    "m1.0_jct_gain_vs_fair",
-    "m2.0_jct_gain_vs_fair",
-    "m4.0_jct_gain_vs_fair",
-];
 
 /// ε multiplier sweep (`m` in ε = m·ā/p̄). Paper: JCT needs m > 0 and
 /// plateaus quickly (m ≈ 1 right); makespan is best at small m and loses a
@@ -77,13 +60,13 @@ pub fn epsilon(ctx: &RunCtx) -> Report {
     let mut report = Report::new(String::new());
     let mut t = TextTable::new(vec!["m", "avg JCT gain", "makespan gain"]);
     let gains = gains_vs_fair(ctx, &sweep(&MULTIPLIERS, |tc, m| tc.srtf_multiplier = m));
-    for (i, (m, Gain { jct, makespan: mk })) in MULTIPLIERS.into_iter().zip(gains).enumerate() {
+    for (m, Gain { jct, makespan: mk }) in MULTIPLIERS.into_iter().zip(gains) {
         t.row(vec![
             format!("{m:.1}"),
             format!("{jct:+.1}%"),
             format!("{mk:+.1}%"),
         ]);
-        report.push(EPS_JCT[i], jct);
+        report.push(format!("m{m:.1}_jct_gain_vs_fair"), jct);
     }
     report.text = format!(
         "§5.3.3 — weighting alignment vs SRTF (m = 0 is pure packing;\n\
@@ -105,6 +88,7 @@ mod tests {
         let r = remote_penalty(&RunCtx::default());
         assert!(r.text.contains("10%"));
         assert_eq!(r.metrics.len(), 6);
+        assert!(r.get("rp35_jct_gain_vs_fair").is_some());
         let e = epsilon(&RunCtx::default());
         assert!(e.text.contains("1.0"));
         assert!(e.get("m1.0_jct_gain_vs_fair").is_some());

@@ -27,10 +27,7 @@ pub fn fig7(ctx: &RunCtx) -> Report {
     let mut report = Report::new(String::new());
     let mut out = String::new();
     out.push_str("Figure 7 — simulation on the Facebook-like trace\n\n");
-    for (base, m_med, m_avg) in [
-        (&fair, "median_jct_gain_vs_fair", "avg_jct_gain_vs_fair"),
-        (&drf, "median_jct_gain_vs_drf", "avg_jct_gain_vs_drf"),
-    ] {
+    for (base, tag) in [(&fair, "fair"), (&drf, "drf")] {
         let imp = ImprovementSummary::compare(&tetris, base);
         out.push_str(&format!(
             "tetris vs {:<14} median {:+.1}%  p90 {:+.1}%  avg {:+.1}%  slowed {:.0}%\n",
@@ -42,8 +39,8 @@ pub fn fig7(ctx: &RunCtx) -> Report {
         ));
         out.push_str(&imp.render_cdf(10));
         out.push('\n');
-        report.push(m_med, imp.median());
-        report.push(m_avg, imp.avg_jct);
+        report.push(format!("median_jct_gain_vs_{tag}"), imp.median());
+        report.push(format!("avg_jct_gain_vs_{tag}"), imp.avg_jct);
     }
 
     // Fraction of the upper bound achieved (paper: ≈ 90 %).
@@ -63,10 +60,10 @@ pub fn fig7(ctx: &RunCtx) -> Report {
     let w0 = with_zero_arrivals(w.clone());
     let fair0 = run(ctx, &cluster, &w0, SchedName::Fair, &cfg);
     let variants = [
-        (SchedName::Tetris, "tetris_avg_jct_gain"),
-        (SchedName::TetrisCpuMemOnly, "cpumem_avg_jct_gain"),
-        (SchedName::Srtf, "srtf_avg_jct_gain"),
-        (SchedName::PackingOnly, "packing_only_avg_jct_gain"),
+        (SchedName::Tetris, "tetris"),
+        (SchedName::TetrisCpuMemOnly, "cpumem"),
+        (SchedName::Srtf, "srtf"),
+        (SchedName::PackingOnly, "packing_only"),
     ];
     let mut t = TextTable::new(vec![
         "variant",
@@ -74,7 +71,7 @@ pub fn fig7(ctx: &RunCtx) -> Report {
         "makespan vs fair",
         "jobs slowed",
     ]);
-    for (name, metric) in variants {
+    for (name, tag) in variants {
         let ran = (name != SchedName::Tetris).then(|| run(ctx, &cluster, &w, name, &cfg));
         let o = ran.as_ref().unwrap_or(&tetris);
         let o0 = run(ctx, &cluster, &w0, name, &cfg);
@@ -86,7 +83,7 @@ pub fn fig7(ctx: &RunCtx) -> Report {
             format!("{:+.1}%", pct_improvement(fair0.makespan(), o0.makespan())),
             format!("{:.0}%", slowed * 100.0),
         ]);
-        report.push(metric, jct_gain);
+        report.push(format!("{tag}_avg_jct_gain"), jct_gain);
     }
     out.push_str(
         "gain decomposition. Paper: masking disk/network (over-allocation\n\
@@ -98,17 +95,6 @@ pub fn fig7(ctx: &RunCtx) -> Report {
     out.push_str(&t.render());
     report.text = out;
     report
-}
-
-/// Per-alignment-kind metric names (JCT gain, makespan gain).
-fn alignment_metric_names(kind: AlignmentKind) -> (&'static str, &'static str) {
-    match kind {
-        AlignmentKind::Cosine => ("cosine_jct_gain", "cosine_makespan_gain"),
-        AlignmentKind::L2NormDiff => ("l2_norm_diff_jct_gain", "l2_norm_diff_makespan_gain"),
-        AlignmentKind::L2NormRatio => ("l2_norm_ratio_jct_gain", "l2_norm_ratio_makespan_gain"),
-        AlignmentKind::FfdProd => ("ffd_prod_jct_gain", "ffd_prod_makespan_gain"),
-        AlignmentKind::FfdSum => ("ffd_sum_jct_gain", "ffd_sum_makespan_gain"),
-    }
 }
 
 /// Table 7 — alignment heuristics. Paper: cosine similarity best on both
@@ -127,9 +113,9 @@ pub fn table7(ctx: &RunCtx) -> Report {
             format!("{jct_gain:+.1}%"),
             format!("{mk_gain:+.1}%"),
         ]);
-        let (m_jct, m_mk) = alignment_metric_names(kind);
-        report.push(m_jct, jct_gain);
-        report.push(m_mk, mk_gain);
+        let name = kind.label().replace('-', "_");
+        report.push(format!("{name}_jct_gain"), jct_gain);
+        report.push(format!("{name}_makespan_gain"), mk_gain);
     }
     report.text = format!(
         "Table 7 — alignment heuristics vs the fair scheduler (Facebook-like trace)\n\
@@ -190,8 +176,8 @@ mod tests {
         let r = table7(&RunCtx::default());
         for k in AlignmentKind::ALL {
             assert!(r.text.contains(k.label()), "missing {}", k.label());
-            let (m_jct, _) = alignment_metric_names(k);
-            assert!(r.get(m_jct).is_some(), "missing metric {m_jct}");
         }
+        assert_eq!(r.metrics.len(), 2 * AlignmentKind::ALL.len());
+        assert!(r.get("l2_norm_diff_jct_gain").is_some());
     }
 }

@@ -12,10 +12,12 @@
 pub struct Report {
     /// The rendered report, byte-identical to the pre-`Report` CLI output.
     pub text: String,
-    /// Headline numbers, in presentation order. Names are `&'static str`
-    /// so sweep aggregation can group by pointer-cheap keys and typos in
-    /// metric names fail at compile time, not at aggregation time.
-    pub metrics: Vec<(&'static str, f64)>,
+    /// Headline numbers, in presentation order. A sweep formats each
+    /// name from the value its table row prints (`f0.25_…`,
+    /// `cold_ms_51000`), so a point is stated once; [`Report::push`]
+    /// refuses a name twice, and `scripts/golden/metric_names.txt` pins
+    /// every experiment's names.
+    pub metrics: Vec<(String, f64)>,
 }
 
 impl Report {
@@ -29,14 +31,21 @@ impl Report {
 
     /// Builder-style: append one named metric.
     #[must_use]
-    pub fn metric(mut self, name: &'static str, value: f64) -> Self {
+    pub fn metric(mut self, name: impl Into<String>, value: f64) -> Self {
         self.push(name, value);
         self
     }
 
     /// Append one named metric.
-    pub fn push(&mut self, name: &'static str, value: f64) {
-        debug_assert!(
+    ///
+    /// # Panics
+    ///
+    /// If the report already holds `name`: two sweep values that format
+    /// alike would otherwise hand sweep aggregation (which reads the
+    /// first) and `--bench` (which keeps the last) different numbers.
+    pub fn push(&mut self, name: impl Into<String>, value: f64) {
+        let name = name.into();
+        assert!(
             !self.metrics.iter().any(|(n, _)| *n == name),
             "duplicate metric {name}"
         );
@@ -73,8 +82,17 @@ mod tests {
         let mut r = Report::new("t");
         r.push("a", 1.0);
         r.push("b", -2.0);
-        assert_eq!(r.metrics, vec![("a", 1.0), ("b", -2.0)]);
+        assert_eq!(r.metrics, vec![("a".into(), 1.0), ("b".into(), -2.0)]);
         assert_eq!(r.get("b"), Some(-2.0));
         assert_eq!(r.get("missing"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate metric f0.25_jct")]
+    fn pushing_a_name_twice_panics() {
+        let mut r = Report::new("t");
+        for f in [0.25, 0.251] {
+            r.push(format!("f{f:.2}_jct"), 1.0);
+        }
     }
 }

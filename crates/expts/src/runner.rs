@@ -162,7 +162,7 @@ pub fn aggregate_sweep(runs: &[SeedRun]) -> String {
     for (name, _) in &first.report.metrics {
         let xs: Vec<f64> = runs.iter().filter_map(|r| r.report.get(name)).collect();
         t.row(vec![
-            (*name).to_string(),
+            name.clone(),
             format!("{:.3}", percentile(&xs, 0.5)),
             format!("{:.3}", percentile(&xs, 0.1)),
             format!("{:.3}", percentile(&xs, 0.9)),
@@ -265,12 +265,7 @@ pub fn bench_report(
                 id: r.id.to_string(),
                 seconds: r.seconds,
                 cpu_seconds: r.cpu_seconds,
-                metrics: r
-                    .report
-                    .metrics
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), *v))
-                    .collect(),
+                metrics: r.report.metrics.iter().cloned().collect(),
             })
             .collect(),
         obs: merged.snapshot(),
@@ -333,7 +328,7 @@ mod tests {
         assert!(!runs[0].report.metrics.is_empty());
         assert_eq!(row.metrics.len(), runs[0].report.metrics.len());
         for (name, value) in &runs[0].report.metrics {
-            assert_eq!(row.metrics.get(*name), Some(value), "{name}");
+            assert_eq!(row.metrics.get(name), Some(value), "{name}");
         }
         assert!(!json.contains("baseline"), "comparison keys are gone");
     }

@@ -27,3 +27,23 @@ fn unwritable_bench_path_fails_before_any_experiment_runs() {
         "names the path: {stderr}"
     );
 }
+
+#[test]
+fn help_indents_every_option_description_continuation() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("--help")
+        .output()
+        .expect("reproduce spawns");
+    let help = String::from_utf8_lossy(&out.stdout);
+    // The options follow the usage block's blank line. Each line there
+    // names an option (or the `sweep` command) or continues the one
+    // above, indented under its description.
+    let options = help.split("\n\n").nth(2).expect("an options block");
+    assert!(options.starts_with("--laptop"), "{options}");
+    for line in options.lines() {
+        assert!(
+            line.starts_with("--") || line.starts_with("sweep ") || line.starts_with(' '),
+            "unindented continuation {line:?} in:\n{help}"
+        );
+    }
+}

@@ -789,6 +789,57 @@ mod tests {
         }
     }
 
+    /// The grammar's verdict on `recs`, appended in order.
+    fn verdict(recs: &[JournalRecord]) -> Result<JournalStats, JournalError> {
+        let mut j = Journal::new();
+        for rec in recs {
+            j.append(rec);
+        }
+        j.verify()
+    }
+
+    #[test]
+    fn a_batch_that_skips_a_heartbeat_is_out_of_order() {
+        let start = JournalRecord::BatchStart {
+            heartbeat: 2,
+            now_us: 5,
+        };
+        match verdict(&[header(), start]) {
+            Err(JournalError::OutOfOrder { msg, .. }) => {
+                assert!(msg.contains("does not follow batch 0"), "{msg}");
+            }
+            other => panic!("expected OutOfOrder, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_commit_must_count_the_placements_journaled() {
+        let start = JournalRecord::BatchStart {
+            heartbeat: 1,
+            now_us: 5,
+        };
+        match verdict(&[header(), start, placement(), commit(1, 2)]) {
+            Err(JournalError::OutOfOrder { msg, .. }) => {
+                assert!(
+                    msg.contains("commits 2 placements but journaled 1"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected OutOfOrder, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_second_header_is_a_duplicate() {
+        let mut first = Journal::new();
+        first.append(&header());
+        let offset = first.bytes().len() as u64;
+        assert_eq!(
+            verdict(&[header(), header()]),
+            Err(JournalError::DuplicateHeader { offset })
+        );
+    }
+
     #[test]
     fn missing_header_is_typed() {
         let mut j = Journal::new();

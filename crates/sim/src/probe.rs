@@ -26,6 +26,14 @@ fn all_arrived(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> Si
     state
 }
 
+/// [`all_arrived`] behind the engine's input check on `workload`.
+fn checked(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> SimState {
+    workload
+        .validate_for_cluster(cluster.len())
+        .expect("invalid workload");
+    all_arrived(cluster, workload, cfg)
+}
+
 /// A reusable snapshot of "all jobs pending" state.
 pub struct ScheduleProbe {
     state: SimState,
@@ -35,9 +43,8 @@ impl ScheduleProbe {
     /// Build the snapshot: bind the workload to the cluster and mark every
     /// job arrived (all tasks of root stages pending).
     pub fn new(cluster: ClusterConfig, workload: Workload, cfg: SimConfig) -> Self {
-        workload.validate().expect("invalid workload");
         ScheduleProbe {
-            state: all_arrived(cluster, workload, cfg),
+            state: checked(cluster, workload, cfg),
         }
     }
 
@@ -78,12 +85,8 @@ impl RecomputeProbe {
         cfg: SimConfig,
         policy: &mut dyn SchedulerPolicy,
     ) -> Self {
-        workload.validate().expect("invalid workload");
-        let mut state = all_arrived(cluster, workload, cfg);
-        let assignments = {
-            let view = ClusterView::new(&state, policy.uses_tracker());
-            policy.schedule(&view)
-        };
+        let mut state = checked(cluster, workload, cfg);
+        let (assignments, _) = timed_schedule(&state, policy);
         for a in assignments {
             if state.assignment_valid(a.task, a.machine) {
                 state.apply_assignment(a.task, a.machine);
@@ -164,11 +167,10 @@ impl IncrementalProbe {
     /// backoff is zeroed and the attempt cap lifted so drained tasks
     /// return to the pending pool immediately instead of dying.
     pub fn new(cluster: ClusterConfig, workload: Workload, mut cfg: SimConfig) -> Self {
-        workload.validate().expect("invalid workload");
         cfg.faults.restart_backoff = 0.0;
         cfg.max_task_attempts = u32::MAX;
         IncrementalProbe {
-            state: all_arrived(cluster, workload, cfg),
+            state: checked(cluster, workload, cfg),
             reps: 0,
             touched: 0,
         }
@@ -407,10 +409,7 @@ impl ColdPassProbe {
         let mut avail = state.machines.first().map(|m| m.capacity);
         let mut plan = PlacementPlan::default();
         for uid in uids {
-            loop {
-                if mi >= state.machines.len() {
-                    break;
-                }
+            while mi < state.machines.len() {
                 let m = MachineId(mi);
                 state.placement_plan_into(uid, m, &mut plan);
                 let fits = avail.is_some_and(|a| plan.local.fits_within(&a));
@@ -458,8 +457,7 @@ impl ColdPassProbe {
     /// cross-backend equivalence is [`measure`](ColdPassProbe::measure)'s
     /// job. Same freshness contract: pass a fresh policy.
     pub fn cold_schedule_indexed(&self, policy: &mut dyn SchedulerPolicy) -> usize {
-        let view = ClusterView::new(&self.indexed, policy.uses_tracker());
-        policy.schedule(&view).len()
+        self.cold_assignments_indexed(policy).len()
     }
 
     /// [`cold_schedule_indexed`](ColdPassProbe::cold_schedule_indexed)
@@ -548,6 +546,20 @@ mod tests {
         let n2 = probe.measure(&mut policy);
         assert!(n1 > 0);
         assert_eq!(n1, n2, "probe must be repeatable");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid workload")]
+    fn probe_refuses_a_spread_floor_the_cluster_cannot_meet() {
+        // Valid on its own; the engine refuses it on two machines.
+        let mut w = WorkloadSuiteConfig::small().generate(3);
+        w.jobs_mut()[0].constraints.spread = Some(3);
+        assert_eq!(w.validate(), Ok(()));
+        ScheduleProbe::new(
+            ClusterConfig::uniform(2, MachineSpec::paper_large()),
+            w,
+            SimConfig::default(),
+        );
     }
 
     #[test]

@@ -93,6 +93,25 @@ target/release/reproduce fig4 fig7 table7 fig8 fig10 rp eps --jobs 2 | sed '/fin
   | cmp - scripts/golden/sweeps_reproduce.txt \
   || { echo "sweep experiments' output diverged from the golden"; exit 1; }
 
+echo "== metric names golden (every experiment's headline names, pinned) =="
+# Sweep points format their metric names from the values they sweep
+# (DESIGN.md 8), so a changed format or sweep value renames a metric
+# silently. One "id name" line a metric of `reproduce all --bench`, read
+# from its experiments[].metrics keys (sorted there; push order is the
+# report's own). About 12 s on two workers. cmp, not a tolerance.
+names_tmp="$(mktemp)"
+target/release/reproduce all --scale 0.05 --jobs 2 --bench "$names_tmp" >/dev/null
+awk '
+  /^  "experiments"/ { inexp = 1 }
+  /^  [\]}]/ { inexp = 0 }
+  inexp && /^      "id": / { id = $2; gsub(/[",]/, "", id) }
+  inexp && /^      "metrics": \{/ { inm = 1; next }
+  inm && /^      \}/ { inm = 0 }
+  inm { name = $1; gsub(/[":]/, "", name); print id, name }
+' "$names_tmp" | cmp - scripts/golden/metric_names.txt \
+  || { rm -f "$names_tmp"; echo "metric names diverged from the golden"; exit 1; }
+rm -f "$names_tmp"
+
 echo "== churn smoke (fault sweep at toy scale) =="
 target/release/reproduce churn --scale 0.05 >/dev/null
 
