@@ -251,6 +251,73 @@ fn srtf_prefilter_matches_exhaustive_reference() {
 }
 
 #[test]
+fn srtf_matches_reference_under_machine_churn() {
+    // Flaky trackers lead each crash, so suspect machines exist and the
+    // walk's suspect-last order decides placements; crashed machines
+    // leave the walk while they are down.
+    for seed in SEEDS {
+        for (wname, w) in workloads(seed) {
+            assert_equivalent_cfg(
+                &format!("srtf-churn/{wname}"),
+                seed,
+                cluster(),
+                &w,
+                &churn_cfg(seed),
+                Box::new(SrtfScheduler::new()),
+                Box::new(SrtfScheduler::exhaustive()),
+            );
+        }
+    }
+}
+
+/// The serving mix on 20 machines in two shapes: as generated (service
+/// waves with a spread floor over a batch backlog), and with each service
+/// job also anti-affine to the one before it, so that both constraints
+/// reach the ledger's `allows` during the walk.
+fn serving_shapes(seed: u64) -> Vec<(&'static str, Workload)> {
+    let spread = ServingMixConfig::laptop(0.5).generate(seed);
+    let mut anti = spread.clone();
+    let mut last_service = None;
+    for job in anti.jobs_mut() {
+        if job.class.is_service() {
+            if let Some(prev) = last_service {
+                job.constraints.anti_affinity.push(prev);
+            }
+            last_service = Some(job.id);
+        }
+    }
+    vec![("spread", spread), ("anti-affinity", anti)]
+}
+
+#[test]
+fn srtf_matches_reference_on_constrained_serving_mix() {
+    let cluster = ClusterConfig::uniform(20, MachineSpec::paper_large());
+    for seed in SEEDS {
+        let outcomes: Vec<_> = serving_shapes(seed)
+            .into_iter()
+            .map(|(shape, w)| {
+                assert_equivalent_cfg(
+                    &format!("srtf-serving/{shape}"),
+                    seed,
+                    cluster.clone(),
+                    &w,
+                    &quiet_cfg(seed),
+                    Box::new(SrtfScheduler::new()),
+                    Box::new(SrtfScheduler::exhaustive()),
+                )
+            })
+            .collect();
+        // The added anti-affinity must move a decision, or the second
+        // shape compares what the first already did.
+        assert_ne!(
+            fingerprint(&outcomes[0]).tasks,
+            fingerprint(&outcomes[1]).tasks,
+            "seed {seed}: anti-affinity changed no placement"
+        );
+    }
+}
+
+#[test]
 fn packing_only_warm_scratch_matches_cold_reference() {
     // A second Tetris operating point (no SRTF term, no fairness) drives
     // different branches through the candidate loop and the fit lists.
