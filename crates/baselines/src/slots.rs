@@ -361,6 +361,70 @@ mod tests {
     }
 
     #[test]
+    fn a_task_takes_a_free_slot_where_its_input_lives() {
+        // Eight map tasks, each reading its own stored block, arrive on
+        // eight idle machines: every machine has free slots, so each task
+        // goes to a machine holding its block. Without the preference the
+        // machine with the most free slots would take it.
+        use std::{cell::Cell, rc::Rc};
+        use tetris_resources::units::MB;
+        use tetris_workload::{TaskParams, WorkloadBuilder};
+        struct Watch {
+            inner: FairScheduler,
+            preferred: Vec<MachineId>,
+            /// Placements of a task with preferred machines: on one of
+            /// them, and elsewhere.
+            local: Rc<Cell<(usize, usize)>>,
+        }
+        impl SchedulerPolicy for Watch {
+            fn name(&self) -> &str {
+                "watch"
+            }
+            fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                let out = self.inner.schedule(view);
+                for a in &out {
+                    view.preferred_machines_into(a.task, &mut self.preferred);
+                    let (on, off) = self.local.get();
+                    if self.preferred.contains(&a.machine) {
+                        self.local.set((on + 1, off));
+                    } else if !self.preferred.is_empty() {
+                        self.local.set((on, off + 1));
+                    }
+                }
+                out
+            }
+        }
+        let mut b = WorkloadBuilder::new();
+        let j = b.begin_job("maps", None, 0.0);
+        let inputs: Vec<_> = (0..8).map(|_| b.stored_input(256.0 * MB)).collect();
+        b.add_stage(j, "map", vec![], 8, |i| TaskParams {
+            cores: 1.0,
+            mem: GB,
+            duration: 10.0,
+            cpu_frac: 1.0,
+            io_burst: 1.0,
+            inputs: vec![inputs[i]],
+            output_bytes: 0.0,
+            remote_frac: 1.0,
+        });
+        let local = Rc::new(Cell::new((0, 0)));
+        let watch = Watch {
+            inner: FairScheduler::new(),
+            preferred: Vec::new(),
+            local: local.clone(),
+        };
+        let outcome = Simulation::build(
+            ClusterConfig::uniform(8, MachineSpec::paper_large()),
+            b.finish(),
+        )
+        .scheduler(watch)
+        .seed(3)
+        .run();
+        assert!(outcome.all_jobs_completed());
+        assert_eq!(local.get(), (8, 0));
+    }
+
+    #[test]
     fn overallocates_unexamined_resources() {
         // Slot schedulers ignore disk/network → demand ledger exceeds
         // capacity on IO-heavy workloads.

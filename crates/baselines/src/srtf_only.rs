@@ -13,19 +13,15 @@ use tetris_workload::JobId;
 
 /// SRTF-only scheduler.
 ///
-/// The schedule pass walks every pending task; at saturation that is
-/// thousands of tasks per event, so the pass prefilters each task on the
-/// placement-*independent* demand dimensions (Cpu, Mem, DiskWrite — a
-/// placement plan's local demand equals the spec on exactly these) before
-/// paying for any per-machine placement plan. The prefilter only rejects
-/// tasks/machines the full feasibility check would also reject, so
-/// decisions are identical to the exhaustive pass (proven by
-/// `tests/schedule_equivalence.rs`).
+/// One walk a task: its preferred machines, then every up machine by id,
+/// suspect machines after the rest (DESIGN.md §10). A machine is planned
+/// only if the task's placement-independent demand (Cpu, Mem, DiskWrite:
+/// the components a plan takes verbatim from the spec) fits it. A demand
+/// that fits no up machine is remembered for the call: availability only
+/// shrinks within a call, so a later task whose demand is at least as
+/// large on all three dimensions is skipped without a visit (DESIGN.md §9).
 #[derive(Debug, Clone, Default)]
 pub struct SrtfScheduler {
-    /// Skip the prefilter and buffer reuse: the from-scratch reference
-    /// that the equivalence test compares against.
-    exhaustive: bool,
     scratch: Scratch,
 }
 
@@ -35,34 +31,26 @@ struct Scratch {
     jobs: Vec<(JobId, f64)>,
     ledger: WorkingLedger,
     preferred: Vec<MachineId>,
-    candidates: Vec<MachineId>,
+    /// The up machines by id, suspect ones last.
+    order: Vec<MachineId>,
+    /// The minimal placement-independent demands that fit no up machine
+    /// this call.
+    unplaceable: Vec<ResourceVec>,
 }
 
-/// The demand components a placement plan cannot change: Cpu, Mem and
-/// DiskWrite are taken verbatim from the spec regardless of machine, while
-/// DiskRead/NetIn/NetOut depend on where the inputs live (zeroed here, so
-/// the result is component-wise `<=` any machine's plan-local demand).
-fn placement_independent(demand: &ResourceVec) -> ResourceVec {
-    ResourceVec::zero()
-        .with(Resource::Cpu, demand.get(Resource::Cpu))
-        .with(Resource::Mem, demand.get(Resource::Mem))
-        .with(Resource::DiskWrite, demand.get(Resource::DiskWrite))
+/// The dimensions on which a placement plan's local demand equals the
+/// spec on every machine; the others depend on where the inputs live.
+const PLACEMENT_INDEPENDENT: [Resource; 3] = [Resource::Cpu, Resource::Mem, Resource::DiskWrite];
+
+/// `a <= b` on every placement-independent dimension.
+fn covered_by(a: &ResourceVec, b: &ResourceVec) -> bool {
+    PLACEMENT_INDEPENDENT.iter().all(|&r| a.get(r) <= b.get(r))
 }
 
 impl SrtfScheduler {
     /// New instance.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// From-scratch reference pass: no prefilter, no scratch reuse. Slower
-    /// but structurally identical to the original algorithm; exists so the
-    /// equivalence test can prove the optimized pass decision-identical.
-    pub fn exhaustive() -> Self {
-        SrtfScheduler {
-            exhaustive: true,
-            ..Self::default()
-        }
     }
 }
 
@@ -78,20 +66,21 @@ impl SchedulerPolicy for SrtfScheduler {
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let n = view.num_machines().max(1);
         let reference = view.total_capacity() / n as f64;
-        let exhaustive = self.exhaustive;
         let Scratch {
             jobs,
             ledger,
             preferred,
-            candidates,
+            order,
+            unplaceable,
         } = &mut self.scratch;
         ledger.begin(view);
-        // Fault awareness: skipping down machines and stably pushing
-        // suspect ones last are both exact no-ops without fault injection
-        // (every machine is up and trusted then), so decisions stay
-        // byte-identical to the pre-fault pass.
-        let query = view.query();
-        let any_suspect = query.iter_all().any(|m| view.is_suspect(m));
+        unplaceable.clear();
+        // The up machines, suspect ones last (a stable partition). Without
+        // fault injection every machine is up and trusted: the ids.
+        order.clear();
+        order.extend(view.query().iter_all().filter(|&m| !view.is_down(m)));
+        order.sort_by_key(|&m| view.is_suspect(m));
+        let trusted = order.partition_point(|&m| !view.is_suspect(m));
 
         jobs.clear();
         jobs.extend(
@@ -100,51 +89,41 @@ impl SchedulerPolicy for SrtfScheduler {
         );
         jobs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-        // Upper envelope of availability on the placement-independent
-        // dims (∞ elsewhere so those always pass). Availability only
-        // shrinks during the pass, so the envelope stays an upper bound:
-        // a task that fails it fails the full check on every machine.
-        let mut env = ResourceVec::zero()
-            .with(Resource::Cpu, f64::NEG_INFINITY)
-            .with(Resource::Mem, f64::NEG_INFINITY)
-            .with(Resource::DiskWrite, f64::NEG_INFINITY)
-            .with(Resource::DiskRead, f64::INFINITY)
-            .with(Resource::NetIn, f64::INFINITY)
-            .with(Resource::NetOut, f64::INFINITY);
-        for m in query.iter_all() {
-            env = env.max(&ledger.available(view, m));
-        }
-
         let mut out = Vec::new();
         for &(j, _) in jobs.iter() {
             for t in view.job_pending(j) {
-                let quick = placement_independent(&view.task(t).demand);
-                if !exhaustive && !quick.fits_within(&env) {
-                    continue; // provably unplaceable on every machine
+                let quick = view.task(t).demand.project(&PLACEMENT_INDEPENDENT);
+                if unplaceable.iter().any(|u| covered_by(u, &quick)) {
+                    continue;
                 }
-                // Prefer data-local placements, else first machine where
-                // the full plan (local + remote) fits.
+                // Data-local machines first, each in its trust class.
                 view.preferred_machines_into(t, preferred);
-                candidates.clear();
-                candidates.extend(preferred.iter().copied().chain(query.iter_all()));
-                candidates.retain(|&m| !view.is_down(m));
-                if any_suspect {
-                    // Stable partition: suspect machines considered last.
-                    candidates.sort_by_key(|&m| view.is_suspect(m));
-                }
-                for m in candidates.iter().copied() {
-                    // Cheap exact reject before computing the plan: the
-                    // plan's local demand is >= `quick` component-wise.
-                    if !exhaustive && !quick.fits_within(&ledger.available(view, m)) {
-                        continue;
+                let preferred_if = |suspect: bool| {
+                    preferred
+                        .iter()
+                        .filter(move |&&m| !view.is_down(m) && view.is_suspect(m) == suspect)
+                };
+                let mut walk = preferred_if(false)
+                    .chain(&order[..trusted])
+                    .chain(preferred_if(true))
+                    .chain(&order[trusted..]);
+                let mut room = false;
+                let fit = walk.find(|&&m| {
+                    // The plan's local demand is >= `quick` on every
+                    // dimension: a cheap exact reject before planning.
+                    if !quick.fits_within(&ledger.available(view, m)) {
+                        return false;
                     }
-                    if !ledger.allows(view, j, m) {
-                        continue;
+                    room = true;
+                    ledger.allows(view, j, m) && ledger.try_place(view, t, m).is_ok()
+                });
+                match fit {
+                    Some(&m) => out.push(Assignment::new(t, m)),
+                    None if !room => {
+                        unplaceable.retain(|u| !covered_by(&quick, u));
+                        unplaceable.push(quick);
                     }
-                    if ledger.try_place(view, t, m).is_ok() {
-                        out.push(Assignment::new(t, m));
-                        break;
-                    }
+                    None => {}
                 }
             }
         }

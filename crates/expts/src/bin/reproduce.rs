@@ -23,12 +23,32 @@
 //!                          # an uninterrupted run
 //! ```
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
+use std::process::exit;
 use std::time::Instant;
 
 use tetris_expts::cli::{self, Cmd};
 use tetris_expts::experiments::{self, registry};
 use tetris_expts::{instrument, runner};
+
+/// Every line the binary prints goes through here, from whichever thread
+/// finished the experiment. A reader that closed early (`reproduce all |
+/// head`) ends the run cleanly with exit 0: nobody reads the rest. Any
+/// other write error is exit 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,14 +59,14 @@ fn main() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
-            std::process::exit(2);
+            exit(2);
         }
     };
 
     match p.cmd {
-        Cmd::Help => cli::print_help(),
+        Cmd::Help => outln!("{}", cli::HELP),
         Cmd::List => {
-            cli::print_help();
+            outln!("{}", cli::HELP);
             print_registry();
         }
         Cmd::Instrument {
@@ -73,17 +93,17 @@ fn main() {
                 outcome,
             };
             match instrument::instrumented_run(&ctx, &opts) {
-                Ok(report) => println!("{report}"),
+                Ok(report) => outln!("{report}"),
                 Err(e) => {
                     eprintln!("instrumented run failed: {e}");
-                    std::process::exit(1);
+                    exit(1);
                 }
             }
         }
         Cmd::Run { ids } if ids.is_empty() => {
-            cli::print_help();
+            outln!("{}", cli::HELP);
             print_registry();
-            println!("\nrun `reproduce all` for the full battery.");
+            outln!("\nrun `reproduce all` for the full battery.");
         }
         Cmd::Run { ids } => {
             let selected: Vec<_> = if ids.iter().any(|i| i == "all") {
@@ -100,7 +120,7 @@ fn main() {
             let bench_out = p.bench.as_deref().map(|path| {
                 let file = std::fs::File::create(path).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");
-                    std::process::exit(2);
+                    exit(2);
                 });
                 (path, file)
             });
@@ -108,17 +128,17 @@ fn main() {
             let start = Instant::now();
             let runs =
                 runner::run_experiments(selected, p.scale, p.scale_factor, p.seed, p.jobs, |r| {
-                    println!("{}", "=".repeat(74));
-                    println!("[{}] {}", r.id, r.what);
-                    println!("{}", "=".repeat(74));
-                    println!("{}", r.report);
-                    println!("({} finished in {:.1}s)\n", r.id, r.seconds);
+                    outln!("{}", "=".repeat(74));
+                    outln!("[{}] {}", r.id, r.what);
+                    outln!("{}", "=".repeat(74));
+                    outln!("{}", r.report);
+                    outln!("({} finished in {:.1}s)\n", r.id, r.seconds);
                 });
             let wall = start.elapsed().as_secs_f64();
 
             if let Some((path, mut file)) = bench_out {
                 let b = runner::bench_report(&runs, p.scale, p.seed, p.jobs, wall);
-                println!(
+                outln!(
                     "suite: {} experiments in {:.1}s wall ({:.1}s cpu, jobs={}, \
                      estimated speedup {:.2}x)",
                     b.experiments.len(),
@@ -133,7 +153,7 @@ fn main() {
                     .max_by(|a, c| a.seconds.partial_cmp(&c.seconds).unwrap())
                     .map(|e| (e.id.as_str(), e.seconds))
                     .unwrap_or(("-", 0.0));
-                println!(
+                outln!(
                     "parallelism: Amdahl bound {:.2}x (longest experiment '{}' at {:.1}s), \
                      worker utilization {:.0}%, thread cpu {:.1}s of {:.1}s wall-sum",
                     b.amdahl_bound,
@@ -144,7 +164,7 @@ fn main() {
                     b.cpu_seconds
                 );
                 if b.jobs > 1 && b.thread_cpu_seconds < 0.6 * b.cpu_seconds {
-                    println!(
+                    outln!(
                         "note: workers were descheduled for {:.0}% of their runtime — the \
                          machine has fewer free cores than --jobs; expect no speedup from \
                          parallelism here",
@@ -154,15 +174,15 @@ fn main() {
                 let json = serde_json::to_string_pretty(&b).expect("bench serializes");
                 if let Err(e) = writeln!(file, "{json}") {
                     eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
+                    exit(1);
                 }
-                println!("bench -> {path}");
+                outln!("bench -> {path}");
             }
         }
         Cmd::Sweep { id, seeds } => {
             let exp = experiments::find(&id).expect("validated id");
-            println!("{}", "=".repeat(74));
-            println!(
+            outln!("{}", "=".repeat(74));
+            outln!(
                 "[sweep {}] {} — seeds {}..{} ({} seeds, jobs={})",
                 exp.id,
                 exp.what,
@@ -171,17 +191,17 @@ fn main() {
                 seeds.len(),
                 p.jobs
             );
-            println!("{}", "=".repeat(74));
+            outln!("{}", "=".repeat(74));
             let start = Instant::now();
             let runs = runner::run_sweep(exp, p.scale, p.scale_factor, seeds, p.jobs, |r| {
-                println!("  seed {:<4} finished in {:.1}s", r.seed, r.seconds);
+                outln!("  seed {:<4} finished in {:.1}s", r.seed, r.seconds);
             });
-            println!(
+            outln!(
                 "\nper-seed headline metrics, aggregated over {} seeds:\n",
                 runs.len()
             );
-            println!("{}", runner::aggregate_sweep(&runs));
-            println!(
+            outln!("{}", runner::aggregate_sweep(&runs));
+            outln!(
                 "(sweep {} finished in {:.1}s)",
                 id,
                 start.elapsed().as_secs_f64()
@@ -191,8 +211,8 @@ fn main() {
 }
 
 fn print_registry() {
-    println!("\nexperiments:");
+    outln!("\nexperiments:");
     for e in &registry() {
-        println!("  {:<8} {}", e.id, e.what);
+        outln!("  {:<8} {}", e.id, e.what);
     }
 }

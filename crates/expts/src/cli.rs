@@ -293,9 +293,7 @@ fn parse_seed_range(v: &str) -> Result<(u64, u64), String> {
 }
 
 /// The `--help` text.
-pub fn print_help() {
-    println!(
-        "reproduce — regenerate the Tetris paper's tables and figures\n\n\
+pub const HELP: &str = "reproduce — regenerate the Tetris paper's tables and figures\n\n\
          usage: reproduce [options] <experiment>... | all\n\
          \x20      reproduce sweep <experiment> [--seeds A..B]\n\
          \x20      reproduce [--trace FILE.jsonl [--trace-verbose]] [--metrics FILE.json]\n\
@@ -355,9 +353,7 @@ pub fn print_help() {
          --outcome FILE.json\n\
          \x20         write the run's final SimOutcome as JSON; recovery\n\
          \x20         smokes `cmp` a crashed-and-recovered outcome against an\n\
-         \x20         uninterrupted one"
-    );
-}
+         \x20         uninterrupted one";
 
 #[cfg(test)]
 mod tests {

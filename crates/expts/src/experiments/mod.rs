@@ -167,7 +167,7 @@ pub fn registry() -> Vec<Experiment> {
             id: "churn",
             what: "Extension — graceful degradation under machine churn (§3.1/§4.3)",
             run: churn::churn,
-            cost: 19,
+            cost: 7,
         },
         Experiment {
             id: "table8",

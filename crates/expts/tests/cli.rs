@@ -1,5 +1,6 @@
 //! Behaviour of the `reproduce` binary that the pure argument parser
-//! cannot see: what it does with a path before the experiments start.
+//! cannot see: what it does with a path before the experiments start, and
+//! with a stdout nobody reads.
 
 use std::process::Command;
 
@@ -45,5 +46,28 @@ fn help_indents_every_option_description_continuation() {
             line.starts_with("--") || line.starts_with("sweep ") || line.starts_with(' '),
             "unindented continuation {line:?} in:\n{help}"
         );
+    }
+}
+
+#[test]
+fn a_reader_that_closes_early_is_a_clean_exit() {
+    // The help text, the registry and the streamed experiment reports
+    // each meet a pipe whose read end is closed before the binary starts,
+    // so its first write finds no reader.
+    for args in [
+        &["--help"][..],
+        &["--list"],
+        &["fig1", "table2", "--jobs", "1"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe opens");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("reproduce spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

@@ -43,6 +43,9 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
+# Besides the workspace lints, crates/sim/clippy.toml refuses
+# std::thread's spawn and scope there: the simulator runs on the calling
+# thread.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== size gate: no file under crates/*/src above 900 non-test lines =="
@@ -115,8 +118,10 @@ rm -f "$names_tmp"
 echo "== churn golden (fault sweep; SRTF's suspect-last walk, pinned) =="
 # Crashes at 2 % and 10 % of the machines, each led by a flaky tracker,
 # so suspect machines exist and every policy's fault handling decides
-# placements (about 0.6 s). cmp, not a tolerance.
-target/release/reproduce churn --scale 0.25 | sed '/finished in/d' \
+# placements (about 1.5 s). At half scale the cluster is busy enough that
+# SRTF-only's suspect-last order moves its rows; at a quarter it does
+# not. cmp, not a tolerance.
+target/release/reproduce churn --scale 0.5 | sed '/finished in/d' \
   | cmp - scripts/golden/churn_reproduce.txt \
   || { echo "churn reproduce output diverged from the golden"; exit 1; }
 
@@ -237,15 +242,6 @@ echo "== grep gate: shard workers never mutate shared cluster state =="
 if grep -nE 'SimState|RefCell|Mutex|RwLock|UnsafeCell|Atomic[UIB]|unsafe' \
     crates/sim/src/sharded.rs; then
   echo "sharded driver can mutate shared state from a worker"; exit 1
-fi
-
-echo "== grep gate: the simulator runs on the calling thread =="
-# A shard's pass is timed on its own and the round's critical path is the
-# slowest pass plus the commit (DESIGN.md 14), so threads buy nothing
-# that this simulator measures. The one thread pool is the experiment
-# runner's (crates/expts/src/pool.rs).
-if grep -rnE 'pool_map|std::thread' crates/sim/src; then
-  echo "the simulator spawns threads"; exit 1
 fi
 
 echo "== recovery smoke (re-execution against the WAL) =="

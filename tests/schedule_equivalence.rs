@@ -2,16 +2,19 @@
 //!
 //! The optimized schedulers reuse warm state (Tetris's per-job candidate
 //! caches and per-layer buffers, generation-stamped sets, candidate
-//! arenas) and take availability-based shortcuts (the SRTF quick
-//! prefilter). Both are only legal if they are *invisible*: every
-//! decision — assignments, score breakdowns, event order, job/task
-//! outcomes — must be identical to the unoptimized reference path. This
-//! suite pins that across ≥3 seeds × 2 workload shapes for:
+//! arenas) and take availability-based shortcuts (SRTF's quick reject
+//! and its per-call memo of demands that fit nowhere). Both are only
+//! legal if they are *invisible*: every decision — assignments, score
+//! breakdowns, event order, job/task outcomes — must be identical to the
+//! unoptimized reference path. This suite pins that across ≥3 seeds × 2
+//! workload shapes for:
 //!
 //! * `TetrisScheduler` vs [`ColdTetris`], the same scheduler with every
 //!   cache and buffer dropped before each `schedule()` call;
-//! * `SrtfScheduler::new()` (envelope prefilter) vs
-//!   `SrtfScheduler::exhaustive()` (checks every machine).
+//! * `SrtfScheduler` vs [`PlainSrtf`], the policy written here from the
+//!   public view API alone: a candidate list a task, sorted by
+//!   suspicion, every machine planned — quiet, under machine churn, and
+//!   on the constrained serving mix.
 //!
 //! Comparison is over the full observability event stream — which carries
 //! per-placement `DecisionScores` — with the one wall-clock field
@@ -23,13 +26,14 @@
 //! replicas and kills, abandons and restarts tasks) *and* under priority
 //! preemption (where the engine frees machines between the rounds of one
 //! heartbeat): a cache entry that outlives a change it depends on
-//! diverges here. The baselines keep no state across calls, so they have
-//! no leg here; `crates/expts/tests/policy_matrix.rs` covers every
-//! registered policy against crash recovery instead.
+//! diverges here. The other baselines keep no state across calls and take
+//! no shortcut, so they have no leg here;
+//! `crates/expts/tests/policy_matrix.rs` covers every registered policy
+//! against crash recovery instead.
 
 use tetris::prelude::*;
-use tetris::scheduler::ColdTetris;
-use tetris::sim::SimConfig;
+use tetris::scheduler::{job_remaining_work, ColdTetris};
+use tetris::sim::{MachineId, SimConfig, WorkingLedger};
 use tetris::workload::ServingMixConfig;
 use tetris_obs::{Event, Obs, VecRecorder};
 
@@ -50,6 +54,58 @@ fn workloads(seed: u64) -> Vec<(&'static str, Workload)> {
     fb_cfg.mean_interarrival = 10.0;
     let facebook = fb_cfg.generate(seed);
     vec![("suite", suite), ("facebook", facebook)]
+}
+
+/// SRTF-only as the paper states it, with no shortcut: jobs by remaining
+/// work, and each pending task placed on the first machine whose full
+/// plan fits, trying its data-local machines and then all machines by
+/// id, suspect machines after trusted ones and down machines never. The
+/// shipping `SrtfScheduler` must match it decision for decision.
+#[derive(Default)]
+struct PlainSrtf {
+    ledger: WorkingLedger,
+}
+
+impl SchedulerPolicy for PlainSrtf {
+    fn name(&self) -> &str {
+        "srtf"
+    }
+
+    fn uses_tracker(&self) -> bool {
+        true
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        let reference = view.total_capacity() / view.num_machines().max(1) as f64;
+        let mut jobs: Vec<_> = view
+            .active_jobs()
+            .map(|j| (j, job_remaining_work(view, j, &reference)))
+            .collect();
+        jobs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        self.ledger.begin(view);
+        let mut out = Vec::new();
+        let mut preferred = Vec::new();
+        for (j, _) in jobs {
+            for t in view.job_pending(j) {
+                view.preferred_machines_into(t, &mut preferred);
+                let mut candidates: Vec<MachineId> = preferred
+                    .iter()
+                    .copied()
+                    .chain(view.query().iter_all())
+                    .filter(|&m| !view.is_down(m))
+                    .collect();
+                candidates.sort_by_key(|&m| view.is_suspect(m));
+                let ledger = &mut self.ledger;
+                if let Some(m) = candidates
+                    .into_iter()
+                    .find(|&m| ledger.allows(view, j, m) && ledger.try_place(view, t, m).is_ok())
+                {
+                    out.push(Assignment::new(t, m));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Run one policy over a workload with the event stream recorded.
@@ -244,7 +300,7 @@ fn srtf_prefilter_matches_exhaustive_reference() {
                 seed,
                 &w,
                 Box::new(SrtfScheduler::new()),
-                Box::new(SrtfScheduler::exhaustive()),
+                Box::new(PlainSrtf::default()),
             );
         }
     }
@@ -264,7 +320,7 @@ fn srtf_matches_reference_under_machine_churn() {
                 &w,
                 &churn_cfg(seed),
                 Box::new(SrtfScheduler::new()),
-                Box::new(SrtfScheduler::exhaustive()),
+                Box::new(PlainSrtf::default()),
             );
         }
     }
@@ -303,7 +359,7 @@ fn srtf_matches_reference_on_constrained_serving_mix() {
                     &w,
                     &quiet_cfg(seed),
                     Box::new(SrtfScheduler::new()),
-                    Box::new(SrtfScheduler::exhaustive()),
+                    Box::new(PlainSrtf::default()),
                 )
             })
             .collect();
